@@ -1,40 +1,34 @@
 // Serve-scale benchmark: how fast the serving simulator's hot path is, and
-// what the StepTimeTable fast path buys over the callback path.
+// whether the production core still matches the reference core.
 //
-// Three measurements on the Llama3-70B / H100 validation deployment:
-//   1. Inner loop: N decode-step-time queries through the PerfModel-backed
-//      callbacks (std::function -> mutex -> std::map) vs the flat table
-//      (bounds-checked array load). This is the per-event cost the
-//      simulator pays millions of times.
-//   2. Full simulation at the high-load validation point (95% of analytic
-//      decode capacity): wall clock on both paths, plus the metric-identity
-//      check — TTFT percentiles, goodput, and utilization must be
-//      bit-identical; TBT percentiles within one histogram bin.
-//   3. A 20-point load sweep through the serve-sweep study, reported
-//      against the single old-path point for the perf trajectory.
-//   4. A non-stationary autoscaled point (on/off bursts + reactive
-//      policy): both paths must agree on the scale-event sequence and the
-//      instance-second integrals, covering the new event kinds the
-//      autoscaler adds to the loop.
-//   5. A fault-injected point (accelerated churn, hot spares, retries):
-//      both paths must produce element-wise identical fault event logs and
-//      identical kill/retry accounting. The zero-AFR table path is also
-//      gated on an absolute ns-per-decode-step budget, so the disabled
-//      fault branch staying off the hot path is enforced, not assumed.
-//   6. Reference-core identity: the pre-rewrite simulator is kept verbatim
+// Measurements on the Llama3-70B / H100 validation deployment, all driven
+// by one StepTimeTable built from the searched configurations:
+//   1. Full simulation at the high-load validation point (95% of analytic
+//      decode capacity): wall clock, and the zero-AFR step budget — the
+//      run has the fault, degrade and shedding branches compiled in but
+//      disabled, and its ns per decode step must stay inside an absolute
+//      budget, so bookkeeping creeping onto the disabled hot path fails
+//      instead of rotting. The three-axis metrics fields must be exactly
+//      zero.
+//   2. A 20-point load sweep through the serve-sweep study (wall clock,
+//      for the perf trajectory).
+//   3. Reference-core identity: the pre-rewrite simulator is kept verbatim
 //      (RunServeSimulationReference) and the rewritten core — calendar
 //      event queue, SoA hot state, completion-heap decode scheduling —
-//      must match it exactly on the high-load, autoscaled, and
-//      fault-injected points (metrics, scale-event and fault-event logs).
-//   7. A million-request point (32 decode instances at 95% load): workload
-//      generation wall time, then reference core vs new core on the table
-//      path with exact metric identity. The speedup must be > 1 (hard
-//      gate); the target is >= 5x. Also times the same point sharded 8
-//      ways through the merge path.
-//   8. The checked-in 19-point load grid (10%..100%, 30 s horizon), each
+//      must match it exactly (metrics plus scale, fault and shed logs) on
+//      four points: the plain point above, a non-stationary autoscaled
+//      point (on/off bursts + reactive policy), a fault-injected point
+//      (accelerated churn, hot spares, retries), and a chaos point
+//      (failure domains + degraded states + shedding on top of the churn).
+//   4. A million-request point (32 decode instances at 95% load): workload
+//      generation wall time, then reference core vs new core with exact
+//      metric identity. The speedup must be > 1 (hard gate); the target is
+//      >= 5x. Also times the same point sharded 8 ways through the merge
+//      path.
+//   5. The checked-in 19-point load grid (10%..100%, 30 s horizon), each
 //      point run on both cores: summed reference wall vs summed new wall,
 //      exact per-point identity, speedup > 1 gated, target >= 2x.
-//   9. A fleet-compare catalog where candidates share resolved parts: the
+//   6. A fleet-compare catalog where candidates share resolved parts: the
 //      study must build exactly one ServePlatform (search + StepTimeTable)
 //      per distinct (model, GPU) pair — `platform_builds` equals the
 //      distinct part count, gated — and a candidate that only widens the
@@ -44,10 +38,12 @@
 // and the exit code gates regressions: nonzero when any speedup gate is
 // not > 1, any identity check fails, or the zero-AFR step budget blows.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "src/core/runner.h"
 #include "src/core/scenario.h"
@@ -90,6 +86,57 @@ bool MetricsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
          a.tbt_s.P99() == b.tbt_s.P99();
 }
 
+bool ScaleLogsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
+  if (a.scale_events.size() != b.scale_events.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.scale_events.size(); ++i) {
+    const ScaleEvent& x = a.scale_events[i];
+    const ScaleEvent& y = b.scale_events[i];
+    if (x.time_s != y.time_s || x.pool != y.pool || x.delta != y.delta ||
+        x.instances_after != y.instances_after || x.reason != y.reason) {
+      return false;
+    }
+  }
+  return a.prefill_instance_seconds == b.prefill_instance_seconds &&
+         a.decode_instance_seconds == b.decode_instance_seconds;
+}
+
+// Element-wise fault and shed logs (domain ids included) plus the
+// kill/retry, degrade and drain accounting.
+bool FaultLogsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
+  if (a.fault_events.size() != b.fault_events.size() ||
+      a.shed_events.size() != b.shed_events.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.fault_events.size(); ++i) {
+    const FaultEvent& x = a.fault_events[i];
+    const FaultEvent& y = b.fault_events[i];
+    if (x.time_s != y.time_s || x.kind != y.kind || x.pool != y.pool ||
+        x.instance != y.instance || x.domain != y.domain ||
+        x.killed_requests != y.killed_requests || x.lost_tokens != y.lost_tokens ||
+        x.spares_free != y.spares_free) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.shed_events.size(); ++i) {
+    if (a.shed_events[i].time_s != b.shed_events[i].time_s ||
+        a.shed_events[i].request != b.shed_events[i].request ||
+        a.shed_events[i].reason != b.shed_events[i].reason) {
+      return false;
+    }
+  }
+  return a.retried_requests == b.retried_requests &&
+         a.dropped_requests == b.dropped_requests && a.lost_tokens == b.lost_tokens &&
+         a.prefill_fault_downtime_s == b.prefill_fault_downtime_s &&
+         a.decode_fault_downtime_s == b.decode_fault_downtime_s &&
+         a.shed_requests == b.shed_requests && a.degrade_windows == b.degrade_windows &&
+         a.prefill_degraded_instance_s == b.prefill_degraded_instance_s &&
+         a.decode_degraded_instance_s == b.decode_degraded_instance_s &&
+         a.degraded_output_tokens == b.degraded_output_tokens &&
+         a.time_to_drain_s == b.time_to_drain_s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,35 +163,10 @@ int main(int argc, char** argv) {
   TpPlan decode_plan = MakeTpPlan(model, decode.best.tp_degree).value();
   PerfModel prefill_model(model, gpu, prefill_plan, options.workload, options.engine);
   PerfModel decode_model(model, gpu, decode_plan, options.workload, options.engine);
-  ServeCallbacks callbacks = MakePerfModelCallbacks(prefill_model, decode_model,
-                                                    prefill.best.batch, decode.best.batch);
   StepTimeTable table = StepTimeTable::Build(prefill_model, decode_model,
                                              prefill.best.batch, decode.best.batch);
 
-  // --- 1. inner loop: per-query cost, callbacks vs table -------------------
-  // The table build above already priced every batch, so the callback loop
-  // measures warm cache lookups (mutex + map::find), not roofline math —
-  // exactly what the old simulator paid per event.
-  const int kQueries = 2'000'000;
-  const int max_batch = table.max_decode_batch();
-  double callback_sum = 0.0;
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kQueries; ++i) {
-    callback_sum += callbacks.decode_step_time(1 + i % max_batch);
-  }
-  double callback_loop_s = SecondsSince(t0);
-  double table_sum = 0.0;
-  t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kQueries; ++i) {
-    table_sum += table.DecodeStepTime(1 + i % max_batch);
-  }
-  double table_loop_s = SecondsSince(t0);
-  // Both loops sum the same values in the same order, so equal sums mean
-  // bit-identical step times (and the accumulators keep the loops live).
-  bool inner_identical = callback_sum == table_sum;
-  double inner_speedup = table_loop_s > 0.0 ? callback_loop_s / table_loop_s : 0.0;
-
-  // --- 2. full simulation at the high-load validation point ----------------
+  // --- 1. full simulation at the high-load validation point ----------------
   WorkloadSpec spec;
   spec.arrival_rate_per_s =
       0.95 * decode.best.result.tokens_per_s / spec.median_output_tokens;
@@ -156,38 +178,33 @@ int main(int argc, char** argv) {
       1, static_cast<int>(std::ceil(1.25 * prefill_demand / prefill.best.result.tokens_per_s)));
   cluster.decode_instances = 1;
 
-  t0 = std::chrono::steady_clock::now();
-  ServeMetrics old_path = RunServeSimulation(requests, cluster, callbacks);
-  double old_sim_s = SecondsSince(t0);
-  t0 = std::chrono::steady_clock::now();
-  ServeMetrics fast_path = RunServeSimulation(requests, cluster, table);
-  double fast_sim_s = SecondsSince(t0);
-  double sim_speedup = fast_sim_s > 0.0 ? old_sim_s / fast_sim_s : 0.0;
+  // Best of three: the first run also pays the thread-local scratch
+  // arena's first allocations.
+  ServeMetrics plain;
+  double plain_sim_s = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    plain = RunServeSimulation(requests, cluster, table);
+    plain_sim_s = std::min(plain_sim_s, SecondsSince(t0));
+  }
+  // Zero-AFR overhead gate: a generous absolute budget (~10x the expected
+  // cost) on the disabled-fault hot path.
+  const double kZeroAfrStepBudgetNs = 2000.0;
+  double zero_afr_ns_per_step =
+      plain.tbt_s.count() > 0
+          ? 1e9 * plain_sim_s / static_cast<double>(plain.tbt_s.count())
+          : 0.0;
+  bool zero_afr_within_budget =
+      zero_afr_ns_per_step > 0.0 && zero_afr_ns_per_step <= kZeroAfrStepBudgetNs;
 
-  bool ttft_identical = old_path.ttft_s.Median() == fast_path.ttft_s.Median() &&
-                        old_path.ttft_s.P95() == fast_path.ttft_s.P95() &&
-                        old_path.ttft_s.P99() == fast_path.ttft_s.P99();
-  bool goodput_identical =
-      old_path.decode_tokens_per_s == fast_path.decode_tokens_per_s &&
-      old_path.completed_requests == fast_path.completed_requests;
-  bool utilization_identical =
-      old_path.prefill_utilization == fast_path.prefill_utilization &&
-      old_path.decode_utilization == fast_path.decode_utilization;
-  double bin = old_path.tbt_s.bin_width();
-  bool tbt_within_bin = std::abs(old_path.tbt_s.Median() - fast_path.tbt_s.Median()) <= bin &&
-                        std::abs(old_path.tbt_s.P99() - fast_path.tbt_s.P99()) <= bin;
-  bool identical =
-      inner_identical && ttft_identical && goodput_identical && utilization_identical &&
-      tbt_within_bin;
-
-  // --- 3. the 20-point sweep study -----------------------------------------
+  // --- 2. the 20-point sweep study -----------------------------------------
   ServeSweepKnobs knobs;
   knobs.load_lo = 0.05;
   knobs.load_hi = 1.00;
   knobs.load_step = 0.05;
   knobs.horizon_s = 60.0;
   Scenario sweep_scenario = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build();
-  t0 = std::chrono::steady_clock::now();
+  auto t0 = std::chrono::steady_clock::now();
   RunReport sweep_report = Runner().Run(sweep_scenario);
   double sweep_s = SecondsSince(t0);
   int sweep_points =
@@ -195,7 +212,13 @@ int main(int argc, char** argv) {
           ? static_cast<int>(std::get<ServeSweepReport>(sweep_report.payload).points.size())
           : 0;
 
-  // --- 4. autoscaled non-stationary point, callback vs table ---------------
+  // --- 3. reference core vs new core ---------------------------------------
+  // The plain point above.
+  ServeMetrics ref_plain = RunServeSimulationReference(requests, cluster, table);
+  bool ref_plain_identical = MetricsIdentical(ref_plain, plain);
+
+  // A non-stationary autoscaled point: on/off bursts + reactive policy
+  // cover the event kinds the autoscaler adds to the loop.
   WorkloadSpec bursty = spec;
   bursty.arrival_rate_per_s = 0.7 * decode.best.result.tokens_per_s /
                               static_cast<double>(spec.median_output_tokens);
@@ -212,29 +235,15 @@ int main(int argc, char** argv) {
   scaled.autoscaler.delay_s = 4.0;
   scaled.autoscaler.prefill_tokens_per_s = prefill.best.result.tokens_per_s;
   scaled.autoscaler.decode_tokens_per_s = decode.best.result.tokens_per_s;
-  ServeMetrics scaled_old = RunServeSimulation(bursty_requests, scaled, callbacks);
-  ServeMetrics scaled_fast = RunServeSimulation(bursty_requests, scaled, table);
-  bool scale_events_identical =
-      scaled_old.scale_events.size() == scaled_fast.scale_events.size();
-  for (size_t i = 0; scale_events_identical && i < scaled_old.scale_events.size(); ++i) {
-    const ScaleEvent& a = scaled_old.scale_events[i];
-    const ScaleEvent& b = scaled_fast.scale_events[i];
-    scale_events_identical = a.time_s == b.time_s && a.pool == b.pool &&
-                             a.delta == b.delta &&
-                             a.instances_after == b.instances_after &&
-                             a.reason == b.reason;
-  }
-  bool autoscale_identical =
-      scale_events_identical &&
-      scaled_old.prefill_instance_seconds == scaled_fast.prefill_instance_seconds &&
-      scaled_old.decode_instance_seconds == scaled_fast.decode_instance_seconds &&
-      scaled_old.peak_decode_instances == scaled_fast.peak_decode_instances &&
-      scaled_old.completed_requests == scaled_fast.completed_requests &&
-      scaled_old.decode_tokens_per_s == scaled_fast.decode_tokens_per_s;
+  ServeMetrics scaled_new = RunServeSimulation(bursty_requests, scaled, table);
+  ServeMetrics scaled_ref = RunServeSimulationReference(bursty_requests, scaled, table);
+  bool ref_scaled_identical = !scaled_new.scale_events.empty() &&
+                              ScaleLogsIdentical(scaled_ref, scaled_new) &&
+                              MetricsIdentical(scaled_ref, scaled_new);
 
-  // --- 5. fault-injected point, callback vs table --------------------------
-  // Accelerated churn (the serve_faulty.json regime): several failures per
-  // pool over the minute, hot spares masking some, killed batches retried.
+  // A fault-injected point: accelerated churn (the serve_faulty.json
+  // regime) — several failures per pool over the minute, hot spares
+  // masking some, killed batches retried.
   ServeClusterConfig faulty = cluster;
   // Failures inject over the admission horizon only; leaving the default
   // (effectively infinite) horizon would reschedule failures forever.
@@ -247,83 +256,48 @@ int main(int argc, char** argv) {
   faulty.faults.prefill_spares = 1;
   faulty.faults.decode_spares = 1;
   faulty.faults.seed = FaultSubstreamSeed(0xC0FFEE);
-  ServeMetrics faulty_old = RunServeSimulation(requests, faulty, callbacks);
-  ServeMetrics faulty_fast = RunServeSimulation(requests, faulty, table);
-  bool fault_log_identical =
-      faulty_old.fault_events.size() == faulty_fast.fault_events.size() &&
-      !faulty_fast.fault_events.empty();
-  for (size_t i = 0; fault_log_identical && i < faulty_old.fault_events.size(); ++i) {
-    const FaultEvent& a = faulty_old.fault_events[i];
-    const FaultEvent& b = faulty_fast.fault_events[i];
-    fault_log_identical = a.time_s == b.time_s && a.kind == b.kind &&
-                          a.pool == b.pool && a.instance == b.instance &&
-                          a.killed_requests == b.killed_requests &&
-                          a.lost_tokens == b.lost_tokens &&
-                          a.spares_free == b.spares_free;
-  }
-  bool fault_identical =
-      fault_log_identical &&
-      faulty_old.retried_requests == faulty_fast.retried_requests &&
-      faulty_old.dropped_requests == faulty_fast.dropped_requests &&
-      faulty_old.lost_tokens == faulty_fast.lost_tokens &&
-      faulty_old.prefill_fault_downtime_s == faulty_fast.prefill_fault_downtime_s &&
-      faulty_old.decode_fault_downtime_s == faulty_fast.decode_fault_downtime_s &&
-      faulty_old.completed_requests == faulty_fast.completed_requests &&
-      faulty_old.decode_tokens_per_s == faulty_fast.decode_tokens_per_s;
-  // Zero-AFR overhead gate: the section-2 table-path run has faults
-  // compiled in but disabled; its per-decode-step cost must stay inside a
-  // generous absolute budget (~10x the expected cost) so fault bookkeeping
-  // creeping onto the disabled hot path fails CI instead of rotting.
-  const double kZeroAfrStepBudgetNs = 2000.0;
-  double zero_afr_ns_per_step =
-      fast_path.tbt_s.count() > 0
-          ? 1e9 * fast_sim_s / static_cast<double>(fast_path.tbt_s.count())
-          : 0.0;
-  bool zero_afr_within_budget =
-      zero_afr_ns_per_step > 0.0 && zero_afr_ns_per_step <= kZeroAfrStepBudgetNs;
+  ServeMetrics faulty_new = RunServeSimulation(requests, faulty, table);
+  ServeMetrics faulty_ref = RunServeSimulationReference(requests, faulty, table);
+  bool ref_faulty_identical = !faulty_new.fault_events.empty() &&
+                              FaultLogsIdentical(faulty_ref, faulty_new) &&
+                              MetricsIdentical(faulty_ref, faulty_new);
+  // Axes-off null effect: with domains, degradation and shedding left at
+  // defaults, the plain and fault-injected runs' three-axis fields must be
+  // exactly zero.
+  bool axes_off_zeroed = plain.shed_requests == 0 && plain.shed_events.empty() &&
+                         plain.degrade_windows == 0 &&
+                         plain.prefill_degraded_instance_s == 0.0 &&
+                         plain.decode_degraded_instance_s == 0.0 &&
+                         plain.time_to_drain_s == -1.0 && faulty_new.shed_requests == 0 &&
+                         faulty_new.degrade_windows == 0;
 
-  // --- 6. reference core vs new core on the sections above -----------------
-  // The pre-rewrite simulator is kept verbatim; the rewritten core must be
-  // indistinguishable on every regime the earlier sections exercise.
-  ServeMetrics ref_plain = RunServeSimulationReference(requests, cluster, table);
-  bool ref_plain_identical = MetricsIdentical(ref_plain, fast_path);
-  ServeMetrics ref_scaled = RunServeSimulationReference(bursty_requests, scaled, table);
-  bool ref_scale_events_identical =
-      ref_scaled.scale_events.size() == scaled_fast.scale_events.size();
-  for (size_t i = 0; ref_scale_events_identical && i < ref_scaled.scale_events.size();
-       ++i) {
-    const ScaleEvent& a = ref_scaled.scale_events[i];
-    const ScaleEvent& b = scaled_fast.scale_events[i];
-    ref_scale_events_identical = a.time_s == b.time_s && a.pool == b.pool &&
-                                 a.delta == b.delta &&
-                                 a.instances_after == b.instances_after &&
-                                 a.reason == b.reason;
+  // A chaos point: domains + degradation + shedding on top of the churn.
+  ServeClusterConfig chaos = faulty;
+  chaos.faults.domains.prefill_instances_per_domain = 2;
+  chaos.faults.domains.decode_instances_per_domain = 1;
+  chaos.faults.domains.failure_rate_per_s = 0.05;
+  chaos.faults.domains.repair_s = 5.0;
+  chaos.faults.degraded.prefill_rate_per_s = 0.05;
+  chaos.faults.degraded.decode_rate_per_s = 0.1;
+  chaos.faults.degraded.multiplier = 2.0;
+  chaos.faults.degraded.mean_duration_s = 2.0;
+  chaos.shedding.max_queue_depth = 128;
+  ServeMetrics chaos_new = RunServeSimulation(requests, chaos, table);
+  ServeMetrics chaos_ref = RunServeSimulationReference(requests, chaos, table);
+  bool chaos_has_domains = false;
+  for (const FaultEvent& e : chaos_new.fault_events) {
+    if (e.domain >= 0) {
+      chaos_has_domains = true;
+      break;
+    }
   }
-  bool ref_scaled_identical =
-      ref_scale_events_identical && MetricsIdentical(ref_scaled, scaled_fast) &&
-      ref_scaled.prefill_instance_seconds == scaled_fast.prefill_instance_seconds &&
-      ref_scaled.decode_instance_seconds == scaled_fast.decode_instance_seconds;
-  ServeMetrics ref_faulty = RunServeSimulationReference(requests, faulty, table);
-  bool ref_fault_log_identical =
-      ref_faulty.fault_events.size() == faulty_fast.fault_events.size();
-  for (size_t i = 0; ref_fault_log_identical && i < ref_faulty.fault_events.size(); ++i) {
-    const FaultEvent& a = ref_faulty.fault_events[i];
-    const FaultEvent& b = faulty_fast.fault_events[i];
-    ref_fault_log_identical = a.time_s == b.time_s && a.kind == b.kind &&
-                              a.pool == b.pool && a.instance == b.instance &&
-                              a.killed_requests == b.killed_requests &&
-                              a.lost_tokens == b.lost_tokens &&
-                              a.spares_free == b.spares_free;
-  }
-  bool ref_faulty_identical =
-      ref_fault_log_identical && MetricsIdentical(ref_faulty, faulty_fast) &&
-      ref_faulty.retried_requests == faulty_fast.retried_requests &&
-      ref_faulty.dropped_requests == faulty_fast.dropped_requests &&
-      ref_faulty.lost_tokens == faulty_fast.lost_tokens;
-  bool reference_identical =
-      ref_plain_identical && ref_scaled_identical && ref_faulty_identical;
+  bool ref_chaos_identical = chaos_has_domains && chaos_new.degrade_windows > 0 &&
+                             FaultLogsIdentical(chaos_ref, chaos_new) &&
+                             MetricsIdentical(chaos_ref, chaos_new);
+  bool reference_identical = ref_plain_identical && ref_scaled_identical &&
+                             ref_faulty_identical && ref_chaos_identical;
 
-  // --- 7. the million-request point ----------------------------------------
+  // --- 4. the million-request point ----------------------------------------
   // 32 decode instances at 95% of their summed analytic capacity; the
   // horizon is whatever makes the expected arrival count one million. This
   // is the regime the rewrite targets: the reference core walks every
@@ -338,9 +312,6 @@ int main(int argc, char** argv) {
   t0 = std::chrono::steady_clock::now();
   std::vector<Request> million_requests = GenerateWorkload(mspec);
   double million_gen_s = SecondsSince(t0);
-  // Each core gets its native input form: the reference keeps the AoS
-  // vector it always took; the new core takes the SoA layout directly.
-  RequestSoA million_soa = RequestSoA::FromRequests(million_requests);
   ServeClusterConfig mcluster;
   mcluster.prefill_instances = std::max(
       1, static_cast<int>(std::ceil(1.25 * mspec.arrival_rate_per_s *
@@ -351,7 +322,7 @@ int main(int argc, char** argv) {
   ServeMetrics million_ref = RunServeSimulationReference(million_requests, mcluster, table);
   double million_ref_s = SecondsSince(t0);
   t0 = std::chrono::steady_clock::now();
-  ServeMetrics million_new = RunServeSimulation(million_soa, mcluster, table);
+  ServeMetrics million_new = RunServeSimulation(million_requests, mcluster, table);
   double million_new_s = SecondsSince(t0);
   bool million_identical = MetricsIdentical(million_ref, million_new);
   double million_speedup = million_new_s > 0.0 ? million_ref_s / million_new_s : 0.0;
@@ -379,7 +350,7 @@ int main(int argc, char** argv) {
       million_sharded.completed_requests > 0.9 * million_new.completed_requests &&
       million_sharded.completed_requests < 1.1 * million_new.completed_requests;
 
-  // --- 8. the 19-point load grid, reference core vs new core ---------------
+  // --- 5. the 19-point load grid, reference core vs new core ---------------
   // The checked-in sweep grid (10%..100% in 5% steps, 30 s horizon, one
   // decode instance), every point run on both cores back to back.
   double grid_ref_s = 0.0;
@@ -394,7 +365,6 @@ int main(int argc, char** argv) {
     gspec.duration_s = 30.0;
     gspec.seed = 1000 + static_cast<uint64_t>(i);
     std::vector<Request> grid_requests = GenerateWorkload(gspec);
-    RequestSoA grid_soa = RequestSoA::FromRequests(grid_requests);
     ServeClusterConfig gcluster;
     gcluster.prefill_instances = std::max(
         1, static_cast<int>(std::ceil(1.25 * gspec.arrival_rate_per_s *
@@ -405,86 +375,14 @@ int main(int argc, char** argv) {
     ServeMetrics g_ref = RunServeSimulationReference(grid_requests, gcluster, table);
     grid_ref_s += SecondsSince(t0);
     t0 = std::chrono::steady_clock::now();
-    ServeMetrics g_new = RunServeSimulation(grid_soa, gcluster, table);
+    ServeMetrics g_new = RunServeSimulation(grid_requests, gcluster, table);
     grid_new_s += SecondsSince(t0);
     grid_identical = grid_identical && MetricsIdentical(g_ref, g_new);
     ++grid_points;
   }
   double grid_speedup = grid_new_s > 0.0 ? grid_ref_s / grid_new_s : 0.0;
 
-  // --- 9. the three-axis robustness point ----------------------------------
-  // (a) axes-off null effect: with domains, degradation, and shedding all
-  // left at defaults, the section-2 and section-5 runs above already
-  // exercised the three-axis build — the new metrics fields must be exactly
-  // zero (nothing leaked onto the disabled paths; the zero-AFR step budget
-  // above gates the timing side).
-  bool axes_off_zeroed =
-      fast_path.shed_requests == 0 && fast_path.shed_events.empty() &&
-      fast_path.degrade_windows == 0 &&
-      fast_path.prefill_degraded_instance_s == 0.0 &&
-      fast_path.decode_degraded_instance_s == 0.0 &&
-      fast_path.time_to_drain_s == -1.0 && faulty_fast.shed_requests == 0 &&
-      faulty_fast.degrade_windows == 0;
-  // (b) a correlated point: domains + degradation + shedding on top of the
-  // section-5 churn. Fault and shed logs must be element-wise identical
-  // (domain ids included) across the callback, table, and reference paths.
-  ServeClusterConfig chaos = faulty;
-  chaos.faults.domains.prefill_instances_per_domain = 2;
-  chaos.faults.domains.decode_instances_per_domain = 1;
-  chaos.faults.domains.failure_rate_per_s = 0.05;
-  chaos.faults.domains.repair_s = 5.0;
-  chaos.faults.degraded.prefill_rate_per_s = 0.05;
-  chaos.faults.degraded.decode_rate_per_s = 0.1;
-  chaos.faults.degraded.multiplier = 2.0;
-  chaos.faults.degraded.mean_duration_s = 2.0;
-  chaos.shedding.max_queue_depth = 128;
-  ServeMetrics chaos_old = RunServeSimulation(requests, chaos, callbacks);
-  ServeMetrics chaos_fast = RunServeSimulation(requests, chaos, table);
-  ServeMetrics chaos_ref = RunServeSimulationReference(requests, chaos, table);
-  auto fault_logs_match = [](const ServeMetrics& a, const ServeMetrics& b) {
-    if (a.fault_events.size() != b.fault_events.size() ||
-        a.shed_events.size() != b.shed_events.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < a.fault_events.size(); ++i) {
-      const FaultEvent& x = a.fault_events[i];
-      const FaultEvent& y = b.fault_events[i];
-      if (x.time_s != y.time_s || x.kind != y.kind || x.pool != y.pool ||
-          x.instance != y.instance || x.domain != y.domain ||
-          x.killed_requests != y.killed_requests ||
-          x.lost_tokens != y.lost_tokens || x.spares_free != y.spares_free) {
-        return false;
-      }
-    }
-    for (size_t i = 0; i < a.shed_events.size(); ++i) {
-      if (a.shed_events[i].time_s != b.shed_events[i].time_s ||
-          a.shed_events[i].request != b.shed_events[i].request ||
-          a.shed_events[i].reason != b.shed_events[i].reason) {
-        return false;
-      }
-    }
-    return a.shed_requests == b.shed_requests &&
-           a.degrade_windows == b.degrade_windows &&
-           a.prefill_degraded_instance_s == b.prefill_degraded_instance_s &&
-           a.decode_degraded_instance_s == b.decode_degraded_instance_s &&
-           a.degraded_output_tokens == b.degraded_output_tokens &&
-           a.time_to_drain_s == b.time_to_drain_s;
-  };
-  bool chaos_has_domains = false;
-  for (const FaultEvent& e : chaos_fast.fault_events) {
-    if (e.domain >= 0) {
-      chaos_has_domains = true;
-      break;
-    }
-  }
-  bool chaos_identical = !chaos_fast.fault_events.empty() && chaos_has_domains &&
-                         chaos_fast.degrade_windows > 0 &&
-                         fault_logs_match(chaos_old, chaos_fast) &&
-                         fault_logs_match(chaos_ref, chaos_fast) &&
-                         MetricsIdentical(chaos_old, chaos_fast) &&
-                         MetricsIdentical(chaos_ref, chaos_fast);
-
-  // --- 10. fleet-compare catalog: one platform build per distinct part ----
+  // --- 6. fleet-compare catalog: one platform build per distinct part -----
   // Four candidates over two distinct resolved parts: the H100 base and its
   // split-4 Lite derivative, each with 1- and 2-instance decode pools. The
   // fleet study must amortize the expensive part of the sweep — the config
@@ -532,56 +430,34 @@ int main(int argc, char** argv) {
   bool fleet_ok = fleet_run.ok && fleet_feasible == 4 && fleet_shared_builds &&
                   fleet_capacity_scales;
 
-  bool pass = inner_speedup > 1.0 && identical && autoscale_identical &&
-              fault_identical && zero_afr_within_budget && sweep_report.ok &&
+  bool pass = zero_afr_within_budget && axes_off_zeroed && sweep_report.ok &&
               reference_identical && million_identical && million_speedup > 1.0 &&
-              shard_sane && grid_identical && grid_speedup > 1.0 &&
-              axes_off_zeroed && chaos_identical && fleet_ok;
+              shard_sane && grid_identical && grid_speedup > 1.0 && fleet_ok;
 
   if (json) {
-    Json inner = Json::Object();
-    inner.Set("queries", kQueries)
-        .Set("callback_ns_per_query", 1e9 * callback_loop_s / kQueries)
-        .Set("table_ns_per_query", 1e9 * table_loop_s / kQueries)
-        .Set("speedup", inner_speedup);
-    Json identity = Json::Object();
-    identity.Set("step_times_identical", inner_identical)
-        .Set("ttft_identical", ttft_identical)
-        .Set("goodput_identical", goodput_identical)
-        .Set("utilization_identical", utilization_identical)
-        .Set("tbt_within_one_bin", tbt_within_bin);
     Json sim = Json::Object();
     sim.Set("load", 0.95)
         .Set("horizon_s", spec.duration_s)
-        .Set("decode_steps", static_cast<uint64_t>(fast_path.tbt_s.count()))
-        .Set("callback_path_s", old_sim_s)
-        .Set("table_path_s", fast_sim_s)
-        .Set("speedup", sim_speedup)
-        .Set("identity", std::move(identity));
+        .Set("decode_steps", static_cast<uint64_t>(plain.tbt_s.count()))
+        .Set("table_path_s", plain_sim_s);
     Json sweep = Json::Object();
-    sweep.Set("points", sweep_points)
-        .Set("wall_s", sweep_s)
-        .Set("callback_single_point_s", old_sim_s)
-        .Set("sweep_vs_callback_point", old_sim_s > 0.0 ? sweep_s / old_sim_s : 0.0);
+    sweep.Set("points", sweep_points).Set("wall_s", sweep_s);
     Json autoscale = Json::Object();
-    autoscale.Set("scale_events", static_cast<int>(scaled_fast.scale_events.size()))
-        .Set("peak_decode_instances", scaled_fast.peak_decode_instances)
-        .Set("decode_instance_seconds", scaled_fast.decode_instance_seconds)
-        .Set("events_identical", scale_events_identical)
-        .Set("metrics_identical", autoscale_identical);
+    autoscale.Set("scale_events", static_cast<int>(scaled_new.scale_events.size()))
+        .Set("peak_decode_instances", scaled_new.peak_decode_instances)
+        .Set("decode_instance_seconds", scaled_new.decode_instance_seconds);
     Json faults_json = Json::Object();
-    faults_json.Set("fault_events", static_cast<int>(faulty_fast.fault_events.size()))
-        .Set("retried_requests", faulty_fast.retried_requests)
-        .Set("lost_tokens", faulty_fast.lost_tokens)
-        .Set("event_log_identical", fault_log_identical)
-        .Set("metrics_identical", fault_identical)
+    faults_json.Set("fault_events", static_cast<int>(faulty_new.fault_events.size()))
+        .Set("retried_requests", faulty_new.retried_requests)
+        .Set("lost_tokens", faulty_new.lost_tokens)
         .Set("zero_afr_ns_per_step", zero_afr_ns_per_step)
         .Set("zero_afr_step_budget_ns", kZeroAfrStepBudgetNs)
         .Set("zero_afr_within_budget", zero_afr_within_budget);
     Json reference = Json::Object();
     reference.Set("plain_identical", ref_plain_identical)
         .Set("autoscaled_identical", ref_scaled_identical)
-        .Set("faulty_identical", ref_faulty_identical);
+        .Set("faulty_identical", ref_faulty_identical)
+        .Set("chaos_identical", ref_chaos_identical);
     Json workload_gen = Json::Object();
     workload_gen.Set("requests", static_cast<uint64_t>(million_requests.size()))
         .Set("wall_s", million_gen_s)
@@ -600,11 +476,10 @@ int main(int argc, char** argv) {
         .Set("sharded_s", million_shard_s)
         .Set("sharded_completed_sane", shard_sane);
     Json robustness = Json::Object();
-    robustness.Set("fault_events", static_cast<int>(chaos_fast.fault_events.size()))
-        .Set("shed_requests", chaos_fast.shed_requests)
-        .Set("degrade_windows", chaos_fast.degrade_windows)
-        .Set("axes_off_zeroed", axes_off_zeroed)
-        .Set("correlated_logs_identical", chaos_identical);
+    robustness.Set("fault_events", static_cast<int>(chaos_new.fault_events.size()))
+        .Set("shed_requests", chaos_new.shed_requests)
+        .Set("degrade_windows", chaos_new.degrade_windows)
+        .Set("axes_off_zeroed", axes_off_zeroed);
     Json fleet_json = Json::Object();
     fleet_json.Set("candidates", static_cast<int>(fleet_knobs.candidates.size()))
         .Set("distinct_parts", 2)
@@ -621,8 +496,7 @@ int main(int argc, char** argv) {
         .Set("speedup_target", 2.0)
         .Set("identity", grid_identical);
     Json j = Json::Object();
-    j.Set("inner_loop", std::move(inner))
-        .Set("full_sim", std::move(sim))
+    j.Set("full_sim", std::move(sim))
         .Set("sweep", std::move(sweep))
         .Set("autoscale", std::move(autoscale))
         .Set("faults", std::move(faults_json))
@@ -635,34 +509,26 @@ int main(int argc, char** argv) {
         .Set("pass", pass);
     std::printf("%s\n", j.Dump().c_str());
   } else {
-    std::printf("=== Serve-scale: StepTimeTable fast path vs callback path ===\n\n");
-    std::printf("inner loop (%d warm decode-step queries):\n"
-                "  callbacks: %7.1f ns/query   table: %6.1f ns/query   speedup: %.1fx\n\n",
-                kQueries, 1e9 * callback_loop_s / kQueries, 1e9 * table_loop_s / kQueries,
-                inner_speedup);
-    std::printf("full simulation (load 0.95, %.0f s horizon, %zu decode steps):\n"
-                "  callback path: %.3f s   table path: %.3f s   speedup: %.2fx\n"
-                "  metric identity: %s (TTFT/goodput/utilization exact, TBT within one bin)\n\n",
-                spec.duration_s, fast_path.tbt_s.count(), old_sim_s, fast_sim_s, sim_speedup,
-                identical ? "OK" : "FAILED");
-    std::printf("serve-sweep study (%d points, %.0f s horizon each): %.3f s wall\n"
-                "  (one callback-path point at high load: %.3f s)\n\n",
-                sweep_points, knobs.horizon_s, sweep_s, old_sim_s);
-    std::printf("autoscaled on/off point (%zu scale events, peak %d decode inst):\n"
-                "  callback-vs-table identity: %s (events, instance-seconds, goodput)\n\n",
-                scaled_fast.scale_events.size(), scaled_fast.peak_decode_instances,
-                autoscale_identical ? "OK" : "FAILED");
-    std::printf("fault-injected point (%zu fault events, %d retried):\n"
-                "  callback-vs-table identity: %s (event log element-wise, kill accounting)\n"
-                "  zero-AFR table path: %.0f ns/decode-step (budget %.0f): %s\n\n",
-                faulty_fast.fault_events.size(), faulty_fast.retried_requests,
-                fault_identical ? "OK" : "FAILED", zero_afr_ns_per_step,
-                kZeroAfrStepBudgetNs, zero_afr_within_budget ? "OK" : "FAILED");
+    std::printf("=== Serve-scale: simulator hot path and reference-core identity ===\n\n");
+    std::printf("full simulation (load 0.95, %.0f s horizon, %zu decode steps): %.3f s\n"
+                "  zero-AFR: %.0f ns/decode-step (budget %.0f): %s   "
+                "axes-off fields zeroed: %s\n\n",
+                spec.duration_s, plain.tbt_s.count(), plain_sim_s, zero_afr_ns_per_step,
+                kZeroAfrStepBudgetNs, zero_afr_within_budget ? "OK" : "FAILED",
+                axes_off_zeroed ? "OK" : "FAILED");
+    std::printf("serve-sweep study (%d points, %.0f s horizon each): %.3f s wall\n\n",
+                sweep_points, knobs.horizon_s, sweep_s);
     std::printf("reference core vs new core identity:\n"
-                "  plain: %s   autoscaled: %s   fault-injected: %s\n\n",
-                ref_plain_identical ? "OK" : "FAILED",
-                ref_scaled_identical ? "OK" : "FAILED",
-                ref_faulty_identical ? "OK" : "FAILED");
+                "  plain: %s\n"
+                "  autoscaled on/off (%zu scale events, peak %d decode inst): %s\n"
+                "  fault-injected (%zu fault events, %d retried): %s\n"
+                "  chaos (%zu fault events, %d shed, %d degrade windows): %s\n\n",
+                ref_plain_identical ? "OK" : "FAILED", scaled_new.scale_events.size(),
+                scaled_new.peak_decode_instances, ref_scaled_identical ? "OK" : "FAILED",
+                faulty_new.fault_events.size(), faulty_new.retried_requests,
+                ref_faulty_identical ? "OK" : "FAILED", chaos_new.fault_events.size(),
+                chaos_new.shed_requests, chaos_new.degrade_windows,
+                ref_chaos_identical ? "OK" : "FAILED");
     std::printf("million-request point (%zu requests, %d decode inst, %.0f s horizon):\n"
                 "  workload generation: %.3f s (%.1fM req/s)\n"
                 "  reference core: %.3f s   new core: %.3f s   speedup: %.2fx "
@@ -673,12 +539,6 @@ int main(int argc, char** argv) {
                 million_gen_s > 0.0 ? million_requests.size() / million_gen_s / 1e6 : 0.0,
                 million_ref_s, million_new_s, million_speedup,
                 million_identical ? "OK" : "FAILED", kMillionShards, million_shard_s);
-    std::printf("three-axis robustness point (%zu fault events, %d shed, %d degrade windows):\n"
-                "  axes-off fields zeroed: %s   correlated-log identity "
-                "(callback/table/reference): %s\n\n",
-                chaos_fast.fault_events.size(), chaos_fast.shed_requests,
-                chaos_fast.degrade_windows, axes_off_zeroed ? "OK" : "FAILED",
-                chaos_identical ? "OK" : "FAILED");
     std::printf("fleet-compare catalog (%zu candidates over 2 distinct parts): %.3f s wall\n"
                 "  platform builds: %d (expect 2): %s   feasible: %d/4   "
                 "pool capacity scaling: %s\n\n",

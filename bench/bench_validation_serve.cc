@@ -1,7 +1,7 @@
 // Validation V1: the analytic Figure-3 capacities vs the discrete-event
 // serving simulator. We take the search's best decode/prefill configurations
-// for H100 and Lite+MemBW, build a phase-split cluster from them through the
-// PerfModel-backed callbacks (the same path the `serve` study uses), drive
+// for H100 and Lite+MemBW, build a phase-split cluster from them through a
+// PerfModel-built StepTimeTable (the same path the `serve` study uses), drive
 // it with a Poisson workload at increasing fractions of the predicted
 // capacity, and check that (a) measured throughput tracks the analytic
 // number and (b) latency SLOs hold below capacity and collapse above it.
@@ -46,8 +46,8 @@ int main() {
 
     PerfModel prefill_model(model, gpu, prefill_plan, options.workload, options.engine);
     PerfModel decode_model(model, gpu, decode_plan, options.workload, options.engine);
-    // The production fast path: dense per-batch step times copied out of
-    // the models once, then a flat array load per simulated step.
+    // Dense per-batch step times copied out of the models once, then a
+    // flat array load per simulated step.
     StepTimeTable step_table = StepTimeTable::Build(prefill_model, decode_model,
                                                     prefill.best.batch, decode.best.batch);
 

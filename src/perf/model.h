@@ -1,24 +1,21 @@
 // PerfModel: the one analytic cost interface every study consumes.
 //
-// The library previously had two ways to price the same forward pass: the
-// search/designer hot loops called roofline::EvaluatePrefill/Decode directly,
-// and the discrete-event serving simulator took hand-wired std::function
-// callbacks. A PerfModel binds one (TransformerSpec, GpuSpec, TpPlan,
-// WorkloadParams, EngineParams) tuple and exposes every analytic quantity the
-// engines need — pass times, per-step decode latency at an arbitrary context,
-// collective costs on the part's fabric, and the per-GPU memory footprint —
-// behind an internal memoization cache. The same (phase, batch, context)
-// evaluation is computed once per model instance; the search's final
-// re-evaluation of the chosen batch, the brute-force validators' repeated
-// probes, and the serving simulator's millions of identical step queries all
-// become cache hits. Values are bit-identical to direct EvaluatePrefill /
-// EvaluateDecode calls (tested in perf_model_test).
+// A PerfModel binds one (TransformerSpec, GpuSpec, TpPlan, WorkloadParams,
+// EngineParams) tuple and exposes every analytic quantity the engines need —
+// pass times, per-step decode latency at an arbitrary context, collective
+// costs on the part's fabric, and the per-GPU memory footprint — behind an
+// internal memoization cache. The same (phase, batch, context) evaluation is
+// computed once per model instance, so the search's final re-evaluation of
+// the chosen batch and the brute-force validators' repeated probes become
+// cache hits. The serving simulator never queries a model directly: it reads
+// a StepTimeTable (src/perf/step_table.h) tabulated from a model pair. Values
+// are bit-identical to direct EvaluatePrefill / EvaluateDecode calls (tested
+// in perf_model_test).
 
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "src/collectives/cost.h"
@@ -83,12 +80,6 @@ class PerfModel {
   // This instance's cache effectiveness.
   PerfCacheStats cache_stats() const;
 
-  // Expires when this model is destroyed. MakePerfModelCallbacks captures
-  // it in debug builds so a callback outliving its PerfModel trips an
-  // assert at the first call instead of dereferencing freed memory (the
-  // lifetime contract documented in docs/architecture.md).
-  std::weak_ptr<const void> liveness_token() const { return liveness_; }
-
  private:
   // Key: (batch, token count) — prompt tokens for prefill entries, total
   // context for decode entries.
@@ -100,18 +91,14 @@ class PerfModel {
   WorkloadParams workload_;
   EngineParams engine_;
 
-  // A PerfModel is shared by reference with simulator callbacks and may be
-  // queried from a parallel sweep, so the cache is guarded. The lock is
+  // A PerfModel may be queried from a parallel sweep (the search, the
+  // brute-force validators, StepTimeTable::Build), so the cache is guarded. The lock is
   // uncontended in the common one-model-per-worker layout and cheap next to
   // a roofline evaluation.
   mutable std::mutex mu_;
   mutable std::map<Key, PrefillResult> prefill_cache_;
   mutable std::map<Key, DecodeResult> decode_cache_;
   mutable PerfCacheStats stats_;
-
-  // Backs liveness_token(): destroyed with the model, so weak_ptr holders
-  // can detect a dangling reference.
-  std::shared_ptr<const void> liveness_ = std::make_shared<int>(0);
 };
 
 // Process-wide cache counters aggregated over every PerfModel instance;

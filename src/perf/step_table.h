@@ -1,16 +1,14 @@
 // StepTimeTable: dense, immutable per-batch step-time tables for the
 // serving simulator's hot loop.
 //
-// The callback path prices every simulated step through std::function
-// dispatch into PerfModel's mutex-guarded std::map cache. A StepTimeTable
-// is built once per (prefill, decode) PerfModel pair up to the batch caps
-// and owns flat arrays of the same values, so the simulator's inner loop
-// becomes a bounds-checked array load: no indirect call, no lock, no tree
-// walk — and, being immutable after Build, a single table is safely shared
-// by every worker of a sweep. Entries are bit-identical to the memoized
-// PerfModel path (tested in perf_model_test), and because the table owns
-// its values it can outlive the models that built it — unlike
-// MakePerfModelCallbacks, which captures raw references.
+// The table is the simulator's only source of step times. It is built
+// once per (prefill, decode) PerfModel pair up to the batch caps and owns
+// flat arrays of the memoized model values, so the simulator's inner loop
+// is a bounds-checked array load: no indirect call, no lock, no tree walk
+// — and, being immutable after Build, a single table is safely shared by
+// every worker of a sweep. Entries are bit-identical to the memoized
+// PerfModel values (tested in perf_model_test), and because the table owns
+// its values it can outlive the models that built it.
 
 #pragma once
 
@@ -34,7 +32,7 @@ class StepTimeTable {
   // Prices batches 1..max_*_batch through the models (one memoized
   // roofline evaluation per distinct batch: prefill passes at the
   // workload's prompt length, decode steps at the worst-case final
-  // context, exactly like MakePerfModelCallbacks) and copies the results
+  // context, matching the search's SLO accounting) and copies the results
   // out; the models are free to die afterwards.
   static StepTimeTable Build(const PerfModel& prefill_model, const PerfModel& decode_model,
                              int max_prefill_batch, int max_decode_batch);

@@ -57,8 +57,8 @@ enum class FaultEventKind {
 const char* ToString(FaultEventKind kind);
 
 // One entry of the fault event log, in simulated-time order. The log is
-// part of the bit-identity contract: table and callback paths must produce
-// element-wise identical logs at any thread count.
+// part of the bit-identity contract: the production and reference cores
+// must produce element-wise identical logs at any thread count.
 struct FaultEvent {
   double time_s = 0.0;
   FaultEventKind kind = FaultEventKind::kFailure;
@@ -135,8 +135,8 @@ enum class ShedReason { kQueueDepth, kDeadline };
 const char* ToString(ShedReason reason);
 
 // One shed arrival, in simulated-time order. Like the fault log, the shed
-// log is part of the bit-identity contract: table and callback paths must
-// produce element-wise identical logs at any thread count.
+// log is part of the bit-identity contract: the production and reference
+// cores must produce element-wise identical logs at any thread count.
 struct ShedEvent {
   double time_s = 0.0;
   int request = 0;  // request id (index in arrival order)

@@ -30,91 +30,18 @@
 #include "src/serve/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "src/perf/model.h"
 #include "src/serve/event_queue.h"
 
 namespace litegpu {
 
-ServeCallbacks MakePerfModelCallbacks(const PerfModel& prefill_model,
-                                      const PerfModel& decode_model,
-                                      int max_prefill_batch, int max_decode_batch) {
-  ServeCallbacks callbacks;
-  callbacks.max_prefill_batch = max_prefill_batch;
-  callbacks.max_decode_batch = max_decode_batch;
-  const PerfModel* prefill = &prefill_model;
-  const PerfModel* decode = &decode_model;
-#ifndef NDEBUG
-  // Debug builds carry each model's liveness token so a dangling PerfModel
-  // trips an assert at the first call instead of reading freed memory (the
-  // lifetime contract in the header / docs/architecture.md).
-  std::weak_ptr<const void> prefill_alive = prefill_model.liveness_token();
-  std::weak_ptr<const void> decode_alive = decode_model.liveness_token();
-  callbacks.prefill_time = [prefill, prefill_alive](int batch) {
-    assert(!prefill_alive.expired() &&
-           "MakePerfModelCallbacks: prefill PerfModel destroyed before the callbacks");
-    return prefill->Prefill(batch).ttft_s;
-  };
-  callbacks.decode_step_time = [decode, decode_alive](int batch) {
-    assert(!decode_alive.expired() &&
-           "MakePerfModelCallbacks: decode PerfModel destroyed before the callbacks");
-    return decode->Decode(batch).tbt_s;
-  };
-#else
-  callbacks.prefill_time = [prefill](int batch) { return prefill->Prefill(batch).ttft_s; };
-  callbacks.decode_step_time = [decode](int batch) { return decode->Decode(batch).tbt_s; };
-#endif
-  return callbacks;
-}
-
 namespace {
-
-// Step-time providers for the shared event loop. Both answer the same two
-// questions; the table one compiles down to an array load, the callback one
-// pays std::function dispatch (and whatever the callback itself does).
-// HintWidth suggests a calendar-queue bucket width near the typical
-// inter-event gap — a pure performance hint, pop order never depends on it.
-struct TableStepper {
-  const StepTimeTable& table;
-  double PrefillTime(int batch) const { return table.PrefillTime(batch); }
-  double DecodeStepTime(int batch) const { return table.DecodeStepTime(batch); }
-  int MaxPrefillBatch() const { return table.max_prefill_batch(); }
-  int MaxDecodeBatch() const { return table.max_decode_batch(); }
-  bool Valid() const { return !table.empty(); }
-  double HintWidth(int decode_instances) const {
-    // Decode step completions dominate the event stream; with every
-    // instance busy their spacing is about one step over the pool.
-    return table.DecodeStepTime(table.max_decode_batch()) /
-           static_cast<double>(std::max(1, decode_instances));
-  }
-};
-
-struct CallbackStepper {
-  const ServeCallbacks& callbacks;
-  double PrefillTime(int batch) const { return callbacks.prefill_time(batch); }
-  double DecodeStepTime(int batch) const { return callbacks.decode_step_time(batch); }
-  int MaxPrefillBatch() const { return callbacks.max_prefill_batch; }
-  int MaxDecodeBatch() const { return callbacks.max_decode_batch; }
-  bool Valid() const {
-    return static_cast<bool>(callbacks.prefill_time) &&
-           static_cast<bool>(callbacks.decode_step_time);
-  }
-  double HintWidth(int) const {
-    // Probing a user callback here would change its observable call count;
-    // a fixed width is always correct and close enough for the
-    // compatibility path.
-    return 1e-3;
-  }
-};
 
 // Instance status bits, one byte per instance — the only state the
 // scheduling scans read. An instance takes new work iff its byte is 0
@@ -334,11 +261,10 @@ SimScratch& TlsScratch() {
   return scratch;
 }
 
-template <typename Stepper>
 ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
-                           const Stepper& stepper) {
+                           const StepTimeTable& table) {
   ServeMetrics metrics;
-  if (!stepper.Valid() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
+  if (table.empty() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
     return metrics;
   }
 
@@ -357,14 +283,17 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   const bool degrade_enabled = faults_enabled && degraded.enabled();
   const SheddingPolicy& shedding = config.shedding;
   const bool shed_enabled = shedding.enabled();
-  // Full-batch prefill pass time for the TTFT-deadline estimate, probed
-  // lazily so runs without the deadline policy never make the extra
-  // callback query.
-  double shed_pass_s = -1.0;
+  // Full-batch prefill pass time for the TTFT-deadline estimate.
+  const double shed_pass_s = table.PrefillTime(table.max_prefill_batch());
 
   SimScratch& S = TlsScratch();
+  // Calendar-queue bucket width near the typical inter-event gap: decode
+  // step completions dominate the event stream, and with every instance
+  // busy their spacing is about one step over the pool. A pure performance
+  // hint — pop order never depends on it.
   S.Reset(config.prefill_instances, config.decode_instances, config.num_classes,
-          stepper.HintWidth(config.decode_instances));
+          table.DecodeStepTime(table.max_decode_batch()) /
+              static_cast<double>(std::max(1, config.decode_instances)));
   CalendarEventQueue& events = S.events;
   IndexQueue& prefill_queue = S.prefill_queue;
   IndexQueue& decode_queue = S.decode_queue;
@@ -613,7 +542,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         int i = static_cast<int>((w << 6) +
                                  static_cast<size_t>(__builtin_ctzll(bits)));
         bits &= bits - 1;
-        int batch = std::min<int>(stepper.MaxPrefillBatch(),
+        int batch = std::min<int>(table.max_prefill_batch(),
                                   static_cast<int>(prefill_queue.size()));
         std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
         slots.clear();
@@ -625,7 +554,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
             queued_prompt_tokens -= requests.prompt_tokens[static_cast<size_t>(req)];
           }
         }
-        double duration = stepper.PrefillTime(batch);
+        double duration = table.PrefillTime(batch);
         if (degrade_enabled) {
           // Applied on dispatch only: in-flight passes keep the duration
           // they started with, so busy-time refunds stay exact.
@@ -642,7 +571,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   };
 
   auto try_start_decode_step_at = [&](double t, int i) {
-    const int max_batch = stepper.MaxDecodeBatch();
+    const int max_batch = table.max_decode_batch();
     {
       // Admit waiting sequences at the step boundary (draining instances
       // only finish what they already hold).
@@ -686,7 +615,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       if (batch == 0) {
         return;
       }
-      double duration = stepper.DecodeStepTime(batch);
+      double duration = table.DecodeStepTime(batch);
       if (degrade_enabled) {
         duration *= S.d_degrade_mult[i];
       }
@@ -1104,12 +1033,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
               shed = true;
               shed_reason = ShedReason::kDeadline;
             } else {
-              if (shed_pass_s < 0.0) {
-                shed_pass_s = stepper.PrefillTime(stepper.MaxPrefillBatch());
-              }
               double waves = std::ceil(
                   (static_cast<double>(prefill_queue.size()) + 1.0) /
-                  (static_cast<double>(stepper.MaxPrefillBatch()) * live));
+                  (static_cast<double>(table.max_prefill_batch()) * live));
               if (waves * shed_pass_s > shedding.ttft_deadline_s) {
                 shed = true;
                 shed_reason = ShedReason::kDeadline;
@@ -1598,29 +1524,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
 
 }  // namespace
 
-ServeMetrics RunServeSimulation(const RequestSoA& requests,
-                                const ServeClusterConfig& config,
-                                const ServeCallbacks& callbacks) {
-  return RunSimulation(requests, config, CallbackStepper{callbacks});
-}
-
-ServeMetrics RunServeSimulation(const RequestSoA& requests,
-                                const ServeClusterConfig& config,
-                                const StepTimeTable& table) {
-  return RunSimulation(requests, config, TableStepper{table});
-}
-
-ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
-                                const ServeClusterConfig& config,
-                                const ServeCallbacks& callbacks) {
-  return RunSimulation(RequestSoA::FromRequests(requests), config,
-                       CallbackStepper{callbacks});
-}
-
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table) {
-  return RunSimulation(RequestSoA::FromRequests(requests), config, TableStepper{table});
+  return RunSimulation(RequestSoA::FromRequests(requests), config, table);
 }
 
 ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,

@@ -4,11 +4,9 @@
 // completed prompts hand off to decode instances, which run continuous
 // batching: every step emits one token per active sequence, new sequences
 // join at step boundaries, finished sequences leave. Step/pass latencies
-// come from a StepTimeTable (the production fast path — a flat array load
-// per simulated step, built once from the analytic PerfModel layer) or from
-// raw callbacks (the compatibility/testing layer for synthetic latency
-// shapes). Both run the same event loop and produce bit-identical metrics
-// when fed the same per-batch times.
+// come from a StepTimeTable: a flat array load per simulated step, built
+// once from the analytic PerfModel layer (StepTimeTable::Build) or from
+// synthetic per-batch times in tests.
 //
 // Event ordering is fully specified: simultaneous events process in
 // (time, kind, instance) order — prefill completions before decode step
@@ -26,7 +24,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "src/perf/step_table.h"
@@ -35,34 +32,6 @@
 #include "src/util/stats.h"
 
 namespace litegpu {
-
-class PerfModel;
-
-struct ServeCallbacks {
-  // Seconds for one prefill pass over `batch` prompts.
-  std::function<double(int batch)> prefill_time;
-  // Seconds for one decode step at the given running batch.
-  std::function<double(int batch)> decode_step_time;
-  int max_prefill_batch = 8;
-  int max_decode_batch = 256;
-};
-
-// Callbacks backed by the analytic PerfModels of the chosen prefill and
-// decode configurations. Decode steps are priced at the models' worst-case
-// (final) context, matching the search's SLO accounting.
-//
-// Lifetime contract (see docs/architecture.md): the returned callbacks
-// capture raw references — the PerfModels MUST outlive every call through
-// them, or the callbacks dangle. Debug builds assert the models are still
-// alive on every call (via PerfModel::liveness_token), so a dangling model
-// fails loudly instead of reading freed memory. This is the
-// compatibility/testing layer; production paths (the Runner's serve and
-// serve-sweep studies, bench_validation_serve) build an owning
-// StepTimeTable via StepTimeTable::Build instead, which copies the step
-// times out of the models and has no lifetime coupling.
-ServeCallbacks MakePerfModelCallbacks(const PerfModel& prefill_model,
-                                      const PerfModel& decode_model,
-                                      int max_prefill_batch, int max_decode_batch);
 
 // One autoscaler action, in the order it took effect. Scale-ups are
 // recorded when the provisioned instance comes online (after the delay);
@@ -197,7 +166,7 @@ struct ServeMetrics {
   int final_decode_instances = 0;
   // Fault outcome, filled only when ServeFaultConfig::enabled (all
   // zero/empty otherwise). The event log is ordered by simulated time and
-  // bit-identical across table/callback paths and thread counts. Downtime
+  // bit-identical across the two cores and thread counts. Downtime
   // is per pool, clipped to [0, makespan]; lost_tokens counts discarded
   // work (generated-so-far decode tokens, which are also subtracted from
   // output_tokens so goodput stays honest, plus killed prompt tokens).
@@ -219,8 +188,8 @@ struct ServeMetrics {
   double degraded_output_tokens = 0.0;
   // Shedding outcome (ServeClusterConfig::shedding): shed arrivals count as
   // admitted but never enter the prefill queue. The log is ordered by
-  // simulated time and bit-identical across table/callback paths and
-  // thread counts, like fault_events.
+  // simulated time and bit-identical across the two cores and thread
+  // counts, like fault_events.
   int shed_requests = 0;
   std::vector<ShedEvent> shed_events;
   // Recovery tracking (fault runs only): the largest single outage is the
@@ -249,29 +218,13 @@ struct ServeMetrics {
   size_t peak_demand_entries = 0;
 };
 
-// Compatibility/testing path: every step query pays std::function dispatch
-// (and, for PerfModel-backed callbacks, a mutex + map lookup).
+// Runs the event loop with step times served from the dense table — a
+// bounds-checked array load per query, lock-free, so one immutable table
+// can drive any number of concurrent sweep workers. Metrics are
+// bit-identical to RunServeSimulationReference (simulator_reference.h) on
+// the same table: tested in serve_test and serve_faults_test, gated in
+// bench_serve_scale.
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
-                                const ServeClusterConfig& config,
-                                const ServeCallbacks& callbacks);
-
-// Fast path: the same event loop with step times served from the dense
-// table — a bounds-checked array load per query, lock-free, so one
-// immutable table can drive any number of concurrent sweep workers.
-// Metrics are bit-identical to the callback path fed the same per-batch
-// times (tested in serve_test and gated in bench_serve_scale).
-ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
-                                const ServeClusterConfig& config,
-                                const StepTimeTable& table);
-
-// SoA entry points: the simulator's hot loops read arrival times and token
-// counts column-wise, so callers that already hold a RequestSoA skip the
-// AoS conversion. The vector<Request> overloads above convert and
-// delegate — both produce bit-identical metrics.
-ServeMetrics RunServeSimulation(const RequestSoA& requests,
-                                const ServeClusterConfig& config,
-                                const ServeCallbacks& callbacks);
-ServeMetrics RunServeSimulation(const RequestSoA& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table);
 

@@ -116,35 +116,10 @@ struct DecodeInstance {
   double degrade_since = -1.0;  // < 0 while healthy
 };
 
-// Step-time providers for the shared event loop. Both answer the same two
-// questions; the table one compiles down to an array load, the callback one
-// pays std::function dispatch (and whatever the callback itself does).
-struct TableStepper {
-  const StepTimeTable& table;
-  double PrefillTime(int batch) const { return table.PrefillTime(batch); }
-  double DecodeStepTime(int batch) const { return table.DecodeStepTime(batch); }
-  int MaxPrefillBatch() const { return table.max_prefill_batch(); }
-  int MaxDecodeBatch() const { return table.max_decode_batch(); }
-  bool Valid() const { return !table.empty(); }
-};
-
-struct CallbackStepper {
-  const ServeCallbacks& callbacks;
-  double PrefillTime(int batch) const { return callbacks.prefill_time(batch); }
-  double DecodeStepTime(int batch) const { return callbacks.decode_step_time(batch); }
-  int MaxPrefillBatch() const { return callbacks.max_prefill_batch; }
-  int MaxDecodeBatch() const { return callbacks.max_decode_batch; }
-  bool Valid() const {
-    return static_cast<bool>(callbacks.prefill_time) &&
-           static_cast<bool>(callbacks.decode_step_time);
-  }
-};
-
-template <typename Stepper>
 ServeMetrics RunSimulation(const std::vector<Request>& requests,
-                           const ServeClusterConfig& config, const Stepper& stepper) {
+                           const ServeClusterConfig& config, const StepTimeTable& table) {
   ServeMetrics metrics;
-  if (!stepper.Valid() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
+  if (table.empty() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
     return metrics;
   }
 
@@ -190,7 +165,7 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
   const bool degrade_enabled = faults_enabled && degraded.enabled();
   const SheddingPolicy& shedding = config.shedding;
   const bool shed_enabled = shedding.enabled();
-  double shed_pass_s = -1.0;  // lazily probed full-batch prefill time
+  const double shed_pass_s = table.PrefillTime(table.max_prefill_batch());
   std::optional<FaultStreams> fault_streams;
   int prefill_spares_free = faults.prefill_spares;
   int decode_spares_free = faults.decode_spares;
@@ -341,14 +316,14 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
           prefill[i].busy || prefill_queue.empty()) {
         continue;
       }
-      int batch = std::min<int>(stepper.MaxPrefillBatch(),
+      int batch = std::min<int>(table.max_prefill_batch(),
                                 static_cast<int>(prefill_queue.size()));
       prefill[i].batch.clear();
       for (int b = 0; b < batch; ++b) {
         prefill[i].batch.push_back(prefill_queue.front());
         prefill_queue.pop_front();
       }
-      double duration = stepper.PrefillTime(batch);
+      double duration = table.PrefillTime(batch);
       if (degrade_enabled) {
         // Dispatch-only throttling: a pass keeps the duration it started
         // with even if the window closes mid-pass.
@@ -372,7 +347,7 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
       // only finish what they already hold).
       if (!inst.draining) {
         while (!decode_queue.empty() &&
-               static_cast<int>(inst.remaining.size()) < stepper.MaxDecodeBatch()) {
+               static_cast<int>(inst.remaining.size()) < table.max_decode_batch()) {
           int req = decode_queue.front();
           decode_queue.pop_front();
           inst.remaining.push_back(std::max(1, requests[req].output_tokens));
@@ -383,7 +358,7 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
         continue;
       }
       int batch = static_cast<int>(inst.remaining.size());
-      double duration = stepper.DecodeStepTime(batch);
+      double duration = table.DecodeStepTime(batch);
       if (degrade_enabled) {
         duration *= inst.degrade_mult;
       }
@@ -781,12 +756,9 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
               shed = true;
               shed_reason = ShedReason::kDeadline;
             } else {
-              if (shed_pass_s < 0.0) {
-                shed_pass_s = stepper.PrefillTime(stepper.MaxPrefillBatch());
-              }
               double waves = std::ceil(
                   (static_cast<double>(prefill_queue.size()) + 1.0) /
-                  (static_cast<double>(stepper.MaxPrefillBatch()) * live));
+                  (static_cast<double>(table.max_prefill_batch()) * live));
               if (waves * shed_pass_s > shedding.ttft_deadline_s) {
                 shed = true;
                 shed_reason = ShedReason::kDeadline;
@@ -1214,14 +1186,8 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
 
 ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
                                          const ServeClusterConfig& config,
-                                         const ServeCallbacks& callbacks) {
-  return RunSimulation(requests, config, CallbackStepper{callbacks});
-}
-
-ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
-                                         const ServeClusterConfig& config,
                                          const StepTimeTable& table) {
-  return RunSimulation(requests, config, TableStepper{table});
+  return RunSimulation(requests, config, table);
 }
 
 }  // namespace litegpu

@@ -1,12 +1,11 @@
-// The PR 7 serving simulator core, kept verbatim as a golden reference.
+// The previous serving simulator core, kept verbatim as a golden reference.
 //
 // The production core (simulator.cc) was rebuilt around a calendar event
 // queue, SoA hot state, and an O(completions)-per-step decode scheduler.
 // This file preserves the previous std::priority_queue + array-of-structs
 // implementation so the bench and tests can (a) assert the new core's
 // metrics are bit-identical on every scenario shape, and (b) measure the
-// speedup against the real old code rather than a synthetic stand-in —
-// the same discipline PR 4 used for StepTimeTable vs raw callbacks. Not
+// speedup against the real old code rather than a synthetic stand-in. Not
 // used by any production path; only bench_serve_scale and tests link it.
 
 #pragma once
@@ -14,10 +13,6 @@
 #include "src/serve/simulator.h"
 
 namespace litegpu {
-
-ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
-                                         const ServeClusterConfig& config,
-                                         const ServeCallbacks& callbacks);
 
 ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
                                          const ServeClusterConfig& config,

@@ -335,9 +335,15 @@ class Parser {
   bool ParseValue(Json& out) {
     switch (Peek()) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return FailValue("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        bool ok = Peek() == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         return ParseString(out);
       case 't':
@@ -540,10 +546,15 @@ class Parser {
     return true;
   }
 
+  // Objects and arrays parse by recursion, so nesting is capped to keep a
+  // hostile input from overflowing the stack.
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
   int line_ = 1;
+  int depth_ = 0;  // containers currently open
 };
 
 }  // namespace

@@ -473,6 +473,16 @@ TEST(CliSmoke, SweepRejectsMalformedGridSpecs) {
 TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
   EXPECT_EQ(RunCommand("run /nonexistent.json").exit_code, 1);
   EXPECT_EQ(RunCommand("run").exit_code, 64);
+  // Pathologically deep nesting is an ordinary parse error, not a crash.
+  std::string deep_path = ::testing::TempDir() + "litegpu_deep.json";
+  FILE* f = fopen(deep_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs(std::string(200000, '[').c_str(), f);
+  fclose(f);
+  CommandResult deep = RunCommandMergedOutput("run " + deep_path);
+  EXPECT_EQ(deep.exit_code, 1);
+  EXPECT_NE(deep.stdout_text.find("line 1: nesting deeper than 256"), std::string::npos);
+  std::remove(deep_path.c_str());
 }
 
 }  // namespace

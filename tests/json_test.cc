@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/util/json.h"
 
 namespace litegpu {
@@ -86,6 +88,27 @@ TEST(Json, ParserRejectsMalformedInputWithLineNumbers) {
   EXPECT_FALSE(Json::Parse("[1, 2] trailing", &error).has_value());
   EXPECT_FALSE(Json::Parse("{\"unterminated\": \"str", &error).has_value());
   EXPECT_FALSE(Json::Parse("12abc", &error).has_value());
+}
+
+TEST(Json, ParserCapsNestingDepth) {
+  // 256 levels of objects and arrays parse; anything deeper is a
+  // line-labelled error instead of a stack overflow.
+  std::string ok;
+  for (int i = 0; i < 128; ++i) {
+    ok += "[{\"k\":";
+  }
+  ok += "1";
+  for (int i = 0; i < 128; ++i) {
+    ok += "}]";
+  }
+  std::string error;
+  EXPECT_TRUE(Json::Parse(ok, &error).has_value()) << error;
+  EXPECT_TRUE(Json::Parse(std::string(256, '[') + std::string(256, ']')).has_value());
+  EXPECT_FALSE(
+      Json::Parse(std::string(257, '[') + std::string(257, ']'), &error).has_value());
+  EXPECT_NE(error.find("line 1: nesting deeper than 256"), std::string::npos) << error;
+  EXPECT_FALSE(Json::Parse(std::string(200000, '['), &error).has_value());
+  EXPECT_NE(error.find("line 1: nesting deeper than 256"), std::string::npos) << error;
 }
 
 TEST(Json, StringEscapes) {

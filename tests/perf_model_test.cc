@@ -6,7 +6,6 @@
 #include "src/perf/model.h"
 #include "src/perf/step_table.h"
 #include "src/sched/pools.h"
-#include "src/serve/simulator.h"
 
 namespace litegpu {
 namespace {
@@ -135,39 +134,6 @@ TEST(PerfModel, GlobalStatsAggregateAcrossInstances) {
   EXPECT_GT(global.HitRate(), 0.0);
 }
 
-TEST(PerfModel, ServeCallbacksComeFromTheModels) {
-  TransformerSpec model = Llama3_70B();
-  GpuSpec gpu = H100();
-  WorkloadParams workload;
-  PerfModel prefill(model, gpu, MakeTpPlan(model, 2).value(), workload);
-  PerfModel decode(model, gpu, MakeTpPlan(model, 4).value(), workload);
-  ServeCallbacks callbacks = MakePerfModelCallbacks(prefill, decode, 8, 256);
-  EXPECT_EQ(callbacks.max_prefill_batch, 8);
-  EXPECT_EQ(callbacks.max_decode_batch, 256);
-  EXPECT_EQ(callbacks.prefill_time(4), prefill.Prefill(4).ttft_s);
-  EXPECT_EQ(callbacks.decode_step_time(64), decode.Decode(64).tbt_s);
-}
-
-#ifndef NDEBUG
-TEST(PerfModelCallbacksDeathTest, DanglingModelTripsTheDebugAssert) {
-  // The MakePerfModelCallbacks lifetime contract (docs/architecture.md):
-  // the callbacks capture raw references, and debug builds carry the
-  // models' liveness tokens so calling through a destroyed model aborts
-  // with a named assert instead of reading freed memory.
-  TransformerSpec model = Llama3_70B();
-  GpuSpec gpu = H100();
-  WorkloadParams workload;
-  PerfModel decode(model, gpu, MakeTpPlan(model, 4).value(), workload);
-  ServeCallbacks callbacks;
-  {
-    PerfModel prefill(model, gpu, MakeTpPlan(model, 2).value(), workload);
-    callbacks = MakePerfModelCallbacks(prefill, decode, 8, 256);
-    EXPECT_GT(callbacks.prefill_time(2), 0.0);  // fine while the model lives
-  }
-  EXPECT_DEATH(callbacks.prefill_time(2), "PerfModel destroyed");
-}
-#endif
-
 TEST(StepTimeTable, BitIdenticalToTheMemoizedModels) {
   TransformerSpec model = Llama3_70B();
   GpuSpec gpu = H100();
@@ -185,10 +151,6 @@ TEST(StepTimeTable, BitIdenticalToTheMemoizedModels) {
   for (int batch = 1; batch <= 64; ++batch) {
     EXPECT_EQ(table.DecodeStepTime(batch), decode.Decode(batch).tbt_s) << batch;
   }
-  // And to the callback layer built from the same models.
-  ServeCallbacks callbacks = MakePerfModelCallbacks(prefill, decode, 8, 64);
-  EXPECT_EQ(table.PrefillTime(3), callbacks.prefill_time(3));
-  EXPECT_EQ(table.DecodeStepTime(17), callbacks.decode_step_time(17));
 }
 
 TEST(StepTimeTable, OutOfRangeBatchesClampToTheCaps) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/core/runner.h"
@@ -494,9 +495,11 @@ TEST(Simulator, PredictiveDemandHistoryStaysBoundedByTheForecastWindow) {
     spec.duration_s = horizon_s;
     spec.median_prompt_tokens = 200;
     spec.median_output_tokens = 16;
-    ServeCallbacks cb;
-    cb.prefill_time = [](int batch) { return 0.01 * batch; };
-    cb.decode_step_time = [](int) { return 0.005; };
+    std::vector<double> prefill_s;
+    for (int b = 1; b <= 8; ++b) {
+      prefill_s.push_back(0.01 * b);
+    }
+    StepTimeTable table(std::move(prefill_s), std::vector<double>(256, 0.005));
     ServeClusterConfig config;
     config.prefill_instances = 2;
     config.decode_instances = 2;
@@ -508,7 +511,7 @@ TEST(Simulator, PredictiveDemandHistoryStaysBoundedByTheForecastWindow) {
     config.autoscaler.forecast_window_s = 5.0;
     config.autoscaler.prefill_tokens_per_s = 40000.0;
     config.autoscaler.decode_tokens_per_s = 4000.0;
-    ServeMetrics m = RunServeSimulation(GenerateWorkload(spec), config, cb);
+    ServeMetrics m = RunServeSimulation(GenerateWorkload(spec), config, table);
     EXPECT_GT(m.peak_demand_entries, 0u) << "predictive path never ran";
     return m.peak_demand_entries;
   };

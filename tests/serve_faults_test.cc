@@ -2,8 +2,8 @@
 // availability cross-check against the closed forms in
 // src/reliability/failure_model.h (satellite of the serve-path fault work,
 // mirroring how McSim is validated), and the serve-loop integration —
-// conservation under kill/retry/drop, table-vs-callback fault-log identity,
-// and the disabled path staying inert.
+// conservation under kill/retry/drop, fault-log identity against the
+// reference core, and the disabled path staying inert.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "src/hw/catalog.h"
 #include "src/reliability/failure_model.h"
 #include "src/serve/simulator.h"
+#include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
 
 namespace litegpu {
@@ -130,13 +131,19 @@ TEST(FaultAvailability, SparesMaskFailures) {
 
 // --- serve-loop integration ---
 
-ServeCallbacks SimpleCallbacks() {
-  ServeCallbacks cb;
-  cb.prefill_time = [](int batch) { return 0.05 * std::sqrt(batch); };
-  cb.decode_step_time = [](int batch) { return 5e-3 + 1e-4 * batch; };
-  cb.max_prefill_batch = 8;
-  cb.max_decode_batch = 64;
-  return cb;
+double SimplePrefillTime(int batch) { return 0.05 * std::sqrt(batch); }
+double SimpleDecodeStepTime(int batch) { return 5e-3 + 1e-4 * batch; }
+constexpr int kMaxPrefillBatch = 8;
+
+StepTimeTable SimpleTable() {
+  std::vector<double> prefill_s, decode_s;
+  for (int b = 1; b <= kMaxPrefillBatch; ++b) {
+    prefill_s.push_back(SimplePrefillTime(b));
+  }
+  for (int b = 1; b <= 64; ++b) {
+    decode_s.push_back(SimpleDecodeStepTime(b));
+  }
+  return StepTimeTable(std::move(prefill_s), std::move(decode_s));
 }
 
 std::vector<Request> FixedRequests(int n, double spacing_s, int output_tokens = 32) {
@@ -174,7 +181,7 @@ TEST(SimulatorFaults, DisabledFaultsStayInert) {
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_TRUE(m.fault_events.empty());
   EXPECT_EQ(m.retried_requests, 0);
   EXPECT_EQ(m.dropped_requests, 0);
@@ -190,7 +197,7 @@ TEST(SimulatorFaults, RetryPolicyConservesRequests) {
   config.decode_instances = 2;
   config.horizon_s = 10.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   // Retried work always re-serves: nothing is dropped, everything admitted
   // eventually completes.
   EXPECT_EQ(m.completed_requests, m.admitted_requests);
@@ -232,7 +239,7 @@ TEST(SimulatorFaults, DropPolicyDropsKilledRequests) {
   config.decode_instances = 2;
   config.horizon_s = 10.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kDrop);
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.dropped_requests, 0);
   EXPECT_EQ(m.retried_requests, 0);
   EXPECT_EQ(m.completed_requests + m.dropped_requests, m.admitted_requests);
@@ -247,28 +254,22 @@ TEST(SimulatorFaults, RetryBudgetFallsBetweenRetryAndDrop) {
   config.horizon_s = 10.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetryWithBudget);
   config.faults.retry_budget = 1;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   // Every admitted request either completes or exhausts its budget.
   EXPECT_EQ(m.completed_requests + m.dropped_requests, m.admitted_requests);
   EXPECT_GT(m.retried_requests, 0);
   // With budget 0 the policy degenerates to drop-on-first-kill.
   ServeClusterConfig no_budget = config;
   no_budget.faults.retry_budget = 0;
-  ServeMetrics z = RunServeSimulation(requests, no_budget, SimpleCallbacks());
+  ServeMetrics z = RunServeSimulation(requests, no_budget, SimpleTable());
   EXPECT_EQ(z.retried_requests, 0);
   EXPECT_EQ(z.completed_requests + z.dropped_requests, z.admitted_requests);
 }
 
-TEST(SimulatorFaults, FaultLogBitIdenticalOnTableAndCallbackPaths) {
-  ServeCallbacks cb = SimpleCallbacks();
-  std::vector<double> prefill_s, decode_s;
-  for (int b = 1; b <= cb.max_prefill_batch; ++b) {
-    prefill_s.push_back(cb.prefill_time(b));
-  }
-  for (int b = 1; b <= cb.max_decode_batch; ++b) {
-    decode_s.push_back(cb.decode_step_time(b));
-  }
-  StepTimeTable table(std::move(prefill_s), std::move(decode_s));
+TEST(SimulatorFaults, FaultLogBitIdenticalToReferenceCore) {
+  // Fault runs keep the reference's exact slot arrays; the kill/requeue
+  // order, and so the whole fault log, must match it element-wise.
+  StepTimeTable table = SimpleTable();
 
   auto requests = FixedRequests(400, 0.01, 32);
   ServeClusterConfig config;
@@ -276,8 +277,8 @@ TEST(SimulatorFaults, FaultLogBitIdenticalOnTableAndCallbackPaths) {
   config.decode_instances = 2;
   config.horizon_s = 5.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulation(requests, config, table);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_EQ(a.completed_requests, b.completed_requests);
   EXPECT_EQ(a.retried_requests, b.retried_requests);
   EXPECT_EQ(a.dropped_requests, b.dropped_requests);
@@ -327,7 +328,7 @@ TEST(SimulatorFaults, DomainFailureKillsExactlyItsLiveMembers) {
     config.decode_instances = 8;   // domains of 3 -> last domain has 2
     config.horizon_s = 8.0;
     config.faults = DomainFaults(seed);
-    ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+    ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
     ASSERT_FALSE(m.fault_events.empty()) << seed;
     std::set<int> down[2];
     int outages = 0;
@@ -376,18 +377,10 @@ TEST(SimulatorFaults, DomainFailureKillsExactlyItsLiveMembers) {
   }
 }
 
-TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalOnTableAndCallbackPaths) {
+TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalToReferenceCore) {
   // Domains + degradation + shedding all on: fault and shed logs must stay
-  // element-wise identical between the dense-table and callback paths.
-  ServeCallbacks cb = SimpleCallbacks();
-  std::vector<double> prefill_s, decode_s;
-  for (int b = 1; b <= cb.max_prefill_batch; ++b) {
-    prefill_s.push_back(cb.prefill_time(b));
-  }
-  for (int b = 1; b <= cb.max_decode_batch; ++b) {
-    decode_s.push_back(cb.decode_step_time(b));
-  }
-  StepTimeTable table(std::move(prefill_s), std::move(decode_s));
+  // element-wise identical between the production and reference cores.
+  StepTimeTable table = SimpleTable();
 
   auto requests = FixedRequests(400, 0.005, 32);
   ServeClusterConfig config;
@@ -404,8 +397,8 @@ TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalOnTableAndCallbackPaths) {
   config.faults.degraded.multiplier = 2.0;
   config.faults.degraded.mean_duration_s = 0.5;
   config.shedding.max_queue_depth = 8;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulation(requests, config, table);
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_EQ(a.completed_requests, b.completed_requests);
   EXPECT_EQ(a.shed_requests, b.shed_requests);
   EXPECT_EQ(a.output_tokens, b.output_tokens);
@@ -450,7 +443,6 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
   constexpr double kRate = 0.8;
   constexpr double kMult = 3.0;
   constexpr double kMean = 0.2;
-  ServeCallbacks cb = SimpleCallbacks();
   std::vector<Request> requests = FixedRequests(1, 0.0, kTokens);
   ServeClusterConfig config;
   config.prefill_instances = 1;
@@ -461,7 +453,7 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
   config.faults.degraded.multiplier = kMult;
   config.faults.degraded.mean_duration_s = kMean;
   config.faults.seed = FaultSubstreamSeed(42);
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.completed_requests, 1);
 
   FaultStreams replica(config.faults.seed);
@@ -481,8 +473,8 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
     }
     return false;
   };
-  double t = cb.prefill_time(1);  // prefill dispatched at arrival 0
-  double base = cb.decode_step_time(1);
+  double t = SimplePrefillTime(1);  // prefill dispatched at arrival 0
+  double base = SimpleDecodeStepTime(1);
   double degraded_tokens = 0.0;
   for (int k = 0; k < kTokens; ++k) {
     double step = base;
@@ -523,7 +515,7 @@ TEST(SimulatorShedding, QueueDepthCapConservesRequests) {
   config.decode_instances = 1;
   config.horizon_s = 30.0;
   config.shedding.max_queue_depth = 16;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.shed_requests, 0);
   EXPECT_EQ(m.dropped_requests, 0);
   EXPECT_EQ(m.admitted_requests, m.completed_requests + m.shed_requests);
@@ -538,7 +530,7 @@ TEST(SimulatorShedding, QueueDepthCapConservesRequests) {
   // dropped + shed.
   ServeClusterConfig faulty = config;
   faulty.faults = ChurnyFaults(FaultRetryPolicy::kDrop);
-  ServeMetrics fm = RunServeSimulation(requests, faulty, SimpleCallbacks());
+  ServeMetrics fm = RunServeSimulation(requests, faulty, SimpleTable());
   EXPECT_GT(fm.shed_requests, 0);
   EXPECT_EQ(fm.admitted_requests,
             fm.completed_requests + fm.dropped_requests + fm.shed_requests);
@@ -547,14 +539,13 @@ TEST(SimulatorShedding, QueueDepthCapConservesRequests) {
 TEST(SimulatorShedding, TtftDeadlineBelowOnePassShedsEverything) {
   // The TTFT estimate is at least one full-batch prefill pass, so a
   // deadline below that sheds every arrival with the deadline reason.
-  ServeCallbacks cb = SimpleCallbacks();
   auto requests = FixedRequests(50, 0.01);
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
   config.horizon_s = 10.0;
-  config.shedding.ttft_deadline_s = 0.5 * cb.prefill_time(cb.max_prefill_batch);
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  config.shedding.ttft_deadline_s = 0.5 * SimplePrefillTime(kMaxPrefillBatch);
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.shed_requests, 50);
   EXPECT_EQ(m.completed_requests, 0);
   for (const ShedEvent& e : m.shed_events) {
@@ -570,12 +561,12 @@ TEST(SimulatorShedding, DisabledSheddingMatchesBaseline) {
   config.prefill_instances = 2;
   config.decode_instances = 2;
   config.horizon_s = 10.0;
-  ServeMetrics off = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics off = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(off.shed_requests, 0);
   EXPECT_TRUE(off.shed_events.empty());
   ServeClusterConfig loose = config;
   loose.shedding.max_queue_depth = 1 << 30;  // enabled but never trips
-  ServeMetrics on = RunServeSimulation(requests, loose, SimpleCallbacks());
+  ServeMetrics on = RunServeSimulation(requests, loose, SimpleTable());
   EXPECT_EQ(on.shed_requests, 0);
   EXPECT_EQ(off.makespan_s, on.makespan_s);
   EXPECT_EQ(off.output_tokens, on.output_tokens);
@@ -589,8 +580,8 @@ TEST(SimulatorFaults, RerunsAreDeterministic) {
   config.decode_instances = 2;
   config.horizon_s = 5.0;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
-  ServeMetrics a = RunServeSimulation(requests, config, SimpleCallbacks());
-  ServeMetrics b = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics a = RunServeSimulation(requests, config, SimpleTable());
+  ServeMetrics b = RunServeSimulation(requests, config, SimpleTable());
   ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.output_tokens, b.output_tokens);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/runner.h"
@@ -19,13 +20,12 @@
 namespace litegpu {
 namespace {
 
-ServeCallbacks ConstantCallbacks() {
-  ServeCallbacks cb;
-  cb.prefill_time = [](int batch) { return 0.05 * batch; };
-  cb.decode_step_time = [](int) { return 0.01; };
-  cb.max_prefill_batch = 8;
-  cb.max_decode_batch = 64;
-  return cb;
+StepTimeTable ConstantTable() {
+  std::vector<double> prefill_s;
+  for (int b = 1; b <= 8; ++b) {
+    prefill_s.push_back(0.05 * b);
+  }
+  return StepTimeTable(std::move(prefill_s), std::vector<double>(64, 0.01));
 }
 
 ServeMetrics RunShard(double horizon_s, uint64_t seed) {
@@ -41,7 +41,7 @@ ServeMetrics RunShard(double horizon_s, uint64_t seed) {
   config.horizon_s = horizon_s;
   config.stream_ttft = true;  // shard mode always streams TTFT
   config.ttft_hist_hi_s = 60.0;
-  return RunServeSimulation(GenerateWorkload(spec), config, ConstantCallbacks());
+  return RunServeSimulation(GenerateWorkload(spec), config, ConstantTable());
 }
 
 // --- substream seeds ---

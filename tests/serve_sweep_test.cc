@@ -1,16 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "src/core/runner.h"
 #include "src/core/scenario.h"
-#include "src/core/search.h"
-#include "src/hw/catalog.h"
-#include "src/perf/model.h"
-#include "src/perf/step_table.h"
-#include "src/serve/simulator.h"
-#include "src/serve/workload.h"
 
 namespace litegpu {
 namespace {
@@ -188,50 +183,6 @@ TEST(Runner, ServeSweepReportIsBitIdenticalAtAnyThreadCount) {
     RunReport report = Runner().Run(parallel);
     ASSERT_TRUE(report.ok);
     EXPECT_EQ(report.ToJson().Dump(), reference.ToJson().Dump()) << threads;
-  }
-}
-
-// The tentpole identity claim on the production deployment: the table-
-// driven fast path and the PerfModel-backed callback path agree — TTFT,
-// goodput, and utilization bit-identical, TBT percentiles within one
-// histogram bin — across load levels.
-TEST(ServeSweep, FastPathMatchesCallbackPathAcrossLoads) {
-  TransformerSpec model = Llama3_70B();
-  GpuSpec gpu = H100();
-  SearchOptions options;
-  PrefillSearchResult prefill = SearchPrefill(model, gpu, options);
-  DecodeSearchResult decode = SearchDecode(model, gpu, options);
-  ASSERT_TRUE(prefill.found);
-  ASSERT_TRUE(decode.found);
-  PerfModel prefill_model(model, gpu, MakeTpPlan(model, prefill.best.tp_degree).value(),
-                          options.workload, options.engine);
-  PerfModel decode_model(model, gpu, MakeTpPlan(model, decode.best.tp_degree).value(),
-                         options.workload, options.engine);
-  ServeCallbacks callbacks = MakePerfModelCallbacks(prefill_model, decode_model,
-                                                    prefill.best.batch, decode.best.batch);
-  StepTimeTable table = StepTimeTable::Build(prefill_model, decode_model,
-                                             prefill.best.batch, decode.best.batch);
-
-  for (double load : {0.5, 0.95}) {
-    WorkloadSpec spec;
-    spec.arrival_rate_per_s =
-        load * decode.best.result.tokens_per_s / spec.median_output_tokens;
-    spec.duration_s = 10.0;
-    auto requests = GenerateWorkload(spec);
-    ServeClusterConfig cluster;
-    cluster.prefill_instances = 4;
-    cluster.decode_instances = 1;
-    ServeMetrics slow = RunServeSimulation(requests, cluster, callbacks);
-    ServeMetrics fast = RunServeSimulation(requests, cluster, table);
-    EXPECT_EQ(slow.ttft_s.Median(), fast.ttft_s.Median()) << load;
-    EXPECT_EQ(slow.ttft_s.P99(), fast.ttft_s.P99()) << load;
-    EXPECT_EQ(slow.decode_tokens_per_s, fast.decode_tokens_per_s) << load;
-    EXPECT_EQ(slow.prefill_utilization, fast.prefill_utilization) << load;
-    EXPECT_EQ(slow.decode_utilization, fast.decode_utilization) << load;
-    double bin = slow.tbt_s.bin_width();
-    EXPECT_NEAR(slow.tbt_s.Median(), fast.tbt_s.Median(), bin) << load;
-    EXPECT_NEAR(slow.tbt_s.P95(), fast.tbt_s.P95(), bin) << load;
-    EXPECT_NEAR(slow.tbt_s.P99(), fast.tbt_s.P99(), bin) << load;
   }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
@@ -172,16 +175,18 @@ TEST(MultiClassWorkload, ClassSubstreamSeedsAreStableByIndex) {
 
 // --- simulator ---
 
-ServeCallbacks SimpleCallbacks(double prefill_s = 0.1, double per_seq_step_s = 1e-4,
-                               double base_step_s = 5e-3) {
-  ServeCallbacks cb;
-  cb.prefill_time = [prefill_s](int batch) { return prefill_s * std::sqrt(batch); };
-  cb.decode_step_time = [per_seq_step_s, base_step_s](int batch) {
-    return base_step_s + per_seq_step_s * batch;
-  };
-  cb.max_prefill_batch = 8;
-  cb.max_decode_batch = 64;
-  return cb;
+// Prefill passes cost prefill_s * sqrt(batch) up to batch 8; decode steps
+// cost base + per_seq * batch up to batch 64.
+StepTimeTable SimpleTable(double prefill_s = 0.1, double per_seq_step_s = 1e-4,
+                          double base_step_s = 5e-3) {
+  std::vector<double> prefill, decode;
+  for (int b = 1; b <= 8; ++b) {
+    prefill.push_back(prefill_s * std::sqrt(b));
+  }
+  for (int b = 1; b <= 64; ++b) {
+    decode.push_back(base_step_s + per_seq_step_s * b);
+  }
+  return StepTimeTable(std::move(prefill), std::move(decode));
 }
 
 std::vector<Request> FixedRequests(int n, double spacing_s, int output_tokens = 32) {
@@ -202,7 +207,7 @@ TEST(Simulator, ConservationAllRequestsComplete) {
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 1;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.admitted_requests, 100);
   EXPECT_EQ(m.completed_requests, 100);
   EXPECT_DOUBLE_EQ(m.output_tokens, 100.0 * 32.0);
@@ -214,9 +219,7 @@ TEST(Simulator, TtftIncludesQueueingAndPrefill) {
   ServeClusterConfig config;
   config.prefill_instances = 1;
   config.decode_instances = 1;
-  ServeCallbacks cb = SimpleCallbacks(0.1);
-  cb.max_prefill_batch = 8;
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable(0.1));
   // Work-conserving: the first arrival prefills alone (0.1 s); the rest
   // queue behind it and batch up, paying queueing delay on top.
   EXPECT_NEAR(m.ttft_s.min(), 0.1, 1e-6);
@@ -230,7 +233,7 @@ TEST(Simulator, ThroughputMatchesStepModel) {
   ServeClusterConfig config;
   config.prefill_instances = 8;
   config.decode_instances = 1;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.mean_decode_batch, 55.0);
   EXPECT_NEAR(m.decode_tokens_per_s, 64.0 / 0.0114, 300.0);
 }
@@ -242,22 +245,21 @@ TEST(Simulator, MoreDecodeInstancesFinishFaster) {
   one.decode_instances = 1;
   ServeClusterConfig two = one;
   two.decode_instances = 2;
-  ServeMetrics a = RunServeSimulation(requests, one, SimpleCallbacks());
-  ServeMetrics b = RunServeSimulation(requests, two, SimpleCallbacks());
+  ServeMetrics a = RunServeSimulation(requests, one, SimpleTable());
+  ServeMetrics b = RunServeSimulation(requests, two, SimpleTable());
   EXPECT_EQ(a.completed_requests, 256);
   EXPECT_EQ(b.completed_requests, 256);
   EXPECT_LT(b.makespan_s, a.makespan_s);
 }
 
-TEST(Simulator, TbtSamplesMatchCallback) {
+TEST(Simulator, TbtSamplesMatchStepTimes) {
   // A single request decodes alone: every step is base + 1 * per_seq, and
   // there are exactly output_tokens steps.
   auto requests = FixedRequests(1, 0.0, 16);
   ServeClusterConfig config;
   config.prefill_instances = 1;
   config.decode_instances = 1;
-  ServeCallbacks cb = SimpleCallbacks();
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.tbt_s.count(), 16u);
   EXPECT_NEAR(m.tbt_s.max(), 0.0051, 1e-12);
   EXPECT_NEAR(m.tbt_s.min(), 0.0051, 1e-12);
@@ -269,7 +271,7 @@ TEST(Simulator, HorizonStopsAdmission) {
   config.prefill_instances = 2;
   config.decode_instances = 1;
   config.horizon_s = 4.95;  // admit ~50
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.admitted_requests, 50);
   EXPECT_EQ(m.completed_requests, 50);
 }
@@ -283,7 +285,7 @@ TEST(Simulator, InFlightAtHorizonCountsDrainedStragglers) {
   config.prefill_instances = 2;
   config.decode_instances = 1;
   config.horizon_s = 4.95;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.admitted_requests, 50);
   EXPECT_EQ(m.completed_requests, 50);  // everything drains...
   EXPECT_GT(m.in_flight_at_horizon, 0);  // ...but not all of it by the horizon
@@ -293,7 +295,7 @@ TEST(Simulator, InFlightAtHorizonCountsDrainedStragglers) {
   // With no horizon pressure nothing is in flight when it passes.
   ServeClusterConfig open = config;
   open.horizon_s = 1e9;
-  ServeMetrics all = RunServeSimulation(requests, open, SimpleCallbacks());
+  ServeMetrics all = RunServeSimulation(requests, open, SimpleTable());
   EXPECT_EQ(all.admitted_requests, 100);
   EXPECT_EQ(all.in_flight_at_horizon, 0);
 }
@@ -303,7 +305,7 @@ TEST(Simulator, UtilizationBounded) {
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_GT(m.prefill_utilization, 0.0);
   EXPECT_LE(m.prefill_utilization, 1.0 + 1e-9);
   EXPECT_GT(m.decode_utilization, 0.0);
@@ -327,59 +329,16 @@ TEST(Simulator, SimultaneousEventsProcessInSpecifiedOrder) {
     r.output_tokens = i == 2 ? 1 : 4;
     requests.push_back(r);
   }
-  ServeCallbacks cb;
-  cb.prefill_time = [](int) { return 1.0; };
-  cb.decode_step_time = [](int batch) { return 0.010 * batch; };
-  cb.max_prefill_batch = 1;
-  cb.max_decode_batch = 2;
+  StepTimeTable table({1.0}, {0.010, 0.020});
   ServeClusterConfig config;
   config.prefill_instances = 3;
   config.decode_instances = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, cb);
+  ServeMetrics m = RunServeSimulation(requests, config, table);
   EXPECT_EQ(m.completed_requests, 3);
   EXPECT_DOUBLE_EQ(m.output_tokens, 9.0);
   EXPECT_EQ(m.tbt_s.count(), 8u);             // 4 steps per decode instance
   EXPECT_NEAR(m.tbt_s.max(), 0.020, 1e-12);   // exactly one batch-2 step
   EXPECT_NEAR(m.makespan_s, 1.05, 1e-9);
-}
-
-TEST(Simulator, TablePathBitIdenticalToCallbackPath) {
-  // A synthetic StepTimeTable holding exactly the callback values must
-  // drive the event loop to bit-identical metrics on both paths.
-  ServeCallbacks cb = SimpleCallbacks();
-  std::vector<double> prefill_s, decode_s;
-  for (int b = 1; b <= cb.max_prefill_batch; ++b) {
-    prefill_s.push_back(cb.prefill_time(b));
-  }
-  for (int b = 1; b <= cb.max_decode_batch; ++b) {
-    decode_s.push_back(cb.decode_step_time(b));
-  }
-  StepTimeTable table(std::move(prefill_s), std::move(decode_s));
-
-  auto requests = FixedRequests(400, 0.01, 32);
-  ServeClusterConfig config;
-  config.prefill_instances = 2;
-  config.decode_instances = 2;
-  config.horizon_s = 3.0;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulation(requests, config, table);
-  EXPECT_EQ(a.admitted_requests, b.admitted_requests);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.decode_tokens_per_s, b.decode_tokens_per_s);
-  EXPECT_EQ(a.prefill_utilization, b.prefill_utilization);
-  EXPECT_EQ(a.decode_utilization, b.decode_utilization);
-  EXPECT_EQ(a.mean_decode_batch, b.mean_decode_batch);
-  ASSERT_EQ(a.ttft_s.count(), b.ttft_s.count());
-  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(a.ttft_s.Quantile(q), b.ttft_s.Quantile(q)) << q;
-    EXPECT_EQ(a.tbt_s.Quantile(q), b.tbt_s.Quantile(q)) << q;
-  }
-  EXPECT_EQ(a.tbt_s.count(), b.tbt_s.count());
-  EXPECT_EQ(a.tbt_s.min(), b.tbt_s.min());
-  EXPECT_EQ(a.tbt_s.max(), b.tbt_s.max());
 }
 
 TEST(Simulator, PerClassMetricsPartitionTheGlobalMetrics) {
@@ -402,7 +361,7 @@ TEST(Simulator, PerClassMetricsPartitionTheGlobalMetrics) {
   config.decode_instances = 2;
   config.horizon_s = 2.0;
   config.num_classes = 2;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   ASSERT_EQ(m.per_class.size(), 2u);
   int admitted = 0, completed = 0, in_flight = 0;
   double tokens = 0.0;
@@ -428,7 +387,7 @@ TEST(Simulator, PerClassMetricsPartitionTheGlobalMetrics) {
 
   ServeClusterConfig untracked = config;
   untracked.num_classes = 0;
-  ServeMetrics base = RunServeSimulation(requests, untracked, SimpleCallbacks());
+  ServeMetrics base = RunServeSimulation(requests, untracked, SimpleTable());
   EXPECT_TRUE(base.per_class.empty());
   EXPECT_EQ(base.admitted_requests, m.admitted_requests);
   EXPECT_EQ(base.completed_requests, m.completed_requests);
@@ -444,34 +403,11 @@ TEST(Simulator, EmptyConfigReturnsEmptyMetrics) {
   auto requests = FixedRequests(10, 0.1);
   ServeClusterConfig config;
   config.prefill_instances = 0;
-  ServeMetrics m = RunServeSimulation(requests, config, SimpleCallbacks());
+  ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
   EXPECT_EQ(m.completed_requests, 0);
 }
 
-TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
-  // The rebuilt core (calendar queue, SoA hot state, completion-heap
-  // decode scheduling) against the preserved PR 7 implementation, on the
-  // callbacks path with lognormal lengths and per-class tracking — the
-  // bench gates the table path at scale; this keeps a fast in-tree check.
-  WorkloadSpec spec;
-  spec.arrival_rate_per_s = 30.0;
-  spec.duration_s = 20.0;
-  spec.median_prompt_tokens = 800;
-  spec.prompt_sigma = 0.6;
-  spec.median_output_tokens = 48;
-  spec.output_sigma = 0.4;
-  auto requests = GenerateWorkload(spec);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].class_id = static_cast<int>(i % 2);
-  }
-  ServeCallbacks cb = SimpleCallbacks();
-  ServeClusterConfig config;
-  config.prefill_instances = 2;
-  config.decode_instances = 3;
-  config.horizon_s = spec.duration_s;
-  config.num_classes = 2;
-  ServeMetrics a = RunServeSimulation(requests, config, cb);
-  ServeMetrics b = RunServeSimulationReference(requests, config, cb);
+void ExpectBitIdentical(const ServeMetrics& a, const ServeMetrics& b) {
   EXPECT_EQ(a.admitted_requests, b.admitted_requests);
   EXPECT_EQ(a.completed_requests, b.completed_requests);
   EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
@@ -494,6 +430,72 @@ TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
     EXPECT_EQ(a.per_class[c].ttft_s.Quantile(0.95), b.per_class[c].ttft_s.Quantile(0.95));
     EXPECT_EQ(a.per_class[c].tbt_s.Quantile(0.99), b.per_class[c].tbt_s.Quantile(0.99));
   }
+  EXPECT_EQ(a.prefill_instance_seconds, b.prefill_instance_seconds);
+  EXPECT_EQ(a.decode_instance_seconds, b.decode_instance_seconds);
+  EXPECT_EQ(a.peak_prefill_instances, b.peak_prefill_instances);
+  EXPECT_EQ(a.peak_decode_instances, b.peak_decode_instances);
+  EXPECT_EQ(a.final_prefill_instances, b.final_prefill_instances);
+  EXPECT_EQ(a.final_decode_instances, b.final_decode_instances);
+  ASSERT_EQ(a.scale_events.size(), b.scale_events.size());
+  for (size_t i = 0; i < a.scale_events.size(); ++i) {
+    EXPECT_EQ(a.scale_events[i].time_s, b.scale_events[i].time_s) << i;
+    EXPECT_EQ(a.scale_events[i].pool, b.scale_events[i].pool) << i;
+    EXPECT_EQ(a.scale_events[i].delta, b.scale_events[i].delta) << i;
+    EXPECT_EQ(a.scale_events[i].instances_after, b.scale_events[i].instances_after) << i;
+    EXPECT_EQ(a.scale_events[i].reason, b.scale_events[i].reason) << i;
+  }
+}
+
+TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
+  // The rebuilt core (calendar queue, SoA hot state, completion-heap
+  // decode scheduling) against the preserved reference implementation on
+  // the same synthetic table — the bench gates it at scale; this keeps a
+  // fast in-tree check. Two inputs: lognormal lengths with per-class
+  // tracking on fixed pools, and an on/off burst driving the autoscaler.
+  WorkloadSpec spec;
+  spec.arrival_rate_per_s = 30.0;
+  spec.duration_s = 20.0;
+  spec.median_prompt_tokens = 800;
+  spec.prompt_sigma = 0.6;
+  spec.median_output_tokens = 48;
+  spec.output_sigma = 0.4;
+  auto requests = GenerateWorkload(spec);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].class_id = static_cast<int>(i % 2);
+  }
+  StepTimeTable table = SimpleTable();
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 3;
+  config.horizon_s = spec.duration_s;
+  config.num_classes = 2;
+  ExpectBitIdentical(RunServeSimulation(requests, config, table),
+                     RunServeSimulationReference(requests, config, table));
+
+  WorkloadSpec bursty = spec;
+  bursty.arrival_rate_per_s = 60.0;
+  bursty.duration_s = 60.0;
+  bursty.arrival.kind = ArrivalKind::kOnOff;
+  bursty.arrival.on_mean_s = 8.0;
+  bursty.arrival.off_mean_s = 8.0;
+  bursty.arrival.on_multiplier = 2.0;
+  bursty.arrival.off_multiplier = 0.1;
+  auto burst_requests = GenerateWorkload(bursty);
+  ServeClusterConfig scaled;
+  scaled.prefill_instances = 1;
+  scaled.decode_instances = 1;
+  scaled.horizon_s = bursty.duration_s;
+  scaled.autoscaler.enabled = true;
+  scaled.autoscaler.interval_s = 2.0;
+  scaled.autoscaler.delay_s = 3.0;
+  scaled.autoscaler.max_prefill_instances = 8;
+  scaled.autoscaler.max_decode_instances = 8;
+  scaled.autoscaler.prefill_tokens_per_s = 40000.0;
+  scaled.autoscaler.decode_tokens_per_s = 4000.0;
+  ServeMetrics a = RunServeSimulation(burst_requests, scaled, table);
+  ServeMetrics b = RunServeSimulationReference(burst_requests, scaled, table);
+  EXPECT_GT(a.scale_events.size(), 0u) << "the burst never moved the pools";
+  ExpectBitIdentical(a, b);
 }
 
 }  // namespace
