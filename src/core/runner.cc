@@ -1374,23 +1374,6 @@ Json ClassReportsToJson(const std::vector<ServeClassReport>& classes) {
   return arr;
 }
 
-// Config-echo keys shared by the serve and sweep reports: the arrival
-// process when it is not the stationary Poisson default, the autoscaler
-// block when one is enabled, the faults block when it moved off its
-// defaults. Gated so fixed-pool fault-free Poisson reports stay
-// byte-identical to the pre-autoscaler renderer.
-void EchoArrivalAndAutoscaler(Json& config, const ServeCommonKnobs& knobs) {
-  if (knobs.arrival.kind != ArrivalKind::kPoisson) {
-    config.Set("arrival", ArrivalProcessToJson(knobs.arrival));
-  }
-  if (knobs.autoscaler.enabled()) {
-    config.Set("autoscaler", AutoscalerKnobsToJson(knobs.autoscaler));
-  }
-  if (!FaultKnobsAreDefault(knobs.faults)) {
-    config.Set("faults", FaultKnobsToJson(knobs.faults));
-  }
-}
-
 Json ScaleReportToJson(const ServeScaleReport& scale) {
   Json events = Json::Array();
   for (const ScaleEvent& e : scale.events) {
@@ -1619,10 +1602,7 @@ Json ServeStudyToJson(const ServeStudyReport& r) {
       .Set("prompt_sigma", r.knobs.prompt_sigma)
       .Set("output_sigma", r.knobs.output_sigma)
       .Set("seed", r.knobs.seed);
-  EchoArrivalAndAutoscaler(config, r.knobs);
-  if (!r.knobs.classes.empty()) {
-    config.Set("classes", RequestClassesToJson(r.knobs.classes));
-  }
+  WriteServeOptionalBlocks(config, r.knobs);
   Json prefill = Json::Object();
   prefill.Set("tp_degree", r.prefill_tp)
       .Set("batch", r.prefill_batch)
@@ -1759,10 +1739,7 @@ Json ServeSweepToJson(const ServeSweepReport& r) {
       .Set("prompt_sigma", r.knobs.prompt_sigma)
       .Set("output_sigma", r.knobs.output_sigma)
       .Set("seed", r.knobs.seed);
-  EchoArrivalAndAutoscaler(config, r.knobs);
-  if (!r.knobs.classes.empty()) {
-    config.Set("classes", RequestClassesToJson(r.knobs.classes));
-  }
+  WriteServeOptionalBlocks(config, r.knobs);
   Json prefill = Json::Object();
   prefill.Set("tp_degree", r.prefill_tp)
       .Set("batch", r.prefill_batch)

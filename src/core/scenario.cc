@@ -2,7 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <limits>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
+#include "src/core/scenario_fields.h"
 #include "src/hw/catalog.h"
 #include "src/util/flags.h"
 
@@ -46,62 +54,380 @@ std::optional<StudyKind> ParseStudyKind(const std::string& name) {
   return std::nullopt;
 }
 
-std::string ToString(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kPoisson:
-      return "poisson";
-    case ArrivalKind::kDiurnal:
-      return "diurnal";
-    case ArrivalKind::kOnOff:
-      return "onoff";
-    case ArrivalKind::kTrace:
-      return "trace";
-  }
-  return "unknown";
-}
-
-std::optional<ArrivalKind> ParseArrivalKind(const std::string& name) {
-  for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kDiurnal,
-                           ArrivalKind::kOnOff, ArrivalKind::kTrace}) {
-    if (name == ToString(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string ToString(AutoscalerPolicy policy) {
-  switch (policy) {
-    case AutoscalerPolicy::kNone:
-      return "none";
-    case AutoscalerPolicy::kReactive:
-      return "reactive";
-    case AutoscalerPolicy::kPredictive:
-      return "predictive";
-  }
-  return "unknown";
-}
-
-std::optional<AutoscalerPolicy> ParseAutoscalerPolicy(const std::string& name) {
-  for (AutoscalerPolicy policy : {AutoscalerPolicy::kNone, AutoscalerPolicy::kReactive,
-                                  AutoscalerPolicy::kPredictive}) {
-    if (name == ToString(policy)) {
-      return policy;
-    }
-  }
-  return std::nullopt;
-}
-
 namespace {
 
-std::optional<YieldModel> ParseYieldModel(const std::string& name) {
-  for (YieldModel model : {YieldModel::kPoisson, YieldModel::kMurphy, YieldModel::kSeeds,
-                           YieldModel::kNegativeBinomial}) {
-    if (name == ToString(model)) {
-      return model;
+// --- generic field-table code (the rows live in scenario_fields.h) --------
+
+// The knob struct a table's rows point into. Used as a parameter type it is
+// a non-deduced context, so a derived block (ServeKnobs) can be passed where
+// its base's table (ServeCommonKnobs) is read or written.
+template <typename Table>
+using StructOf = typename std::tuple_element_t<0, Table>::Struct;
+
+// Calls fn(row) for each row in table order until one returns false.
+template <typename Table, typename Fn>
+bool AllRows(const Table& table, Fn&& fn) {
+  return std::apply([&](const auto&... row) { return (fn(row) && ...); }, table);
+}
+
+// Splits an enum row's '|'-separated spellings; index = enum value.
+std::vector<std::string> EnumNames(const char* names) {
+  std::vector<std::string> out;
+  std::string_view rest(names);
+  for (size_t bar = rest.find('|'); bar != std::string_view::npos; bar = rest.find('|')) {
+    out.emplace_back(rest.substr(0, bar));
+    rest.remove_prefix(bar + 1);
+  }
+  out.emplace_back(rest);
+  return out;
+}
+
+std::string Label(const std::string& where, std::string_view key) {
+  return where.empty() ? std::string(key) : where + "." + std::string(key);
+}
+
+bool Fail(std::string* error, std::string message) {
+  if (error != nullptr) {
+    *error = std::move(message);
+  }
+  return false;
+}
+
+// A present key with the wrong JSON type is an error — a mistyped value must
+// not silently fall back to the default.
+bool TypeError(std::string_view key, const std::string& where, const char* expected,
+               std::string* error) {
+  return Fail(error, "'" + std::string(key) + "' in " + where + " must be " + expected);
+}
+
+// Strict readers for one value, by member type. Integer rows take only
+// integral numbers that fit (8.0 and 1e3 parse; 2.6 and 2^32 + 1 do not).
+bool ReadValue(const Json& v, std::string_view key, const std::string& where, double& out,
+               std::string* error) {
+  if (v.type() != Json::Type::kNumber) {
+    return TypeError(key, where, "a number", error);
+  }
+  out = v.AsDouble();
+  return true;
+}
+
+bool ReadValue(const Json& v, std::string_view key, const std::string& where, int& out,
+               std::string* error) {
+  const double d = v.AsDouble();
+  if (v.type() != Json::Type::kNumber) {
+    return TypeError(key, where, "a number", error);
+  }
+  if (std::trunc(d) != d || d < std::numeric_limits<int>::min() ||
+      d > std::numeric_limits<int>::max()) {
+    return TypeError(key, where, "an integer in [-2^31, 2^31)", error);
+  }
+  out = static_cast<int>(d);
+  return true;
+}
+
+bool ReadValue(const Json& v, std::string_view key, const std::string& where, uint64_t& out,
+               std::string* error) {
+  const double d = v.AsDouble();
+  if (v.type() != Json::Type::kNumber) {
+    return TypeError(key, where, "a number", error);
+  }
+  if (std::trunc(d) != d || d < 0.0 || d >= 0x1p64) {
+    return TypeError(key, where, "an integer in [0, 2^64)", error);
+  }
+  out = static_cast<uint64_t>(d);
+  return true;
+}
+
+bool ReadValue(const Json& v, std::string_view key, const std::string& where, bool& out,
+               std::string* error) {
+  if (v.type() != Json::Type::kBool) {
+    return TypeError(key, where, "true or false", error);
+  }
+  out = v.AsBool();
+  return true;
+}
+
+bool ReadValue(const Json& v, std::string_view key, const std::string& where, std::string& out,
+               std::string* error) {
+  if (v.type() != Json::Type::kString) {
+    return TypeError(key, where, "a string", error);
+  }
+  out = v.AsString();
+  return true;
+}
+
+bool ReadValue(const Json& v, std::string_view key, const std::string& where,
+               std::vector<double>& out, std::string* error) {
+  std::vector<double> list;
+  for (const Json& e : v.elements()) {
+    if (e.type() != Json::Type::kNumber) {
+      break;
+    }
+    list.push_back(e.AsDouble());
+  }
+  if (!v.is_array() || list.size() != v.elements().size()) {
+    return TypeError(key, where, "an array of numbers", error);
+  }
+  out = std::move(list);
+  return true;
+}
+
+// An enum value: the index of its spelling in `names`, with a did-you-mean
+// hint for a misspelling.
+bool ReadEnumIndex(const Json& v, std::string_view key, const char* names,
+                   const std::string& where, int& out, std::string* error) {
+  if (v.type() != Json::Type::kString) {
+    return TypeError(key, where, "a string", error);
+  }
+  std::vector<std::string> spellings = EnumNames(names);
+  auto it = std::find(spellings.begin(), spellings.end(), v.AsString());
+  if (it == spellings.end()) {
+    std::string noun(key);
+    std::replace(noun.begin(), noun.end(), '_', ' ');
+    std::string message = "unknown " + noun + " '" + v.AsString() + "' in " +
+                          Label(where, key) + " (expected " + names;
+    std::string best = ClosestCandidate(v.AsString(), spellings);
+    if (!best.empty()) {
+      message += "; did you mean '" + best + "'?";
+    }
+    return Fail(error, message + ")");
+  }
+  out = static_cast<int>(it - spellings.begin());
+  return true;
+}
+
+template <typename S, typename T>
+bool ReadField(const Json& v, const Field<S, T>& row, const std::string& where, S& out,
+               std::string* error) {
+  if constexpr (std::is_enum_v<T>) {
+    int index = 0;
+    if (!ReadEnumIndex(v, row.name, row.enum_names, where, index, error)) {
+      return false;
+    }
+    out.*row.member = static_cast<T>(index);
+    return true;
+  } else {
+    return ReadValue(v, row.name, where, out.*row.member, error);
+  }
+}
+
+// Reads every row whose key is present; absent keys keep their defaults.
+template <typename Table>
+bool ReadFields(const Json& obj, const std::string& where, const Table& table,
+                StructOf<Table>& out, std::string* error) {
+  for (const auto& [key, value] : obj.members()) {
+    if (!AllRows(table, [&](const auto& row) {
+          return key != row.name || ReadField(value, row, where, out, error);
+        })) {
+      return false;
     }
   }
-  return std::nullopt;
+  return true;
+}
+
+// Key sources for CheckKeys: a field table, or a list of nested-block keys.
+template <size_t N, typename Fn>
+bool AnyKey(const std::string_view (&keys)[N], Fn&& fn) {
+  return std::any_of(std::begin(keys), std::end(keys), fn);
+}
+template <typename... Rows, typename Fn>
+bool AnyKey(const std::tuple<Rows...>& table, Fn&& fn) {
+  return std::apply([&](const auto&... row) { return (fn(row.name) || ...); }, table);
+}
+
+// Fails on a key no source names, so scenario-file typos surface instead of
+// silently falling back to defaults — with the did-you-mean hint unknown
+// CLI flags get.
+template <typename... Sources>
+bool CheckKeys(const Json& obj, const std::string& where, std::string* error,
+               const Sources&... sources) {
+  for (const auto& member : obj.members()) {
+    const std::string& key = member.first;
+    auto is_key = [&key](std::string_view name) { return key == name; };
+    if ((AnyKey(sources, is_key) || ...)) {
+      continue;
+    }
+    std::vector<std::string> known;
+    auto collect = [&known](std::string_view name) {
+      known.emplace_back(name);
+      return false;  // visit every key
+    };
+    (AnyKey(sources, collect), ...);
+    std::string message = "unknown key '" + key + "' in " + where;
+    std::string best = ClosestCandidate(key, known);
+    if (!best.empty()) {
+      message += " (did you mean '" + best + "'?)";
+    }
+    return Fail(error, message);
+  }
+  return true;
+}
+
+// A flat block: an object holding only the table's keys.
+template <typename Table>
+bool ReadBlock(const Json& obj, const std::string& where, const Table& table,
+               StructOf<Table>& out, std::string* error) {
+  if (!obj.is_object()) {
+    return Fail(error, where + " must be an object");
+  }
+  return CheckKeys(obj, where, error, table) && ReadFields(obj, where, table, out, error);
+}
+
+template <typename Table>
+bool FieldsAreDefault(const Table& table, const StructOf<Table>& knobs) {
+  const StructOf<Table> defaults{};
+  return AllRows(table,
+                 [&](const auto& row) { return knobs.*row.member == defaults.*row.member; });
+}
+
+// Writers for one value, by member type; enums write their spelling.
+void SetValue(Json& j, std::string_view key, const std::vector<double>& value, const char*) {
+  Json arr = Json::Array();
+  for (double x : value) {
+    arr.Append(x);
+  }
+  j.Set(std::string(key), std::move(arr));
+}
+template <typename T>
+void SetValue(Json& j, std::string_view key, const T& value, const char* enum_names) {
+  if constexpr (std::is_enum_v<T>) {
+    j.Set(std::string(key), EnumNames(enum_names).at(static_cast<size_t>(value)));
+  } else {
+    j.Set(std::string(key), value);
+  }
+}
+
+// Writes the rows in table order, skipping the rows their Emit rule gates.
+template <typename Table>
+void WriteFields(Json& j, const Table& table, const StructOf<Table>& knobs) {
+  const StructOf<Table> defaults{};
+  AllRows(table, [&](const auto& row) {
+    const auto& value = knobs.*row.member;
+    using T = std::decay_t<decltype(value)>;
+    if (row.emit == Emit::kIfChanged && value == defaults.*row.member) {
+      return true;
+    }
+    if constexpr (std::is_same_v<T, int>) {
+      if (row.emit == Emit::kIfAboveOne && value <= 1) {
+        return true;
+      }
+    }
+    SetValue(j, row.name, value, row.enum_names);
+    return true;
+  });
+}
+
+template <typename Table>
+Json FieldsToJson(const Table& table, const StructOf<Table>& knobs) {
+  Json j = Json::Object();
+  WriteFields(j, table, knobs);
+  return j;
+}
+
+template <typename Table>
+Json BlockListToJson(const Table& table, const std::vector<StructOf<Table>>& list) {
+  Json arr = Json::Array();
+  for (const auto& item : list) {
+    arr.Append(FieldsToJson(table, item));
+  }
+  return arr;
+}
+
+// A row whose value broke its range, as CheckFields reports it.
+struct BadRow {
+  std::string_view name;
+  FieldRange range;
+  bool finite = false;  // double rows: "... and finite"
+  bool list = false;    // list rows: "<key> entries must be ..."
+};
+
+template <typename S, typename T>
+bool NoteBadRow(const Field<S, T>& row, BadRow& bad) {
+  bad = {row.name, row.range, !std::is_same_v<T, int>, std::is_same_v<T, std::vector<double>>};
+  return false;
+}
+
+// "<where>.<key> must be positive and finite", "... must be in (0, 1]",
+// "... entries must be >= 0 and finite", "... must be >= 0 (0 =
+// auto-size)", ...
+std::string RangeProblem(const std::string& where, const BadRow& bad) {
+  auto num = [](double x) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", x);
+    return std::string(buf);
+  };
+  const FieldRange& r = bad.range;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::string rule;
+  if (r.hi != inf) {
+    rule = std::string("in ") + (r.lo_open ? "(" : "[") + num(r.lo) + ", " + num(r.hi) + "]";
+  } else if (r.lo_open) {
+    rule = "positive";  // Positive(): (0, inf)
+  } else if (r.lo != -inf) {
+    rule = ">= " + num(r.lo);
+  }
+  if (bad.finite && r.hi == inf) {
+    rule += rule.empty() ? "finite" : " and finite";
+  }
+  std::string message =
+      Label(where, bad.name) + (bad.list ? " entries" : "") + " must be " + rule;
+  if (r.note != nullptr) {
+    message += std::string(" (") + r.note + ")";
+  }
+  return message;
+}
+
+// NaN fails every comparison, so it is out of any range.
+bool InRange(double v, const FieldRange& r, bool finite) {
+  return (r.lo_open ? v > r.lo : v >= r.lo) && v <= r.hi && (!finite || std::isfinite(v));
+}
+
+// Whether a row's value (every entry, for a list) satisfies its range;
+// double values must also be finite. Other types have no range.
+template <typename S, typename T>
+bool RowInRange(const Field<S, T>& row, const S& knobs) {
+  const T& value = knobs.*row.member;
+  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, int>) {
+    return InRange(value, row.range, std::is_same_v<T, double>);
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    return std::all_of(value.begin(), value.end(),
+                       [&](double x) { return InRange(x, row.range, true); });
+  } else {
+    return true;
+  }
+}
+
+// The first row whose value breaks its range, if any.
+template <typename Table>
+std::optional<BadRow> FirstBadRow(const Table& table, const StructOf<Table>& knobs) {
+  BadRow bad;
+  AllRows(table,
+          [&](const auto& row) { return RowInRange(row, knobs) || NoteBadRow(row, bad); });
+  return bad.name.empty() ? std::nullopt : std::optional<BadRow>(bad);
+}
+
+// The first range violation labelled under `where` ("" when every row holds).
+template <typename Table>
+std::string CheckFields(const Table& table, const StructOf<Table>& knobs,
+                        const std::string& where) {
+  std::optional<BadRow> bad = FirstBadRow(table, knobs);
+  return bad ? RangeProblem(where, *bad) : std::string();
+}
+
+// Calls fn with the key set of arrival kind `kind`.
+template <typename Fn>
+decltype(auto) WithArrivalFields(ArrivalKind kind, Fn&& fn) {
+  switch (kind) {
+    case ArrivalKind::kDiurnal:
+      return fn(kDiurnalFields);
+    case ArrivalKind::kOnOff:
+      return fn(kOnOffFields);
+    case ArrivalKind::kTrace:
+      return fn(kTraceFields);
+    case ArrivalKind::kPoisson:
+      break;
+  }
+  return fn(kPoissonFields);
 }
 
 bool UsesPerfSearch(StudyKind study) {
@@ -112,6 +438,10 @@ bool UsesPerfSearch(StudyKind study) {
 }
 
 }  // namespace
+
+std::string ToString(AutoscalerPolicy policy) {
+  return EnumNames(kAutoscalerPolicyNames).at(static_cast<size_t>(policy));
+}
 
 std::vector<double> ExpandGridRange(double lo, double hi, double step) {
   std::vector<double> grid;
@@ -160,87 +490,56 @@ std::string ValidateRequestClasses(const std::vector<RequestClass>& classes,
                                    const std::string& where) {
   for (size_t i = 0; i < classes.size(); ++i) {
     const RequestClass& cls = classes[i];
-    std::string label = where + ".classes[" + std::to_string(i) + "]";
+    auto label = [&] { return where + ".classes[" + std::to_string(i) + "]"; };
     if (cls.name.empty()) {
-      return label + " needs a non-empty name";
+      return label() + " needs a non-empty name";
     }
     for (size_t j = 0; j < i; ++j) {
       if (classes[j].name == cls.name) {
         return where + ".classes has duplicate name '" + cls.name + "'";
       }
     }
-    if (!(cls.weight > 0.0) || !std::isfinite(cls.weight)) {
-      return label + " ('" + cls.name + "') weight must be positive and finite";
+    if (std::optional<BadRow> bad = FirstBadRow(kRequestClassFields, cls)) {
+      return RangeProblem(label(), *bad);
     }
-    if (cls.prompt_tokens <= 0 || cls.output_tokens <= 0) {
-      return label + " ('" + cls.name + "') prompt/output tokens must be positive";
-    }
-    if (cls.prompt_sigma < 0.0 || cls.output_sigma < 0.0 ||
-        !std::isfinite(cls.prompt_sigma) || !std::isfinite(cls.output_sigma)) {
-      return label + " ('" + cls.name + "') sigmas must be >= 0 and finite";
-    }
-    if (cls.ttft_slo_s < 0.0 || cls.tbt_slo_s < 0.0 || !std::isfinite(cls.ttft_slo_s) ||
-        !std::isfinite(cls.tbt_slo_s)) {
-      return label + " ('" + cls.name + "') SLOs must be >= 0 (0 = inherit) and finite";
+    if (cls.ttft_slo_s < 0.0 || cls.tbt_slo_s < 0.0) {
+      return label() + " ('" + cls.name + "') SLOs must be >= 0 (0 = inherit)";
     }
   }
   return "";
 }
 
 std::string ValidateArrivalProcess(const ArrivalProcess& process, const std::string& where) {
-  const std::string& label = where;
+  if (std::string problem = WithArrivalFields(
+          process.kind,
+          [&](const auto& table) { return CheckFields(table, process, where); });
+      !problem.empty()) {
+    return problem;
+  }
   switch (process.kind) {
     case ArrivalKind::kPoisson:
       return "";
-    case ArrivalKind::kDiurnal: {
+    case ArrivalKind::kDiurnal:
       if (process.multipliers.empty()) {
-        return label + ".multipliers must be a non-empty rate curve";
+        return where + ".multipliers must be a non-empty rate curve";
       }
-      double peak = 0.0;
-      for (double m : process.multipliers) {
-        if (!(m >= 0.0) || !std::isfinite(m)) {
-          return label + ".multipliers must be >= 0 and finite";
-        }
-        peak = std::max(peak, m);
-      }
-      if (peak <= 0.0) {
-        return label + ".multipliers must contain at least one positive point";
-      }
-      if (process.period_s < 0.0 || !std::isfinite(process.period_s)) {
-        return label + ".period_s must be >= 0 (0 = one period per horizon) and finite";
+      if (*std::max_element(process.multipliers.begin(), process.multipliers.end()) <= 0.0) {
+        return where + ".multipliers must contain at least one positive point";
       }
       return "";
-    }
-    case ArrivalKind::kOnOff: {
-      if (!(process.on_mean_s > 0.0) || !std::isfinite(process.on_mean_s) ||
-          !(process.off_mean_s > 0.0) || !std::isfinite(process.off_mean_s)) {
-        return label + " phase means (on_mean_s/off_mean_s) must be positive and finite";
-      }
-      if (!(process.on_multiplier >= 0.0) || !std::isfinite(process.on_multiplier) ||
-          !(process.off_multiplier >= 0.0) || !std::isfinite(process.off_multiplier)) {
-        return label + " phase multipliers must be >= 0 and finite";
-      }
+    case ArrivalKind::kOnOff:
       if (process.on_multiplier <= 0.0 && process.off_multiplier <= 0.0) {
-        return label + " needs a positive on_multiplier or off_multiplier";
+        return where + " needs a positive on_multiplier or off_multiplier";
       }
       return "";
-    }
-    case ArrivalKind::kTrace: {
+    case ArrivalKind::kTrace:
       if (process.times_s.empty()) {
-        return label + ".times_s must be a non-empty ascending list of arrival times";
+        return where + ".times_s must be a non-empty ascending list of arrival times";
       }
-      double prev = 0.0;
-      for (double t : process.times_s) {
-        if (!(t >= 0.0) || !std::isfinite(t)) {
-          return label + ".times_s must be >= 0 and finite";
-        }
-        if (t < prev) {
-          return label + ".times_s must be ascending";
-        }
-        prev = t;
+      if (!std::is_sorted(process.times_s.begin(), process.times_s.end())) {
+        return where + ".times_s must be ascending";
       }
       return "";
-    }
   }
   return "";
 }
@@ -249,37 +548,15 @@ std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::str
   if (!knobs.enabled()) {
     return "";
   }
-  const std::string& label = where;
-  if (!(knobs.interval_s > 0.0) || !std::isfinite(knobs.interval_s)) {
-    return label + ".interval_s must be positive and finite";
-  }
-  if (knobs.delay_s < 0.0 || !std::isfinite(knobs.delay_s)) {
-    return label + ".delay_s must be >= 0 and finite";
-  }
-  if (knobs.min_prefill_instances < 1 || knobs.min_decode_instances < 1) {
-    return label + " min instance counts must be >= 1";
+  if (std::string problem = CheckFields(kAutoscalerFields, knobs, where); !problem.empty()) {
+    return problem;
   }
   if (knobs.max_prefill_instances < knobs.min_prefill_instances ||
       knobs.max_decode_instances < knobs.min_decode_instances) {
-    return label + " instance bounds need max >= min";
-  }
-  if (!(knobs.scale_up_backlog_s > 0.0) || !std::isfinite(knobs.scale_up_backlog_s)) {
-    return label + ".scale_up_backlog_s must be positive and finite";
-  }
-  if (!(knobs.scale_up_utilization > 0.0) || !std::isfinite(knobs.scale_up_utilization)) {
-    return label + ".scale_up_utilization must be positive and finite";
-  }
-  if (knobs.scale_down_utilization < 0.0 || !std::isfinite(knobs.scale_down_utilization)) {
-    return label + ".scale_down_utilization must be >= 0 and finite";
+    return where + " instance bounds need max >= min";
   }
   if (knobs.scale_down_utilization >= knobs.scale_up_utilization) {
-    return label + ".scale_down_utilization must be below scale_up_utilization";
-  }
-  if (!(knobs.forecast_window_s > 0.0) || !std::isfinite(knobs.forecast_window_s)) {
-    return label + ".forecast_window_s must be positive and finite";
-  }
-  if (!(knobs.headroom > 0.0) || !std::isfinite(knobs.headroom)) {
-    return label + ".headroom must be positive and finite";
+    return where + ".scale_down_utilization must be below scale_up_utilization";
   }
   return "";
 }
@@ -287,21 +564,8 @@ std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::str
 std::string ValidateFaultKnobs(const FaultKnobs& knobs, const std::string& where) {
   // Validated even at afr 0: a disabled block with a nonsense MTTR is a
   // latent mistake that would only surface when someone turns faults on.
-  if (knobs.afr < 0.0 || !std::isfinite(knobs.afr)) {
-    return where + ".afr must be >= 0 and finite";
-  }
-  if (knobs.floor_afr < 0.0 || !std::isfinite(knobs.floor_afr)) {
-    return where + ".floor_afr must be >= 0 and finite";
-  }
-  if (!(knobs.mttr_hours > 0.0) || !std::isfinite(knobs.mttr_hours)) {
-    return where + ".mttr_hours must be positive and finite";
-  }
-  if (knobs.spare_activation_minutes < 0.0 ||
-      !std::isfinite(knobs.spare_activation_minutes)) {
-    return where + ".spare_activation_minutes must be >= 0 and finite";
-  }
-  if (knobs.hot_spares < 0) {
-    return where + ".hot_spares must be >= 0";
+  if (std::string problem = CheckFields(kFaultFields, knobs, where); !problem.empty()) {
+    return problem;
   }
   if (knobs.hot_spares > 0 &&
       knobs.spare_activation_minutes >= knobs.mttr_hours * 60.0) {
@@ -311,46 +575,16 @@ std::string ValidateFaultKnobs(const FaultKnobs& knobs, const std::string& where
     return where + ".spare_activation_minutes must be < mttr_hours * 60 "
                    "(a slower-than-repair spare never activates)";
   }
-  if (knobs.retry_budget < 0) {
-    return where + ".retry_budget must be >= 0";
-  }
   if (knobs.retry_policy == FaultRetryPolicy::kRetryWithBudget &&
       knobs.retry_budget < 1) {
     return where + ".retry_budget must be >= 1 under retry_with_budget";
   }
-  if (!(knobs.target_attainment > 0.0) || knobs.target_attainment > 1.0) {
-    return where + ".target_attainment must be in (0, 1]";
-  }
-  if (knobs.domain_gpus < 0.0 || !std::isfinite(knobs.domain_gpus)) {
-    return where + ".domain_gpus must be >= 0 and finite";
-  }
-  if (knobs.domain_afr < 0.0 || !std::isfinite(knobs.domain_afr)) {
-    return where + ".domain_afr must be >= 0 and finite";
-  }
   if (knobs.domain_afr > 0.0 && !(knobs.domain_gpus > 0.0)) {
     return where + ".domain_afr requires domain_gpus > 0 (the domain size)";
-  }
-  if (knobs.domain_mttr_hours < 0.0 || !std::isfinite(knobs.domain_mttr_hours)) {
-    return where + ".domain_mttr_hours must be >= 0 and finite (0 = inherit mttr_hours)";
-  }
-  if (knobs.degrade_afr < 0.0 || !std::isfinite(knobs.degrade_afr)) {
-    return where + ".degrade_afr must be >= 0 and finite";
-  }
-  if (knobs.degrade_multiplier < 1.0 || !std::isfinite(knobs.degrade_multiplier)) {
-    return where + ".degrade_multiplier must be >= 1 and finite";
-  }
-  if (knobs.degrade_minutes < 0.0 || !std::isfinite(knobs.degrade_minutes)) {
-    return where + ".degrade_minutes must be >= 0 and finite";
   }
   if (knobs.degrade_afr > 0.0 &&
       (!(knobs.degrade_multiplier > 1.0) || !(knobs.degrade_minutes > 0.0))) {
     return where + ".degrade_afr requires degrade_multiplier > 1 and degrade_minutes > 0";
-  }
-  if (knobs.shed_queue_depth < 0) {
-    return where + ".shed_queue_depth must be >= 0";
-  }
-  if (knobs.shed_ttft_deadline_s < 0.0 || !std::isfinite(knobs.shed_ttft_deadline_s)) {
-    return where + ".shed_ttft_deadline_s must be >= 0 and finite";
   }
   return "";
 }
@@ -358,23 +592,13 @@ std::string ValidateFaultKnobs(const FaultKnobs& knobs, const std::string& where
 namespace {
 
 // The per-point knobs shared by the serve and sweep blocks validate once,
-// here — `where` picks the block name in messages, keeping them identical
-// to the pre-unification wording.
+// here — `where` picks the block name in messages.
 std::string ValidateServeCommonKnobs(const ServeCommonKnobs& knobs,
                                      const std::string& where) {
-  // NaN fails the > comparison, so non-finite horizons are rejected too
-  // (a NaN/inf horizon would spin the workload generator forever).
-  if (!(knobs.horizon_s > 0.0) || !std::isfinite(knobs.horizon_s)) {
-    return where + ".horizon_s must be positive and finite";
-  }
-  if (knobs.prefill_instances < 0) {
-    return where + ".prefill_instances must be >= 0 (0 = auto-size)";
-  }
-  if (knobs.decode_instances < 1) {
-    return where + ".decode_instances must be >= 1";
-  }
-  if (knobs.prompt_sigma < 0.0 || knobs.output_sigma < 0.0) {
-    return where + " length sigmas must be >= 0";
+  // Non-finite horizons are rejected too (a NaN/inf horizon would spin the
+  // workload generator forever).
+  if (std::string problem = CheckFields(kServeCommonFields, knobs, where); !problem.empty()) {
+    return problem;
   }
   if (std::string problem = ValidateArrivalProcess(knobs.arrival, where + ".arrival");
       !problem.empty()) {
@@ -389,8 +613,8 @@ std::string ValidateServeCommonKnobs(const ServeCommonKnobs& knobs,
       !problem.empty()) {
     return problem;
   }
-  if (knobs.shards < 0 || knobs.shards > 1024) {
-    return where + ".shards must be in [0, 1024]";
+  if (std::string problem = CheckFields(kServeShardFields, knobs, where); !problem.empty()) {
+    return problem;
   }
   if (knobs.shards >= 2) {
     // Shards are independent replications of the same stationary process;
@@ -507,23 +731,17 @@ SearchOptions Scenario::MakeSearchOptions() const {
 }
 
 std::string Scenario::Validate() const {
+  const std::vector<std::string> resolved_models = ResolvedModels();
+  const std::vector<std::string> resolved_gpus = ResolvedGpus();
   if (UsesPerfSearch(study)) {
-    if (workload.prompt_tokens <= 0) {
-      return "workload.prompt_tokens must be positive";
+    if (std::string problem = CheckFields(kWorkloadFields, workload, "workload");
+        !problem.empty()) {
+      return problem;
     }
-    if (workload.output_tokens <= 0) {
-      return "workload.output_tokens must be positive";
+    if (std::string problem = CheckFields(kScenarioFields, *this, ""); !problem.empty()) {
+      return problem;
     }
-    if (workload.ttft_slo_s <= 0.0) {
-      return "workload.ttft_slo_s must be positive";
-    }
-    if (workload.tbt_slo_s <= 0.0) {
-      return "workload.tbt_slo_s must be positive";
-    }
-    if (max_batch < 1) {
-      return "max_batch must be >= 1";
-    }
-    for (const std::string& name : ResolvedModels()) {
+    for (const std::string& name : resolved_models) {
       if (!FindModel(name)) {
         return "unknown model '" + name + "' (try `litegpu list`)";
       }
@@ -536,19 +754,19 @@ std::string Scenario::Validate() const {
       return "study '" + litegpu::ToString(study) + "' does not take models/gpus lists";
     }
   } else {
-    std::vector<std::string> resolved = ResolvedGpus();
-    if (resolved.empty()) {
+    if (resolved_gpus.empty()) {
       return study == StudyKind::kFleetCompare
                  ? "fleet.candidates must be non-empty"
                  : "scenario needs at least one GPU";
     }
-    for (const std::string& name : resolved) {
+    for (const std::string& name : resolved_gpus) {
       if (!FindGpu(name)) {
         return "unknown GPU '" + name + "' (try `litegpu list`)";
       }
     }
     if ((study == StudyKind::kFig3a || study == StudyKind::kFig3b) &&
-        std::find(resolved.begin(), resolved.end(), baseline_gpu) == resolved.end()) {
+        std::find(resolved_gpus.begin(), resolved_gpus.end(), baseline_gpu) ==
+            resolved_gpus.end()) {
       return "baseline_gpu '" + baseline_gpu + "' is not in the scenario's GPU list";
     }
   }
@@ -561,81 +779,46 @@ std::string Scenario::Validate() const {
         return "study 'mcsim' simulates exactly one GPU type (got " +
                std::to_string(gpus.size()) + ")";
       }
-      if (mcsim.gpus_per_instance < 1 || mcsim.num_instances < 1) {
-        return "mcsim instance shape must be positive";
-      }
-      if (mcsim.num_spares < 0) {
-        return "mcsim.num_spares must be >= 0";
-      }
-      if (mcsim.sim_years <= 0.0) {
-        return "mcsim.sim_years must be positive";
-      }
-      if (mcsim.num_trials < 1) {
-        return "mcsim.num_trials must be >= 1";
-      }
-      break;
+      return CheckFields(kMcSimFields, mcsim, "mcsim");
     case StudyKind::kYield:
-      if (yield.die_area_mm2 <= 0.0) {
-        return "yield.die_area_mm2 must be positive";
-      }
-      if (yield.defect_density_per_cm2 < 0.0) {
-        return "yield.defect_density_per_cm2 must be >= 0";
-      }
-      if (yield.split < 1) {
-        return "yield.split must be >= 1";
-      }
-      break;
+      return CheckFields(kYieldFields, yield, "yield");
     case StudyKind::kDerive:
       if (!FindGpu(derive.base_gpu)) {
         return "unknown derive.base_gpu '" + derive.base_gpu + "'";
       }
-      if (derive.split < 1) {
-        return "derive.split must be >= 1";
-      }
-      if (derive.mem_bw_multiplier <= 0.0 || derive.net_bw_multiplier <= 0.0 ||
-          derive.overclock <= 0.0) {
-        return "derive multipliers must be positive";
-      }
-      break;
+      return CheckFields(kDeriveFields, derive, "derive");
     case StudyKind::kDesign:
-      if (design.hbm_usd_per_gb < 0.0 || design.gpu_price_multiplier <= 0.0 ||
-          design.amortization_years <= 0.0) {
-        return "design economics knobs must be positive";
-      }
-      break;
+      return CheckFields(kDesignFields, design, "design");
     case StudyKind::kServe:
-      if (ResolvedModels().size() != 1) {
+      if (resolved_models.size() != 1) {
         return "study 'serve' simulates exactly one model (got " +
-               std::to_string(ResolvedModels().size()) + ")";
+               std::to_string(resolved_models.size()) + ")";
       }
-      if (ResolvedGpus().size() != 1) {
+      if (resolved_gpus.size() != 1) {
         return "study 'serve' simulates exactly one GPU type (got " +
-               std::to_string(ResolvedGpus().size()) + ")";
+               std::to_string(resolved_gpus.size()) + ")";
+      }
+      if (std::string problem = CheckFields(kServeFields, serve, "serve"); !problem.empty()) {
+        return problem;
       }
       if (serve.load <= 0.0 && serve.arrival_rate_per_s <= 0.0 &&
           serve.arrival.kind != ArrivalKind::kTrace) {
         // A trace needs neither: the recorded times fix the offered rate.
         return "serve needs a positive load fraction or arrival_rate_per_s";
       }
-      if (serve.arrival_rate_per_s < 0.0) {
-        return "serve.arrival_rate_per_s must be >= 0";
+      return ValidateServeCommonKnobs(serve, "serve");
+    case StudyKind::kServeSweep: {
+      if (resolved_models.size() != 1) {
+        return "study 'serve-sweep' simulates exactly one model (got " +
+               std::to_string(resolved_models.size()) + ")";
       }
-      if (!std::isfinite(serve.load) || !std::isfinite(serve.arrival_rate_per_s)) {
-        return "serve load/arrival_rate_per_s must be finite";
+      if (resolved_gpus.size() != 1) {
+        return "study 'serve-sweep' simulates exactly one GPU type (got " +
+               std::to_string(resolved_gpus.size()) + ")";
       }
-      if (std::string problem = ValidateServeCommonKnobs(serve, "serve");
+      if (std::string problem = CheckFields(kServeSweepFields, sweep, "sweep");
           !problem.empty()) {
         return problem;
-      }
-      break;
-    case StudyKind::kServeSweep: {
-      if (ResolvedModels().size() != 1) {
-        return "study 'serve-sweep' simulates exactly one model (got " +
-               std::to_string(ResolvedModels().size()) + ")";
-      }
-      if (ResolvedGpus().size() != 1) {
-        return "study 'serve-sweep' simulates exactly one GPU type (got " +
-               std::to_string(ResolvedGpus().size()) + ")";
       }
       if (sweep.loads.empty() && sweep.rates.empty() && sweep.load_step <= 0.0) {
         return "sweep.load_step must be positive";
@@ -654,16 +837,12 @@ std::string Scenario::Validate() const {
         // The trace fixes the offered rate, so there is nothing to sweep.
         return "sweep.arrival.kind 'trace' is not supported (use study 'serve')";
       }
-      if (std::string problem = ValidateServeCommonKnobs(sweep, "sweep");
-          !problem.empty()) {
-        return problem;
-      }
-      break;
+      return ValidateServeCommonKnobs(sweep, "sweep");
     }
     case StudyKind::kFleetCompare: {
-      if (ResolvedModels().size() != 1) {
+      if (resolved_models.size() != 1) {
         return "study 'fleet-compare' simulates exactly one model (got " +
-               std::to_string(ResolvedModels().size()) + ")";
+               std::to_string(resolved_models.size()) + ")";
       }
       if (!gpus.empty()) {
         return "study 'fleet-compare' takes its GPUs from fleet.candidates "
@@ -682,19 +861,13 @@ std::string Scenario::Validate() const {
           return "duplicate fleet candidate name '" + c.name + "'";
         }
         seen.push_back(c.name);
-        if (c.split < 1) {
-          return label + ".split must be >= 1";
+        if (std::string problem = CheckFields(kFleetCandidateFields, c, label);
+            !problem.empty()) {
+          return problem;
         }
-        if (c.mem_bw_multiplier <= 0.0 || c.net_bw_multiplier <= 0.0 ||
-            c.overclock <= 0.0) {
-          return label + " multipliers must be positive";
-        }
-        if (c.prefill_instances < 0) {
-          return label + ".prefill_instances must be >= 0";
-        }
-        if (c.decode_instances < 1) {
-          return label + ".decode_instances must be >= 1";
-        }
+      }
+      if (std::string problem = CheckFields(kFleetFields, fleet, "fleet"); !problem.empty()) {
+        return problem;
       }
       if (fleet.loads.empty() && fleet.load_step <= 0.0) {
         return "fleet.load_step must be positive";
@@ -708,232 +881,59 @@ std::string Scenario::Validate() const {
           return "fleet grid points must be positive and finite";
         }
       }
-      if (fleet.horizon_s <= 0.0) {
-        return "fleet.horizon_s must be positive";
-      }
-      if (fleet.prompt_sigma < 0.0 || fleet.output_sigma < 0.0) {
-        return "fleet sigmas must be >= 0";
-      }
-      if (fleet.hbm_usd_per_gb < 0.0 || fleet.gpu_price_multiplier <= 0.0) {
-        return "fleet economics knobs must be positive";
-      }
-      if (fleet.depreciation_months <= 0.0) {
-        return "fleet.depreciation_months must be positive";
-      }
-      if (fleet.electricity_usd_per_kwh < 0.0) {
-        return "fleet.electricity_usd_per_kwh must be >= 0";
-      }
-      if (fleet.gpu_utilization <= 0.0 || fleet.gpu_utilization > 1.0) {
-        return "fleet.gpu_utilization must be in (0, 1]";
-      }
-      break;
+      return "";
     }
     default:
-      break;
+      return "";
   }
-  return "";
 }
 
 // --- JSON serialization -----------------------------------------------------
 
-// The serve and sweep blocks (and the reports' config echo) share this.
-// Only invoked for non-empty mixes, so classless scenarios serialize
-// byte-identically to the pre-class format.
-Json RequestClassesToJson(const std::vector<RequestClass>& classes) {
-  Json arr = Json::Array();
-  for (const RequestClass& cls : classes) {
-    Json c = Json::Object();
-    c.Set("name", cls.name)
-        .Set("weight", cls.weight)
-        .Set("prompt_tokens", cls.prompt_tokens)
-        .Set("prompt_sigma", cls.prompt_sigma)
-        .Set("output_tokens", cls.output_tokens)
-        .Set("output_sigma", cls.output_sigma)
-        .Set("ttft_slo_s", cls.ttft_slo_s)
-        .Set("tbt_slo_s", cls.tbt_slo_s);
-    arr.Append(std::move(c));
-  }
-  return arr;
-}
-
 Json ArrivalProcessToJson(const ArrivalProcess& process) {
-  Json j = Json::Object();
-  j.Set("kind", ToString(process.kind));
-  switch (process.kind) {
-    case ArrivalKind::kPoisson:
-      break;
-    case ArrivalKind::kDiurnal: {
-      j.Set("period_s", process.period_s);
-      Json arr = Json::Array();
-      for (double m : process.multipliers) {
-        arr.Append(m);
-      }
-      j.Set("multipliers", std::move(arr));
-      break;
-    }
-    case ArrivalKind::kOnOff:
-      j.Set("on_mean_s", process.on_mean_s)
-          .Set("off_mean_s", process.off_mean_s)
-          .Set("on_multiplier", process.on_multiplier)
-          .Set("off_multiplier", process.off_multiplier);
-      break;
-    case ArrivalKind::kTrace: {
-      Json arr = Json::Array();
-      for (double t : process.times_s) {
-        arr.Append(t);
-      }
-      j.Set("times_s", std::move(arr));
-      break;
-    }
-  }
-  return j;
+  return WithArrivalFields(process.kind,
+                           [&](const auto& table) { return FieldsToJson(table, process); });
 }
 
 Json AutoscalerKnobsToJson(const AutoscalerKnobs& knobs) {
-  Json j = Json::Object();
-  j.Set("policy", ToString(knobs.policy))
-      .Set("interval_s", knobs.interval_s)
-      .Set("delay_s", knobs.delay_s)
-      .Set("min_prefill_instances", knobs.min_prefill_instances)
-      .Set("max_prefill_instances", knobs.max_prefill_instances)
-      .Set("min_decode_instances", knobs.min_decode_instances)
-      .Set("max_decode_instances", knobs.max_decode_instances)
-      .Set("scale_up_backlog_s", knobs.scale_up_backlog_s)
-      .Set("scale_up_utilization", knobs.scale_up_utilization)
-      .Set("scale_down_utilization", knobs.scale_down_utilization)
-      .Set("forecast_window_s", knobs.forecast_window_s)
-      .Set("headroom", knobs.headroom);
-  return j;
+  return FieldsToJson(kAutoscalerFields, knobs);
 }
 
-Json FaultKnobsToJson(const FaultKnobs& knobs) {
-  const FaultKnobs defaults;
-  Json j = Json::Object();
-  j.Set("afr", knobs.afr)
-      .Set("floor_afr", knobs.floor_afr)
-      .Set("mttr_hours", knobs.mttr_hours)
-      .Set("spare_activation_minutes", knobs.spare_activation_minutes)
-      .Set("hot_spares", knobs.hot_spares)
-      .Set("retry_policy", ToString(knobs.retry_policy))
-      .Set("retry_budget", knobs.retry_budget)
-      .Set("target_attainment", knobs.target_attainment);
-  // Post-domain keys emit only when set: a pre-domain faults block (and
-  // every report echoing one) serializes byte-identically to before the
-  // keys existed.
-  if (knobs.domain_gpus != defaults.domain_gpus) {
-    j.Set("domain_gpus", knobs.domain_gpus);
-  }
-  if (knobs.domain_afr != defaults.domain_afr) {
-    j.Set("domain_afr", knobs.domain_afr);
-  }
-  if (knobs.domain_mttr_hours != defaults.domain_mttr_hours) {
-    j.Set("domain_mttr_hours", knobs.domain_mttr_hours);
-  }
-  if (knobs.degrade_afr != defaults.degrade_afr) {
-    j.Set("degrade_afr", knobs.degrade_afr);
-  }
-  if (knobs.degrade_multiplier != defaults.degrade_multiplier) {
-    j.Set("degrade_multiplier", knobs.degrade_multiplier);
-  }
-  if (knobs.degrade_minutes != defaults.degrade_minutes) {
-    j.Set("degrade_minutes", knobs.degrade_minutes);
-  }
-  if (knobs.shed_queue_depth != defaults.shed_queue_depth) {
-    j.Set("shed_queue_depth", knobs.shed_queue_depth);
-  }
-  if (knobs.shed_ttft_deadline_s != defaults.shed_ttft_deadline_s) {
-    j.Set("shed_ttft_deadline_s", knobs.shed_ttft_deadline_s);
-  }
-  return j;
-}
-
-// Compared field-by-field — not merely enabled() — so an afr-0 block with,
-// say, hot spares set still round-trips instead of silently vanishing.
-bool FaultKnobsAreDefault(const FaultKnobs& knobs) {
-  const FaultKnobs defaults;
-  return knobs.afr == defaults.afr && knobs.floor_afr == defaults.floor_afr &&
-         knobs.mttr_hours == defaults.mttr_hours &&
-         knobs.spare_activation_minutes == defaults.spare_activation_minutes &&
-         knobs.hot_spares == defaults.hot_spares &&
-         knobs.retry_policy == defaults.retry_policy &&
-         knobs.retry_budget == defaults.retry_budget &&
-         knobs.target_attainment == defaults.target_attainment &&
-         knobs.domain_gpus == defaults.domain_gpus &&
-         knobs.domain_afr == defaults.domain_afr &&
-         knobs.domain_mttr_hours == defaults.domain_mttr_hours &&
-         knobs.degrade_afr == defaults.degrade_afr &&
-         knobs.degrade_multiplier == defaults.degrade_multiplier &&
-         knobs.degrade_minutes == defaults.degrade_minutes &&
-         knobs.shed_queue_depth == defaults.shed_queue_depth &&
-         knobs.shed_ttft_deadline_s == defaults.shed_ttft_deadline_s;
-}
-
-Json FleetKnobsToJson(const FleetKnobs& knobs) {
-  Json fleet = Json::Object();
-  Json cands = Json::Array();
-  for (const FleetCandidate& c : knobs.candidates) {
-    Json cand = Json::Object();
-    cand.Set("name", c.name)
-        .Set("gpu", c.gpu)
-        .Set("split", c.split)
-        .Set("mem_bw_multiplier", c.mem_bw_multiplier)
-        .Set("net_bw_multiplier", c.net_bw_multiplier)
-        .Set("overclock", c.overclock)
-        .Set("prefill_instances", c.prefill_instances)
-        .Set("decode_instances", c.decode_instances);
-    cands.Append(std::move(cand));
-  }
-  fleet.Set("candidates", std::move(cands));
-  if (!knobs.loads.empty()) {
-    Json arr = Json::Array();
-    for (double load : knobs.loads) {
-      arr.Append(load);
-    }
-    fleet.Set("loads", std::move(arr));
-  }
-  fleet.Set("load_lo", knobs.load_lo)
-      .Set("load_hi", knobs.load_hi)
-      .Set("load_step", knobs.load_step)
-      .Set("horizon_s", knobs.horizon_s)
-      .Set("prompt_sigma", knobs.prompt_sigma)
-      .Set("output_sigma", knobs.output_sigma)
-      .Set("seed", knobs.seed)
-      .Set("hbm_usd_per_gb", knobs.hbm_usd_per_gb)
-      .Set("gpu_price_multiplier", knobs.gpu_price_multiplier)
-      .Set("depreciation_months", knobs.depreciation_months)
-      .Set("electricity_usd_per_kwh", knobs.electricity_usd_per_kwh)
-      .Set("gpu_utilization", knobs.gpu_utilization);
-  return fleet;
-}
-
-namespace {
-
-// The shared tail of the serve/sweep blocks. Key order matches the
-// pre-unification writers exactly; the new `arrival`/`autoscaler` keys are
-// emitted only when non-default, so pre-existing scenarios (and report
-// config echoes) serialize byte-identically.
-void WriteServeCommonKnobs(Json& block, const ServeCommonKnobs& knobs) {
-  block.Set("horizon_s", knobs.horizon_s)
-      .Set("prefill_instances", knobs.prefill_instances)
-      .Set("decode_instances", knobs.decode_instances)
-      .Set("prompt_sigma", knobs.prompt_sigma)
-      .Set("output_sigma", knobs.output_sigma)
-      .Set("seed", knobs.seed);
+void WriteServeOptionalBlocks(Json& block, const ServeCommonKnobs& knobs) {
   if (knobs.arrival.kind != ArrivalKind::kPoisson) {
     block.Set("arrival", ArrivalProcessToJson(knobs.arrival));
   }
   if (knobs.autoscaler.enabled()) {
     block.Set("autoscaler", AutoscalerKnobsToJson(knobs.autoscaler));
   }
-  if (!FaultKnobsAreDefault(knobs.faults)) {
-    block.Set("faults", FaultKnobsToJson(knobs.faults));
+  // Compared field-by-field — not merely enabled() — so an afr-0 block
+  // with, say, hot spares set still round-trips instead of vanishing.
+  if (!FieldsAreDefault(kFaultFields, knobs.faults)) {
+    block.Set("faults", FieldsToJson(kFaultFields, knobs.faults));
   }
   if (!knobs.classes.empty()) {
-    block.Set("classes", RequestClassesToJson(knobs.classes));
+    block.Set("classes", BlockListToJson(kRequestClassFields, knobs.classes));
   }
-  if (knobs.shards >= 2) {
-    block.Set("shards", knobs.shards);
-  }
+}
+
+Json FleetKnobsToJson(const FleetKnobs& knobs) {
+  Json fleet = Json::Object();
+  fleet.Set("candidates", BlockListToJson(kFleetCandidateFields, knobs.candidates));
+  WriteFields(fleet, kFleetFields, knobs);
+  return fleet;
+}
+
+namespace {
+
+// A serve or sweep block: the study's own rows, the shared per-point rows,
+// the optional nested blocks, then `shards`.
+template <typename Table>
+Json ServeBlockToJson(const Table& own, const StructOf<Table>& knobs) {
+  Json block = FieldsToJson(own, knobs);
+  WriteFields(block, kServeCommonFields, knobs);
+  WriteServeOptionalBlocks(block, knobs);
+  WriteFields(block, kServeShardFields, knobs);
+  return block;
 }
 
 }  // namespace
@@ -944,574 +944,140 @@ Json ScenarioToJson(const Scenario& s) {
     j.Set("name", s.name);
   }
   j.Set("study", ToString(s.study));
-  if (!s.models.empty()) {
+  auto names = [](const std::vector<std::string>& list) {
     Json arr = Json::Array();
-    for (const auto& m : s.models) {
-      arr.Append(m);
+    for (const std::string& name : list) {
+      arr.Append(name);
     }
-    j.Set("models", std::move(arr));
+    return arr;
+  };
+  if (!s.models.empty()) {
+    j.Set("models", names(s.models));
   }
   if (!s.gpus.empty()) {
-    Json arr = Json::Array();
-    for (const auto& g : s.gpus) {
-      arr.Append(g);
-    }
-    j.Set("gpus", std::move(arr));
+    j.Set("gpus", names(s.gpus));
   }
   j.Set("baseline_gpu", s.baseline_gpu);
-
-  Json workload = Json::Object();
-  workload.Set("prompt_tokens", s.workload.prompt_tokens)
-      .Set("output_tokens", s.workload.output_tokens)
-      .Set("ttft_slo_s", s.workload.ttft_slo_s)
-      .Set("tbt_slo_s", s.workload.tbt_slo_s)
-      .Set("enforce_memory_capacity", s.workload.enforce_memory_capacity);
-  j.Set("workload", std::move(workload));
+  j.Set("workload", FieldsToJson(kWorkloadFields, s.workload));
   j.Set("kv_policy", ToString(s.kv_policy));
   j.Set("max_batch", s.max_batch);
 
   switch (s.study) {
-    case StudyKind::kDesign: {
-      Json design = Json::Object();
-      design.Set("hbm_usd_per_gb", s.design.hbm_usd_per_gb)
-          .Set("gpu_price_multiplier", s.design.gpu_price_multiplier)
-          .Set("amortization_years", s.design.amortization_years)
-          .Set("yield_model", ToString(s.design.yield_model));
-      j.Set("design", std::move(design));
+    case StudyKind::kDesign:
+      j.Set("design", FieldsToJson(kDesignFields, s.design));
       break;
-    }
-    case StudyKind::kMcSim: {
-      Json mcsim = Json::Object();
-      mcsim.Set("gpus_per_instance", s.mcsim.gpus_per_instance)
-          .Set("num_instances", s.mcsim.num_instances)
-          .Set("num_spares", s.mcsim.num_spares)
-          .Set("sim_years", s.mcsim.sim_years)
-          .Set("seed", s.mcsim.seed)
-          .Set("num_trials", s.mcsim.num_trials);
-      j.Set("mcsim", std::move(mcsim));
+    case StudyKind::kMcSim:
+      j.Set("mcsim", FieldsToJson(kMcSimFields, s.mcsim));
       break;
-    }
-    case StudyKind::kYield: {
-      Json yield = Json::Object();
-      yield.Set("defect_density_per_cm2", s.yield.defect_density_per_cm2)
-          .Set("cluster_alpha", s.yield.cluster_alpha)
-          .Set("die_area_mm2", s.yield.die_area_mm2)
-          .Set("split", s.yield.split);
-      j.Set("yield", std::move(yield));
+    case StudyKind::kYield:
+      j.Set("yield", FieldsToJson(kYieldFields, s.yield));
       break;
-    }
-    case StudyKind::kDerive: {
-      Json derive = Json::Object();
-      derive.Set("base_gpu", s.derive.base_gpu)
-          .Set("split", s.derive.split)
-          .Set("mem_bw_multiplier", s.derive.mem_bw_multiplier)
-          .Set("net_bw_multiplier", s.derive.net_bw_multiplier)
-          .Set("overclock", s.derive.overclock);
-      j.Set("derive", std::move(derive));
+    case StudyKind::kDerive:
+      j.Set("derive", FieldsToJson(kDeriveFields, s.derive));
       break;
-    }
-    case StudyKind::kServe: {
-      Json serve = Json::Object();
-      serve.Set("load", s.serve.load)
-          .Set("arrival_rate_per_s", s.serve.arrival_rate_per_s);
-      WriteServeCommonKnobs(serve, s.serve);
-      j.Set("serve", std::move(serve));
+    case StudyKind::kServe:
+      j.Set("serve", ServeBlockToJson(kServeFields, s.serve));
       break;
-    }
-    case StudyKind::kServeSweep: {
-      Json sweep = Json::Object();
-      if (!s.sweep.loads.empty()) {
-        Json arr = Json::Array();
-        for (double load : s.sweep.loads) {
-          arr.Append(load);
-        }
-        sweep.Set("loads", std::move(arr));
-      }
-      if (!s.sweep.rates.empty()) {
-        Json arr = Json::Array();
-        for (double rate : s.sweep.rates) {
-          arr.Append(rate);
-        }
-        sweep.Set("rates", std::move(arr));
-      }
-      sweep.Set("load_lo", s.sweep.load_lo)
-          .Set("load_hi", s.sweep.load_hi)
-          .Set("load_step", s.sweep.load_step);
-      WriteServeCommonKnobs(sweep, s.sweep);
-      j.Set("sweep", std::move(sweep));
+    case StudyKind::kServeSweep:
+      j.Set("sweep", ServeBlockToJson(kServeSweepFields, s.sweep));
       break;
-    }
     case StudyKind::kFleetCompare:
       j.Set("fleet", FleetKnobsToJson(s.fleet));
       break;
     default:
       break;
   }
-
-  Json exec = Json::Object();
-  exec.Set("threads", s.exec.threads);
-  j.Set("exec", std::move(exec));
+  j.Set("exec", FieldsToJson(kExecFields, s.exec));
   return j;
 }
 
 namespace {
 
-// Fails on keys outside `allowed`, so scenario-file typos surface instead of
-// silently falling back to defaults (the same contract as
-// Flags::UnknownFlagCheck on the CLI).
-bool CheckKeys(const Json& obj, const std::vector<std::string>& allowed,
-               const std::string& where, std::string* error) {
-  for (const auto& member : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), member.first) == allowed.end()) {
-      if (error != nullptr) {
-        *error = "unknown key '" + member.first + "' in " + where;
-      }
-      return false;
-    }
+// Strict reader for an array of flat blocks (`classes`, `candidates`):
+// entry i is read as block "<where>.<key>[i]".
+template <typename Table>
+bool ReadBlockList(const Json& arr, const std::string& where, std::string_view key,
+                   const Table& table, std::vector<StructOf<Table>>& out,
+                   std::string* error) {
+  if (!arr.is_array()) {
+    return TypeError(key, where, "an array of objects", error);
   }
-  return true;
-}
-
-// CheckKeys plus a did-you-mean hint for near-miss spellings, the same
-// treatment unknown CLI flags get. The fleet block uses it; the older
-// blocks keep CheckKeys so their pinned error strings stay stable.
-bool CheckKeysSuggest(const Json& obj, const std::vector<std::string>& allowed,
-                      const std::string& where, std::string* error) {
-  for (const auto& member : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), member.first) == allowed.end()) {
-      if (error != nullptr) {
-        *error = "unknown key '" + member.first + "' in " + where;
-        std::string best = ClosestCandidate(member.first, allowed);
-        if (!best.empty()) {
-          *error += " (did you mean '" + best + "'?)";
-        }
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-// Strict field readers: absent keys keep the caller's default, but a
-// present key with the wrong JSON type is an error — a mistyped value must
-// not silently fall back (same fail-loudly contract as CheckKeys).
-bool TypeError(const std::string& key, const std::string& where, const char* expected,
-               std::string* error) {
-  if (error != nullptr) {
-    *error = "'" + key + "' in " + where + " must be " + expected;
-  }
-  return false;
-}
-
-bool ReadDouble(const Json& obj, const std::string& key, const std::string& where,
-                double& out, std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kNumber) {
-    return TypeError(key, where, "a number", error);
-  }
-  out = v->AsDouble();
-  return true;
-}
-
-bool ReadInt(const Json& obj, const std::string& key, const std::string& where, int& out,
-             std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kNumber) {
-    return TypeError(key, where, "a number", error);
-  }
-  out = v->AsInt();
-  return true;
-}
-
-bool ReadUint64(const Json& obj, const std::string& key, const std::string& where,
-                uint64_t& out, std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kNumber) {
-    return TypeError(key, where, "a number", error);
-  }
-  out = v->AsUint64(out);
-  return true;
-}
-
-bool ReadBool(const Json& obj, const std::string& key, const std::string& where, bool& out,
-              std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kBool) {
-    return TypeError(key, where, "true or false", error);
-  }
-  out = v->AsBool();
-  return true;
-}
-
-bool ReadString(const Json& obj, const std::string& key, const std::string& where,
-                std::string& out, std::string* error) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (v->type() != Json::Type::kString) {
-    return TypeError(key, where, "a string", error);
-  }
-  out = v->AsString();
-  return true;
-}
-
-bool ReadDoubleList(const Json& obj, const std::string& key, const std::string& where,
-                    std::vector<double>& out, std::string* error) {
-  const Json* arr = obj.Find(key);
-  if (arr == nullptr) {
-    return true;
-  }
-  if (!arr->is_array()) {
-    return TypeError(key, where, "an array of numbers", error);
-  }
-  for (const Json& e : arr->elements()) {
-    if (e.type() != Json::Type::kNumber) {
-      return TypeError(key, where, "an array of numbers", error);
-    }
-    out.push_back(e.AsDouble());
-  }
-  return true;
-}
-
-// Strict reader for a `classes` array value: every entry must be an
-// object, unknown or mistyped keys fail loudly like every other block.
-bool ReadClassList(const Json& arr, const std::string& where,
-                   std::vector<RequestClass>& out, std::string* error) {
-  size_t index = 0;
   for (const Json& entry : arr.elements()) {
-    std::string label = where + ".classes[" + std::to_string(index++) + "]";
-    if (!entry.is_object()) {
-      if (error != nullptr) {
-        *error = label + " must be an object";
-      }
+    StructOf<Table> item;
+    if (!ReadBlock(entry, Label(where, key) + "[" + std::to_string(out.size()) + "]", table,
+                   item, error)) {
       return false;
     }
-    RequestClass cls;
-    if (!CheckKeys(entry,
-                   {"name", "weight", "prompt_tokens", "prompt_sigma", "output_tokens",
-                    "output_sigma", "ttft_slo_s", "tbt_slo_s"},
-                   label, error) ||
-        !ReadString(entry, "name", label, cls.name, error) ||
-        !ReadDouble(entry, "weight", label, cls.weight, error) ||
-        !ReadInt(entry, "prompt_tokens", label, cls.prompt_tokens, error) ||
-        !ReadDouble(entry, "prompt_sigma", label, cls.prompt_sigma, error) ||
-        !ReadInt(entry, "output_tokens", label, cls.output_tokens, error) ||
-        !ReadDouble(entry, "output_sigma", label, cls.output_sigma, error) ||
-        !ReadDouble(entry, "ttft_slo_s", label, cls.ttft_slo_s, error) ||
-        !ReadDouble(entry, "tbt_slo_s", label, cls.tbt_slo_s, error)) {
-      return false;
-    }
-    out.push_back(std::move(cls));
+    out.push_back(std::move(item));
   }
   return true;
 }
 
-// The in-scenario form: an optional "classes" key on the serve/sweep block.
-bool ReadClasses(const Json& obj, const std::string& where,
-                 std::vector<RequestClass>& out, std::string* error) {
-  const Json* arr = obj.Find("classes");
-  if (arr == nullptr) {
-    return true;
+// The arrival object is a tagged union: `kind` selects the key set.
+bool ReadArrival(const Json& obj, const std::string& where, ArrivalProcess& out,
+                 std::string* error) {
+  const Json* kind = obj.Find("kind");
+  if (kind != nullptr && !ReadField(*kind, kArrivalKindField, where, out, error)) {
+    return false;
   }
-  if (!arr->is_array()) {
-    return TypeError("classes", where, "an array of class objects", error);
-  }
-  return ReadClassList(*arr, where, out, error);
+  return WithArrivalFields(out.kind, [&](const auto& table) {
+    return ReadBlock(obj, where, table, out, error);
+  });
 }
 
-// Strict reader for an arrival-process object: a tagged union on `kind`.
-// Each kind accepts only its own keys, and an unknown kind fails with a
-// did-you-mean hint (same contract as unknown CLI flags). `label` names
-// the block in messages ("serve.arrival", "arrival file", ...).
-bool ReadArrivalObject(const Json& obj, const std::string& label, ArrivalProcess& out,
-                       std::string* error) {
-  if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  std::string kind_name = ToString(ArrivalKind::kPoisson);  // omitted = stationary
-  if (!ReadString(obj, "kind", label, kind_name, error)) {
-    return false;
-  }
-  auto kind = ParseArrivalKind(kind_name);
-  if (!kind) {
-    if (error != nullptr) {
-      *error = "unknown arrival kind '" + kind_name +
-               "' in " + label + " (expected poisson|diurnal|onoff|trace";
-      std::string best =
-          ClosestCandidate(kind_name, {"poisson", "diurnal", "onoff", "trace"});
-      if (!best.empty()) {
-        *error += "; did you mean '" + best + "'?";
-      }
-      *error += ")";
-    }
-    return false;
-  }
-  out.kind = *kind;
-  switch (out.kind) {
-    case ArrivalKind::kPoisson:
-      return CheckKeys(obj, {"kind"}, label, error);
-    case ArrivalKind::kDiurnal:
-      return CheckKeys(obj, {"kind", "period_s", "multipliers"}, label, error) &&
-             ReadDouble(obj, "period_s", label, out.period_s, error) &&
-             ReadDoubleList(obj, "multipliers", label, out.multipliers, error);
-    case ArrivalKind::kOnOff:
-      return CheckKeys(obj,
-                       {"kind", "on_mean_s", "off_mean_s", "on_multiplier",
-                        "off_multiplier"},
-                       label, error) &&
-             ReadDouble(obj, "on_mean_s", label, out.on_mean_s, error) &&
-             ReadDouble(obj, "off_mean_s", label, out.off_mean_s, error) &&
-             ReadDouble(obj, "on_multiplier", label, out.on_multiplier, error) &&
-             ReadDouble(obj, "off_multiplier", label, out.off_multiplier, error);
-    case ArrivalKind::kTrace:
-      return CheckKeys(obj, {"kind", "times_s"}, label, error) &&
-             ReadDoubleList(obj, "times_s", label, out.times_s, error);
-  }
-  return true;
-}
-
-// Strict reader for an autoscaler object. An unknown policy gets the same
-// did-you-mean treatment as arrival kinds.
-bool ReadAutoscalerObject(const Json& obj, const std::string& label, AutoscalerKnobs& out,
-                          std::string* error) {
-  if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  if (!CheckKeys(obj,
-                 {"policy", "interval_s", "delay_s", "min_prefill_instances",
-                  "max_prefill_instances", "min_decode_instances",
-                  "max_decode_instances", "scale_up_backlog_s", "scale_up_utilization",
-                  "scale_down_utilization", "forecast_window_s", "headroom"},
-                 label, error)) {
-    return false;
-  }
+bool ReadAutoscaler(const Json& obj, const std::string& where, AutoscalerKnobs& out,
+                    std::string* error) {
   // Writing an autoscaler block at all means you want one: the policy
   // defaults to reactive here (an explicit "none" still turns it off).
-  std::string policy_name = ToString(AutoscalerPolicy::kReactive);
-  if (!ReadString(obj, "policy", label, policy_name, error)) {
-    return false;
-  }
-  auto policy = ParseAutoscalerPolicy(policy_name);
-  if (!policy) {
-    if (error != nullptr) {
-      *error = "unknown autoscaler policy '" + policy_name +
-               "' in " + label + " (expected none|reactive|predictive";
-      std::string best =
-          ClosestCandidate(policy_name, {"none", "reactive", "predictive"});
-      if (!best.empty()) {
-        *error += "; did you mean '" + best + "'?";
-      }
-      *error += ")";
-    }
-    return false;
-  }
-  out.policy = *policy;
-  return ReadDouble(obj, "interval_s", label, out.interval_s, error) &&
-         ReadDouble(obj, "delay_s", label, out.delay_s, error) &&
-         ReadInt(obj, "min_prefill_instances", label, out.min_prefill_instances, error) &&
-         ReadInt(obj, "max_prefill_instances", label, out.max_prefill_instances, error) &&
-         ReadInt(obj, "min_decode_instances", label, out.min_decode_instances, error) &&
-         ReadInt(obj, "max_decode_instances", label, out.max_decode_instances, error) &&
-         ReadDouble(obj, "scale_up_backlog_s", label, out.scale_up_backlog_s, error) &&
-         ReadDouble(obj, "scale_up_utilization", label, out.scale_up_utilization,
-                    error) &&
-         ReadDouble(obj, "scale_down_utilization", label, out.scale_down_utilization,
-                    error) &&
-         ReadDouble(obj, "forecast_window_s", label, out.forecast_window_s, error) &&
-         ReadDouble(obj, "headroom", label, out.headroom, error);
+  out.policy = AutoscalerPolicy::kReactive;
+  return ReadBlock(obj, where, kAutoscalerFields, out, error);
 }
 
-// Strict reader for a faults object. An unknown retry policy gets the same
-// did-you-mean treatment as arrival kinds and autoscaler policies.
-bool ReadFaultsObject(const Json& obj, const std::string& label, FaultKnobs& out,
-                      std::string* error) {
+bool ReadFaults(const Json& obj, const std::string& where, FaultKnobs& out,
+                std::string* error) {
+  return ReadBlock(obj, where, kFaultFields, out, error);
+}
+
+// The one strict reader for the serve and sweep blocks. Absent keys keep
+// their defaults (stationary Poisson, no autoscaler, no faults).
+template <typename Table>
+bool ReadServeBlock(const Json& obj, const std::string& where, const Table& own,
+                    StructOf<Table>& out, std::string* error) {
   if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
+    return Fail(error, where + " must be an object");
+  }
+  if (!CheckKeys(obj, where, error, own, kServeCommonFields, kServeBlockKeys,
+                 kServeShardFields) ||
+      !ReadFields(obj, where, own, out, error) ||
+      !ReadFields(obj, where, kServeCommonFields, out, error) ||
+      !ReadFields(obj, where, kServeShardFields, out, error)) {
     return false;
   }
-  if (!CheckKeys(obj,
-                 {"afr", "floor_afr", "mttr_hours", "spare_activation_minutes",
-                  "hot_spares", "retry_policy", "retry_budget",
-                  "target_attainment", "domain_gpus", "domain_afr",
-                  "domain_mttr_hours", "degrade_afr", "degrade_multiplier",
-                  "degrade_minutes", "shed_queue_depth", "shed_ttft_deadline_s"},
-                 label, error)) {
-    return false;
-  }
-  std::string policy_name = ToString(out.retry_policy);
-  if (!ReadString(obj, "retry_policy", label, policy_name, error)) {
-    return false;
-  }
-  if (!ParseFaultRetryPolicy(policy_name, &out.retry_policy)) {
-    if (error != nullptr) {
-      *error = "unknown retry policy '" + policy_name + "' in " + label +
-               " (expected retry|drop|retry_with_budget";
-      std::string best =
-          ClosestCandidate(policy_name, {"retry", "drop", "retry_with_budget"});
-      if (!best.empty()) {
-        *error += "; did you mean '" + best + "'?";
-      }
-      *error += ")";
-    }
-    return false;
-  }
-  return ReadDouble(obj, "afr", label, out.afr, error) &&
-         ReadDouble(obj, "floor_afr", label, out.floor_afr, error) &&
-         ReadDouble(obj, "mttr_hours", label, out.mttr_hours, error) &&
-         ReadDouble(obj, "spare_activation_minutes", label,
-                    out.spare_activation_minutes, error) &&
-         ReadInt(obj, "hot_spares", label, out.hot_spares, error) &&
-         ReadInt(obj, "retry_budget", label, out.retry_budget, error) &&
-         ReadDouble(obj, "target_attainment", label, out.target_attainment, error) &&
-         ReadDouble(obj, "domain_gpus", label, out.domain_gpus, error) &&
-         ReadDouble(obj, "domain_afr", label, out.domain_afr, error) &&
-         ReadDouble(obj, "domain_mttr_hours", label, out.domain_mttr_hours, error) &&
-         ReadDouble(obj, "degrade_afr", label, out.degrade_afr, error) &&
-         ReadDouble(obj, "degrade_multiplier", label, out.degrade_multiplier, error) &&
-         ReadDouble(obj, "degrade_minutes", label, out.degrade_minutes, error) &&
-         ReadInt(obj, "shed_queue_depth", label, out.shed_queue_depth, error) &&
-         ReadDouble(obj, "shed_ttft_deadline_s", label, out.shed_ttft_deadline_s,
-                    error);
+  const Json* arrival = obj.Find("arrival");
+  const Json* autoscaler = obj.Find("autoscaler");
+  const Json* faults = obj.Find("faults");
+  const Json* classes = obj.Find("classes");
+  return (arrival == nullptr ||
+          ReadArrival(*arrival, where + ".arrival", out.arrival, error)) &&
+         (autoscaler == nullptr ||
+          ReadAutoscaler(*autoscaler, where + ".autoscaler", out.autoscaler, error)) &&
+         (faults == nullptr || ReadFaults(*faults, where + ".faults", out.faults, error)) &&
+         (classes == nullptr ||
+          ReadBlockList(*classes, where, "classes", kRequestClassFields, out.classes, error));
 }
 
-// Strict reader for one fleet-candidate object.
-bool ReadFleetCandidate(const Json& entry, const std::string& label,
-                        FleetCandidate& out, std::string* error) {
-  if (!entry.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
-    return false;
-  }
-  return CheckKeysSuggest(entry,
-                          {"name", "gpu", "split", "mem_bw_multiplier",
-                           "net_bw_multiplier", "overclock", "prefill_instances",
-                           "decode_instances"},
-                          label, error) &&
-         ReadString(entry, "name", label, out.name, error) &&
-         ReadString(entry, "gpu", label, out.gpu, error) &&
-         ReadInt(entry, "split", label, out.split, error) &&
-         ReadDouble(entry, "mem_bw_multiplier", label, out.mem_bw_multiplier, error) &&
-         ReadDouble(entry, "net_bw_multiplier", label, out.net_bw_multiplier, error) &&
-         ReadDouble(entry, "overclock", label, out.overclock, error) &&
-         ReadInt(entry, "prefill_instances", label, out.prefill_instances, error) &&
-         ReadInt(entry, "decode_instances", label, out.decode_instances, error);
-}
-
-// Strict reader for the fleet block.
-bool ReadFleetObject(const Json& obj, const std::string& label, FleetKnobs& out,
-                     std::string* error) {
+bool ReadFleet(const Json& obj, const std::string& where, FleetKnobs& out,
+               std::string* error) {
   if (!obj.is_object()) {
-    if (error != nullptr) {
-      *error = label + " must be an object";
-    }
+    return Fail(error, where + " must be an object");
+  }
+  if (!CheckKeys(obj, where, error, kFleetBlockKeys, kFleetFields)) {
     return false;
   }
-  if (!CheckKeysSuggest(obj,
-                        {"candidates", "loads", "load_lo", "load_hi", "load_step",
-                         "horizon_s", "prompt_sigma", "output_sigma", "seed",
-                         "hbm_usd_per_gb", "gpu_price_multiplier",
-                         "depreciation_months", "electricity_usd_per_kwh",
-                         "gpu_utilization"},
-                        label, error)) {
-    return false;
-  }
-  if (const Json* cands = obj.Find("candidates")) {
-    if (!cands->is_array()) {
-      return TypeError("candidates", label, "an array of candidate objects", error);
-    }
-    size_t index = 0;
-    for (const Json& entry : cands->elements()) {
-      FleetCandidate candidate;
-      if (!ReadFleetCandidate(
-              entry, label + ".candidates[" + std::to_string(index++) + "]",
-              candidate, error)) {
-        return false;
-      }
-      out.candidates.push_back(std::move(candidate));
-    }
-  }
-  return ReadDoubleList(obj, "loads", label, out.loads, error) &&
-         ReadDouble(obj, "load_lo", label, out.load_lo, error) &&
-         ReadDouble(obj, "load_hi", label, out.load_hi, error) &&
-         ReadDouble(obj, "load_step", label, out.load_step, error) &&
-         ReadDouble(obj, "horizon_s", label, out.horizon_s, error) &&
-         ReadDouble(obj, "prompt_sigma", label, out.prompt_sigma, error) &&
-         ReadDouble(obj, "output_sigma", label, out.output_sigma, error) &&
-         ReadUint64(obj, "seed", label, out.seed, error) &&
-         ReadDouble(obj, "hbm_usd_per_gb", label, out.hbm_usd_per_gb, error) &&
-         ReadDouble(obj, "gpu_price_multiplier", label, out.gpu_price_multiplier,
-                    error) &&
-         ReadDouble(obj, "depreciation_months", label, out.depreciation_months,
-                    error) &&
-         ReadDouble(obj, "electricity_usd_per_kwh", label,
-                    out.electricity_usd_per_kwh, error) &&
-         ReadDouble(obj, "gpu_utilization", label, out.gpu_utilization, error);
-}
-
-// The keys ReadServeCommonKnobs consumes; the serve/sweep CheckKeys lists
-// are built from this so the two blocks can't drift.
-std::vector<std::string> ServeCommonKeys(std::vector<std::string> own) {
-  for (const char* key : {"horizon_s", "prefill_instances", "decode_instances",
-                          "prompt_sigma", "output_sigma", "seed", "arrival",
-                          "autoscaler", "faults", "classes", "shards"}) {
-    own.push_back(key);
-  }
-  return own;
-}
-
-// The one strict reader for the per-point knobs shared by the serve and
-// sweep blocks. Absent keys keep their defaults (stationary Poisson, no
-// autoscaler), so pre-existing scenario files parse unchanged.
-bool ReadServeCommonKnobs(const Json& obj, const std::string& where,
-                          ServeCommonKnobs& out, std::string* error) {
-  if (!ReadDouble(obj, "horizon_s", where, out.horizon_s, error) ||
-      !ReadInt(obj, "prefill_instances", where, out.prefill_instances, error) ||
-      !ReadInt(obj, "decode_instances", where, out.decode_instances, error) ||
-      !ReadDouble(obj, "prompt_sigma", where, out.prompt_sigma, error) ||
-      !ReadDouble(obj, "output_sigma", where, out.output_sigma, error) ||
-      !ReadUint64(obj, "seed", where, out.seed, error) ||
-      !ReadInt(obj, "shards", where, out.shards, error)) {
-    return false;
-  }
-  if (const Json* arrival = obj.Find("arrival")) {
-    if (!ReadArrivalObject(*arrival, where + ".arrival", out.arrival, error)) {
-      return false;
-    }
-  }
-  if (const Json* autoscaler = obj.Find("autoscaler")) {
-    if (!ReadAutoscalerObject(*autoscaler, where + ".autoscaler", out.autoscaler,
-                              error)) {
-      return false;
-    }
-  }
-  if (const Json* faults = obj.Find("faults")) {
-    if (!ReadFaultsObject(*faults, where + ".faults", out.faults, error)) {
-      return false;
-    }
-  }
-  return ReadClasses(obj, where, out.classes, error);
+  const Json* cands = obj.Find("candidates");
+  return (cands == nullptr || ReadBlockList(*cands, where, "candidates",
+                                            kFleetCandidateFields, out.candidates, error)) &&
+         ReadFields(obj, where, kFleetFields, out, error);
 }
 
 bool ReadNames(const Json& obj, const std::string& key, std::vector<std::string>& out,
@@ -1521,205 +1087,91 @@ bool ReadNames(const Json& obj, const std::string& key, std::vector<std::string>
     return true;
   }
   if (!arr->is_array()) {
-    if (error != nullptr) {
-      *error = "'" + key + "' must be an array of names";
-    }
-    return false;
+    return Fail(error, "'" + key + "' must be an array of names");
   }
   for (const Json& e : arr->elements()) {
     if (e.type() != Json::Type::kString) {
-      if (error != nullptr) {
-        *error = "'" + key + "' entries must be strings";
-      }
-      return false;
+      return Fail(error, "'" + key + "' entries must be strings");
     }
     out.push_back(e.AsString());
   }
   return true;
 }
 
+// A standalone block file (the --arrival/--autoscaler/--faults flags): the
+// block object itself, or {"<block>": {...}}.
+template <typename T, typename Read>
+std::optional<T> ParseBlockFile(const Json& json, const char* block, Read read,
+                                std::string* error) {
+  const std::string where = std::string(block) + " file";
+  const Json* obj = &json;
+  if (json.is_object() && json.Find(block) != nullptr) {
+    const std::string_view wrapper[] = {block};
+    if (!CheckKeys(json, where, error, wrapper)) {
+      return std::nullopt;
+    }
+    obj = json.Find(block);
+  }
+  T out;
+  if (!read(*obj, where, out, error)) {
+    return std::nullopt;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::optional<Scenario> ScenarioFromJson(const Json& json, std::string* error) {
   if (!json.is_object()) {
-    if (error != nullptr) {
-      *error = "scenario must be a JSON object";
-    }
+    Fail(error, "scenario must be a JSON object");
     return std::nullopt;
   }
-  if (!CheckKeys(json,
-                 {"name", "study", "models", "gpus", "baseline_gpu", "workload",
-                  "kv_policy", "max_batch", "design", "mcsim", "yield", "derive", "serve",
-                  "sweep", "fleet", "exec"},
-                 "scenario", error)) {
-    return std::nullopt;
-  }
-
-  Scenario s;
-  if (!ReadString(json, "name", "scenario", s.name, error)) {
+  if (!CheckKeys(json, "scenario", error, kScenarioFields, kScenarioBlockKeys)) {
     return std::nullopt;
   }
   std::string study_name;
-  if (!ReadString(json, "study", "scenario", study_name, error)) {
-    return std::nullopt;
+  if (const Json* study = json.Find("study")) {
+    if (study->type() != Json::Type::kString) {
+      TypeError("study", "scenario", "a string", error);
+      return std::nullopt;
+    }
+    study_name = study->AsString();
   }
   if (study_name.empty()) {
-    if (error != nullptr) {
-      *error = "scenario is missing required key 'study'";
-    }
+    Fail(error, "scenario is missing required key 'study'");
     return std::nullopt;
   }
   auto study = ParseStudyKind(study_name);
   if (!study) {
-    if (error != nullptr) {
-      *error = "unknown study '" + study_name +
-               "' (expected search|fig3a|fig3b|design|mcsim|yield|derive|serve|"
-               "serve-sweep|fleet-compare)";
-    }
+    Fail(error, "unknown study '" + study_name +
+                    "' (expected search|fig3a|fig3b|design|mcsim|yield|derive|serve|"
+                    "serve-sweep|fleet-compare)");
     return std::nullopt;
   }
+  Scenario s;
   s.study = *study;
 
-  if (!ReadNames(json, "models", s.models, error) ||
+  auto block = [&](const char* key, const auto& table, auto& out) {
+    const Json* v = json.Find(key);
+    return v == nullptr || ReadBlock(*v, key, table, out, error);
+  };
+  const Json* serve = json.Find("serve");
+  const Json* sweep = json.Find("sweep");
+  const Json* fleet = json.Find("fleet");
+  if (!ReadFields(json, "scenario", kScenarioFields, s, error) ||
+      !ReadNames(json, "models", s.models, error) ||
       !ReadNames(json, "gpus", s.gpus, error) ||
-      !ReadString(json, "baseline_gpu", "scenario", s.baseline_gpu, error)) {
+      !block("workload", kWorkloadFields, s.workload) ||
+      !block("design", kDesignFields, s.design) ||
+      !block("mcsim", kMcSimFields, s.mcsim) ||
+      !block("yield", kYieldFields, s.yield) ||
+      !block("derive", kDeriveFields, s.derive) ||
+      (serve != nullptr && !ReadServeBlock(*serve, "serve", kServeFields, s.serve, error)) ||
+      (sweep != nullptr &&
+       !ReadServeBlock(*sweep, "sweep", kServeSweepFields, s.sweep, error)) ||
+      (fleet != nullptr && !ReadFleet(*fleet, "fleet", s.fleet, error)) ||
+      !block("exec", kExecFields, s.exec)) {
     return std::nullopt;
-  }
-
-  if (const Json* workload = json.Find("workload")) {
-    if (!CheckKeys(*workload,
-                   {"prompt_tokens", "output_tokens", "ttft_slo_s", "tbt_slo_s",
-                    "enforce_memory_capacity"},
-                   "workload", error) ||
-        !ReadInt(*workload, "prompt_tokens", "workload", s.workload.prompt_tokens, error) ||
-        !ReadInt(*workload, "output_tokens", "workload", s.workload.output_tokens, error) ||
-        !ReadDouble(*workload, "ttft_slo_s", "workload", s.workload.ttft_slo_s, error) ||
-        !ReadDouble(*workload, "tbt_slo_s", "workload", s.workload.tbt_slo_s, error) ||
-        !ReadBool(*workload, "enforce_memory_capacity", "workload",
-                  s.workload.enforce_memory_capacity, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* policy = json.Find("kv_policy")) {
-    auto parsed = ParseKvShardPolicy(policy->AsString());
-    if (!parsed) {
-      if (error != nullptr) {
-        *error = "unknown kv_policy '" + policy->AsString() +
-                 "' (expected replicate|ideal-shard)";
-      }
-      return std::nullopt;
-    }
-    s.kv_policy = *parsed;
-  }
-  if (!ReadInt(json, "max_batch", "scenario", s.max_batch, error)) {
-    return std::nullopt;
-  }
-
-  if (const Json* design = json.Find("design")) {
-    if (!CheckKeys(*design,
-                   {"hbm_usd_per_gb", "gpu_price_multiplier", "amortization_years",
-                    "yield_model"},
-                   "design", error) ||
-        !ReadDouble(*design, "hbm_usd_per_gb", "design", s.design.hbm_usd_per_gb, error) ||
-        !ReadDouble(*design, "gpu_price_multiplier", "design",
-                    s.design.gpu_price_multiplier, error) ||
-        !ReadDouble(*design, "amortization_years", "design", s.design.amortization_years,
-                    error)) {
-      return std::nullopt;
-    }
-    if (const Json* ym = design->Find("yield_model")) {
-      auto parsed = ParseYieldModel(ym->AsString());
-      if (!parsed) {
-        if (error != nullptr) {
-          *error = "unknown yield_model '" + ym->AsString() + "'";
-        }
-        return std::nullopt;
-      }
-      s.design.yield_model = *parsed;
-    }
-  }
-
-  if (const Json* mcsim = json.Find("mcsim")) {
-    if (!CheckKeys(*mcsim,
-                   {"gpus_per_instance", "num_instances", "num_spares", "sim_years",
-                    "seed", "num_trials"},
-                   "mcsim", error) ||
-        !ReadInt(*mcsim, "gpus_per_instance", "mcsim", s.mcsim.gpus_per_instance, error) ||
-        !ReadInt(*mcsim, "num_instances", "mcsim", s.mcsim.num_instances, error) ||
-        !ReadInt(*mcsim, "num_spares", "mcsim", s.mcsim.num_spares, error) ||
-        !ReadDouble(*mcsim, "sim_years", "mcsim", s.mcsim.sim_years, error) ||
-        !ReadUint64(*mcsim, "seed", "mcsim", s.mcsim.seed, error) ||
-        !ReadInt(*mcsim, "num_trials", "mcsim", s.mcsim.num_trials, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* yield = json.Find("yield")) {
-    if (!CheckKeys(*yield,
-                   {"defect_density_per_cm2", "cluster_alpha", "die_area_mm2", "split"},
-                   "yield", error) ||
-        !ReadDouble(*yield, "defect_density_per_cm2", "yield",
-                    s.yield.defect_density_per_cm2, error) ||
-        !ReadDouble(*yield, "cluster_alpha", "yield", s.yield.cluster_alpha, error) ||
-        !ReadDouble(*yield, "die_area_mm2", "yield", s.yield.die_area_mm2, error) ||
-        !ReadInt(*yield, "split", "yield", s.yield.split, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* derive = json.Find("derive")) {
-    if (!CheckKeys(*derive,
-                   {"base_gpu", "split", "mem_bw_multiplier", "net_bw_multiplier",
-                    "overclock"},
-                   "derive", error) ||
-        !ReadString(*derive, "base_gpu", "derive", s.derive.base_gpu, error) ||
-        !ReadInt(*derive, "split", "derive", s.derive.split, error) ||
-        !ReadDouble(*derive, "mem_bw_multiplier", "derive", s.derive.mem_bw_multiplier,
-                    error) ||
-        !ReadDouble(*derive, "net_bw_multiplier", "derive", s.derive.net_bw_multiplier,
-                    error) ||
-        !ReadDouble(*derive, "overclock", "derive", s.derive.overclock, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* serve = json.Find("serve")) {
-    if (!CheckKeys(*serve, ServeCommonKeys({"load", "arrival_rate_per_s"}), "serve",
-                   error) ||
-        !ReadDouble(*serve, "load", "serve", s.serve.load, error) ||
-        !ReadDouble(*serve, "arrival_rate_per_s", "serve", s.serve.arrival_rate_per_s,
-                    error) ||
-        !ReadServeCommonKnobs(*serve, "serve", s.serve, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* sweep = json.Find("sweep")) {
-    if (!CheckKeys(*sweep,
-                   ServeCommonKeys({"loads", "rates", "load_lo", "load_hi", "load_step"}),
-                   "sweep", error) ||
-        !ReadDoubleList(*sweep, "loads", "sweep", s.sweep.loads, error) ||
-        !ReadDoubleList(*sweep, "rates", "sweep", s.sweep.rates, error) ||
-        !ReadDouble(*sweep, "load_lo", "sweep", s.sweep.load_lo, error) ||
-        !ReadDouble(*sweep, "load_hi", "sweep", s.sweep.load_hi, error) ||
-        !ReadDouble(*sweep, "load_step", "sweep", s.sweep.load_step, error) ||
-        !ReadServeCommonKnobs(*sweep, "sweep", s.sweep, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* fleet = json.Find("fleet")) {
-    if (!ReadFleetObject(*fleet, "fleet", s.fleet, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (const Json* exec = json.Find("exec")) {
-    if (!CheckKeys(*exec, {"threads"}, "exec", error) ||
-        !ReadInt(*exec, "threads", "exec", s.exec.threads, error)) {
-      return std::nullopt;
-    }
   }
   return s;
 }
@@ -1727,77 +1179,37 @@ std::optional<Scenario> ScenarioFromJson(const Json& json, std::string* error) {
 std::optional<std::vector<RequestClass>> ParseRequestClasses(const Json& json,
                                                              std::string* error) {
   std::vector<RequestClass> classes;
-  if (json.is_array()) {
-    if (!ReadClassList(json, "classes", classes, error)) {
-      return std::nullopt;
-    }
-    return classes;
-  }
+  const Json* arr = &json;
   if (json.is_object()) {
-    if (!CheckKeys(json, {"classes"}, "class mix", error)) {
+    const std::string_view wrapper[] = {"classes"};
+    if (!CheckKeys(json, "class mix", error, wrapper)) {
       return std::nullopt;
     }
-    const Json* arr = json.Find("classes");
+    arr = json.Find("classes");
     if (arr == nullptr || !arr->is_array()) {
-      if (error != nullptr) {
-        *error = "class mix needs a 'classes' array";
-      }
+      Fail(error, "class mix needs a 'classes' array");
       return std::nullopt;
     }
-    if (!ReadClassList(*arr, "classes", classes, error)) {
-      return std::nullopt;
-    }
-    return classes;
+  } else if (!json.is_array()) {
+    Fail(error, "class mix must be a JSON array or {\"classes\": [...]}");
+    return std::nullopt;
   }
-  if (error != nullptr) {
-    *error = "class mix must be a JSON array or {\"classes\": [...]}";
+  if (!ReadBlockList(*arr, "classes", "classes", kRequestClassFields, classes, error)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return classes;
 }
 
 std::optional<ArrivalProcess> ParseArrivalProcess(const Json& json, std::string* error) {
-  const Json* obj = &json;
-  if (json.is_object() && json.Find("arrival") != nullptr) {
-    if (!CheckKeys(json, {"arrival"}, "arrival file", error)) {
-      return std::nullopt;
-    }
-    obj = json.Find("arrival");
-  }
-  ArrivalProcess process;
-  if (!ReadArrivalObject(*obj, "arrival file", process, error)) {
-    return std::nullopt;
-  }
-  return process;
+  return ParseBlockFile<ArrivalProcess>(json, "arrival", ReadArrival, error);
 }
 
 std::optional<AutoscalerKnobs> ParseAutoscalerKnobs(const Json& json, std::string* error) {
-  const Json* obj = &json;
-  if (json.is_object() && json.Find("autoscaler") != nullptr) {
-    if (!CheckKeys(json, {"autoscaler"}, "autoscaler file", error)) {
-      return std::nullopt;
-    }
-    obj = json.Find("autoscaler");
-  }
-  AutoscalerKnobs knobs;
-  if (!ReadAutoscalerObject(*obj, "autoscaler file", knobs, error)) {
-    return std::nullopt;
-  }
-  return knobs;
+  return ParseBlockFile<AutoscalerKnobs>(json, "autoscaler", ReadAutoscaler, error);
 }
 
 std::optional<FaultKnobs> ParseFaultKnobs(const Json& json, std::string* error) {
-  const Json* obj = &json;
-  if (json.is_object() && json.Find("faults") != nullptr) {
-    if (!CheckKeys(json, {"faults"}, "faults file", error)) {
-      return std::nullopt;
-    }
-    obj = json.Find("faults");
-  }
-  FaultKnobs knobs;
-  if (!ReadFaultsObject(*obj, "faults file", knobs, error)) {
-    return std::nullopt;
-  }
-  return knobs;
+  return ParseBlockFile<FaultKnobs>(json, "faults", ReadFaults, error);
 }
 
 bool operator==(const Scenario& a, const Scenario& b) {
@@ -1813,7 +1225,8 @@ std::optional<std::vector<Scenario>> ScenariosFromJson(const Json& json,
   if (json.is_array()) {
     list = &json;
   } else if (json.is_object() && json.Find("scenarios") != nullptr) {
-    if (!CheckKeys(json, {"scenarios"}, "scenario batch", error)) {
+    const std::string_view wrapper[] = {"scenarios"};
+    if (!CheckKeys(json, "scenario batch", error, wrapper)) {
       return std::nullopt;
     }
     list = json.Find("scenarios");

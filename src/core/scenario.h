@@ -129,12 +129,6 @@ std::string ValidateRequestClasses(const std::vector<RequestClass>& classes,
 std::optional<std::vector<RequestClass>> ParseRequestClasses(const Json& json,
                                                              std::string* error = nullptr);
 
-// The inverse: the class mix as the JSON array ParseRequestClasses (and
-// the scenario reader) accept. The one RequestClass serializer — scenario
-// files and the `config.classes` echo in serve/sweep reports both use it,
-// so a report's config can always be fed back in as a scenario.
-Json RequestClassesToJson(const std::vector<RequestClass>& classes);
-
 // Autoscaler policy for the serve studies. kNone keeps the fixed pools;
 // kReactive scales on observed queue backlog and pool utilization;
 // kPredictive forecasts per-class demand from recent arrivals and sizes
@@ -146,7 +140,6 @@ enum class AutoscalerPolicy {
 };
 
 std::string ToString(AutoscalerPolicy policy);
-std::optional<AutoscalerPolicy> ParseAutoscalerPolicy(const std::string& name);
 
 // Mid-horizon pool autoscaling knobs. Decisions happen every `interval_s`
 // of simulated time; a granted scale-up only adds capacity after `delay_s`
@@ -189,11 +182,6 @@ std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::str
 // unsorted trace times, ...). `where` as above ("serve.arrival"/"arrival
 // file").
 std::string ValidateArrivalProcess(const ArrivalProcess& process, const std::string& where);
-
-// Arrival-kind names as they appear in scenario JSON ("poisson",
-// "diurnal", "onoff", "trace").
-std::string ToString(ArrivalKind kind);
-std::optional<ArrivalKind> ParseArrivalKind(const std::string& name);
 
 // Parses a standalone arrival block — the tagged-union object itself, or
 // {"arrival": {...}} — with the same strict key/type checks as scenario
@@ -257,12 +245,6 @@ std::string ValidateFaultKnobs(const FaultKnobs& knobs, const std::string& where
 // Standalone faults block: the object itself or {"faults": {...}}. Backs
 // `litegpu serve/sweep --faults <file>`.
 std::optional<FaultKnobs> ParseFaultKnobs(const Json& json, std::string* error = nullptr);
-Json FaultKnobsToJson(const FaultKnobs& knobs);
-
-// True when every field still has its default value — the serialization
-// gate: scenario round-trips and report config echoes emit no `faults` key
-// for a default block, keeping fault-free output byte-identical.
-bool FaultKnobsAreDefault(const FaultKnobs& knobs);
 
 // The per-point simulation shape shared by the serve and serve-sweep
 // studies — declared once so knobs like the arrival process and the
@@ -344,6 +326,14 @@ struct ServeSweepKnobs : ServeCommonKnobs {
   // The expanded grid: rates, else loads, else lo..hi inclusive by step.
   std::vector<double> GridPoints() const;
 };
+
+// Writes the optional nested blocks of a serve/sweep block, in this order:
+// `arrival` unless it is stationary Poisson, `autoscaler` when a policy is
+// set, `faults` when any field moved off its default, and `classes` when
+// the mix is non-empty. Scenario files and the serve/sweep report config
+// echoes share it, so a report's config can be fed back in as a scenario
+// and fault-free fixed-pool Poisson output stays byte-identical.
+void WriteServeOptionalBlocks(Json& block, const ServeCommonKnobs& knobs);
 
 // Expands lo..hi inclusive by step (empty when step <= 0, hi < lo, any
 // bound is non-finite, or the range would exceed 1e6 points). The one

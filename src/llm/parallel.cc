@@ -8,16 +8,6 @@ std::string ToString(KvShardPolicy policy) {
   return policy == KvShardPolicy::kReplicate ? "replicate" : "ideal-shard";
 }
 
-std::optional<KvShardPolicy> ParseKvShardPolicy(const std::string& name) {
-  if (name == "replicate") {
-    return KvShardPolicy::kReplicate;
-  }
-  if (name == "ideal-shard") {
-    return KvShardPolicy::kIdealShard;
-  }
-  return std::nullopt;
-}
-
 std::string TpPlan::ToString() const {
   char buffer[128];
   std::snprintf(buffer, sizeof(buffer), "tp%d (q=%.2f kv=%.2f rep=%d %s)", degree,

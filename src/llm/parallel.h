@@ -26,7 +26,6 @@ enum class KvShardPolicy {
 
 // "replicate" / "ideal-shard" (the spellings scenario files use).
 std::string ToString(KvShardPolicy policy);
-std::optional<KvShardPolicy> ParseKvShardPolicy(const std::string& name);
 
 struct TpPlan {
   int degree = 1;

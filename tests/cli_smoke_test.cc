@@ -483,6 +483,20 @@ TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
   EXPECT_EQ(deep.exit_code, 1);
   EXPECT_NE(deep.stdout_text.find("line 1: nesting deeper than 256"), std::string::npos);
   std::remove(deep_path.c_str());
+  // An infinite horizon (1e999 overflows to inf) is a field-labelled
+  // rejection, not a std::bad_alloc abort.
+  std::string inf_path = ::testing::TempDir() + "litegpu_inf_horizon.json";
+  f = fopen(inf_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("{\"study\": \"fleet-compare\", \"fleet\": {\"candidates\": [{\"name\": \"a\"}],"
+        " \"horizon_s\": 1e999}}", f);
+  fclose(f);
+  CommandResult inf = RunCommandMergedOutput("run " + inf_path);
+  EXPECT_EQ(inf.exit_code, 1);
+  EXPECT_NE(inf.stdout_text.find("fleet.horizon_s must be positive and finite"),
+            std::string::npos)
+      << inf.stdout_text;
+  std::remove(inf_path.c_str());
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "src/core/scenario.h"
+#include "src/core/scenario_fields.h"
 #include "src/hw/catalog.h"
 
 namespace litegpu {
@@ -414,6 +417,16 @@ TEST(Scenario, SummarizeClassMixNormalizesWeights) {
   EXPECT_TRUE(SummarizeClassMix({}).shares.empty());
 }
 
+// The serialization gate for the faults block: a serve block carries a
+// `faults` key only when some field moved off its default.
+bool SerializesFaults(const FaultKnobs& faults) {
+  ServeKnobs knobs;
+  knobs.faults = faults;
+  Json block = Json::Object();
+  WriteServeOptionalBlocks(block, knobs);
+  return block.Find("faults") != nullptr;
+}
+
 FaultKnobs ChurnyFaultKnobs() {
   FaultKnobs faults;
   faults.afr = 0.09;
@@ -447,12 +460,12 @@ TEST(Scenario, FaultKnobsRoundTripThroughJson) {
   // scenario files and reports stay byte-identical to the pre-fault engine.
   Json j = ScenarioToJson(*ScenarioBuilder(StudyKind::kServe).Build());
   EXPECT_EQ(j.Dump().find("faults"), std::string::npos);
-  EXPECT_TRUE(FaultKnobsAreDefault(FaultKnobs{}));
+  EXPECT_FALSE(SerializesFaults(FaultKnobs{}));
   // The gate is field-by-field, not enabled(): an afr-0 block with spares
   // set still round-trips.
   ServeKnobs tweaked;
   tweaked.faults.hot_spares = 1;
-  EXPECT_FALSE(FaultKnobsAreDefault(tweaked.faults));
+  EXPECT_TRUE(SerializesFaults(tweaked.faults));
   Json k = ScenarioToJson(*ScenarioBuilder(StudyKind::kServe).Serve(tweaked).Build());
   EXPECT_NE(k.Dump().find("hot_spares"), std::string::npos);
 }
@@ -627,11 +640,11 @@ TEST(Scenario, RobustnessKnobsRoundTripAndEmitNoKeysAtDefaults) {
                           "shed_queue_depth", "shed_ttft_deadline_s"}) {
     EXPECT_EQ(dump.find(key), std::string::npos) << key;
   }
-  EXPECT_FALSE(FaultKnobsAreDefault(serve.faults));
+  EXPECT_TRUE(SerializesFaults(serve.faults));
   // A block that differs from defaults only in a new knob still serializes.
   FaultKnobs shed_only;
   shed_only.shed_queue_depth = 4;
-  EXPECT_FALSE(FaultKnobsAreDefault(shed_only));
+  EXPECT_TRUE(SerializesFaults(shed_only));
 }
 
 TEST(Scenario, RobustnessKnobValidationRejectsBadValues) {
@@ -756,6 +769,266 @@ TEST(Scenario, ParseRequestClassesAcceptsArrayAndWrappedForms) {
   ASSERT_TRUE(bad.has_value());
   EXPECT_FALSE(ParseRequestClasses(*bad, &error).has_value());
 }
+
+// The reader's verdict on one scenario text: "" when it parses, else the
+// error.
+std::string ParseError(const std::string& text) {
+  std::string error;
+  auto json = Json::Parse(text, &error);
+  if (!json) {
+    return "unparsable test input: " + error;
+  }
+  return ScenarioFromJson(*json, &error) ? "" : error;
+}
+
+TEST(Scenario, IntegerAndSeedRowsRejectNonIntegralOrOutOfRangeNumbers) {
+  // Truncating or wrapping these would silently run a different value (1, 3,
+  // 1 and the default seed).
+  std::string error =
+      ParseError(R"({"study": "serve", "serve": {"decode_instances": 4294967297}})");
+  EXPECT_NE(error.find("'decode_instances' in serve must be an integer"), std::string::npos)
+      << error;
+  error = ParseError(R"({"study": "serve", "serve": {"decode_instances": 2.6}})");
+  EXPECT_NE(error.find("'decode_instances' in serve must be an integer"), std::string::npos)
+      << error;
+  error = ParseError(R"({"study": "mcsim", "mcsim": {"num_trials": -4294967295}})");
+  EXPECT_NE(error.find("'num_trials' in mcsim must be an integer"), std::string::npos)
+      << error;
+  error = ParseError(R"({"study": "serve", "serve": {"seed": -1}})");
+  EXPECT_NE(error.find("'seed' in serve must be an integer"), std::string::npos) << error;
+  error = ParseError(R"({"study": "fleet-compare", "fleet": {"seed": 1.5}})");
+  EXPECT_NE(error.find("'seed' in fleet must be an integer"), std::string::npos) << error;
+
+  // Integral spellings of integers still parse.
+  auto json = Json::Parse(
+      R"({"study": "serve", "serve": {"decode_instances": 8.0, "seed": 1e3},
+          "max_batch": 1e3})");
+  ASSERT_TRUE(json.has_value());
+  auto scenario = ScenarioFromJson(*json, &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  EXPECT_EQ(scenario->serve.decode_instances, 8);
+  EXPECT_EQ(scenario->serve.seed, 1000u);
+  EXPECT_EQ(scenario->max_batch, 1000);
+}
+
+TEST(Scenario, ValidateRejectsNonFiniteDoubles) {
+  // 1e999 parses as infinity: an infinite horizon would exhaust memory and
+  // infinite sim_years would never finish.
+  std::string error;
+  auto fleet = ScenarioFromJson(*Json::Parse(
+      R"({"study": "fleet-compare", "fleet": {"candidates": [{"name": "a"}],
+          "horizon_s": 1e999}})"),
+      &error);
+  ASSERT_TRUE(fleet.has_value()) << error;
+  EXPECT_EQ(fleet->Validate(), "fleet.horizon_s must be positive and finite");
+
+  auto mcsim = ScenarioFromJson(
+      *Json::Parse(R"({"study": "mcsim", "mcsim": {"sim_years": 1e999}})"), &error);
+  ASSERT_TRUE(mcsim.has_value()) << error;
+  EXPECT_EQ(mcsim->Validate(), "mcsim.sim_years must be positive and finite");
+
+  // Rows without a bound still require a finite value.
+  YieldKnobs yield;
+  yield.cluster_alpha = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(ScenarioBuilder(StudyKind::kYield).Yield(yield).Peek().Validate(),
+            "yield.cluster_alpha must be finite");
+}
+
+TEST(Scenario, EnumRowsTypeCheckAndSuggest) {
+  std::string error = ParseError(R"({"study": "search", "kv_policy": 7})");
+  EXPECT_NE(error.find("'kv_policy' in scenario must be a string"), std::string::npos)
+      << error;
+  error = ParseError(R"({"study": "design", "design": {"yield_model": 3}})");
+  EXPECT_NE(error.find("'yield_model' in design must be a string"), std::string::npos)
+      << error;
+  error = ParseError(R"({"study": "search", "kv_policy": "replicat"})");
+  EXPECT_NE(error.find("did you mean 'replicate'?"), std::string::npos) << error;
+  error = ParseError(R"({"study": "design", "design": {"yield_model": "murphey"}})");
+  EXPECT_NE(error.find("unknown yield model 'murphey'"), std::string::npos) << error;
+  EXPECT_NE(error.find("did you mean 'murphy'?"), std::string::npos) << error;
+}
+
+TEST(Scenario, UnknownKeysInEveryBlockGetSuggestions) {
+  std::string error = ParseError(R"({"study": "serve", "serve": {"hroizon_s": 30}})");
+  EXPECT_NE(error.find("unknown key 'hroizon_s' in serve (did you mean 'horizon_s'?)"),
+            std::string::npos)
+      << error;
+  error = ParseError(R"({"study": "search", "workload": {"prompt_token": 30}})");
+  EXPECT_NE(error.find("did you mean 'prompt_tokens'?"), std::string::npos) << error;
+  error = ParseError(R"({"study": "search", "modles": ["Llama3-70B"]})");
+  EXPECT_NE(error.find("did you mean 'models'?"), std::string::npos) << error;
+}
+
+// Walks every row of every knob table: `fn(table, base, block, path)` gets a
+// scenario whose serialization carries the table's block, an accessor for
+// the table's struct inside a scenario, and the JSON path of the block.
+template <typename Fn>
+void ForEachKnobTable(Fn&& fn) {
+  auto root = [](Scenario& s) -> Scenario& { return s; };
+  Scenario search = ScenarioBuilder(StudyKind::kSearch).Peek();
+  fn(kScenarioFields, search, root, {});
+  fn(kWorkloadFields, search, [](Scenario& s) -> auto& { return s.workload; }, {"workload"});
+  fn(kExecFields, search, [](Scenario& s) -> auto& { return s.exec; }, {"exec"});
+  fn(kDesignFields, ScenarioBuilder(StudyKind::kDesign).Peek(),
+     [](Scenario& s) -> auto& { return s.design; }, {"design"});
+  fn(kMcSimFields, ScenarioBuilder(StudyKind::kMcSim).Peek(),
+     [](Scenario& s) -> auto& { return s.mcsim; }, {"mcsim"});
+  fn(kYieldFields, ScenarioBuilder(StudyKind::kYield).Peek(),
+     [](Scenario& s) -> auto& { return s.yield; }, {"yield"});
+  fn(kDeriveFields, ScenarioBuilder(StudyKind::kDerive).Peek(),
+     [](Scenario& s) -> auto& { return s.derive; }, {"derive"});
+
+  Scenario serve = ScenarioBuilder(StudyKind::kServe).Peek();
+  auto serve_knobs = [](Scenario& s) -> auto& { return s.serve; };
+  fn(kServeFields, serve, serve_knobs, {"serve"});
+  fn(kServeCommonFields, serve, serve_knobs, {"serve"});
+  fn(kServeShardFields, serve, serve_knobs, {"serve"});
+  Scenario sweep = ScenarioBuilder(StudyKind::kServeSweep).Peek();
+  fn(kServeSweepFields, sweep, [](Scenario& s) -> auto& { return s.sweep; }, {"sweep"});
+
+  Scenario classes = serve;
+  classes.serve.classes.resize(1);
+  classes.serve.classes[0].name = "a";
+  fn(kRequestClassFields, classes, [](Scenario& s) -> auto& { return s.serve.classes[0]; },
+     {"serve", "classes", "0"});
+
+  auto arrival = [](Scenario& s) -> auto& { return s.serve.arrival; };
+  const std::vector<std::string> arrival_path = {"serve", "arrival"};
+  Scenario with_kind = serve;
+  fn(kPoissonFields, with_kind, arrival, arrival_path);
+  with_kind.serve.arrival.kind = ArrivalKind::kDiurnal;
+  fn(kDiurnalFields, with_kind, arrival, arrival_path);
+  with_kind.serve.arrival.kind = ArrivalKind::kOnOff;
+  fn(kOnOffFields, with_kind, arrival, arrival_path);
+  with_kind.serve.arrival.kind = ArrivalKind::kTrace;
+  fn(kTraceFields, with_kind, arrival, arrival_path);
+
+  Scenario autoscaled = serve;
+  autoscaled.serve.autoscaler.policy = AutoscalerPolicy::kReactive;
+  fn(kAutoscalerFields, autoscaled, [](Scenario& s) -> auto& { return s.serve.autoscaler; },
+     {"serve", "autoscaler"});
+  Scenario faulty = serve;
+  faulty.serve.faults.afr = 0.5;
+  fn(kFaultFields, faulty, [](Scenario& s) -> auto& { return s.serve.faults; },
+     {"serve", "faults"});
+
+  Scenario fleet = ScenarioBuilder(StudyKind::kFleetCompare).Peek();
+  fleet.fleet.candidates.resize(1);
+  fleet.fleet.candidates[0].name = "a";
+  fn(kFleetFields, fleet, [](Scenario& s) -> auto& { return s.fleet; }, {"fleet"});
+  fn(kFleetCandidateFields, fleet, [](Scenario& s) -> auto& { return s.fleet.candidates[0]; },
+     {"fleet", "candidates", "0"});
+}
+
+// The JSON object at `path` (array entries by index), or null.
+const Json* Descend(const Json& root, const std::vector<std::string>& path) {
+  const Json* at = &root;
+  for (const std::string& step : path) {
+    if (at->is_array()) {
+      size_t index = std::stoul(step);
+      at = index < at->elements().size() ? &at->elements()[index] : nullptr;
+    } else {
+      at = at->Find(step);
+    }
+    if (at == nullptr) {
+      return nullptr;
+    }
+  }
+  return at;
+}
+
+// Some value other than `value` of the row's type.
+template <typename Row, typename T>
+T Perturbed(const Row& row, const T& value) {
+  if constexpr (std::is_enum_v<T>) {
+    std::string names = row.enum_names;
+    int count = static_cast<int>(std::count(names.begin(), names.end(), '|')) + 1;
+    return static_cast<T>((static_cast<int>(value) + 1) % count);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return !value;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return value + "x";
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    return {0.25, 0.5};
+  } else {
+    return value + 3;
+  }
+}
+
+TEST(Scenario, EveryKnobRowRoundTripsAndDefaultGatedRowsEmitNothingAtDefault) {
+  size_t rows_seen = 0;
+  ForEachKnobTable([&](const auto& table, const Scenario& base, auto access,
+                       const std::vector<std::string>& path) {
+    std::apply(
+        [&](const auto&... row) {
+          auto check = [&](const auto& r) {
+            ++rows_seen;
+            Scenario changed = base;
+            auto& field = access(changed).*r.member;
+            field = Perturbed(r, field);
+            std::string error;
+            auto reparsed = Json::Parse(ScenarioToJson(changed).Dump(), &error);
+            ASSERT_TRUE(reparsed.has_value()) << r.name << ": " << error;
+            auto restored = ScenarioFromJson(*reparsed, &error);
+            ASSERT_TRUE(restored.has_value()) << r.name << ": " << error;
+            EXPECT_TRUE(access(*restored).*r.member == field) << r.name;
+
+            // In the base scenario's block (absent only for the default
+            // Poisson arrival), a default-gated row at its default emits no
+            // key and every other row emits one.
+            Scenario unchanged = base;
+            bool at_default = access(unchanged).*r.member ==
+                              std::decay_t<decltype(access(unchanged))>{}.*r.member;
+            const Json base_json = ScenarioToJson(base);
+            const Json* block = Descend(base_json, path);
+            if (r.emit != Emit::kAlways && at_default) {
+              ASSERT_NE(block, nullptr) << r.name;
+              EXPECT_EQ(block->Find(std::string(r.name)), nullptr) << r.name;
+            } else if (block != nullptr) {
+              EXPECT_NE(block->Find(std::string(r.name)), nullptr) << r.name;
+            }
+          };
+          (check(row), ...);
+        },
+        table);
+  });
+  EXPECT_GE(rows_seen, 100u);
+}
+
+TEST(Scenario, EnumSpellingsMatchTheirModules) {
+  EXPECT_EQ(std::string(kKvPolicyNames),
+            ToString(KvShardPolicy::kReplicate) + "|" + ToString(KvShardPolicy::kIdealShard));
+  EXPECT_EQ(std::string(kYieldModelNames),
+            ToString(YieldModel::kPoisson) + "|" + ToString(YieldModel::kMurphy) + "|" +
+                ToString(YieldModel::kSeeds) + "|" + ToString(YieldModel::kNegativeBinomial));
+  EXPECT_EQ(std::string(kRetryPolicyNames),
+            std::string(ToString(FaultRetryPolicy::kRetry)) + "|" +
+                ToString(FaultRetryPolicy::kDrop) + "|" +
+                ToString(FaultRetryPolicy::kRetryWithBudget));
+}
+
+#ifdef LITEGPU_SCENARIOS_DOC
+TEST(Scenario, EveryKnobKeyIsDocumented) {
+  // docs/scenarios.md must name every key a scenario file accepts, in
+  // backticks — adding a row without documenting it fails here.
+  std::ifstream in(LITEGPU_SCENARIOS_DOC);
+  ASSERT_TRUE(in.good()) << LITEGPU_SCENARIOS_DOC;
+  std::stringstream doc;
+  doc << in.rdbuf();
+  std::vector<std::string> keys;
+  ForEachKnobTable([&](const auto& table, const Scenario&, auto,
+                       const std::vector<std::string>&) {
+    std::apply([&](const auto&... row) { (keys.emplace_back(row.name), ...); }, table);
+  });
+  keys.insert(keys.end(), std::begin(kScenarioBlockKeys), std::end(kScenarioBlockKeys));
+  keys.insert(keys.end(), std::begin(kServeBlockKeys), std::end(kServeBlockKeys));
+  keys.insert(keys.end(), std::begin(kFleetBlockKeys), std::end(kFleetBlockKeys));
+  for (const std::string& key : keys) {
+    EXPECT_NE(doc.str().find("`" + key + "`"), std::string::npos)
+        << "scenario key '" << key << "' is not documented in " << LITEGPU_SCENARIOS_DOC;
+  }
+}
+#endif
 
 #ifdef LITEGPU_SCENARIO_DIR
 TEST(Scenario, EveryCheckedInExampleLoadsValidatesAndRoundTrips) {

@@ -6,21 +6,18 @@
 #      docs/scenarios.md (an example nobody documents rots).
 #   3. Every study kind must appear (in backticks) in docs/scenarios.md
 #      and docs/reports.md.
-#   4. Every knob field declared in src/core/scenario.h (the Scenario
-#      struct, every *Knobs struct, RequestClass), every WorkloadParams
-#      field, and every ArrivalProcess field must appear in backticks in
-#      docs/scenarios.md — adding a knob without documenting it fails CI.
-#   5. Every ScaleEvent field (the autoscaler report rows) must appear in
+#   4. Every ScaleEvent field (the autoscaler report rows) must appear in
 #      backticks in docs/reports.md.
-#   6. docs/architecture.md's "Simulator core" section must track the fast
+#   5. docs/architecture.md's "Simulator core" section must track the fast
 #      core: while src/serve/event_queue.h exists, the calendar queue, the
 #      SoA request layout, and the shard merge/substream entry points must
 #      all be documented there.
 #
-# Grep-based on purpose: no build needed, runs in milliseconds, and keyed
-# off the same headers the parser is generated from. The reverse direction
-# (everything the docs promise actually parses) is covered by
-# scenario_test's round trip over the example files.
+# Grep-based on purpose: no build needed, runs in milliseconds. Scenario
+# knob keys are checked by scenario_test instead, which walks the knob
+# tables (src/core/scenario_fields.h) and requires every key in backticks
+# in docs/scenarios.md; its round trip over the example files covers the
+# reverse direction (everything the docs promise actually parses).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -67,10 +64,8 @@ for kind in $kinds; do
     err "study kind '$kind' is not documented in $REPORTS_DOC"
 done
 
-# --- every knob field is documented ---
-# Extract field names from the knob structs: lines inside the struct body,
-# two-space indented, not a method (no parenthesis), last identifier before
-# '=' or ';'.
+# Field names of a struct: lines inside the struct body, two-space
+# indented, not a method (no parenthesis), last identifier before '=' or ';'.
 extract_fields() { # extract_fields <header> <struct-name-regex>
   # Matches plain and derived structs ("struct ServeKnobs : ServeCommonKnobs {").
   awk -v structs="$2" '
@@ -81,23 +76,6 @@ extract_fields() { # extract_fields <header> <struct-name-regex>
     sed -e 's://.*::' -e 's/=.*//' -e 's/;.*//' |
     awk 'NF { print $NF }' | sort -u
 }
-
-check_fields() { # check_fields <header> <struct-name-regex>
-  for field in $(extract_fields "$1" "$2"); do
-    grep -q "\`$field\`" "$SCENARIOS_DOC" ||
-      err "knob field '$field' ($1) is not documented in $SCENARIOS_DOC"
-  done
-}
-
-# The knob-struct list comes from the header itself (every `struct *Knobs`
-# plus RequestClass and Scenario), so a new knob block can't dodge the
-# checker by not being on a hardcoded list.
-knob_structs=$(grep -oE '^struct [A-Za-z]+Knobs' src/core/scenario.h |
-  awk '{ print $2 }' | paste -sd'|' -)
-[ -n "$knob_structs" ] || err "could not extract knob structs from src/core/scenario.h"
-check_fields src/core/scenario.h "RequestClass|FleetCandidate|$knob_structs|Scenario"
-check_fields src/roofline/inference.h "WorkloadParams"
-check_fields src/serve/workload.h "ArrivalProcess"
 
 # --- every autoscaler report row field is documented ---
 # ScaleEvent is what the report's autoscaler "events" array serializes, so

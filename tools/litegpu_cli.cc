@@ -266,70 +266,26 @@ int RunDesign(const Flags& flags) {
   return Execute(builder, flags);
 }
 
-// Loads a --classes file: a JSON array of request-class objects (or
-// {"classes": [...]}) defining a multi-tenant mix. Returns false (with the
-// message printed) on parse errors.
-bool LoadClassesFlag(const Flags& flags, std::vector<RequestClass>& out) {
-  if (!flags.Has("classes")) {
+// Loads a --<flag> knob file (--classes, --arrival, --autoscaler, --faults):
+// parses it with `parse` and, when given, checks it with `validate` (labelled
+// "<flag> file") before the run. Returns false (with the message printed) on
+// read, parse or validation errors; an absent flag leaves `out` untouched.
+template <typename T>
+bool LoadKnobFileFlag(const Flags& flags, const char* flag,
+                      std::optional<T> (*parse)(const Json&, std::string*),
+                      std::string (*validate)(const T&, const std::string&), T& out) {
+  if (!flags.Has(flag)) {
     return true;
   }
-  std::string path = flags.GetString("classes");
+  std::string path = flags.GetString(flag);
   std::string error;
   auto json = Json::ParseFile(path, &error);
-  if (!json) {
-    std::fprintf(stderr, "litegpu: %s: %s\n", path.c_str(), error.c_str());
-    return false;
-  }
-  auto classes = ParseRequestClasses(*json, &error);
-  if (!classes) {
-    std::fprintf(stderr, "litegpu: %s: %s\n", path.c_str(), error.c_str());
-    return false;
-  }
-  out = std::move(*classes);
-  return true;
-}
-
-// Loads an --arrival file (an arrival-process object, bare or wrapped in
-// {"arrival": ...}) and validates it before the run. Returns false (with
-// the message printed) on parse or validation errors.
-bool LoadArrivalFlag(const Flags& flags, ArrivalProcess& out) {
-  if (!flags.Has("arrival")) {
-    return true;
-  }
-  std::string path = flags.GetString("arrival");
-  std::string error;
-  auto json = Json::ParseFile(path, &error);
-  std::optional<ArrivalProcess> arrival;
+  std::optional<T> knobs;
   if (json) {
-    arrival = ParseArrivalProcess(*json, &error);
+    knobs = parse(*json, &error);
   }
-  if (arrival) {
-    error = ValidateArrivalProcess(*arrival, "arrival file");
-  }
-  if (!error.empty()) {
-    std::fprintf(stderr, "litegpu: %s: %s\n", path.c_str(), error.c_str());
-    return false;
-  }
-  out = std::move(*arrival);
-  return true;
-}
-
-// Loads an --autoscaler file (an autoscaler-knobs object, bare or wrapped
-// in {"autoscaler": ...}) and validates it before the run. Returns false
-// (with the message printed) on parse or validation errors.
-bool LoadAutoscalerFlag(const Flags& flags, AutoscalerKnobs& out) {
-  if (!flags.Has("autoscaler")) {
-    return true;
-  }
-  std::string path = flags.GetString("autoscaler");
-  std::string error;
-  auto json = Json::ParseFile(path, &error);
-  std::optional<AutoscalerKnobs> knobs;
-  if (json) {
-    knobs = ParseAutoscalerKnobs(*json, &error);
-  }
-  if (knobs) {
-    error = ValidateAutoscalerKnobs(*knobs, "autoscaler file");
+  if (knobs && validate != nullptr) {
+    error = validate(*knobs, std::string(flag) + " file");
   }
   if (!error.empty()) {
     std::fprintf(stderr, "litegpu: %s: %s\n", path.c_str(), error.c_str());
@@ -339,29 +295,16 @@ bool LoadAutoscalerFlag(const Flags& flags, AutoscalerKnobs& out) {
   return true;
 }
 
-// Loads a --faults file (a fault-knobs object, bare or wrapped in
-// {"faults": ...}) and validates it before the run. Returns false (with the
-// message printed) on parse or validation errors.
-bool LoadFaultsFlag(const Flags& flags, FaultKnobs& out) {
-  if (!flags.Has("faults")) {
-    return true;
-  }
-  std::string path = flags.GetString("faults");
-  std::string error;
-  auto json = Json::ParseFile(path, &error);
-  std::optional<FaultKnobs> knobs;
-  if (json) {
-    knobs = ParseFaultKnobs(*json, &error);
-  }
-  if (knobs) {
-    error = ValidateFaultKnobs(*knobs, "faults file");
-  }
-  if (!error.empty()) {
-    std::fprintf(stderr, "litegpu: %s: %s\n", path.c_str(), error.c_str());
-    return false;
-  }
-  out = std::move(*knobs);
-  return true;
+// The knob-file flags serve and sweep share.
+bool LoadServeFileFlags(const Flags& flags, ServeCommonKnobs& knobs) {
+  return LoadKnobFileFlag<std::vector<RequestClass>>(flags, "classes", ParseRequestClasses,
+                                                     nullptr, knobs.classes) &&
+         LoadKnobFileFlag(flags, "arrival", ParseArrivalProcess, ValidateArrivalProcess,
+                          knobs.arrival) &&
+         LoadKnobFileFlag(flags, "autoscaler", ParseAutoscalerKnobs,
+                          ValidateAutoscalerKnobs, knobs.autoscaler) &&
+         LoadKnobFileFlag(flags, "faults", ParseFaultKnobs, ValidateFaultKnobs,
+                          knobs.faults);
 }
 
 int RunServe(const Flags& flags) {
@@ -386,9 +329,7 @@ int RunServe(const Flags& flags) {
   knobs.output_sigma = flags.GetDouble("output-sigma", knobs.output_sigma);
   knobs.seed = flags.GetUint64("seed", knobs.seed);
   knobs.shards = flags.GetInt("shards", knobs.shards);
-  if (!LoadClassesFlag(flags, knobs.classes) || !LoadArrivalFlag(flags, knobs.arrival) ||
-      !LoadAutoscalerFlag(flags, knobs.autoscaler) ||
-      !LoadFaultsFlag(flags, knobs.faults)) {
+  if (!LoadServeFileFlags(flags, knobs)) {
     return kUsageError;
   }
   builder.Serve(knobs);
@@ -486,9 +427,7 @@ int RunSweep(const Flags& flags) {
   knobs.output_sigma = flags.GetDouble("output-sigma", knobs.output_sigma);
   knobs.seed = flags.GetUint64("seed", knobs.seed);
   knobs.shards = flags.GetInt("shards", knobs.shards);
-  if (!LoadClassesFlag(flags, knobs.classes) || !LoadArrivalFlag(flags, knobs.arrival) ||
-      !LoadAutoscalerFlag(flags, knobs.autoscaler) ||
-      !LoadFaultsFlag(flags, knobs.faults)) {
+  if (!LoadServeFileFlags(flags, knobs)) {
     return kUsageError;
   }
   builder.ServeSweep(knobs);
