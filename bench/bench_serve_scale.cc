@@ -20,6 +20,9 @@
 //      point (on/off bursts + reactive policy), a fault-injected point
 //      (accelerated churn, hot spares, retries), and a chaos point
 //      (failure domains + degraded states + shedding on top of the churn).
+//      Each point also reports the new core's event-queue pops per decode
+//      step; decode macro-steps (one event per batch change) must keep the
+//      autoscaled and chaos points below one pop per step, gated.
 //   4. A million-request point (32 decode instances at 95% load): workload
 //      generation wall time, then reference core vs new core with exact
 //      metric identity. The speedup must be > 1 (hard gate); the target is
@@ -36,7 +39,8 @@
 //
 // `--json` emits one JSON object (CI tees it into BENCH_serve_scale.json)
 // and the exit code gates regressions: nonzero when any speedup gate is
-// not > 1, any identity check fails, or the zero-AFR step budget blows.
+// not > 1, any identity check fails, the macro-step pop gate fails, or the
+// zero-AFR step budget blows.
 
 #include <algorithm>
 #include <chrono>
@@ -104,6 +108,13 @@ bool ScaleLogsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
 
 // Element-wise fault and shed logs (domain ids included) plus the
 // kill/retry, degrade and drain accounting.
+// Event-queue pops per simulated decode step (the TBT sample count).
+double PopsPerStep(const ServeMetrics& m) {
+  return m.tbt_s.count() > 0
+             ? static_cast<double>(m.events_popped) / static_cast<double>(m.tbt_s.count())
+             : 0.0;
+}
+
 bool FaultLogsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
   if (a.fault_events.size() != b.fault_events.size() ||
       a.shed_events.size() != b.shed_events.size()) {
@@ -296,6 +307,10 @@ int main(int argc, char** argv) {
                              MetricsIdentical(chaos_ref, chaos_new);
   bool reference_identical = ref_plain_identical && ref_scaled_identical &&
                              ref_faulty_identical && ref_chaos_identical;
+  // Macro-step gate: fewer pops than decode steps where pools are wide
+  // enough for runs to span many steps.
+  bool macro_steps_ok = scaled_new.events_popped < scaled_new.tbt_s.count() &&
+                        chaos_new.events_popped < chaos_new.tbt_s.count();
 
   // --- 4. the million-request point ----------------------------------------
   // 32 decode instances at 95% of their summed analytic capacity; the
@@ -431,7 +446,8 @@ int main(int argc, char** argv) {
                   fleet_capacity_scales;
 
   bool pass = zero_afr_within_budget && axes_off_zeroed && sweep_report.ok &&
-              reference_identical && million_identical && million_speedup > 1.0 &&
+              reference_identical && macro_steps_ok && million_identical &&
+              million_speedup > 1.0 &&
               shard_sane && grid_identical && grid_speedup > 1.0 && fleet_ok;
 
   if (json) {
@@ -457,7 +473,12 @@ int main(int argc, char** argv) {
     reference.Set("plain_identical", ref_plain_identical)
         .Set("autoscaled_identical", ref_scaled_identical)
         .Set("faulty_identical", ref_faulty_identical)
-        .Set("chaos_identical", ref_chaos_identical);
+        .Set("chaos_identical", ref_chaos_identical)
+        .Set("plain_pops_per_step", PopsPerStep(plain))
+        .Set("autoscaled_pops_per_step", PopsPerStep(scaled_new))
+        .Set("faulty_pops_per_step", PopsPerStep(faulty_new))
+        .Set("chaos_pops_per_step", PopsPerStep(chaos_new))
+        .Set("macro_steps_ok", macro_steps_ok);
     Json workload_gen = Json::Object();
     workload_gen.Set("requests", static_cast<uint64_t>(million_requests.size()))
         .Set("wall_s", million_gen_s)
@@ -518,17 +539,22 @@ int main(int argc, char** argv) {
                 axes_off_zeroed ? "OK" : "FAILED");
     std::printf("serve-sweep study (%d points, %.0f s horizon each): %.3f s wall\n\n",
                 sweep_points, knobs.horizon_s, sweep_s);
-    std::printf("reference core vs new core identity:\n"
-                "  plain: %s\n"
-                "  autoscaled on/off (%zu scale events, peak %d decode inst): %s\n"
-                "  fault-injected (%zu fault events, %d retried): %s\n"
-                "  chaos (%zu fault events, %d shed, %d degrade windows): %s\n\n",
-                ref_plain_identical ? "OK" : "FAILED", scaled_new.scale_events.size(),
-                scaled_new.peak_decode_instances, ref_scaled_identical ? "OK" : "FAILED",
+    std::printf("reference core vs new core identity (new core's queue pops per decode step):\n"
+                "  plain: %s (%.3f pops/step)\n"
+                "  autoscaled on/off (%zu scale events, peak %d decode inst): %s "
+                "(%.3f pops/step)\n"
+                "  fault-injected (%zu fault events, %d retried): %s (%.3f pops/step)\n"
+                "  chaos (%zu fault events, %d shed, %d degrade windows): %s "
+                "(%.3f pops/step)\n"
+                "  fewer pops than steps on the autoscaled and chaos points: %s\n\n",
+                ref_plain_identical ? "OK" : "FAILED", PopsPerStep(plain),
+                scaled_new.scale_events.size(), scaled_new.peak_decode_instances,
+                ref_scaled_identical ? "OK" : "FAILED", PopsPerStep(scaled_new),
                 faulty_new.fault_events.size(), faulty_new.retried_requests,
-                ref_faulty_identical ? "OK" : "FAILED", chaos_new.fault_events.size(),
-                chaos_new.shed_requests, chaos_new.degrade_windows,
-                ref_chaos_identical ? "OK" : "FAILED");
+                ref_faulty_identical ? "OK" : "FAILED", PopsPerStep(faulty_new),
+                chaos_new.fault_events.size(), chaos_new.shed_requests,
+                chaos_new.degrade_windows, ref_chaos_identical ? "OK" : "FAILED",
+                PopsPerStep(chaos_new), macro_steps_ok ? "OK" : "FAILED");
     std::printf("million-request point (%zu requests, %d decode inst, %.0f s horizon):\n"
                 "  workload generation: %.3f s (%.1fM req/s)\n"
                 "  reference core: %.3f s   new core: %.3f s   speedup: %.2fx "

@@ -13,19 +13,28 @@
 //    cold arrays, and all per-point scratch lives in a thread-local arena
 //    reused across sweep points, so points stop churning the allocator.
 //
-//  * O(completions) decode bookkeeping. The reference decrements every
-//    active sequence's remaining-token counter each step — O(batch) per
-//    step, O(total tokens) per run, the dominant cost at 1M requests. A
-//    sequence joining with R tokens left when its instance has completed S
-//    steps finishes exactly when the step counter reaches S + R, so a
-//    per-instance min-heap of packed (finish_step, class) completions does
-//    the same accounting in O(log batch) per request. Per-step metrics
-//    (tokens emitted, per-class TBT) come from incrementally maintained
-//    active counts — integer arithmetic, so the sums are bit-identical to
-//    the reference's recomputation. Fault runs keep the reference's exact
-//    slot arrays and decrement loop instead: a failure's requeue order
-//    depends on the historical swap-remove permutation, which the heap
-//    does not preserve.
+//  * Decode macro-steps: one event per batch change, not one per step. A
+//    decode instance's batch cannot change between its step boundaries
+//    unless a sequence completes, it admits from the decode queue, a
+//    degrade transition changes its step time, or it fails. So a step
+//    starting at t plans a run of R steps up to its first completion — the
+//    completion heap's top (faults off) or min(remaining) (fault runs'
+//    exact slot arrays, kept because a failure's requeue order depends on
+//    their swap-remove permutation) — and schedules one event at the run's
+//    end, computed by R repeated `+= step` additions so every boundary is
+//    the per-step loop's bit for bit. At the run's end the R steps land in
+//    bulk: one weighted TBT add of batch * R (the histogram sum is exact
+//    fixed point, so grouping cannot change it), tokens += batch * R,
+//    remaining -= R. Busy time stays one addition per step in step order,
+//    charged lazily: steps starting at or before an autoscaler tick, and
+//    before a cut or failure. Runs end early at boundaries that must be
+//    real: an instance that could admit plans R = 1 when the decode queue
+//    is non-empty or an in-flight prefill pass ends within its first step;
+//    when a prefill pass refills the empty decode queue, one designated run
+//    (the cuttable one whose next boundary at or after now comes first) is
+//    cut to that boundary; degrade transitions and failures first emit
+//    every boundary before now, then cut or kill the run. Cut and killed
+//    runs' events go stale through the per-instance step sequence.
 
 #include "src/serve/simulator.h"
 
@@ -80,6 +89,80 @@ class IndexQueue {
   size_t head_ = 0;
 };
 
+// End times of dispatched prefill passes, bucketed by fixed-width time
+// windows in a ring: each bucket is tagged with the absolute window it
+// holds and keeps the earliest and latest end added to it. Add is O(1);
+// AnyEndBy first tries one remembered pass end still ahead of now, then
+// visits only the windows between now and its limit. Ended passes are
+// never removed — a window's latest end tells whether any of its passes
+// is still ahead — so answers err only towards true (a killed pass, or a
+// window straddling both now and the limit), and an end too far ahead for
+// the ring evicts the window it lands on. Callers use the answer only as a
+// scheduling hint.
+class PassEnds {
+ public:
+  // `width` is the window width; `span` the longest a pass can take. A
+  // zero width (a degenerate zero-time table) folds everything into one
+  // window.
+  void Reset(double width, double span) {
+    inv_width_ = width > 0.0 ? 1.0 / width : 0.0;
+    size_t want = static_cast<size_t>(std::min(span * inv_width_, 65536.0)) + 2;
+    size_t n = 1;
+    while (n < want) {
+      n <<= 1;
+    }
+    mask_ = static_cast<int64_t>(n) - 1;
+    windows_.assign(n, Window{});
+    ahead_ = std::numeric_limits<double>::infinity();
+  }
+  void Add(double end) {
+    ahead_ = std::min(ahead_, end);
+    int64_t k = Index(end);
+    Window& w = windows_[static_cast<size_t>(k & mask_)];
+    if (w.tag != k) {
+      w = {k, end, end};
+    } else {
+      w.min_end = std::min(w.min_end, end);
+      w.max_end = std::max(w.max_end, end);
+    }
+  }
+  // Whether a pass that has not ended by `now` ends at or before `limit`.
+  bool AnyEndBy(double now, double limit) {
+    if (ahead_ > now && ahead_ <= limit) {
+      return true;
+    }
+    int64_t first = Index(now);
+    int64_t last = std::min(Index(limit), first + mask_);
+    for (int64_t k = first; k <= last; ++k) {
+      const Window& w = windows_[static_cast<size_t>(k & mask_)];
+      if (w.tag == k && w.max_end > now) {
+        // Remember an end still ahead for the next query.
+        double ahead = w.min_end > now ? w.min_end : w.max_end;
+        if (ahead_ <= now || ahead < ahead_) {
+          ahead_ = ahead;
+        }
+        if (w.min_end <= limit) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Window {
+    int64_t tag = -1;
+    double min_end = 0.0;
+    double max_end = 0.0;
+  };
+  int64_t Index(double t) const { return static_cast<int64_t>(t * inv_width_); }
+
+  double inv_width_ = 1.0;
+  int64_t mask_ = 0;
+  std::vector<Window> windows_;
+  double ahead_ = 0.0;  // a pass end, ahead of the last query while > now
+};
+
 // Packed decode completion: (finish_step << 16) | class. finish_step is
 // the instance step count at which the sequence emits its last token;
 // class rides along for per-class completion accounting. Plain uint64
@@ -116,6 +199,13 @@ struct SimScratch {
   std::vector<uint8_t> d_via_spare;
   std::vector<const char*> d_drain_reason;
   std::vector<double> d_degrade_mult, d_degrade_since;
+  // Current decode run (macro-step): planned steps, steps charged to busy
+  // time so far, steps emitted so far, and the sequence number its end
+  // event carries (bumped when the run is cut or killed). Charged and
+  // emitted counts are kept for multi-step runs only; a single-step run
+  // is charged at its start and emitted at its end.
+  std::vector<int> d_macro_steps, d_macro_charged, d_macro_done;
+  std::vector<int> d_step_seq;
   // Fast mode (faults off): completion min-heaps + incremental counts.
   std::vector<uint64_t> d_step_count;
   std::vector<int> d_active_count;
@@ -139,6 +229,11 @@ struct SimScratch {
   // a hundred-instance prefill pool that scan is the simulator's single
   // largest cost.
   std::vector<uint64_t> p_ready, d_ready;
+  // Bit i set iff decode instance i runs a multi-step macro-step it could
+  // admit at (not draining, batch below max): the candidates a decode
+  // queue push may have to cut.
+  std::vector<uint64_t> d_cuttable;
+  PassEnds prefill_ends;
 
   void AddPrefill(double up_time) {
     size_t i = p_state.size();
@@ -166,6 +261,7 @@ struct SimScratch {
     size_t i = d_state.size();
     if (d_ready.size() <= (i >> 6)) {
       d_ready.push_back(0);
+      d_cuttable.push_back(0);
     }
     d_ready[i >> 6] |= 1ull << (i & 63);
     d_state.push_back(0);
@@ -180,6 +276,10 @@ struct SimScratch {
     d_drain_reason.push_back("");
     d_degrade_mult.push_back(1.0);
     d_degrade_since.push_back(-1.0);
+    d_macro_steps.push_back(0);
+    d_macro_charged.push_back(1);
+    d_macro_done.push_back(0);
+    d_step_seq.push_back(0);
     d_step_count.push_back(0);
     d_active_count.push_back(0);
     if (d_heap.size() < d_state.size()) {
@@ -227,6 +327,10 @@ struct SimScratch {
     d_drain_reason.clear();
     d_degrade_mult.clear();
     d_degrade_since.clear();
+    d_macro_steps.clear();
+    d_macro_charged.clear();
+    d_macro_done.clear();
+    d_step_seq.clear();
     d_step_count.clear();
     d_active_count.clear();
     d_heap.resize(static_cast<size_t>(n_decode));
@@ -244,6 +348,7 @@ struct SimScratch {
     class_active.clear();
     p_ready.clear();
     d_ready.clear();
+    d_cuttable.clear();
     ttft_recorded.clear();
     retry_counts.clear();
     step_class_counts.assign(num_classes > 0 ? static_cast<size_t>(num_classes) : 0, 0);
@@ -287,13 +392,19 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   const double shed_pass_s = table.PrefillTime(table.max_prefill_batch());
 
   SimScratch& S = TlsScratch();
-  // Calendar-queue bucket width near the typical inter-event gap: decode
-  // step completions dominate the event stream, and with every instance
-  // busy their spacing is about one step over the pool. A pure performance
-  // hint — pop order never depends on it.
+  // Calendar-queue bucket width: one full-batch decode step over the pool,
+  // the event spacing if every instance ended a run each step. Macro-steps
+  // make decode events sparser than that, so buckets hold fewer events
+  // than the width suggests. A pure performance hint — pop order never
+  // depends on it.
   S.Reset(config.prefill_instances, config.decode_instances, config.num_classes,
           table.DecodeStepTime(table.max_decode_batch()) /
               static_cast<double>(std::max(1, config.decode_instances)));
+  // Pass-end windows a quarter of a full-batch decode step wide, spanning
+  // the longest (degraded) prefill pass.
+  S.prefill_ends.Reset(table.DecodeStepTime(table.max_decode_batch()) / 4.0,
+                       table.PrefillTime(table.max_prefill_batch()) *
+                           std::max(1.0, degrade_enabled ? degraded.multiplier : 1.0));
   CalendarEventQueue& events = S.events;
   IndexQueue& prefill_queue = S.prefill_queue;
   IndexQueue& decode_queue = S.decode_queue;
@@ -519,6 +630,174 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
   };
 
+  // --- decode macro-steps ---
+  // Each busy decode instance runs a macro-step of d_macro_steps steps of
+  // d_step_duration from its start; d_step_started is the start of the
+  // last step charged to busy time.
+  int cuttable_runs = 0;  // set bits in S.d_cuttable
+  auto set_cuttable = [&](int i, bool on) {
+    uint64_t bit = 1ull << (static_cast<unsigned>(i) & 63);
+    uint64_t& word = S.d_cuttable[static_cast<size_t>(i) >> 6];
+    cuttable_runs += static_cast<int>(on) - static_cast<int>((word & bit) != 0);
+    word = on ? (word | bit) : (word & ~bit);
+  };
+  // Charges the run's steps that start before `t` (at or before it when
+  // `inclusive`): busy time and batch-time product, one addition per step
+  // in step order, as the per-step loop charged them at each step start.
+  auto charge_decode = [&](int i, double t, bool inclusive) {
+    const double duration = S.d_step_duration[i];
+    const int batch = exact_slots ? static_cast<int>(S.d_remaining[static_cast<size_t>(i)].size())
+                                  : S.d_active_count[i];
+    const int steps = S.d_macro_steps[i];
+    int charged = S.d_macro_charged[i];
+    double started = S.d_step_started[i];
+    while (charged < steps) {
+      double next = started + duration;
+      if (inclusive ? next > t : next >= t) {
+        break;
+      }
+      started = next;
+      S.d_busy_time[i] += duration;
+      S.d_batch_time_product[i] += batch * duration;
+      ++charged;
+    }
+    S.d_macro_charged[i] = charged;
+    S.d_step_started[i] = started;
+  };
+  // Records `k` completed steps of instance i's current batch: TBT samples
+  // and tokens (global, degraded, per class). Remaining counts are the
+  // caller's.
+  auto emit_decode_steps = [&](int i, int k) {
+    const double duration = S.d_step_duration[i];
+    const size_t steps = static_cast<size_t>(k);
+    // Every active sequence emitted one token per step.
+    metrics.tbt_s.Add(duration, steps);
+    if (exact_slots) {
+      const std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
+      double tokens = static_cast<double>(request_index.size() * steps);
+      metrics.output_tokens += tokens;
+      if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
+        metrics.degraded_output_tokens += tokens;
+      }
+      if (track_classes) {
+        // Each active sequence of a class experienced every step's
+        // duration as one inter-token gap: one weighted add per class.
+        std::fill(S.step_class_counts.begin(), S.step_class_counts.end(), 0);
+        for (int req : request_index) {
+          ++S.step_class_counts[static_cast<size_t>(class_of(req))];
+        }
+        for (size_t c = 0; c < S.step_class_counts.size(); ++c) {
+          if (S.step_class_counts[c] > 0) {
+            size_t n = S.step_class_counts[c] * steps;
+            metrics.per_class[c].tbt_s.Add(duration, n);
+            metrics.per_class[c].output_tokens += static_cast<double>(n);
+          }
+        }
+      }
+    } else {
+      metrics.output_tokens +=
+          static_cast<double>(static_cast<size_t>(S.d_active_count[i]) * steps);
+      if (track_classes) {
+        const int* active = &S.class_active[static_cast<size_t>(i) * ncls];
+        for (size_t c = 0; c < ncls; ++c) {
+          if (active[c] > 0) {
+            size_t n = static_cast<size_t>(active[c]) * steps;
+            metrics.per_class[c].tbt_s.Add(duration, n);
+            metrics.per_class[c].output_tokens += static_cast<double>(n);
+          }
+        }
+      }
+    }
+  };
+  // Before a failure or degrade transition touches instance i: charge every
+  // step that starts before now and emit every step that ended before now,
+  // so the run's state is the per-step loop's at this instant.
+  auto settle_decode = [&](int i) {
+    if (!(S.d_state[i] & kBusy) || S.d_macro_steps[i] == 1) {
+      return;
+    }
+    charge_decode(i, now, /*inclusive=*/false);
+    int k = S.d_macro_charged[i] - 1 - S.d_macro_done[i];
+    if (k <= 0) {
+      return;
+    }
+    emit_decode_steps(i, k);
+    if (exact_slots) {
+      for (int& left : S.d_remaining[static_cast<size_t>(i)]) {
+        left -= k;
+      }
+    } else {
+      S.d_step_count[i] += static_cast<uint64_t>(k);
+    }
+    S.d_macro_done[i] += k;
+    // The last emitted boundary is the start of the step in progress.
+    progress_now = std::max(progress_now, S.d_step_started[i]);
+  };
+  // Ends instance i's run at its first step boundary at or after now,
+  // re-scheduling its end event there. The run leaves the cuttable set:
+  // its end is a real boundary now.
+  auto cut_decode = [&](int i) {
+    charge_decode(i, now, /*inclusive=*/false);
+    if (S.d_macro_charged[i] < S.d_macro_steps[i]) {
+      S.d_macro_steps[i] = S.d_macro_charged[i];
+      events.Push({S.d_step_started[i] + S.d_step_duration[i],
+                   ServeEventKind::kDecodeStepDone, i, ++S.d_step_seq[i]});
+    }
+    set_cuttable(i, false);
+  };
+  // Designation invariant: while the decode queue is non-empty, either one
+  // designated run has been cut at the first boundary where a cuttable run
+  // could admit, or no cuttable run exists. Runs that start while the
+  // queue is non-empty and could admit plan a single step, so no cuttable
+  // run appears until the queue empties, and a designation stays the
+  // earliest until its boundary passes or its instance drains or fails.
+  // It is chosen afresh when a prefill pass refills the empty queue while
+  // a cuttable run exists, and when one of those three ends it with work
+  // still queued. A value left from an earlier stretch is harmless: it
+  // only triggers one more choice.
+  constexpr int kDesignationNeeded = -1;
+  constexpr int kNoneCuttable = -2;
+  int designated = kDesignationNeeded;
+  // With work queued, cuts the cuttable run whose next boundary at or after
+  // now comes first (ties to the lowest index) and designates it.
+  auto redesignate = [&]() {
+    if (decode_queue.empty()) {
+      designated = kDesignationNeeded;
+      return;
+    }
+    designated = kNoneCuttable;
+    double best_t = std::numeric_limits<double>::infinity();
+    for (size_t w = 0; w < S.d_cuttable.size() && cuttable_runs > 0; ++w) {
+      uint64_t bits = S.d_cuttable[w];
+      while (bits != 0) {
+        int i = static_cast<int>((w << 6) + static_cast<size_t>(__builtin_ctzll(bits)));
+        bits &= bits - 1;
+        charge_decode(i, now, /*inclusive=*/false);
+        double boundary = S.d_step_started[i] + S.d_step_duration[i];
+        if (boundary < best_t) {  // strict: ties go to the lowest index
+          designated = i;
+          best_t = boundary;
+        }
+      }
+    }
+    if (designated >= 0) {
+      cut_decode(designated);
+    }
+  };
+  auto ensure_designation = [&]() {
+    if (designated == kDesignationNeeded) {
+      redesignate();
+    }
+  };
+  // Instance i leaves the cuttable set (it drains or fails); a designation
+  // on it no longer holds.
+  auto drop_cuttable = [&](int i) {
+    set_cuttable(i, false);
+    if (designated == i) {
+      designated = kDesignationNeeded;
+    }
+  };
+
   // Recovery tracking: the largest single failure group (one independent
   // failure or one domain outage's members) by discarded tokens; the loop
   // then watches for the first instant both queues are empty again.
@@ -566,6 +845,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         S.p_pass_started[i] = t;
         S.p_pass_duration[i] = duration;
         events.Push({t + duration, ServeEventKind::kPrefillDone, i, S.p_epoch[i]});
+        S.prefill_ends.Add(t + duration);
       }
     }
   };
@@ -625,7 +905,32 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       S.d_step_duration[i] = duration;
       S.d_busy_time[i] += duration;
       S.d_batch_time_product[i] += batch * duration;
-      events.Push({t + duration, ServeEventKind::kDecodeStepDone, i, S.d_epoch[i]});
+      // Plan the run up to the first completion; a single step instead
+      // when the instance could admit and work is waiting or due in it.
+      int steps = 1;
+      double end = t + duration;
+      bool could_admit = !(S.d_state[i] & kDraining) && batch < max_batch;
+      if (!could_admit ||
+          (decode_queue.empty() && !S.prefill_ends.AnyEndBy(now, end))) {
+        if (exact_slots) {
+          const std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
+          steps = *std::min_element(remaining.begin(), remaining.end());
+        } else {
+          steps = static_cast<int>((S.d_heap[static_cast<size_t>(i)].front() >>
+                                    kCompletionClassBits) -
+                                   S.d_step_count[i]);
+        }
+        for (int k = 1; k < steps; ++k) {
+          end += duration;
+        }
+        S.d_macro_charged[i] = 1;
+        S.d_macro_done[i] = 0;
+        if (could_admit && steps > 1) {
+          set_cuttable(i, true);
+        }
+      }
+      S.d_macro_steps[i] = steps;
+      events.Push({end, ServeEventKind::kDecodeStepDone, i, S.d_step_seq[i]});
     }
   };
 
@@ -694,6 +999,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
           S.d_state[i] |= kDraining;
           sync_d_ready(i);
           S.d_drain_reason[i] = reason;
+          drop_cuttable(i);
         }
         return;
       }
@@ -786,10 +1092,13 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     int killed = static_cast<int>(remaining.size());
     double lost = 0.0;
     if (S.d_state[i] & kBusy) {
+      // The caller settled the run: d_step_started is the step in progress.
       double unfinished = S.d_step_started[i] + S.d_step_duration[i] - now;
       S.d_busy_time[i] -= unfinished;
       S.d_batch_time_product[i] -= static_cast<double>(remaining.size()) * unfinished;
       S.d_state[i] &= static_cast<uint8_t>(~kBusy);
+      ++S.d_step_seq[i];  // stales the run's end event
+      drop_cuttable(i);
     }
     for (size_t s = 0; s < remaining.size(); ++s) {
       int req = request_index[s];
@@ -850,6 +1159,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     for (size_t i = 0; i < S.d_state.size(); ++i) {
       if (!(S.d_state[i] & (kInactive | kDraining | kDown))) {
         ++live_decode;
+      }
+      if (S.d_state[i] & kBusy) {
+        // Steps starting at this instant already started in step order.
+        charge_decode(static_cast<int>(i), now, /*inclusive=*/true);
       }
       decode_busy += S.d_busy_time[i];
     }
@@ -1076,6 +1389,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
 
     ServeEvent event = events.Pop();
+    ++metrics.events_popped;
     now = event.time_s;
 
     // Hot kinds first: completions are the vast majority of a long
@@ -1084,39 +1398,26 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     // kind, so it cannot affect processing order.
     if (event.kind == ServeEventKind::kDecodeStepDone) {
       int i = event.instance;
-      if (faults_enabled && event.epoch != S.d_epoch[i]) {
-        continue;  // the step was killed by a failure before it finished
+      if (event.epoch != S.d_step_seq[i]) {
+        continue;  // the run was cut short, or killed by a failure
       }
       progress_now = now;
-      metrics.tbt_s.Add(S.d_step_duration[i]);
+      // The run's last step ends now: charge and emit what no tick, cut or
+      // settle did yet.
+      int k = 1;
+      if (S.d_macro_steps[i] > 1) {
+        charge_decode(i, now, /*inclusive=*/true);
+        set_cuttable(i, false);
+        k = S.d_macro_steps[i] - S.d_macro_done[i];
+      }
+      emit_decode_steps(i, k);
       S.d_state[i] &= static_cast<uint8_t>(~kBusy);
       sync_d_ready(i);
       if (exact_slots) {
         std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
         std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-        // Every active sequence emitted one token this step.
-        metrics.output_tokens += static_cast<double>(remaining.size());
-        if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
-          metrics.degraded_output_tokens += static_cast<double>(remaining.size());
-        }
-        if (track_classes) {
-          // Each active sequence of a class experienced this step's duration
-          // as one inter-token gap: one weighted histogram add per class.
-          std::fill(S.step_class_counts.begin(), S.step_class_counts.end(), 0);
-          for (int req : request_index) {
-            ++S.step_class_counts[static_cast<size_t>(class_of(req))];
-          }
-          for (size_t c = 0; c < S.step_class_counts.size(); ++c) {
-            if (S.step_class_counts[c] > 0) {
-              metrics.per_class[c].tbt_s.Add(S.d_step_duration[i],
-                                             S.step_class_counts[c]);
-              metrics.per_class[c].output_tokens +=
-                  static_cast<double>(S.step_class_counts[c]);
-            }
-          }
-        }
         for (size_t s = 0; s < remaining.size();) {
-          if (--remaining[s] == 0) {
+          if ((remaining[s] -= k) == 0) {
             ++metrics.completed_requests;
             if (track_classes) {
               ++metrics.per_class[static_cast<size_t>(class_of(request_index[s]))]
@@ -1144,20 +1445,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
           retire_decode(i, S.d_drain_reason[i]);
         }
       } else {
-        metrics.output_tokens += static_cast<double>(S.d_active_count[i]);
-        if (track_classes) {
-          const int* active = &S.class_active[static_cast<size_t>(i) * ncls];
-          for (size_t c = 0; c < ncls; ++c) {
-            if (active[c] > 0) {
-              metrics.per_class[c].tbt_s.Add(S.d_step_duration[i],
-                                             static_cast<size_t>(active[c]));
-              metrics.per_class[c].output_tokens += static_cast<double>(active[c]);
-            }
-          }
-        }
         // Sequences whose remaining count just hit zero are exactly the
         // completion-heap entries at the new step count.
-        uint64_t done_step = ++S.d_step_count[i];
+        uint64_t done_step = (S.d_step_count[i] += static_cast<uint64_t>(k));
         std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
         while (!heap.empty() && (heap.front() >> kCompletionClassBits) == done_step) {
           std::pop_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
@@ -1182,7 +1472,15 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
           retire_decode(i, S.d_drain_reason[i]);
         }
       }
-      try_start_decode_step(now);
+      // Only this instance became ready: every other ready instance is idle
+      // with nothing to admit, since each handoff to the decode queue is
+      // offered to every ready instance at once.
+      if (!(S.d_state[i] & (kDown | kInactive))) {
+        try_start_decode_step_at(now, i);
+      }
+      if (designated == i) {
+        redesignate();
+      }
       continue;
     }
     if (event.kind == ServeEventKind::kPrefillDone) {
@@ -1191,6 +1489,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         continue;  // the pass was killed by a failure before it finished
       }
       progress_now = now;
+      bool refill = decode_queue.empty();
       std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
       for (int req : slots) {
         // A retried request's first token was delivered by its first
@@ -1214,11 +1513,15 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       }
       try_start_prefill(now);
       try_start_decode_step(now);
+      if (refill && cuttable_runs > 0) {
+        redesignate();
+      }
       continue;
     }
 
     if (event.kind == ServeEventKind::kAutoscaleTick) {
       autoscale_tick();
+      ensure_designation();  // a drain may have taken the designated run
       continue;
     }
     if (event.kind == ServeEventKind::kPrefillFail ||
@@ -1233,7 +1536,9 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         if (is_prefill) {
           fail_prefill(event.instance, /*domain=*/-1);
         } else {
+          settle_decode(event.instance);
           fail_decode(event.instance, /*domain=*/-1);
+          ensure_designation();
         }
         note_outage(metrics.lost_tokens - lost_before);
         // Retried victims queue for prefill; surviving instances pick
@@ -1263,9 +1568,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         if (is_prefill) {
           fail_prefill(i, d);
         } else {
+          settle_decode(i);
           fail_decode(i, d);
         }
       }
+      ensure_designation();
       note_outage(metrics.lost_tokens - lost_before);
       schedule_next_domain_failure(is_prefill ? ScalePool::kPrefill : ScalePool::kDecode,
                                    d, now);
@@ -1291,8 +1598,13 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
         S.p_degrade_mult[i] = degraded.multiplier;
         S.p_degrade_since[i] = now;
       } else {
+        // Steps ending before now ran healthy; the next one starts slowed.
+        settle_decode(i);
         S.d_degrade_mult[i] = degraded.multiplier;
         S.d_degrade_since[i] = now;
+        if (S.d_state[i] & kBusy) {
+          cut_decode(i);
+        }
       }
       ++metrics.degrade_windows;
       metrics.fault_events.push_back({now, FaultEventKind::kDegradeStart, pool, i, 0, 0.0,
@@ -1315,7 +1627,11 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       if (is_prefill) {
         close_degrade_prefill(i);
       } else {
+        settle_decode(i);
         close_degrade_decode(i);
+        if (S.d_state[i] & kBusy) {
+          cut_decode(i);
+        }
       }
       ScalePool pool = is_prefill ? ScalePool::kPrefill : ScalePool::kDecode;
       metrics.fault_events.push_back({now, FaultEventKind::kDegradeEnd, pool, i, 0, 0.0,
@@ -1578,6 +1894,7 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
     merged.prefill_degraded_instance_s += m.prefill_degraded_instance_s;
     merged.decode_degraded_instance_s += m.decode_degraded_instance_s;
     merged.degraded_output_tokens += m.degraded_output_tokens;
+    merged.events_popped += m.events_popped;
     for (size_t c = 0; c < merged.per_class.size() && c < m.per_class.size(); ++c) {
       ServeClassMetrics& out = merged.per_class[c];
       const ServeClassMetrics& in = m.per_class[c];

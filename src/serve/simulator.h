@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "src/perf/step_table.h"
@@ -216,6 +217,10 @@ struct ServeMetrics {
   // the regression guard that long horizons keep O(rate * window) entries,
   // not O(admitted requests). 0 unless the predictive path ran.
   size_t peak_demand_entries = 0;
+  // Event-queue pops, stale ones included — the cost counter behind the
+  // decode macro-step gate (fewer pops than decode steps). Summed by the
+  // shard merge; never emitted in a report.
+  uint64_t events_popped = 0;
 };
 
 // Runs the event loop with step times served from the dense table — a

@@ -83,8 +83,17 @@ double SampleSet::Quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
+namespace {
+constexpr double kFixedSumScale = 0x1p44;  // fixed-point sum units per 1.0
+constexpr double kFixedSumLimit = 0x1p19;  // larger samples sum loosely
+}  // namespace
+
 LatencyHistogram::LatencyHistogram(double hi, size_t bins)
     : hi_(hi > 0.0 ? hi : 1.0), counts_(bins == 0 ? 1 : bins, 0) {}
+
+double LatencyHistogram::sum() const {
+  return static_cast<double>(fixed_sum_) / kFixedSumScale + loose_sum_;
+}
 
 void LatencyHistogram::Add(double x) { Add(x, 1); }
 
@@ -99,7 +108,12 @@ void LatencyHistogram::Add(double x, size_t n) {
     max_ = std::max(max_, x);
   }
   count_ += n;
-  sum_ += x * static_cast<double>(n);
+  if (std::fabs(x) < kFixedSumLimit) {
+    fixed_sum_ += static_cast<FixedSum>(static_cast<int64_t>(x * kFixedSumScale)) *
+                  static_cast<FixedSum>(n);
+  } else {
+    loose_sum_ += x * static_cast<double>(n);
+  }
   if (x >= hi_) {
     overflow_ += n;
     return;
@@ -193,7 +207,8 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
   }
   overflow_ += other.overflow_;
   count_ += other.count_;
-  sum_ += other.sum_;
+  fixed_sum_ += other.fixed_sum_;
+  loose_sum_ += other.loose_sum_;
 }
 
 Histogram::Histogram(double lo, double hi, size_t buckets)

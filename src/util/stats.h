@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,25 +63,32 @@ class SampleSet {
 // many samples stream through, unlike SampleSet's O(samples) storage. Bins
 // are fixed-width over [0, hi); samples at or above `hi` land in an
 // overflow bucket whose quantiles report the tracked exact maximum. Count,
-// sum/mean, min, and max are exact; Quantile() interpolates inside the
-// containing bin, so it is within one bin width of the exact sample
-// quantile. Used for the serving simulator's per-step TBT distribution,
-// whose sample count is O(simulated tokens).
+// min, and max are exact; Quantile() interpolates inside the containing
+// bin, so it is within one bin width of the exact sample quantile. Used
+// for the serving simulator's per-step TBT distribution, whose sample
+// count is O(simulated tokens).
+//
+// The sum accumulates in 128-bit fixed point (units of 2^-44), so it does
+// not depend on the order samples arrive in: Add(x, n * r) equals r calls
+// of Add(x, n) bit for bit, and a simulator that emits a run of identical
+// decode steps in one call matches one that emits them step by step, in
+// whatever interleaving with other instances. Each sample is truncated
+// toward zero to a multiple of 2^-44 (~5.7e-14) first; magnitudes of 2^19
+// and beyond (and non-finite samples) fall back to a plain double sum.
 class LatencyHistogram {
  public:
   explicit LatencyHistogram(double hi = 1.0, size_t bins = 16384);
 
   void Add(double x);
-  // Adds `n` identical samples in O(1) — the per-class TBT accounting adds
-  // one decode-step duration per active sequence of the class, so a step
-  // with k sequences is one weighted add instead of k.
+  // Adds `n` identical samples in O(1) — a decode step with k sequences is
+  // one weighted add instead of k, and r identical steps one add of k * r.
   void Add(double x, size_t n);
 
   size_t count() const { return count_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  double mean() const { return count_ ? sum() / static_cast<double>(count_) : 0.0; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
+  double sum() const;
   // The quantile error bound: width of one bin.
   double bin_width() const { return hi_ / static_cast<double>(counts_.size()); }
 
@@ -112,7 +120,9 @@ class LatencyHistogram {
   std::vector<size_t> counts_;
   size_t overflow_ = 0;  // samples >= hi_
   size_t count_ = 0;
-  double sum_ = 0.0;
+  __extension__ typedef __int128 FixedSum;
+  FixedSum fixed_sum_ = 0;  // in-range samples, units of 2^-44
+  double loose_sum_ = 0.0;  // samples of magnitude >= 2^19 or non-finite
   double min_ = 0.0;
   double max_ = 0.0;
 };

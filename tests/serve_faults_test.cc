@@ -18,6 +18,7 @@
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
+#include "tests/serve_identity.h"
 
 namespace litegpu {
 namespace {
@@ -279,26 +280,8 @@ TEST(SimulatorFaults, FaultLogBitIdenticalToReferenceCore) {
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
   ServeMetrics a = RunServeSimulation(requests, config, table);
   ServeMetrics b = RunServeSimulationReference(requests, config, table);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.retried_requests, b.retried_requests);
-  EXPECT_EQ(a.dropped_requests, b.dropped_requests);
-  EXPECT_EQ(a.lost_tokens, b.lost_tokens);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.prefill_fault_downtime_s, b.prefill_fault_downtime_s);
-  EXPECT_EQ(a.decode_fault_downtime_s, b.decode_fault_downtime_s);
-  ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
-  for (size_t i = 0; i < a.fault_events.size(); ++i) {
-    const FaultEvent& x = a.fault_events[i];
-    const FaultEvent& y = b.fault_events[i];
-    EXPECT_EQ(x.time_s, y.time_s) << i;
-    EXPECT_EQ(x.kind, y.kind) << i;
-    EXPECT_EQ(x.pool, y.pool) << i;
-    EXPECT_EQ(x.instance, y.instance) << i;
-    EXPECT_EQ(x.killed_requests, y.killed_requests) << i;
-    EXPECT_EQ(x.lost_tokens, y.lost_tokens) << i;
-    EXPECT_EQ(x.spares_free, y.spares_free) << i;
-  }
+  EXPECT_GT(a.retried_requests, 0) << "the churn never killed a batch";
+  ExpectBitIdentical(a, b);
 }
 
 // --- correlated failure domains ---
@@ -399,35 +382,8 @@ TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalToReferenceCore) {
   config.shedding.max_queue_depth = 8;
   ServeMetrics a = RunServeSimulation(requests, config, table);
   ServeMetrics b = RunServeSimulationReference(requests, config, table);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.shed_requests, b.shed_requests);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.prefill_degraded_instance_s, b.prefill_degraded_instance_s);
-  EXPECT_EQ(a.decode_degraded_instance_s, b.decode_degraded_instance_s);
-  EXPECT_EQ(a.degrade_windows, b.degrade_windows);
-  EXPECT_EQ(a.degraded_output_tokens, b.degraded_output_tokens);
-  EXPECT_EQ(a.largest_outage_time_s, b.largest_outage_time_s);
-  EXPECT_EQ(a.time_to_drain_s, b.time_to_drain_s);
-  ASSERT_EQ(a.fault_events.size(), b.fault_events.size());
-  for (size_t i = 0; i < a.fault_events.size(); ++i) {
-    const FaultEvent& x = a.fault_events[i];
-    const FaultEvent& y = b.fault_events[i];
-    EXPECT_EQ(x.time_s, y.time_s) << i;
-    EXPECT_EQ(x.kind, y.kind) << i;
-    EXPECT_EQ(x.pool, y.pool) << i;
-    EXPECT_EQ(x.instance, y.instance) << i;
-    EXPECT_EQ(x.domain, y.domain) << i;
-    EXPECT_EQ(x.killed_requests, y.killed_requests) << i;
-    EXPECT_EQ(x.lost_tokens, y.lost_tokens) << i;
-    EXPECT_EQ(x.spares_free, y.spares_free) << i;
-  }
-  ASSERT_EQ(a.shed_events.size(), b.shed_events.size());
-  for (size_t i = 0; i < a.shed_events.size(); ++i) {
-    EXPECT_EQ(a.shed_events[i].time_s, b.shed_events[i].time_s) << i;
-    EXPECT_EQ(a.shed_events[i].request, b.shed_events[i].request) << i;
-    EXPECT_EQ(a.shed_events[i].reason, b.shed_events[i].reason) << i;
-  }
+  EXPECT_GT(a.degrade_windows, 0) << "no degrade window opened";
+  ExpectBitIdentical(a, b);
 }
 
 // --- degraded states ---

@@ -8,6 +8,7 @@
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
+#include "tests/serve_identity.h"
 
 namespace litegpu {
 namespace {
@@ -407,45 +408,6 @@ TEST(Simulator, EmptyConfigReturnsEmptyMetrics) {
   EXPECT_EQ(m.completed_requests, 0);
 }
 
-void ExpectBitIdentical(const ServeMetrics& a, const ServeMetrics& b) {
-  EXPECT_EQ(a.admitted_requests, b.admitted_requests);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.decode_tokens_per_s, b.decode_tokens_per_s);
-  EXPECT_EQ(a.prefill_utilization, b.prefill_utilization);
-  EXPECT_EQ(a.decode_utilization, b.decode_utilization);
-  EXPECT_EQ(a.mean_decode_batch, b.mean_decode_batch);
-  ASSERT_EQ(a.ttft_s.count(), b.ttft_s.count());
-  EXPECT_EQ(a.tbt_s.count(), b.tbt_s.count());
-  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(a.ttft_s.Quantile(q), b.ttft_s.Quantile(q)) << q;
-    EXPECT_EQ(a.tbt_s.Quantile(q), b.tbt_s.Quantile(q)) << q;
-  }
-  ASSERT_EQ(a.per_class.size(), b.per_class.size());
-  for (size_t c = 0; c < a.per_class.size(); ++c) {
-    EXPECT_EQ(a.per_class[c].completed_requests, b.per_class[c].completed_requests);
-    EXPECT_EQ(a.per_class[c].output_tokens, b.per_class[c].output_tokens);
-    EXPECT_EQ(a.per_class[c].ttft_s.Quantile(0.95), b.per_class[c].ttft_s.Quantile(0.95));
-    EXPECT_EQ(a.per_class[c].tbt_s.Quantile(0.99), b.per_class[c].tbt_s.Quantile(0.99));
-  }
-  EXPECT_EQ(a.prefill_instance_seconds, b.prefill_instance_seconds);
-  EXPECT_EQ(a.decode_instance_seconds, b.decode_instance_seconds);
-  EXPECT_EQ(a.peak_prefill_instances, b.peak_prefill_instances);
-  EXPECT_EQ(a.peak_decode_instances, b.peak_decode_instances);
-  EXPECT_EQ(a.final_prefill_instances, b.final_prefill_instances);
-  EXPECT_EQ(a.final_decode_instances, b.final_decode_instances);
-  ASSERT_EQ(a.scale_events.size(), b.scale_events.size());
-  for (size_t i = 0; i < a.scale_events.size(); ++i) {
-    EXPECT_EQ(a.scale_events[i].time_s, b.scale_events[i].time_s) << i;
-    EXPECT_EQ(a.scale_events[i].pool, b.scale_events[i].pool) << i;
-    EXPECT_EQ(a.scale_events[i].delta, b.scale_events[i].delta) << i;
-    EXPECT_EQ(a.scale_events[i].instances_after, b.scale_events[i].instances_after) << i;
-    EXPECT_EQ(a.scale_events[i].reason, b.scale_events[i].reason) << i;
-  }
-}
-
 TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
   // The rebuilt core (calendar queue, SoA hot state, completion-heap
   // decode scheduling) against the preserved reference implementation on
@@ -496,6 +458,102 @@ TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
   ServeMetrics b = RunServeSimulationReference(burst_requests, scaled, table);
   EXPECT_GT(a.scale_events.size(), 0u) << "the burst never moved the pools";
   ExpectBitIdentical(a, b);
+}
+
+// --- exact ties ---
+
+// Dyadic step times — decode 1/64 s (1/32 s past batch 8), prefill
+// multiples of 1/16 s — so every simulated time is exact in binary and
+// decode step boundaries land exactly on prefill completions and on
+// autoscaler ticks. Those are the instants where the core's decode
+// macro-steps must agree with the reference's step-by-step loop: a handoff
+// at t is admitted by a step ending at t, and a tick at t sees the step
+// starting at t charged.
+StepTimeTable DyadicTable() {
+  std::vector<double> prefill = {1.0 / 16, 2.0 / 16, 2.0 / 16, 3.0 / 16};
+  std::vector<double> decode;
+  for (int b = 1; b <= 16; ++b) {
+    decode.push_back(b <= 8 ? 1.0 / 64 : 2.0 / 64);
+  }
+  return StepTimeTable(std::move(prefill), std::move(decode));
+}
+
+// Arrivals on a 1/16 s grid (often two per grid point), bursty: dense for
+// the first third, sparse after. Output lengths 1..61 tokens, two classes.
+std::vector<Request> GridRequests(int n) {
+  std::vector<Request> requests;
+  int tick = 0;
+  for (int i = 0; i < n; ++i) {
+    tick += (i < n / 3) ? (i % 2) : 1 + (i % 5);
+    Request r;
+    r.id = i;
+    r.class_id = i % 2;
+    r.arrival_s = tick / 16.0;
+    r.prompt_tokens = 512;
+    r.output_tokens = 1 + (i * 37) % 61;
+    requests.push_back(r);
+  }
+  return requests;
+}
+
+TEST(Simulator, ExactTiesBitIdenticalToReferenceCore) {
+  StepTimeTable table = DyadicTable();
+  std::vector<Request> requests = GridRequests(900);
+
+  ServeClusterConfig plain;
+  plain.prefill_instances = 2;
+  plain.decode_instances = 3;
+  plain.num_classes = 2;
+  {
+    SCOPED_TRACE("plain");
+    ServeMetrics a = RunServeSimulation(requests, plain, table);
+    ExpectBitIdentical(a, RunServeSimulationReference(requests, plain, table));
+    // The tie regime still macro-steps: fewer queue pops than decode steps.
+    EXPECT_LT(a.events_popped, a.tbt_s.count());
+  }
+
+  // Autoscaled, 2 s ticks: a sweep of utilization thresholds so some
+  // decision sits on the margin a mischarged tick would flip.
+  for (double up : {0.5, 0.6, 0.7, 0.8, 0.9}) {
+    SCOPED_TRACE(up);
+    ServeClusterConfig scaled = plain;
+    scaled.decode_instances = 1;
+    scaled.autoscaler.enabled = true;
+    scaled.autoscaler.interval_s = 2.0;
+    scaled.autoscaler.delay_s = 1.0;
+    scaled.autoscaler.max_prefill_instances = 4;
+    scaled.autoscaler.max_decode_instances = 6;
+    scaled.autoscaler.scale_up_utilization = up;
+    scaled.autoscaler.scale_down_utilization = up - 0.3;
+    scaled.autoscaler.prefill_tokens_per_s = 20000.0;
+    scaled.autoscaler.decode_tokens_per_s = 2000.0;
+    ServeMetrics a = RunServeSimulation(requests, scaled, table);
+    EXPECT_GT(a.scale_events.size(), 0u);
+    ExpectBitIdentical(a, RunServeSimulationReference(requests, scaled, table));
+  }
+
+  // Faults plus degraded states (multiplier 2 keeps step times dyadic).
+  ServeClusterConfig faulty = plain;
+  faulty.decode_instances = 4;
+  faulty.horizon_s = requests.back().arrival_s;
+  faulty.faults.enabled = true;
+  faulty.faults.prefill_failure_rate_per_s = 0.1;
+  faulty.faults.decode_failure_rate_per_s = 0.3;
+  faulty.faults.repair_s = 1.0;
+  faulty.faults.spare_activation_s = 0.25;
+  faulty.faults.decode_spares = 1;
+  faulty.faults.degraded.decode_rate_per_s = 0.3;
+  faulty.faults.degraded.prefill_rate_per_s = 0.1;
+  faulty.faults.degraded.multiplier = 2.0;
+  faulty.faults.degraded.mean_duration_s = 1.0;
+  faulty.faults.seed = FaultSubstreamSeed(7);
+  {
+    SCOPED_TRACE("faults + degrade");
+    ServeMetrics a = RunServeSimulation(requests, faulty, table);
+    EXPECT_GT(a.retried_requests, 0);
+    EXPECT_GT(a.degrade_windows, 0);
+    ExpectBitIdentical(a, RunServeSimulationReference(requests, faulty, table));
+  }
 }
 
 }  // namespace

@@ -229,6 +229,49 @@ TEST(LatencyHistogram, MergeMatchesStreamingEverySampleThroughOne) {
   EXPECT_DOUBLE_EQ(a.Quantile(0.5), before);
 }
 
+TEST(LatencyHistogram, BulkAddMatchesRepeatedWeightedAddsBitForBit) {
+  // A decode macro-step of r identical steps lands as one Add(x, n * r);
+  // it must be indistinguishable from r step-by-step Add(x, n) calls,
+  // wherever other samples interleave.
+  LatencyHistogram bulk(/*hi=*/0.05, /*bins=*/64);
+  LatencyHistogram stepwise(/*hi=*/0.05, /*bins=*/64);
+  const double xs[] = {0.0123456789, 0.007, 1.0 / 3.0, 0.049999, 0.0311};
+  const size_t ns[] = {3, 64, 1, 17, 250};
+  const size_t rounds[] = {41, 2, 1000, 7, 13};
+  for (int i = 0; i < 5; ++i) {
+    bulk.Add(xs[i], ns[i] * rounds[i]);
+  }
+  for (int i = 4; i >= 0; --i) {  // the other order, one round at a time
+    for (size_t r = 0; r < rounds[i]; ++r) {
+      stepwise.Add(xs[i], ns[i]);
+      stepwise.Add(0.002);  // an interleaved sample from another instance
+    }
+  }
+  for (int i = 0; i < 5; ++i) {
+    for (size_t r = 0; r < rounds[i]; ++r) {
+      bulk.Add(0.002);
+    }
+  }
+  EXPECT_EQ(bulk.count(), stepwise.count());
+  EXPECT_EQ(bulk.sum(), stepwise.sum());
+  EXPECT_EQ(bulk.mean(), stepwise.mean());
+  EXPECT_EQ(bulk.min(), stepwise.min());
+  EXPECT_EQ(bulk.max(), stepwise.max());
+  // Overflow (1/3 >= hi) and every bin, through the cumulative counts.
+  for (double x : {0.0, 0.002, 0.01, 0.03, 0.0499, 0.05, 0.2, 1.0 / 3.0}) {
+    EXPECT_EQ(bulk.CountAtOrBelow(x), stepwise.CountAtOrBelow(x)) << x;
+  }
+  for (int q = 0; q <= 100; ++q) {
+    EXPECT_EQ(bulk.Quantile(q / 100.0), stepwise.Quantile(q / 100.0)) << q;
+  }
+  // The fixed-point sum truncates each sample to a multiple of 2^-44, so
+  // it stays within ~6e-14 per sample of the exact total.
+  EXPECT_NEAR(bulk.sum(),
+              0.0123456789 * 123 + 0.007 * 128 + 1000.0 / 3.0 + 0.049999 * 119 +
+                  0.0311 * 3250 + 0.002 * 1063,
+              1e-9);
+}
+
 TEST(Histogram, BucketsAndClamping) {
   Histogram h(0.0, 10.0, 10);
   h.Add(0.5);
