@@ -20,6 +20,8 @@
 //      point (on/off bursts + reactive policy), a fault-injected point
 //      (accelerated churn, hot spares, retries), and a chaos point
 //      (failure domains + degraded states + shedding on top of the churn).
+//      The two fault points draw varied output lengths, so a core that
+//      requeued a failed instance's victims in another order would fail.
 //      Each point also reports the new core's event-queue pops per decode
 //      step; decode macro-steps (one event per batch change) must keep the
 //      autoscaled and chaos points below one pop per step, gated.
@@ -254,7 +256,13 @@ int main(int argc, char** argv) {
 
   // A fault-injected point: accelerated churn (the serve_faulty.json
   // regime) — several failures per pool over the minute, hot spares
-  // masking some, killed batches retried.
+  // masking some, killed batches retried. Its workload draws lognormal
+  // output lengths: with one constant length every request is
+  // interchangeable, and the order a failed instance requeues its victims
+  // in could not show in any metric.
+  WorkloadSpec varied = spec;
+  varied.output_sigma = 0.3;
+  std::vector<Request> varied_requests = GenerateWorkload(varied);
   ServeClusterConfig faulty = cluster;
   // Failures inject over the admission horizon only; leaving the default
   // (effectively infinite) horizon would reschedule failures forever.
@@ -267,8 +275,8 @@ int main(int argc, char** argv) {
   faulty.faults.prefill_spares = 1;
   faulty.faults.decode_spares = 1;
   faulty.faults.seed = FaultSubstreamSeed(0xC0FFEE);
-  ServeMetrics faulty_new = RunServeSimulation(requests, faulty, table);
-  ServeMetrics faulty_ref = RunServeSimulationReference(requests, faulty, table);
+  ServeMetrics faulty_new = RunServeSimulation(varied_requests, faulty, table);
+  ServeMetrics faulty_ref = RunServeSimulationReference(varied_requests, faulty, table);
   bool ref_faulty_identical = !faulty_new.fault_events.empty() &&
                               FaultLogsIdentical(faulty_ref, faulty_new) &&
                               MetricsIdentical(faulty_ref, faulty_new);
@@ -293,8 +301,8 @@ int main(int argc, char** argv) {
   chaos.faults.degraded.multiplier = 2.0;
   chaos.faults.degraded.mean_duration_s = 2.0;
   chaos.shedding.max_queue_depth = 128;
-  ServeMetrics chaos_new = RunServeSimulation(requests, chaos, table);
-  ServeMetrics chaos_ref = RunServeSimulationReference(requests, chaos, table);
+  ServeMetrics chaos_new = RunServeSimulation(varied_requests, chaos, table);
+  ServeMetrics chaos_ref = RunServeSimulationReference(varied_requests, chaos, table);
   bool chaos_has_domains = false;
   for (const FaultEvent& e : chaos_new.fault_events) {
     if (e.domain >= 0) {

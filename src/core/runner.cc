@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -1114,17 +1115,8 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
   return out;
 }
 
-}  // namespace
-
-RunReport Runner::Run(const Scenario& scenario) const {
-  Scenario s = scenario;
-  if (override_exec_) {
-    s.exec = exec_;
-  }
-  std::string problem = s.Validate();
-  if (!problem.empty()) {
-    return ErrorReport(s, problem);
-  }
+// Dispatches a validated scenario to its study.
+RunReport RunValidated(const Scenario& s) {
   RunReport report;
   report.scenario_name = s.name;
   report.study = s.study;
@@ -1176,6 +1168,28 @@ RunReport Runner::Run(const Scenario& scenario) const {
       break;
   }
   return report;
+}
+
+}  // namespace
+
+RunReport Runner::Run(const Scenario& scenario) const {
+  Scenario s = scenario;
+  if (override_exec_) {
+    s.exec = exec_;
+  }
+  std::string problem = s.Validate();
+  if (!problem.empty()) {
+    return ErrorReport(s, problem);
+  }
+  // A valid scenario can still ask for more memory than the host has (a
+  // huge serve horizon or load sizes the workload before any run starts).
+  try {
+    return RunValidated(s);
+  } catch (const std::bad_alloc&) {
+    return ErrorReport(s, "scenario '" + s.name +
+                              "' ran out of memory: it needs more than this host can "
+                              "allocate; shrink its horizon, load or pool sizes");
+  }
 }
 
 std::vector<RunReport> RunScenarios(const std::vector<Scenario>& scenarios,

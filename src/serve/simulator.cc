@@ -16,25 +16,28 @@
 //  * Decode macro-steps: one event per batch change, not one per step. A
 //    decode instance's batch cannot change between its step boundaries
 //    unless a sequence completes, it admits from the decode queue, a
-//    degrade transition changes its step time, or it fails. So a step
-//    starting at t plans a run of R steps up to its first completion — the
-//    completion heap's top (faults off) or min(remaining) (fault runs'
-//    exact slot arrays, kept because a failure's requeue order depends on
-//    their swap-remove permutation) — and schedules one event at the run's
-//    end, computed by R repeated `+= step` additions so every boundary is
-//    the per-step loop's bit for bit. At the run's end the R steps land in
-//    bulk: one weighted TBT add of batch * R (the histogram sum is exact
-//    fixed point, so grouping cannot change it), tokens += batch * R,
-//    remaining -= R. Busy time stays one addition per step in step order,
-//    charged lazily: steps starting at or before an autoscaler tick, and
-//    before a cut or failure. Runs end early at boundaries that must be
-//    real: an instance that could admit plans R = 1 when the decode queue
-//    is non-empty or an in-flight prefill pass ends within its first step;
-//    when a prefill pass refills the empty decode queue, one designated run
-//    (the cuttable one whose next boundary at or after now comes first) is
-//    cut to that boundary; degrade transitions and failures first emit
-//    every boundary before now, then cut or kill the run. Cut and killed
-//    runs' events go stale through the per-instance step sequence.
+//    degrade transition changes its step time, or it fails. Every run,
+//    faulty or not, keeps an instance's sequences on one completion heap
+//    ordered by (finish step, request index). So a step starting at t
+//    plans a run of R steps up to its first completion, the heap's top,
+//    and schedules one event at the run's end, computed by R repeated
+//    `+= step` additions so every boundary is the per-step loop's bit for
+//    bit. At the run's end the R steps land in bulk: one weighted TBT add
+//    of batch * R (the histogram sum is exact fixed point, so grouping
+//    cannot change it), tokens += batch * R, step count += R (a sequence's
+//    remaining tokens are its finish step minus that count, so no
+//    per-sequence counter moves). Busy time stays one addition per step
+//    in step order, charged lazily: steps starting at or before an
+//    autoscaler tick, and before a cut or failure. Runs end early at
+//    boundaries that must be real: an instance that could admit plans
+//    R = 1 when the decode queue is non-empty or an in-flight prefill pass
+//    ends within its first step; when a prefill pass refills the empty
+//    decode queue, one designated run (the cuttable one whose next
+//    boundary at or after now comes first) is cut to that boundary;
+//    degrade transitions and failures first emit every boundary before
+//    now, then cut or kill the run. A killed run's sequences requeue in
+//    ascending request index, oldest first. Cut and killed runs' events go
+//    stale through the per-instance step sequence.
 
 #include "src/serve/simulator.h"
 
@@ -163,13 +166,21 @@ class PassEnds {
   double ahead_ = 0.0;  // a pass end, ahead of the last query while > now
 };
 
-// Packed decode completion: (finish_step << 16) | class. finish_step is
-// the instance step count at which the sequence emits its last token;
-// class rides along for per-class completion accounting. Plain uint64
-// ordering puts the earliest finish first (ties tie on class, which is
-// fine — all per-completion metric updates commute within a step).
-constexpr int kCompletionClassBits = 16;
-constexpr uint64_t kCompletionClassMask = (1ULL << kCompletionClassBits) - 1;
+// A decode sequence on its instance's completion heap. finish_step is the
+// instance step count at which it emits its last token; class rides along
+// for per-class accounting. The heap orders by (finish_step, request), so
+// its top is the earliest finish.
+struct Completion {
+  uint64_t finish_step;
+  int request;
+  int cls;
+};
+// Heap comparator (std::push_heap keeps the greatest on top): the later
+// completion is "less", so the earliest sits at the front.
+bool LaterCompletion(const Completion& a, const Completion& b) {
+  return a.finish_step != b.finish_step ? a.finish_step > b.finish_step
+                                        : a.request > b.request;
+}
 
 // Per-point scratch, reused across runs on the same thread so sweep points
 // and shards stop churning the allocator: vectors are cleared, not freed.
@@ -206,20 +217,16 @@ struct SimScratch {
   // is charged at its start and emitted at its end.
   std::vector<int> d_macro_steps, d_macro_charged, d_macro_done;
   std::vector<int> d_step_seq;
-  // Fast mode (faults off): completion min-heaps + incremental counts.
+  // Active sequences: the instance's steps so far, its batch size (the
+  // heap's size, kept as a flat count because the hot path reads it every
+  // step), its completion min-heap, and per-class counts of heap entries.
   std::vector<uint64_t> d_step_count;
   std::vector<int> d_active_count;
-  std::vector<std::vector<uint64_t>> d_heap;
+  std::vector<std::vector<Completion>> d_heap;
   std::vector<int> class_active;  // [instance * num_classes + class]
-  // Exact-slot mode (faults on): the reference's parallel slot arrays,
-  // preserved verbatim because failure requeue order depends on the
-  // swap-remove permutation they accumulate.
-  std::vector<std::vector<int>> d_remaining;
-  std::vector<std::vector<int>> d_request_index;
 
   std::vector<uint8_t> ttft_recorded;
   std::vector<int> retry_counts;
-  std::vector<size_t> step_class_counts;
 
   // Ready bitmasks: bit i set iff instance i currently passes the
   // try_start_* status check (prefill: state byte zero; decode: neither
@@ -285,10 +292,6 @@ struct SimScratch {
     if (d_heap.size() < d_state.size()) {
       d_heap.emplace_back();
     }
-    if (d_remaining.size() < d_state.size()) {
-      d_remaining.emplace_back();
-      d_request_index.emplace_back();
-    }
     if (num_classes > 0) {
       class_active.resize(d_state.size() * static_cast<size_t>(num_classes), 0);
     }
@@ -337,21 +340,12 @@ struct SimScratch {
     for (auto& h : d_heap) {
       h.clear();
     }
-    d_remaining.resize(static_cast<size_t>(n_decode));
-    d_request_index.resize(static_cast<size_t>(n_decode));
-    for (auto& r : d_remaining) {
-      r.clear();
-    }
-    for (auto& r : d_request_index) {
-      r.clear();
-    }
     class_active.clear();
     p_ready.clear();
     d_ready.clear();
     d_cuttable.clear();
     ttft_recorded.clear();
     retry_counts.clear();
-    step_class_counts.assign(num_classes > 0 ? static_cast<size_t>(num_classes) : 0, 0);
     for (int i = 0; i < n_prefill; ++i) {
       AddPrefill(0.0);
     }
@@ -375,9 +369,6 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
 
   const size_t nreq = requests.size();
   const bool faults_enabled = config.faults.enabled;
-  // Fault runs keep the reference's exact slot arrays: the requeue order of
-  // a killed batch is the slot order, which earlier swap-removes permuted.
-  const bool exact_slots = faults_enabled;
   const bool stream_ttft = config.stream_ttft;
   // The three robustness axes (all dormant by default): correlated failure
   // domains and degraded states ride on the fault engine; shedding guards
@@ -646,8 +637,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   // in step order, as the per-step loop charged them at each step start.
   auto charge_decode = [&](int i, double t, bool inclusive) {
     const double duration = S.d_step_duration[i];
-    const int batch = exact_slots ? static_cast<int>(S.d_remaining[static_cast<size_t>(i)].size())
-                                  : S.d_active_count[i];
+    const int batch = S.d_active_count[i];
     const int steps = S.d_macro_steps[i];
     int charged = S.d_macro_charged[i];
     double started = S.d_step_started[i];
@@ -665,46 +655,27 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     S.d_step_started[i] = started;
   };
   // Records `k` completed steps of instance i's current batch: TBT samples
-  // and tokens (global, degraded, per class). Remaining counts are the
-  // caller's.
+  // and tokens (global, degraded, per class). Advancing the step count is
+  // the caller's.
   auto emit_decode_steps = [&](int i, int k) {
     const double duration = S.d_step_duration[i];
     const size_t steps = static_cast<size_t>(k);
     // Every active sequence emitted one token per step.
     metrics.tbt_s.Add(duration, steps);
-    if (exact_slots) {
-      const std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-      double tokens = static_cast<double>(request_index.size() * steps);
-      metrics.output_tokens += tokens;
-      if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
-        metrics.degraded_output_tokens += tokens;
-      }
-      if (track_classes) {
-        // Each active sequence of a class experienced every step's
-        // duration as one inter-token gap: one weighted add per class.
-        std::fill(S.step_class_counts.begin(), S.step_class_counts.end(), 0);
-        for (int req : request_index) {
-          ++S.step_class_counts[static_cast<size_t>(class_of(req))];
-        }
-        for (size_t c = 0; c < S.step_class_counts.size(); ++c) {
-          if (S.step_class_counts[c] > 0) {
-            size_t n = S.step_class_counts[c] * steps;
-            metrics.per_class[c].tbt_s.Add(duration, n);
-            metrics.per_class[c].output_tokens += static_cast<double>(n);
-          }
-        }
-      }
-    } else {
-      metrics.output_tokens +=
-          static_cast<double>(static_cast<size_t>(S.d_active_count[i]) * steps);
-      if (track_classes) {
-        const int* active = &S.class_active[static_cast<size_t>(i) * ncls];
-        for (size_t c = 0; c < ncls; ++c) {
-          if (active[c] > 0) {
-            size_t n = static_cast<size_t>(active[c]) * steps;
-            metrics.per_class[c].tbt_s.Add(duration, n);
-            metrics.per_class[c].output_tokens += static_cast<double>(n);
-          }
+    double tokens = static_cast<double>(static_cast<size_t>(S.d_active_count[i]) * steps);
+    metrics.output_tokens += tokens;
+    if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
+      metrics.degraded_output_tokens += tokens;
+    }
+    if (track_classes) {
+      // Each active sequence of a class experienced every step's duration
+      // as one inter-token gap: one weighted add per class.
+      const int* active = &S.class_active[static_cast<size_t>(i) * ncls];
+      for (size_t c = 0; c < ncls; ++c) {
+        if (active[c] > 0) {
+          size_t n = static_cast<size_t>(active[c]) * steps;
+          metrics.per_class[c].tbt_s.Add(duration, n);
+          metrics.per_class[c].output_tokens += static_cast<double>(n);
         }
       }
     }
@@ -722,13 +693,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       return;
     }
     emit_decode_steps(i, k);
-    if (exact_slots) {
-      for (int& left : S.d_remaining[static_cast<size_t>(i)]) {
-        left -= k;
-      }
-    } else {
-      S.d_step_count[i] += static_cast<uint64_t>(k);
-    }
+    S.d_step_count[i] += static_cast<uint64_t>(k);
     S.d_macro_done[i] += k;
     // The last emitted boundary is the start of the step in progress.
     progress_now = std::max(progress_now, S.d_step_started[i]);
@@ -852,46 +817,30 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
 
   auto try_start_decode_step_at = [&](double t, int i) {
     const int max_batch = table.max_decode_batch();
+    std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
     {
       // Admit waiting sequences at the step boundary (draining instances
       // only finish what they already hold).
       if (!(S.d_state[i] & kDraining)) {
-        if (exact_slots) {
-          std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
-          std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-          while (!decode_queue.empty() && static_cast<int>(remaining.size()) < max_batch) {
-            int req = decode_queue.front();
-            decode_queue.pop_front();
-            remaining.push_back(
-                std::max(1, requests.output_tokens[static_cast<size_t>(req)]));
-            request_index.push_back(req);
-            if (track_qsums) {
-              queued_output_tokens -= requests.output_tokens[static_cast<size_t>(req)];
-            }
+        while (!decode_queue.empty() && S.d_active_count[i] < max_batch) {
+          int req = decode_queue.front();
+          decode_queue.pop_front();
+          uint64_t left = static_cast<uint64_t>(
+              std::max(1, requests.output_tokens[static_cast<size_t>(req)]));
+          int cls = 0;
+          if (track_classes) {
+            cls = class_of(req);
+            ++S.class_active[static_cast<size_t>(i) * ncls + static_cast<size_t>(cls)];
           }
-        } else {
-          std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
-          while (!decode_queue.empty() && S.d_active_count[i] < max_batch) {
-            int req = decode_queue.front();
-            decode_queue.pop_front();
-            uint64_t left = static_cast<uint64_t>(
-                std::max(1, requests.output_tokens[static_cast<size_t>(req)]));
-            uint64_t cls = 0;
-            if (track_classes) {
-              cls = static_cast<uint64_t>(class_of(req));
-              ++S.class_active[static_cast<size_t>(i) * ncls + cls];
-            }
-            heap.push_back(((S.d_step_count[i] + left) << kCompletionClassBits) | cls);
-            std::push_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
-            ++S.d_active_count[i];
-            if (track_qsums) {
-              queued_output_tokens -= requests.output_tokens[static_cast<size_t>(req)];
-            }
+          heap.push_back({S.d_step_count[i] + left, req, cls});
+          std::push_heap(heap.begin(), heap.end(), LaterCompletion);
+          ++S.d_active_count[i];
+          if (track_qsums) {
+            queued_output_tokens -= requests.output_tokens[static_cast<size_t>(req)];
           }
         }
       }
-      int batch = exact_slots ? static_cast<int>(S.d_remaining[static_cast<size_t>(i)].size())
-                              : S.d_active_count[i];
+      int batch = S.d_active_count[i];
       if (batch == 0) {
         return;
       }
@@ -912,14 +861,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       bool could_admit = !(S.d_state[i] & kDraining) && batch < max_batch;
       if (!could_admit ||
           (decode_queue.empty() && !S.prefill_ends.AnyEndBy(now, end))) {
-        if (exact_slots) {
-          const std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
-          steps = *std::min_element(remaining.begin(), remaining.end());
-        } else {
-          steps = static_cast<int>((S.d_heap[static_cast<size_t>(i)].front() >>
-                                    kCompletionClassBits) -
-                                   S.d_step_count[i]);
-        }
+        steps = static_cast<int>(heap.front().finish_step - S.d_step_count[i]);
         for (int k = 1; k < steps; ++k) {
           end += duration;
         }
@@ -970,9 +912,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     metrics.scale_events.push_back({now, ScalePool::kDecode, -1, active_decode, reason});
   };
   auto decode_idle_empty = [&](int i) {
-    bool no_work = exact_slots ? S.d_remaining[static_cast<size_t>(i)].empty()
-                               : S.d_active_count[i] == 0;
-    return no_work && !(S.d_state[i] & kBusy);
+    return S.d_active_count[i] == 0 && !(S.d_state[i] & kBusy);
   };
   // Pick the highest-index live instance: the most recently provisioned
   // capacity leaves first, keeping the initial pool stable.
@@ -1087,34 +1027,37 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       close_degrade_decode(i);
     }
     ++S.d_epoch[i];
-    std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
-    std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-    int killed = static_cast<int>(remaining.size());
+    std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
+    int killed = static_cast<int>(heap.size());
     double lost = 0.0;
     if (S.d_state[i] & kBusy) {
       // The caller settled the run: d_step_started is the step in progress.
       double unfinished = S.d_step_started[i] + S.d_step_duration[i] - now;
       S.d_busy_time[i] -= unfinished;
-      S.d_batch_time_product[i] -= static_cast<double>(remaining.size()) * unfinished;
+      S.d_batch_time_product[i] -= static_cast<double>(heap.size()) * unfinished;
       S.d_state[i] &= static_cast<uint8_t>(~kBusy);
       ++S.d_step_seq[i];  // stales the run's end event
       drop_cuttable(i);
     }
-    for (size_t s = 0; s < remaining.size(); ++s) {
-      int req = request_index[s];
+    // Victims requeue (or drop) oldest first: request index is arrival order.
+    std::sort(heap.begin(), heap.end(),
+              [](const Completion& a, const Completion& b) { return a.request < b.request; });
+    for (const Completion& c : heap) {
       // Generated-so-far tokens die with the KV cache: they are not
       // horizon goodput, so back them out of the token counts.
+      int left = static_cast<int>(c.finish_step - S.d_step_count[i]);
       double generated = static_cast<double>(
-          std::max(1, requests.output_tokens[static_cast<size_t>(req)]) - remaining[s]);
+          std::max(1, requests.output_tokens[static_cast<size_t>(c.request)]) - left);
       lost += generated;
       metrics.output_tokens -= generated;
       if (track_classes) {
-        metrics.per_class[static_cast<size_t>(class_of(req))].output_tokens -= generated;
+        metrics.per_class[static_cast<size_t>(c.cls)].output_tokens -= generated;
+        --S.class_active[static_cast<size_t>(i) * ncls + static_cast<size_t>(c.cls)];
       }
-      requeue_or_drop(req);
+      requeue_or_drop(c.request);
     }
-    remaining.clear();
-    request_index.clear();
+    heap.clear();
+    S.d_active_count[i] = 0;
     metrics.lost_tokens += lost;
     if (S.d_state[i] & kDraining) {
       metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kDecode,
@@ -1291,8 +1234,7 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
     }
     if (!work_left) {
       for (size_t i = 0; i < S.d_state.size(); ++i) {
-        bool has_work = exact_slots ? !S.d_remaining[i].empty() : S.d_active_count[i] > 0;
-        if ((S.d_state[i] & kBusy) || has_work) {
+        if ((S.d_state[i] & kBusy) || S.d_active_count[i] > 0) {
           work_left = true;
           break;
         }
@@ -1413,64 +1355,32 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
       emit_decode_steps(i, k);
       S.d_state[i] &= static_cast<uint8_t>(~kBusy);
       sync_d_ready(i);
-      if (exact_slots) {
-        std::vector<int>& remaining = S.d_remaining[static_cast<size_t>(i)];
-        std::vector<int>& request_index = S.d_request_index[static_cast<size_t>(i)];
-        for (size_t s = 0; s < remaining.size();) {
-          if ((remaining[s] -= k) == 0) {
-            ++metrics.completed_requests;
-            if (track_classes) {
-              ++metrics.per_class[static_cast<size_t>(class_of(request_index[s]))]
-                    .completed_requests;
-            }
-            if (now > config.horizon_s) {
-              // Admitted before the horizon, finished after it: the request
-              // drains but its tail tokens are not horizon goodput.
-              ++metrics.in_flight_at_horizon;
-              if (track_classes) {
-                ++metrics.per_class[static_cast<size_t>(class_of(request_index[s]))]
-                      .in_flight_at_horizon;
-              }
-            }
-            metrics.makespan_s = now;
-            remaining[s] = remaining.back();
-            remaining.pop_back();
-            request_index[s] = request_index.back();
-            request_index.pop_back();
-          } else {
-            ++s;
-          }
+      // Sequences whose remaining count just hit zero are exactly the
+      // completion-heap entries at the new step count.
+      uint64_t done_step = (S.d_step_count[i] += static_cast<uint64_t>(k));
+      std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
+      while (!heap.empty() && heap.front().finish_step == done_step) {
+        size_t cls = static_cast<size_t>(heap.front().cls);
+        std::pop_heap(heap.begin(), heap.end(), LaterCompletion);
+        heap.pop_back();
+        --S.d_active_count[i];
+        ++metrics.completed_requests;
+        if (track_classes) {
+          ++metrics.per_class[cls].completed_requests;
+          --S.class_active[static_cast<size_t>(i) * ncls + cls];
         }
-        if ((S.d_state[i] & kDraining) && remaining.empty()) {
-          retire_decode(i, S.d_drain_reason[i]);
-        }
-      } else {
-        // Sequences whose remaining count just hit zero are exactly the
-        // completion-heap entries at the new step count.
-        uint64_t done_step = (S.d_step_count[i] += static_cast<uint64_t>(k));
-        std::vector<uint64_t>& heap = S.d_heap[static_cast<size_t>(i)];
-        while (!heap.empty() && (heap.front() >> kCompletionClassBits) == done_step) {
-          std::pop_heap(heap.begin(), heap.end(), std::greater<uint64_t>());
-          uint64_t entry = heap.back();
-          heap.pop_back();
-          size_t cls = static_cast<size_t>(entry & kCompletionClassMask);
-          ++metrics.completed_requests;
+        if (now > config.horizon_s) {
+          // Admitted before the horizon, finished after it: the request
+          // drains but its tail tokens are not horizon goodput.
+          ++metrics.in_flight_at_horizon;
           if (track_classes) {
-            ++metrics.per_class[cls].completed_requests;
-            --S.class_active[static_cast<size_t>(i) * ncls + cls];
+            ++metrics.per_class[cls].in_flight_at_horizon;
           }
-          if (now > config.horizon_s) {
-            ++metrics.in_flight_at_horizon;
-            if (track_classes) {
-              ++metrics.per_class[cls].in_flight_at_horizon;
-            }
-          }
-          metrics.makespan_s = now;
-          --S.d_active_count[i];
         }
-        if ((S.d_state[i] & kDraining) && S.d_active_count[i] == 0) {
-          retire_decode(i, S.d_drain_reason[i]);
-        }
+        metrics.makespan_s = now;
+      }
+      if ((S.d_state[i] & kDraining) && S.d_active_count[i] == 0) {
+        retire_decode(i, S.d_drain_reason[i]);
       }
       // Only this instance became ready: every other ready instance is idle
       // with nothing to admit, since each handoff to the decode queue is

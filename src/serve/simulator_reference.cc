@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 namespace litegpu {
@@ -508,13 +509,18 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
           static_cast<double>(inst.remaining.size()) * unfinished;
       inst.stepping = false;
     }
+    // Victims requeue (or drop) oldest first: request index is arrival
+    // order, whatever order earlier completions left the slots in.
+    std::vector<std::pair<int, int>> victims;  // (request index, remaining)
     for (size_t s = 0; s < inst.remaining.size(); ++s) {
-      int req = inst.request_index[s];
+      victims.emplace_back(inst.request_index[s], inst.remaining[s]);
+    }
+    std::sort(victims.begin(), victims.end());
+    for (const auto& [req, remaining] : victims) {
       // Generated-so-far tokens die with the KV cache: they are not
       // horizon goodput, so back them out of the token counts.
       double generated = static_cast<double>(
-          std::max(1, requests[static_cast<size_t>(req)].output_tokens) -
-          inst.remaining[s]);
+          std::max(1, requests[static_cast<size_t>(req)].output_tokens) - remaining);
       lost += generated;
       metrics.output_tokens -= generated;
       if (track_classes) {

@@ -1,4 +1,6 @@
-// The previous serving simulator core, kept verbatim as a golden reference.
+// The previous serving simulator core, kept as a golden reference. Its one
+// change since the rewrite is policy, shared with the production core: a
+// failed decode instance's victims requeue in ascending request index.
 //
 // The production core (simulator.cc) was rebuilt around a calendar event
 // queue, SoA hot state, and an O(completions)-per-step decode scheduler.

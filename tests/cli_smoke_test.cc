@@ -497,6 +497,20 @@ TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
             std::string::npos)
       << inf.stdout_text;
   std::remove(inf_path.c_str());
+#if !defined(__SANITIZE_ADDRESS__)  // ASan's operator new aborts, never throws
+  // A finite but enormous horizon passes validation; running out of memory
+  // is an error report (exit 1), not a std::bad_alloc abort (exit 134).
+  std::string huge_path = ::testing::TempDir() + "litegpu_huge_horizon.json";
+  f = fopen(huge_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("{\"name\": \"huge\", \"study\": \"serve\", \"serve\": {\"horizon_s\": 1e12}}", f);
+  fclose(f);
+  CommandResult huge = RunCommandMergedOutput("run " + huge_path);
+  EXPECT_EQ(huge.exit_code, 1);
+  EXPECT_NE(huge.stdout_text.find("scenario 'huge' ran out of memory"), std::string::npos)
+      << huge.stdout_text;
+  std::remove(huge_path.c_str());
+#endif
 }
 
 }  // namespace

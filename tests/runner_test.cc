@@ -185,6 +185,23 @@ TEST(Runner, ServeStudyFailsCleanlyWhenSloInfeasible) {
   EXPECT_TRUE(std::holds_alternative<std::monostate>(report.payload));
 }
 
+TEST(Runner, OutOfMemoryComesBackAsErrorReport) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "AddressSanitizer's operator new aborts instead of throwing std::bad_alloc";
+#endif
+  // A valid but enormous horizon: workload generation reserves ~2e15 bytes
+  // up front, beyond any 47-bit address space, so the allocation fails at
+  // once instead of paging.
+  ServeKnobs knobs;
+  knobs.horizon_s = 1e12;
+  Scenario s = *ScenarioBuilder(StudyKind::kServe).Name("huge").Serve(knobs).Build();
+  RunReport report = Runner().Run(s);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("scenario 'huge' ran out of memory"), std::string::npos)
+      << report.error;
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(report.payload));
+}
+
 TEST(ExecPolicy, EffectiveThreadsIsTheEmbeddedPolicy) {
   // The PR-2 deprecated `threads` alias fields are gone: the embedded
   // ExecPolicy is the only knob, and EffectiveThreads resolves it directly.

@@ -147,18 +147,24 @@ StepTimeTable SimpleTable() {
   return StepTimeTable(std::move(prefill_s), std::move(decode_s));
 }
 
-std::vector<Request> FixedRequests(int n, double spacing_s, int output_tokens = 32) {
+// Evenly spaced requests whose output lengths cycle through
+// `output_pattern`. Varied lengths make completions permute a decode
+// batch, so a failure's requeue order becomes observable.
+std::vector<Request> FixedRequests(int n, double spacing_s,
+                                   const std::vector<int>& output_pattern = {32}) {
   std::vector<Request> requests;
   for (int i = 0; i < n; ++i) {
     Request r;
     r.id = i;
     r.arrival_s = i * spacing_s;
     r.prompt_tokens = 1500;
-    r.output_tokens = output_tokens;
+    r.output_tokens = output_pattern[static_cast<size_t>(i) % output_pattern.size()];
     requests.push_back(r);
   }
   return requests;
 }
+
+const std::vector<int> kVariedOutputs = {64, 7, 101, 18, 3, 80, 26};
 
 ServeFaultConfig ChurnyFaults(FaultRetryPolicy policy) {
   // Rates high enough that a few-second run sees multiple failures per
@@ -268,11 +274,13 @@ TEST(SimulatorFaults, RetryBudgetFallsBetweenRetryAndDrop) {
 }
 
 TEST(SimulatorFaults, FaultLogBitIdenticalToReferenceCore) {
-  // Fault runs keep the reference's exact slot arrays; the kill/requeue
-  // order, and so the whole fault log, must match it element-wise.
+  // Both cores requeue a failed decode instance's victims oldest first.
+  // Varied output lengths let earlier completions reorder each batch, so a
+  // core that requeued in slot order would diverge in the metrics and the
+  // fault log.
   StepTimeTable table = SimpleTable();
 
-  auto requests = FixedRequests(400, 0.01, 32);
+  auto requests = FixedRequests(400, 0.01, kVariedOutputs);
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
@@ -362,10 +370,11 @@ TEST(SimulatorFaults, DomainFailureKillsExactlyItsLiveMembers) {
 
 TEST(SimulatorFaults, ThreeAxisLogsBitIdenticalToReferenceCore) {
   // Domains + degradation + shedding all on: fault and shed logs must stay
-  // element-wise identical between the production and reference cores.
+  // element-wise identical between the production and reference cores,
+  // with varied output lengths so the victims' requeue order shows.
   StepTimeTable table = SimpleTable();
 
-  auto requests = FixedRequests(400, 0.005, 32);
+  auto requests = FixedRequests(400, 0.005, kVariedOutputs);
   ServeClusterConfig config;
   config.prefill_instances = 4;
   config.decode_instances = 6;
@@ -399,7 +408,7 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
   constexpr double kRate = 0.8;
   constexpr double kMult = 3.0;
   constexpr double kMean = 0.2;
-  std::vector<Request> requests = FixedRequests(1, 0.0, kTokens);
+  std::vector<Request> requests = FixedRequests(1, 0.0, {kTokens});
   ServeClusterConfig config;
   config.prefill_instances = 1;
   config.decode_instances = 1;
