@@ -26,10 +26,12 @@
 //      step; decode macro-steps (one event per batch change) must keep the
 //      autoscaled and chaos points below one pop per step, gated.
 //   4. A million-request point (32 decode instances at 95% load): workload
-//      generation wall time, then reference core vs new core with exact
-//      metric identity. The speedup must be > 1 (hard gate); the target is
-//      >= 5x. Also times the same point sharded 8 ways through the merge
-//      path.
+//      generation wall time and bytes per request of the generated
+//      columns, then reference core vs new core with exact metric identity.
+//      Like the runner, the new core reads the generated columns; the
+//      reference core gets them as records, converted outside its timing.
+//      The speedup must be > 1 (hard gate); the target is >= 5x. Also times
+//      the same point sharded 8 ways through the merge path.
 //   5. The checked-in 19-point load grid (10%..100%, 30 s horizon), each
 //      point run on both cores: summed reference wall vs summed new wall,
 //      exact per-point identity, speedup > 1 gated, target >= 2x.
@@ -333,8 +335,14 @@ int main(int argc, char** argv) {
                              static_cast<double>(mspec.median_output_tokens);
   mspec.duration_s = kMillionRequests / mspec.arrival_rate_per_s;
   t0 = std::chrono::steady_clock::now();
-  std::vector<Request> million_requests = GenerateWorkload(mspec);
+  RequestSoA million_requests = GenerateWorkloadSoA(mspec);
   double million_gen_s = SecondsSince(t0);
+  const size_t million_column_bytes =
+      million_requests.arrival_s.capacity() * sizeof(double) +
+      (million_requests.prompt_tokens.capacity() + million_requests.output_tokens.capacity() +
+       million_requests.class_id.capacity()) *
+          sizeof(int);
+  std::vector<Request> million_records = million_requests.ToRequests();
   ServeClusterConfig mcluster;
   mcluster.prefill_instances = std::max(
       1, static_cast<int>(std::ceil(1.25 * mspec.arrival_rate_per_s *
@@ -342,7 +350,7 @@ int main(int argc, char** argv) {
                                     prefill.best.result.tokens_per_s)));
   mcluster.decode_instances = kMillionDecode;
   t0 = std::chrono::steady_clock::now();
-  ServeMetrics million_ref = RunServeSimulationReference(million_requests, mcluster, table);
+  ServeMetrics million_ref = RunServeSimulationReference(million_records, mcluster, table);
   double million_ref_s = SecondsSince(t0);
   t0 = std::chrono::steady_clock::now();
   ServeMetrics million_new = RunServeSimulation(million_requests, mcluster, table);
@@ -362,7 +370,7 @@ int main(int argc, char** argv) {
         WorkloadSpec shard_spec = mspec;
         shard_spec.duration_s = shard_cluster.horizon_s;
         shard_spec.seed = ShardSubstreamSeed(mspec.seed, static_cast<size_t>(i));
-        std::vector<Request> shard_requests = GenerateWorkload(shard_spec);
+        RequestSoA shard_requests = GenerateWorkloadSoA(shard_spec);
         return RunServeSimulation(shard_requests, shard_cluster, table);
       });
   ServeMetrics million_sharded = MergeServeShardMetrics(shard_cluster, shard_runs);
@@ -387,7 +395,8 @@ int main(int argc, char** argv) {
                                static_cast<double>(gspec.median_output_tokens);
     gspec.duration_s = 30.0;
     gspec.seed = 1000 + static_cast<uint64_t>(i);
-    std::vector<Request> grid_requests = GenerateWorkload(gspec);
+    RequestSoA grid_requests = GenerateWorkloadSoA(gspec);
+    std::vector<Request> grid_records = grid_requests.ToRequests();
     ServeClusterConfig gcluster;
     gcluster.prefill_instances = std::max(
         1, static_cast<int>(std::ceil(1.25 * gspec.arrival_rate_per_s *
@@ -395,7 +404,7 @@ int main(int argc, char** argv) {
                                       prefill.best.result.tokens_per_s)));
     gcluster.decode_instances = 1;
     t0 = std::chrono::steady_clock::now();
-    ServeMetrics g_ref = RunServeSimulationReference(grid_requests, gcluster, table);
+    ServeMetrics g_ref = RunServeSimulationReference(grid_records, gcluster, table);
     grid_ref_s += SecondsSince(t0);
     t0 = std::chrono::steady_clock::now();
     ServeMetrics g_new = RunServeSimulation(grid_requests, gcluster, table);
@@ -491,7 +500,11 @@ int main(int argc, char** argv) {
     workload_gen.Set("requests", static_cast<uint64_t>(million_requests.size()))
         .Set("wall_s", million_gen_s)
         .Set("requests_per_s",
-             million_gen_s > 0.0 ? million_requests.size() / million_gen_s : 0.0);
+             million_gen_s > 0.0 ? million_requests.size() / million_gen_s : 0.0)
+        .Set("bytes_per_request",
+             million_requests.empty() ? 0.0
+                                      : static_cast<double>(million_column_bytes) /
+                                            static_cast<double>(million_requests.size()));
     Json million = Json::Object();
     million.Set("requests", static_cast<uint64_t>(million_requests.size()))
         .Set("decode_instances", kMillionDecode)

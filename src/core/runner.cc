@@ -438,7 +438,7 @@ ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
   // One generator for both execution modes: the serial path draws the full
   // horizon from the point's seed; a shard draws its sub-horizon from its
   // own SplitMix64 substream.
-  auto generate = [&](double duration_s, uint64_t wl_seed) -> std::vector<Request> {
+  auto generate = [&](double duration_s, uint64_t wl_seed) -> RequestSoA {
     if (classes.empty()) {
       WorkloadSpec spec;
       spec.arrival_rate_per_s = arrival_rate_per_s;
@@ -449,7 +449,7 @@ ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
       spec.output_sigma = common.output_sigma;
       spec.seed = wl_seed;
       spec.arrival = common.arrival;
-      return GenerateWorkload(spec);
+      return GenerateWorkloadSoA(spec);
     }
     MultiClassWorkloadSpec spec;
     spec.duration_s = duration_s;
@@ -464,7 +464,7 @@ ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
       cls.output_sigma = classes[c].output_sigma;
       spec.classes.push_back(cls);
     }
-    return GenerateMultiClassWorkload(spec);
+    return GenerateMultiClassWorkloadSoA(spec);
   };
 
   ServeClusterConfig cluster;
@@ -482,7 +482,7 @@ ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
   cluster.shedding.ttft_deadline_s = common.faults.shed_ttft_deadline_s;
 
   ServeMetrics metrics;
-  std::vector<Request> requests;
+  RequestSoA requests;
   if (common.shards >= 2) {
     // Sharded execution: split the horizon into `shards` independent
     // sub-horizon replications of the same stationary process, run them
@@ -497,7 +497,7 @@ ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
     cluster.stream_ttft = true;
     std::vector<ServeMetrics> shard_metrics = ParallelMap<ServeMetrics>(
         s.exec.threads, n, [&](int i) {
-          std::vector<Request> shard_requests = generate(
+          RequestSoA shard_requests = generate(
               cluster.horizon_s, ShardSubstreamSeed(seed, static_cast<size_t>(i)));
           return RunServeSimulation(shard_requests, cluster, platform.table);
         });

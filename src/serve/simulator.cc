@@ -7,11 +7,13 @@
 //    order by construction — buckets partition time, ties share a bucket
 //    and are resolved by the full comparator.
 //
-//  * Structure-of-arrays hot state. Requests arrive as a RequestSoA
-//    (column per field), per-instance state is split into a hot status
-//    byte per instance (the scheduling scans test one byte) plus parallel
-//    cold arrays, and all per-point scratch lives in a thread-local arena
-//    reused across sweep points, so points stop churning the allocator.
+//  * Structure-of-arrays hot state. Requests arrive as the generator's
+//    RequestSoA (column per field) and are read in place; only the
+//    vector<Request> adapter converts, once per call. Per-instance state is
+//    split into a hot status byte per instance (the scheduling scans test
+//    one byte) plus parallel cold arrays, and all per-point scratch lives in
+//    a thread-local arena reused across sweep points, so points stop
+//    churning the allocator.
 //
 //  * Decode macro-steps: one event per batch change, not one per step. A
 //    decode instance's batch cannot change between its step boundaries
@@ -360,8 +362,10 @@ SimScratch& TlsScratch() {
   return scratch;
 }
 
-ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
-                           const StepTimeTable& table) {
+}  // namespace
+
+ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
+                                const StepTimeTable& table) {
   ServeMetrics metrics;
   if (table.empty() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
     return metrics;
@@ -1748,12 +1752,10 @@ ServeMetrics RunSimulation(const RequestSoA& requests, const ServeClusterConfig&
   return metrics;
 }
 
-}  // namespace
-
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table) {
-  return RunSimulation(RequestSoA::FromRequests(requests), config, table);
+  return RunServeSimulation(RequestSoA::FromRequests(requests), config, table);
 }
 
 ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,

@@ -229,6 +229,10 @@ struct ServeMetrics {
 // bit-identical to RunServeSimulationReference (simulator_reference.h) on
 // the same table: tested in serve_test and serve_faults_test, gated in
 // bench_serve_scale.
+ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
+                                const StepTimeTable& table);
+// Adapter for record-form streams: converts to columns, then runs the
+// overload above.
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table);

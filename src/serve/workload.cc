@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
+#include <utility>
 
 #include "src/util/rng.h"
 
@@ -35,6 +38,19 @@ RequestSoA RequestSoA::FromRequests(const std::vector<Request>& requests) {
     soa.PushBack(r.arrival_s, r.prompt_tokens, r.output_tokens, r.class_id);
   }
   return soa;
+}
+
+std::vector<Request> RequestSoA::ToRequests() const {
+  std::vector<Request> requests(size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Request& r = requests[i];
+    r.id = static_cast<int>(i);
+    r.class_id = class_id[i];
+    r.arrival_s = arrival_s[i];
+    r.prompt_tokens = prompt_tokens[i];
+    r.output_tokens = output_tokens[i];
+  }
+  return requests;
 }
 
 double ArrivalRateMultiplier(const ArrivalProcess& process, double duration_s, double t) {
@@ -103,27 +119,22 @@ int SampleLength(Rng& rng, int median, double sigma) {
   return std::max(1, static_cast<int>(std::lround(value)));
 }
 
-// One class's arrival substream. The stationary Poisson path keeps the
-// exact legacy sampling order (inter-arrival, prompt, output per request),
-// so a single-class mix reproduces the legacy generator bit-for-bit and a
-// scenario without an `arrival` block is unchanged. The non-stationary
-// kinds draw from the same per-class RNG:
-//   diurnal — Lewis thinning against the peak-rate envelope, which keeps
-//     each class's stream independent of every other class.
-//   onoff   — walks on/off phases sequentially; overshooting a phase
-//     boundary discards the inter-arrival draw and redraws at the new
-//     phase's rate (memorylessness makes that exact).
-//   trace   — replays the recorded times; `trace_share` is this class's
-//     rate share, applied by thinning (share 1.0 skips the draw so a
-//     one-class mix replays the trace exactly).
-// Expected arrival count for one class, used to pre-size the output vector
+// Expected arrival count for one class, used to pre-size the output columns
 // so million-request streams append without reallocating. Overshooting a
-// little is fine (the extra capacity is freed with the vector); a few sigma
-// of Poisson headroom covers nearly every draw.
+// little is fine (the extra capacity is freed with the columns); a few sigma
+// of headroom covers nearly every draw. A trace reserves only the recorded
+// times inside the horizon, thinned by the class's share, and never more
+// than that window holds.
 size_t ExpectedArrivals(const ClassWorkload& cls, double duration_s,
-                        const ArrivalProcess& arrival) {
+                        const ArrivalProcess& arrival, double trace_share) {
+  auto with_headroom = [](double expected) {
+    return static_cast<size_t>(expected + 4.0 * std::sqrt(expected) + 16.0);
+  };
   if (arrival.kind == ArrivalKind::kTrace) {
-    return arrival.times_s.size();
+    const std::vector<double>& times = arrival.times_s;
+    size_t window = static_cast<size_t>(
+        std::lower_bound(times.begin(), times.end(), duration_s) - times.begin());
+    return std::min(window, with_headroom(static_cast<double>(window) * trace_share));
   }
   double rate = std::max(0.0, cls.arrival_rate_per_s);
   double mean_mult = 1.0;
@@ -143,24 +154,33 @@ size_t ExpectedArrivals(const ClassWorkload& cls, double duration_s,
                                  span
                            : 1.0;
   }
-  double expected = rate * std::max(0.0, duration_s) * std::max(0.0, mean_mult);
-  return static_cast<size_t>(expected + 4.0 * std::sqrt(expected) + 16.0);
+  return with_headroom(rate * std::max(0.0, duration_s) * std::max(0.0, mean_mult));
 }
 
-std::vector<Request> GenerateClassStream(const ClassWorkload& cls, int class_id,
-                                         double duration_s, uint64_t seed,
-                                         const ArrivalProcess& arrival,
-                                         double trace_share) {
-  std::vector<Request> requests;
-  requests.reserve(ExpectedArrivals(cls, duration_s, arrival));
+// One class's arrival substream. The stationary Poisson path keeps the
+// exact legacy sampling order (inter-arrival, prompt, output per request),
+// so a single-class mix reproduces the legacy generator bit-for-bit and a
+// scenario without an `arrival` block is unchanged. The non-stationary
+// kinds draw from the same per-class RNG:
+//   diurnal — Lewis thinning against the peak-rate envelope, which keeps
+//     each class's stream independent of every other class.
+//   onoff   — walks on/off phases sequentially; overshooting a phase
+//     boundary discards the inter-arrival draw and redraws at the new
+//     phase's rate (memorylessness makes that exact).
+//   trace   — replays the recorded times; `trace_share` is this class's
+//     rate share, applied by thinning (share 1.0 skips the draw so a
+//     one-class mix replays the trace exactly).
+RequestSoA GenerateClassStream(const ClassWorkload& cls, int class_id, double duration_s,
+                               uint64_t seed, const ArrivalProcess& arrival,
+                               double trace_share) {
+  RequestSoA requests;
+  requests.Reserve(ExpectedArrivals(cls, duration_s, arrival, trace_share));
   Rng rng(seed);
   auto emit = [&](double t) {
-    Request r;
-    r.class_id = class_id;
-    r.arrival_s = t;
-    r.prompt_tokens = SampleLength(rng, cls.median_prompt_tokens, cls.prompt_sigma);
-    r.output_tokens = SampleLength(rng, cls.median_output_tokens, cls.output_sigma);
-    requests.push_back(r);
+    // Named locals pin the draw order: prompt, then output.
+    int prompt = SampleLength(rng, cls.median_prompt_tokens, cls.prompt_sigma);
+    int output = SampleLength(rng, cls.median_output_tokens, cls.output_sigma);
+    requests.PushBack(t, prompt, output, class_id);
   };
   if (arrival.kind == ArrivalKind::kTrace) {
     if (trace_share <= 0.0) {
@@ -242,19 +262,19 @@ std::vector<Request> GenerateClassStream(const ClassWorkload& cls, int class_id,
 
 }  // namespace
 
-std::vector<Request> GenerateWorkload(const WorkloadSpec& spec) {
+RequestSoA GenerateWorkloadSoA(const WorkloadSpec& spec) {
   ClassWorkload cls;
   cls.arrival_rate_per_s = spec.arrival_rate_per_s;
   cls.median_prompt_tokens = spec.median_prompt_tokens;
   cls.prompt_sigma = spec.prompt_sigma;
   cls.median_output_tokens = spec.median_output_tokens;
   cls.output_sigma = spec.output_sigma;
-  std::vector<Request> requests = GenerateClassStream(
-      cls, /*class_id=*/0, spec.duration_s, spec.seed, spec.arrival, /*trace_share=*/1.0);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].id = static_cast<int>(i);
-  }
-  return requests;
+  return GenerateClassStream(cls, /*class_id=*/0, spec.duration_s, spec.seed, spec.arrival,
+                             /*trace_share=*/1.0);
+}
+
+std::vector<Request> GenerateWorkload(const WorkloadSpec& spec) {
+  return GenerateWorkloadSoA(spec).ToRequests();
 }
 
 uint64_t ClassSubstreamSeed(uint64_t seed, size_t index) {
@@ -269,18 +289,14 @@ uint64_t ClassSubstreamSeed(uint64_t seed, size_t index) {
   return derived;
 }
 
-std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& spec) {
-  // Generate every substream independently, concatenate in class order, and
-  // stable-sort by arrival time once. Each substream is arrival-sorted and
-  // concatenated in class order, so stable_sort resolves ties to class
-  // order, then per-class order — the same fully-specified order the old
-  // repeated stable std::merge produced, but O(N log N) total instead of
-  // O(N · classes) copies.
+RequestSoA GenerateMultiClassWorkloadSoA(const MultiClassWorkloadSpec& spec) {
   double total_rate = 0.0;
   for (const ClassWorkload& cls : spec.classes) {
     total_rate += std::max(0.0, cls.arrival_rate_per_s);
   }
-  std::vector<Request> merged;
+  std::vector<RequestSoA> streams;
+  streams.reserve(spec.classes.size());
+  size_t total = 0;
   for (size_t c = 0; c < spec.classes.size(); ++c) {
     double share = total_rate > 0.0
                        ? std::max(0.0, spec.classes[c].arrival_rate_per_s) / total_rate
@@ -288,21 +304,44 @@ std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& sp
     if (spec.classes.size() == 1) {
       share = 1.0;  // one-class mixes replay a trace exactly, like classless
     }
-    std::vector<Request> stream =
-        GenerateClassStream(spec.classes[c], static_cast<int>(c), spec.duration_s,
-                            ClassSubstreamSeed(spec.seed, c), spec.arrival, share);
-    if (merged.empty()) {
-      merged = std::move(stream);
-    } else {
-      merged.insert(merged.end(), stream.begin(), stream.end());
+    streams.push_back(GenerateClassStream(spec.classes[c], static_cast<int>(c),
+                                          spec.duration_s, ClassSubstreamSeed(spec.seed, c),
+                                          spec.arrival, share));
+    total += streams.back().size();
+  }
+  if (streams.size() == 1) {
+    return std::move(streams.front());
+  }
+  // k-way merge of the arrival-sorted substreams on (arrival, class): the
+  // earliest head goes first, a tie goes to the lower class index, and a
+  // class's next request enters only after its previous one left, so each
+  // class keeps its own order.
+  using Head = std::pair<double, size_t>;
+  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads;
+  std::vector<size_t> next(streams.size(), 0);
+  for (size_t c = 0; c < streams.size(); ++c) {
+    if (!streams[c].empty()) {
+      heads.push({streams[c].arrival_s[0], c});
     }
   }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Request& a, const Request& b) { return a.arrival_s < b.arrival_s; });
-  for (size_t i = 0; i < merged.size(); ++i) {
-    merged[i].id = static_cast<int>(i);
+  RequestSoA merged;
+  merged.Reserve(total);
+  while (!heads.empty()) {
+    size_t c = heads.top().second;
+    heads.pop();
+    const RequestSoA& stream = streams[c];
+    size_t i = next[c]++;
+    merged.PushBack(stream.arrival_s[i], stream.prompt_tokens[i], stream.output_tokens[i],
+                    stream.class_id[i]);
+    if (i + 1 < stream.size()) {
+      heads.push({stream.arrival_s[i + 1], c});
+    }
   }
   return merged;
+}
+
+std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& spec) {
+  return GenerateMultiClassWorkloadSoA(spec).ToRequests();
 }
 
 uint64_t ShardSubstreamSeed(uint64_t seed, size_t shard) {

@@ -27,12 +27,14 @@ struct Request {
   int output_tokens = 256;
 };
 
-// Structure-of-arrays mirror of a Request stream. The simulator's hot loop
-// touches arrival times, token counts, and class ids in separate passes, so
-// splitting them into parallel vectors keeps each pass within a contiguous
-// stride instead of jumping Request-sized records. Index i across all four
-// vectors is request i in arrival order (ties already resolved by the
-// generator), which is also its id.
+// A request stream as the generator writes it and the simulator reads it:
+// one column per field. The simulator's hot loop touches arrival times,
+// token counts, and class ids in separate passes, so parallel vectors keep
+// each pass within a contiguous stride, and the stream is held once, at
+// 20 bytes per request. Index i across all four vectors is request i in
+// arrival order (ties already resolved by the generator), which is also its
+// id. `Request` records are only a view for callers that want them:
+// ToRequests/FromRequests convert between the two.
 struct RequestSoA {
   std::vector<double> arrival_s;
   std::vector<int> prompt_tokens;
@@ -45,6 +47,8 @@ struct RequestSoA {
   void Clear();
   void PushBack(double arrival, int prompt, int output, int cls);
 
+  // Request i gets id i.
+  std::vector<Request> ToRequests() const;
   static RequestSoA FromRequests(const std::vector<Request>& requests);
 };
 
@@ -104,7 +108,9 @@ struct WorkloadSpec {
   ArrivalProcess arrival;            // default: stationary Poisson
 };
 
-// Requests sorted by arrival time.
+// Requests sorted by arrival time, generated straight into columns.
+RequestSoA GenerateWorkloadSoA(const WorkloadSpec& spec);
+// The same stream as records: GenerateWorkloadSoA(spec).ToRequests().
 std::vector<Request> GenerateWorkload(const WorkloadSpec& spec);
 
 // One request class of a multi-tenant mix: its own absolute arrival rate
@@ -148,8 +154,12 @@ uint64_t ClassSubstreamSeed(uint64_t seed, size_t index);
 uint64_t ShardSubstreamSeed(uint64_t seed, size_t shard);
 
 // Generates every class's substream independently and merges by arrival
-// time (ties break by class index, then per-class order). Request ids are
-// assigned in merged order; class_id is the index into spec.classes.
+// time (ties break by class index, then per-class order). A one-class mix
+// is its substream, with no merge copy. Row i of the result is request i;
+// class_id is the index into spec.classes.
+RequestSoA GenerateMultiClassWorkloadSoA(const MultiClassWorkloadSpec& spec);
+// The same stream as records, ids in merged order:
+// GenerateMultiClassWorkloadSoA(spec).ToRequests().
 std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& spec);
 
 // Totals used for capacity planning.

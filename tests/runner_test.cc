@@ -189,8 +189,9 @@ TEST(Runner, OutOfMemoryComesBackAsErrorReport) {
 #if defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "AddressSanitizer's operator new aborts instead of throwing std::bad_alloc";
 #endif
-  // A valid but enormous horizon: workload generation reserves ~2e15 bytes
-  // up front, beyond any 47-bit address space, so the allocation fails at
+  // A valid but enormous horizon: ~7.6e13 expected requests, so workload
+  // generation's first column reservation (8-byte arrival times) asks for
+  // ~6e14 bytes up front, beyond any 47-bit address space, and fails at
   // once instead of paging.
   ServeKnobs knobs;
   knobs.horizon_s = 1e12;

@@ -538,6 +538,37 @@ TEST(SimulatorShedding, DisabledSheddingMatchesBaseline) {
   EXPECT_EQ(off.completed_requests, on.completed_requests);
 }
 
+TEST(SimulatorFaults, ColumnRunBitIdenticalToRecordAdapter) {
+  // The Runner hands the simulator the generator's columns; tests and the
+  // reference core pass records through the vector<Request> adapter. Both
+  // must see the same stream: a two-class mix under churn, retries and
+  // per-class accounting.
+  MultiClassWorkloadSpec spec;
+  spec.duration_s = 5.0;
+  spec.seed = 0xFACE;
+  for (double rate : {50.0, 25.0}) {
+    ClassWorkload cls;
+    cls.arrival_rate_per_s = rate;
+    cls.prompt_sigma = 0.5;
+    cls.median_output_tokens = rate > 40.0 ? 32 : 96;
+    cls.output_sigma = 0.5;
+    spec.classes.push_back(cls);
+  }
+  RequestSoA columns = GenerateMultiClassWorkloadSoA(spec);
+  ServeClusterConfig config;
+  config.prefill_instances = 2;
+  config.decode_instances = 2;
+  config.horizon_s = spec.duration_s;
+  config.num_classes = 2;
+  config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
+  ServeMetrics a = RunServeSimulation(columns, config, SimpleTable());
+  ServeMetrics b = RunServeSimulation(columns.ToRequests(), config, SimpleTable());
+  EXPECT_GT(a.retried_requests, 0) << "the churn never killed a batch";
+  ASSERT_EQ(a.per_class.size(), 2u);
+  EXPECT_GT(a.per_class[1].admitted_requests, 0);
+  ExpectBitIdentical(a, b);
+}
+
 TEST(SimulatorFaults, RerunsAreDeterministic) {
   auto requests = FixedRequests(200, 0.01);
   ServeClusterConfig config;

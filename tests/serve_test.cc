@@ -8,6 +8,7 @@
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
+#include "src/util/rng.h"
 #include "tests/serve_identity.h"
 
 namespace litegpu {
@@ -172,6 +173,126 @@ TEST(MultiClassWorkload, ClassSubstreamSeedsAreStableByIndex) {
   EXPECT_NE(ClassSubstreamSeed(42, 1), ClassSubstreamSeed(42, 2));
   // Index i's seed does not depend on how many classes follow it.
   EXPECT_EQ(ClassSubstreamSeed(42, 1), ClassSubstreamSeed(42, 1));
+}
+
+// A trace that repeats every timestamp three times, so thinned classes
+// tie with each other and with themselves.
+ArrivalProcess RepeatedTrace() {
+  ArrivalProcess arrival;
+  arrival.kind = ArrivalKind::kTrace;
+  for (int k = 0; k < 200; ++k) {
+    for (int rep = 0; rep < 3; ++rep) {
+      arrival.times_s.push_back(0.25 * k);
+    }
+  }
+  return arrival;
+}
+
+void ExpectSameColumns(const RequestSoA& a, const RequestSoA& b) {
+  EXPECT_EQ(a.arrival_s, b.arrival_s);
+  EXPECT_EQ(a.prompt_tokens, b.prompt_tokens);
+  EXPECT_EQ(a.output_tokens, b.output_tokens);
+  EXPECT_EQ(a.class_id, b.class_id);
+}
+
+// Class c's trace replay rebuilt draw by draw from its substream seed, as
+// the generator documents it: one uniform per recorded time inside the
+// horizon to thin by `share`, then a prompt and an output length for each
+// time kept, in trace order.
+RequestSoA ThinnedTraceClass(const MultiClassWorkloadSpec& spec, size_t c, double share) {
+  const ClassWorkload& cls = spec.classes[c];
+  Rng rng(ClassSubstreamSeed(spec.seed, c));
+  auto length = [&rng](int median, double sigma) {
+    double value = rng.LogNormal(std::log(static_cast<double>(median)), sigma);
+    return std::max(1, static_cast<int>(std::lround(value)));
+  };
+  RequestSoA stream;
+  for (double t : spec.arrival.times_s) {
+    if (t >= spec.duration_s) {
+      break;
+    }
+    if (!(rng.NextDouble() < share)) {
+      continue;
+    }
+    int prompt = length(cls.median_prompt_tokens, cls.prompt_sigma);
+    int output = length(cls.median_output_tokens, cls.output_sigma);
+    stream.PushBack(t, prompt, output, static_cast<int>(c));
+  }
+  return stream;
+}
+
+TEST(MultiClassWorkload, MergeBreaksTiesByClassThenGenerationOrder) {
+  MultiClassWorkloadSpec spec;
+  spec.duration_s = 40.0;  // cuts the 50 s trace
+  spec.seed = 0xD1CE;
+  spec.arrival = RepeatedTrace();
+  spec.classes.push_back(MakeClass(3.0, 1500, 256, 0.8, 0.8));  // share 0.75
+  spec.classes.push_back(MakeClass(1.0, 4000, 800, 0.8, 0.8));  // share 0.25
+  RequestSoA merged = GenerateMultiClassWorkloadSoA(spec);
+
+  // The order the merge must give: the class streams concatenated in class
+  // order, stable-sorted by arrival time.
+  RequestSoA streams[2] = {ThinnedTraceClass(spec, 0, 0.75), ThinnedTraceClass(spec, 1, 0.25)};
+  std::vector<std::pair<int, size_t>> rows;  // (class, index in its stream)
+  for (int c = 0; c < 2; ++c) {
+    for (size_t i = 0; i < streams[c].size(); ++i) {
+      rows.push_back({c, i});
+    }
+  }
+  std::stable_sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
+    return streams[a.first].arrival_s[a.second] < streams[b.first].arrival_s[b.second];
+  });
+  RequestSoA expected;
+  for (const auto& [c, i] : rows) {
+    const RequestSoA& s = streams[c];
+    expected.PushBack(s.arrival_s[i], s.prompt_tokens[i], s.output_tokens[i], s.class_id[i]);
+  }
+  ExpectSameColumns(merged, expected);
+
+  // The trace really produced both kinds of tie, and every tie across
+  // classes puts class 0 first.
+  int cross_ties = 0;
+  int own_ties = 0;
+  for (size_t i = 1; i < merged.size(); ++i) {
+    if (merged.arrival_s[i] != merged.arrival_s[i - 1]) {
+      continue;
+    }
+    EXPECT_LE(merged.class_id[i - 1], merged.class_id[i]) << "row " << i;
+    if (merged.class_id[i] != merged.class_id[i - 1]) {
+      ++cross_ties;
+    } else if (merged.prompt_tokens[i] != merged.prompt_tokens[i - 1]) {
+      ++own_ties;
+    }
+  }
+  EXPECT_GT(cross_ties, 10);
+  EXPECT_GT(own_ties, 10);
+  EXPECT_LT(merged.arrival_s.back(), spec.duration_s);
+}
+
+TEST(MultiClassWorkload, OneClassMixIsTheClasslessStream) {
+  WorkloadSpec classless;
+  classless.arrival_rate_per_s = 7.0;
+  classless.duration_s = 40.0;
+  classless.prompt_sigma = 0.8;
+  classless.output_sigma = 0.8;
+  classless.seed = 0xD1CE;
+  classless.arrival = RepeatedTrace();
+  MultiClassWorkloadSpec one;
+  one.duration_s = classless.duration_s;
+  one.seed = classless.seed;
+  one.arrival = classless.arrival;
+  one.classes.push_back(MakeClass(classless.arrival_rate_per_s, classless.median_prompt_tokens,
+                                  classless.median_output_tokens, 0.8, 0.8));
+  RequestSoA expected = GenerateWorkloadSoA(classless);
+  // The whole window replays (share 1), and only the window is reserved:
+  // 480 of the trace's 600 times fall before 40 s.
+  ASSERT_EQ(expected.size(), 480u);
+  EXPECT_EQ(expected.arrival_s.capacity(), 480u);
+  ExpectSameColumns(GenerateMultiClassWorkloadSoA(one), expected);
+
+  classless.arrival = ArrivalProcess{};  // and under Poisson arrivals
+  one.arrival = classless.arrival;
+  ExpectSameColumns(GenerateMultiClassWorkloadSoA(one), GenerateWorkloadSoA(classless));
 }
 
 // --- simulator ---
