@@ -39,7 +39,11 @@
 //      study must build exactly one ServePlatform (search + StepTimeTable)
 //      per distinct (model, GPU) pair — `platform_builds` equals the
 //      distinct part count, gated — and a candidate that only widens the
-//      pool must see exactly proportional analytic capacity.
+//      pool must see exactly proportional analytic capacity. Each candidate
+//      scans its grid from the top of KneeScanOrder and stops at its knee:
+//      `points_simulated` must equal the count recomputed from the
+//      reported knees (scan position + 1 per feasible candidate, the whole
+//      grid per infeasible one), gated, next to `points_grid`.
 //
 // `--json` emits one JSON object (CI tees it into BENCH_serve_scale.json)
 // and the exit code gates regressions: nonzero when any speedup gate is
@@ -59,6 +63,7 @@
 #include "src/hw/catalog.h"
 #include "src/perf/model.h"
 #include "src/perf/step_table.h"
+#include "src/serve/knee.h"
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
@@ -441,15 +446,33 @@ int main(int argc, char** argv) {
   t0 = std::chrono::steady_clock::now();
   RunReport fleet_run = Runner().Run(fleet_scenario);
   double fleet_s = SecondsSince(t0);
+  const std::vector<double> fleet_grid = fleet_knobs.GridPoints();
+  const int fleet_points_grid =
+      static_cast<int>(fleet_knobs.candidates.size() * fleet_grid.size());
   int fleet_platform_builds = 0;
   int fleet_feasible = 0;
+  int fleet_points_simulated = 0;
+  int fleet_points_expected = 0;
   bool fleet_shared_builds = false;
   bool fleet_capacity_scales = false;
   if (fleet_run.ok) {
     const auto& fleet = std::get<FleetCompareReport>(fleet_run.payload);
     fleet_platform_builds = fleet.platform_builds;
+    fleet_points_simulated = fleet.points_simulated;
     for (const FleetCompareReport::Candidate& c : fleet.candidates) {
-      if (c.feasible) ++fleet_feasible;
+      if (c.feasible) {
+        ++fleet_feasible;
+        std::vector<double> rates;
+        for (double load : fleet_grid) {
+          rates.push_back(load * c.analytic_capacity_tok_s /
+                          static_cast<double>(fleet_scenario.workload.output_tokens));
+        }
+        std::vector<int> order = KneeScanOrder(rates, fleet_grid);
+        fleet_points_expected += static_cast<int>(
+            std::find(order.begin(), order.end(), c.knee_index) - order.begin() + 1);
+      } else if (c.decode_tp > 0) {
+        fleet_points_expected += static_cast<int>(fleet_grid.size());
+      }
     }
     fleet_shared_builds = fleet.platform_builds == 2;
     fleet_capacity_scales =
@@ -459,8 +482,9 @@ int main(int argc, char** argv) {
         fleet.candidates[3].analytic_capacity_tok_s ==
             2.0 * fleet.candidates[2].analytic_capacity_tok_s;
   }
+  const bool fleet_scan_counted = fleet_points_simulated == fleet_points_expected;
   bool fleet_ok = fleet_run.ok && fleet_feasible == 4 && fleet_shared_builds &&
-                  fleet_capacity_scales;
+                  fleet_capacity_scales && fleet_scan_counted;
 
   bool pass = zero_afr_within_budget && axes_off_zeroed && sweep_report.ok &&
               reference_identical && macro_steps_ok && million_identical &&
@@ -529,6 +553,9 @@ int main(int argc, char** argv) {
         .Set("feasible", fleet_feasible)
         .Set("shared_builds", fleet_shared_builds)
         .Set("capacity_scales_with_pool", fleet_capacity_scales)
+        .Set("points_simulated", fleet_points_simulated)
+        .Set("points_grid", fleet_points_grid)
+        .Set("points_simulated_matches_knees", fleet_scan_counted)
         .Set("wall_s", fleet_s);
     Json sweep_core = Json::Object();
     sweep_core.Set("points", grid_points)
@@ -588,10 +615,13 @@ int main(int argc, char** argv) {
                 million_identical ? "OK" : "FAILED", kMillionShards, million_shard_s);
     std::printf("fleet-compare catalog (%zu candidates over 2 distinct parts): %.3f s wall\n"
                 "  platform builds: %d (expect 2): %s   feasible: %d/4   "
-                "pool capacity scaling: %s\n\n",
+                "pool capacity scaling: %s\n"
+                "  points simulated: %d of %d grid points (expect %d from the knees): %s\n\n",
                 fleet_knobs.candidates.size(), fleet_s, fleet_platform_builds,
                 fleet_shared_builds ? "OK" : "FAILED", fleet_feasible,
-                fleet_capacity_scales ? "OK" : "FAILED");
+                fleet_capacity_scales ? "OK" : "FAILED", fleet_points_simulated,
+                fleet_points_grid, fleet_points_expected,
+                fleet_scan_counted ? "OK" : "FAILED");
     std::printf("19-point load grid, reference vs new core:\n"
                 "  reference: %.3f s   new: %.3f s   speedup: %.2fx (target 2x)   "
                 "identity: %s\n",

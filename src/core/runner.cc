@@ -952,12 +952,26 @@ GpuSpec ResolveFleetGpu(const FleetCandidate& c) {
   return DeriveLite(base, options).gpu;
 }
 
-// Runs the fleet-compare study: one serve sweep per candidate on the
-// shared load grid (candidates sharing a resolved part share one platform
-// build), each knee joined with the silicon-cost and cluster-power models,
-// then the Pareto frontier over ($/Mtok, J/token, goodput). Candidates run
-// serially; each sweep fans its points with the serve-sweep determinism
-// contract, so the report is bit-identical at any thread count.
+// One fleet candidate's knee scan: the first SLO-meeting point in the
+// grid's KneeScanOrder (knee_index -1 when none is) and how many points it
+// simulated to find it.
+struct FleetKneeScan {
+  int knee_index = -1;
+  ServeSweepReport::Point knee;
+  int points_simulated = 0;
+};
+
+// Runs the fleet-compare study: each candidate's knee on the shared load
+// grid (candidates sharing a resolved part share one platform build),
+// joined with the silicon-cost and cluster-power models, then the Pareto
+// frontier over ($/Mtok, J/token, goodput). Platforms build serially (the
+// config search fans out on its own). The candidates then scan in one
+// ParallelMap, each serially from the top of KneeScanOrder, stopping at
+// its first SLO-meeting point: every point keeps its own per-index seed,
+// so a point's result does not depend on which other points ran, and the
+// first SLO-meeting point in the scan is the knee a full-grid sweep would
+// pick. An infeasible candidate simulates its whole grid. Workers write
+// only their own slot, so the report is bit-identical at any thread count.
 FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
   FleetCompareReport out;
   out.model = s.ResolvedModels().front();
@@ -970,98 +984,112 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
   const WaferSpec wafer;
   const DefectSpec defects;
   const double depreciation_hours = s.fleet.depreciation_months * 730.0;
+  const double mean_output_tokens = static_cast<double>(s.workload.output_tokens);
+  const std::vector<FleetCandidate>& candidates = s.fleet.candidates;
 
   // Candidates naming the same resolved part share one search + step-time
   // table; the report counts the builds so tests and the bench can gate
-  // the sharing.
+  // the sharing. std::map nodes are stable, so the per-candidate pointers
+  // stay valid as later parts are added.
   std::map<std::string, ServePlatform> platforms;
-
-  for (const FleetCandidate& c : s.fleet.candidates) {
+  std::vector<GpuSpec> gpus;
+  std::vector<const ServePlatform*> candidate_platforms;
+  for (const FleetCandidate& c : candidates) {
     FleetCompareReport::Candidate row;
     row.name = c.name;
     row.base_gpu = c.gpu;
     row.split = c.split;
     row.seed = FleetCandidateSeed(s.fleet.seed, c.name);
-
-    GpuSpec gpu = ResolveFleetGpu(c);
-    row.gpu = gpu.name;
-    auto it = platforms.find(gpu.name);
+    gpus.push_back(ResolveFleetGpu(c));
+    row.gpu = gpus.back().name;
+    auto it = platforms.find(row.gpu);
     if (it == platforms.end()) {
       it = platforms
-               .emplace(gpu.name, BuildServePlatform(model, gpu, s.MakeSearchOptions()))
+               .emplace(row.gpu, BuildServePlatform(model, gpus.back(), s.MakeSearchOptions()))
                .first;
       ++out.platform_builds;
     }
     const ServePlatform& platform = it->second;
-    if (!platform.ok) {
+    candidate_platforms.push_back(&platform);
+    if (platform.ok) {
+      row.prefill_tp = platform.prefill_tp;
+      row.decode_tp = platform.decode_tp;
+      row.decode_capacity_tok_s = platform.decode_capacity_tok_s;
+    } else {
       row.error = platform.error;
-      out.candidates.push_back(std::move(row));
+    }
+    out.candidates.push_back(std::move(row));
+  }
+
+  std::vector<FleetKneeScan> scans = ParallelMap<FleetKneeScan>(
+      s.exec.threads, static_cast<int>(candidates.size()), [&](int ci) {
+        FleetKneeScan scan;
+        const FleetCandidate& c = candidates[static_cast<size_t>(ci)];
+        const ServePlatform& platform = *candidate_platforms[static_cast<size_t>(ci)];
+        if (!platform.ok) {
+          return scan;
+        }
+        // The candidate's sweep shape: stationary single-class Poisson
+        // with fixed pools — the study compares hardware, not traffic.
+        ServeCommonKnobs common;
+        common.horizon_s = s.fleet.horizon_s;
+        common.prefill_instances = c.prefill_instances;
+        common.decode_instances = c.decode_instances;
+        common.prompt_sigma = s.fleet.prompt_sigma;
+        common.output_sigma = s.fleet.output_sigma;
+        common.seed = out.candidates[static_cast<size_t>(ci)].seed;
+
+        std::vector<uint64_t> seeds;
+        std::vector<double> rates;
+        seeds.reserve(grid.size());
+        rates.reserve(grid.size());
+        SplitMix64 seed_stream(common.seed);
+        const double pool_capacity_tok_s = platform.decode_capacity_tok_s * c.decode_instances;
+        for (double load : grid) {
+          // Masked to 53 bits like the sweep's, so `litegpu serve --seed
+          // <reported>` reproduces any point exactly.
+          seeds.push_back(seed_stream.Next() & ((uint64_t{1} << 53) - 1));
+          rates.push_back(load * pool_capacity_tok_s / mean_output_tokens);
+        }
+        for (int i : KneeScanOrder(rates, grid)) {
+          const size_t k = static_cast<size_t>(i);
+          ServeSweepReport::Point p =
+              SimulateServePoint(platform, s, common, rates[k], seeds[k]);
+          p.load = grid[k];
+          ++scan.points_simulated;
+          if (p.slo_ok) {
+            scan.knee_index = i;
+            scan.knee = std::move(p);
+            break;
+          }
+        }
+        return scan;
+      });
+
+  for (size_t ci = 0; ci < candidates.size(); ++ci) {
+    FleetCompareReport::Candidate& row = out.candidates[ci];
+    const FleetKneeScan& scan = scans[ci];
+    out.points_simulated += scan.points_simulated;
+    if (!candidate_platforms[ci]->ok) {
       continue;
     }
-    row.prefill_tp = platform.prefill_tp;
-    row.decode_tp = platform.decode_tp;
-    row.decode_capacity_tok_s = platform.decode_capacity_tok_s;
-
-    // The candidate's sweep shape: stationary single-class Poisson with
-    // fixed pools — the study compares hardware, not traffic.
-    ServeCommonKnobs common;
-    common.horizon_s = s.fleet.horizon_s;
-    common.prefill_instances = c.prefill_instances;
-    common.decode_instances = c.decode_instances;
-    common.prompt_sigma = s.fleet.prompt_sigma;
-    common.output_sigma = s.fleet.output_sigma;
-    common.seed = row.seed;
-
-    std::vector<uint64_t> seeds;
-    seeds.reserve(grid.size());
-    SplitMix64 seed_stream(row.seed);
-    for (size_t i = 0; i < grid.size(); ++i) {
-      // Masked to 53 bits like the sweep's, so `litegpu serve --seed
-      // <reported>` reproduces any point exactly.
-      seeds.push_back(seed_stream.Next() & ((uint64_t{1} << 53) - 1));
-    }
-    double pool_capacity_tok_s = platform.decode_capacity_tok_s * c.decode_instances;
-    double mean_output_tokens = static_cast<double>(s.workload.output_tokens);
-    std::vector<ServeSweepReport::Point> points =
-        ParallelMap<ServeSweepReport::Point>(
-            s.exec.threads, static_cast<int>(grid.size()), [&](int i) {
-              double load = grid[static_cast<size_t>(i)];
-              double rate = load * pool_capacity_tok_s / mean_output_tokens;
-              ServeSweepReport::Point p = SimulateServePoint(
-                  platform, s, common, rate, seeds[static_cast<size_t>(i)]);
-              p.load = load;
-              return p;
-            });
-
-    std::vector<KneePoint> view;
-    view.reserve(points.size());
-    for (const auto& p : points) {
-      KneePoint kp;
-      kp.arrival_rate_per_s = p.arrival_rate_per_s;
-      kp.load = p.load;
-      kp.slo_ok = p.slo_ok;
-      kp.goodput_tokens_per_s = p.goodput_tokens_per_s;
-      kp.makespan_s = p.makespan_s;
-      view.push_back(kp);
-    }
-    KneeSelection selection = SelectKneeAndCheapest(view, /*autoscaled=*/false);
-    if (selection.knee_index < 0) {
+    if (scan.knee_index < 0) {
       row.error = "no grid point meets the SLOs";
-      out.candidates.push_back(std::move(row));
       continue;
     }
-    const ServeSweepReport::Point& knee =
-        points[static_cast<size_t>(selection.knee_index)];
+    const ServeSweepReport::Point& knee = scan.knee;
     row.feasible = true;
-    row.knee_index = selection.knee_index;
+    row.knee_index = scan.knee_index;
     row.knee_load = knee.load;
     row.knee_arrival_rate_per_s = knee.arrival_rate_per_s;
     row.knee_goodput_tokens_per_s = knee.goodput_tokens_per_s;
     row.knee_total_gpus = knee.total_gpus;
-    row.analytic_capacity_tok_s = pool_capacity_tok_s;
+    row.analytic_capacity_tok_s =
+        row.decode_capacity_tok_s * candidates[ci].decode_instances;
 
     // The economics join: price the knee pool's silicon, amortize it, add
     // the knee pool's power priced at the grid rate.
+    const GpuSpec& gpu = gpus[ci];
     row.gpu_price_usd = PricedGpuUsd(wafer, YieldModel::kMurphy, defects, gpu,
                                      s.fleet.hbm_usd_per_gb, s.fleet.gpu_price_multiplier);
     row.capex_usd = row.gpu_price_usd * knee.total_gpus;
@@ -1075,7 +1103,6 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
     row.usd_per_mtoken = UsdPerMtokenAtKnee(row.capex_usd_per_hour,
                                             row.opex_usd_per_hour,
                                             knee.goodput_tokens_per_s);
-    out.candidates.push_back(std::move(row));
   }
 
   // Pareto frontier among feasible candidates: i is dominated when some j

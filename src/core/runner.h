@@ -310,12 +310,13 @@ struct ServeSweepReport {
   double cheapest_tokens_per_gpu_hour = 0.0;
 };
 
-// Fleet-compare study: one serve sweep per catalog candidate on the shared
-// load grid, each knee joined with the silicon cost and cluster power
+// Fleet-compare study: each catalog candidate's knee on the shared load
+// grid (found by scanning the grid from the top and stopping at the first
+// SLO-meeting point), joined with the silicon cost and cluster power
 // models into $/Mtoken-at-SLO and joules/token — the paper's headline
-// knee-vs-knee economics as one report. Candidates run in catalog order
-// with name-derived RNG streams, so reordering the catalog (or changing
-// the thread count) never changes a candidate's numbers.
+// knee-vs-knee economics as one report. Candidates have name-derived RNG
+// streams, so reordering the catalog (or changing the thread count) never
+// changes a candidate's numbers.
 struct FleetCompareReport {
   std::string model;
   FleetKnobs knobs;
@@ -366,6 +367,11 @@ struct FleetCompareReport {
   // candidates sharing a part share one search + step-time table, and the
   // bench gates on this staying equal to the distinct-part count.
   int platform_builds = 0;
+  // Grid points simulated across all candidates: each candidate scans its
+  // grid in KneeScanOrder and stops at its knee, so this is the knee's scan
+  // position + 1 per feasible candidate and the whole grid per infeasible
+  // one. The bench's cost counter; never emitted in a report.
+  int points_simulated = 0;
 };
 
 // --- the uniform result -----------------------------------------------------

@@ -358,7 +358,7 @@ struct FleetCandidate {
 };
 
 // Knobs only the fleet-compare study reads: a catalog of candidates, the
-// shared load grid each candidate's serve sweep runs over, and the
+// shared load grid each candidate's knee is searched on, and the
 // economics that turn each knee into $/Mtoken-at-SLO — silicon cost
 // (src/silicon/cost) amortized over `depreciation_months`, plus cluster
 // power (src/power/cluster_energy) priced at `electricity_usd_per_kwh`

@@ -1,28 +1,40 @@
 #include "src/serve/knee.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
 
 namespace litegpu {
+
+std::vector<int> KneeScanOrder(const std::vector<double>& rates,
+                               const std::vector<double>& loads) {
+  std::vector<int> order(rates.size());
+  std::iota(order.begin(), order.end(), 0);
+  // A stable sort keeps equal (rate, load) points in index order.
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    std::size_t i = static_cast<std::size_t>(a), j = static_cast<std::size_t>(b);
+    if (rates[i] != rates[j]) {
+      return rates[i] > rates[j];
+    }
+    return loads[i] < loads[j];
+  });
+  return order;
+}
 
 KneeSelection SelectKneeAndCheapest(const std::vector<KneePoint>& points,
                                     bool autoscaled) {
   KneeSelection out;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const KneePoint& p = points[i];
-    if (!p.slo_ok) {
-      continue;
-    }
-    if (out.knee_index < 0) {
-      out.knee_index = static_cast<int>(i);
-      continue;
-    }
-    const KneePoint& best = points[static_cast<std::size_t>(out.knee_index)];
-    // Strictly-higher rate wins; a rate tie goes to the lower load (the
-    // same offered demand met with less provisioned headroom), and a full
-    // tie keeps the earliest point.
-    if (p.arrival_rate_per_s > best.arrival_rate_per_s ||
-        (p.arrival_rate_per_s == best.arrival_rate_per_s && p.load < best.load)) {
-      out.knee_index = static_cast<int>(i);
+  std::vector<double> rates, loads;
+  rates.reserve(points.size());
+  loads.reserve(points.size());
+  for (const KneePoint& p : points) {
+    rates.push_back(p.arrival_rate_per_s);
+    loads.push_back(p.load);
+  }
+  for (int i : KneeScanOrder(rates, loads)) {
+    if (points[static_cast<std::size_t>(i)].slo_ok) {
+      out.knee_index = i;
+      break;
     }
   }
   if (out.knee_index >= 0) {

@@ -3,10 +3,13 @@
 // SLOs) and, for autoscaled sweeps, the cheapest SLO-meeting point by
 // served tokens per GPU-hour.
 //
-// Factored out of the serve-sweep runner so every consumer — the sweep
-// report, the fleet-compare study's per-candidate knees — selects by the
-// same rule and cannot drift. The view is deliberately tiny: callers copy
-// the five fields out of whatever point struct they carry.
+// Factored out of the serve-sweep runner so every consumer selects by the
+// same rule and cannot drift: the sweep report picks the first SLO-meeting
+// point of KneeScanOrder after simulating every point, and the
+// fleet-compare study simulates its candidates' points in that order and
+// stops at the first one that meets the SLOs. The view is deliberately
+// tiny: callers copy the five fields out of whatever point struct they
+// carry.
 
 #pragma once
 
@@ -27,8 +30,9 @@ struct KneePoint {
 };
 
 struct KneeSelection {
-  // Highest offered arrival rate among slo_ok points (-1 when none is).
-  // Rate ties break toward the lowest load, then the earliest index.
+  // The first slo_ok point in KneeScanOrder (-1 when none is): the
+  // highest offered arrival rate, rate ties broken toward the lowest load,
+  // then the earliest index.
   int knee_index = -1;
   double knee_load = 0.0;
   double knee_goodput_tokens_per_s = 0.0;
@@ -38,6 +42,14 @@ struct KneeSelection {
   int cheapest_index = -1;
   double cheapest_tokens_per_gpu_hour = 0.0;
 };
+
+// The knee-preference order of a grid: indices sorted by offered rate
+// descending, then load ascending (the same demand met with less
+// provisioned headroom), then index ascending. The knee is the first
+// slo_ok point in this order. `rates` and `loads` have one entry per
+// point.
+std::vector<int> KneeScanOrder(const std::vector<double>& rates,
+                               const std::vector<double>& loads);
 
 KneeSelection SelectKneeAndCheapest(const std::vector<KneePoint>& points,
                                     bool autoscaled);

@@ -14,6 +14,7 @@
 #include "src/core/runner.h"
 #include "src/core/scenario.h"
 #include "src/serve/knee.h"
+#include "src/util/rng.h"
 
 namespace litegpu {
 namespace {
@@ -160,6 +161,107 @@ TEST(FleetCompare, ParetoSetInvariantToCatalogOrder) {
   }
 }
 
+// --- knee-first scan vs the full grid -----------------------------------
+
+// The points a candidate's knee scan simulates, recomputed from the report:
+// the knee's position in KneeScanOrder + 1, the whole grid when no point
+// met the SLOs, none when the platform could not be built.
+int ExpectedPointsSimulated(const FleetCompareReport& r, const Scenario& s) {
+  const std::vector<double> grid = s.fleet.GridPoints();
+  int total = 0;
+  for (size_t ci = 0; ci < r.candidates.size(); ++ci) {
+    const auto& c = r.candidates[ci];
+    if (c.decode_tp == 0) {
+      continue;
+    }
+    if (!c.feasible) {
+      total += static_cast<int>(grid.size());
+      continue;
+    }
+    std::vector<double> rates;
+    for (double load : grid) {
+      rates.push_back(load * c.analytic_capacity_tok_s /
+                      static_cast<double>(s.workload.output_tokens));
+    }
+    std::vector<int> order = KneeScanOrder(rates, grid);
+    auto pos = std::find(order.begin(), order.end(), c.knee_index);
+    EXPECT_NE(pos, order.end()) << c.name;
+    total += static_cast<int>(pos - order.begin()) + 1;
+  }
+  return total;
+}
+
+// Each fleet candidate simulates its grid in knee-preference order and stops
+// at its first SLO-meeting point. A serve sweep over the same part, pool,
+// grid and seed simulates every point; its knee must be the fleet's, bit for
+// bit. The unsorted grid with a duplicated 0.5 makes the two-instance
+// prefill pool's scan cross the tie before it reaches its knee.
+TEST(FleetCompare, KneeScanFindsTheFullSweepKnee) {
+  std::vector<FleetCandidate> catalog = {MakeCandidate("H100 prefill2", 1, 1.0),
+                                         MakeCandidate("H100 auto", 1, 1.0)};
+  catalog[0].prefill_instances = 2;
+  Scenario fleet_scenario = FleetScenario(0xC0FFEE, 1, catalog);
+  fleet_scenario.fleet.loads = {1.5, 0.5, 1.0, 0.25, 0.5, 2.0, 0.75};
+  FleetCompareReport fleet = RunFleet(fleet_scenario);
+  ASSERT_EQ(fleet.candidates.size(), 2u);
+  EXPECT_EQ(fleet.platform_builds, 1);
+  EXPECT_EQ(fleet.points_simulated, ExpectedPointsSimulated(fleet, fleet_scenario));
+  // Scan order 2.0, 1.5, 1.0, 0.75, 0.5, 0.5, 0.25: the prefill2 knee (index
+  // 3, load 0.25) is the last of 7 points, the auto-sized one's is the first.
+  EXPECT_EQ(fleet.points_simulated, 7 + 1);
+
+  for (size_t ci = 0; ci < catalog.size(); ++ci) {
+    const auto& c = fleet.candidates[ci];
+    ServeSweepKnobs sweep;
+    sweep.loads = fleet_scenario.fleet.loads;
+    sweep.horizon_s = fleet_scenario.fleet.horizon_s;
+    sweep.prefill_instances = catalog[ci].prefill_instances;
+    sweep.decode_instances = catalog[ci].decode_instances;
+    // The report struct's seed, not the JSON one: JSON rounds it to a
+    // double, the struct keeps all 64 bits.
+    sweep.seed = c.seed;
+    std::string error;
+    auto sweep_scenario =
+        ScenarioBuilder(StudyKind::kServeSweep).Gpu("H100").ServeSweep(sweep).Build(&error);
+    ASSERT_TRUE(sweep_scenario.has_value()) << error;
+    RunReport sweep_run = Runner().Run(*sweep_scenario);
+    ASSERT_TRUE(sweep_run.ok) << sweep_run.error;
+    const auto& full = std::get<ServeSweepReport>(sweep_run.payload);
+
+    ASSERT_TRUE(c.feasible) << c.name << ": " << c.error;
+    ASSERT_GE(full.knee_index, 0) << c.name;
+    const auto& knee = full.points[static_cast<size_t>(full.knee_index)];
+    EXPECT_EQ(c.knee_index, full.knee_index) << c.name;
+    EXPECT_EQ(c.knee_load, knee.load) << c.name;
+    EXPECT_EQ(c.knee_arrival_rate_per_s, knee.arrival_rate_per_s) << c.name;
+    EXPECT_EQ(c.knee_goodput_tokens_per_s, knee.goodput_tokens_per_s) << c.name;
+    EXPECT_EQ(c.knee_total_gpus, knee.total_gpus) << c.name;
+  }
+  // The fixed two-instance prefill pool's knee sits below the 0.5 tie; the
+  // auto-sized pool keeps up at the top of the grid.
+  EXPECT_EQ(fleet.candidates[0].knee_index, 3);
+  EXPECT_EQ(fleet.candidates[1].knee_index, 5);
+}
+
+TEST(FleetCompare, PointsSimulatedInvariantToThreadCount) {
+  std::vector<FleetCandidate> catalog = DefaultCatalog();
+  catalog[0].prefill_instances = 2;
+  Scenario base = FleetScenario(0xC0FFEE, 1, catalog);
+  RunReport serial_run = Runner().Run(base);
+  ASSERT_TRUE(serial_run.ok) << serial_run.error;
+  const auto& serial = std::get<FleetCompareReport>(serial_run.payload);
+  EXPECT_EQ(serial.points_simulated, ExpectedPointsSimulated(serial, base));
+  for (int threads : {2, 13}) {
+    RunReport parallel_run = Runner().Run(FleetScenario(0xC0FFEE, threads, catalog));
+    ASSERT_TRUE(parallel_run.ok) << parallel_run.error;
+    EXPECT_EQ(std::get<FleetCompareReport>(parallel_run.payload).points_simulated,
+              serial.points_simulated)
+        << threads << " threads";
+    EXPECT_EQ(parallel_run.ToJson().Dump(), serial_run.ToJson().Dump())
+        << threads << " threads";
+  }
+}
+
 // --- degenerate catalogs -------------------------------------------------
 
 TEST(FleetCompare, ImpossibleSloMakesEveryCandidateInfeasible) {
@@ -237,6 +339,67 @@ TEST(KneeSelection, NoQualifyingPointReportsNoKnee) {
   KneeSelection s = SelectKneeAndCheapest(grid, /*autoscaled=*/false);
   EXPECT_EQ(s.knee_index, -1);
   EXPECT_EQ(s.cheapest_index, -1);
+}
+
+// The knee by the rule written out longhand: strictly higher rate wins, a
+// rate tie goes to the lower load, a full tie keeps the earliest point.
+int LonghandKnee(const std::vector<KneePoint>& points) {
+  int knee = -1;
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (!points[i].slo_ok) {
+      continue;
+    }
+    if (knee < 0) {
+      knee = static_cast<int>(i);
+      continue;
+    }
+    const KneePoint& best = points[static_cast<size_t>(knee)];
+    if (points[i].arrival_rate_per_s > best.arrival_rate_per_s ||
+        (points[i].arrival_rate_per_s == best.arrival_rate_per_s &&
+         points[i].load < best.load)) {
+      knee = static_cast<int>(i);
+    }
+  }
+  return knee;
+}
+
+TEST(KneeSelection, FirstSloOkPointInScanOrderIsTheKnee) {
+  SplitMix64 rng(0x5EED);
+  int no_knee_views = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Few distinct rates and loads, so rate ties, duplicate loads and full
+    // ties are common; the grid order is random.
+    size_t n = rng.Next() % 10;
+    std::vector<KneePoint> view;
+    std::vector<double> rates, loads;
+    for (size_t i = 0; i < n; ++i) {
+      KneePoint p = MakeKneePoint(static_cast<double>(rng.Next() % 4),
+                                  0.25 * static_cast<double>(1 + rng.Next() % 4),
+                                  rng.Next() % 3 == 0, 0.0);
+      view.push_back(p);
+      rates.push_back(p.arrival_rate_per_s);
+      loads.push_back(p.load);
+    }
+    std::vector<int> order = KneeScanOrder(rates, loads);
+    std::vector<int> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sorted[i], static_cast<int>(i)) << "not a permutation, trial " << trial;
+    }
+    int first_ok = -1;
+    for (int i : order) {
+      if (view[static_cast<size_t>(i)].slo_ok) {
+        first_ok = i;
+        break;
+      }
+    }
+    EXPECT_EQ(first_ok, SelectKneeAndCheapest(view, false).knee_index) << "trial " << trial;
+    EXPECT_EQ(first_ok, LonghandKnee(view)) << "trial " << trial;
+    if (first_ok < 0) {
+      ++no_knee_views;
+    }
+  }
+  EXPECT_GT(no_knee_views, 10);
 }
 
 TEST(KneeSelection, CheapestOnlyConsideredWhenAutoscaled) {

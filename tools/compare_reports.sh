@@ -3,9 +3,10 @@
 #
 #   tools/compare_reports.sh <parent-litegpu> <change-litegpu>
 #
-# Runs every examples/scenarios/*.json through `litegpu run <file> --json`
-# with each binary, once at `--threads 1` and once at the default thread
-# count, and compares stdout and exit status byte for byte. Prints one
+# Runs every examples/scenarios/*.json and litebench/workloads/*.json (read
+# only, at the files' own seeds) through `litegpu run <file> --json` with
+# each binary, once at `--threads 1` and once at the default thread count,
+# and compares stdout and exit status byte for byte. Prints one
 # `identical` or `DIFF` line per run and exits 1 if any run differs (2 on
 # bad usage). A change that claims to leave every report unchanged should
 # pass it against the parent commit's build.
@@ -25,7 +26,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 diffs=0
 runs=0
-for scenario in examples/scenarios/*.json; do
+for scenario in examples/scenarios/*.json litebench/workloads/*.json; do
   for threads in 1 default; do
     flags=(--json)
     if [ "$threads" != default ]; then
