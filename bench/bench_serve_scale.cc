@@ -470,7 +470,7 @@ int main(int argc, char** argv) {
         std::vector<int> order = KneeScanOrder(rates, fleet_grid);
         fleet_points_expected += static_cast<int>(
             std::find(order.begin(), order.end(), c.knee_index) - order.begin() + 1);
-      } else if (c.decode_tp > 0) {
+      } else if (c.searched.decode_tp > 0) {
         fleet_points_expected += static_cast<int>(fleet_grid.size());
       }
     }

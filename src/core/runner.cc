@@ -145,12 +145,7 @@ YieldStudyReport RunYieldStudy(const Scenario& s) {
 struct ServePlatform {
   bool ok = false;
   std::string error;
-  int prefill_tp = 0;
-  int prefill_batch = 0;
-  double prefill_capacity_tok_s = 0.0;
-  int decode_tp = 0;
-  int decode_batch = 0;
-  double decode_capacity_tok_s = 0.0;
+  ServeSearchedConfig searched;
   InstanceCapacity capacity;
   StepTimeTable table;
   // The resolved GPU spec, kept so fault injection can area-scale its AFR.
@@ -172,22 +167,20 @@ ServePlatform BuildServePlatform(const TransformerSpec& model, const GpuSpec& gp
                      " under the scenario's SLOs";
     return platform;
   }
-  platform.prefill_tp = prefill.best.tp_degree;
-  platform.prefill_batch = prefill.best.batch;
-  platform.prefill_capacity_tok_s = prefill.best.result.tokens_per_s;
-  platform.decode_tp = decode.best.tp_degree;
-  platform.decode_batch = decode.best.batch;
-  platform.decode_capacity_tok_s = decode.best.result.tokens_per_s;
+  platform.searched = {prefill.best.tp_degree, prefill.best.batch,
+                       prefill.best.result.tokens_per_s, decode.best.tp_degree,
+                       decode.best.batch, decode.best.result.tokens_per_s};
+  const ServeSearchedConfig& c = platform.searched;
 
-  TpPlan prefill_plan = MakeTpPlan(model, platform.prefill_tp, options.kv_policy).value();
-  TpPlan decode_plan = MakeTpPlan(model, platform.decode_tp, options.kv_policy).value();
+  TpPlan prefill_plan = MakeTpPlan(model, c.prefill_tp, options.kv_policy).value();
+  TpPlan decode_plan = MakeTpPlan(model, c.decode_tp, options.kv_policy).value();
   PerfModel prefill_model(model, gpu, prefill_plan, options.workload, options.engine);
   PerfModel decode_model(model, gpu, decode_plan, options.workload, options.engine);
-  platform.capacity = CapacityFromPerfModels(prefill_model, platform.prefill_batch,
-                                             decode_model, platform.decode_batch);
+  platform.capacity = CapacityFromPerfModels(prefill_model, c.prefill_batch, decode_model,
+                                             c.decode_batch);
   // The table copies the step times out, so the PerfModels can die here.
-  platform.table = StepTimeTable::Build(prefill_model, decode_model,
-                                        platform.prefill_batch, platform.decode_batch);
+  platform.table =
+      StepTimeTable::Build(prefill_model, decode_model, c.prefill_batch, c.decode_batch);
   platform.ok = true;
   return platform;
 }
@@ -318,73 +311,122 @@ ServeFaultConfig MakeFaultConfig(const FaultKnobs& knobs, const GpuSpec& gpu,
   return config;
 }
 
-// Global request-level TTFT SLO attainment: the fraction of completed
-// requests whose TTFT met their (per-class effective) SLO. The transient
-// counterpart of the p99 pass/fail — an autoscaled day can pass the
-// steady-state percentiles while a burst misses 10% of requests.
-// TTFT accessors that dispatch on how the run recorded first-token
-// latencies: the exact SampleSet normally, the streamed fixed-bin
-// histogram when the point ran sharded (O(bins) memory; quantiles within
-// one bin width). Keeping the dispatch here means every consumer — the
-// report percentiles, the SLO verdicts, the attainment fractions — reads
-// one code path regardless of execution mode.
-double TtftQuantile(const ServeMetrics& m, double q) {
-  return m.ttft_streamed ? m.ttft_hist.Quantile(q) : m.ttft_s.Quantile(q);
-}
+// A run's recorded TTFTs: the whole run's (ServeMetrics) or one class's
+// (ServeClassMetrics). They sit in the exact SampleSet normally and in the
+// streamed fixed-bin histogram when the point ran sharded (O(bins) memory;
+// quantiles and counts within one bin width). Every consumer (the report
+// percentiles, the SLO verdicts, the attainment fractions) reads through
+// here, so none depends on the execution mode.
+struct TtftRead {
+  template <typename Metrics>
+  TtftRead(const Metrics& m, bool streamed)
+      : samples(m.ttft_s), hist(m.ttft_hist), streamed(streamed) {}
 
-double ClassTtftQuantile(const ServeMetrics& m, const ServeClassMetrics& cm,
-                         double q) {
-  return m.ttft_streamed ? cm.ttft_hist.Quantile(q) : cm.ttft_s.Quantile(q);
-}
-
-size_t ClassTtftCount(const ServeMetrics& m, const ServeClassMetrics& cm) {
-  return m.ttft_streamed ? cm.ttft_hist.count() : cm.ttft_s.count();
-}
-
-// Number of recorded TTFTs at or below `slo` — exact in sample mode,
-// bin-interpolated in streamed mode.
-double ClassTtftWithin(const ServeMetrics& m, const ServeClassMetrics& cm,
-                       double slo) {
-  if (m.ttft_streamed) {
-    return cm.ttft_hist.CountAtOrBelow(slo);
+  double Quantile(double q) const {
+    return streamed ? hist.Quantile(q) : samples.Quantile(q);
   }
-  size_t within = 0;
-  for (double ttft : cm.ttft_s.samples()) {
-    if (ttft <= slo) {
-      ++within;
+  double Count() const {
+    return static_cast<double>(streamed ? hist.count() : samples.count());
+  }
+  // TTFTs at or below `slo`: exact over the samples, bin-interpolated over
+  // the histogram.
+  double Within(double slo) const {
+    if (streamed) {
+      return hist.CountAtOrBelow(slo);
     }
+    const std::vector<double>& all = samples.samples();
+    return static_cast<double>(
+        std::count_if(all.begin(), all.end(), [slo](double t) { return t <= slo; }));
   }
-  return static_cast<double>(within);
+
+  const SampleSet& samples;
+  const LatencyHistogram& hist;
+  bool streamed;
+};
+
+// Fills what a point and a request class measure alike, from the run's or
+// the class's metrics.
+template <typename Metrics>
+void FillOutcome(const Metrics& m, bool ttft_streamed, double goodput_tokens_per_s,
+                 ServeOutcomeReport& out) {
+  TtftRead ttft(m, ttft_streamed);
+  out.admitted_requests = m.admitted_requests;
+  out.completed_requests = m.completed_requests;
+  out.in_flight_at_horizon = m.in_flight_at_horizon;
+  out.ttft_p50_s = ttft.Quantile(0.5);
+  out.ttft_p95_s = ttft.Quantile(0.95);
+  out.ttft_p99_s = ttft.Quantile(0.99);
+  out.tbt_p50_s = m.tbt_s.Median();
+  out.tbt_p95_s = m.tbt_s.P95();
+  out.tbt_p99_s = m.tbt_s.P99();
+  out.goodput_tokens_per_s = goodput_tokens_per_s;
 }
 
-double GlobalTtftAttainment(const ServeMetrics& metrics, const Scenario& s,
-                            const std::vector<RequestClass>& classes) {
+// The SLO verdict of a run or of one class, judged at quantile `q`. A run
+// that completed nothing proves nothing: its vacuously zero percentiles
+// never pass, so an empty point cannot become a knee.
+template <typename Metrics>
+bool MeetsSlos(const Metrics& m, bool ttft_streamed, double q, double ttft_slo_s,
+               double tbt_slo_s) {
+  return m.completed_requests > 0 && TtftRead(m, ttft_streamed).Quantile(q) <= ttft_slo_s &&
+         m.tbt_s.Quantile(q) <= tbt_slo_s;
+}
+
+// Global request-level TTFT SLO attainment: the fraction of completed
+// requests whose TTFT met their SLO (each class's own in a mix). The
+// transient counterpart of the p99 pass/fail: an autoscaled day can pass
+// the steady-state percentiles while a burst misses 10% of requests.
+double GlobalTtftAttainment(const ServeMetrics& m, double ttft_slo_s,
+                            const std::vector<ServeClassReport>& classes) {
   double total = 0.0;
   double within = 0.0;
+  auto add = [&](const TtftRead& ttft, double slo) {
+    total += ttft.Count();
+    within += ttft.Within(slo);
+  };
   if (classes.empty()) {
-    if (metrics.ttft_streamed) {
-      total = static_cast<double>(metrics.ttft_hist.count());
-      within = metrics.ttft_hist.CountAtOrBelow(s.workload.ttft_slo_s);
-    } else {
-      total = static_cast<double>(metrics.ttft_s.count());
-      size_t n = 0;
-      for (double ttft : metrics.ttft_s.samples()) {
-        if (ttft <= s.workload.ttft_slo_s) {
-          ++n;
-        }
-      }
-      within = static_cast<double>(n);
-    }
-  } else {
-    for (size_t c = 0; c < classes.size(); ++c) {
-      const ServeClassMetrics& cm = metrics.per_class[c];
-      double slo =
-          classes[c].ttft_slo_s > 0.0 ? classes[c].ttft_slo_s : s.workload.ttft_slo_s;
-      total += static_cast<double>(ClassTtftCount(metrics, cm));
-      within += ClassTtftWithin(metrics, cm, slo);
-    }
+    add(TtftRead(m, m.ttft_streamed), ttft_slo_s);
+  }
+  for (size_t c = 0; c < classes.size(); ++c) {
+    add(TtftRead(m.per_class[c], m.ttft_streamed), classes[c].ttft_slo_s);
   }
   return total > 0.0 ? within / total : 0.0;
+}
+
+// A serve point's offered traffic: its load, arrival rate and workload seed.
+struct ServeOffer {
+  double load = 0.0;
+  double arrival_rate_per_s = 0.0;
+  uint64_t seed = 0;
+};
+
+// Expands a grid (loads as fractions of the decode pool's analytic
+// capacity, or arrival rates when `rate_grid`) into one offer per index.
+// The seeds are one SplitMix64 stream drawn serially, one per index, so a
+// point's stream depends neither on the thread count nor on which other
+// points run. Each is masked to 53 bits so the reported seed survives
+// JSON's double-backed numbers exactly: `litegpu serve --rate <reported>
+// --seed <reported>` reproduces the point bit-for-bit. The serve-sweep and
+// every fleet candidate expand their grids here.
+std::vector<ServeOffer> ExpandServeGrid(const std::vector<double>& grid, bool rate_grid,
+                                        double pool_capacity_tok_s,
+                                        double mean_output_tokens, uint64_t seed) {
+  std::vector<ServeOffer> offers(grid.size());
+  SplitMix64 seed_stream(seed);
+  for (size_t i = 0; i < grid.size(); ++i) {
+    ServeOffer& o = offers[i];
+    o.seed = seed_stream.Next() & ((uint64_t{1} << 53) - 1);
+    if (rate_grid) {
+      o.arrival_rate_per_s = grid[i];
+      o.load = pool_capacity_tok_s > 0.0
+                   ? grid[i] * mean_output_tokens / pool_capacity_tok_s
+                   : 0.0;
+    } else {
+      o.load = grid[i];
+      o.arrival_rate_per_s = grid[i] * pool_capacity_tok_s / mean_output_tokens;
+    }
+  }
+  return offers;
 }
 
 // Simulates one offered-load point on the platform's step-time table: plan
@@ -392,16 +434,17 @@ double GlobalTtftAttainment(const ServeMetrics& metrics, const Scenario& s,
 // point's workload from its own seed — one substream per request class,
 // shaped by the scenario's arrival process — run the fast-path simulation
 // (with the autoscaler when the knobs enable one), and summarize globally
-// and per class. The single shared body for the serve study and every
-// point of a sweep — a load simulated standalone and inside a sweep cannot
-// drift apart. `load` is left to the caller; `seed` is the point's own
-// stream (a sweep derives one per point), not common.seed.
-ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
-                                           const Scenario& s,
-                                           const ServeCommonKnobs& common,
-                                           double arrival_rate_per_s, uint64_t seed) {
+// and per class. The single shared body for the serve study, every point
+// of a sweep and every point a fleet candidate scans: a load simulated
+// standalone and inside a sweep cannot drift apart. The offer's seed is
+// the point's own stream, not common.seed.
+ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenario& s,
+                                    const ServeCommonKnobs& common, const ServeOffer& offer) {
   const std::vector<RequestClass>& classes = common.classes;
-  ServeSweepReport::Point p;
+  const double arrival_rate_per_s = offer.arrival_rate_per_s;
+  const uint64_t seed = offer.seed;
+  ServePointReport p;
+  p.load = offer.load;
   p.arrival_rate_per_s = arrival_rate_per_s;
   p.seed = seed;
   ClassMixSummary mix = SummarizeClassMix(classes);
@@ -669,6 +712,46 @@ ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
     f.events = std::move(metrics.fault_events);
   }
 
+  const bool streamed = metrics.ttft_streamed;
+  FillOutcome(metrics, streamed, metrics.decode_tokens_per_s, p);
+  p.capacity_agreement = p.analytic_tokens_per_s > 0.0
+                             ? p.goodput_tokens_per_s / p.analytic_tokens_per_s
+                             : 0.0;
+  p.prefill_utilization = metrics.prefill_utilization;
+  p.decode_utilization = metrics.decode_utilization;
+  p.mean_decode_batch = metrics.mean_decode_batch;
+  p.makespan_s = metrics.makespan_s;
+
+  // SLO verdicts are judged at p99 normally; under fault injection, at the
+  // faults block's target_attainment quantile — "meets the SLOs under
+  // churn" at the declared percentile. The default 0.99 makes the two
+  // criteria coincide, so fault-free sweeps are unchanged bit-for-bit.
+  // With a class mix the point meets its SLOs only when EVERY class does.
+  const double slo_q =
+      common.faults.enabled() ? common.faults.target_attainment : 0.99;
+  p.slo_ok = classes.empty() ? MeetsSlos(metrics, streamed, slo_q, s.workload.ttft_slo_s,
+                                         s.workload.tbt_slo_s)
+                             : p.completed_requests > 0;
+  for (size_t c = 0; c < classes.size(); ++c) {
+    const ServeClassMetrics& cm = metrics.per_class[c];
+    ServeClassReport cls;
+    cls.name = classes[c].name;
+    cls.share = mix.shares[c];
+    cls.arrival_rate_per_s = arrival_rate_per_s * mix.shares[c];
+    cls.ttft_slo_s =
+        classes[c].ttft_slo_s > 0.0 ? classes[c].ttft_slo_s : s.workload.ttft_slo_s;
+    cls.tbt_slo_s =
+        classes[c].tbt_slo_s > 0.0 ? classes[c].tbt_slo_s : s.workload.tbt_slo_s;
+    FillOutcome(cm, streamed,
+                metrics.makespan_s > 0.0 ? cm.output_tokens / metrics.makespan_s : 0.0, cls);
+    TtftRead ttft(cm, streamed);
+    cls.ttft_attainment =
+        ttft.Count() > 0.0 ? ttft.Within(cls.ttft_slo_s) / ttft.Count() : 0.0;
+    cls.slo_ok = MeetsSlos(cm, streamed, slo_q, cls.ttft_slo_s, cls.tbt_slo_s);
+    p.slo_ok = p.slo_ok && cls.slo_ok;
+    p.classes.push_back(std::move(cls));
+  }
+
   if (common.autoscaler.enabled()) {
     p.scale.enabled = true;
     p.scale.policy = ToString(common.autoscaler.policy);
@@ -685,89 +768,18 @@ ServeSweepReport::Point SimulateServePoint(const ServePlatform& platform,
     p.scale.peak_decode_instances = metrics.peak_decode_instances;
     p.scale.final_prefill_instances = metrics.final_prefill_instances;
     p.scale.final_decode_instances = metrics.final_decode_instances;
-    p.scale.ttft_attainment = GlobalTtftAttainment(metrics, s, classes);
-    p.scale.events = metrics.scale_events;
+    p.scale.ttft_attainment =
+        GlobalTtftAttainment(metrics, s.workload.ttft_slo_s, p.classes);
+    p.scale.events = std::move(metrics.scale_events);
   }
-
-  p.admitted_requests = metrics.admitted_requests;
-  p.completed_requests = metrics.completed_requests;
-  p.in_flight_at_horizon = metrics.in_flight_at_horizon;
-  p.ttft_p50_s = TtftQuantile(metrics, 0.5);
-  p.ttft_p95_s = TtftQuantile(metrics, 0.95);
-  p.ttft_p99_s = TtftQuantile(metrics, 0.99);
-  p.tbt_p50_s = metrics.tbt_s.Median();
-  p.tbt_p95_s = metrics.tbt_s.P95();
-  p.tbt_p99_s = metrics.tbt_s.P99();
-  p.goodput_tokens_per_s = metrics.decode_tokens_per_s;
-  p.capacity_agreement = p.analytic_tokens_per_s > 0.0
-                             ? p.goodput_tokens_per_s / p.analytic_tokens_per_s
-                             : 0.0;
-  p.prefill_utilization = metrics.prefill_utilization;
-  p.decode_utilization = metrics.decode_utilization;
-  p.mean_decode_batch = metrics.mean_decode_batch;
-  p.makespan_s = metrics.makespan_s;
-
-  // SLO verdicts are judged at p99 normally; under fault injection, at the
-  // faults block's target_attainment quantile — "meets the SLOs under
-  // churn" at the declared percentile. The default 0.99 makes the two
-  // criteria coincide, so fault-free sweeps are unchanged bit-for-bit.
-  const double slo_q =
-      common.faults.enabled() ? common.faults.target_attainment : 0.99;
-  if (classes.empty()) {
-    // A point that served nothing proves nothing: vacuously zero
-    // percentiles must not count as meeting the SLOs (or an empty point
-    // could be the knee).
-    p.slo_ok = p.completed_requests > 0 &&
-               TtftQuantile(metrics, slo_q) <= s.workload.ttft_slo_s &&
-               metrics.tbt_s.Quantile(slo_q) <= s.workload.tbt_slo_s;
-    return p;
-  }
-
-  // Per-class summaries; the point meets its SLOs only when EVERY class
-  // does (each class must have completed at least one request — a class
-  // the horizon never served proves nothing).
-  bool all_classes_ok = true;
-  for (size_t c = 0; c < classes.size(); ++c) {
-    const ServeClassMetrics& cm = metrics.per_class[c];
-    ServeClassReport cls;
-    cls.name = classes[c].name;
-    cls.share = mix.shares[c];
-    cls.arrival_rate_per_s = arrival_rate_per_s * mix.shares[c];
-    cls.ttft_slo_s =
-        classes[c].ttft_slo_s > 0.0 ? classes[c].ttft_slo_s : s.workload.ttft_slo_s;
-    cls.tbt_slo_s =
-        classes[c].tbt_slo_s > 0.0 ? classes[c].tbt_slo_s : s.workload.tbt_slo_s;
-    cls.admitted_requests = cm.admitted_requests;
-    cls.completed_requests = cm.completed_requests;
-    cls.in_flight_at_horizon = cm.in_flight_at_horizon;
-    cls.ttft_p50_s = ClassTtftQuantile(metrics, cm, 0.5);
-    cls.ttft_p95_s = ClassTtftQuantile(metrics, cm, 0.95);
-    cls.ttft_p99_s = ClassTtftQuantile(metrics, cm, 0.99);
-    cls.tbt_p50_s = cm.tbt_s.Median();
-    cls.tbt_p95_s = cm.tbt_s.P95();
-    cls.tbt_p99_s = cm.tbt_s.P99();
-    cls.goodput_tokens_per_s =
-        metrics.makespan_s > 0.0 ? cm.output_tokens / metrics.makespan_s : 0.0;
-    size_t ttft_count = ClassTtftCount(metrics, cm);
-    cls.ttft_attainment = ttft_count > 0
-                              ? ClassTtftWithin(metrics, cm, cls.ttft_slo_s) /
-                                    static_cast<double>(ttft_count)
-                              : 0.0;
-    cls.slo_ok = cls.completed_requests > 0 &&
-                 ClassTtftQuantile(metrics, cm, slo_q) <= cls.ttft_slo_s &&
-                 cm.tbt_s.Quantile(slo_q) <= cls.tbt_slo_s;
-    all_classes_ok = all_classes_ok && cls.slo_ok;
-    p.classes.push_back(std::move(cls));
-  }
-  p.slo_ok = p.completed_requests > 0 && all_classes_ok;
   return p;
 }
 
 // Runs the end-to-end serving simulation for the scenario's (model, GPU)
 // pair: search the best phase configurations, build the step-time table,
-// size the pools, generate the Poisson workload, and drive the discrete-
-// event simulator on the table-driven fast path. Fails (non-empty *error)
-// when no feasible configuration exists under the SLOs.
+// and simulate one point at the offered load. Fails (non-empty *error)
+// when no feasible configuration exists under the SLOs, or when the
+// horizon admits no request: an all-zero report would read as a result.
 ServeStudyReport RunServeStudy(const Scenario& s, std::string* error) {
   ServeStudyReport out;
   out.model = s.ResolvedModels().front();
@@ -779,60 +791,42 @@ ServeStudyReport RunServeStudy(const Scenario& s, std::string* error) {
     *error = platform.error;
     return out;
   }
-  out.prefill_tp = platform.prefill_tp;
-  out.prefill_batch = platform.prefill_batch;
-  out.prefill_capacity_tok_s = platform.prefill_capacity_tok_s;
-  out.decode_tp = platform.decode_tp;
-  out.decode_batch = platform.decode_batch;
-  out.decode_capacity_tok_s = platform.decode_capacity_tok_s;
+  out.searched = platform.searched;
 
-  out.decode_instances = s.serve.decode_instances;
   // Offered load: explicit rate, or `load` x the decode pool's analytic
   // capacity converted to requests/s via the (class-weighted) mean output
   // length. A trace replay's effective rate comes from the trace itself —
   // arrivals over the horizon — so planning and reporting see the demand
   // the replay actually offers.
+  ServeOffer offer;
+  offer.seed = s.serve.seed;
   if (s.serve.arrival_rate_per_s > 0.0) {
-    out.arrival_rate_per_s = s.serve.arrival_rate_per_s;
+    offer.arrival_rate_per_s = s.serve.arrival_rate_per_s;
   } else if (s.serve.arrival.kind == ArrivalKind::kTrace) {
-    out.arrival_rate_per_s = MeanTraceRatePerS(s.serve.arrival, s.serve.horizon_s);
+    offer.arrival_rate_per_s = MeanTraceRatePerS(s.serve.arrival, s.serve.horizon_s);
   } else {
-    out.arrival_rate_per_s = s.serve.load * out.decode_capacity_tok_s *
-                             out.decode_instances /
-                             MeanWorkloadFor(s, s.serve.classes).output_tokens;
+    offer.load = s.serve.load;
+    offer.arrival_rate_per_s = s.serve.load * out.searched.decode_capacity_tok_s *
+                               s.serve.decode_instances /
+                               MeanWorkloadFor(s, s.serve.classes).output_tokens;
   }
 
-  ServeSweepReport::Point point =
-      SimulateServePoint(platform, s, s.serve, out.arrival_rate_per_s, s.serve.seed);
-  out.analytic_tokens_per_s = point.analytic_tokens_per_s;
-  out.prefill_instances = point.prefill_instances;
-  out.total_gpus = point.total_gpus;
-  out.admitted_requests = point.admitted_requests;
-  out.completed_requests = point.completed_requests;
-  out.in_flight_at_horizon = point.in_flight_at_horizon;
-  out.ttft_p50_s = point.ttft_p50_s;
-  out.ttft_p95_s = point.ttft_p95_s;
-  out.ttft_p99_s = point.ttft_p99_s;
-  out.tbt_p50_s = point.tbt_p50_s;
-  out.tbt_p95_s = point.tbt_p95_s;
-  out.tbt_p99_s = point.tbt_p99_s;
-  out.goodput_tokens_per_s = point.goodput_tokens_per_s;
-  out.capacity_agreement = point.capacity_agreement;
-  out.prefill_utilization = point.prefill_utilization;
-  out.decode_utilization = point.decode_utilization;
-  out.mean_decode_batch = point.mean_decode_batch;
-  out.makespan_s = point.makespan_s;
-  out.scale = std::move(point.scale);
-  out.faults = std::move(point.faults);
-  out.classes = std::move(point.classes);
+  ServePointReport& point = out;
+  point = SimulateServePoint(platform, s, s.serve, offer);
+  if (out.admitted_requests == 0) {
+    std::ostringstream message;
+    message << "the serve study admitted no requests: serve.horizon_s = " << s.serve.horizon_s
+            << " s at " << offer.arrival_rate_per_s
+            << " req/s; lengthen the horizon or raise the offered load";
+    *error = message.str();
+  }
   return out;
 }
 
 // Runs the serve-sweep study: one BuildServePlatform, then every grid point
-// as an independent simulation fanned across the thread pool. Per-point
-// workload seeds come from one SplitMix64 stream expanded serially up
-// front, and workers write only their own Point slot, so the report is
-// bit-identical at any thread count.
+// as an independent simulation fanned across the thread pool. The grid's
+// offers (seeds included) expand serially up front, and workers write only
+// their own point slot, so the report is bit-identical at any thread count.
 ServeSweepReport RunServeSweepStudy(const Scenario& s, std::string* error) {
   ServeSweepReport out;
   out.model = s.ResolvedModels().front();
@@ -846,43 +840,15 @@ ServeSweepReport RunServeSweepStudy(const Scenario& s, std::string* error) {
     *error = platform.error;
     return out;
   }
-  out.prefill_tp = platform.prefill_tp;
-  out.prefill_batch = platform.prefill_batch;
-  out.prefill_capacity_tok_s = platform.prefill_capacity_tok_s;
-  out.decode_tp = platform.decode_tp;
-  out.decode_batch = platform.decode_batch;
-  out.decode_capacity_tok_s = platform.decode_capacity_tok_s;
+  out.searched = platform.searched;
 
-  const std::vector<double> grid = s.sweep.GridPoints();
-  std::vector<uint64_t> seeds;
-  seeds.reserve(grid.size());
-  SplitMix64 seed_stream(s.sweep.seed);
-  for (size_t i = 0; i < grid.size(); ++i) {
-    // Masked to 53 bits so the reported seed survives JSON's double-backed
-    // numbers exactly — `litegpu serve --seed <reported>` must reproduce
-    // the point's workload bit-for-bit.
-    seeds.push_back(seed_stream.Next() & ((uint64_t{1} << 53) - 1));
-  }
-
-  double pool_capacity_tok_s = platform.decode_capacity_tok_s * s.sweep.decode_instances;
-  double mean_output_tokens = MeanWorkloadFor(s, s.sweep.classes).output_tokens;
-  out.points = ParallelMap<ServeSweepReport::Point>(
-      s.exec.threads, static_cast<int>(grid.size()), [&](int i) {
-        double value = grid[static_cast<size_t>(i)];
-        double rate, load;
-        if (s.sweep.IsRateGrid()) {
-          rate = value;
-          load = pool_capacity_tok_s > 0.0
-                     ? value * mean_output_tokens / pool_capacity_tok_s
-                     : 0.0;
-        } else {
-          load = value;
-          rate = value * pool_capacity_tok_s / mean_output_tokens;
-        }
-        ServeSweepReport::Point p = SimulateServePoint(platform, s, s.sweep, rate,
-                                                       seeds[static_cast<size_t>(i)]);
-        p.load = load;
-        return p;
+  const std::vector<ServeOffer> offers =
+      ExpandServeGrid(s.sweep.GridPoints(), s.sweep.IsRateGrid(),
+                      out.searched.decode_capacity_tok_s * s.sweep.decode_instances,
+                      MeanWorkloadFor(s, s.sweep.classes).output_tokens, s.sweep.seed);
+  out.points = ParallelMap<ServePointReport>(
+      s.exec.threads, static_cast<int>(offers.size()), [&](int i) {
+        return SimulateServePoint(platform, s, s.sweep, offers[static_cast<size_t>(i)]);
       });
 
   // Knee + (autoscaled) cheapest selection via the shared helper, so the
@@ -957,7 +923,7 @@ GpuSpec ResolveFleetGpu(const FleetCandidate& c) {
 // simulated to find it.
 struct FleetKneeScan {
   int knee_index = -1;
-  ServeSweepReport::Point knee;
+  ServePointReport knee;
   int points_simulated = 0;
 };
 
@@ -1012,9 +978,7 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
     const ServePlatform& platform = it->second;
     candidate_platforms.push_back(&platform);
     if (platform.ok) {
-      row.prefill_tp = platform.prefill_tp;
-      row.decode_tp = platform.decode_tp;
-      row.decode_capacity_tok_s = platform.decode_capacity_tok_s;
+      row.searched = platform.searched;
     } else {
       row.error = platform.error;
     }
@@ -1039,23 +1003,17 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
         common.output_sigma = s.fleet.output_sigma;
         common.seed = out.candidates[static_cast<size_t>(ci)].seed;
 
-        std::vector<uint64_t> seeds;
+        const std::vector<ServeOffer> offers = ExpandServeGrid(
+            grid, /*rate_grid=*/false,
+            platform.searched.decode_capacity_tok_s * c.decode_instances,
+            mean_output_tokens, common.seed);
         std::vector<double> rates;
-        seeds.reserve(grid.size());
-        rates.reserve(grid.size());
-        SplitMix64 seed_stream(common.seed);
-        const double pool_capacity_tok_s = platform.decode_capacity_tok_s * c.decode_instances;
-        for (double load : grid) {
-          // Masked to 53 bits like the sweep's, so `litegpu serve --seed
-          // <reported>` reproduces any point exactly.
-          seeds.push_back(seed_stream.Next() & ((uint64_t{1} << 53) - 1));
-          rates.push_back(load * pool_capacity_tok_s / mean_output_tokens);
+        for (const ServeOffer& offer : offers) {
+          rates.push_back(offer.arrival_rate_per_s);
         }
         for (int i : KneeScanOrder(rates, grid)) {
-          const size_t k = static_cast<size_t>(i);
-          ServeSweepReport::Point p =
-              SimulateServePoint(platform, s, common, rates[k], seeds[k]);
-          p.load = grid[k];
+          ServePointReport p =
+              SimulateServePoint(platform, s, common, offers[static_cast<size_t>(i)]);
           ++scan.points_simulated;
           if (p.slo_ok) {
             scan.knee_index = i;
@@ -1077,7 +1035,7 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
       row.error = "no grid point meets the SLOs";
       continue;
     }
-    const ServeSweepReport::Point& knee = scan.knee;
+    const ServePointReport& knee = scan.knee;
     row.feasible = true;
     row.knee_index = scan.knee_index;
     row.knee_load = knee.load;
@@ -1085,7 +1043,7 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
     row.knee_goodput_tokens_per_s = knee.goodput_tokens_per_s;
     row.knee_total_gpus = knee.total_gpus;
     row.analytic_capacity_tok_s =
-        row.decode_capacity_tok_s * candidates[ci].decode_instances;
+        row.searched.decode_capacity_tok_s * candidates[ci].decode_instances;
 
     // The economics join: price the knee pool's silicon, amortize it, add
     // the knee pool's power priced at the grid rate.
@@ -1386,30 +1344,43 @@ std::string ClassTableToText(const std::vector<ServeClassReport>& classes) {
   return table.ToText();
 }
 
+// The report keys a point and a request class share, in report order.
+void WriteOutcome(Json& j, const ServeOutcomeReport& o) {
+  Json latency = Json::Object();
+  latency.Set("ttft_p50_s", o.ttft_p50_s)
+      .Set("ttft_p95_s", o.ttft_p95_s)
+      .Set("ttft_p99_s", o.ttft_p99_s)
+      .Set("tbt_p50_s", o.tbt_p50_s)
+      .Set("tbt_p95_s", o.tbt_p95_s)
+      .Set("tbt_p99_s", o.tbt_p99_s);
+  j.Set("admitted_requests", o.admitted_requests)
+      .Set("completed_requests", o.completed_requests)
+      .Set("in_flight_at_horizon", o.in_flight_at_horizon)
+      .Set("latency", std::move(latency))
+      .Set("goodput_tokens_per_s", o.goodput_tokens_per_s);
+}
+
+Json SloToJson(double ttft_slo_s, double tbt_slo_s) {
+  Json slo = Json::Object();
+  slo.Set("ttft_p99_s", ttft_slo_s).Set("tbt_p99_s", tbt_slo_s);
+  return slo;
+}
+
+std::string SlosToText(double ttft_slo_s, double tbt_slo_s) {
+  return "  SLOs: TTFT p99 <= " + HumanTime(ttft_slo_s) + ", TBT p99 <= " +
+         HumanTime(tbt_slo_s) + "\n";
+}
+
 Json ClassReportsToJson(const std::vector<ServeClassReport>& classes) {
   Json arr = Json::Array();
   for (const auto& c : classes) {
-    Json latency = Json::Object();
-    latency.Set("ttft_p50_s", c.ttft_p50_s)
-        .Set("ttft_p95_s", c.ttft_p95_s)
-        .Set("ttft_p99_s", c.ttft_p99_s)
-        .Set("tbt_p50_s", c.tbt_p50_s)
-        .Set("tbt_p95_s", c.tbt_p95_s)
-        .Set("tbt_p99_s", c.tbt_p99_s);
-    Json slo = Json::Object();
-    slo.Set("ttft_p99_s", c.ttft_slo_s).Set("tbt_p99_s", c.tbt_slo_s);
     Json j = Json::Object();
     j.Set("name", c.name)
         .Set("share", c.share)
         .Set("arrival_rate_per_s", c.arrival_rate_per_s)
-        .Set("slo", std::move(slo))
-        .Set("admitted_requests", c.admitted_requests)
-        .Set("completed_requests", c.completed_requests)
-        .Set("in_flight_at_horizon", c.in_flight_at_horizon)
-        .Set("latency", std::move(latency))
-        .Set("goodput_tokens_per_s", c.goodput_tokens_per_s)
-        .Set("ttft_attainment", c.ttft_attainment)
-        .Set("slo_ok", c.slo_ok);
+        .Set("slo", SloToJson(c.ttft_slo_s, c.tbt_slo_s));
+    WriteOutcome(j, c);
+    j.Set("ttft_attainment", c.ttft_attainment).Set("slo_ok", c.slo_ok);
     arr.Append(std::move(j));
   }
   return arr;
@@ -1597,15 +1568,54 @@ std::string ScaleSummaryToText(const ServeScaleReport& scale) {
   return os.str();
 }
 
+// Closes a point's JSON with the blocks of the axes it ran.
+void WritePointBlocks(Json& j, const ServePointReport& p) {
+  if (p.scale.enabled) {
+    j.Set("autoscaler", ScaleReportToJson(p.scale));
+  }
+  if (p.faults.enabled || p.faults.shedding_enabled) {
+    j.Set("faults", FaultReportToJson(p.faults));
+  }
+  if (!p.classes.empty()) {
+    j.Set("classes", ClassReportsToJson(p.classes));
+  }
+}
+
+// The config-echo keys the serve and sweep reports share, after each
+// study's own.
+void WriteServeEcho(Json& config, const ServeCommonKnobs& knobs) {
+  config.Set("horizon_s", knobs.horizon_s)
+      .Set("prompt_sigma", knobs.prompt_sigma)
+      .Set("output_sigma", knobs.output_sigma)
+      .Set("seed", knobs.seed);
+  WriteServeOptionalBlocks(config, knobs);
+}
+
+// One phase of the searched configuration; callers add its pool's keys.
+Json PhaseToJson(int tp, int batch, double capacity_tok_s) {
+  Json phase = Json::Object();
+  phase.Set("tp_degree", tp).Set("batch", batch).Set("capacity_tokens_per_s", capacity_tok_s);
+  return phase;
+}
+
+// The searched configuration as two lines, each pool suffix after its
+// phase's per-instance capacity.
+std::string SearchedToText(const ServeSearchedConfig& c, const std::string& prefill_pool,
+                           const std::string& decode_pool) {
+  std::ostringstream os;
+  os << "  prefill: TP=" << c.prefill_tp << " batch<=" << c.prefill_batch << " ("
+     << FormatDouble(c.prefill_capacity_tok_s, 0) << " tok/s/inst)" << prefill_pool << "\n"
+     << "  decode:  TP=" << c.decode_tp << " batch<=" << c.decode_batch << " ("
+     << FormatDouble(c.decode_capacity_tok_s, 0) << " tok/s/inst)" << decode_pool << "\n";
+  return os.str();
+}
+
 std::string ServeStudyToText(const ServeStudyReport& r) {
   std::ostringstream os;
   os << "Serving simulation: " << r.model << " on " << r.gpu << "\n"
-     << "  prefill: TP=" << r.prefill_tp << " batch<=" << r.prefill_batch << " ("
-     << FormatDouble(r.prefill_capacity_tok_s, 0) << " tok/s/inst) x "
-     << r.prefill_instances << " instances\n"
-     << "  decode:  TP=" << r.decode_tp << " batch<=" << r.decode_batch << " ("
-     << FormatDouble(r.decode_capacity_tok_s, 0) << " tok/s/inst) x "
-     << r.decode_instances << " instances  [" << r.total_gpus << " GPUs total]\n"
+     << SearchedToText(r.searched, " x " + std::to_string(r.prefill_instances) + " instances",
+                       " x " + std::to_string(r.knobs.decode_instances) + " instances  [" +
+                           std::to_string(r.total_gpus) + " GPUs total]")
      << "  offered: " << FormatDouble(r.arrival_rate_per_s, 2) << " req/s over "
      << HumanTime(r.knobs.horizon_s) << " horizon ("
      << FormatDouble(r.analytic_tokens_per_s, 0) << " decode tok/s analytic)\n";
@@ -1625,9 +1635,7 @@ std::string ServeStudyToText(const ServeStudyReport& r) {
   if (r.scale.enabled) {
     os << ScaleSummaryToText(r.scale);
   }
-  if (r.faults.enabled || r.faults.shedding_enabled) {
-    os << FaultSummaryToText(r.faults);
-  }
+  os << FaultSummaryToText(r.faults);
   if (!r.classes.empty()) {
     os << "per-class (" << r.classes.size() << " request classes):\n"
        << ClassTableToText(r.classes);
@@ -1637,57 +1645,29 @@ std::string ServeStudyToText(const ServeStudyReport& r) {
 
 Json ServeStudyToJson(const ServeStudyReport& r) {
   Json config = Json::Object();
-  config.Set("load", r.knobs.load)
-      .Set("arrival_rate_per_s", r.arrival_rate_per_s)
-      .Set("horizon_s", r.knobs.horizon_s)
-      .Set("prompt_sigma", r.knobs.prompt_sigma)
-      .Set("output_sigma", r.knobs.output_sigma)
-      .Set("seed", r.knobs.seed);
-  WriteServeOptionalBlocks(config, r.knobs);
-  Json prefill = Json::Object();
-  prefill.Set("tp_degree", r.prefill_tp)
-      .Set("batch", r.prefill_batch)
-      .Set("capacity_tokens_per_s", r.prefill_capacity_tok_s)
-      .Set("instances", r.prefill_instances)
-      .Set("utilization", r.prefill_utilization);
-  Json decode = Json::Object();
-  decode.Set("tp_degree", r.decode_tp)
-      .Set("batch", r.decode_batch)
-      .Set("capacity_tokens_per_s", r.decode_capacity_tok_s)
-      .Set("instances", r.decode_instances)
+  config.Set("load", r.knobs.load).Set("arrival_rate_per_s", r.arrival_rate_per_s);
+  WriteServeEcho(config, r.knobs);
+  const ServeSearchedConfig& c = r.searched;
+  Json prefill = PhaseToJson(c.prefill_tp, c.prefill_batch, c.prefill_capacity_tok_s);
+  prefill.Set("instances", r.prefill_instances).Set("utilization", r.prefill_utilization);
+  // The configured decode pool, where prefill and total_gpus report the
+  // planned deployment (the two differ when autoscaler bounds clamp it).
+  Json decode = PhaseToJson(c.decode_tp, c.decode_batch, c.decode_capacity_tok_s);
+  decode.Set("instances", r.knobs.decode_instances)
       .Set("utilization", r.decode_utilization)
       .Set("mean_batch", r.mean_decode_batch);
-  Json latency = Json::Object();
-  latency.Set("ttft_p50_s", r.ttft_p50_s)
-      .Set("ttft_p95_s", r.ttft_p95_s)
-      .Set("ttft_p99_s", r.ttft_p99_s)
-      .Set("tbt_p50_s", r.tbt_p50_s)
-      .Set("tbt_p95_s", r.tbt_p95_s)
-      .Set("tbt_p99_s", r.tbt_p99_s);
   Json j = Json::Object();
   j.Set("model", r.model)
       .Set("gpu", r.gpu)
       .Set("config", std::move(config))
       .Set("prefill", std::move(prefill))
       .Set("decode", std::move(decode))
-      .Set("total_gpus", r.total_gpus)
-      .Set("admitted_requests", r.admitted_requests)
-      .Set("completed_requests", r.completed_requests)
-      .Set("in_flight_at_horizon", r.in_flight_at_horizon)
-      .Set("latency", std::move(latency))
-      .Set("goodput_tokens_per_s", r.goodput_tokens_per_s)
-      .Set("analytic_tokens_per_s", r.analytic_tokens_per_s)
+      .Set("total_gpus", r.total_gpus);
+  WriteOutcome(j, r);
+  j.Set("analytic_tokens_per_s", r.analytic_tokens_per_s)
       .Set("capacity_agreement", r.capacity_agreement)
       .Set("makespan_s", r.makespan_s);
-  if (r.scale.enabled) {
-    j.Set("autoscaler", ScaleReportToJson(r.scale));
-  }
-  if (r.faults.enabled || r.faults.shedding_enabled) {
-    j.Set("faults", FaultReportToJson(r.faults));
-  }
-  if (!r.classes.empty()) {
-    j.Set("classes", ClassReportsToJson(r.classes));
-  }
+  WritePointBlocks(j, r);
   return j;
 }
 
@@ -1695,13 +1675,9 @@ std::string ServeSweepToText(const ServeSweepReport& r) {
   std::ostringstream os;
   os << "Serve sweep: " << r.model << " on " << r.gpu << " — " << r.points.size()
      << " load points over " << HumanTime(r.knobs.horizon_s) << " horizon\n"
-     << "  prefill: TP=" << r.prefill_tp << " batch<=" << r.prefill_batch << " ("
-     << FormatDouble(r.prefill_capacity_tok_s, 0) << " tok/s/inst)\n"
-     << "  decode:  TP=" << r.decode_tp << " batch<=" << r.decode_batch << " ("
-     << FormatDouble(r.decode_capacity_tok_s, 0) << " tok/s/inst) x "
-     << r.knobs.decode_instances << " instances\n"
-     << "  SLOs: TTFT p99 <= " << HumanTime(r.ttft_slo_s) << ", TBT p99 <= "
-     << HumanTime(r.tbt_slo_s) << "\n";
+     << SearchedToText(r.searched, "",
+                       " x " + std::to_string(r.knobs.decode_instances) + " instances")
+     << SlosToText(r.ttft_slo_s, r.tbt_slo_s);
   Table table({"Load", "Req/s", "Prefill inst", "TTFT p50/p99", "TBT p50/p99",
                "Goodput tok/s", "Ratio", "Util p/d", "SLO"});
   for (const auto& p : r.points) {
@@ -1732,10 +1708,8 @@ std::string ServeSweepToText(const ServeSweepReport& r) {
        << FormatDouble(knee.goodput_tokens_per_s, 0) << " tok/s goodput) — "
        << (multi_class ? "highest load where every class meets its SLOs"
                        : "highest load meeting both SLOs")
-       << churn_suffix << "\n";
-    if (knee.faults.enabled || knee.faults.shedding_enabled) {
-      os << FaultSummaryToText(knee.faults);
-    }
+       << churn_suffix << "\n"
+       << FaultSummaryToText(knee.faults);
     if (multi_class) {
       os << "per-class at the knee:\n" << ClassTableToText(knee.classes);
     }
@@ -1759,76 +1733,41 @@ std::string ServeSweepToText(const ServeSweepReport& r) {
 
 Json ServeSweepToJson(const ServeSweepReport& r) {
   Json config = Json::Object();
-  if (!r.knobs.loads.empty()) {
-    Json arr = Json::Array();
-    for (double load : r.knobs.loads) {
-      arr.Append(load);
+  for (const auto& [key, values] : {std::make_pair("loads", &r.knobs.loads),
+                                    std::make_pair("rates", &r.knobs.rates)}) {
+    if (!values->empty()) {
+      Json arr = Json::Array();
+      for (double value : *values) {
+        arr.Append(value);
+      }
+      config.Set(key, std::move(arr));
     }
-    config.Set("loads", std::move(arr));
-  }
-  if (!r.knobs.rates.empty()) {
-    Json arr = Json::Array();
-    for (double rate : r.knobs.rates) {
-      arr.Append(rate);
-    }
-    config.Set("rates", std::move(arr));
   }
   config.Set("load_lo", r.knobs.load_lo)
       .Set("load_hi", r.knobs.load_hi)
-      .Set("load_step", r.knobs.load_step)
-      .Set("horizon_s", r.knobs.horizon_s)
-      .Set("prompt_sigma", r.knobs.prompt_sigma)
-      .Set("output_sigma", r.knobs.output_sigma)
-      .Set("seed", r.knobs.seed);
-  WriteServeOptionalBlocks(config, r.knobs);
-  Json prefill = Json::Object();
-  prefill.Set("tp_degree", r.prefill_tp)
-      .Set("batch", r.prefill_batch)
-      .Set("capacity_tokens_per_s", r.prefill_capacity_tok_s);
-  Json decode = Json::Object();
-  decode.Set("tp_degree", r.decode_tp)
-      .Set("batch", r.decode_batch)
-      .Set("capacity_tokens_per_s", r.decode_capacity_tok_s)
-      .Set("instances", r.knobs.decode_instances);
-  Json slo = Json::Object();
-  slo.Set("ttft_p99_s", r.ttft_slo_s).Set("tbt_p99_s", r.tbt_slo_s);
+      .Set("load_step", r.knobs.load_step);
+  WriteServeEcho(config, r.knobs);
+  const ServeSearchedConfig& c = r.searched;
+  Json decode = PhaseToJson(c.decode_tp, c.decode_batch, c.decode_capacity_tok_s);
+  decode.Set("instances", r.knobs.decode_instances);
   Json points = Json::Array();
   for (const auto& p : r.points) {
-    Json latency = Json::Object();
-    latency.Set("ttft_p50_s", p.ttft_p50_s)
-        .Set("ttft_p95_s", p.ttft_p95_s)
-        .Set("ttft_p99_s", p.ttft_p99_s)
-        .Set("tbt_p50_s", p.tbt_p50_s)
-        .Set("tbt_p95_s", p.tbt_p95_s)
-        .Set("tbt_p99_s", p.tbt_p99_s);
     Json point = Json::Object();
     point.Set("load", p.load)
         .Set("arrival_rate_per_s", p.arrival_rate_per_s)
         .Set("seed", p.seed)
         .Set("prefill_instances", p.prefill_instances)
         .Set("decode_instances", p.decode_instances)
-        .Set("total_gpus", p.total_gpus)
-        .Set("admitted_requests", p.admitted_requests)
-        .Set("completed_requests", p.completed_requests)
-        .Set("in_flight_at_horizon", p.in_flight_at_horizon)
-        .Set("latency", std::move(latency))
-        .Set("goodput_tokens_per_s", p.goodput_tokens_per_s)
-        .Set("analytic_tokens_per_s", p.analytic_tokens_per_s)
+        .Set("total_gpus", p.total_gpus);
+    WriteOutcome(point, p);
+    point.Set("analytic_tokens_per_s", p.analytic_tokens_per_s)
         .Set("capacity_agreement", p.capacity_agreement)
         .Set("prefill_utilization", p.prefill_utilization)
         .Set("decode_utilization", p.decode_utilization)
         .Set("mean_decode_batch", p.mean_decode_batch)
         .Set("makespan_s", p.makespan_s)
         .Set("slo_ok", p.slo_ok);
-    if (p.scale.enabled) {
-      point.Set("autoscaler", ScaleReportToJson(p.scale));
-    }
-    if (p.faults.enabled || p.faults.shedding_enabled) {
-      point.Set("faults", FaultReportToJson(p.faults));
-    }
-    if (!p.classes.empty()) {
-      point.Set("classes", ClassReportsToJson(p.classes));
-    }
+    WritePointBlocks(point, p);
     points.Append(std::move(point));
   }
   Json knee = Json::Object();
@@ -1840,9 +1779,9 @@ Json ServeSweepToJson(const ServeSweepReport& r) {
   j.Set("model", r.model)
       .Set("gpu", r.gpu)
       .Set("config", std::move(config))
-      .Set("prefill", std::move(prefill))
+      .Set("prefill", PhaseToJson(c.prefill_tp, c.prefill_batch, c.prefill_capacity_tok_s))
       .Set("decode", std::move(decode))
-      .Set("slo", std::move(slo))
+      .Set("slo", SloToJson(r.ttft_slo_s, r.tbt_slo_s))
       .Set("points", std::move(points))
       .Set("knee", std::move(knee));
   if (r.knobs.autoscaler.enabled()) {
@@ -1864,8 +1803,7 @@ std::string FleetCompareToText(const FleetCompareReport& r) {
   os << "Fleet compare: " << r.model << " — " << r.candidates.size()
      << " candidates, " << r.knobs.GridPoints().size() << " load points over "
      << HumanTime(r.knobs.horizon_s) << " horizon\n"
-     << "  SLOs: TTFT p99 <= " << HumanTime(r.ttft_slo_s) << ", TBT p99 <= "
-     << HumanTime(r.tbt_slo_s) << "\n"
+     << SlosToText(r.ttft_slo_s, r.tbt_slo_s)
      << "  economics: " << FormatDouble(r.knobs.depreciation_months, 0)
      << "-month depreciation, $" << FormatDouble(r.knobs.electricity_usd_per_kwh, 2)
      << "/kWh, " << HumanPercent(r.knobs.gpu_utilization, 0) << " utilization\n";
@@ -1904,8 +1842,6 @@ std::string FleetCompareToText(const FleetCompareReport& r) {
 }
 
 Json FleetCompareToJson(const FleetCompareReport& r) {
-  Json slo = Json::Object();
-  slo.Set("ttft_p99_s", r.ttft_slo_s).Set("tbt_p99_s", r.tbt_slo_s);
   Json candidates = Json::Array();
   for (const auto& c : r.candidates) {
     Json row = Json::Object();
@@ -1935,9 +1871,9 @@ Json FleetCompareToJson(const FleetCompareReport& r) {
         .Set("opex_usd_per_hour", c.opex_usd_per_hour)
         .Set("usd_per_mtoken", c.usd_per_mtoken)
         .Set("joules_per_token", c.joules_per_token);
-    row.Set("prefill_tp", c.prefill_tp)
-        .Set("decode_tp", c.decode_tp)
-        .Set("decode_capacity_tokens_per_s", c.decode_capacity_tok_s)
+    row.Set("prefill_tp", c.searched.prefill_tp)
+        .Set("decode_tp", c.searched.decode_tp)
+        .Set("decode_capacity_tokens_per_s", c.searched.decode_capacity_tok_s)
         .Set("knee", std::move(knee))
         .Set("economics", std::move(economics))
         .Set("on_frontier", c.on_frontier);
@@ -1950,7 +1886,7 @@ Json FleetCompareToJson(const FleetCompareReport& r) {
   Json j = Json::Object();
   j.Set("model", r.model)
       .Set("config", FleetKnobsToJson(r.knobs))
-      .Set("slo", std::move(slo))
+      .Set("slo", SloToJson(r.ttft_slo_s, r.tbt_slo_s))
       .Set("candidates", std::move(candidates))
       .Set("frontier", std::move(frontier))
       .Set("winner_index", r.winner_index)

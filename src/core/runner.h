@@ -71,22 +71,30 @@ struct DeriveStudyReport {
   LiteDeriveResult result;
 };
 
+// What a serve point and each of its request classes measure alike:
+// request counts, latency percentiles and goodput. TTFT percentiles are
+// exact, or within one bin width when the point ran sharded (streamed
+// into a fixed-bin histogram); TBT percentiles always come from a
+// streamed histogram.
+struct ServeOutcomeReport {
+  int admitted_requests = 0;
+  int completed_requests = 0;
+  int in_flight_at_horizon = 0;  // admitted but unfinished when the horizon passed
+  double ttft_p50_s = 0.0, ttft_p95_s = 0.0, ttft_p99_s = 0.0;
+  double tbt_p50_s = 0.0, tbt_p95_s = 0.0, tbt_p99_s = 0.0;
+  double goodput_tokens_per_s = 0.0;  // decode tokens/s over the makespan
+};
+
 // Per-class slice of a multi-tenant serving result: the class's share of
-// the mix, its measured latency percentiles, goodput, and whether it met
-// its (possibly inherited) SLOs. Present only when the scenario declares
-// request classes — single-class reports are unchanged.
-struct ServeClassReport {
+// the mix, its measured outcome, and whether it met its (possibly
+// inherited) SLOs. Present only when the scenario declares request classes
+// — single-class reports are unchanged.
+struct ServeClassReport : ServeOutcomeReport {
   std::string name;
   double share = 0.0;               // normalized weight, sums to 1 over the mix
   double arrival_rate_per_s = 0.0;  // this class's slice of the offered rate
   double ttft_slo_s = 0.0;          // effective (inherited when the class's is 0)
   double tbt_slo_s = 0.0;
-  int admitted_requests = 0;
-  int completed_requests = 0;
-  int in_flight_at_horizon = 0;
-  double ttft_p50_s = 0.0, ttft_p95_s = 0.0, ttft_p99_s = 0.0;
-  double tbt_p50_s = 0.0, tbt_p95_s = 0.0, tbt_p99_s = 0.0;
-  double goodput_tokens_per_s = 0.0;  // class decode tokens/s over the makespan
   // Fraction of the class's completed requests whose TTFT met the SLO
   // (request-level attainment; TBT attainment is judged at the p99).
   double ttft_attainment = 0.0;
@@ -197,47 +205,62 @@ struct ServeFaultReport {
   std::vector<ShedEvent> shed_events;  // simulated-time order
 };
 
-// End-to-end serving study: the PerfModel-backed discrete-event simulation
-// of the searched best prefill/decode configurations, with the analytic
-// capacity cross-check the paper's claim rests on.
-struct ServeStudyReport {
-  std::string model;
-  std::string gpu;
-  ServeKnobs knobs;
-
-  // Chosen analytic configurations (from the PerfModel-backed search).
+// The searched per-instance configurations a serve deployment runs: each
+// phase's best TP degree and batch cap from the PerfModel-backed search,
+// and the analytic throughput one instance reaches with them.
+struct ServeSearchedConfig {
   int prefill_tp = 0;
   int prefill_batch = 0;
   double prefill_capacity_tok_s = 0.0;  // per instance
   int decode_tp = 0;
   int decode_batch = 0;
-  double decode_capacity_tok_s = 0.0;   // per instance
+  double decode_capacity_tok_s = 0.0;  // per instance
+};
 
-  // Deployment actually simulated.
+// One simulated serve point: what was offered, the deployment simulated,
+// and what was measured. Every serve simulation returns one — the serve
+// study's single point (ServeStudyReport extends it), each point of a
+// serve-sweep, and each fleet candidate's knee — so a point field is
+// declared, filled and rendered once.
+struct ServePointReport : ServeOutcomeReport {
+  // Fraction of the decode pool's analytic capacity: a load grid's value,
+  // derived from the rate on a rate grid, 0 when a serve study's rate was
+  // set directly or by a trace.
+  double load = 0.0;
+  double arrival_rate_per_s = 0.0;
+  uint64_t seed = 0;  // this point's workload RNG stream
+  // The planned deployment: pools auto-sized unless set, clamped into the
+  // autoscaler's bounds; total_gpus also counts the hot spares.
   int prefill_instances = 0;
   int decode_instances = 0;
   int total_gpus = 0;
-  double arrival_rate_per_s = 0.0;
-
-  // Measured end-to-end.
-  int admitted_requests = 0;
-  int completed_requests = 0;
-  int in_flight_at_horizon = 0;  // admitted but unfinished when the horizon passed
-  double ttft_p50_s = 0.0, ttft_p95_s = 0.0, ttft_p99_s = 0.0;
-  double tbt_p50_s = 0.0, tbt_p95_s = 0.0, tbt_p99_s = 0.0;
-  double goodput_tokens_per_s = 0.0;   // decode tokens/s over the makespan
   double analytic_tokens_per_s = 0.0;  // offered decode-token demand
   double capacity_agreement = 0.0;     // goodput / analytic (the cross-check)
   double prefill_utilization = 0.0;
   double decode_utilization = 0.0;
   double mean_decode_batch = 0.0;
   double makespan_s = 0.0;
+  // Single-class: ttft_p99 <= ttft_slo && tbt_p99 <= tbt_slo. With a
+  // class mix: EVERY class meets its own (possibly inherited) SLOs. Never
+  // true for a point that completed nothing.
+  bool slo_ok = false;
   // Autoscaler outcome (scale.enabled false for fixed-pool runs).
   ServeScaleReport scale;
   // Fault outcome (faults.enabled false for fault-free runs).
   ServeFaultReport faults;
   // One entry per declared request class (empty in single-class mode).
   std::vector<ServeClassReport> classes;
+};
+
+// End-to-end serving study: the PerfModel-backed discrete-event simulation
+// of the searched best prefill/decode configurations at one offered load,
+// with the analytic capacity cross-check the paper's claim rests on. A
+// study that admits no requests is an error, not an all-zero report.
+struct ServeStudyReport : ServePointReport {
+  std::string model;
+  std::string gpu;
+  ServeKnobs knobs;
+  ServeSearchedConfig searched;
 };
 
 // Serve-sweep study: one searched deployment driven over a whole load grid
@@ -249,49 +272,13 @@ struct ServeSweepReport {
   std::string model;
   std::string gpu;
   ServeSweepKnobs knobs;
-
-  // Chosen analytic configurations (shared by every point).
-  int prefill_tp = 0;
-  int prefill_batch = 0;
-  double prefill_capacity_tok_s = 0.0;  // per instance
-  int decode_tp = 0;
-  int decode_batch = 0;
-  double decode_capacity_tok_s = 0.0;   // per instance
+  ServeSearchedConfig searched;  // shared by every point
 
   // The SLOs the knee is judged against (from the scenario's workload).
   double ttft_slo_s = 0.0;
   double tbt_slo_s = 0.0;
 
-  struct Point {
-    double load = 0.0;  // fraction of the decode pool's analytic capacity
-    double arrival_rate_per_s = 0.0;
-    uint64_t seed = 0;  // this point's derived workload RNG stream
-    int prefill_instances = 0;
-    int decode_instances = 0;
-    int total_gpus = 0;
-    int admitted_requests = 0;
-    int completed_requests = 0;
-    int in_flight_at_horizon = 0;
-    double ttft_p50_s = 0.0, ttft_p95_s = 0.0, ttft_p99_s = 0.0;
-    double tbt_p50_s = 0.0, tbt_p95_s = 0.0, tbt_p99_s = 0.0;
-    double goodput_tokens_per_s = 0.0;
-    double analytic_tokens_per_s = 0.0;
-    double capacity_agreement = 0.0;
-    double prefill_utilization = 0.0;
-    double decode_utilization = 0.0;
-    double mean_decode_batch = 0.0;
-    double makespan_s = 0.0;
-    // Single-class: ttft_p99 <= ttft_slo && tbt_p99 <= tbt_slo. With a
-    // class mix: EVERY class meets its own (possibly inherited) SLOs.
-    bool slo_ok = false;
-    // Autoscaler outcome (scale.enabled false for fixed-pool runs).
-    ServeScaleReport scale;
-    // Fault outcome (faults.enabled false for fault-free runs).
-    ServeFaultReport faults;
-    // One entry per declared request class (empty in single-class mode).
-    std::vector<ServeClassReport> classes;
-  };
-  std::vector<Point> points;  // grid order
+  std::vector<ServePointReport> points;  // grid order
 
   // Knee: the highest-load point still meeting the SLOs (-1 when none
   // does) — with a class mix, the highest load where every class meets its
@@ -333,10 +320,7 @@ struct FleetCompareReport {
     // Feasible = a searched config exists AND some grid point met the SLOs.
     bool feasible = false;
     std::string error;  // why infeasible ("" when feasible)
-    // Searched per-instance config.
-    int prefill_tp = 0;
-    int decode_tp = 0;
-    double decode_capacity_tok_s = 0.0;  // per instance
+    ServeSearchedConfig searched;  // zero when the part's search failed
     // Knee operating point (valid only when feasible).
     int knee_index = -1;
     double knee_load = 0.0;

@@ -447,6 +447,14 @@ TEST(CliSmoke, InvalidAutoscalerFileExitsUsageError) {
   std::remove(arrival_path.c_str());
 }
 
+TEST(CliSmoke, ServeThatAdmitsNoRequestsExitsOne) {
+  CommandResult result = RunCommandMergedOutput("serve --horizon 1e-9 --threads 1");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.stdout_text.find("admitted no requests: serve.horizon_s"),
+            std::string::npos)
+      << result.stdout_text;
+}
+
 TEST(CliSmoke, TextModeStillPrintsTables) {
   CommandResult result = RunCommand("run " + ScenarioPath("fig3a.json"));
   EXPECT_EQ(result.exit_code, 0);

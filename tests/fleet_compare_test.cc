@@ -171,7 +171,7 @@ int ExpectedPointsSimulated(const FleetCompareReport& r, const Scenario& s) {
   int total = 0;
   for (size_t ci = 0; ci < r.candidates.size(); ++ci) {
     const auto& c = r.candidates[ci];
-    if (c.decode_tp == 0) {
+    if (c.searched.decode_tp == 0) {
       continue;
     }
     if (!c.feasible) {

@@ -185,6 +185,23 @@ TEST(Runner, ServeStudyFailsCleanlyWhenSloInfeasible) {
   EXPECT_TRUE(std::holds_alternative<std::monostate>(report.payload));
 }
 
+TEST(Runner, ServeStudyThatAdmitsNoRequestsIsAnError) {
+  // A horizon too short for a single arrival would otherwise print an
+  // all-zero report that reads like a measurement. Serial and sharded runs
+  // alike fail, naming the knob to change.
+  for (int shards : {0, 1024}) {
+    ServeKnobs knobs;
+    knobs.horizon_s = 1e-9;
+    knobs.shards = shards;
+    Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Threads(2).Build();
+    RunReport report = Runner().Run(s);
+    EXPECT_FALSE(report.ok) << shards << " shards";
+    EXPECT_NE(report.error.find("admitted no requests: serve.horizon_s"), std::string::npos)
+        << report.error;
+    EXPECT_TRUE(std::holds_alternative<std::monostate>(report.payload));
+  }
+}
+
 TEST(Runner, OutOfMemoryComesBackAsErrorReport) {
 #if defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "AddressSanitizer's operator new aborts instead of throwing std::bad_alloc";

@@ -186,5 +186,121 @@ TEST(Runner, ServeSweepReportIsBitIdenticalAtAnyThreadCount) {
   }
 }
 
+// --- the point-reproduction contract ---
+
+// The serve study a sweep point's reported rate and seed describe: the
+// sweep's per-point knobs, driven at that rate from that seed.
+Scenario ServeAtPoint(const ServeSweepKnobs& sweep, const ServePointReport& point) {
+  ServeKnobs knobs;
+  static_cast<ServeCommonKnobs&>(knobs) = sweep;
+  knobs.arrival_rate_per_s = point.arrival_rate_per_s;
+  knobs.seed = point.seed;
+  return *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Threads(1).Build();
+}
+
+// Checks a serve study reproduces a sweep point field for field, bit for
+// bit. The nested autoscaler, faults and classes blocks and the latency
+// percentiles are compared through their JSON, which renders every field
+// with shortest-round-trip numbers. `load` is the one field left out: a
+// serve study given a rate directly reports none.
+void ExpectServeReproducesPoint(const ServeSweepKnobs& knobs, const RunReport& sweep_run,
+                                size_t index) {
+  SCOPED_TRACE("point " + std::to_string(index));
+  const ServePointReport& point =
+      std::get<ServeSweepReport>(sweep_run.payload).points[index];
+  RunReport serve_run = Runner().Run(ServeAtPoint(knobs, point));
+  ASSERT_TRUE(serve_run.ok) << serve_run.error;
+  const auto& serve = std::get<ServeStudyReport>(serve_run.payload);
+  EXPECT_EQ(serve.arrival_rate_per_s, point.arrival_rate_per_s);
+  EXPECT_EQ(serve.seed, point.seed);
+  EXPECT_EQ(serve.prefill_instances, point.prefill_instances);
+  EXPECT_EQ(serve.decode_instances, point.decode_instances);
+  EXPECT_EQ(serve.total_gpus, point.total_gpus);
+  EXPECT_EQ(serve.admitted_requests, point.admitted_requests);
+  EXPECT_EQ(serve.completed_requests, point.completed_requests);
+  EXPECT_EQ(serve.in_flight_at_horizon, point.in_flight_at_horizon);
+  EXPECT_EQ(serve.ttft_p50_s, point.ttft_p50_s);
+  EXPECT_EQ(serve.ttft_p95_s, point.ttft_p95_s);
+  EXPECT_EQ(serve.ttft_p99_s, point.ttft_p99_s);
+  EXPECT_EQ(serve.tbt_p50_s, point.tbt_p50_s);
+  EXPECT_EQ(serve.tbt_p95_s, point.tbt_p95_s);
+  EXPECT_EQ(serve.tbt_p99_s, point.tbt_p99_s);
+  EXPECT_EQ(serve.goodput_tokens_per_s, point.goodput_tokens_per_s);
+  EXPECT_EQ(serve.analytic_tokens_per_s, point.analytic_tokens_per_s);
+  EXPECT_EQ(serve.capacity_agreement, point.capacity_agreement);
+  EXPECT_EQ(serve.prefill_utilization, point.prefill_utilization);
+  EXPECT_EQ(serve.decode_utilization, point.decode_utilization);
+  EXPECT_EQ(serve.mean_decode_batch, point.mean_decode_batch);
+  EXPECT_EQ(serve.makespan_s, point.makespan_s);
+  EXPECT_EQ(serve.slo_ok, point.slo_ok);
+  EXPECT_EQ(serve.scale.enabled, point.scale.enabled);
+  EXPECT_EQ(serve.faults.enabled, point.faults.enabled);
+  EXPECT_EQ(serve.classes.size(), point.classes.size());
+
+  Json serve_json = serve_run.ToJson();
+  Json sweep_json = sweep_run.ToJson();
+  const Json& serve_block = *serve_json.Find("report");
+  const Json& point_block = sweep_json.Find("report")->Find("points")->elements()[index];
+  for (const char* key : {"latency", "autoscaler", "faults", "classes"}) {
+    const Json* a = serve_block.Find(key);
+    const Json* b = point_block.Find(key);
+    ASSERT_EQ(a == nullptr, b == nullptr) << key;
+    if (a != nullptr) {
+      EXPECT_EQ(a->Dump(), b->Dump()) << key;
+    }
+  }
+}
+
+TEST(Runner, ServeStudyReproducesEverySweepPoint) {
+  ServeSweepKnobs knobs;
+  knobs.loads = {0.5, 0.9};
+  knobs.horizon_s = 10.0;
+  Scenario s = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  RunReport sweep = Runner().Run(s);
+  ASSERT_TRUE(sweep.ok) << sweep.error;
+  for (size_t i = 0; i < knobs.loads.size(); ++i) {
+    ExpectServeReproducesPoint(knobs, sweep, i);
+  }
+}
+
+TEST(Runner, ServeStudyReproducesAutoscaledFaultyMultiClassSweepPoints) {
+  ServeSweepKnobs knobs;
+  knobs.loads = {0.4, 0.8};
+  knobs.horizon_s = 20.0;
+  knobs.prompt_sigma = 0.5;
+  knobs.output_sigma = 0.5;
+  knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
+  knobs.autoscaler.interval_s = 2.0;
+  knobs.autoscaler.delay_s = 3.0;
+  knobs.faults.afr = 200000.0;
+  knobs.faults.mttr_hours = 0.01;
+  knobs.faults.spare_activation_minutes = 0.1;
+  knobs.faults.hot_spares = 1;
+  knobs.faults.shed_queue_depth = 16;
+  RequestClass chat;
+  chat.name = "chat";
+  chat.weight = 0.7;
+  RequestClass batch;
+  batch.name = "batch";
+  batch.weight = 0.3;
+  batch.prompt_tokens = 4000;
+  batch.output_tokens = 800;
+  batch.ttft_slo_s = 8.0;
+  knobs.classes = {chat, batch};
+  Scenario s = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  RunReport sweep = Runner().Run(s);
+  ASSERT_TRUE(sweep.ok) << sweep.error;
+  const auto& points = std::get<ServeSweepReport>(sweep.payload).points;
+  int failures = 0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_TRUE(points[i].scale.enabled);
+    EXPECT_TRUE(points[i].faults.enabled);
+    EXPECT_EQ(points[i].classes.size(), 2u);
+    failures += points[i].faults.prefill.failures + points[i].faults.decode.failures;
+    ExpectServeReproducesPoint(knobs, sweep, i);
+  }
+  EXPECT_GT(failures, 0);  // the fault path really ran
+}
+
 }  // namespace
 }  // namespace litegpu
