@@ -5,6 +5,7 @@
 #include <map>
 #include <new>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "src/hw/catalog.h"
@@ -152,11 +153,14 @@ struct ServePlatform {
   GpuSpec gpu;
 };
 
-// Spec-accepting overload: fleet candidates derive parts that are not in
-// the catalog, so the platform builder takes the resolved GpuSpec directly;
-// the name-based wrapper below keeps the serve/sweep call sites unchanged.
-ServePlatform BuildServePlatform(const TransformerSpec& model, const GpuSpec& gpu,
-                                 const SearchOptions& options) {
+// A platform build, in two halves. SearchServePlatform runs the
+// configuration search on a resolved part (fleet candidates derive parts
+// that are not in the catalog, so it takes the GpuSpec itself) and fills
+// everything but `capacity` and `table`. TabulateServePlatform then prices
+// a found platform's per-instance capacity and step-time table. The fleet
+// study runs the searches in a fan-out and tabulates on its own thread.
+ServePlatform SearchServePlatform(const TransformerSpec& model, const GpuSpec& gpu,
+                                  const SearchOptions& options) {
   ServePlatform platform;
   platform.gpu = gpu;
   PrefillSearchResult prefill = SearchPrefill(model, gpu, options);
@@ -170,24 +174,33 @@ ServePlatform BuildServePlatform(const TransformerSpec& model, const GpuSpec& gp
   platform.searched = {prefill.best.tp_degree, prefill.best.batch,
                        prefill.best.result.tokens_per_s, decode.best.tp_degree,
                        decode.best.batch, decode.best.result.tokens_per_s};
-  const ServeSearchedConfig& c = platform.searched;
-
-  TpPlan prefill_plan = MakeTpPlan(model, c.prefill_tp, options.kv_policy).value();
-  TpPlan decode_plan = MakeTpPlan(model, c.decode_tp, options.kv_policy).value();
-  PerfModel prefill_model(model, gpu, prefill_plan, options.workload, options.engine);
-  PerfModel decode_model(model, gpu, decode_plan, options.workload, options.engine);
-  platform.capacity = CapacityFromPerfModels(prefill_model, c.prefill_batch, decode_model,
-                                             c.decode_batch);
-  // The table copies the step times out, so the PerfModels can die here.
-  platform.table =
-      StepTimeTable::Build(prefill_model, decode_model, c.prefill_batch, c.decode_batch);
   platform.ok = true;
   return platform;
 }
 
+void TabulateServePlatform(const TransformerSpec& model, const SearchOptions& options,
+                           ServePlatform& platform) {
+  if (!platform.ok) {
+    return;
+  }
+  const ServeSearchedConfig& c = platform.searched;
+  TpPlan prefill_plan = MakeTpPlan(model, c.prefill_tp, options.kv_policy).value();
+  TpPlan decode_plan = MakeTpPlan(model, c.decode_tp, options.kv_policy).value();
+  PerfModel prefill_model(model, platform.gpu, prefill_plan, options.workload, options.engine);
+  PerfModel decode_model(model, platform.gpu, decode_plan, options.workload, options.engine);
+  platform.capacity = CapacityFromPerfModels(prefill_model, c.prefill_batch, decode_model,
+                                             c.decode_batch);
+  // The table owns its step times, so the PerfModels can die here.
+  platform.table =
+      StepTimeTable::Build(prefill_model, decode_model, c.prefill_batch, c.decode_batch);
+}
+
 ServePlatform BuildServePlatform(const std::string& model_name, const std::string& gpu_name,
                                  const SearchOptions& options) {
-  return BuildServePlatform(*FindModel(model_name), *FindGpu(gpu_name), options);
+  const TransformerSpec model = *FindModel(model_name);
+  ServePlatform platform = SearchServePlatform(model, *FindGpu(gpu_name), options);
+  TabulateServePlatform(model, options, platform);
+  return platform;
 }
 
 // The class-weighted mean prompt/output lengths a serve study plans
@@ -918,6 +931,29 @@ GpuSpec ResolveFleetGpu(const FleetCandidate& c) {
   return DeriveLite(base, options).gpu;
 }
 
+// A resolved part's identity for platform sharing: every GpuSpec field, so
+// two candidates share a search and a step-time table only when their specs
+// are equal. The name alone is not enough: DeriveLite names a part with
+// rounded multipliers, so 2.24x and 2.25x memory bandwidth would collide.
+using FleetPartKey = std::tuple<std::string, double, int, double, double, double, double, int,
+                                double, int, double, double, int>;
+
+FleetPartKey MakeFleetPartKey(const GpuSpec& g) {
+  return {g.name,
+          g.flops,
+          g.sm_count,
+          g.clock_ghz,
+          g.mem_capacity_bytes,
+          g.mem_bw_bytes_per_s,
+          g.net_bw_bytes_per_s,
+          g.max_gpus,
+          g.die_area_mm2,
+          g.dies_per_package,
+          g.tdp_watts,
+          g.transistors_billion,
+          g.year};
+}
+
 // One fleet candidate's knee scan: the first SLO-meeting point in the
 // grid's KneeScanOrder (knee_index -1 when none is) and how many points it
 // simulated to find it.
@@ -928,16 +964,23 @@ struct FleetKneeScan {
 };
 
 // Runs the fleet-compare study: each candidate's knee on the shared load
-// grid (candidates sharing a resolved part share one platform build),
+// grid (candidates resolving to the same part share one platform build),
 // joined with the silicon-cost and cluster-power models, then the Pareto
-// frontier over ($/Mtok, J/token, goodput). Platforms build serially (the
-// config search fans out on its own). The candidates then scan in one
-// ParallelMap, each serially from the top of KneeScanOrder, stopping at
-// its first SLO-meeting point: every point keeps its own per-index seed,
-// so a point's result does not depend on which other points ran, and the
-// first SLO-meeting point in the scan is the knee a full-grid sweep would
-// pick. An infeasible candidate simulates its whole grid. Workers write
-// only their own slot, so the report is bit-identical at any thread count.
+// frontier over ($/Mtok, J/token, goodput). Three phases, one fan-out each
+// at most:
+//   1. resolve, serially: each candidate's part, deduplicated on the whole
+//      GpuSpec (MakeFleetPartKey), in first-seen order;
+//   2. search the distinct parts in one ParallelMap, each search pinned
+//      serial (src/util/exec_policy.h: a parallel driver forces the sweeps
+//      inside it serial), then tabulate each found part's step times;
+//   3. scan the candidates in one ParallelMap, each serially from the top
+//      of KneeScanOrder, stopping at its first SLO-meeting point: every
+//      point keeps its own per-index seed, so a point's result does not
+//      depend on which other points ran, and the first SLO-meeting point
+//      in the scan is the knee a full-grid sweep would pick. An infeasible
+//      candidate simulates its whole grid.
+// Workers write only their own slot, so the report is bit-identical at any
+// thread count.
 FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
   FleetCompareReport out;
   out.model = s.ResolvedModels().front();
@@ -953,30 +996,46 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
   const double mean_output_tokens = static_cast<double>(s.workload.output_tokens);
   const std::vector<FleetCandidate>& candidates = s.fleet.candidates;
 
-  // Candidates naming the same resolved part share one search + step-time
+  // Candidates resolving to the same part share one search + step-time
   // table; the report counts the builds so tests and the bench can gate
-  // the sharing. std::map nodes are stable, so the per-candidate pointers
-  // stay valid as later parts are added.
-  std::map<std::string, ServePlatform> platforms;
-  std::vector<GpuSpec> gpus;
-  std::vector<const ServePlatform*> candidate_platforms;
+  // the sharing.
+  std::map<FleetPartKey, size_t> part_index;
+  std::vector<GpuSpec> parts;
+  std::vector<size_t> candidate_part;
   for (const FleetCandidate& c : candidates) {
+    GpuSpec gpu = ResolveFleetGpu(c);
+    auto [it, added] = part_index.emplace(MakeFleetPartKey(gpu), parts.size());
+    if (added) {
+      parts.push_back(std::move(gpu));
+    }
+    candidate_part.push_back(it->second);
+  }
+  out.platform_builds = static_cast<int>(parts.size());
+  SearchOptions search = s.MakeSearchOptions();
+  search.exec.threads = 1;
+  std::vector<ServePlatform> platforms = ParallelMap<ServePlatform>(
+      s.exec.threads, static_cast<int>(parts.size()),
+      [&](int i) { return SearchServePlatform(model, parts[static_cast<size_t>(i)], search); });
+  // The tables live until the scans end, so they are priced here rather
+  // than in the workers: memory a worker allocates stays in its thread's
+  // heap arena, beside the simulations that arena later serves, which
+  // raises the study's peak RSS. A table costs one evaluation per batch.
+  for (ServePlatform& platform : platforms) {
+    TabulateServePlatform(model, search, platform);
+  }
+  auto platform_of = [&](size_t ci) -> const ServePlatform& {
+    return platforms[candidate_part[ci]];
+  };
+
+  for (size_t ci = 0; ci < candidates.size(); ++ci) {
+    const FleetCandidate& c = candidates[ci];
+    const ServePlatform& platform = platform_of(ci);
     FleetCompareReport::Candidate row;
     row.name = c.name;
     row.base_gpu = c.gpu;
     row.split = c.split;
     row.seed = FleetCandidateSeed(s.fleet.seed, c.name);
-    gpus.push_back(ResolveFleetGpu(c));
-    row.gpu = gpus.back().name;
-    auto it = platforms.find(row.gpu);
-    if (it == platforms.end()) {
-      it = platforms
-               .emplace(row.gpu, BuildServePlatform(model, gpus.back(), s.MakeSearchOptions()))
-               .first;
-      ++out.platform_builds;
-    }
-    const ServePlatform& platform = it->second;
-    candidate_platforms.push_back(&platform);
+    row.gpu = platform.gpu.name;
     if (platform.ok) {
       row.searched = platform.searched;
     } else {
@@ -989,7 +1048,7 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
       s.exec.threads, static_cast<int>(candidates.size()), [&](int ci) {
         FleetKneeScan scan;
         const FleetCandidate& c = candidates[static_cast<size_t>(ci)];
-        const ServePlatform& platform = *candidate_platforms[static_cast<size_t>(ci)];
+        const ServePlatform& platform = platform_of(static_cast<size_t>(ci));
         if (!platform.ok) {
           return scan;
         }
@@ -1028,7 +1087,7 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
     FleetCompareReport::Candidate& row = out.candidates[ci];
     const FleetKneeScan& scan = scans[ci];
     out.points_simulated += scan.points_simulated;
-    if (!candidate_platforms[ci]->ok) {
+    if (!platform_of(ci).ok) {
       continue;
     }
     if (scan.knee_index < 0) {
@@ -1047,7 +1106,7 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
 
     // The economics join: price the knee pool's silicon, amortize it, add
     // the knee pool's power priced at the grid rate.
-    const GpuSpec& gpu = gpus[ci];
+    const GpuSpec& gpu = platform_of(ci).gpu;
     row.gpu_price_usd = PricedGpuUsd(wafer, YieldModel::kMurphy, defects, gpu,
                                      s.fleet.hbm_usd_per_gb, s.fleet.gpu_price_multiplier);
     row.capex_usd = row.gpu_price_usd * knee.total_gpus;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/llm/model.h"
@@ -21,9 +22,12 @@ enum class Phase { kPrefill, kDecode };
 
 std::string ToString(Phase phase);
 
-// Work for one named stage on one GPU.
+// Work for one named stage on one GPU. `name` is a view, not a copy: every
+// stage name is a string literal (static storage), so work lists and their
+// timings are built and copied without allocating a name. Assign only
+// literals or other storage that outlives every copy of the stage.
 struct StageWork {
-  std::string name;
+  std::string_view name;
   double flops = 0.0;         // multiply-accumulate FLOPs (2 per MAC)
   double weight_bytes = 0.0;  // parameter bytes streamed from HBM
   double act_bytes = 0.0;     // activation bytes read+written to HBM

@@ -8,9 +8,10 @@
 // computed once per model instance, so the search's final re-evaluation of
 // the chosen batch and the brute-force validators' repeated probes become
 // cache hits. The serving simulator never queries a model directly: it reads
-// a StepTimeTable (src/perf/step_table.h) tabulated from a model pair. Values
-// are bit-identical to direct EvaluatePrefill / EvaluateDecode calls (tested
-// in perf_model_test).
+// a StepTimeTable (src/perf/step_table.h) tabulated from a model pair's bound
+// parameters, which bypasses this cache (each batch is priced once, so every
+// lookup would miss). Values are bit-identical to direct EvaluatePrefill /
+// EvaluateDecode calls (tested in perf_model_test).
 
 #pragma once
 
@@ -92,7 +93,7 @@ class PerfModel {
   EngineParams engine_;
 
   // A PerfModel may be queried from a parallel sweep (the search, the
-  // brute-force validators, StepTimeTable::Build), so the cache is guarded. The lock is
+  // brute-force validators), so the cache is guarded. The lock is
   // uncontended in the common one-model-per-worker layout and cheap next to
   // a roofline evaluation.
   mutable std::mutex mu_;

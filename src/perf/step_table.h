@@ -3,12 +3,14 @@
 //
 // The table is the simulator's only source of step times. It is built
 // once per (prefill, decode) PerfModel pair up to the batch caps and owns
-// flat arrays of the memoized model values, so the simulator's inner loop
-// is a bounds-checked array load: no indirect call, no lock, no tree walk
-// — and, being immutable after Build, a single table is safely shared by
-// every worker of a sweep. Entries are bit-identical to the memoized
-// PerfModel values (tested in perf_model_test), and because the table owns
-// its values it can outlive the models that built it.
+// flat arrays of step times, so the simulator's inner loop is a
+// bounds-checked array load: no indirect call, no lock, no tree walk — and,
+// being immutable after Build, a single table is safely shared by every
+// worker of a sweep. Build prices each batch once, straight from the models'
+// bound parameters; it does not go through their memo caches (every entry
+// would miss). Entries are bit-identical to the memoized PerfModel values
+// (tested in perf_model_test), and because the table owns its values it can
+// outlive the models that built it.
 
 #pragma once
 
@@ -29,11 +31,11 @@ class StepTimeTable {
   StepTimeTable(std::vector<double> prefill_s, std::vector<double> decode_s)
       : prefill_s_(std::move(prefill_s)), decode_s_(std::move(decode_s)) {}
 
-  // Prices batches 1..max_*_batch through the models (one memoized
-  // roofline evaluation per distinct batch: prefill passes at the
-  // workload's prompt length, decode steps at the worst-case final
-  // context, matching the search's SLO accounting) and copies the results
-  // out; the models are free to die afterwards.
+  // Prices batches 1..max_*_batch on the models' bound parameters (one
+  // roofline evaluation per batch, bypassing the models' caches: prefill
+  // passes at the workload's prompt length, decode steps at the worst-case
+  // final context, matching the search's SLO accounting); the models are
+  // free to die afterwards.
   static StepTimeTable Build(const PerfModel& prefill_model, const PerfModel& decode_model,
                              int max_prefill_batch, int max_decode_batch);
 

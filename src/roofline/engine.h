@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/collectives/cost.h"
@@ -48,7 +49,7 @@ struct EngineParams {
 };
 
 struct StageTiming {
-  std::string name;
+  std::string_view name;  // the timed StageWork's name (a literal; see stages.h)
   double compute_s = 0.0;
   double memory_s = 0.0;
   double network_s = 0.0;

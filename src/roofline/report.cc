@@ -24,7 +24,7 @@ std::vector<RooflinePoint> AnalyzePass(const ModelWork& work, const GpuSpec& gpu
   std::vector<RooflinePoint> points;
   auto add = [&](const StageWork& stage, const StageTiming& timing, double repeat) {
     RooflinePoint p;
-    p.stage = stage.name;
+    p.stage = std::string(stage.name);
     p.operational_intensity = stage.OperationalIntensity();
     p.attainable_flops = std::min(peak, p.operational_intensity * bw);
     p.achieved_flops = timing.total_s > 0.0 ? stage.flops / timing.total_s : 0.0;

@@ -111,11 +111,14 @@ double MeanTraceRatePerS(const ArrivalProcess& process, double horizon_s) {
 
 namespace {
 
-int SampleLength(Rng& rng, int median, double sigma) {
+// One request length: `median` itself when sigma is 0, else a lognormal
+// draw around it. `log_median` is std::log(median), hoisted out of the
+// per-request loop by the caller.
+int SampleLength(Rng& rng, int median, double log_median, double sigma) {
   if (sigma <= 0.0) {
     return median;
   }
-  double value = rng.LogNormal(std::log(static_cast<double>(median)), sigma);
+  double value = rng.LogNormal(log_median, sigma);
   return std::max(1, static_cast<int>(std::lround(value)));
 }
 
@@ -176,10 +179,12 @@ RequestSoA GenerateClassStream(const ClassWorkload& cls, int class_id, double du
   RequestSoA requests;
   requests.Reserve(ExpectedArrivals(cls, duration_s, arrival, trace_share));
   Rng rng(seed);
+  const double log_prompt = std::log(static_cast<double>(cls.median_prompt_tokens));
+  const double log_output = std::log(static_cast<double>(cls.median_output_tokens));
   auto emit = [&](double t) {
     // Named locals pin the draw order: prompt, then output.
-    int prompt = SampleLength(rng, cls.median_prompt_tokens, cls.prompt_sigma);
-    int output = SampleLength(rng, cls.median_output_tokens, cls.output_sigma);
+    int prompt = SampleLength(rng, cls.median_prompt_tokens, log_prompt, cls.prompt_sigma);
+    int output = SampleLength(rng, cls.median_output_tokens, log_output, cls.output_sigma);
     requests.PushBack(t, prompt, output, class_id);
   };
   if (arrival.kind == ArrivalKind::kTrace) {

@@ -1,8 +1,9 @@
 // ExecPolicy: the one shared knob for how design-space sweeps execute.
 //
 // Every parallel surface in the library (per-TP-degree search, the Figure-3
-// catalog studies, CompareClusters, the Monte-Carlo trials, and
-// RunScenarios batches) takes its worker count from an embedded ExecPolicy.
+// catalog studies, CompareClusters, the Monte-Carlo trials, the serve
+// studies, the fleet-compare study, and RunScenarios batches) takes its
+// worker count from an embedded ExecPolicy.
 // This file is the single place that documents the semantics:
 //
 //   * `threads <= 0`  — use the hardware concurrency (the default).
@@ -19,8 +20,10 @@
 // `ExperimentOptions::exec` for the studies (the embedded
 // `SearchOptions::exec` is overridden to serial per pair),
 // `DesignInputs::exec` for CompareClusters (`DesignInputs::search.exec`
-// only applies when DesignCluster is called directly), and the
-// RunScenarios argument for scenario batches.
+// only applies when DesignCluster is called directly), `Scenario::exec`
+// for the fleet-compare study (one fan-out over its distinct parts with
+// each part's search pinned serial, then one over its candidates' knee
+// scans), and the RunScenarios argument for scenario batches.
 //
 // (The PR-2 deprecated `int threads` alias fields on the options structs
 // are gone; ExecPolicy is the only spelling.)

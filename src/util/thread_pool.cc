@@ -9,6 +9,16 @@
 
 namespace litegpu {
 
+namespace {
+
+std::atomic<uint64_t> g_workers_spawned{0};
+
+}  // namespace
+
+uint64_t ThreadPoolWorkersSpawned() {
+  return g_workers_spawned.load(std::memory_order_relaxed);
+}
+
 int ResolveThreads(int requested) {
   if (requested >= 1) {
     return requested;
@@ -45,6 +55,7 @@ ThreadPool::ThreadPool(int num_threads) : impl_(new Impl) {
     workers_.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
+      g_workers_spawned.fetch_add(1, std::memory_order_relaxed);
     }
   } catch (...) {
     Shutdown();

@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <thread>
@@ -24,6 +25,12 @@ namespace litegpu {
 // Resolves a user-facing threads knob: >= 1 is taken literally, <= 0 means
 // "use the hardware concurrency" (never less than 1).
 int ResolveThreads(int requested);
+
+// Pool workers this process has spawned so far, over every ThreadPool
+// (the transient pools of ParallelFor / ParallelMap included). Read-only:
+// tests diff it around a call to check that a composite driver fans out
+// once rather than once per inner sweep.
+uint64_t ThreadPoolWorkersSpawned();
 
 class ThreadPool {
  public:

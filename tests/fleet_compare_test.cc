@@ -15,6 +15,7 @@
 #include "src/core/scenario.h"
 #include "src/serve/knee.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace litegpu {
 namespace {
@@ -292,6 +293,71 @@ TEST(FleetCompare, CandidatesSharingAPartShareOnePlatformBuild) {
   // The two-instance pool's knee offered twice the rate.
   EXPECT_GT(r.candidates[1].analytic_capacity_tok_s,
             1.9 * r.candidates[0].analytic_capacity_tok_s);
+}
+
+// DeriveLite names parts with one-decimal multipliers, so 2.24x and 2.25x
+// memory bandwidth print alike. They are different parts: each must get
+// its own platform, and its knee must be the one it gets on its own.
+TEST(FleetCompare, PartsShareAPlatformOnlyWhenTheirSpecsMatch) {
+  std::vector<FleetCandidate> catalog = {MakeCandidate("membw-2.24", 4, 2.24),
+                                         MakeCandidate("membw-2.25", 4, 2.25)};
+  FleetCompareReport pair = RunFleet(FleetScenario(0xC0FFEE, 1, catalog));
+  EXPECT_EQ(pair.platform_builds, 2);
+  ASSERT_EQ(pair.candidates.size(), 2u);
+  EXPECT_EQ(pair.candidates[0].gpu, pair.candidates[1].gpu);  // the names collide
+  for (size_t ci = 0; ci < catalog.size(); ++ci) {
+    FleetCompareReport alone = RunFleet(FleetScenario(0xC0FFEE, 1, {catalog[ci]}));
+    const auto& in_pair = pair.candidates[ci];
+    const auto& solo = alone.candidates[0];
+    ASSERT_TRUE(in_pair.feasible) << in_pair.name << ": " << in_pair.error;
+    EXPECT_EQ(in_pair.analytic_capacity_tok_s, solo.analytic_capacity_tok_s) << solo.name;
+    EXPECT_EQ(in_pair.knee_arrival_rate_per_s, solo.knee_arrival_rate_per_s) << solo.name;
+    EXPECT_EQ(in_pair.knee_goodput_tokens_per_s, solo.knee_goodput_tokens_per_s) << solo.name;
+    EXPECT_EQ(in_pair.usd_per_mtoken, solo.usd_per_mtoken) << solo.name;
+  }
+  EXPECT_NE(pair.candidates[0].analytic_capacity_tok_s,
+            pair.candidates[1].analytic_capacity_tok_s);
+}
+
+// Four parts, six candidates: two parts are named twice (different pools),
+// and a memory-starved V100/16 has no feasible decode configuration.
+std::vector<FleetCandidate> FanOutCatalog() {
+  std::vector<FleetCandidate> catalog = {MakeCandidate("H100", 1, 1.0),
+                                         MakeCandidate("H100 pool2", 1, 1.0),
+                                         MakeCandidate("Lite/4", 4, 2.0),
+                                         MakeCandidate("Lite/4 pool2", 4, 2.0),
+                                         MakeCandidate("V100/16 starved", 16, 0.25),
+                                         MakeCandidate("Lite/8", 8, 2.0)};
+  catalog[1].decode_instances = 2;
+  catalog[3].decode_instances = 2;
+  catalog[4].gpu = "V100";
+  return catalog;
+}
+
+// The study fans out once over its parts (each search serial) and once over
+// its candidates, so at two threads it spawns two workers per phase — not a
+// pool per TP-degree search.
+TEST(FleetCompare, OneFanOutPerPhase) {
+  Scenario s = FleetScenario(0xC0FFEE, 2, FanOutCatalog());
+  uint64_t before = ThreadPoolWorkersSpawned();
+  FleetCompareReport r = RunFleet(s);
+  uint64_t spawned = ThreadPoolWorkersSpawned() - before;
+  EXPECT_EQ(r.platform_builds, 4);
+  EXPECT_LE(spawned, 4u);
+  ASSERT_EQ(r.candidates.size(), 6u);
+  EXPECT_FALSE(r.candidates[4].error.empty());
+  EXPECT_EQ(r.candidates[4].searched.decode_tp, 0);  // the platform failed
+}
+
+TEST(FleetCompare, ReportWithSharedAndFailedPartsInvariantToThreadCount) {
+  RunReport serial = Runner().Run(FleetScenario(0xC0FFEE, 1, FanOutCatalog()));
+  ASSERT_TRUE(serial.ok) << serial.error;
+  const std::string expected = serial.ToJson().Dump();
+  for (int threads : {2, 13}) {
+    RunReport parallel = Runner().Run(FleetScenario(0xC0FFEE, threads, FanOutCatalog()));
+    ASSERT_TRUE(parallel.ok) << parallel.error;
+    EXPECT_EQ(parallel.ToJson().Dump(), expected) << threads << " threads";
+  }
 }
 
 // --- knee selection helper ----------------------------------------------

@@ -203,8 +203,8 @@ TEST(Runner, ServeStudyThatAdmitsNoRequestsIsAnError) {
 }
 
 TEST(Runner, OutOfMemoryComesBackAsErrorReport) {
-#if defined(__SANITIZE_ADDRESS__)
-  GTEST_SKIP() << "AddressSanitizer's operator new aborts instead of throwing std::bad_alloc";
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer's operator new aborts instead of throwing std::bad_alloc";
 #endif
   // A valid but enormous horizon: ~7.6e13 expected requests, so workload
   // generation's first column reservation (8-byte arrival times) asks for
