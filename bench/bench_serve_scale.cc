@@ -28,10 +28,15 @@
 //   4. A million-request point (32 decode instances at 95% load): workload
 //      generation wall time and bytes per request of the generated
 //      columns, then reference core vs new core with exact metric identity.
-//      Like the runner, the new core reads the generated columns; the
-//      reference core gets them as records, converted outside its timing.
-//      The speedup must be > 1 (hard gate); the target is >= 5x. Also times
-//      the same point sharded 8 ways through the merge path.
+//      The new core reads the generated columns, as the runner does for a
+//      fault point; the reference core gets them as records, converted
+//      outside its timing.
+//      The speedup must be > 1 (hard gate); the target is >= 5x. Then the
+//      same point streamed: the generator feeds the engine request by
+//      request, nothing materialized; it must match the column run exactly
+//      (gated), and reports its wall time (generation included) and the
+//      widest live span the engine held. Also times the same point sharded
+//      8 ways through the merge path.
 //   5. The checked-in 19-point load grid (10%..100%, 30 s horizon), each
 //      point run on both cores: summed reference wall vs summed new wall,
 //      exact per-point identity, speedup > 1 gated, target >= 2x.
@@ -362,7 +367,17 @@ int main(int argc, char** argv) {
   double million_new_s = SecondsSince(t0);
   bool million_identical = MetricsIdentical(million_ref, million_new);
   double million_speedup = million_new_s > 0.0 ? million_ref_s / million_new_s : 0.0;
-  // The same point sharded 8 ways through the runner's merge semantics:
+  // The same point streamed straight from the generator into the engine.
+  t0 = std::chrono::steady_clock::now();
+  RequestStream million_stream(OneClassMix(mspec));
+  ServeMetrics million_streamed = RunServeSimulation(million_stream, mcluster, table);
+  double million_streamed_s = SecondsSince(t0);
+  bool streamed_identical =
+      MetricsIdentical(million_new, million_streamed) &&
+      million_new.ttft_s.samples() == million_streamed.ttft_s.samples() &&
+      million_new.events_popped == million_streamed.events_popped &&
+      million_new.peak_live_requests == million_streamed.peak_live_requests;
+  // The same point sharded 8 ways as the runner shards it: streamed
   // sub-horizon replications on SplitMix64 substreams, TTFTs streamed,
   // merged in shard order.
   const int kMillionShards = 8;
@@ -375,8 +390,8 @@ int main(int argc, char** argv) {
         WorkloadSpec shard_spec = mspec;
         shard_spec.duration_s = shard_cluster.horizon_s;
         shard_spec.seed = ShardSubstreamSeed(mspec.seed, static_cast<size_t>(i));
-        RequestSoA shard_requests = GenerateWorkloadSoA(shard_spec);
-        return RunServeSimulation(shard_requests, shard_cluster, table);
+        RequestStream shard_stream(OneClassMix(shard_spec));
+        return RunServeSimulation(shard_stream, shard_cluster, table);
       });
   ServeMetrics million_sharded = MergeServeShardMetrics(shard_cluster, shard_runs);
   double million_shard_s = SecondsSince(t0);
@@ -488,7 +503,7 @@ int main(int argc, char** argv) {
 
   bool pass = zero_afr_within_budget && axes_off_zeroed && sweep_report.ok &&
               reference_identical && macro_steps_ok && million_identical &&
-              million_speedup > 1.0 &&
+              million_speedup > 1.0 && streamed_identical &&
               shard_sane && grid_identical && grid_speedup > 1.0 && fleet_ok;
 
   if (json) {
@@ -538,6 +553,9 @@ int main(int argc, char** argv) {
         .Set("speedup", million_speedup)
         .Set("speedup_target", 5.0)
         .Set("identity", million_identical)
+        .Set("streamed_s", million_streamed_s)
+        .Set("streamed_identity", streamed_identical)
+        .Set("peak_live_requests", million_streamed.peak_live_requests)
         .Set("shards", kMillionShards)
         .Set("sharded_s", million_shard_s)
         .Set("sharded_completed_sane", shard_sane);
@@ -607,12 +625,17 @@ int main(int argc, char** argv) {
                 "  workload generation: %.3f s (%.1fM req/s)\n"
                 "  reference core: %.3f s   new core: %.3f s   speedup: %.2fx "
                 "(target 5x)   identity: %s\n"
+                "  streamed (generation included): %.3f s   identity: %s   "
+                "peak live requests: %llu\n"
                 "  sharded x%d (merged): %.3f s\n\n",
                 million_requests.size(), kMillionDecode, mspec.duration_s,
                 million_gen_s,
                 million_gen_s > 0.0 ? million_requests.size() / million_gen_s / 1e6 : 0.0,
                 million_ref_s, million_new_s, million_speedup,
-                million_identical ? "OK" : "FAILED", kMillionShards, million_shard_s);
+                million_identical ? "OK" : "FAILED", million_streamed_s,
+                streamed_identical ? "OK" : "FAILED",
+                static_cast<unsigned long long>(million_streamed.peak_live_requests),
+                kMillionShards, million_shard_s);
     std::printf("fleet-compare catalog (%zu candidates over 2 distinct parts): %.3f s wall\n"
                 "  platform builds: %d (expect 2): %s   feasible: %d/4   "
                 "pool capacity scaling: %s\n"

@@ -5,6 +5,7 @@
 #include <map>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -491,26 +492,23 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
   p.decode_instances = deployment.decode_instances;
   p.total_gpus = deployment.total_gpus;
 
-  // One generator for both execution modes: the serial path draws the full
+  // One workload for both execution modes: the serial path draws the full
   // horizon from the point's seed; a shard draws its sub-horizon from its
-  // own SplitMix64 substream.
-  auto generate = [&](double duration_s, uint64_t wl_seed) -> RequestSoA {
-    if (classes.empty()) {
-      WorkloadSpec spec;
-      spec.arrival_rate_per_s = arrival_rate_per_s;
-      spec.duration_s = duration_s;
-      spec.median_prompt_tokens = s.workload.prompt_tokens;
-      spec.prompt_sigma = common.prompt_sigma;
-      spec.median_output_tokens = s.workload.output_tokens;
-      spec.output_sigma = common.output_sigma;
-      spec.seed = wl_seed;
-      spec.arrival = common.arrival;
-      return GenerateWorkloadSoA(spec);
-    }
+  // own SplitMix64 substream. A classless point is a one-class mix.
+  auto workload = [&](double duration_s, uint64_t wl_seed) {
     MultiClassWorkloadSpec spec;
     spec.duration_s = duration_s;
     spec.seed = wl_seed;
     spec.arrival = common.arrival;
+    if (classes.empty()) {
+      ClassWorkload cls;
+      cls.arrival_rate_per_s = arrival_rate_per_s;
+      cls.median_prompt_tokens = s.workload.prompt_tokens;
+      cls.prompt_sigma = common.prompt_sigma;
+      cls.median_output_tokens = s.workload.output_tokens;
+      cls.output_sigma = common.output_sigma;
+      spec.classes.push_back(cls);
+    }
     for (size_t c = 0; c < classes.size(); ++c) {
       ClassWorkload cls;
       cls.arrival_rate_per_s = arrival_rate_per_s * mix.shares[c];
@@ -520,7 +518,7 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
       cls.output_sigma = classes[c].output_sigma;
       spec.classes.push_back(cls);
     }
-    return GenerateMultiClassWorkloadSoA(spec);
+    return spec;
   };
 
   ServeClusterConfig cluster;
@@ -538,6 +536,9 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
   cluster.shedding.ttft_deadline_s = common.faults.shed_ttft_deadline_s;
 
   ServeMetrics metrics;
+  // A fault point's fault-free baseline must replay the same requests, so
+  // only a fault point materializes its stream; every other point streams
+  // it straight into the engine.
   RequestSoA requests;
   if (common.shards >= 2) {
     // Sharded execution: split the horizon into `shards` independent
@@ -553,14 +554,17 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
     cluster.stream_ttft = true;
     std::vector<ServeMetrics> shard_metrics = ParallelMap<ServeMetrics>(
         s.exec.threads, n, [&](int i) {
-          RequestSoA shard_requests = generate(
-              cluster.horizon_s, ShardSubstreamSeed(seed, static_cast<size_t>(i)));
-          return RunServeSimulation(shard_requests, cluster, platform.table);
+          RequestStream stream(workload(cluster.horizon_s,
+                                        ShardSubstreamSeed(seed, static_cast<size_t>(i))));
+          return RunServeSimulation(stream, cluster, platform.table);
         });
     metrics = MergeServeShardMetrics(cluster, shard_metrics);
-  } else {
-    requests = generate(common.horizon_s, seed);
+  } else if (common.faults.enabled()) {
+    requests = GenerateMultiClassWorkloadSoA(workload(common.horizon_s, seed));
     metrics = RunServeSimulation(requests, cluster, platform.table);
+  } else {
+    RequestStream stream(workload(common.horizon_s, seed));
+    metrics = RunServeSimulation(stream, cluster, platform.table);
   }
 
   const bool shedding_on = cluster.shedding.enabled();
@@ -1226,13 +1230,22 @@ RunReport Runner::Run(const Scenario& scenario) const {
     return ErrorReport(s, problem);
   }
   // A valid scenario can still ask for more memory than the host has (a
-  // huge serve horizon or load sizes the workload before any run starts).
+  // huge serve horizon or load sizes the workload before any run starts),
+  // or for a container larger than the library can address
+  // (std::length_error). Any escaping exception becomes an error report
+  // that names it, never an abort.
   try {
     return RunValidated(s);
   } catch (const std::bad_alloc&) {
     return ErrorReport(s, "scenario '" + s.name +
                               "' ran out of memory: it needs more than this host can "
                               "allocate; shrink its horizon, load or pool sizes");
+  } catch (const std::length_error& e) {
+    return ErrorReport(s, "scenario '" + s.name + "' needs a container larger than this " +
+                              "host can address (std::length_error: " + e.what() +
+                              "); shrink its horizon, load, arrival multipliers or pool sizes");
+  } catch (const std::exception& e) {
+    return ErrorReport(s, "scenario '" + s.name + "' failed: " + e.what());
   }
 }
 

@@ -609,6 +609,11 @@ std::string ValidateServeCommonKnobs(const ServeCommonKnobs& knobs,
       !problem.empty()) {
     return problem;
   }
+  if (knobs.autoscaler.enabled() && knobs.autoscaler.delay_s > knobs.horizon_s) {
+    // A scale-up landing after the horizon can never serve an admission,
+    // and an unbounded delay would schedule it at an unbounded time.
+    return where + ".autoscaler.delay_s must be <= " + where + ".horizon_s";
+  }
   if (std::string problem = ValidateFaultKnobs(knobs.faults, where + ".faults");
       !problem.empty()) {
     return problem;

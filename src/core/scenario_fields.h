@@ -204,8 +204,11 @@ inline constexpr std::tuple kAutoscalerFields{
 inline constexpr std::tuple kFaultFields{
     Row("afr", &FaultKnobs::afr, AtLeast(0)),
     Row("floor_afr", &FaultKnobs::floor_afr, AtLeast(0)),
-    Row("mttr_hours", &FaultKnobs::mttr_hours, Positive()),
-    Row("spare_activation_minutes", &FaultKnobs::spare_activation_minutes, AtLeast(0)),
+    // Repairs, spare activations and degraded windows are scheduled as
+    // events, so their durations must stay bounded: 1e6 hours (6e7
+    // minutes) is over a century.
+    Row("mttr_hours", &FaultKnobs::mttr_hours, Within(0, 1e6, /*lo_open=*/true)),
+    Row("spare_activation_minutes", &FaultKnobs::spare_activation_minutes, Within(0, 6e7)),
     Row("hot_spares", &FaultKnobs::hot_spares, AtLeast(0)),
     EnumRow("retry_policy", &FaultKnobs::retry_policy, kRetryPolicyNames),
     Row("retry_budget", &FaultKnobs::retry_budget, AtLeast(0)),
@@ -213,10 +216,10 @@ inline constexpr std::tuple kFaultFields{
     Row("domain_gpus", &FaultKnobs::domain_gpus, AtLeast(0), Emit::kIfChanged),
     Row("domain_afr", &FaultKnobs::domain_afr, AtLeast(0), Emit::kIfChanged),
     Row("domain_mttr_hours", &FaultKnobs::domain_mttr_hours,
-        AtLeast(0, "0 = inherit mttr_hours"), Emit::kIfChanged),
+        {0.0, 1e6, false, "0 = inherit mttr_hours"}, Emit::kIfChanged),
     Row("degrade_afr", &FaultKnobs::degrade_afr, AtLeast(0), Emit::kIfChanged),
     Row("degrade_multiplier", &FaultKnobs::degrade_multiplier, AtLeast(1), Emit::kIfChanged),
-    Row("degrade_minutes", &FaultKnobs::degrade_minutes, AtLeast(0), Emit::kIfChanged),
+    Row("degrade_minutes", &FaultKnobs::degrade_minutes, Within(0, 6e7), Emit::kIfChanged),
     Row("shed_queue_depth", &FaultKnobs::shed_queue_depth, AtLeast(0), Emit::kIfChanged),
     Row("shed_ttft_deadline_s", &FaultKnobs::shed_ttft_deadline_s, AtLeast(0),
         Emit::kIfChanged),

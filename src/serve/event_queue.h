@@ -21,6 +21,8 @@
 
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -145,6 +147,10 @@ inline size_t CalendarEventQueue::BucketIndex(double t) const {
 }
 
 inline void CalendarEventQueue::Push(const ServeEvent& e) {
+  // Bucket arithmetic needs a finite time. Scenario validation bounds the
+  // user-set durations added to the clock (repair, spare activation,
+  // degraded window, provisioning delay), so each event time stays finite.
+  assert(std::isfinite(e.time_s));
   ++size_;
   size_t idx = BucketIndex(e.time_s);
   if (idx >= buckets_.size()) {

@@ -7,12 +7,13 @@
 //    order by construction — buckets partition time, ties share a bucket
 //    and are resolved by the full comparator.
 //
-//  * Structure-of-arrays hot state. Requests arrive as the generator's
-//    RequestSoA (column per field) and are read in place; only the
-//    vector<Request> adapter converts, once per call. Per-instance state is
-//    split into a hot status byte per instance (the scheduling scans test
-//    one byte) plus parallel cold arrays, and all per-point scratch lives in
-//    a thread-local arena reused across sweep points, so points stop
+//  * Streamed requests and structure-of-arrays hot state. Requests are
+//    pulled from a RequestStream when they fall due and held in a ring
+//    over the live span [oldest unfinished id, next id), so a generated
+//    stream is never materialized. Per-instance state is split into a hot
+//    status byte per instance (the scheduling scans test one byte) plus
+//    parallel cold arrays, and all per-point scratch lives in a
+//    thread-local arena reused across sweep points, so points stop
 //    churning the allocator.
 //
 //  * Decode macro-steps: one event per batch change, not one per step. A
@@ -177,12 +178,129 @@ struct Completion {
   int request;
   int cls;
 };
-// Heap comparator (std::push_heap keeps the greatest on top): the later
-// completion is "less", so the earliest sits at the front.
-bool LaterCompletion(const Completion& a, const Completion& b) {
-  return a.finish_step != b.finish_step ? a.finish_step > b.finish_step
-                                        : a.request > b.request;
+// Whether completion a comes before b. Keys are unique (one entry per
+// request), so the heap pops in the same order whatever its layout.
+// Evaluated without branches: the sift-down below picks a child by this
+// test, and a branch on it mispredicts about half the time.
+inline bool Before(const Completion& a, const Completion& b) {
+  return (a.finish_step < b.finish_step) |
+         ((a.finish_step == b.finish_step) & (a.request < b.request));
 }
+// std::push_heap comparator: the later completion is "less", so the
+// earliest sits at the front.
+struct LaterCompletion {
+  bool operator()(const Completion& a, const Completion& b) const { return Before(b, a); }
+};
+// Removes the earliest completion (Floyd's pop): the hole at the top sinks
+// to a leaf along the earlier child, then the last entry rises into it.
+// Hand-written because std::pop_heap, even with LaterCompletion's
+// branch-free body, ran steady_poisson 5-9% slower (GCC 12, x86-64).
+void PopCompletion(std::vector<Completion>& heap) {
+  const Completion last = heap.back();
+  heap.pop_back();
+  const size_t n = heap.size();
+  if (n == 0) {
+    return;
+  }
+  size_t hole = 0;
+  for (size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n) {
+      child += static_cast<size_t>(Before(heap[child + 1], heap[child]));
+    }
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  while (hole > 0) {
+    size_t parent = (hole - 1) / 2;
+    if (!Before(last, heap[parent])) {
+      break;
+    }
+    heap[hole] = heap[parent];
+    hole = parent;
+  }
+  heap[hole] = last;
+}
+
+// Per-request state the engine keeps while a request is live: what the
+// stream yielded, plus the retry count retry_with_budget spends.
+struct LiveRequest {
+  double arrival_s;
+  int prompt_tokens;
+  int output_tokens;
+  int class_id;
+  int retries;
+};
+
+// LiveRequest slots over the live span [oldest unfinished id, next id) in
+// a power-of-two ring indexed by id & mask. Ids are arrival positions, so
+// the span's start advances as its oldest request finishes, and memory is
+// O(live span) rather than O(requests). The span is as wide as the
+// arrivals during the longest-lived request, so the per-request flags sit
+// in a separate byte ring: a completion marks one byte, not a cold slot.
+// Both rings double when the span fills them.
+class LiveRequests {
+ public:
+  void Clear() {
+    oldest_ = 0;
+    next_ = 0;
+    peak_ = 0;
+  }
+  // Takes the stream's next request and returns its id.
+  int Push(const Request& r) {
+    if (next_ - oldest_ == slots_.size()) {
+      Grow();
+    }
+    slots_[next_ & mask_] = {r.arrival_s, r.prompt_tokens, r.output_tokens, r.class_id, 0};
+    flags_[next_ & mask_] = 0;
+    ++next_;
+    peak_ = std::max(peak_, next_ - oldest_);
+    return static_cast<int>(next_ - 1);
+  }
+  LiveRequest& operator[](int id) { return slots_[static_cast<uint64_t>(id) & mask_]; }
+  // Whether request `id` still has to record its TTFT (fault runs re-run
+  // prefill for retried requests, whose first token was already
+  // delivered); marks it recorded.
+  bool FirstPrefill(int id) {
+    uint8_t& f = flags_[static_cast<uint64_t>(id) & mask_];
+    bool first = !(f & kTtftRecorded);
+    f |= kTtftRecorded;
+    return first;
+  }
+  // Request `id` holds no more engine state (completed, dropped, shed, or
+  // never admitted); the span's start moves past every finished request.
+  void Finish(int id) {
+    flags_[static_cast<uint64_t>(id) & mask_] |= kFinished;
+    while (oldest_ < next_ && (flags_[oldest_ & mask_] & kFinished)) {
+      ++oldest_;
+    }
+  }
+  // The widest live span of the run.
+  uint64_t peak() const { return peak_; }
+
+ private:
+  static constexpr uint8_t kFinished = 1;
+  static constexpr uint8_t kTtftRecorded = 2;
+
+  void Grow() {
+    size_t n = std::max<size_t>(1024, slots_.size() * 2);
+    std::vector<LiveRequest> slots(n);
+    std::vector<uint8_t> flags(n);
+    for (uint64_t id = oldest_; id < next_; ++id) {
+      slots[id & (n - 1)] = slots_[id & mask_];
+      flags[id & (n - 1)] = flags_[id & mask_];
+    }
+    slots_.swap(slots);
+    flags_.swap(flags);
+    mask_ = n - 1;
+  }
+
+  std::vector<LiveRequest> slots_;
+  std::vector<uint8_t> flags_;
+  uint64_t mask_ = 0;
+  uint64_t oldest_ = 0;
+  uint64_t next_ = 0;
+  uint64_t peak_ = 0;
+};
 
 // Per-point scratch, reused across runs on the same thread so sweep points
 // and shards stop churning the allocator: vectors are cleared, not freed.
@@ -227,8 +345,7 @@ struct SimScratch {
   std::vector<std::vector<Completion>> d_heap;
   std::vector<int> class_active;  // [instance * num_classes + class]
 
-  std::vector<uint8_t> ttft_recorded;
-  std::vector<int> retry_counts;
+  LiveRequests live;
 
   // Ready bitmasks: bit i set iff instance i currently passes the
   // try_start_* status check (prefill: state byte zero; decode: neither
@@ -346,8 +463,7 @@ struct SimScratch {
     p_ready.clear();
     d_ready.clear();
     d_cuttable.clear();
-    ttft_recorded.clear();
-    retry_counts.clear();
+    live.Clear();
     for (int i = 0; i < n_prefill; ++i) {
       AddPrefill(0.0);
     }
@@ -364,14 +480,13 @@ SimScratch& TlsScratch() {
 
 }  // namespace
 
-ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
+ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig& config,
                                 const StepTimeTable& table) {
   ServeMetrics metrics;
   if (table.empty() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
     return metrics;
   }
 
-  const size_t nreq = requests.size();
   const bool faults_enabled = config.faults.enabled;
   const bool stream_ttft = config.stream_ttft;
   // The three robustness axes (all dormant by default): correlated failure
@@ -538,7 +653,6 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
         schedule_next_degrade(ScalePool::kDecode, i, 0.0, 0);
       }
     }
-    S.ttft_recorded.assign(nreq, 0);
   }
 
   // Per-class bookkeeping only exists when the caller asked for it, so
@@ -556,13 +670,13 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
     }
   }
   auto class_of = [&](int req) {
-    int cid = requests.class_id[static_cast<size_t>(req)];
+    int cid = S.live[req].class_id;
     return (cid >= 0 && cid < config.num_classes) ? cid : 0;
   };
   if (!stream_ttft) {
     // Every admitted request records exactly one TTFT sample; reserving up
     // front spares a million-request run the repeated reallocation copies.
-    metrics.ttft_s.Reserve(nreq);
+    metrics.ttft_s.Reserve(stream.ExpectedCount());
   }
   auto record_ttft = [&](int req, double value) {
     if (stream_ttft) {
@@ -580,7 +694,6 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
     }
   };
 
-  size_t next_arrival = 0;
   double now = 0.0;
   // Workload progress time: arrivals and completions, NOT autoscaler
   // ticks/ups — the final makespan must not stretch to a trailing decision
@@ -799,7 +912,7 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
           prefill_queue.pop_front();
           slots.push_back(req);
           if (track_qsums) {
-            queued_prompt_tokens -= requests.prompt_tokens[static_cast<size_t>(req)];
+            queued_prompt_tokens -= S.live[req].prompt_tokens;
           }
         }
         double duration = table.PrefillTime(batch);
@@ -830,17 +943,17 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
           int req = decode_queue.front();
           decode_queue.pop_front();
           uint64_t left = static_cast<uint64_t>(
-              std::max(1, requests.output_tokens[static_cast<size_t>(req)]));
+              std::max(1, S.live[req].output_tokens));
           int cls = 0;
           if (track_classes) {
             cls = class_of(req);
             ++S.class_active[static_cast<size_t>(i) * ncls + static_cast<size_t>(cls)];
           }
           heap.push_back({S.d_step_count[i] + left, req, cls});
-          std::push_heap(heap.begin(), heap.end(), LaterCompletion);
+          std::push_heap(heap.begin(), heap.end(), LaterCompletion{});
           ++S.d_active_count[i];
           if (track_qsums) {
-            queued_output_tokens -= requests.output_tokens[static_cast<size_t>(req)];
+            queued_output_tokens -= S.live[req].output_tokens;
           }
         }
       }
@@ -955,23 +1068,22 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
   auto requeue_or_drop = [&](int req) {
     bool retry = faults.retry_policy == FaultRetryPolicy::kRetry;
     if (faults.retry_policy == FaultRetryPolicy::kRetryWithBudget) {
-      if (S.retry_counts.empty()) {
-        S.retry_counts.assign(nreq, 0);
-      }
-      retry = S.retry_counts[static_cast<size_t>(req)] < faults.retry_budget;
+      int& retries = S.live[req].retries;
+      retry = retries < faults.retry_budget;
       if (retry) {
-        ++S.retry_counts[static_cast<size_t>(req)];
+        ++retries;
       }
     }
     if (retry) {
       // The KV cache died with the instance: back of the prefill queue.
       prefill_queue.push_back(req);
       if (track_qsums) {
-        queued_prompt_tokens += requests.prompt_tokens[static_cast<size_t>(req)];
+        queued_prompt_tokens += S.live[req].prompt_tokens;
       }
       ++metrics.retried_requests;
     } else {
       ++metrics.dropped_requests;
+      S.live.Finish(req);
     }
   };
 
@@ -996,7 +1108,7 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
       S.p_busy_time[i] -= S.p_pass_started[i] + S.p_pass_duration[i] - now;
       killed = static_cast<int>(slots.size());
       for (int req : slots) {
-        lost += requests.prompt_tokens[static_cast<size_t>(req)];
+        lost += S.live[req].prompt_tokens;
         requeue_or_drop(req);
       }
       slots.clear();
@@ -1051,7 +1163,7 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
       // horizon goodput, so back them out of the token counts.
       int left = static_cast<int>(c.finish_step - S.d_step_count[i]);
       double generated = static_cast<double>(
-          std::max(1, requests.output_tokens[static_cast<size_t>(c.request)]) - left);
+          std::max(1, S.live[c.request].output_tokens) - left);
       lost += generated;
       metrics.output_tokens -= generated;
       if (track_classes) {
@@ -1225,7 +1337,7 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
     // Keep ticking only while there is anything left to manage; otherwise
     // the tick stream would keep the event loop alive forever (the default
     // horizon is effectively infinite).
-    bool work_left = next_arrival < nreq || !prefill_queue.empty() ||
+    bool work_left = !stream.done() || !prefill_queue.empty() ||
                      !decode_queue.empty() || pending_prefill_ups > 0 ||
                      pending_decode_ups > 0;
     if (!work_left) {
@@ -1258,8 +1370,8 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
       metrics.time_to_drain_s = now - metrics.largest_outage_time_s;
       drain_pending = false;
     }
-    double arrival_t = next_arrival < nreq ? requests.arrival_s[next_arrival]
-                                           : std::numeric_limits<double>::max();
+    double arrival_t =
+        stream.done() ? std::numeric_limits<double>::max() : stream.PeekArrival();
     double event_t =
         events.empty() ? std::numeric_limits<double>::max() : events.PeekTime();
     if (arrival_t == std::numeric_limits<double>::max() &&
@@ -1268,9 +1380,13 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
     }
 
     if (arrival_t <= event_t) {
+      // Pulled when due: the engine holds a request only while it is live.
+      int req = S.live.Push(stream.Next());
       now = arrival_t;
       progress_now = now;
-      if (now <= config.horizon_s) {
+      if (now > config.horizon_s) {
+        S.live.Finish(req);  // past the horizon: never admitted
+      } else {
         // Admission control: a shed request reached the cluster (it counts
         // as admitted, globally and per class) but never enters the
         // prefill queue, so admitted = completed + dropped + shed once the
@@ -1304,32 +1420,29 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
         }
         ++metrics.admitted_requests;
         if (track_classes) {
-          ++metrics.per_class[static_cast<size_t>(class_of(static_cast<int>(next_arrival)))]
-                .admitted_requests;
+          ++metrics.per_class[static_cast<size_t>(class_of(req))].admitted_requests;
         }
         if (shed) {
           ++metrics.shed_requests;
-          metrics.shed_events.push_back(
-              {now, static_cast<int>(next_arrival), shed_reason});
+          metrics.shed_events.push_back({now, req, shed_reason});
+          S.live.Finish(req);
         } else {
-          prefill_queue.push_back(static_cast<int>(next_arrival));
+          prefill_queue.push_back(req);
+          const LiveRequest& r = S.live[req];
           if (track_qsums) {
-            queued_prompt_tokens += requests.prompt_tokens[next_arrival];
+            queued_prompt_tokens += r.prompt_tokens;
           }
           if (scaler.enabled && scaler.predictive) {
             while (!demand_history.empty() &&
                    demand_history.front().t < now - scaler.forecast_window_s) {
               demand_history.pop_front();
             }
-            demand_history.push_back(
-                {now, static_cast<double>(requests.prompt_tokens[next_arrival]),
-                 static_cast<double>(requests.output_tokens[next_arrival]),
-                 requests.class_id[next_arrival]});
+            demand_history.push_back({now, static_cast<double>(r.prompt_tokens),
+                                      static_cast<double>(r.output_tokens), r.class_id});
             peak_demand_entries = std::max(peak_demand_entries, demand_history.size());
           }
         }
       }
-      ++next_arrival;
       try_start_prefill(now);
       continue;
     }
@@ -1365,8 +1478,8 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
       std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
       while (!heap.empty() && heap.front().finish_step == done_step) {
         size_t cls = static_cast<size_t>(heap.front().cls);
-        std::pop_heap(heap.begin(), heap.end(), LaterCompletion);
-        heap.pop_back();
+        S.live.Finish(heap.front().request);
+        PopCompletion(heap);
         --S.d_active_count[i];
         ++metrics.completed_requests;
         if (track_classes) {
@@ -1408,15 +1521,12 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
       for (int req : slots) {
         // A retried request's first token was delivered by its first
         // successful prefill; later re-prefills don't re-record TTFT.
-        if (!faults_enabled || !S.ttft_recorded[static_cast<size_t>(req)]) {
-          record_ttft(req, now - requests.arrival_s[static_cast<size_t>(req)]);
-          if (faults_enabled) {
-            S.ttft_recorded[static_cast<size_t>(req)] = 1;
-          }
+        if (!faults_enabled || S.live.FirstPrefill(req)) {
+          record_ttft(req, now - S.live[req].arrival_s);
         }
         decode_queue.push_back(req);
         if (track_qsums) {
-          queued_output_tokens += requests.output_tokens[static_cast<size_t>(req)];
+          queued_output_tokens += S.live[req].output_tokens;
         }
       }
       slots.clear();
@@ -1642,6 +1752,7 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
 
   metrics.makespan_s = std::max(metrics.makespan_s, progress_now);
   metrics.peak_demand_entries = peak_demand_entries;
+  metrics.peak_live_requests = S.live.peak();
   if (metrics.makespan_s > 0.0) {
     metrics.decode_tokens_per_s = metrics.output_tokens / metrics.makespan_s;
     double prefill_busy = 0.0;
@@ -1752,6 +1863,12 @@ ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterCo
   return metrics;
 }
 
+ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
+                                const StepTimeTable& table) {
+  RequestStream stream(requests);
+  return RunServeSimulation(stream, config, table);
+}
+
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table) {
@@ -1807,6 +1924,7 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
     merged.decode_degraded_instance_s += m.decode_degraded_instance_s;
     merged.degraded_output_tokens += m.degraded_output_tokens;
     merged.events_popped += m.events_popped;
+    merged.peak_live_requests = std::max(merged.peak_live_requests, m.peak_live_requests);
     for (size_t c = 0; c < merged.per_class.size() && c < m.per_class.size(); ++c) {
       ServeClassMetrics& out = merged.per_class[c];
       const ServeClassMetrics& in = m.per_class[c];

@@ -8,6 +8,13 @@
 // once from the analytic PerfModel layer (StepTimeTable::Build) or from
 // synthetic per-batch times in tests.
 //
+// Requests arrive through a RequestStream (src/serve/workload.h), pulled
+// when each one falls due; the engine keeps per-request state only over the
+// live span from the oldest unfinished request to the newest arrival. A
+// generated stream therefore runs in memory O(live span) plus the exact
+// TTFT samples (8 bytes per admitted request); column and record inputs
+// are read through a stream over them, with identical results.
+//
 // Event ordering is fully specified: simultaneous events process in
 // (time, kind, instance) order — prefill completions before decode step
 // completions, then provisioned instances coming up, then autoscaler
@@ -130,8 +137,8 @@ struct ServeClassMetrics {
 };
 
 struct ServeMetrics {
-  // Queue wait + prefill pass, per request. Exact samples: the count is
-  // O(requests), cheap enough to keep.
+  // Queue wait + prefill pass, per request. Exact samples, 8 bytes per
+  // admitted request: a streamed run's only O(requests) memory.
   SampleSet ttft_s;
   // Decode step durations. One sample per simulated step — O(tokens) of
   // them — so this streams into a fixed-bin histogram: count/min/max/mean
@@ -221,6 +228,11 @@ struct ServeMetrics {
   // decode macro-step gate (fewer pops than decode steps). Summed by the
   // shard merge; never emitted in a report.
   uint64_t events_popped = 0;
+  // Widest live span of the run: request ids from the oldest unfinished one
+  // to the newest arrival, the per-request state the engine holds. The
+  // regression guard that streamed runs stay O(requests in flight), not
+  // O(requests). The shard merge takes the max; never emitted in a report.
+  uint64_t peak_live_requests = 0;
 };
 
 // Runs the event loop with step times served from the dense table — a
@@ -228,7 +240,11 @@ struct ServeMetrics {
 // can drive any number of concurrent sweep workers. Metrics are
 // bit-identical to RunServeSimulationReference (simulator_reference.h) on
 // the same table: tested in serve_test and serve_faults_test, gated in
-// bench_serve_scale.
+// bench_serve_scale. Drains `stream`; the same requests give the same
+// metrics whether the stream generates them or reads columns.
+ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig& config,
+                                const StepTimeTable& table);
+// Runs a stream over materialized columns.
 ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
                                 const StepTimeTable& table);
 // Adapter for record-form streams: converts to columns, then runs the

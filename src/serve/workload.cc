@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <utility>
 
 #include "src/util/rng.h"
@@ -15,13 +15,6 @@ void RequestSoA::Reserve(size_t n) {
   prompt_tokens.reserve(n);
   output_tokens.reserve(n);
   class_id.reserve(n);
-}
-
-void RequestSoA::Clear() {
-  arrival_s.clear();
-  prompt_tokens.clear();
-  output_tokens.clear();
-  class_id.clear();
 }
 
 void RequestSoA::PushBack(double arrival, int prompt, int output, int cls) {
@@ -122,8 +115,8 @@ int SampleLength(Rng& rng, int median, double log_median, double sigma) {
   return std::max(1, static_cast<int>(std::lround(value)));
 }
 
-// Expected arrival count for one class, used to pre-size the output columns
-// so million-request streams append without reallocating. Overshooting a
+// Expected arrival count for one class, used to pre-size per-request
+// outputs so million-request streams append without reallocating. Overshooting a
 // little is fine (the extra capacity is freed with the columns); a few sigma
 // of headroom covers nearly every draw. A trace reserves only the recorded
 // times inside the horizon, thinned by the class's share, and never more
@@ -131,7 +124,10 @@ int SampleLength(Rng& rng, int median, double log_median, double sigma) {
 size_t ExpectedArrivals(const ClassWorkload& cls, double duration_s,
                         const ArrivalProcess& arrival, double trace_share) {
   auto with_headroom = [](double expected) {
-    return static_cast<size_t>(expected + 4.0 * std::sqrt(expected) + 16.0);
+    double n = expected + 4.0 * std::sqrt(expected) + 16.0;
+    // Saturate instead of converting an out-of-range double: a count this
+    // large only makes the caller's reservation fail.
+    return n < 9e18 ? static_cast<size_t>(n) : std::numeric_limits<size_t>::max();
   };
   if (arrival.kind == ArrivalKind::kTrace) {
     const std::vector<double>& times = arrival.times_s;
@@ -160,122 +156,242 @@ size_t ExpectedArrivals(const ClassWorkload& cls, double duration_s,
   return with_headroom(rate * std::max(0.0, duration_s) * std::max(0.0, mean_mult));
 }
 
-// One class's arrival substream. The stationary Poisson path keeps the
-// exact legacy sampling order (inter-arrival, prompt, output per request),
-// so a single-class mix reproduces the legacy generator bit-for-bit and a
-// scenario without an `arrival` block is unchanged. The non-stationary
-// kinds draw from the same per-class RNG:
+}  // namespace
+
+// One class's arrival substream as a cursor: Advance() makes exactly the
+// draws the class's next request needs and leaves it pending. The
+// stationary Poisson path keeps the legacy sampling order (inter-arrival,
+// prompt, output per request), so a single-class mix reproduces the legacy
+// generator bit-for-bit and a scenario without an `arrival` block is
+// unchanged. The non-stationary kinds draw from the same per-class RNG:
 //   diurnal — Lewis thinning against the peak-rate envelope, which keeps
 //     each class's stream independent of every other class.
 //   onoff   — walks on/off phases sequentially; overshooting a phase
 //     boundary discards the inter-arrival draw and redraws at the new
 //     phase's rate (memorylessness makes that exact).
-//   trace   — replays the recorded times; `trace_share` is this class's
-//     rate share, applied by thinning (share 1.0 skips the draw so a
-//     one-class mix replays the trace exactly).
-RequestSoA GenerateClassStream(const ClassWorkload& cls, int class_id, double duration_s,
-                               uint64_t seed, const ArrivalProcess& arrival,
-                               double trace_share) {
-  RequestSoA requests;
-  requests.Reserve(ExpectedArrivals(cls, duration_s, arrival, trace_share));
-  Rng rng(seed);
-  const double log_prompt = std::log(static_cast<double>(cls.median_prompt_tokens));
-  const double log_output = std::log(static_cast<double>(cls.median_output_tokens));
-  auto emit = [&](double t) {
-    // Named locals pin the draw order: prompt, then output.
-    int prompt = SampleLength(rng, cls.median_prompt_tokens, log_prompt, cls.prompt_sigma);
-    int output = SampleLength(rng, cls.median_output_tokens, log_output, cls.output_sigma);
-    requests.PushBack(t, prompt, output, class_id);
-  };
-  if (arrival.kind == ArrivalKind::kTrace) {
-    if (trace_share <= 0.0) {
-      return requests;
+//   trace   — replays the recorded times; `share` is this class's rate
+//     share, applied by thinning (share 1.0 skips the draw so a one-class
+//     mix replays the trace exactly).
+struct RequestStream::ClassCursor {
+  ClassCursor(const ClassWorkload& workload, uint64_t seed, const ArrivalProcess& arrival,
+              double trace_share)
+      : cls(workload),
+        rng(seed),
+        log_prompt(std::log(static_cast<double>(workload.median_prompt_tokens))),
+        log_output(std::log(static_cast<double>(workload.median_output_tokens))),
+        share(trace_share),
+        peak(PeakRateMultiplier(arrival)) {
+    if (arrival.kind == ArrivalKind::kTrace) {
+      exhausted = share <= 0.0;
+    } else if (cls.arrival_rate_per_s <= 0.0) {
+      exhausted = true;
+    } else if (arrival.kind == ArrivalKind::kDiurnal) {
+      exhausted = peak <= 0.0;  // validation rejects all-zero curves
+    } else if (arrival.kind == ArrivalKind::kOnOff) {
+      phase_end = rng.Exponential(1.0 / arrival.on_mean_s);  // starts on
     }
-    for (double t : arrival.times_s) {
-      if (t >= duration_s) {
-        break;  // validated ascending
-      }
-      if (trace_share < 1.0 && !(rng.NextDouble() < trace_share)) {
-        continue;
-      }
-      emit(t);
+  }
+
+  // Draws the class's next request into (arrival_s, prompt, output); false
+  // once the class has no request left before duration_s.
+  bool Advance(const ArrivalProcess& arrival, double duration_s) {
+    if (exhausted) {
+      return false;
     }
-    return requests;
-  }
-  if (cls.arrival_rate_per_s <= 0.0) {
-    return requests;
-  }
-  double t = 0.0;
-  switch (arrival.kind) {
-    case ArrivalKind::kPoisson: {
-      for (;;) {
+    switch (arrival.kind) {
+      case ArrivalKind::kTrace:
+        while (trace_next < arrival.times_s.size()) {
+          double at = arrival.times_s[trace_next++];
+          if (at >= duration_s) {
+            break;  // validated ascending
+          }
+          if (share < 1.0 && !(rng.NextDouble() < share)) {
+            continue;
+          }
+          return Emit(at);
+        }
+        break;
+      case ArrivalKind::kPoisson:
         t += rng.Exponential(cls.arrival_rate_per_s);
-        if (t >= duration_s) {
-          break;
+        if (t < duration_s) {
+          return Emit(t);
         }
-        emit(t);
-      }
-      break;
-    }
-    case ArrivalKind::kDiurnal: {
-      double peak = PeakRateMultiplier(arrival);
-      if (peak <= 0.0) {
-        break;  // validation rejects all-zero curves; belt and braces
-      }
-      for (;;) {
-        t += rng.Exponential(cls.arrival_rate_per_s * peak);
-        if (t >= duration_s) {
-          break;
-        }
-        // Accept with probability mult(t)/peak. One uniform per candidate
-        // keeps the draw count independent of the curve shape.
-        double u = rng.NextDouble();
-        if (u * peak < ArrivalRateMultiplier(arrival, duration_s, t)) {
-          emit(t);
-        }
-      }
-      break;
-    }
-    case ArrivalKind::kOnOff: {
-      bool on = true;
-      double phase_end = rng.Exponential(1.0 / arrival.on_mean_s);
-      for (;;) {
-        double mult = on ? arrival.on_multiplier : arrival.off_multiplier;
-        double dt = mult > 0.0 ? rng.Exponential(cls.arrival_rate_per_s * mult) : -1.0;
-        if (dt >= 0.0 && t + dt < phase_end) {
-          t += dt;
+        break;
+      case ArrivalKind::kDiurnal:
+        for (;;) {
+          t += rng.Exponential(cls.arrival_rate_per_s * peak);
           if (t >= duration_s) {
             break;
           }
-          emit(t);
-          continue;
+          // Accept with probability mult(t)/peak. One uniform per candidate
+          // keeps the draw count independent of the curve shape.
+          double u = rng.NextDouble();
+          if (u * peak < ArrivalRateMultiplier(arrival, duration_s, t)) {
+            return Emit(t);
+          }
         }
-        t = phase_end;
-        if (t >= duration_s) {
-          break;
+        break;
+      case ArrivalKind::kOnOff:
+        for (;;) {
+          double mult = on ? arrival.on_multiplier : arrival.off_multiplier;
+          double dt = mult > 0.0 ? rng.Exponential(cls.arrival_rate_per_s * mult) : -1.0;
+          if (dt >= 0.0 && t + dt < phase_end) {
+            t += dt;
+            if (t >= duration_s) {
+              break;
+            }
+            return Emit(t);
+          }
+          t = phase_end;
+          if (t >= duration_s) {
+            break;
+          }
+          on = !on;
+          phase_end = t + rng.Exponential(1.0 / (on ? arrival.on_mean_s : arrival.off_mean_s));
         }
-        on = !on;
-        phase_end = t + rng.Exponential(1.0 / (on ? arrival.on_mean_s : arrival.off_mean_s));
-      }
-      break;
+        break;
     }
-    case ArrivalKind::kTrace:
-      break;  // handled above
+    exhausted = true;
+    return false;
   }
-  return requests;
+
+  bool Emit(double at) {
+    arrival_s = at;
+    // Separate statements pin the draw order: prompt, then output.
+    prompt = SampleLength(rng, cls.median_prompt_tokens, log_prompt, cls.prompt_sigma);
+    output = SampleLength(rng, cls.median_output_tokens, log_output, cls.output_sigma);
+    return true;
+  }
+
+  ClassWorkload cls;
+  Rng rng;
+  double log_prompt;
+  double log_output;
+  double share;
+  double peak;
+  bool exhausted = false;
+  double t = 0.0;          // poisson, diurnal and onoff clock
+  bool on = true;          // onoff phase
+  double phase_end = 0.0;  // onoff phase boundary
+  size_t trace_next = 0;   // next recorded time to replay
+  // The pending request.
+  double arrival_s = 0.0;
+  int prompt = 0;
+  int output = 0;
+};
+
+RequestStream::RequestStream(const MultiClassWorkloadSpec& spec) : spec_(spec) {
+  double total_rate = 0.0;
+  for (const ClassWorkload& cls : spec_.classes) {
+    total_rate += std::max(0.0, cls.arrival_rate_per_s);
+  }
+  cursors_.reserve(spec_.classes.size());
+  for (size_t c = 0; c < spec_.classes.size(); ++c) {
+    const ClassWorkload& cls = spec_.classes[c];
+    double share = total_rate > 0.0 ? std::max(0.0, cls.arrival_rate_per_s) / total_rate : 0.0;
+    if (spec_.classes.size() == 1) {
+      share = 1.0;  // one-class mixes replay a trace exactly, like classless
+    }
+    cursors_.emplace_back(cls, ClassSubstreamSeed(spec_.seed, c), spec_.arrival, share);
+    size_t n = ExpectedArrivals(cls, spec_.duration_s, spec_.arrival, share);
+    expected_ = n > std::numeric_limits<size_t>::max() - expected_
+                    ? std::numeric_limits<size_t>::max()
+                    : expected_ + n;
+  }
+  if (spec_.arrival.kind == ArrivalKind::kTrace) {
+    const std::vector<double>& times = spec_.arrival.times_s;
+    expected_ = std::min(expected_, static_cast<size_t>(
+        std::lower_bound(times.begin(), times.end(), spec_.duration_s) - times.begin()));
+  }
 }
 
-}  // namespace
+RequestStream::RequestStream(const RequestSoA& columns)
+    : columns_(&columns), expected_(columns.size()) {}
 
-RequestSoA GenerateWorkloadSoA(const WorkloadSpec& spec) {
+RequestStream::~RequestStream() = default;
+
+void RequestStream::Refill() {
+  if (!primed_) {
+    primed_ = true;
+    block_.reserve(kBlock);
+    if (cursors_.size() >= 2) {
+      for (size_t c = 0; c < cursors_.size(); ++c) {
+        if (cursors_[c].Advance(spec_.arrival, spec_.duration_s)) {
+          heads_.push_back({cursors_[c].arrival_s, c});
+        }
+      }
+      std::make_heap(heads_.begin(), heads_.end(), std::greater<>());
+    }
+  }
+  block_.clear();
+  next_ = 0;
+  Request r;
+  while (block_.size() < kBlock) {
+    if (!Draw(&r)) {
+      exhausted_ = true;
+      break;
+    }
+    block_.push_back(r);
+  }
+}
+
+bool RequestStream::Draw(Request* out) {
+  if (columns_ != nullptr) {
+    if (position_ >= columns_->size()) {
+      return false;
+    }
+    out->class_id = columns_->class_id[position_];
+    out->arrival_s = columns_->arrival_s[position_];
+    out->prompt_tokens = columns_->prompt_tokens[position_];
+    out->output_tokens = columns_->output_tokens[position_];
+  } else {
+    size_t c = 0;
+    if (cursors_.size() == 1) {
+      if (!cursors_[0].Advance(spec_.arrival, spec_.duration_s)) {
+        return false;
+      }
+    } else {
+      // The earliest pending head goes first, a tie to the lower class
+      // index; its class's next request enters the heap only after it
+      // left, so each class keeps its own order.
+      if (heads_.empty()) {
+        return false;
+      }
+      std::pop_heap(heads_.begin(), heads_.end(), std::greater<>());
+      c = heads_.back().second;
+      heads_.pop_back();
+    }
+    ClassCursor& cursor = cursors_[c];
+    out->class_id = static_cast<int>(c);
+    out->arrival_s = cursor.arrival_s;
+    out->prompt_tokens = cursor.prompt;
+    out->output_tokens = cursor.output;
+    if (cursors_.size() >= 2 && cursor.Advance(spec_.arrival, spec_.duration_s)) {
+      heads_.push_back({cursor.arrival_s, c});
+      std::push_heap(heads_.begin(), heads_.end(), std::greater<>());
+    }
+  }
+  out->id = static_cast<int>(position_++);
+  return true;
+}
+
+MultiClassWorkloadSpec OneClassMix(const WorkloadSpec& spec) {
+  MultiClassWorkloadSpec mix;
+  mix.duration_s = spec.duration_s;
+  mix.seed = spec.seed;
+  mix.arrival = spec.arrival;
   ClassWorkload cls;
   cls.arrival_rate_per_s = spec.arrival_rate_per_s;
   cls.median_prompt_tokens = spec.median_prompt_tokens;
   cls.prompt_sigma = spec.prompt_sigma;
   cls.median_output_tokens = spec.median_output_tokens;
   cls.output_sigma = spec.output_sigma;
-  return GenerateClassStream(cls, /*class_id=*/0, spec.duration_s, spec.seed, spec.arrival,
-                             /*trace_share=*/1.0);
+  mix.classes.push_back(cls);
+  return mix;
+}
+
+RequestSoA GenerateWorkloadSoA(const WorkloadSpec& spec) {
+  return GenerateMultiClassWorkloadSoA(OneClassMix(spec));
 }
 
 std::vector<Request> GenerateWorkload(const WorkloadSpec& spec) {
@@ -295,54 +411,14 @@ uint64_t ClassSubstreamSeed(uint64_t seed, size_t index) {
 }
 
 RequestSoA GenerateMultiClassWorkloadSoA(const MultiClassWorkloadSpec& spec) {
-  double total_rate = 0.0;
-  for (const ClassWorkload& cls : spec.classes) {
-    total_rate += std::max(0.0, cls.arrival_rate_per_s);
+  RequestStream stream(spec);
+  RequestSoA requests;
+  requests.Reserve(stream.ExpectedCount());
+  while (!stream.done()) {
+    Request r = stream.Next();
+    requests.PushBack(r.arrival_s, r.prompt_tokens, r.output_tokens, r.class_id);
   }
-  std::vector<RequestSoA> streams;
-  streams.reserve(spec.classes.size());
-  size_t total = 0;
-  for (size_t c = 0; c < spec.classes.size(); ++c) {
-    double share = total_rate > 0.0
-                       ? std::max(0.0, spec.classes[c].arrival_rate_per_s) / total_rate
-                       : 0.0;
-    if (spec.classes.size() == 1) {
-      share = 1.0;  // one-class mixes replay a trace exactly, like classless
-    }
-    streams.push_back(GenerateClassStream(spec.classes[c], static_cast<int>(c),
-                                          spec.duration_s, ClassSubstreamSeed(spec.seed, c),
-                                          spec.arrival, share));
-    total += streams.back().size();
-  }
-  if (streams.size() == 1) {
-    return std::move(streams.front());
-  }
-  // k-way merge of the arrival-sorted substreams on (arrival, class): the
-  // earliest head goes first, a tie goes to the lower class index, and a
-  // class's next request enters only after its previous one left, so each
-  // class keeps its own order.
-  using Head = std::pair<double, size_t>;
-  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads;
-  std::vector<size_t> next(streams.size(), 0);
-  for (size_t c = 0; c < streams.size(); ++c) {
-    if (!streams[c].empty()) {
-      heads.push({streams[c].arrival_s[0], c});
-    }
-  }
-  RequestSoA merged;
-  merged.Reserve(total);
-  while (!heads.empty()) {
-    size_t c = heads.top().second;
-    heads.pop();
-    const RequestSoA& stream = streams[c];
-    size_t i = next[c]++;
-    merged.PushBack(stream.arrival_s[i], stream.prompt_tokens[i], stream.output_tokens[i],
-                    stream.class_id[i]);
-    if (i + 1 < stream.size()) {
-      heads.push({stream.arrival_s[i + 1], c});
-    }
-  }
-  return merged;
+  return requests;
 }
 
 std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& spec) {

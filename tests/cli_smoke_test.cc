@@ -25,9 +25,9 @@ struct CommandResult {
   std::string stdout_text;
 };
 
-CommandResult RunCommand(const std::string& args) {
+// Runs a shell command and captures its stdout and exit code.
+CommandResult Capture(const std::string& command) {
   CommandResult result;
-  std::string command = std::string(LITEGPU_CLI_PATH) + " " + args + " 2>/dev/null";
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) {
     return result;
@@ -40,6 +40,10 @@ CommandResult RunCommand(const std::string& args) {
   int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+CommandResult RunCommand(const std::string& args) {
+  return Capture(std::string(LITEGPU_CLI_PATH) + " " + args + " 2>/dev/null");
 }
 
 std::string ScenarioPath(const std::string& name) {
@@ -49,20 +53,7 @@ std::string ScenarioPath(const std::string& name) {
 // Like RunCommand, but folds stderr into the captured text — for asserting
 // on diagnostic messages, which the CLI prints to stderr.
 CommandResult RunCommandMergedOutput(const std::string& args) {
-  CommandResult result;
-  std::string command = std::string(LITEGPU_CLI_PATH) + " " + args + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) {
-    return result;
-  }
-  std::array<char, 4096> buffer;
-  size_t n = 0;
-  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    result.stdout_text.append(buffer.data(), n);
-  }
-  int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
+  return Capture(std::string(LITEGPU_CLI_PATH) + " " + args + " 2>&1");
 }
 
 TEST(CliSmoke, RunExecutesEveryCheckedInScenarioAsJson) {
@@ -519,6 +510,103 @@ TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
       << huge.stdout_text;
   std::remove(huge_path.c_str());
 #endif
+}
+
+// Runs `litegpu run` (stderr folded in, under a 60 s timeout so a hang
+// fails instead of stalling the suite) on a copy of checked-in example
+// `name` whose first occurrence of `from` became `to`.
+CommandResult RunEditedExample(const std::string& name, const std::string& from,
+                               const std::string& to) {
+  std::string text;
+  FILE* in = fopen(ScenarioPath(name).c_str(), "r");
+  EXPECT_NE(in, nullptr) << name;
+  if (in == nullptr) {
+    return {};
+  }
+  std::array<char, 4096> buffer;
+  size_t n = 0;
+  while ((n = fread(buffer.data(), 1, buffer.size(), in)) > 0) {
+    text.append(buffer.data(), n);
+  }
+  fclose(in);
+  size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << name << " has no " << from;
+  if (at == std::string::npos) {
+    return {};
+  }
+  text.replace(at, from.size(), to);
+  std::string path = ::testing::TempDir() + "litegpu_edited_" + name;
+  FILE* out = fopen(path.c_str(), "w");
+  EXPECT_NE(out, nullptr);
+  if (out == nullptr) {
+    return {};
+  }
+  fputs(text.c_str(), out);
+  fclose(out);
+  CommandResult result =
+      Capture("timeout 60 " + std::string(LITEGPU_CLI_PATH) + " run " + path + " 2>&1");
+  std::remove(path.c_str());
+  return result;
+}
+
+// One-field edits of checked-in examples that used to crash the CLI. Each
+// now ends in an error report that names its cause: `run` reports a
+// rejected scenario (or one that cannot run) with exit 1, like the
+// infinite-horizon case above.
+TEST(CliSmoke, UnaddressableArrivalRateIsAnErrorNotAnAbort) {
+  // The diurnal peak makes the materialized stream larger than a vector
+  // can hold: std::length_error used to escape Runner::Run (exit 134).
+  CommandResult result = RunEditedExample("serve_faulty.json", "[0.35, 0.7,",
+                                          "[0.35, 9007199254740993,");
+  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("std::length_error"), std::string::npos)
+      << result.stdout_text;
+}
+
+TEST(CliSmoke, UnboundedRepairTimeIsRejected) {
+  // A 1e308-hour repair overflowed the event queue's bucket arithmetic
+  // (SIGSEGV).
+  CommandResult result =
+      RunEditedExample("serve_chaos.json", "\"mttr_hours\": 0.02", "\"mttr_hours\": 1e308");
+  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("serve.faults.mttr_hours must be in (0, 1e+06]"),
+            std::string::npos)
+      << result.stdout_text;
+}
+
+TEST(CliSmoke, UnboundedDegradedWindowIsRejected) {
+  // A 1e308-minute degraded window ended at an infinite time, the same
+  // bucket overflow as the repair (SIGSEGV).
+  CommandResult result = RunEditedExample("serve_chaos.json", "\"degrade_minutes\": 0.5",
+                                          "\"degrade_minutes\": 1e308");
+  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("serve.faults.degrade_minutes must be in [0, 6e+07]"),
+            std::string::npos)
+      << result.stdout_text;
+}
+
+TEST(CliSmoke, UnboundedSpareActivationIsRejected) {
+  // An activation delay becomes an event time like a repair. Its range row
+  // rejects an unbounded one with or without spares, before the cross-field
+  // rule against mttr_hours.
+  CommandResult result =
+      RunEditedExample("serve_chaos.json", "\"spare_activation_minutes\": 0.1",
+                       "\"spare_activation_minutes\": 1e308");
+  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_NE(
+      result.stdout_text.find("serve.faults.spare_activation_minutes must be in [0, 6e+07]"),
+      std::string::npos)
+      << result.stdout_text;
+}
+
+TEST(CliSmoke, ProvisioningDelayPastTheHorizonIsRejected) {
+  // A 1e308 s provisioning delay hung the autoscaler.
+  CommandResult result =
+      RunEditedExample("serve_faulty.json", "\"delay_s\": 8", "\"delay_s\": 1e308");
+  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("serve.autoscaler.delay_s must be <= serve.horizon_s"),
+            std::string::npos)
+      << result.stdout_text;
 }
 
 }  // namespace

@@ -598,6 +598,28 @@ TEST(Scenario, FaultKnobsValidationRejectsBadValues) {
   knobs.retry_budget = 0;
   EXPECT_NE(ValidateFaultKnobs(knobs, "serve.faults").find("retry_budget"),
             std::string::npos);
+  // Repair times become event times, so they are bounded (1e6 hours).
+  knobs = FaultKnobs{};
+  knobs.mttr_hours = 1e308;
+  EXPECT_NE(ValidateFaultKnobs(knobs, "serve.faults").find("mttr_hours must be in (0, 1e+06]"),
+            std::string::npos);
+  knobs.mttr_hours = 1e6;
+  EXPECT_EQ(ValidateFaultKnobs(knobs, "serve.faults"), "");
+  knobs.domain_mttr_hours = 2e6;
+  EXPECT_NE(ValidateFaultKnobs(knobs, "serve.faults").find("domain_mttr_hours"),
+            std::string::npos);
+  // So are spare activations and degraded windows (6e7 minutes).
+  knobs = FaultKnobs{};
+  knobs.spare_activation_minutes = 1e308;
+  EXPECT_NE(ValidateFaultKnobs(knobs, "serve.faults")
+                .find("spare_activation_minutes must be in [0, 6e+07]"),
+            std::string::npos);
+  knobs = FaultKnobs{};
+  knobs.degrade_minutes = 1e308;
+  EXPECT_NE(ValidateFaultKnobs(knobs, "serve.faults").find("degrade_minutes must be in [0, 6e+07]"),
+            std::string::npos);
+  knobs.degrade_minutes = 6e7;
+  EXPECT_EQ(ValidateFaultKnobs(knobs, "serve.faults"), "");
   // The scenario validator runs the same checks on the embedded block.
   std::string error;
   ServeKnobs serve;

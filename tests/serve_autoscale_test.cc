@@ -297,6 +297,20 @@ TEST(Scenario, AutoscalerValidationRejectsBadThresholdsAndDelays) {
       ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
   EXPECT_NE(error.find("scale_down_utilization"), std::string::npos);
 
+  // A scale-up must land inside the horizon: the delay is bounded by it.
+  knobs = ServeKnobs{};
+  knobs.horizon_s = 60.0;
+  knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
+  knobs.autoscaler.delay_s = 1e308;
+  EXPECT_FALSE(
+      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_NE(error.find("serve.autoscaler.delay_s must be <= serve.horizon_s"),
+            std::string::npos)
+      << error;
+  knobs.autoscaler.delay_s = 60.0;
+  EXPECT_TRUE(
+      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+
   // A disabled block never validates its thresholds — kNone means "no
   // autoscaler", whatever stale values ride along.
   knobs = ServeKnobs{};

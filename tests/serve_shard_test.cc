@@ -108,6 +108,9 @@ TEST(MergeServeShardMetrics, CountsSumAndRatiosRecomputeFromSummedAggregates) {
   EXPECT_EQ(merged.in_flight_at_horizon,
             a.in_flight_at_horizon + b.in_flight_at_horizon);
   EXPECT_DOUBLE_EQ(merged.output_tokens, a.output_tokens + b.output_tokens);
+  // The live span is a per-run high-water mark: the merge keeps the widest.
+  ASSERT_GT(a.peak_live_requests, 0u);
+  EXPECT_EQ(merged.peak_live_requests, std::max(a.peak_live_requests, b.peak_live_requests));
   // Sub-horizons run back to back in merged time: the makespan is the sum.
   EXPECT_DOUBLE_EQ(merged.makespan_s, a.makespan_s + b.makespan_s);
   // Ratios come from summed numerators and denominators, not averaged
