@@ -218,7 +218,11 @@ inline constexpr std::tuple kFaultFields{
     Row("domain_mttr_hours", &FaultKnobs::domain_mttr_hours,
         {0.0, 1e6, false, "0 = inherit mttr_hours"}, Emit::kIfChanged),
     Row("degrade_afr", &FaultKnobs::degrade_afr, AtLeast(0), Emit::kIfChanged),
-    Row("degrade_multiplier", &FaultKnobs::degrade_multiplier, AtLeast(1), Emit::kIfChanged),
+    // A degraded step ends multiplier x its step time out, and the run
+    // lasts until it does: at 1e9 the chaos example ran over 100x longer,
+    // at 1e3 no longer than at 1.8.
+    Row("degrade_multiplier", &FaultKnobs::degrade_multiplier, Within(1, 1e3),
+        Emit::kIfChanged),
     Row("degrade_minutes", &FaultKnobs::degrade_minutes, Within(0, 6e7), Emit::kIfChanged),
     Row("shed_queue_depth", &FaultKnobs::shed_queue_depth, AtLeast(0), Emit::kIfChanged),
     Row("shed_ttft_deadline_s", &FaultKnobs::shed_ttft_deadline_s, AtLeast(0),

@@ -302,6 +302,126 @@ class LiveRequests {
   uint64_t peak_ = 0;
 };
 
+// Pool indices, the values of ScalePool.
+constexpr int kPrefillPool = static_cast<int>(ScalePool::kPrefill);
+constexpr int kDecodePool = static_cast<int>(ScalePool::kDecode);
+
+// Paired event kinds sit side by side, prefill first, so a kind's pool is
+// its low bit and the pair's prefill kind is the kind with that bit clear.
+constexpr int PoolOf(ServeEventKind kind) { return static_cast<int>(kind) & 1; }
+constexpr ServeEventKind PairOf(ServeEventKind kind) {
+  return static_cast<ServeEventKind>(static_cast<int>(kind) & ~1);
+}
+// The kind of pair `prefill_kind` for pool p.
+constexpr ServeEventKind KindFor(ServeEventKind prefill_kind, int p) {
+  return static_cast<ServeEventKind>(static_cast<int>(prefill_kind) + p);
+}
+constexpr bool Paired(ServeEventKind prefill_kind, ServeEventKind decode_kind) {
+  return PoolOf(prefill_kind) == kPrefillPool && PoolOf(decode_kind) == kDecodePool &&
+         PairOf(decode_kind) == prefill_kind;
+}
+static_assert(Paired(ServeEventKind::kPrefillDomainFail, ServeEventKind::kDecodeDomainFail) &&
+                  Paired(ServeEventKind::kPrefillFail, ServeEventKind::kDecodeFail) &&
+                  Paired(ServeEventKind::kPrefillDegradeStart,
+                         ServeEventKind::kDecodeDegradeStart) &&
+                  Paired(ServeEventKind::kPrefillDegradeEnd, ServeEventKind::kDecodeDegradeEnd) &&
+                  Paired(ServeEventKind::kPrefillDone, ServeEventKind::kDecodeStepDone) &&
+                  Paired(ServeEventKind::kPrefillUp, ServeEventKind::kDecodeUp) &&
+                  Paired(ServeEventKind::kPrefillRecover, ServeEventKind::kDecodeRecover) &&
+                  Paired(ServeEventKind::kPrefillSpareReturn,
+                         ServeEventKind::kDecodeSpareReturn),
+              "paired event kinds must be adjacent, prefill first");
+
+// One pool's instance lifecycle, the same for prefill and decode: the
+// per-instance columns (SoA: status byte, hot, plus parallel cold arrays),
+// the ready bitmask, and the per-pool run values. Columns only one pool
+// has live in SimScratch.
+struct PoolState {
+  explicit PoolState(uint8_t not_ready_mask) : not_ready(not_ready_mask) {}
+
+  std::vector<uint8_t> state;
+  std::vector<double> busy_time, up_time, down_time;
+  std::vector<int> epoch;
+  std::vector<uint8_t> via_spare;
+  std::vector<const char*> drain_reason;
+  // Degraded state: current step-time multiplier (1.0 = healthy) and the
+  // time the open throttled window started (-1 = none).
+  std::vector<double> degrade_mult, degrade_since;
+  // Ready bitmask: bit i set iff instance i's status has no not_ready bit.
+  // The dispatch loops scan set bits instead of walking every instance,
+  // turning the per-event cost from O(pool size) into O(instances actually
+  // dispatched) — at a million arrivals against a hundred-instance prefill
+  // pool that scan is the simulator's single largest cost.
+  std::vector<uint64_t> ready;
+
+  // Run values: provisioned instances (incl. draining), scale-ups in
+  // flight and their reasons (FIFO-matched to up events), free spares,
+  // failure domains scheduled so far, and the busy sum at the last tick.
+  int provisioned = 0;
+  int pending_ups = 0;
+  std::deque<const char*> up_reasons;
+  int spares_free = 0;
+  int domains_scheduled = 0;
+  double prev_busy = 0.0;
+  // Resolved per-pool constants, and the status bits that keep an
+  // instance from taking new work: any bit for prefill, while a draining
+  // decode instance still steps.
+  double failure_rate = 0.0;
+  double degrade_rate = 0.0;
+  int instances_per_domain = 0;
+  const uint8_t not_ready;
+
+  size_t size() const { return state.size(); }
+
+  void Add(double up) {
+    size_t i = state.size();
+    if (ready.size() <= (i >> 6)) {
+      ready.push_back(0);
+    }
+    ready[i >> 6] |= 1ull << (i & 63);
+    state.push_back(0);
+    busy_time.push_back(0.0);
+    up_time.push_back(up);
+    down_time.push_back(-1.0);
+    epoch.push_back(0);
+    via_spare.push_back(0);
+    drain_reason.push_back("");
+    degrade_mult.push_back(1.0);
+    degrade_since.push_back(-1.0);
+  }
+
+  void Clear() {
+    state.clear();
+    busy_time.clear();
+    up_time.clear();
+    down_time.clear();
+    epoch.clear();
+    via_spare.clear();
+    drain_reason.clear();
+    degrade_mult.clear();
+    degrade_since.clear();
+    ready.clear();
+    provisioned = 0;
+    pending_ups = 0;
+    up_reasons.clear();
+    spares_free = 0;
+    domains_scheduled = 0;
+    prev_busy = 0.0;
+  }
+
+  // Refreshes instance i's ready bit from its status byte. Called after
+  // every status mutation; the dispatch loops trust the bits completely.
+  void SyncReady(int i) {
+    uint64_t bit = 1ull << (static_cast<unsigned>(i) & 63);
+    size_t w = static_cast<size_t>(i) >> 6;
+    if (!(state[static_cast<size_t>(i)] & not_ready)) {
+      ready[w] |= bit;
+    } else {
+      ready[w] &= ~bit;
+    }
+  }
+};
+
 // Per-point scratch, reused across runs on the same thread so sweep points
 // and shards stop churning the allocator: vectors are cleared, not freed.
 struct SimScratch {
@@ -309,27 +429,16 @@ struct SimScratch {
   IndexQueue prefill_queue;
   IndexQueue decode_queue;
 
-  // Prefill pool, SoA: status byte (hot) + parallel cold arrays.
-  std::vector<uint8_t> p_state;
-  std::vector<double> p_busy_time, p_up_time, p_down_time;
-  std::vector<double> p_pass_started, p_pass_duration;
-  std::vector<int> p_epoch;
-  std::vector<uint8_t> p_via_spare;
-  std::vector<const char*> p_drain_reason;
-  // Degraded state: current step-time multiplier (1.0 = healthy) and the
-  // time the open throttled window started (-1 = none).
-  std::vector<double> p_degrade_mult, p_degrade_since;
-  std::vector<std::vector<int>> p_batch;  // request indices being prefilled
+  // Indexed by pool.
+  PoolState pools[2] = {PoolState(0xFF), PoolState(kBusy | kDown | kInactive)};
 
-  // Decode pool, SoA.
-  std::vector<uint8_t> d_state;
-  std::vector<double> d_busy_time, d_batch_time_product;
+  // Prefill-only columns: the pass in flight and its request indices.
+  std::vector<double> p_pass_started, p_pass_duration;
+  std::vector<std::vector<int>> p_batch;
+
+  // Decode-only columns.
+  std::vector<double> d_batch_time_product;
   std::vector<double> d_step_started, d_step_duration;
-  std::vector<double> d_up_time, d_down_time;
-  std::vector<int> d_epoch;
-  std::vector<uint8_t> d_via_spare;
-  std::vector<const char*> d_drain_reason;
-  std::vector<double> d_degrade_mult, d_degrade_since;
   // Current decode run (macro-step): planned steps, steps charged to busy
   // time so far, steps emitted so far, and the sequence number its end
   // event carries (bumped when the run is cut or killed). Charged and
@@ -347,72 +456,40 @@ struct SimScratch {
 
   LiveRequests live;
 
-  // Ready bitmasks: bit i set iff instance i currently passes the
-  // try_start_* status check (prefill: state byte zero; decode: neither
-  // busy, down, nor inactive). The dispatch loops scan set bits instead of
-  // walking every instance, turning the per-event cost from O(pool size)
-  // into O(instances actually dispatched) — at a million arrivals against
-  // a hundred-instance prefill pool that scan is the simulator's single
-  // largest cost.
-  std::vector<uint64_t> p_ready, d_ready;
   // Bit i set iff decode instance i runs a multi-step macro-step it could
   // admit at (not draining, batch below max): the candidates a decode
   // queue push may have to cut.
   std::vector<uint64_t> d_cuttable;
   PassEnds prefill_ends;
 
-  void AddPrefill(double up_time) {
-    size_t i = p_state.size();
-    if (p_ready.size() <= (i >> 6)) {
-      p_ready.push_back(0);
+  // Provisions one instance of pool p, up since `up_time`.
+  void AddInstance(int p, double up_time, int num_classes) {
+    PoolState& pool = pools[p];
+    pool.Add(up_time);
+    size_t n = pool.size();
+    if (p == kPrefillPool) {
+      p_pass_started.push_back(0.0);
+      p_pass_duration.push_back(0.0);
+      if (p_batch.size() < n) {
+        p_batch.emplace_back();
+      }
+      return;
     }
-    p_ready[i >> 6] |= 1ull << (i & 63);
-    p_state.push_back(0);
-    p_busy_time.push_back(0.0);
-    p_up_time.push_back(up_time);
-    p_down_time.push_back(-1.0);
-    p_pass_started.push_back(0.0);
-    p_pass_duration.push_back(0.0);
-    p_epoch.push_back(0);
-    p_via_spare.push_back(0);
-    p_drain_reason.push_back("");
-    p_degrade_mult.push_back(1.0);
-    p_degrade_since.push_back(-1.0);
-    if (p_batch.size() < p_state.size()) {
-      p_batch.emplace_back();
-    }
-  }
-
-  void AddDecode(double up_time, int num_classes) {
-    size_t i = d_state.size();
-    if (d_ready.size() <= (i >> 6)) {
-      d_ready.push_back(0);
-      d_cuttable.push_back(0);
-    }
-    d_ready[i >> 6] |= 1ull << (i & 63);
-    d_state.push_back(0);
-    d_busy_time.push_back(0.0);
+    d_cuttable.resize(pool.ready.size(), 0);
     d_batch_time_product.push_back(0.0);
     d_step_started.push_back(0.0);
     d_step_duration.push_back(0.0);
-    d_up_time.push_back(up_time);
-    d_down_time.push_back(-1.0);
-    d_epoch.push_back(0);
-    d_via_spare.push_back(0);
-    d_drain_reason.push_back("");
-    d_degrade_mult.push_back(1.0);
-    d_degrade_since.push_back(-1.0);
     d_macro_steps.push_back(0);
     d_macro_charged.push_back(1);
     d_macro_done.push_back(0);
     d_step_seq.push_back(0);
     d_step_count.push_back(0);
     d_active_count.push_back(0);
-    if (d_heap.size() < d_state.size()) {
+    if (d_heap.size() < n) {
       d_heap.emplace_back();
     }
     if (num_classes > 0) {
-      class_active.resize(d_state.size() * static_cast<size_t>(num_classes), 0);
+      class_active.resize(n * static_cast<size_t>(num_classes), 0);
     }
   }
 
@@ -420,35 +497,20 @@ struct SimScratch {
     events.Reset(bucket_width);
     prefill_queue.Clear();
     decode_queue.Clear();
-    p_state.clear();
-    p_busy_time.clear();
-    p_up_time.clear();
-    p_down_time.clear();
+    for (PoolState& pool : pools) {
+      pool.Clear();
+    }
     p_pass_started.clear();
     p_pass_duration.clear();
-    p_epoch.clear();
-    p_via_spare.clear();
-    p_drain_reason.clear();
-    p_degrade_mult.clear();
-    p_degrade_since.clear();
     // Nested per-instance vectors keep their slots (and inner capacity);
     // only the entries a previous larger run left behind are dropped.
     p_batch.resize(static_cast<size_t>(n_prefill));
     for (auto& b : p_batch) {
       b.clear();
     }
-    d_state.clear();
-    d_busy_time.clear();
     d_batch_time_product.clear();
     d_step_started.clear();
     d_step_duration.clear();
-    d_up_time.clear();
-    d_down_time.clear();
-    d_epoch.clear();
-    d_via_spare.clear();
-    d_drain_reason.clear();
-    d_degrade_mult.clear();
-    d_degrade_since.clear();
     d_macro_steps.clear();
     d_macro_charged.clear();
     d_macro_done.clear();
@@ -460,15 +522,13 @@ struct SimScratch {
       h.clear();
     }
     class_active.clear();
-    p_ready.clear();
-    d_ready.clear();
     d_cuttable.clear();
     live.Clear();
     for (int i = 0; i < n_prefill; ++i) {
-      AddPrefill(0.0);
+      AddInstance(kPrefillPool, 0.0, num_classes);
     }
     for (int i = 0; i < n_decode; ++i) {
-      AddDecode(0.0, num_classes);
+      AddInstance(kDecodePool, 0.0, num_classes);
     }
   }
 };
@@ -518,6 +578,36 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   CalendarEventQueue& events = S.events;
   IndexQueue& prefill_queue = S.prefill_queue;
   IndexQueue& decode_queue = S.decode_queue;
+  PoolState& prefill = S.pools[kPrefillPool];
+  PoolState& decode = S.pools[kDecodePool];
+  const ServeFaultConfig& faults = config.faults;
+  prefill.provisioned = config.prefill_instances;
+  prefill.spares_free = faults.prefill_spares;
+  prefill.failure_rate = faults.prefill_failure_rate_per_s;
+  prefill.degrade_rate = degraded.prefill_rate_per_s;
+  prefill.instances_per_domain = domains.prefill_instances_per_domain;
+  decode.provisioned = config.decode_instances;
+  decode.spares_free = faults.decode_spares;
+  decode.failure_rate = faults.decode_failure_rate_per_s;
+  decode.degrade_rate = degraded.decode_rate_per_s;
+  decode.instances_per_domain = domains.decode_instances_per_domain;
+  // The per-pool fields of `metrics`, indexed by pool.
+  struct PoolMetrics {
+    int& peak_instances;
+    int& final_instances;
+    double& busy_s;
+    double& utilization;
+    double& instance_seconds;
+    double& fault_downtime_s;
+    double& degraded_instance_s;
+  };
+  PoolMetrics pool_metrics[2] = {
+      {metrics.peak_prefill_instances, metrics.final_prefill_instances, metrics.prefill_busy_s,
+       metrics.prefill_utilization, metrics.prefill_instance_seconds,
+       metrics.prefill_fault_downtime_s, metrics.prefill_degraded_instance_s},
+      {metrics.peak_decode_instances, metrics.final_decode_instances, metrics.decode_busy_s,
+       metrics.decode_utilization, metrics.decode_instance_seconds,
+       metrics.decode_fault_downtime_s, metrics.decode_degraded_instance_s}};
 
   if (stream_ttft) {
     metrics.ttft_streamed = true;
@@ -526,17 +616,9 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
 
   // --- autoscaler state (dormant unless cfg.enabled) ---
   const ServeAutoscalerConfig& scaler = config.autoscaler;
-  int active_prefill = config.prefill_instances;  // provisioned (incl. draining)
-  int active_decode = config.decode_instances;
-  int pending_prefill_ups = 0;
-  int pending_decode_ups = 0;
-  std::deque<const char*> prefill_up_reasons;  // FIFO-matched to up events
-  std::deque<const char*> decode_up_reasons;
   int up_seq = 0;    // ordering sequence for simultaneous up events
   int tick_seq = 0;  // and for ticks
   double prev_tick_time = 0.0;
-  double prev_prefill_busy = 0.0;
-  double prev_decode_busy = 0.0;
   // Incrementally maintained queued-token totals, read by autoscaler
   // ticks. Token counts are integers, so the running sums stay exactly
   // integer-valued in double and equal the reference's per-tick
@@ -558,30 +640,23 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   std::deque<Demand> demand_history;
   size_t peak_demand_entries = 0;
   if (scaler.enabled) {
-    metrics.peak_prefill_instances = active_prefill;
-    metrics.peak_decode_instances = active_decode;
+    metrics.peak_prefill_instances = prefill.provisioned;
+    metrics.peak_decode_instances = decode.provisioned;
     events.Push({scaler.interval_s, ServeEventKind::kAutoscaleTick, tick_seq++});
   }
 
   // --- fault-injection state (dormant unless faults.enabled) ---
-  const ServeFaultConfig& faults = config.faults;
   std::optional<FaultStreams> fault_streams;
-  int prefill_spares_free = faults.prefill_spares;
-  int decode_spares_free = faults.decode_spares;
-  auto schedule_next_failure = [&](ScalePool pool, int slot, double from_t, int epoch) {
-    double rate = pool == ScalePool::kPrefill ? faults.prefill_failure_rate_per_s
-                                              : faults.decode_failure_rate_per_s;
+  auto schedule_next_failure = [&](int p, int slot, double from_t, int epoch) {
+    double rate = S.pools[p].failure_rate;
     if (rate <= 0.0) {
       return;
     }
     // Failures are injected over the admission horizon only; the drain
     // tail past it runs fault-free, which also bounds the event stream.
-    double t = from_t + fault_streams->NextFailureGap(pool, slot, rate);
+    double t = from_t + fault_streams->NextFailureGap(static_cast<ScalePool>(p), slot, rate);
     if (t <= config.horizon_s) {
-      events.Push({t,
-                   pool == ScalePool::kPrefill ? ServeEventKind::kPrefillFail
-                                               : ServeEventKind::kDecodeFail,
-                   slot, epoch});
+      events.Push({t, KindFor(ServeEventKind::kPrefillFail, p), slot, epoch});
     }
   };
   // Domain outage streams: one per failure domain, keyed by (seed, pool,
@@ -589,69 +664,50 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   // Domains are discovered as the pool grows — domain d covers instances
   // [d*ipd, (d+1)*ipd) — and each domain's gap sequence depends only on its
   // id, never on when its first member appeared.
-  int prefill_domains_scheduled = 0;
-  int decode_domains_scheduled = 0;
-  auto schedule_next_domain_failure = [&](ScalePool pool, int domain, double from_t) {
-    double t =
-        from_t + fault_streams->NextDomainFailureGap(pool, domain, domains.failure_rate_per_s);
+  auto schedule_next_domain_failure = [&](int p, int domain, double from_t) {
+    double t = from_t + fault_streams->NextDomainFailureGap(static_cast<ScalePool>(p), domain,
+                                                            domains.failure_rate_per_s);
     if (t <= config.horizon_s) {
-      events.Push({t,
-                   pool == ScalePool::kPrefill ? ServeEventKind::kPrefillDomainFail
-                                               : ServeEventKind::kDecodeDomainFail,
-                   domain});
+      events.Push({t, KindFor(ServeEventKind::kPrefillDomainFail, p), domain});
     }
   };
-  auto schedule_new_domains = [&](ScalePool pool, double from_t) {
-    if (!domains_enabled) {
+  auto schedule_new_domains = [&](int p, double from_t) {
+    PoolState& pool = S.pools[p];
+    int ipd = pool.instances_per_domain;
+    if (!domains_enabled || ipd <= 0) {
       return;
     }
-    bool is_prefill = pool == ScalePool::kPrefill;
-    int ipd = is_prefill ? domains.prefill_instances_per_domain
-                         : domains.decode_instances_per_domain;
-    if (ipd <= 0) {
-      return;
-    }
-    int n = static_cast<int>(is_prefill ? S.p_state.size() : S.d_state.size());
-    int want = (n + ipd - 1) / ipd;
-    int& scheduled = is_prefill ? prefill_domains_scheduled : decode_domains_scheduled;
-    while (scheduled < want) {
-      schedule_next_domain_failure(pool, scheduled++, from_t);
+    int want = (static_cast<int>(pool.size()) + ipd - 1) / ipd;
+    while (pool.domains_scheduled < want) {
+      schedule_next_domain_failure(p, pool.domains_scheduled++, from_t);
     }
   };
   // Degrade streams: per (pool, slot) like failures; a failure clears the
   // degraded state (epoch bump stales the pending end event) and the
   // recovery reschedules the slot's stream.
-  auto schedule_next_degrade = [&](ScalePool pool, int slot, double from_t, int epoch) {
-    double rate = pool == ScalePool::kPrefill ? degraded.prefill_rate_per_s
-                                              : degraded.decode_rate_per_s;
+  auto schedule_next_degrade = [&](int p, int slot, double from_t, int epoch) {
+    double rate = S.pools[p].degrade_rate;
     if (rate <= 0.0) {
       return;
     }
-    double t = from_t + fault_streams->NextDegradeGap(pool, slot, rate);
+    double t = from_t + fault_streams->NextDegradeGap(static_cast<ScalePool>(p), slot, rate);
     if (t <= config.horizon_s) {
-      events.Push({t,
-                   pool == ScalePool::kPrefill ? ServeEventKind::kPrefillDegradeStart
-                                               : ServeEventKind::kDecodeDegradeStart,
-                   slot, epoch});
+      events.Push({t, KindFor(ServeEventKind::kPrefillDegradeStart, p), slot, epoch});
     }
   };
   if (faults_enabled) {
     fault_streams.emplace(faults.seed);
-    for (int i = 0; i < static_cast<int>(S.p_state.size()); ++i) {
-      schedule_next_failure(ScalePool::kPrefill, i, 0.0, 0);
-    }
-    for (int i = 0; i < static_cast<int>(S.d_state.size()); ++i) {
-      schedule_next_failure(ScalePool::kDecode, i, 0.0, 0);
-    }
-    schedule_new_domains(ScalePool::kPrefill, 0.0);
-    schedule_new_domains(ScalePool::kDecode, 0.0);
-    if (degrade_enabled) {
-      for (int i = 0; i < static_cast<int>(S.p_state.size()); ++i) {
-        schedule_next_degrade(ScalePool::kPrefill, i, 0.0, 0);
+    // Each stream's draws depend only on its (pool, slot or domain) key,
+    // and pop order only on (time, kind, instance), so the order the
+    // streams start in cannot change the run.
+    for (int p : {kPrefillPool, kDecodePool}) {
+      for (int i = 0; i < static_cast<int>(S.pools[p].size()); ++i) {
+        schedule_next_failure(p, i, 0.0, 0);
+        if (degrade_enabled) {
+          schedule_next_degrade(p, i, 0.0, 0);
+        }
       }
-      for (int i = 0; i < static_cast<int>(S.d_state.size()); ++i) {
-        schedule_next_degrade(ScalePool::kDecode, i, 0.0, 0);
-      }
+      schedule_new_domains(p, 0.0);
     }
   }
 
@@ -700,41 +756,14 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   // tick that did no work.
   double progress_now = 0.0;
 
-  // Refresh instance i's ready bit from its status byte. Called after every
-  // status mutation; the dispatch loops below trust the bits completely.
-  auto sync_p_ready = [&](int i) {
-    uint64_t bit = 1ull << (static_cast<unsigned>(i) & 63);
-    size_t w = static_cast<size_t>(i) >> 6;
-    if (S.p_state[static_cast<size_t>(i)] == 0) {
-      S.p_ready[w] |= bit;
-    } else {
-      S.p_ready[w] &= ~bit;
-    }
-  };
-  auto sync_d_ready = [&](int i) {
-    uint64_t bit = 1ull << (static_cast<unsigned>(i) & 63);
-    size_t w = static_cast<size_t>(i) >> 6;
-    if (!(S.d_state[static_cast<size_t>(i)] & (kBusy | kDown | kInactive))) {
-      S.d_ready[w] |= bit;
-    } else {
-      S.d_ready[w] &= ~bit;
-    }
-  };
-
   // Close an instance's open throttled window (degrade end, failure, or
   // retirement), banking the degraded instance-seconds.
-  auto close_degrade_prefill = [&](int i) {
-    if (S.p_degrade_since[i] >= 0.0) {
-      metrics.prefill_degraded_instance_s += now - S.p_degrade_since[i];
-      S.p_degrade_since[i] = -1.0;
-      S.p_degrade_mult[i] = 1.0;
-    }
-  };
-  auto close_degrade_decode = [&](int i) {
-    if (S.d_degrade_since[i] >= 0.0) {
-      metrics.decode_degraded_instance_s += now - S.d_degrade_since[i];
-      S.d_degrade_since[i] = -1.0;
-      S.d_degrade_mult[i] = 1.0;
+  auto close_degrade = [&](int p, int i) {
+    PoolState& pool = S.pools[p];
+    if (pool.degrade_since[i] >= 0.0) {
+      pool_metrics[p].degraded_instance_s += now - pool.degrade_since[i];
+      pool.degrade_since[i] = -1.0;
+      pool.degrade_mult[i] = 1.0;
     }
   };
 
@@ -764,7 +793,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
         break;
       }
       started = next;
-      S.d_busy_time[i] += duration;
+      decode.busy_time[i] += duration;
       S.d_batch_time_product[i] += batch * duration;
       ++charged;
     }
@@ -781,7 +810,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     metrics.tbt_s.Add(duration, steps);
     double tokens = static_cast<double>(static_cast<size_t>(S.d_active_count[i]) * steps);
     metrics.output_tokens += tokens;
-    if (degrade_enabled && S.d_degrade_since[i] >= 0.0) {
+    if (degrade_enabled && decode.degrade_since[i] >= 0.0) {
       metrics.degraded_output_tokens += tokens;
     }
     if (track_classes) {
@@ -801,7 +830,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   // step that starts before now and emit every step that ended before now,
   // so the run's state is the per-step loop's at this instant.
   auto settle_decode = [&](int i) {
-    if (!(S.d_state[i] & kBusy) || S.d_macro_steps[i] == 1) {
+    if (!(decode.state[i] & kBusy) || S.d_macro_steps[i] == 1) {
       return;
     }
     charge_decode(i, now, /*inclusive=*/false);
@@ -897,8 +926,8 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     // Set bits scan in ascending instance order — the same order the plain
     // index loop dispatched in. Instances with a nonzero status byte have
     // no side effects in that loop, so skipping them is behavior-identical.
-    for (size_t w = 0; w < S.p_ready.size() && !prefill_queue.empty(); ++w) {
-      uint64_t bits = S.p_ready[w];
+    for (size_t w = 0; w < prefill.ready.size() && !prefill_queue.empty(); ++w) {
+      uint64_t bits = prefill.ready[w];
       while (bits != 0 && !prefill_queue.empty()) {
         int i = static_cast<int>((w << 6) +
                                  static_cast<size_t>(__builtin_ctzll(bits)));
@@ -919,14 +948,14 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
         if (degrade_enabled) {
           // Applied on dispatch only: in-flight passes keep the duration
           // they started with, so busy-time refunds stay exact.
-          duration *= S.p_degrade_mult[i];
+          duration *= prefill.degrade_mult[i];
         }
-        S.p_state[i] |= kBusy;
-        sync_p_ready(i);
-        S.p_busy_time[i] += duration;
+        prefill.state[i] |= kBusy;
+        prefill.SyncReady(i);
+        prefill.busy_time[i] += duration;
         S.p_pass_started[i] = t;
         S.p_pass_duration[i] = duration;
-        events.Push({t + duration, ServeEventKind::kPrefillDone, i, S.p_epoch[i]});
+        events.Push({t + duration, ServeEventKind::kPrefillDone, i, prefill.epoch[i]});
         S.prefill_ends.Add(t + duration);
       }
     }
@@ -938,7 +967,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     {
       // Admit waiting sequences at the step boundary (draining instances
       // only finish what they already hold).
-      if (!(S.d_state[i] & kDraining)) {
+      if (!(decode.state[i] & kDraining)) {
         while (!decode_queue.empty() && S.d_active_count[i] < max_batch) {
           int req = decode_queue.front();
           decode_queue.pop_front();
@@ -963,19 +992,19 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       }
       double duration = table.DecodeStepTime(batch);
       if (degrade_enabled) {
-        duration *= S.d_degrade_mult[i];
+        duration *= decode.degrade_mult[i];
       }
-      S.d_state[i] |= kBusy;
-      sync_d_ready(i);
+      decode.state[i] |= kBusy;
+      decode.SyncReady(i);
       S.d_step_started[i] = t;
       S.d_step_duration[i] = duration;
-      S.d_busy_time[i] += duration;
+      decode.busy_time[i] += duration;
       S.d_batch_time_product[i] += batch * duration;
       // Plan the run up to the first completion; a single step instead
       // when the instance could admit and work is waiting or due in it.
       int steps = 1;
       double end = t + duration;
-      bool could_admit = !(S.d_state[i] & kDraining) && batch < max_batch;
+      bool could_admit = !(decode.state[i] & kDraining) && batch < max_batch;
       if (!could_admit ||
           (decode_queue.empty() && !S.prefill_ends.AnyEndBy(now, end))) {
         steps = static_cast<int>(heap.front().finish_step - S.d_step_count[i]);
@@ -996,8 +1025,8 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   auto try_start_decode_step = [&](double t) {
     // Ascending-bit scan = the plain loop's ascending index order; skipped
     // instances (busy, down, or inactive) were pure no-ops there.
-    for (size_t w = 0; w < S.d_ready.size(); ++w) {
-      uint64_t bits = S.d_ready[w];
+    for (size_t w = 0; w < decode.ready.size(); ++w) {
+      uint64_t bits = decode.ready[w];
       while (bits != 0) {
         int i = static_cast<int>((w << 6) +
                                  static_cast<size_t>(__builtin_ctzll(bits)));
@@ -1008,55 +1037,33 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   };
 
   // --- autoscaler actions ---
-  auto retire_prefill = [&](int i, const char* reason) {
-    if (degrade_enabled) {
-      close_degrade_prefill(i);
-    }
-    S.p_state[i] = static_cast<uint8_t>((S.p_state[i] & ~kDraining) | kInactive);
-    sync_p_ready(i);
-    S.p_down_time[i] = now;
-    --active_prefill;
-    metrics.scale_events.push_back({now, ScalePool::kPrefill, -1, active_prefill, reason});
-  };
-  auto retire_decode = [&](int i, const char* reason) {
-    if (degrade_enabled) {
-      close_degrade_decode(i);
-    }
-    S.d_state[i] = static_cast<uint8_t>((S.d_state[i] & ~kDraining) | kInactive);
-    sync_d_ready(i);
-    S.d_down_time[i] = now;
-    --active_decode;
-    metrics.scale_events.push_back({now, ScalePool::kDecode, -1, active_decode, reason});
-  };
-  auto decode_idle_empty = [&](int i) {
-    return S.d_active_count[i] == 0 && !(S.d_state[i] & kBusy);
+  auto retire = [&](int p, int i, const char* reason) {
+    PoolState& pool = S.pools[p];
+    close_degrade(p, i);
+    pool.state[i] = static_cast<uint8_t>((pool.state[i] & ~kDraining) | kInactive);
+    pool.SyncReady(i);
+    pool.down_time[i] = now;
+    --pool.provisioned;
+    metrics.scale_events.push_back(
+        {now, static_cast<ScalePool>(p), -1, pool.provisioned, reason});
   };
   // Pick the highest-index live instance: the most recently provisioned
-  // capacity leaves first, keeping the initial pool stable.
-  auto drain_one_prefill = [&](const char* reason) {
-    for (int i = static_cast<int>(S.p_state.size()) - 1; i >= 0; --i) {
-      if (!(S.p_state[i] & (kInactive | kDraining | kDown))) {
-        if (!(S.p_state[i] & kBusy)) {
-          retire_prefill(i, reason);
+  // capacity leaves first, keeping the initial pool stable. An idle one
+  // retires now; a busy one (or a decode instance still holding sequences)
+  // drains first.
+  auto drain_one = [&](int p, const char* reason) {
+    PoolState& pool = S.pools[p];
+    for (int i = static_cast<int>(pool.size()) - 1; i >= 0; --i) {
+      if (!(pool.state[i] & (kInactive | kDraining | kDown))) {
+        if (!(pool.state[i] & kBusy) && (p == kPrefillPool || S.d_active_count[i] == 0)) {
+          retire(p, i, reason);
         } else {
-          S.p_state[i] |= kDraining;
-          sync_p_ready(i);
-          S.p_drain_reason[i] = reason;
-        }
-        return;
-      }
-    }
-  };
-  auto drain_one_decode = [&](const char* reason) {
-    for (int i = static_cast<int>(S.d_state.size()) - 1; i >= 0; --i) {
-      if (!(S.d_state[i] & (kInactive | kDraining | kDown))) {
-        if (decode_idle_empty(i)) {
-          retire_decode(i, reason);
-        } else {
-          S.d_state[i] |= kDraining;
-          sync_d_ready(i);
-          S.d_drain_reason[i] = reason;
-          drop_cuttable(i);
+          pool.state[i] |= kDraining;
+          pool.SyncReady(i);
+          pool.drain_reason[i] = reason;
+          if (p == kDecodePool) {
+            drop_cuttable(i);
+          }
         }
         return;
       }
@@ -1087,71 +1094,39 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     }
   };
 
-  // An instance failure kills its in-flight work (refunding the busy time
-  // the unfinished pass/step had claimed up front), requeues or drops the
-  // victims per the retry policy, and takes the instance down for the
-  // spare-activation delay (consuming a free spare whose repaired device
-  // returns later) or the full repair. A draining instance that fails
-  // simply retires — the autoscaler wanted it gone anyway. domain >= 0
-  // marks a member of a correlated domain outage: it bypasses hot spares
-  // (a rack outage is not maskable by a spare device) and waits out the
-  // domain repair instead of the instance repair.
-  auto fail_prefill = [&](int i, int domain) {
-    if (degrade_enabled) {
-      close_degrade_prefill(i);
-    }
-    ++S.p_epoch[i];
-    int killed = 0;
-    double lost = 0.0;
+  // An instance failure kills its in-flight work per pool (refunding the
+  // busy time the unfinished pass/step had claimed up front, requeueing or
+  // dropping the victims, adding their tokens to `lost`, returning how many
+  // died), then takes the instance down for the spare-activation delay or
+  // the full repair; a spare's repaired device returns later. A draining
+  // instance that fails simply retires. domain >= 0 marks a member of a
+  // correlated domain outage: it bypasses hot spares (a rack outage is not
+  // maskable by a spare device) and waits out the domain repair instead.
+  auto kill_prefill = [&](int i, double& lost) {
     std::vector<int>& slots = S.p_batch[static_cast<size_t>(i)];
-    if (S.p_state[i] & kBusy) {
-      S.p_busy_time[i] -= S.p_pass_started[i] + S.p_pass_duration[i] - now;
-      killed = static_cast<int>(slots.size());
-      for (int req : slots) {
-        lost += S.live[req].prompt_tokens;
-        requeue_or_drop(req);
-      }
-      slots.clear();
-      S.p_state[i] &= static_cast<uint8_t>(~kBusy);
+    if (!(prefill.state[i] & kBusy)) {
+      return 0;
     }
-    metrics.lost_tokens += lost;
-    if (S.p_state[i] & kDraining) {
-      metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kPrefill,
-                                      i, killed, lost, prefill_spares_free, domain});
-      retire_prefill(i, S.p_drain_reason[i]);
-      return;
+    prefill.busy_time[i] -= S.p_pass_started[i] + S.p_pass_duration[i] - now;
+    int killed = static_cast<int>(slots.size());
+    for (int req : slots) {
+      lost += S.live[req].prompt_tokens;
+      requeue_or_drop(req);
     }
-    S.p_state[i] |= kDown;
-    sync_p_ready(i);
-    S.p_via_spare[i] = 0;
-    double delay = faults.repair_s;
-    if (domain >= 0) {
-      delay = domains.repair_s;
-    } else if (prefill_spares_free > 0) {
-      --prefill_spares_free;
-      S.p_via_spare[i] = 1;
-      delay = faults.spare_activation_s;
-      events.Push({now + faults.repair_s, ServeEventKind::kPrefillSpareReturn, i});
-    }
-    metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kPrefill, i,
-                                    killed, lost, prefill_spares_free, domain});
-    events.Push({now + delay, ServeEventKind::kPrefillRecover, i, S.p_epoch[i]});
+    slots.clear();
+    prefill.state[i] &= static_cast<uint8_t>(~kBusy);
+    return killed;
   };
-
-  auto fail_decode = [&](int i, int domain) {
-    if (degrade_enabled) {
-      close_degrade_decode(i);
-    }
-    ++S.d_epoch[i];
+  auto kill_decode = [&](int i, double& lost) {
+    settle_decode(i);  // steps ending before now completed
     std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
     int killed = static_cast<int>(heap.size());
-    double lost = 0.0;
-    if (S.d_state[i] & kBusy) {
-      // The caller settled the run: d_step_started is the step in progress.
+    if (decode.state[i] & kBusy) {
+      // Settled above: d_step_started is the step in progress.
       double unfinished = S.d_step_started[i] + S.d_step_duration[i] - now;
-      S.d_busy_time[i] -= unfinished;
+      decode.busy_time[i] -= unfinished;
       S.d_batch_time_product[i] -= static_cast<double>(heap.size()) * unfinished;
-      S.d_state[i] &= static_cast<uint8_t>(~kBusy);
+      decode.state[i] &= static_cast<uint8_t>(~kBusy);
       ++S.d_step_seq[i];  // stales the run's end event
       drop_cuttable(i);
     }
@@ -1174,28 +1149,37 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     }
     heap.clear();
     S.d_active_count[i] = 0;
+    return killed;
+  };
+  auto fail = [&](int p, int i, int domain) {
+    PoolState& pool = S.pools[p];
+    double lost = 0.0;
+    int killed = p == kPrefillPool ? kill_prefill(i, lost) : kill_decode(i, lost);
+    close_degrade(p, i);
+    ++pool.epoch[i];
     metrics.lost_tokens += lost;
-    if (S.d_state[i] & kDraining) {
-      metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kDecode,
-                                      i, killed, lost, decode_spares_free, domain});
-      retire_decode(i, S.d_drain_reason[i]);
+    ScalePool sp = static_cast<ScalePool>(p);
+    if (pool.state[i] & kDraining) {
+      metrics.fault_events.push_back(
+          {now, FaultEventKind::kFailure, sp, i, killed, lost, pool.spares_free, domain});
+      retire(p, i, pool.drain_reason[i]);
       return;
     }
-    S.d_state[i] |= kDown;
-    sync_d_ready(i);
-    S.d_via_spare[i] = 0;
+    pool.state[i] |= kDown;
+    pool.SyncReady(i);
+    pool.via_spare[i] = 0;
     double delay = faults.repair_s;
     if (domain >= 0) {
       delay = domains.repair_s;
-    } else if (decode_spares_free > 0) {
-      --decode_spares_free;
-      S.d_via_spare[i] = 1;
+    } else if (pool.spares_free > 0) {
+      --pool.spares_free;
+      pool.via_spare[i] = 1;
       delay = faults.spare_activation_s;
-      events.Push({now + faults.repair_s, ServeEventKind::kDecodeSpareReturn, i});
+      events.Push({now + faults.repair_s, KindFor(ServeEventKind::kPrefillSpareReturn, p), i});
     }
-    metrics.fault_events.push_back({now, FaultEventKind::kFailure, ScalePool::kDecode, i,
-                                    killed, lost, decode_spares_free, domain});
-    events.Push({now + delay, ServeEventKind::kDecodeRecover, i, S.d_epoch[i]});
+    metrics.fault_events.push_back(
+        {now, FaultEventKind::kFailure, sp, i, killed, lost, pool.spares_free, domain});
+    events.Push({now + delay, KindFor(ServeEventKind::kPrefillRecover, p), i, pool.epoch[i]});
   };
 
   // One autoscaler decision: reactive thresholds on backlog/utilization, or
@@ -1203,27 +1187,22 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   // as a safety net. Applied per pool, at most one scale-down per tick.
   auto autoscale_tick = [&]() {
     double window = now - prev_tick_time;
-    int live_prefill = 0;
-    int live_decode = 0;
-    double prefill_busy = 0.0;
-    double decode_busy = 0.0;
+    int live_n[2] = {0, 0};
+    double busy[2] = {0.0, 0.0};
     // Down (failed) instances are not live: the autoscaler sees the
     // reduced pool and can provision replacements while repairs run.
-    for (size_t i = 0; i < S.p_state.size(); ++i) {
-      if (!(S.p_state[i] & (kInactive | kDraining | kDown))) {
-        ++live_prefill;
+    for (int p : {kPrefillPool, kDecodePool}) {
+      const PoolState& pool = S.pools[p];
+      for (size_t i = 0; i < pool.size(); ++i) {
+        if (!(pool.state[i] & (kInactive | kDraining | kDown))) {
+          ++live_n[p];
+        }
+        if (p == kDecodePool && (pool.state[i] & kBusy)) {
+          // Steps starting at this instant already started in step order.
+          charge_decode(static_cast<int>(i), now, /*inclusive=*/true);
+        }
+        busy[p] += pool.busy_time[i];
       }
-      prefill_busy += S.p_busy_time[i];
-    }
-    for (size_t i = 0; i < S.d_state.size(); ++i) {
-      if (!(S.d_state[i] & (kInactive | kDraining | kDown))) {
-        ++live_decode;
-      }
-      if (S.d_state[i] & kBusy) {
-        // Steps starting at this instant already started in step order.
-        charge_decode(static_cast<int>(i), now, /*inclusive=*/true);
-      }
-      decode_busy += S.d_busy_time[i];
     }
 
     // Predictive forecast: per-class token demand over two half-windows,
@@ -1258,15 +1237,14 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       }
     }
 
-    auto plan_pool = [&](ScalePool pool) {
-      bool is_prefill = pool == ScalePool::kPrefill;
-      int live = is_prefill ? live_prefill : live_decode;
-      int& pending = is_prefill ? pending_prefill_ups : pending_decode_ups;
-      auto& up_reasons = is_prefill ? prefill_up_reasons : decode_up_reasons;
+    auto plan_pool = [&](int p) {
+      PoolState& pool = S.pools[p];
+      bool is_prefill = p == kPrefillPool;
+      int live = live_n[p];
+      int& pending = pool.pending_ups;
       double per_instance = is_prefill ? scaler.prefill_tokens_per_s : scaler.decode_tokens_per_s;
       double queued_tokens = is_prefill ? queued_prompt_tokens : queued_output_tokens;
-      double busy_delta =
-          is_prefill ? prefill_busy - prev_prefill_busy : decode_busy - prev_decode_busy;
+      double busy_delta = busy[p] - pool.prev_busy;
       int min_n = is_prefill ? scaler.min_prefill_instances : scaler.min_decode_instances;
       int max_n = is_prefill ? scaler.max_prefill_instances : scaler.max_decode_instances;
       double utilization =
@@ -1277,10 +1255,8 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       int target = live + pending;
 
       auto schedule_up = [&](const char* reason) {
-        events.Push({now + scaler.delay_s,
-                     is_prefill ? ServeEventKind::kPrefillUp : ServeEventKind::kDecodeUp,
-                     up_seq++});
-        up_reasons.push_back(reason);
+        events.Push({now + scaler.delay_s, KindFor(ServeEventKind::kPrefillUp, p), up_seq++});
+        pool.up_reasons.push_back(reason);
         ++pending;
         ++target;
       };
@@ -1299,11 +1275,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
           schedule_up("backlog");  // reactive safety net under forecast misses
         }
         if (pending == 0 && target > desired && queued_tokens <= 0.0 && target > min_n) {
-          if (is_prefill) {
-            drain_one_prefill("forecast");
-          } else {
-            drain_one_decode("forecast");
-          }
+          drain_one(p, "forecast");
         }
         return;
       }
@@ -1320,44 +1292,43 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
         }
       } else if (pending == 0 && target > min_n &&
                  utilization < scaler.scale_down_utilization && queued_tokens <= 0.0) {
-        if (is_prefill) {
-          drain_one_prefill("utilization");
-        } else {
-          drain_one_decode("utilization");
-        }
+        drain_one(p, "utilization");
       }
     };
-    plan_pool(ScalePool::kPrefill);
-    plan_pool(ScalePool::kDecode);
-
+    for (int p : {kPrefillPool, kDecodePool}) {
+      plan_pool(p);
+    }
     prev_tick_time = now;
-    prev_prefill_busy = prefill_busy;
-    prev_decode_busy = decode_busy;
+    for (int p : {kPrefillPool, kDecodePool}) {
+      S.pools[p].prev_busy = busy[p];
+    }
 
     // Keep ticking only while there is anything left to manage; otherwise
     // the tick stream would keep the event loop alive forever (the default
     // horizon is effectively infinite).
     bool work_left = !stream.done() || !prefill_queue.empty() ||
-                     !decode_queue.empty() || pending_prefill_ups > 0 ||
-                     pending_decode_ups > 0;
-    if (!work_left) {
-      for (size_t i = 0; i < S.p_state.size(); ++i) {
-        if (S.p_state[i] & kBusy) {
-          work_left = true;
-          break;
-        }
-      }
+                     !decode_queue.empty() || prefill.pending_ups > 0 || decode.pending_ups > 0;
+    for (size_t i = 0; !work_left && i < prefill.size(); ++i) {
+      work_left = prefill.state[i] & kBusy;
     }
-    if (!work_left) {
-      for (size_t i = 0; i < S.d_state.size(); ++i) {
-        if ((S.d_state[i] & kBusy) || S.d_active_count[i] > 0) {
-          work_left = true;
-          break;
-        }
-      }
+    for (size_t i = 0; !work_left && i < decode.size(); ++i) {
+      work_left = (decode.state[i] & kBusy) || S.d_active_count[i] > 0;
     }
     if (work_left) {
       events.Push({now + scaler.interval_s, ServeEventKind::kAutoscaleTick, tick_seq++});
+    }
+  };
+
+  // Whether a lifecycle event still applies: its instance is not retired
+  // and no failure has bumped its epoch since the event was scheduled.
+  auto current = [](const PoolState& pool, const ServeEvent& e) {
+    return !(pool.state[e.instance] & kInactive) && e.epoch == pool.epoch[e.instance];
+  };
+  auto try_start = [&](int p) {
+    if (p == kPrefillPool) {
+      try_start_prefill(now);
+    } else {
+      try_start_decode_step(now);
     }
   };
 
@@ -1399,8 +1370,8 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
             shed = true;
           } else if (shedding.ttft_deadline_s > 0.0) {
             int live = 0;
-            for (size_t i = 0; i < S.p_state.size(); ++i) {
-              if (!(S.p_state[i] & (kInactive | kDraining | kDown))) {
+            for (size_t i = 0; i < prefill.size(); ++i) {
+              if (!(prefill.state[i] & (kInactive | kDraining | kDown))) {
                 ++live;
               }
             }
@@ -1470,8 +1441,8 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
         k = S.d_macro_steps[i] - S.d_macro_done[i];
       }
       emit_decode_steps(i, k);
-      S.d_state[i] &= static_cast<uint8_t>(~kBusy);
-      sync_d_ready(i);
+      decode.state[i] &= static_cast<uint8_t>(~kBusy);
+      decode.SyncReady(i);
       // Sequences whose remaining count just hit zero are exactly the
       // completion-heap entries at the new step count.
       uint64_t done_step = (S.d_step_count[i] += static_cast<uint64_t>(k));
@@ -1496,13 +1467,13 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
         }
         metrics.makespan_s = now;
       }
-      if ((S.d_state[i] & kDraining) && S.d_active_count[i] == 0) {
-        retire_decode(i, S.d_drain_reason[i]);
+      if ((decode.state[i] & kDraining) && S.d_active_count[i] == 0) {
+        retire(kDecodePool, i, decode.drain_reason[i]);
       }
       // Only this instance became ready: every other ready instance is idle
       // with nothing to admit, since each handoff to the decode queue is
       // offered to every ready instance at once.
-      if (!(S.d_state[i] & (kDown | kInactive))) {
+      if (!(decode.state[i] & (kDown | kInactive))) {
         try_start_decode_step_at(now, i);
       }
       if (designated == i) {
@@ -1512,7 +1483,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     }
     if (event.kind == ServeEventKind::kPrefillDone) {
       int i = event.instance;
-      if (faults_enabled && event.epoch != S.p_epoch[i]) {
+      if (faults_enabled && event.epoch != prefill.epoch[i]) {
         continue;  // the pass was killed by a failure before it finished
       }
       progress_now = now;
@@ -1530,10 +1501,10 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
         }
       }
       slots.clear();
-      S.p_state[i] &= static_cast<uint8_t>(~kBusy);
-      sync_p_ready(i);
-      if (S.p_state[i] & kDraining) {
-        retire_prefill(i, S.p_drain_reason[i]);
+      prefill.state[i] &= static_cast<uint8_t>(~kBusy);
+      prefill.SyncReady(i);
+      if (prefill.state[i] & kDraining) {
+        retire(kPrefillPool, i, prefill.drain_reason[i]);
       }
       try_start_prefill(now);
       try_start_decode_step(now);
@@ -1548,206 +1519,121 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       ensure_designation();  // a drain may have taken the designated run
       continue;
     }
-    if (event.kind == ServeEventKind::kPrefillFail ||
-        event.kind == ServeEventKind::kDecodeFail) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillFail;
-      bool live = is_prefill ? (!(S.p_state[event.instance] & kInactive) &&
-                                event.epoch == S.p_epoch[event.instance])
-                             : (!(S.d_state[event.instance] & kInactive) &&
-                                event.epoch == S.d_epoch[event.instance]);
-      if (live) {
+    // Every other kind is one of a prefill/decode pair.
+    const int p = PoolOf(event.kind);
+    const ScalePool sp = static_cast<ScalePool>(p);
+    PoolState& pool = S.pools[p];
+    const int i = event.instance;  // the domain of a domain failure
+    switch (PairOf(event.kind)) {
+      case ServeEventKind::kPrefillFail:
+        if (current(pool, event)) {
+          double lost_before = metrics.lost_tokens;
+          fail(p, i, /*domain=*/-1);
+          if (p == kDecodePool) {
+            ensure_designation();
+          }
+          note_outage(metrics.lost_tokens - lost_before);
+          // Retried victims queue for prefill; surviving instances pick
+          // them up immediately.
+          try_start_prefill(now);
+        }
+        break;
+      case ServeEventKind::kPrefillDomainFail: {
+        // One domain outage downs every live member at this timestamp, in
+        // ascending instance order; the whole group is one outage for the
+        // blast-radius / drain accounting.
+        int lo = i * pool.instances_per_domain;
+        int hi = std::min(static_cast<int>(pool.size()), lo + pool.instances_per_domain);
         double lost_before = metrics.lost_tokens;
-        if (is_prefill) {
-          fail_prefill(event.instance, /*domain=*/-1);
-        } else {
-          settle_decode(event.instance);
-          fail_decode(event.instance, /*domain=*/-1);
-          ensure_designation();
+        for (int m = lo; m < hi; ++m) {
+          if (!(pool.state[m] & (kInactive | kDown))) {  // else nothing left to kill
+            fail(p, m, i);
+          }
         }
+        ensure_designation();
         note_outage(metrics.lost_tokens - lost_before);
-        // Retried victims queue for prefill; surviving instances pick
-        // them up immediately.
+        schedule_next_domain_failure(p, i, now);
         try_start_prefill(now);
+        break;
       }
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillDomainFail ||
-        event.kind == ServeEventKind::kDecodeDomainFail) {
-      // One domain outage downs every live member at this timestamp, in
-      // ascending instance order; the whole group is one outage for the
-      // blast-radius / drain accounting.
-      bool is_prefill = event.kind == ServeEventKind::kPrefillDomainFail;
-      int d = event.instance;
-      int ipd = is_prefill ? domains.prefill_instances_per_domain
-                           : domains.decode_instances_per_domain;
-      int n = static_cast<int>(is_prefill ? S.p_state.size() : S.d_state.size());
-      int lo = d * ipd;
-      int hi = std::min(n, lo + ipd);
-      double lost_before = metrics.lost_tokens;
-      for (int i = lo; i < hi; ++i) {
-        uint8_t state = is_prefill ? S.p_state[i] : S.d_state[i];
-        if (state & (kInactive | kDown)) {
-          continue;  // retired or already down: nothing left to kill
+      case ServeEventKind::kPrefillDegradeStart: {
+        if (!current(pool, event)) {
+          break;
         }
-        if (is_prefill) {
-          fail_prefill(i, d);
-        } else {
+        // The slot's stream yields gap, duration, gap, duration, ... in
+        // event order; failures stale pending windows via the epoch (the
+        // recovery reschedules the stream), so every draw happens at a
+        // deterministic simulated time regardless of thread count.
+        double duration = fault_streams->NextDegradeDuration(sp, i, degraded.mean_duration_s);
+        if (p == kDecodePool) {
+          settle_decode(i);  // steps ending before now ran healthy
+        }
+        pool.degrade_mult[i] = degraded.multiplier;
+        pool.degrade_since[i] = now;
+        if (p == kDecodePool && (pool.state[i] & kBusy)) {
+          cut_decode(i);  // the next step starts slowed
+        }
+        ++metrics.degrade_windows;
+        metrics.fault_events.push_back(
+            {now, FaultEventKind::kDegradeStart, sp, i, 0, 0.0, pool.spares_free});
+        events.Push({now + duration, KindFor(ServeEventKind::kPrefillDegradeEnd, p), i,
+                     event.epoch});
+        break;
+      }
+      case ServeEventKind::kPrefillDegradeEnd:
+        if (!current(pool, event)) {
+          break;  // a failure already cleared the window
+        }
+        if (p == kDecodePool) {
           settle_decode(i);
-          fail_decode(i, d);
         }
-      }
-      ensure_designation();
-      note_outage(metrics.lost_tokens - lost_before);
-      schedule_next_domain_failure(is_prefill ? ScalePool::kPrefill : ScalePool::kDecode,
-                                   d, now);
-      try_start_prefill(now);
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillDegradeStart ||
-        event.kind == ServeEventKind::kDecodeDegradeStart) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillDegradeStart;
-      int i = event.instance;
-      bool live = is_prefill ? (!(S.p_state[i] & kInactive) && event.epoch == S.p_epoch[i])
-                             : (!(S.d_state[i] & kInactive) && event.epoch == S.d_epoch[i]);
-      if (!live) {
-        continue;
-      }
-      ScalePool pool = is_prefill ? ScalePool::kPrefill : ScalePool::kDecode;
-      // The slot's stream yields gap, duration, gap, duration, ... in event
-      // order; failures stale pending windows via the epoch (the recovery
-      // reschedules the stream), so every draw happens at a deterministic
-      // simulated time regardless of thread count.
-      double duration = fault_streams->NextDegradeDuration(pool, i, degraded.mean_duration_s);
-      if (is_prefill) {
-        S.p_degrade_mult[i] = degraded.multiplier;
-        S.p_degrade_since[i] = now;
-      } else {
-        // Steps ending before now ran healthy; the next one starts slowed.
-        settle_decode(i);
-        S.d_degrade_mult[i] = degraded.multiplier;
-        S.d_degrade_since[i] = now;
-        if (S.d_state[i] & kBusy) {
+        close_degrade(p, i);
+        if (p == kDecodePool && (pool.state[i] & kBusy)) {
           cut_decode(i);
         }
-      }
-      ++metrics.degrade_windows;
-      metrics.fault_events.push_back({now, FaultEventKind::kDegradeStart, pool, i, 0, 0.0,
-                                      is_prefill ? prefill_spares_free : decode_spares_free});
-      events.Push({now + duration,
-                   is_prefill ? ServeEventKind::kPrefillDegradeEnd
-                              : ServeEventKind::kDecodeDegradeEnd,
-                   i, event.epoch});
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillDegradeEnd ||
-        event.kind == ServeEventKind::kDecodeDegradeEnd) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillDegradeEnd;
-      int i = event.instance;
-      bool live = is_prefill ? (!(S.p_state[i] & kInactive) && event.epoch == S.p_epoch[i])
-                             : (!(S.d_state[i] & kInactive) && event.epoch == S.d_epoch[i]);
-      if (!live) {
-        continue;  // a failure already cleared the window
-      }
-      if (is_prefill) {
-        close_degrade_prefill(i);
-      } else {
-        settle_decode(i);
-        close_degrade_decode(i);
-        if (S.d_state[i] & kBusy) {
-          cut_decode(i);
+        metrics.fault_events.push_back(
+            {now, FaultEventKind::kDegradeEnd, sp, i, 0, 0.0, pool.spares_free});
+        schedule_next_degrade(p, i, now, event.epoch);
+        break;
+      case ServeEventKind::kPrefillRecover:
+        if (!current(pool, event)) {
+          break;  // retired while down
         }
-      }
-      ScalePool pool = is_prefill ? ScalePool::kPrefill : ScalePool::kDecode;
-      metrics.fault_events.push_back({now, FaultEventKind::kDegradeEnd, pool, i, 0, 0.0,
-                                      is_prefill ? prefill_spares_free : decode_spares_free});
-      schedule_next_degrade(pool, i, now, event.epoch);
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillRecover ||
-        event.kind == ServeEventKind::kDecodeRecover) {
-      if (event.kind == ServeEventKind::kPrefillRecover) {
-        int i = event.instance;
-        if ((S.p_state[i] & kInactive) || event.epoch != S.p_epoch[i]) {
-          continue;  // retired while down
-        }
-        S.p_state[i] &= static_cast<uint8_t>(~kDown);
-        sync_p_ready(i);
-        metrics.fault_events.push_back({now,
-                                        S.p_via_spare[i] ? FaultEventKind::kSpareActivation
-                                                         : FaultEventKind::kRepair,
-                                        ScalePool::kPrefill, i, 0, 0.0,
-                                        prefill_spares_free});
-        schedule_next_failure(ScalePool::kPrefill, i, now, S.p_epoch[i]);
-        schedule_next_degrade(ScalePool::kPrefill, i, now, S.p_epoch[i]);
-        try_start_prefill(now);
-      } else {
-        int i = event.instance;
-        if ((S.d_state[i] & kInactive) || event.epoch != S.d_epoch[i]) {
-          continue;
-        }
-        S.d_state[i] &= static_cast<uint8_t>(~kDown);
-        sync_d_ready(i);
-        metrics.fault_events.push_back({now,
-                                        S.d_via_spare[i] ? FaultEventKind::kSpareActivation
-                                                         : FaultEventKind::kRepair,
-                                        ScalePool::kDecode, i, 0, 0.0,
-                                        decode_spares_free});
-        schedule_next_failure(ScalePool::kDecode, i, now, S.d_epoch[i]);
-        schedule_next_degrade(ScalePool::kDecode, i, now, S.d_epoch[i]);
-        try_start_decode_step(now);
-      }
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillSpareReturn ||
-        event.kind == ServeEventKind::kDecodeSpareReturn) {
-      bool is_prefill = event.kind == ServeEventKind::kPrefillSpareReturn;
-      int& spares_free = is_prefill ? prefill_spares_free : decode_spares_free;
-      ++spares_free;
-      metrics.fault_events.push_back({now, FaultEventKind::kSpareReturn,
-                                      is_prefill ? ScalePool::kPrefill : ScalePool::kDecode,
-                                      event.instance, 0, 0.0, spares_free});
-      continue;
-    }
-    if (event.kind == ServeEventKind::kPrefillUp ||
-        event.kind == ServeEventKind::kDecodeUp) {
-      if (event.kind == ServeEventKind::kPrefillUp) {
-        S.AddPrefill(now);
-        --pending_prefill_ups;
-        ++active_prefill;
-        metrics.peak_prefill_instances =
-            std::max(metrics.peak_prefill_instances, active_prefill);
-        const char* reason = prefill_up_reasons.front();
-        prefill_up_reasons.pop_front();
-        metrics.scale_events.push_back(
-            {now, ScalePool::kPrefill, +1, active_prefill, reason});
+        pool.state[i] &= static_cast<uint8_t>(~kDown);
+        pool.SyncReady(i);
+        metrics.fault_events.push_back(
+            {now, pool.via_spare[i] ? FaultEventKind::kSpareActivation : FaultEventKind::kRepair,
+             sp, i, 0, 0.0, pool.spares_free});
+        schedule_next_failure(p, i, now, pool.epoch[i]);
+        schedule_next_degrade(p, i, now, pool.epoch[i]);
+        try_start(p);
+        break;
+      case ServeEventKind::kPrefillSpareReturn:
+        ++pool.spares_free;
+        metrics.fault_events.push_back(
+            {now, FaultEventKind::kSpareReturn, sp, i, 0, 0.0, pool.spares_free});
+        break;
+      case ServeEventKind::kPrefillUp: {
+        S.AddInstance(p, now, config.num_classes);
+        --pool.pending_ups;
+        ++pool.provisioned;
+        int& peak = pool_metrics[p].peak_instances;
+        peak = std::max(peak, pool.provisioned);
+        const char* reason = pool.up_reasons.front();
+        pool.up_reasons.pop_front();
+        metrics.scale_events.push_back({now, sp, +1, pool.provisioned, reason});
         if (faults_enabled) {
-          int slot = static_cast<int>(S.p_state.size()) - 1;
-          schedule_next_failure(ScalePool::kPrefill, slot, now, 0);
-          schedule_new_domains(ScalePool::kPrefill, now);
-          schedule_next_degrade(ScalePool::kPrefill, slot, now, 0);
+          int slot = static_cast<int>(pool.size()) - 1;
+          schedule_next_failure(p, slot, now, 0);
+          schedule_new_domains(p, now);
+          schedule_next_degrade(p, slot, now, 0);
         }
-        try_start_prefill(now);
-      } else {
-        S.AddDecode(now, config.num_classes);
-        --pending_decode_ups;
-        ++active_decode;
-        metrics.peak_decode_instances =
-            std::max(metrics.peak_decode_instances, active_decode);
-        const char* reason = decode_up_reasons.front();
-        decode_up_reasons.pop_front();
-        metrics.scale_events.push_back(
-            {now, ScalePool::kDecode, +1, active_decode, reason});
-        if (faults_enabled) {
-          int slot = static_cast<int>(S.d_state.size()) - 1;
-          schedule_next_failure(ScalePool::kDecode, slot, now, 0);
-          schedule_new_domains(ScalePool::kDecode, now);
-          schedule_next_degrade(ScalePool::kDecode, slot, now, 0);
-        }
-        try_start_decode_step(now);
+        try_start(p);
+        break;
       }
-      continue;
+      default:
+        break;  // the hot kinds and ticks are handled above
     }
-
   }
 
   metrics.makespan_s = std::max(metrics.makespan_s, progress_now);
@@ -1755,102 +1641,74 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   metrics.peak_live_requests = S.live.peak();
   if (metrics.makespan_s > 0.0) {
     metrics.decode_tokens_per_s = metrics.output_tokens / metrics.makespan_s;
-    double prefill_busy = 0.0;
-    for (double b : S.p_busy_time) {
-      prefill_busy += b;
-    }
-    double decode_busy = 0.0;
-    double batch_product = 0.0;
-    for (size_t i = 0; i < S.d_state.size(); ++i) {
-      decode_busy += S.d_busy_time[i];
-      batch_product += S.d_batch_time_product[i];
-    }
-    if (scaler.enabled || faults_enabled) {
-      // Provisioned instance-seconds over [0, makespan]: each instance
-      // contributes its up..down (or up..end) lifetime, clamped so retires
-      // recorded by trailing decision ticks don't overrun the makespan.
-      // Fault runs fill these even with a fixed pool, so measured
-      // availability has its 1 - downtime / provisioned denominator.
-      for (size_t i = 0; i < S.p_state.size(); ++i) {
-        double end = S.p_down_time[i] >= 0.0
-                         ? std::min(S.p_down_time[i], metrics.makespan_s)
-                         : metrics.makespan_s;
-        metrics.prefill_instance_seconds += std::max(0.0, end - S.p_up_time[i]);
+    for (int p : {kPrefillPool, kDecodePool}) {
+      const PoolState& pool = S.pools[p];
+      PoolMetrics& pm = pool_metrics[p];
+      for (double b : pool.busy_time) {
+        pm.busy_s += b;
       }
-      for (size_t i = 0; i < S.d_state.size(); ++i) {
-        double end = S.d_down_time[i] >= 0.0
-                         ? std::min(S.d_down_time[i], metrics.makespan_s)
-                         : metrics.makespan_s;
-        metrics.decode_instance_seconds += std::max(0.0, end - S.d_up_time[i]);
+      if (scaler.enabled || faults_enabled) {
+        // Provisioned instance-seconds over [0, makespan]: each instance
+        // contributes its up..down (or up..end) lifetime, clamped so
+        // retires recorded by trailing decision ticks don't overrun the
+        // makespan. Fault runs fill these even with a fixed pool, so
+        // measured availability has its 1 - downtime / provisioned
+        // denominator.
+        for (size_t i = 0; i < pool.size(); ++i) {
+          double end = pool.down_time[i] >= 0.0 ? std::min(pool.down_time[i], metrics.makespan_s)
+                                                : metrics.makespan_s;
+          pm.instance_seconds += std::max(0.0, end - pool.up_time[i]);
+        }
+        pm.utilization = pm.instance_seconds > 0.0 ? pm.busy_s / pm.instance_seconds : 0.0;
+        pm.final_instances = pool.provisioned;
+      } else {
+        int instances = p == kPrefillPool ? config.prefill_instances : config.decode_instances;
+        pm.utilization = pm.busy_s / (instances * metrics.makespan_s);
       }
-      metrics.prefill_utilization = metrics.prefill_instance_seconds > 0.0
-                                        ? prefill_busy / metrics.prefill_instance_seconds
-                                        : 0.0;
-      metrics.decode_utilization = metrics.decode_instance_seconds > 0.0
-                                       ? decode_busy / metrics.decode_instance_seconds
-                                       : 0.0;
-      metrics.final_prefill_instances = active_prefill;
-      metrics.final_decode_instances = active_decode;
-    } else {
-      metrics.prefill_utilization =
-          prefill_busy / (config.prefill_instances * metrics.makespan_s);
-      metrics.decode_utilization =
-          decode_busy / (config.decode_instances * metrics.makespan_s);
     }
-    metrics.mean_decode_batch = decode_busy > 0.0 ? batch_product / decode_busy : 0.0;
-    metrics.prefill_busy_s = prefill_busy;
-    metrics.decode_busy_s = decode_busy;
-    metrics.decode_batch_time_product = batch_product;
+    for (double b : S.d_batch_time_product) {
+      metrics.decode_batch_time_product += b;
+    }
+    metrics.mean_decode_batch = metrics.decode_busy_s > 0.0
+                                    ? metrics.decode_batch_time_product / metrics.decode_busy_s
+                                    : 0.0;
     if (faults_enabled) {
       // Per-pool downtime over [0, makespan], replayed from the event log:
       // each failure opens an interval its spare-activation/repair closes.
       // An interval left open by a retired-while-draining instance (no
       // recovery was scheduled) contributes nothing — the retirement is
       // already accounted in the instance-seconds integral.
-      std::vector<double> down_since_prefill(S.p_state.size(), -1.0);
-      std::vector<double> down_since_decode(S.d_state.size(), -1.0);
+      std::vector<double> down_since[2] = {std::vector<double>(prefill.size(), -1.0),
+                                           std::vector<double>(decode.size(), -1.0)};
       for (const FaultEvent& e : metrics.fault_events) {
-        bool is_prefill = e.pool == ScalePool::kPrefill;
-        std::vector<double>& down_since =
-            is_prefill ? down_since_prefill : down_since_decode;
-        double& downtime = is_prefill ? metrics.prefill_fault_downtime_s
-                                      : metrics.decode_fault_downtime_s;
-        size_t i = static_cast<size_t>(e.instance);
+        int p = static_cast<int>(e.pool);
+        double& since = down_since[p][static_cast<size_t>(e.instance)];
         if (e.kind == FaultEventKind::kFailure) {
-          down_since[i] = e.time_s;
+          since = e.time_s;
         } else if (e.kind == FaultEventKind::kSpareActivation ||
                    e.kind == FaultEventKind::kRepair) {
-          downtime += std::min(e.time_s, metrics.makespan_s) -
-                      std::min(down_since[i], metrics.makespan_s);
-          down_since[i] = -1.0;
+          pool_metrics[p].fault_downtime_s +=
+              std::min(e.time_s, metrics.makespan_s) - std::min(since, metrics.makespan_s);
+          since = -1.0;
         }
       }
-      for (size_t i = 0; i < down_since_prefill.size(); ++i) {
-        if (down_since_prefill[i] >= 0.0 && !(S.p_state[i] & kInactive)) {
-          metrics.prefill_fault_downtime_s +=
-              metrics.makespan_s - std::min(down_since_prefill[i], metrics.makespan_s);
-        }
-      }
-      for (size_t i = 0; i < down_since_decode.size(); ++i) {
-        if (down_since_decode[i] >= 0.0 && !(S.d_state[i] & kInactive)) {
-          metrics.decode_fault_downtime_s +=
-              metrics.makespan_s - std::min(down_since_decode[i], metrics.makespan_s);
+      for (int p : {kPrefillPool, kDecodePool}) {
+        for (size_t i = 0; i < down_since[p].size(); ++i) {
+          if (down_since[p][i] >= 0.0 && !(S.pools[p].state[i] & kInactive)) {
+            pool_metrics[p].fault_downtime_s +=
+                metrics.makespan_s - std::min(down_since[p][i], metrics.makespan_s);
+          }
         }
       }
     }
   }
-  if (degrade_enabled) {
+  for (int p : {kPrefillPool, kDecodePool}) {
     // Close windows still open at the end of the run, clipped to makespan.
-    for (size_t i = 0; i < S.p_state.size(); ++i) {
-      if (S.p_degrade_since[i] >= 0.0) {
-        metrics.prefill_degraded_instance_s +=
-            std::max(0.0, metrics.makespan_s - S.p_degrade_since[i]);
-      }
-    }
-    for (size_t i = 0; i < S.d_state.size(); ++i) {
-      if (S.d_degrade_since[i] >= 0.0) {
-        metrics.decode_degraded_instance_s +=
-            std::max(0.0, metrics.makespan_s - S.d_degrade_since[i]);
+    const PoolState& pool = S.pools[p];
+    for (size_t i = 0; degrade_enabled && i < pool.size(); ++i) {
+      if (pool.degrade_since[i] >= 0.0) {
+        pool_metrics[p].degraded_instance_s +=
+            std::max(0.0, metrics.makespan_s - pool.degrade_since[i]);
       }
     }
   }

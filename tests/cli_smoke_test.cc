@@ -178,6 +178,35 @@ TEST(CliSmoke, FleetSubcommandRejectsNonFleetScenarios) {
   EXPECT_NE(result.stdout_text.find("not fleet-compare"), std::string::npos);
 }
 
+TEST(CliSmoke, FleetSubcommandRunsABatchLikeRun) {
+  // A file of several fleet-compare scenarios runs as `run` runs a batch:
+  // --threads sizes the batch's workers, reports come back in file order,
+  // and the output is the same at any --threads.
+  std::string path = ::testing::TempDir() + "litegpu_fleet_batch.json";
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  auto scenario = [](const char* name) {
+    return std::string("{\"name\": \"") + name +
+           "\", \"study\": \"fleet-compare\", \"models\": [\"Llama3-70B\"],"
+           " \"fleet\": {\"candidates\": [{\"name\": \"H100\", \"gpu\": \"H100\"}],"
+           " \"load_lo\": 0.5, \"load_hi\": 0.6, \"load_step\": 0.1, \"horizon_s\": 10}}";
+  };
+  std::string batch =
+      "{\"scenarios\": [" + scenario("first") + ", " + scenario("second") + "]}";
+  fputs(batch.c_str(), f);
+  fclose(f);
+  CommandResult t1 = RunCommand("fleet " + path + " --json --threads 1");
+  CommandResult t2 = RunCommand("fleet " + path + " --json --threads 2");
+  std::remove(path.c_str());
+  ASSERT_EQ(t1.exit_code, 0);
+  EXPECT_EQ(t1.stdout_text, t2.stdout_text);
+  auto parsed = Json::Parse(t1.stdout_text);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->size(), 2u);
+  EXPECT_EQ(parsed->elements()[0].GetString("scenario", ""), "first");
+  EXPECT_EQ(parsed->elements()[1].GetString("scenario", ""), "second");
+}
+
 TEST(CliSmoke, MultitenantScenarioReportsPerClassBlocks) {
   // The acceptance check for multi-tenant serving: the checked-in mix
   // reports per-class TTFT/TBT percentiles, goodput, and SLO attainment.
@@ -483,7 +512,7 @@ TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
   EXPECT_NE(deep.stdout_text.find("line 1: nesting deeper than 256"), std::string::npos);
   std::remove(deep_path.c_str());
   // An infinite horizon (1e999 overflows to inf) is a field-labelled
-  // rejection, not a std::bad_alloc abort.
+  // rejection (exit 64, before anything runs), not a std::bad_alloc abort.
   std::string inf_path = ::testing::TempDir() + "litegpu_inf_horizon.json";
   f = fopen(inf_path.c_str(), "w");
   ASSERT_NE(f, nullptr);
@@ -491,7 +520,7 @@ TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
         " \"horizon_s\": 1e999}}", f);
   fclose(f);
   CommandResult inf = RunCommandMergedOutput("run " + inf_path);
-  EXPECT_EQ(inf.exit_code, 1);
+  EXPECT_EQ(inf.exit_code, 64);
   EXPECT_NE(inf.stdout_text.find("fleet.horizon_s must be positive and finite"),
             std::string::npos)
       << inf.stdout_text;
@@ -549,10 +578,11 @@ CommandResult RunEditedExample(const std::string& name, const std::string& from,
   return result;
 }
 
-// One-field edits of checked-in examples that used to crash the CLI. Each
-// now ends in an error report that names its cause: `run` reports a
-// rejected scenario (or one that cannot run) with exit 1, like the
-// infinite-horizon case above.
+// One-field edits of checked-in examples that used to crash or hang the
+// CLI. Each now ends in an error that names its cause: `run` rejects an
+// invalid field with exit 64 before running anything, like the
+// infinite-horizon case above, and reports a scenario that cannot run with
+// exit 1.
 TEST(CliSmoke, UnaddressableArrivalRateIsAnErrorNotAnAbort) {
   // The diurnal peak makes the materialized stream larger than a vector
   // can hold: std::length_error used to escape Runner::Run (exit 134).
@@ -568,7 +598,7 @@ TEST(CliSmoke, UnboundedRepairTimeIsRejected) {
   // (SIGSEGV).
   CommandResult result =
       RunEditedExample("serve_chaos.json", "\"mttr_hours\": 0.02", "\"mttr_hours\": 1e308");
-  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_EQ(result.exit_code, 64) << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("serve.faults.mttr_hours must be in (0, 1e+06]"),
             std::string::npos)
       << result.stdout_text;
@@ -579,7 +609,7 @@ TEST(CliSmoke, UnboundedDegradedWindowIsRejected) {
   // bucket overflow as the repair (SIGSEGV).
   CommandResult result = RunEditedExample("serve_chaos.json", "\"degrade_minutes\": 0.5",
                                           "\"degrade_minutes\": 1e308");
-  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_EQ(result.exit_code, 64) << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("serve.faults.degrade_minutes must be in [0, 6e+07]"),
             std::string::npos)
       << result.stdout_text;
@@ -592,10 +622,21 @@ TEST(CliSmoke, UnboundedSpareActivationIsRejected) {
   CommandResult result =
       RunEditedExample("serve_chaos.json", "\"spare_activation_minutes\": 0.1",
                        "\"spare_activation_minutes\": 1e308");
-  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_EQ(result.exit_code, 64) << result.stdout_text;
   EXPECT_NE(
       result.stdout_text.find("serve.faults.spare_activation_minutes must be in [0, 6e+07]"),
       std::string::npos)
+      << result.stdout_text;
+}
+
+TEST(CliSmoke, UnboundedDegradeMultiplierIsRejected) {
+  // A 1e9 step-time multiplier stretched the chaos example's run about
+  // 100x before it finished.
+  CommandResult result = RunEditedExample("serve_chaos.json", "\"degrade_multiplier\": 1.8",
+                                          "\"degrade_multiplier\": 1e9");
+  EXPECT_EQ(result.exit_code, 64) << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("serve.faults.degrade_multiplier must be in [1, 1000]"),
+            std::string::npos)
       << result.stdout_text;
 }
 
@@ -603,7 +644,7 @@ TEST(CliSmoke, ProvisioningDelayPastTheHorizonIsRejected) {
   // A 1e308 s provisioning delay hung the autoscaler.
   CommandResult result =
       RunEditedExample("serve_faulty.json", "\"delay_s\": 8", "\"delay_s\": 1e308");
-  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_EQ(result.exit_code, 64) << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("serve.autoscaler.delay_s must be <= serve.horizon_s"),
             std::string::npos)
       << result.stdout_text;

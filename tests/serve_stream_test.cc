@@ -179,6 +179,10 @@ TEST(StreamedServe, StreamFedRunEqualsTheDrainedColumnsRun) {
     // indexes full per-request arrays, so it checks the ring itself.
     ExpectBitIdentical(streamed,
                        RunServeSimulationReference(columns.ToRequests(), c.cluster, table));
+    // Every run drains: each admitted request completed, was dropped after
+    // its retries, or was shed at the door.
+    EXPECT_EQ(streamed.admitted_requests,
+              streamed.completed_requests + streamed.dropped_requests + streamed.shed_requests);
     if (::testing::Test::HasFailure()) {
       return;  // one case's report is enough to debug
     }

@@ -111,17 +111,10 @@ int Execute(const ScenarioBuilder& builder, const Flags& flags) {
   return 0;
 }
 
-int RunScenarioFiles(const Flags& flags) {
-  if (int rc = CheckFlags(flags, AllowedFlags({}, /*workload=*/false))) {
-    return rc;
-  }
-  std::vector<std::string> files(flags.positionals().begin() + 1,
-                                 flags.positionals().end());
-  if (files.empty()) {
-    std::fprintf(stderr, "usage: litegpu run <scenario.json>... [--json] [--threads N]\n");
-    return kUsageError;
-  }
-  std::vector<Scenario> scenarios;
+// Loads every scenario in `files` and validates each before any runs. A
+// missing or malformed file exits 1; an invalid scenario exits 64, like the
+// same field given as a flag.
+int LoadScenarios(const std::vector<std::string>& files, std::vector<Scenario>* scenarios) {
   for (const std::string& path : files) {
     std::string error;
     auto loaded = LoadScenarioFile(path, &error);
@@ -129,9 +122,22 @@ int RunScenarioFiles(const Flags& flags) {
       std::fprintf(stderr, "litegpu: %s: %s\n", path.c_str(), error.c_str());
       return 1;
     }
-    scenarios.insert(scenarios.end(), loaded->begin(), loaded->end());
+    for (const Scenario& s : *loaded) {
+      std::string problem = s.Validate();
+      if (!problem.empty()) {
+        std::fprintf(stderr, "litegpu: %s: scenario '%s': %s\n", path.c_str(), s.name.c_str(),
+                     problem.c_str());
+        return kUsageError;
+      }
+    }
+    scenarios->insert(scenarios->end(), loaded->begin(), loaded->end());
   }
+  return 0;
+}
 
+// Runs loaded scenarios and prints their reports: one scenario alone (at
+// --threads when given), a batch one worker per scenario.
+int RunScenarioList(const std::vector<Scenario>& scenarios, const Flags& flags) {
   std::vector<RunReport> reports;
   if (scenarios.size() == 1) {
     Scenario only = scenarios.front();
@@ -171,6 +177,23 @@ int RunScenarioFiles(const Flags& flags) {
   return all_ok ? 0 : 1;
 }
 
+int RunScenarioFiles(const Flags& flags) {
+  if (int rc = CheckFlags(flags, AllowedFlags({}, /*workload=*/false))) {
+    return rc;
+  }
+  std::vector<std::string> files(flags.positionals().begin() + 1,
+                                 flags.positionals().end());
+  if (files.empty()) {
+    std::fprintf(stderr, "usage: litegpu run <scenario.json>... [--json] [--threads N]\n");
+    return kUsageError;
+  }
+  std::vector<Scenario> scenarios;
+  if (int rc = LoadScenarios(files, &scenarios)) {
+    return rc;
+  }
+  return RunScenarioList(scenarios, flags);
+}
+
 // `litegpu fleet <scenario.json>`: run's loader restricted to fleet-compare
 // scenarios — the catalog shape (candidates, grids, economics knobs) only
 // makes sense declaratively, so the subcommand takes a file, not flags.
@@ -184,13 +207,11 @@ int RunFleet(const Flags& flags) {
     std::fprintf(stderr, "usage: litegpu fleet <scenario.json> [--json] [--threads N]\n");
     return kUsageError;
   }
-  std::string error;
-  auto loaded = LoadScenarioFile(files.front(), &error);
-  if (!loaded) {
-    std::fprintf(stderr, "litegpu: %s: %s\n", files.front().c_str(), error.c_str());
-    return 1;
+  std::vector<Scenario> scenarios;
+  if (int rc = LoadScenarios(files, &scenarios)) {
+    return rc;
   }
-  for (const Scenario& s : *loaded) {
+  for (const Scenario& s : scenarios) {
     if (s.study != StudyKind::kFleetCompare) {
       std::fprintf(stderr,
                    "litegpu: %s: scenario '%s' is a %s study, not fleet-compare "
@@ -199,32 +220,7 @@ int RunFleet(const Flags& flags) {
       return kUsageError;
     }
   }
-  bool all_ok = true;
-  Json batch = Json::Array();
-  for (Scenario s : *loaded) {
-    if (flags.Has("threads")) {
-      s.exec.threads = flags.GetInt("threads", 0);
-    }
-    RunReport report = Runner().Run(s);
-    if (flags.GetBool("json", false)) {
-      if (loaded->size() == 1) {
-        std::printf("%s\n", report.ToJson().Dump().c_str());
-      } else {
-        batch.Append(report.ToJson());
-      }
-    } else {
-      std::printf("%s", report.ToText().c_str());
-    }
-    if (!report.ok) {
-      std::fprintf(stderr, "litegpu: scenario '%s': %s\n", report.scenario_name.c_str(),
-                   report.error.c_str());
-      all_ok = false;
-    }
-  }
-  if (flags.GetBool("json", false) && loaded->size() > 1) {
-    std::printf("%s\n", batch.Dump().c_str());
-  }
-  return all_ok ? 0 : 1;
+  return RunScenarioList(scenarios, flags);
 }
 
 int RunFig3(const Flags& flags, bool prefill) {
