@@ -27,13 +27,11 @@
 //      autoscaled and chaos points below one pop per step, gated.
 //   4. A million-request point (32 decode instances at 95% load): workload
 //      generation wall time and bytes per request of the generated
-//      columns, then reference core vs new core with exact metric identity.
-//      The new core reads the generated columns, as the runner does for a
-//      fault point; the reference core gets them as records, converted
-//      outside its timing.
+//      records, then reference core vs new core with exact metric identity,
+//      both reading the same records.
 //      The speedup must be > 1 (hard gate); the target is >= 5x. Then the
 //      same point streamed: the generator feeds the engine request by
-//      request, nothing materialized; it must match the column run exactly
+//      request, nothing materialized; it must match the records run exactly
 //      (gated), and reports its wall time (generation included) and the
 //      widest live span the engine held. Also times the same point sharded
 //      8 ways through the merge path.
@@ -345,14 +343,9 @@ int main(int argc, char** argv) {
                              static_cast<double>(mspec.median_output_tokens);
   mspec.duration_s = kMillionRequests / mspec.arrival_rate_per_s;
   t0 = std::chrono::steady_clock::now();
-  RequestSoA million_requests = GenerateWorkloadSoA(mspec);
+  std::vector<Request> million_requests = GenerateWorkload(mspec);
   double million_gen_s = SecondsSince(t0);
-  const size_t million_column_bytes =
-      million_requests.arrival_s.capacity() * sizeof(double) +
-      (million_requests.prompt_tokens.capacity() + million_requests.output_tokens.capacity() +
-       million_requests.class_id.capacity()) *
-          sizeof(int);
-  std::vector<Request> million_records = million_requests.ToRequests();
+  const size_t million_record_bytes = million_requests.capacity() * sizeof(Request);
   ServeClusterConfig mcluster;
   mcluster.prefill_instances = std::max(
       1, static_cast<int>(std::ceil(1.25 * mspec.arrival_rate_per_s *
@@ -360,7 +353,7 @@ int main(int argc, char** argv) {
                                     prefill.best.result.tokens_per_s)));
   mcluster.decode_instances = kMillionDecode;
   t0 = std::chrono::steady_clock::now();
-  ServeMetrics million_ref = RunServeSimulationReference(million_records, mcluster, table);
+  ServeMetrics million_ref = RunServeSimulationReference(million_requests, mcluster, table);
   double million_ref_s = SecondsSince(t0);
   t0 = std::chrono::steady_clock::now();
   ServeMetrics million_new = RunServeSimulation(million_requests, mcluster, table);
@@ -415,8 +408,7 @@ int main(int argc, char** argv) {
                                static_cast<double>(gspec.median_output_tokens);
     gspec.duration_s = 30.0;
     gspec.seed = 1000 + static_cast<uint64_t>(i);
-    RequestSoA grid_requests = GenerateWorkloadSoA(gspec);
-    std::vector<Request> grid_records = grid_requests.ToRequests();
+    std::vector<Request> grid_requests = GenerateWorkload(gspec);
     ServeClusterConfig gcluster;
     gcluster.prefill_instances = std::max(
         1, static_cast<int>(std::ceil(1.25 * gspec.arrival_rate_per_s *
@@ -424,7 +416,7 @@ int main(int argc, char** argv) {
                                       prefill.best.result.tokens_per_s)));
     gcluster.decode_instances = 1;
     t0 = std::chrono::steady_clock::now();
-    ServeMetrics g_ref = RunServeSimulationReference(grid_records, gcluster, table);
+    ServeMetrics g_ref = RunServeSimulationReference(grid_requests, gcluster, table);
     grid_ref_s += SecondsSince(t0);
     t0 = std::chrono::steady_clock::now();
     ServeMetrics g_new = RunServeSimulation(grid_requests, gcluster, table);
@@ -542,7 +534,7 @@ int main(int argc, char** argv) {
              million_gen_s > 0.0 ? million_requests.size() / million_gen_s : 0.0)
         .Set("bytes_per_request",
              million_requests.empty() ? 0.0
-                                      : static_cast<double>(million_column_bytes) /
+                                      : static_cast<double>(million_record_bytes) /
                                             static_cast<double>(million_requests.size()));
     Json million = Json::Object();
     million.Set("requests", static_cast<uint64_t>(million_requests.size()))

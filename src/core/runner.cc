@@ -492,34 +492,31 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
   p.decode_instances = deployment.decode_instances;
   p.total_gpus = deployment.total_gpus;
 
-  // One workload for both execution modes: the serial path draws the full
-  // horizon from the point's seed; a shard draws its sub-horizon from its
-  // own SplitMix64 substream. A classless point is a one-class mix.
-  auto workload = [&](double duration_s, uint64_t wl_seed) {
-    MultiClassWorkloadSpec spec;
-    spec.duration_s = duration_s;
-    spec.seed = wl_seed;
-    spec.arrival = common.arrival;
-    if (classes.empty()) {
-      ClassWorkload cls;
-      cls.arrival_rate_per_s = arrival_rate_per_s;
-      cls.median_prompt_tokens = s.workload.prompt_tokens;
-      cls.prompt_sigma = common.prompt_sigma;
-      cls.median_output_tokens = s.workload.output_tokens;
-      cls.output_sigma = common.output_sigma;
-      spec.classes.push_back(cls);
-    }
-    for (size_t c = 0; c < classes.size(); ++c) {
-      ClassWorkload cls;
-      cls.arrival_rate_per_s = arrival_rate_per_s * mix.shares[c];
-      cls.median_prompt_tokens = classes[c].prompt_tokens;
-      cls.prompt_sigma = classes[c].prompt_sigma;
-      cls.median_output_tokens = classes[c].output_tokens;
-      cls.output_sigma = classes[c].output_sigma;
-      spec.classes.push_back(cls);
-    }
-    return spec;
-  };
+  // The point's workload over the full horizon from the point's seed; a
+  // classless point is a one-class mix. Every run of the point pulls its
+  // own RequestStream over it.
+  MultiClassWorkloadSpec workload;
+  workload.duration_s = common.horizon_s;
+  workload.seed = seed;
+  workload.arrival = common.arrival;
+  if (classes.empty()) {
+    ClassWorkload cls;
+    cls.arrival_rate_per_s = arrival_rate_per_s;
+    cls.median_prompt_tokens = s.workload.prompt_tokens;
+    cls.prompt_sigma = common.prompt_sigma;
+    cls.median_output_tokens = s.workload.output_tokens;
+    cls.output_sigma = common.output_sigma;
+    workload.classes.push_back(cls);
+  }
+  for (size_t c = 0; c < classes.size(); ++c) {
+    ClassWorkload cls;
+    cls.arrival_rate_per_s = arrival_rate_per_s * mix.shares[c];
+    cls.median_prompt_tokens = classes[c].prompt_tokens;
+    cls.prompt_sigma = classes[c].prompt_sigma;
+    cls.median_output_tokens = classes[c].output_tokens;
+    cls.output_sigma = classes[c].output_sigma;
+    workload.classes.push_back(cls);
+  }
 
   ServeClusterConfig cluster;
   cluster.prefill_instances = deployment.prefill_instances;
@@ -536,10 +533,6 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
   cluster.shedding.ttft_deadline_s = common.faults.shed_ttft_deadline_s;
 
   ServeMetrics metrics;
-  // A fault point's fault-free baseline must replay the same requests, so
-  // only a fault point materializes its stream; every other point streams
-  // it straight into the engine.
-  RequestSoA requests;
   if (common.shards >= 2) {
     // Sharded execution: split the horizon into `shards` independent
     // sub-horizon replications of the same stationary process, run them
@@ -548,22 +541,22 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
     // (autoscaler, faults, diurnal/trace arrivals). TTFTs stream into
     // fixed-bin histograms so a shard's memory is O(bins), not
     // O(requests); every shard uses the same full-horizon histogram range
-    // so the merged bins line up.
+    // so the merged bins line up. Shard i draws its sub-horizon from its
+    // own SplitMix64 substream.
     const int n = common.shards;
     cluster.horizon_s = common.horizon_s / static_cast<double>(n);
     cluster.stream_ttft = true;
     std::vector<ServeMetrics> shard_metrics = ParallelMap<ServeMetrics>(
         s.exec.threads, n, [&](int i) {
-          RequestStream stream(workload(cluster.horizon_s,
-                                        ShardSubstreamSeed(seed, static_cast<size_t>(i))));
+          MultiClassWorkloadSpec shard = workload;
+          shard.duration_s = cluster.horizon_s;
+          shard.seed = ShardSubstreamSeed(seed, static_cast<size_t>(i));
+          RequestStream stream(shard);
           return RunServeSimulation(stream, cluster, platform.table);
         });
     metrics = MergeServeShardMetrics(cluster, shard_metrics);
-  } else if (common.faults.enabled()) {
-    requests = GenerateMultiClassWorkloadSoA(workload(common.horizon_s, seed));
-    metrics = RunServeSimulation(requests, cluster, platform.table);
   } else {
-    RequestStream stream(workload(common.horizon_s, seed));
+    RequestStream stream(workload);
     metrics = RunServeSimulation(stream, cluster, platform.table);
   }
 
@@ -595,10 +588,12 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
   if (common.faults.enabled()) {
     // Goodput under churn needs a fault-free yardstick: the same requests
     // on the same (initial) pools with injection off (shedding kept, so
-    // the comparison isolates the faults).
+    // the comparison isolates the faults). A second stream over the same
+    // spec regenerates them from the seed, in the same order.
     ServeClusterConfig baseline_cluster = cluster;
     baseline_cluster.faults = ServeFaultConfig{};
-    ServeMetrics baseline = RunServeSimulation(requests, baseline_cluster, platform.table);
+    RequestStream replay(workload);
+    ServeMetrics baseline = RunServeSimulation(replay, baseline_cluster, platform.table);
 
     ServeFaultReport& f = p.faults;
     f.baseline_goodput_tokens_per_s = baseline.decode_tokens_per_s;
@@ -1237,15 +1232,15 @@ RunReport Runner::Run(const Scenario& scenario) const {
   try {
     return RunValidated(s);
   } catch (const std::bad_alloc&) {
-    return ErrorReport(s, "scenario '" + s.name +
-                              "' ran out of memory: it needs more than this host can "
-                              "allocate; shrink its horizon, load or pool sizes");
+    return ErrorReport(s, "ran out of memory: it needs more than this host can allocate; "
+                          "shrink its horizon, load or pool sizes");
   } catch (const std::length_error& e) {
-    return ErrorReport(s, "scenario '" + s.name + "' needs a container larger than this " +
-                              "host can address (std::length_error: " + e.what() +
+    return ErrorReport(s, std::string("needs a container larger than this host can address "
+                                      "(std::length_error: ") +
+                              e.what() +
                               "); shrink its horizon, load, arrival multipliers or pool sizes");
   } catch (const std::exception& e) {
-    return ErrorReport(s, "scenario '" + s.name + "' failed: " + e.what());
+    return ErrorReport(s, std::string("failed: ") + e.what());
   }
 }
 

@@ -1721,16 +1721,11 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   return metrics;
 }
 
-ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
-                                const StepTimeTable& table) {
-  RequestStream stream(requests);
-  return RunServeSimulation(stream, config, table);
-}
-
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table) {
-  return RunServeSimulation(RequestSoA::FromRequests(requests), config, table);
+  RequestStream stream(requests);
+  return RunServeSimulation(stream, config, table);
 }
 
 ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,

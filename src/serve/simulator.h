@@ -12,8 +12,10 @@
 // when each one falls due; the engine keeps per-request state only over the
 // live span from the oldest unfinished request to the newest arrival. A
 // generated stream therefore runs in memory O(live span) plus the exact
-// TTFT samples (8 bytes per admitted request); column and record inputs
-// are read through a stream over them, with identical results.
+// TTFT samples (8 bytes per admitted request); record inputs are read
+// through a stream over them, with identical results. A fault point's
+// fault-free baseline pulls a second stream over the same spec, which
+// makes the same requests in the same order.
 //
 // Event ordering is fully specified: simultaneous events process in
 // (time, kind, instance) order — prefill completions before decode step
@@ -241,14 +243,10 @@ struct ServeMetrics {
 // bit-identical to RunServeSimulationReference (simulator_reference.h) on
 // the same table: tested in serve_test and serve_faults_test, gated in
 // bench_serve_scale. Drains `stream`; the same requests give the same
-// metrics whether the stream generates them or reads columns.
+// metrics whether the stream generates them or reads records.
 ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig& config,
                                 const StepTimeTable& table);
-// Runs a stream over materialized columns.
-ServeMetrics RunServeSimulation(const RequestSoA& requests, const ServeClusterConfig& config,
-                                const StepTimeTable& table);
-// Adapter for record-form streams: converts to columns, then runs the
-// overload above.
+// Runs a stream over materialized records.
 ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
                                 const ServeClusterConfig& config,
                                 const StepTimeTable& table);

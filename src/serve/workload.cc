@@ -10,42 +10,6 @@
 
 namespace litegpu {
 
-void RequestSoA::Reserve(size_t n) {
-  arrival_s.reserve(n);
-  prompt_tokens.reserve(n);
-  output_tokens.reserve(n);
-  class_id.reserve(n);
-}
-
-void RequestSoA::PushBack(double arrival, int prompt, int output, int cls) {
-  arrival_s.push_back(arrival);
-  prompt_tokens.push_back(prompt);
-  output_tokens.push_back(output);
-  class_id.push_back(cls);
-}
-
-RequestSoA RequestSoA::FromRequests(const std::vector<Request>& requests) {
-  RequestSoA soa;
-  soa.Reserve(requests.size());
-  for (const Request& r : requests) {
-    soa.PushBack(r.arrival_s, r.prompt_tokens, r.output_tokens, r.class_id);
-  }
-  return soa;
-}
-
-std::vector<Request> RequestSoA::ToRequests() const {
-  std::vector<Request> requests(size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Request& r = requests[i];
-    r.id = static_cast<int>(i);
-    r.class_id = class_id[i];
-    r.arrival_s = arrival_s[i];
-    r.prompt_tokens = prompt_tokens[i];
-    r.output_tokens = output_tokens[i];
-  }
-  return requests;
-}
-
 double ArrivalRateMultiplier(const ArrivalProcess& process, double duration_s, double t) {
   if (process.kind != ArrivalKind::kDiurnal || process.multipliers.empty()) {
     return 1.0;
@@ -117,7 +81,7 @@ int SampleLength(Rng& rng, int median, double log_median, double sigma) {
 
 // Expected arrival count for one class, used to pre-size per-request
 // outputs so million-request streams append without reallocating. Overshooting a
-// little is fine (the extra capacity is freed with the columns); a few sigma
+// little is fine (the extra capacity is freed with the outputs); a few sigma
 // of headroom covers nearly every draw. A trace reserves only the recorded
 // times inside the horizon, thinned by the class's share, and never more
 // than that window holds.
@@ -305,8 +269,8 @@ RequestStream::RequestStream(const MultiClassWorkloadSpec& spec) : spec_(spec) {
   }
 }
 
-RequestStream::RequestStream(const RequestSoA& columns)
-    : columns_(&columns), expected_(columns.size()) {}
+RequestStream::RequestStream(const std::vector<Request>& records)
+    : records_(&records), expected_(records.size()) {}
 
 RequestStream::~RequestStream() = default;
 
@@ -336,14 +300,11 @@ void RequestStream::Refill() {
 }
 
 bool RequestStream::Draw(Request* out) {
-  if (columns_ != nullptr) {
-    if (position_ >= columns_->size()) {
+  if (records_ != nullptr) {
+    if (position_ >= records_->size()) {
       return false;
     }
-    out->class_id = columns_->class_id[position_];
-    out->arrival_s = columns_->arrival_s[position_];
-    out->prompt_tokens = columns_->prompt_tokens[position_];
-    out->output_tokens = columns_->output_tokens[position_];
+    *out = (*records_)[position_];
   } else {
     size_t c = 0;
     if (cursors_.size() == 1) {
@@ -390,12 +351,8 @@ MultiClassWorkloadSpec OneClassMix(const WorkloadSpec& spec) {
   return mix;
 }
 
-RequestSoA GenerateWorkloadSoA(const WorkloadSpec& spec) {
-  return GenerateMultiClassWorkloadSoA(OneClassMix(spec));
-}
-
 std::vector<Request> GenerateWorkload(const WorkloadSpec& spec) {
-  return GenerateWorkloadSoA(spec).ToRequests();
+  return GenerateMultiClassWorkload(OneClassMix(spec));
 }
 
 uint64_t ClassSubstreamSeed(uint64_t seed, size_t index) {
@@ -410,19 +367,14 @@ uint64_t ClassSubstreamSeed(uint64_t seed, size_t index) {
   return derived;
 }
 
-RequestSoA GenerateMultiClassWorkloadSoA(const MultiClassWorkloadSpec& spec) {
+std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& spec) {
   RequestStream stream(spec);
-  RequestSoA requests;
-  requests.Reserve(stream.ExpectedCount());
+  std::vector<Request> requests;
+  requests.reserve(stream.ExpectedCount());
   while (!stream.done()) {
-    Request r = stream.Next();
-    requests.PushBack(r.arrival_s, r.prompt_tokens, r.output_tokens, r.class_id);
+    requests.push_back(stream.Next());
   }
   return requests;
-}
-
-std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& spec) {
-  return GenerateMultiClassWorkloadSoA(spec).ToRequests();
 }
 
 uint64_t ShardSubstreamSeed(uint64_t seed, size_t shard) {
@@ -439,22 +391,6 @@ uint64_t ShardSubstreamSeed(uint64_t seed, size_t shard) {
     derived = stream.Next();
   }
   return derived;
-}
-
-double TotalPromptTokens(const std::vector<Request>& requests) {
-  double total = 0.0;
-  for (const auto& r : requests) {
-    total += r.prompt_tokens;
-  }
-  return total;
-}
-
-double TotalOutputTokens(const std::vector<Request>& requests) {
-  double total = 0.0;
-  for (const auto& r : requests) {
-    total += r.output_tokens;
-  }
-  return total;
 }
 
 }  // namespace litegpu

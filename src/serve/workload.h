@@ -11,9 +11,10 @@
 //
 // There is one generator: RequestStream, a pull-based cursor that draws
 // each request when the caller asks for it. The simulator pulls from it as
-// arrivals fall due, so a fault-free serve point never holds its request
-// stream; the column forms (RequestSoA, vector<Request>) are that cursor
-// drained, for callers that must replay the same requests twice.
+// arrivals fall due, so no serve point holds its request stream; a fault
+// point's fault-free baseline replays its requests by pulling a second
+// stream over the same spec. vector<Request> is that cursor drained, for
+// callers that inspect the requests or feed the reference core.
 
 #pragma once
 
@@ -32,29 +33,6 @@ struct Request {
   double arrival_s = 0.0;
   int prompt_tokens = 1500;
   int output_tokens = 256;
-};
-
-// A materialized request stream, one column per field, at 20 bytes per
-// request: what a caller keeps when it must replay the same requests (a
-// fault point's fault-free baseline) or inspect them. Index i across all
-// four vectors is request i in arrival order (ties already resolved by the
-// generator), which is also its id. The simulator reads columns through a
-// RequestStream over them. `Request` records are only a view for callers
-// that want them: ToRequests/FromRequests convert between the two.
-struct RequestSoA {
-  std::vector<double> arrival_s;
-  std::vector<int> prompt_tokens;
-  std::vector<int> output_tokens;
-  std::vector<int> class_id;
-
-  size_t size() const { return arrival_s.size(); }
-  bool empty() const { return arrival_s.empty(); }
-  void Reserve(size_t n);
-  void PushBack(double arrival, int prompt, int output, int cls);
-
-  // Request i gets id i.
-  std::vector<Request> ToRequests() const;
-  static RequestSoA FromRequests(const std::vector<Request>& requests);
 };
 
 // How request arrivals are distributed over the horizon. kPoisson is the
@@ -113,9 +91,7 @@ struct WorkloadSpec {
   ArrivalProcess arrival;            // default: stationary Poisson
 };
 
-// Requests sorted by arrival time: OneClassMix(spec) drained into columns.
-RequestSoA GenerateWorkloadSoA(const WorkloadSpec& spec);
-// The same stream as records: GenerateWorkloadSoA(spec).ToRequests().
+// Requests sorted by arrival time: OneClassMix(spec) drained into records.
 std::vector<Request> GenerateWorkload(const WorkloadSpec& spec);
 
 // One request class of a multi-tenant mix: its own absolute arrival rate
@@ -168,18 +144,18 @@ uint64_t ShardSubstreamSeed(uint64_t seed, size_t shard);
 // class's draws in the generator's order (inter-arrival, then prompt, then
 // output), and a k-way merge on (arrival, class index) interleaves them, so
 // ties break by class index, then per-class order. A one-class mix skips
-// the merge. Built from columns, it reads them in row order; the columns
-// must outlive the stream. Either way the request with id i is the i-th
-// one Next() returns. Requests are drawn a block at a time, so generation
-// runs in a hot loop and memory stays O(classes + block): pulling one
-// request per Next() instead ran steady_poisson ~12% slower (GCC 12,
-// x86-64). The first request is drawn at the first done(), not at
+// the merge. Built from records, it reads them in order and ignores their
+// ids; the records must outlive the stream. Either way the request with id
+// i is the i-th one Next() returns. Requests are drawn a block at a time,
+// so generation runs in a hot loop and memory stays O(classes + block):
+// pulling one request per Next() instead ran steady_poisson ~12% slower
+// (GCC 12, x86-64). The first request is drawn at the first done(), not at
 // construction, so a caller can size its outputs from ExpectedCount()
 // before a stream too dense to generate starts drawing.
 class RequestStream {
  public:
   explicit RequestStream(const MultiClassWorkloadSpec& spec);
-  explicit RequestStream(const RequestSoA& columns);
+  explicit RequestStream(const std::vector<Request>& records);
   ~RequestStream();
   RequestStream(const RequestStream&) = delete;
   RequestStream& operator=(const RequestStream&) = delete;
@@ -195,7 +171,7 @@ class RequestStream {
   double PeekArrival() const { return block_[next_].arrival_s; }
   // Returns the next request and advances. Requires !done().
   Request Next() { return block_[next_++]; }
-  // How many requests the stream should yield: exact for columns; for a
+  // How many requests the stream should yield: exact for records; for a
   // generated mix, its expected arrival count plus a few sigma of headroom
   // (a trace never more than its recorded times inside the horizon). Used
   // to pre-size per-request outputs so long streams append without
@@ -219,7 +195,7 @@ class RequestStream {
   // Min-heap on (pending arrival, class index) over the classes that still
   // hold a pending request; only mixes of two or more classes use it.
   std::vector<std::pair<double, size_t>> heads_;
-  const RequestSoA* columns_ = nullptr;
+  const std::vector<Request>* records_ = nullptr;
   std::vector<Request> block_;
   size_t next_ = 0;      // index in block_ of the request Next() returns
   size_t position_ = 0;  // id of the next request drawn
@@ -228,15 +204,8 @@ class RequestStream {
   bool exhausted_ = false;
 };
 
-// The mix's RequestStream drained into columns. Row i of the result is
-// request i; class_id is the index into spec.classes.
-RequestSoA GenerateMultiClassWorkloadSoA(const MultiClassWorkloadSpec& spec);
-// The same stream as records, ids in merged order:
-// GenerateMultiClassWorkloadSoA(spec).ToRequests().
+// The mix's RequestStream drained into records, ids in merged order;
+// class_id is the index into spec.classes.
 std::vector<Request> GenerateMultiClassWorkload(const MultiClassWorkloadSpec& spec);
-
-// Totals used for capacity planning.
-double TotalPromptTokens(const std::vector<Request>& requests);
-double TotalOutputTokens(const std::vector<Request>& requests);
 
 }  // namespace litegpu

@@ -535,7 +535,10 @@ TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
   fclose(f);
   CommandResult huge = RunCommandMergedOutput("run " + huge_path);
   EXPECT_EQ(huge.exit_code, 1);
-  EXPECT_NE(huge.stdout_text.find("scenario 'huge' ran out of memory"), std::string::npos)
+  EXPECT_NE(huge.stdout_text.find("litegpu: scenario 'huge': ran out of memory"),
+            std::string::npos)
+      << huge.stdout_text;
+  EXPECT_EQ(huge.stdout_text.find("scenario 'huge' ran"), std::string::npos)
       << huge.stdout_text;
   std::remove(huge_path.c_str());
 #endif
@@ -584,10 +587,23 @@ CommandResult RunEditedExample(const std::string& name, const std::string& from,
 // infinite-horizon case above, and reports a scenario that cannot run with
 // exit 1.
 TEST(CliSmoke, UnaddressableArrivalRateIsAnErrorNotAnAbort) {
-  // The diurnal peak makes the materialized stream larger than a vector
-  // can hold: std::length_error used to escape Runner::Run (exit 134).
+  // The diurnal multiplier makes the stream's expected request count larger
+  // than a vector can hold, so the engine's reservation of exact TTFT
+  // samples throws std::length_error before the first request is drawn. It
+  // used to escape Runner::Run (exit 134).
   CommandResult result = RunEditedExample("serve_faulty.json", "[0.35, 0.7,",
                                           "[0.35, 9007199254740993,");
+  EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("std::length_error"), std::string::npos)
+      << result.stdout_text;
+}
+
+TEST(CliSmoke, InfiniteArrivalMultiplierIsAnErrorNotAHang) {
+  // A 1e308 diurnal multiplier hung the autoscaled example. Its expected
+  // request count now overflows the TTFT reservation, which throws
+  // std::length_error at once.
+  CommandResult result =
+      RunEditedExample("serve_autoscale.json", "1.1, 0.5]", "1.1, 1e308]");
   EXPECT_EQ(result.exit_code, 1) << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("std::length_error"), std::string::npos)
       << result.stdout_text;

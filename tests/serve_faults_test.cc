@@ -538,11 +538,12 @@ TEST(SimulatorShedding, DisabledSheddingMatchesBaseline) {
   EXPECT_EQ(off.completed_requests, on.completed_requests);
 }
 
-TEST(SimulatorFaults, ColumnRunBitIdenticalToRecordAdapter) {
-  // The Runner hands the simulator the generator's columns; tests and the
-  // reference core pass records through the vector<Request> adapter. Both
-  // must see the same stream: a two-class mix under churn, retries and
-  // per-class accounting.
+TEST(SimulatorFaults, StreamedRunBitIdenticalToRecordsReplay) {
+  // The Runner feeds a fault point from a generated stream and its
+  // fault-free baseline from a second stream over the same spec; tests and
+  // the reference core pass the drained records. Both feeds must see the
+  // same requests: a two-class mix under churn, retries and per-class
+  // accounting.
   MultiClassWorkloadSpec spec;
   spec.duration_s = 5.0;
   spec.seed = 0xFACE;
@@ -554,19 +555,31 @@ TEST(SimulatorFaults, ColumnRunBitIdenticalToRecordAdapter) {
     cls.output_sigma = 0.5;
     spec.classes.push_back(cls);
   }
-  RequestSoA columns = GenerateMultiClassWorkloadSoA(spec);
+  std::vector<Request> records = GenerateMultiClassWorkload(spec);
   ServeClusterConfig config;
   config.prefill_instances = 2;
   config.decode_instances = 2;
   config.horizon_s = spec.duration_s;
   config.num_classes = 2;
   config.faults = ChurnyFaults(FaultRetryPolicy::kRetry);
-  ServeMetrics a = RunServeSimulation(columns, config, SimpleTable());
-  ServeMetrics b = RunServeSimulation(columns.ToRequests(), config, SimpleTable());
+  RequestStream stream(spec);
+  ServeMetrics a = RunServeSimulation(stream, config, SimpleTable());
+  ServeMetrics b = RunServeSimulation(records, config, SimpleTable());
   EXPECT_GT(a.retried_requests, 0) << "the churn never killed a batch";
   ASSERT_EQ(a.per_class.size(), 2u);
   EXPECT_GT(a.per_class[1].admitted_requests, 0);
   ExpectBitIdentical(a, b);
+
+  // The fault-free baseline: a second stream over the same spec replays
+  // what the records give.
+  ServeClusterConfig baseline = config;
+  baseline.faults = ServeFaultConfig{};
+  RequestStream replay(spec);
+  ServeMetrics c = RunServeSimulation(replay, baseline, SimpleTable());
+  ServeMetrics d = RunServeSimulation(records, baseline, SimpleTable());
+  EXPECT_EQ(c.admitted_requests, static_cast<int>(records.size()));
+  EXPECT_EQ(c.retried_requests, 0);
+  ExpectBitIdentical(c, d);
 }
 
 TEST(SimulatorFaults, RerunsAreDeterministic) {

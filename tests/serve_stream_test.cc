@@ -1,5 +1,5 @@
 // The streamed serve core: a run fed straight from a generating
-// RequestStream must equal the same run over the stream's drained columns,
+// RequestStream must equal the same run over the stream's drained records,
 // bit for bit, on every metric and event log (and the reference core on
 // the same requests); and a streamed run's per-request state must track
 // the requests in flight, not the horizon.
@@ -160,7 +160,7 @@ StreamCase MakeCase(int index, uint64_t seed) {
   return c;
 }
 
-TEST(StreamedServe, StreamFedRunEqualsTheDrainedColumnsRun) {
+TEST(StreamedServe, StreamFedRunEqualsTheDrainedRecordsRun) {
   const StepTimeTable table = StreamTable();
   SplitMix64 seeds(0x57AEA3ULL);
   int kinds[4] = {0, 0, 0, 0};
@@ -169,16 +169,15 @@ TEST(StreamedServe, StreamFedRunEqualsTheDrainedColumnsRun) {
   for (int i = 0; i < 240; ++i) {
     StreamCase c = MakeCase(i, seeds.Next());
     SCOPED_TRACE(::testing::Message() << "case " << i);
-    RequestSoA columns = GenerateMultiClassWorkloadSoA(c.workload);
+    std::vector<Request> records = GenerateMultiClassWorkload(c.workload);
     RequestStream stream(c.workload);
     ServeMetrics streamed = RunServeSimulation(stream, c.cluster, table);
     EXPECT_TRUE(stream.done());
-    ServeMetrics materialized = RunServeSimulation(columns, c.cluster, table);
+    ServeMetrics materialized = RunServeSimulation(records, c.cluster, table);
     ExpectStreamIdentical(streamed, materialized);
     // Both feeds share the engine's live-request ring; the reference core
     // indexes full per-request arrays, so it checks the ring itself.
-    ExpectBitIdentical(streamed,
-                       RunServeSimulationReference(columns.ToRequests(), c.cluster, table));
+    ExpectBitIdentical(streamed, RunServeSimulationReference(records, c.cluster, table));
     // Every run drains: each admitted request completed, was dropped after
     // its retries, or was shed at the door.
     EXPECT_EQ(streamed.admitted_requests,
@@ -213,23 +212,25 @@ TEST(StreamedServe, StreamFedRunEqualsTheDrainedColumnsRun) {
   EXPECT_GE(wide, 20) << "too few runs wrapped and grew the live-request ring";
 }
 
-TEST(StreamedServe, DrainedStreamIsTheGeneratedColumns) {
-  // Ids are stream positions, and a stream over columns yields the rows.
+TEST(StreamedServe, DrainedStreamIsTheGeneratedRecords) {
+  // Ids are stream positions, and a stream over records yields them in
+  // order.
   MultiClassWorkloadSpec spec = MakeCase(3, 0xC0FFEE).workload;
-  RequestSoA columns = GenerateMultiClassWorkloadSoA(spec);
-  ASSERT_GT(columns.size(), 10u);
+  std::vector<Request> records = GenerateMultiClassWorkload(spec);
+  ASSERT_GT(records.size(), 10u);
   RequestStream generated(spec);
-  RequestStream read(columns);
-  EXPECT_EQ(read.ExpectedCount(), columns.size());
-  EXPECT_GE(generated.ExpectedCount(), columns.size());
-  for (size_t i = 0; i < columns.size(); ++i) {
+  RequestStream read(records);
+  EXPECT_EQ(read.ExpectedCount(), records.size());
+  EXPECT_GE(generated.ExpectedCount(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
     ASSERT_FALSE(generated.done());
     ASSERT_FALSE(read.done());
-    EXPECT_EQ(generated.PeekArrival(), columns.arrival_s[i]);
+    EXPECT_EQ(generated.PeekArrival(), records[i].arrival_s);
     Request g = generated.Next();
     Request r = read.Next();
     EXPECT_EQ(g.id, static_cast<int>(i));
     EXPECT_EQ(r.id, static_cast<int>(i));
+    EXPECT_EQ(records[i].id, static_cast<int>(i));
     EXPECT_EQ(g.arrival_s, r.arrival_s);
     EXPECT_EQ(g.prompt_tokens, r.prompt_tokens);
     EXPECT_EQ(g.output_tokens, r.output_tokens);

@@ -63,14 +63,15 @@ TEST(Workload, Deterministic) {
   }
 }
 
-TEST(Workload, TokenTotals) {
+TEST(Workload, ZeroSigmaGivesTheMedianLengths) {
   WorkloadSpec spec;
   spec.duration_s = 20.0;
   auto requests = GenerateWorkload(spec);
-  EXPECT_DOUBLE_EQ(TotalPromptTokens(requests),
-                   1500.0 * static_cast<double>(requests.size()));
-  EXPECT_DOUBLE_EQ(TotalOutputTokens(requests),
-                   256.0 * static_cast<double>(requests.size()));
+  ASSERT_FALSE(requests.empty());
+  for (const Request& r : requests) {
+    EXPECT_EQ(r.prompt_tokens, 1500);
+    EXPECT_EQ(r.output_tokens, 256);
+  }
 }
 
 // --- multi-class workload generation ---
@@ -188,25 +189,30 @@ ArrivalProcess RepeatedTrace() {
   return arrival;
 }
 
-void ExpectSameColumns(const RequestSoA& a, const RequestSoA& b) {
-  EXPECT_EQ(a.arrival_s, b.arrival_s);
-  EXPECT_EQ(a.prompt_tokens, b.prompt_tokens);
-  EXPECT_EQ(a.output_tokens, b.output_tokens);
-  EXPECT_EQ(a.class_id, b.class_id);
+void ExpectSameRequests(const std::vector<Request>& a, const std::vector<Request>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << "row " << i;
+    EXPECT_EQ(a[i].arrival_s, b[i].arrival_s) << "row " << i;
+    EXPECT_EQ(a[i].prompt_tokens, b[i].prompt_tokens) << "row " << i;
+    EXPECT_EQ(a[i].output_tokens, b[i].output_tokens) << "row " << i;
+    EXPECT_EQ(a[i].class_id, b[i].class_id) << "row " << i;
+  }
 }
 
 // Class c's trace replay rebuilt draw by draw from its substream seed, as
 // the generator documents it: one uniform per recorded time inside the
 // horizon to thin by `share`, then a prompt and an output length for each
 // time kept, in trace order.
-RequestSoA ThinnedTraceClass(const MultiClassWorkloadSpec& spec, size_t c, double share) {
+std::vector<Request> ThinnedTraceClass(const MultiClassWorkloadSpec& spec, size_t c,
+                                       double share) {
   const ClassWorkload& cls = spec.classes[c];
   Rng rng(ClassSubstreamSeed(spec.seed, c));
   auto length = [&rng](int median, double sigma) {
     double value = rng.LogNormal(std::log(static_cast<double>(median)), sigma);
     return std::max(1, static_cast<int>(std::lround(value)));
   };
-  RequestSoA stream;
+  std::vector<Request> stream;
   for (double t : spec.arrival.times_s) {
     if (t >= spec.duration_s) {
       break;
@@ -214,9 +220,12 @@ RequestSoA ThinnedTraceClass(const MultiClassWorkloadSpec& spec, size_t c, doubl
     if (!(rng.NextDouble() < share)) {
       continue;
     }
-    int prompt = length(cls.median_prompt_tokens, cls.prompt_sigma);
-    int output = length(cls.median_output_tokens, cls.output_sigma);
-    stream.PushBack(t, prompt, output, static_cast<int>(c));
+    Request r;
+    r.class_id = static_cast<int>(c);
+    r.arrival_s = t;
+    r.prompt_tokens = length(cls.median_prompt_tokens, cls.prompt_sigma);
+    r.output_tokens = length(cls.median_output_tokens, cls.output_sigma);
+    stream.push_back(r);
   }
   return stream;
 }
@@ -228,11 +237,12 @@ TEST(MultiClassWorkload, MergeBreaksTiesByClassThenGenerationOrder) {
   spec.arrival = RepeatedTrace();
   spec.classes.push_back(MakeClass(3.0, 1500, 256, 0.8, 0.8));  // share 0.75
   spec.classes.push_back(MakeClass(1.0, 4000, 800, 0.8, 0.8));  // share 0.25
-  RequestSoA merged = GenerateMultiClassWorkloadSoA(spec);
+  std::vector<Request> merged = GenerateMultiClassWorkload(spec);
 
   // The order the merge must give: the class streams concatenated in class
-  // order, stable-sorted by arrival time.
-  RequestSoA streams[2] = {ThinnedTraceClass(spec, 0, 0.75), ThinnedTraceClass(spec, 1, 0.25)};
+  // order, stable-sorted by arrival time, ids in merged order.
+  std::vector<Request> streams[2] = {ThinnedTraceClass(spec, 0, 0.75),
+                                     ThinnedTraceClass(spec, 1, 0.25)};
   std::vector<std::pair<int, size_t>> rows;  // (class, index in its stream)
   for (int c = 0; c < 2; ++c) {
     for (size_t i = 0; i < streams[c].size(); ++i) {
@@ -240,33 +250,33 @@ TEST(MultiClassWorkload, MergeBreaksTiesByClassThenGenerationOrder) {
     }
   }
   std::stable_sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
-    return streams[a.first].arrival_s[a.second] < streams[b.first].arrival_s[b.second];
+    return streams[a.first][a.second].arrival_s < streams[b.first][b.second].arrival_s;
   });
-  RequestSoA expected;
+  std::vector<Request> expected;
   for (const auto& [c, i] : rows) {
-    const RequestSoA& s = streams[c];
-    expected.PushBack(s.arrival_s[i], s.prompt_tokens[i], s.output_tokens[i], s.class_id[i]);
+    expected.push_back(streams[c][i]);
+    expected.back().id = static_cast<int>(expected.size() - 1);
   }
-  ExpectSameColumns(merged, expected);
+  ExpectSameRequests(merged, expected);
 
   // The trace really produced both kinds of tie, and every tie across
   // classes puts class 0 first.
   int cross_ties = 0;
   int own_ties = 0;
   for (size_t i = 1; i < merged.size(); ++i) {
-    if (merged.arrival_s[i] != merged.arrival_s[i - 1]) {
+    if (merged[i].arrival_s != merged[i - 1].arrival_s) {
       continue;
     }
-    EXPECT_LE(merged.class_id[i - 1], merged.class_id[i]) << "row " << i;
-    if (merged.class_id[i] != merged.class_id[i - 1]) {
+    EXPECT_LE(merged[i - 1].class_id, merged[i].class_id) << "row " << i;
+    if (merged[i].class_id != merged[i - 1].class_id) {
       ++cross_ties;
-    } else if (merged.prompt_tokens[i] != merged.prompt_tokens[i - 1]) {
+    } else if (merged[i].prompt_tokens != merged[i - 1].prompt_tokens) {
       ++own_ties;
     }
   }
   EXPECT_GT(cross_ties, 10);
   EXPECT_GT(own_ties, 10);
-  EXPECT_LT(merged.arrival_s.back(), spec.duration_s);
+  EXPECT_LT(merged.back().arrival_s, spec.duration_s);
 }
 
 TEST(MultiClassWorkload, OneClassMixIsTheClasslessStream) {
@@ -283,16 +293,16 @@ TEST(MultiClassWorkload, OneClassMixIsTheClasslessStream) {
   one.arrival = classless.arrival;
   one.classes.push_back(MakeClass(classless.arrival_rate_per_s, classless.median_prompt_tokens,
                                   classless.median_output_tokens, 0.8, 0.8));
-  RequestSoA expected = GenerateWorkloadSoA(classless);
+  std::vector<Request> expected = GenerateWorkload(classless);
   // The whole window replays (share 1), and only the window is reserved:
   // 480 of the trace's 600 times fall before 40 s.
   ASSERT_EQ(expected.size(), 480u);
-  EXPECT_EQ(expected.arrival_s.capacity(), 480u);
-  ExpectSameColumns(GenerateMultiClassWorkloadSoA(one), expected);
+  EXPECT_EQ(expected.capacity(), 480u);
+  ExpectSameRequests(GenerateMultiClassWorkload(one), expected);
 
   classless.arrival = ArrivalProcess{};  // and under Poisson arrivals
   one.arrival = classless.arrival;
-  ExpectSameColumns(GenerateMultiClassWorkloadSoA(one), GenerateWorkloadSoA(classless));
+  ExpectSameRequests(GenerateMultiClassWorkload(one), GenerateWorkload(classless));
 }
 
 // --- simulator ---

@@ -142,7 +142,7 @@ ARCH_DOC=docs/architecture.md
 if [ -f src/serve/event_queue.h ]; then
   grep -q '^## Simulator core' "$ARCH_DOC" ||
     err "docs/architecture.md is missing the 'Simulator core' section"
-  for ident in CalendarEventQueue RequestSoA MergeServeShardMetrics \
+  for ident in CalendarEventQueue RequestStream MergeServeShardMetrics \
                ShardSubstreamSeed stream_ttft; do
     grep -rq "$ident" src/serve/*.h ||
       err "simulator-core identifier '$ident' vanished from src/serve — update check_docs.sh"
