@@ -29,6 +29,12 @@ namespace litegpu {
 
 namespace {
 
+// A study that cannot produce a report throws this; Runner::Run turns it
+// into an error report carrying exactly its message.
+struct StudyError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 RunReport ErrorReport(const Scenario& scenario, std::string message) {
   RunReport report;
   report.scenario_name = scenario.name;
@@ -789,10 +795,10 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
 
 // Runs the end-to-end serving simulation for the scenario's (model, GPU)
 // pair: search the best phase configurations, build the step-time table,
-// and simulate one point at the offered load. Fails (non-empty *error)
+// and simulate one point at the offered load. Fails (throws StudyError)
 // when no feasible configuration exists under the SLOs, or when the
 // horizon admits no request: an all-zero report would read as a result.
-ServeStudyReport RunServeStudy(const Scenario& s, std::string* error) {
+ServeStudyReport RunServeStudy(const Scenario& s) {
   ServeStudyReport out;
   out.model = s.ResolvedModels().front();
   out.gpu = s.ResolvedGpus().front();
@@ -800,8 +806,7 @@ ServeStudyReport RunServeStudy(const Scenario& s, std::string* error) {
 
   ServePlatform platform = BuildServePlatform(out.model, out.gpu, s.MakeSearchOptions());
   if (!platform.ok) {
-    *error = platform.error;
-    return out;
+    throw StudyError(platform.error);
   }
   out.searched = platform.searched;
 
@@ -830,7 +835,7 @@ ServeStudyReport RunServeStudy(const Scenario& s, std::string* error) {
     message << "the serve study admitted no requests: serve.horizon_s = " << s.serve.horizon_s
             << " s at " << offer.arrival_rate_per_s
             << " req/s; lengthen the horizon or raise the offered load";
-    *error = message.str();
+    throw StudyError(message.str());
   }
   return out;
 }
@@ -839,7 +844,7 @@ ServeStudyReport RunServeStudy(const Scenario& s, std::string* error) {
 // as an independent simulation fanned across the thread pool. The grid's
 // offers (seeds included) expand serially up front, and workers write only
 // their own point slot, so the report is bit-identical at any thread count.
-ServeSweepReport RunServeSweepStudy(const Scenario& s, std::string* error) {
+ServeSweepReport RunServeSweepStudy(const Scenario& s) {
   ServeSweepReport out;
   out.model = s.ResolvedModels().front();
   out.gpu = s.ResolvedGpus().front();
@@ -849,8 +854,7 @@ ServeSweepReport RunServeSweepStudy(const Scenario& s, std::string* error) {
 
   ServePlatform platform = BuildServePlatform(out.model, out.gpu, s.MakeSearchOptions());
   if (!platform.ok) {
-    *error = platform.error;
-    return out;
+    throw StudyError(platform.error);
   }
   out.searched = platform.searched;
 
@@ -1186,24 +1190,12 @@ RunReport RunValidated(const Scenario& s) {
     case StudyKind::kDerive:
       report.payload = RunDeriveStudy(s);
       break;
-    case StudyKind::kServe: {
-      std::string serve_error;
-      ServeStudyReport serve = RunServeStudy(s, &serve_error);
-      if (!serve_error.empty()) {
-        return ErrorReport(s, serve_error);
-      }
-      report.payload = std::move(serve);
+    case StudyKind::kServe:
+      report.payload = RunServeStudy(s);
       break;
-    }
-    case StudyKind::kServeSweep: {
-      std::string sweep_error;
-      ServeSweepReport sweep = RunServeSweepStudy(s, &sweep_error);
-      if (!sweep_error.empty()) {
-        return ErrorReport(s, sweep_error);
-      }
-      report.payload = std::move(sweep);
+    case StudyKind::kServeSweep:
+      report.payload = RunServeSweepStudy(s);
       break;
-    }
     case StudyKind::kFleetCompare:
       // Per-candidate failures become infeasible rows, not study errors —
       // one broken derivation must not hide the rest of the catalog.
@@ -1224,13 +1216,16 @@ RunReport Runner::Run(const Scenario& scenario) const {
   if (!problem.empty()) {
     return ErrorReport(s, problem);
   }
-  // A valid scenario can still ask for more memory than the host has (a
-  // huge serve horizon or load sizes the workload before any run starts),
-  // or for a container larger than the library can address
-  // (std::length_error). Any escaping exception becomes an error report
-  // that names it, never an abort.
+  // A study that cannot report throws StudyError with its message. A valid
+  // scenario can also ask for more memory than the host has (a huge serve
+  // horizon or load sizes the workload before any run starts), or for a
+  // container larger than the library can address (std::length_error). Any
+  // escaping exception becomes an error report that names it, never an
+  // abort.
   try {
     return RunValidated(s);
+  } catch (const StudyError& e) {
+    return ErrorReport(s, e.what());
   } catch (const std::bad_alloc&) {
     return ErrorReport(s, "ran out of memory: it needs more than this host can allocate; "
                           "shrink its horizon, load or pool sizes");
@@ -1262,7 +1257,7 @@ std::vector<RunReport> RunScenarios(const std::vector<Scenario>& scenarios,
 
 namespace {
 
-std::string SearchStudyToText(const SearchStudyReport& report) {
+std::string BodyText(const SearchStudyReport& report) {
   std::ostringstream os;
   for (const auto& pair : report.pairs) {
     os << pair.model << " on " << pair.gpu << ":\n";
@@ -1294,7 +1289,7 @@ std::string SearchStudyToText(const SearchStudyReport& report) {
   return os.str();
 }
 
-Json SearchStudyToJson(const SearchStudyReport& report) {
+Json BodyJson(const SearchStudyReport& report) {
   Json pairs = Json::Array();
   for (const auto& pair : report.pairs) {
     Json j = Json::Object();
@@ -1309,7 +1304,7 @@ Json SearchStudyToJson(const SearchStudyReport& report) {
   return j;
 }
 
-std::string DesignStudyToText(const DesignStudyReport& report) {
+std::string BodyText(const DesignStudyReport& report) {
   std::ostringstream os;
   for (const auto& per_model : report.per_model) {
     os << "=== " << per_model.model << " decode serving ===\n"
@@ -1318,7 +1313,7 @@ std::string DesignStudyToText(const DesignStudyReport& report) {
   return os.str();
 }
 
-Json DesignStudyToJson(const DesignStudyReport& report) {
+Json BodyJson(const DesignStudyReport& report) {
   Json models = Json::Array();
   for (const auto& per_model : report.per_model) {
     Json j = ClusterComparisonToJson(per_model.clusters);
@@ -1330,7 +1325,7 @@ Json DesignStudyToJson(const DesignStudyReport& report) {
   return j;
 }
 
-std::string McSimStudyToText(const McSimStudyReport& report) {
+std::string BodyText(const McSimStudyReport& report) {
   std::ostringstream os;
   os << "Monte-Carlo availability: " << report.gpu << ", "
      << report.knobs.num_instances << " instances x " << report.knobs.gpus_per_instance
@@ -1345,22 +1340,15 @@ std::string McSimStudyToText(const McSimStudyReport& report) {
   return os.str();
 }
 
-Json McSimStudyToJson(const McSimStudyReport& report) {
-  Json config = Json::Object();
-  config.Set("gpus_per_instance", report.knobs.gpus_per_instance)
-      .Set("num_instances", report.knobs.num_instances)
-      .Set("num_spares", report.knobs.num_spares)
-      .Set("sim_years", report.knobs.sim_years)
-      .Set("seed", report.knobs.seed)
-      .Set("num_trials", report.knobs.num_trials);
+Json BodyJson(const McSimStudyReport& report) {
   Json j = Json::Object();
   j.Set("gpu", report.gpu)
-      .Set("config", std::move(config))
+      .Set("config", McSimKnobsToJson(report.knobs))
       .Set("result", ToJson(report.result));
   return j;
 }
 
-std::string YieldStudyToText(const YieldStudyReport& report) {
+std::string BodyText(const YieldStudyReport& report) {
   const auto& k = report.knobs;
   Table table({"Model", "Yield(full)", "Yield(1/" + std::to_string(k.split) + ")", "Gain",
                "KGD cost ratio"});
@@ -1376,7 +1364,7 @@ std::string YieldStudyToText(const YieldStudyReport& report) {
   return os.str();
 }
 
-Json YieldStudyToJson(const YieldStudyReport& report) {
+Json BodyJson(const YieldStudyReport& report) {
   const auto& k = report.knobs;
   Json rows = Json::Array();
   for (const auto& row : report.rows) {
@@ -1677,7 +1665,7 @@ std::string SearchedToText(const ServeSearchedConfig& c, const std::string& pref
   return os.str();
 }
 
-std::string ServeStudyToText(const ServeStudyReport& r) {
+std::string BodyText(const ServeStudyReport& r) {
   std::ostringstream os;
   os << "Serving simulation: " << r.model << " on " << r.gpu << "\n"
      << SearchedToText(r.searched, " x " + std::to_string(r.prefill_instances) + " instances",
@@ -1710,7 +1698,7 @@ std::string ServeStudyToText(const ServeStudyReport& r) {
   return os.str();
 }
 
-Json ServeStudyToJson(const ServeStudyReport& r) {
+Json BodyJson(const ServeStudyReport& r) {
   Json config = Json::Object();
   config.Set("load", r.knobs.load).Set("arrival_rate_per_s", r.arrival_rate_per_s);
   WriteServeEcho(config, r.knobs);
@@ -1738,7 +1726,7 @@ Json ServeStudyToJson(const ServeStudyReport& r) {
   return j;
 }
 
-std::string ServeSweepToText(const ServeSweepReport& r) {
+std::string BodyText(const ServeSweepReport& r) {
   std::ostringstream os;
   os << "Serve sweep: " << r.model << " on " << r.gpu << " — " << r.points.size()
      << " load points over " << HumanTime(r.knobs.horizon_s) << " horizon\n"
@@ -1798,21 +1786,8 @@ std::string ServeSweepToText(const ServeSweepReport& r) {
   return os.str();
 }
 
-Json ServeSweepToJson(const ServeSweepReport& r) {
-  Json config = Json::Object();
-  for (const auto& [key, values] : {std::make_pair("loads", &r.knobs.loads),
-                                    std::make_pair("rates", &r.knobs.rates)}) {
-    if (!values->empty()) {
-      Json arr = Json::Array();
-      for (double value : *values) {
-        arr.Append(value);
-      }
-      config.Set(key, std::move(arr));
-    }
-  }
-  config.Set("load_lo", r.knobs.load_lo)
-      .Set("load_hi", r.knobs.load_hi)
-      .Set("load_step", r.knobs.load_step);
+Json BodyJson(const ServeSweepReport& r) {
+  Json config = ServeSweepGridToJson(r.knobs);
   WriteServeEcho(config, r.knobs);
   const ServeSearchedConfig& c = r.searched;
   Json decode = PhaseToJson(c.decode_tp, c.decode_batch, c.decode_capacity_tok_s);
@@ -1865,7 +1840,7 @@ Json ServeSweepToJson(const ServeSweepReport& r) {
   return j;
 }
 
-std::string FleetCompareToText(const FleetCompareReport& r) {
+std::string BodyText(const FleetCompareReport& r) {
   std::ostringstream os;
   os << "Fleet compare: " << r.model << " — " << r.candidates.size()
      << " candidates, " << r.knobs.GridPoints().size() << " load points over "
@@ -1908,7 +1883,7 @@ std::string FleetCompareToText(const FleetCompareReport& r) {
   return os.str();
 }
 
-Json FleetCompareToJson(const FleetCompareReport& r) {
+Json BodyJson(const FleetCompareReport& r) {
   Json candidates = Json::Array();
   for (const auto& c : r.candidates) {
     Json row = Json::Object();
@@ -1961,6 +1936,16 @@ Json FleetCompareToJson(const FleetCompareReport& r) {
   return j;
 }
 
+std::string BodyText(const Fig3StudyReport& r) { return Fig3ToText(r.entries, r.title); }
+Json BodyJson(const Fig3StudyReport& r) { return Fig3ToJson(r.entries, r.title); }
+
+std::string BodyText(const DeriveStudyReport& r) { return r.result.ToString() + "\n"; }
+Json BodyJson(const DeriveStudyReport& r) { return r.result.ToJson(); }
+
+// An ok report always holds its study's payload; no payload, no body.
+std::string BodyText(std::monostate) { return ""; }
+Json BodyJson(std::monostate) { return Json(); }
+
 }  // namespace
 
 std::string RunReport::ToText() const {
@@ -1972,38 +1957,7 @@ std::string RunReport::ToText() const {
     os << "error: " << error << "\n";
     return os.str();
   }
-  switch (study) {
-    case StudyKind::kSearch:
-      os << SearchStudyToText(std::get<SearchStudyReport>(payload));
-      break;
-    case StudyKind::kFig3a:
-    case StudyKind::kFig3b: {
-      const auto& fig3 = std::get<Fig3StudyReport>(payload);
-      os << Fig3ToText(fig3.entries, fig3.title);
-      break;
-    }
-    case StudyKind::kDesign:
-      os << DesignStudyToText(std::get<DesignStudyReport>(payload));
-      break;
-    case StudyKind::kMcSim:
-      os << McSimStudyToText(std::get<McSimStudyReport>(payload));
-      break;
-    case StudyKind::kYield:
-      os << YieldStudyToText(std::get<YieldStudyReport>(payload));
-      break;
-    case StudyKind::kDerive:
-      os << std::get<DeriveStudyReport>(payload).result.ToString() << "\n";
-      break;
-    case StudyKind::kServe:
-      os << ServeStudyToText(std::get<ServeStudyReport>(payload));
-      break;
-    case StudyKind::kServeSweep:
-      os << ServeSweepToText(std::get<ServeSweepReport>(payload));
-      break;
-    case StudyKind::kFleetCompare:
-      os << FleetCompareToText(std::get<FleetCompareReport>(payload));
-      break;
-  }
+  os << std::visit([](const auto& body) { return BodyText(body); }, payload);
   return os.str();
 }
 
@@ -2014,38 +1968,7 @@ Json RunReport::ToJson() const {
     j.Set("error", error);
     return j;
   }
-  switch (study) {
-    case StudyKind::kSearch:
-      j.Set("report", SearchStudyToJson(std::get<SearchStudyReport>(payload)));
-      break;
-    case StudyKind::kFig3a:
-    case StudyKind::kFig3b: {
-      const auto& fig3 = std::get<Fig3StudyReport>(payload);
-      j.Set("report", Fig3ToJson(fig3.entries, fig3.title));
-      break;
-    }
-    case StudyKind::kDesign:
-      j.Set("report", DesignStudyToJson(std::get<DesignStudyReport>(payload)));
-      break;
-    case StudyKind::kMcSim:
-      j.Set("report", McSimStudyToJson(std::get<McSimStudyReport>(payload)));
-      break;
-    case StudyKind::kYield:
-      j.Set("report", YieldStudyToJson(std::get<YieldStudyReport>(payload)));
-      break;
-    case StudyKind::kDerive:
-      j.Set("report", std::get<DeriveStudyReport>(payload).result.ToJson());
-      break;
-    case StudyKind::kServe:
-      j.Set("report", ServeStudyToJson(std::get<ServeStudyReport>(payload)));
-      break;
-    case StudyKind::kServeSweep:
-      j.Set("report", ServeSweepToJson(std::get<ServeSweepReport>(payload)));
-      break;
-    case StudyKind::kFleetCompare:
-      j.Set("report", FleetCompareToJson(std::get<FleetCompareReport>(payload)));
-      break;
-  }
+  j.Set("report", std::visit([](const auto& body) { return BodyJson(body); }, payload));
   return j;
 }
 

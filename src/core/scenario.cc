@@ -16,39 +16,96 @@
 
 namespace litegpu {
 
-std::string ToString(StudyKind kind) {
-  switch (kind) {
-    case StudyKind::kSearch:
-      return "search";
-    case StudyKind::kFig3a:
-      return "fig3a";
-    case StudyKind::kFig3b:
-      return "fig3b";
-    case StudyKind::kDesign:
-      return "design";
-    case StudyKind::kMcSim:
-      return "mcsim";
-    case StudyKind::kYield:
-      return "yield";
-    case StudyKind::kDerive:
-      return "derive";
-    case StudyKind::kServe:
-      return "serve";
-    case StudyKind::kServeSweep:
-      return "serve-sweep";
-    case StudyKind::kFleetCompare:
-      return "fleet-compare";
+namespace {
+
+// --- the study table ------------------------------------------------------
+
+// How a study treats the scenario's models or gpus list.
+enum class ListRule {
+  kSet,   // any number of names; an empty list means the study's canonical set
+  kOne,   // exactly one name; an empty list means the study's default
+  kNone,  // no list accepted
+};
+
+template <typename Specs>
+std::vector<std::string> NamesOf(const Specs& specs) {
+  std::vector<std::string> names;
+  for (const auto& spec : specs) {
+    names.push_back(spec.name);
   }
-  return "unknown";
+  return names;
+}
+
+std::vector<std::string> JustH100(const Scenario&) { return {H100().name}; }
+std::vector<std::string> Fig3aLineup(const Scenario&) {
+  return NamesOf(std::vector<GpuSpec>{H100(), Lite(), LiteNetBw(), LiteNetBwFlops()});
+}
+std::vector<std::string> Fig3bLineup(const Scenario&) {
+  return NamesOf(std::vector<GpuSpec>{H100(), Lite(), LiteMemBw(), LiteMemBwNetBw()});
+}
+std::vector<std::string> Table1Lineup(const Scenario&) { return NamesOf(Table1Configs()); }
+// The candidates carry their own base parts; the resolved list is the
+// distinct bases, so the generic unknown-GPU check covers them.
+std::vector<std::string> CandidateBases(const Scenario& s) {
+  std::vector<std::string> names;
+  for (const FleetCandidate& c : s.fleet.candidates) {
+    if (std::find(names.begin(), names.end(), c.gpu) == names.end()) {
+      names.push_back(c.gpu);
+    }
+  }
+  return names;
+}
+
+// One row per StudyKind, in enum order. An empty models list resolves by
+// its rule alone: the three case-study models for kSet, Llama3-70B for kOne
+// (the serving simulations run one model end to end), none for kNone.
+struct Study {
+  StudyKind kind;
+  std::string_view name;
+  bool perf_search;  // reads the workload block and runs the perf search
+  ListRule models;
+  ListRule gpus;
+  // What an empty gpus list resolves to; null for a study that reads no GPU.
+  std::vector<std::string> (*default_gpus)(const Scenario&);
+};
+
+constexpr Study kStudies[] = {
+    {StudyKind::kSearch, "search", true, ListRule::kSet, ListRule::kSet, JustH100},
+    {StudyKind::kFig3a, "fig3a", true, ListRule::kSet, ListRule::kSet, Fig3aLineup},
+    {StudyKind::kFig3b, "fig3b", true, ListRule::kSet, ListRule::kSet, Fig3bLineup},
+    {StudyKind::kDesign, "design", true, ListRule::kSet, ListRule::kSet, Table1Lineup},
+    {StudyKind::kMcSim, "mcsim", false, ListRule::kNone, ListRule::kOne, JustH100},
+    {StudyKind::kYield, "yield", false, ListRule::kNone, ListRule::kNone, nullptr},
+    {StudyKind::kDerive, "derive", false, ListRule::kNone, ListRule::kNone, nullptr},
+    {StudyKind::kServe, "serve", true, ListRule::kOne, ListRule::kOne, JustH100},
+    {StudyKind::kServeSweep, "serve-sweep", true, ListRule::kOne, ListRule::kOne, JustH100},
+    {StudyKind::kFleetCompare, "fleet-compare", true, ListRule::kOne, ListRule::kNone,
+     CandidateBases},
+};
+
+constexpr bool RowsInEnumOrder() {
+  for (size_t i = 0; i < std::size(kStudies); ++i) {
+    if (static_cast<size_t>(kStudies[i].kind) != i) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(RowsInEnumOrder(), "kStudies is indexed by StudyKind");
+
+const Study& StudyOf(StudyKind kind) { return kStudies[static_cast<size_t>(kind)]; }
+
+}  // namespace
+
+std::string ToString(StudyKind kind) {
+  return static_cast<size_t>(kind) < std::size(kStudies) ? std::string(StudyOf(kind).name)
+                                                         : "unknown";
 }
 
 std::optional<StudyKind> ParseStudyKind(const std::string& name) {
-  for (StudyKind kind : {StudyKind::kSearch, StudyKind::kFig3a, StudyKind::kFig3b,
-                         StudyKind::kDesign, StudyKind::kMcSim, StudyKind::kYield,
-                         StudyKind::kDerive, StudyKind::kServe, StudyKind::kServeSweep,
-                         StudyKind::kFleetCompare}) {
-    if (name == ToString(kind)) {
-      return kind;
+  for (const Study& study : kStudies) {
+    if (name == study.name) {
+      return study.kind;
     }
   }
   return std::nullopt;
@@ -430,13 +487,6 @@ decltype(auto) WithArrivalFields(ArrivalKind kind, Fn&& fn) {
   return fn(kPoissonFields);
 }
 
-bool UsesPerfSearch(StudyKind study) {
-  return study == StudyKind::kSearch || study == StudyKind::kFig3a ||
-         study == StudyKind::kFig3b || study == StudyKind::kDesign ||
-         study == StudyKind::kServe || study == StudyKind::kServeSweep ||
-         study == StudyKind::kFleetCompare;
-}
-
 }  // namespace
 
 std::string ToString(AutoscalerPolicy policy) {
@@ -644,6 +694,28 @@ std::string ValidateServeCommonKnobs(const ServeCommonKnobs& knobs,
   return ValidateRequestClasses(knobs.classes, where);
 }
 
+// The load-grid checks the sweep and fleet blocks share. `ranged` says no
+// explicit list is set, so load_lo:load_hi:load_step fixes the grid;
+// `lists` names the block's lists in the empty-grid hint.
+template <typename Knobs>
+std::string GridProblem(const std::string& where, const Knobs& knobs, bool ranged,
+                        const char* lists) {
+  if (ranged && knobs.load_step <= 0.0) {
+    return where + ".load_step must be positive";
+  }
+  std::vector<double> grid = knobs.GridPoints();
+  if (grid.empty()) {
+    return where + " grid is empty (check " + lists + " or load_lo:load_hi:load_step)";
+  }
+  for (double point : grid) {
+    // NaN fails both comparisons, so it is rejected here too.
+    if (!(point > 0.0) || !std::isfinite(point)) {
+      return where + " grid points must be positive and finite";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 std::vector<double> ServeSweepKnobs::GridPoints() const {
@@ -667,63 +739,23 @@ std::vector<std::string> Scenario::ResolvedModels() const {
   if (!models.empty()) {
     return models;
   }
-  switch (study) {
-    case StudyKind::kMcSim:
-    case StudyKind::kYield:
-    case StudyKind::kDerive:
-      return {};
-    case StudyKind::kServe:
-    case StudyKind::kServeSweep:
-    case StudyKind::kFleetCompare:
-      // The serving simulations run one model end-to-end.
+  switch (StudyOf(study).models) {
+    case ListRule::kSet:
+      return NamesOf(CaseStudyModels());
+    case ListRule::kOne:
       return {Llama3_70B().name};
-    default: {
-      std::vector<std::string> names;
-      for (const auto& m : CaseStudyModels()) {
-        names.push_back(m.name);
-      }
-      return names;
-    }
+    case ListRule::kNone:
+      break;
   }
+  return {};
 }
 
 std::vector<std::string> Scenario::ResolvedGpus() const {
   if (!gpus.empty()) {
     return gpus;
   }
-  switch (study) {
-    case StudyKind::kFig3a:
-      return {H100().name, Lite().name, LiteNetBw().name, LiteNetBwFlops().name};
-    case StudyKind::kFig3b:
-      return {H100().name, Lite().name, LiteMemBw().name, LiteMemBwNetBw().name};
-    case StudyKind::kDesign: {
-      std::vector<std::string> names;
-      for (const auto& g : Table1Configs()) {
-        names.push_back(g.name);
-      }
-      return names;
-    }
-    case StudyKind::kSearch:
-    case StudyKind::kMcSim:
-    case StudyKind::kServe:
-    case StudyKind::kServeSweep:
-      return {H100().name};
-    case StudyKind::kFleetCompare: {
-      // The candidates carry their own base parts; the resolved list is the
-      // distinct bases, so the generic unknown-GPU check covers them.
-      std::vector<std::string> names;
-      for (const FleetCandidate& c : fleet.candidates) {
-        if (std::find(names.begin(), names.end(), c.gpu) == names.end()) {
-          names.push_back(c.gpu);
-        }
-      }
-      return names;
-    }
-    case StudyKind::kYield:
-    case StudyKind::kDerive:
-      return {};
-  }
-  return {};
+  const Study& row = StudyOf(study);
+  return row.default_gpus != nullptr ? row.default_gpus(*this) : std::vector<std::string>{};
 }
 
 SearchOptions Scenario::MakeSearchOptions() const {
@@ -736,9 +768,11 @@ SearchOptions Scenario::MakeSearchOptions() const {
 }
 
 std::string Scenario::Validate() const {
+  const Study& row = StudyOf(study);
+  const std::string label = "study '" + std::string(row.name) + "'";
   const std::vector<std::string> resolved_models = ResolvedModels();
   const std::vector<std::string> resolved_gpus = ResolvedGpus();
-  if (UsesPerfSearch(study)) {
+  if (row.perf_search) {
     if (std::string problem = CheckFields(kWorkloadFields, workload, "workload");
         !problem.empty()) {
       return problem;
@@ -752,17 +786,10 @@ std::string Scenario::Validate() const {
       }
     }
   }
-  if (study == StudyKind::kYield || study == StudyKind::kDerive) {
-    // These studies read their own knob blocks; accepting models/gpus here
-    // would silently ignore them (derive targets derive.base_gpu).
-    if (!models.empty() || !gpus.empty()) {
-      return "study '" + litegpu::ToString(study) + "' does not take models/gpus lists";
-    }
-  } else {
+  if (row.default_gpus != nullptr) {
     if (resolved_gpus.empty()) {
-      return study == StudyKind::kFleetCompare
-                 ? "fleet.candidates must be non-empty"
-                 : "scenario needs at least one GPU";
+      // Only a study whose GPUs are its fleet candidates' parts resolves none.
+      return "fleet.candidates must be non-empty";
     }
     for (const std::string& name : resolved_gpus) {
       if (!FindGpu(name)) {
@@ -775,15 +802,30 @@ std::string Scenario::Validate() const {
       return "baseline_gpu '" + baseline_gpu + "' is not in the scenario's GPU list";
     }
   }
+  // The list rules, models first. A study that takes neither list reads its
+  // own knob block only; accepting models/gpus there would silently ignore
+  // them (derive targets derive.base_gpu).
+  if (row.models == ListRule::kNone && row.gpus == ListRule::kNone &&
+      (!models.empty() || !gpus.empty())) {
+    return label + " does not take models/gpus lists";
+  }
+  if (row.models == ListRule::kOne && resolved_models.size() != 1) {
+    return label + " simulates exactly one model (got " +
+           std::to_string(resolved_models.size()) + ")";
+  }
+  if (row.models == ListRule::kNone && !models.empty()) {
+    return label + " does not take a models list";  // mcsim: GPUs only
+  }
+  if (row.gpus == ListRule::kOne && resolved_gpus.size() != 1) {
+    return label + " simulates exactly one GPU type (got " +
+           std::to_string(resolved_gpus.size()) + ")";
+  }
+  if (row.gpus == ListRule::kNone && !gpus.empty()) {
+    // Past the check above, only fleet-compare takes no gpus list.
+    return label + " takes its GPUs from fleet.candidates (drop the gpus list)";
+  }
   switch (study) {
     case StudyKind::kMcSim:
-      if (!models.empty()) {
-        return "study 'mcsim' does not take a models list";
-      }
-      if (gpus.size() > 1) {
-        return "study 'mcsim' simulates exactly one GPU type (got " +
-               std::to_string(gpus.size()) + ")";
-      }
       return CheckFields(kMcSimFields, mcsim, "mcsim");
     case StudyKind::kYield:
       return CheckFields(kYieldFields, yield, "yield");
@@ -795,14 +837,6 @@ std::string Scenario::Validate() const {
     case StudyKind::kDesign:
       return CheckFields(kDesignFields, design, "design");
     case StudyKind::kServe:
-      if (resolved_models.size() != 1) {
-        return "study 'serve' simulates exactly one model (got " +
-               std::to_string(resolved_models.size()) + ")";
-      }
-      if (resolved_gpus.size() != 1) {
-        return "study 'serve' simulates exactly one GPU type (got " +
-               std::to_string(resolved_gpus.size()) + ")";
-      }
       if (std::string problem = CheckFields(kServeFields, serve, "serve"); !problem.empty()) {
         return problem;
       }
@@ -812,53 +846,28 @@ std::string Scenario::Validate() const {
         return "serve needs a positive load fraction or arrival_rate_per_s";
       }
       return ValidateServeCommonKnobs(serve, "serve");
-    case StudyKind::kServeSweep: {
-      if (resolved_models.size() != 1) {
-        return "study 'serve-sweep' simulates exactly one model (got " +
-               std::to_string(resolved_models.size()) + ")";
-      }
-      if (resolved_gpus.size() != 1) {
-        return "study 'serve-sweep' simulates exactly one GPU type (got " +
-               std::to_string(resolved_gpus.size()) + ")";
-      }
+    case StudyKind::kServeSweep:
       if (std::string problem = CheckFields(kServeSweepFields, sweep, "sweep");
           !problem.empty()) {
         return problem;
       }
-      if (sweep.loads.empty() && sweep.rates.empty() && sweep.load_step <= 0.0) {
-        return "sweep.load_step must be positive";
-      }
-      std::vector<double> grid = sweep.GridPoints();
-      if (grid.empty()) {
-        return "sweep grid is empty (check loads/rates or load_lo:load_hi:load_step)";
-      }
-      for (double point : grid) {
-        // NaN fails both comparisons, so it is rejected here too.
-        if (!(point > 0.0) || !std::isfinite(point)) {
-          return "sweep grid points must be positive and finite";
-        }
+      if (std::string problem = GridProblem(
+              "sweep", sweep, sweep.loads.empty() && sweep.rates.empty(), "loads/rates");
+          !problem.empty()) {
+        return problem;
       }
       if (sweep.arrival.kind == ArrivalKind::kTrace) {
         // The trace fixes the offered rate, so there is nothing to sweep.
         return "sweep.arrival.kind 'trace' is not supported (use study 'serve')";
       }
       return ValidateServeCommonKnobs(sweep, "sweep");
-    }
     case StudyKind::kFleetCompare: {
-      if (resolved_models.size() != 1) {
-        return "study 'fleet-compare' simulates exactly one model (got " +
-               std::to_string(resolved_models.size()) + ")";
-      }
-      if (!gpus.empty()) {
-        return "study 'fleet-compare' takes its GPUs from fleet.candidates "
-               "(drop the gpus list)";
-      }
       std::vector<std::string> seen;
       for (size_t i = 0; i < fleet.candidates.size(); ++i) {
         const FleetCandidate& c = fleet.candidates[i];
-        std::string label = "fleet.candidates[" + std::to_string(i) + "]";
+        std::string where = "fleet.candidates[" + std::to_string(i) + "]";
         if (c.name.empty()) {
-          return label + ".name must be non-empty";
+          return where + ".name must be non-empty";
         }
         if (std::find(seen.begin(), seen.end(), c.name) != seen.end()) {
           // Names seed the per-candidate RNG streams, so duplicates would
@@ -866,7 +875,7 @@ std::string Scenario::Validate() const {
           return "duplicate fleet candidate name '" + c.name + "'";
         }
         seen.push_back(c.name);
-        if (std::string problem = CheckFields(kFleetCandidateFields, c, label);
+        if (std::string problem = CheckFields(kFleetCandidateFields, c, where);
             !problem.empty()) {
           return problem;
         }
@@ -874,19 +883,7 @@ std::string Scenario::Validate() const {
       if (std::string problem = CheckFields(kFleetFields, fleet, "fleet"); !problem.empty()) {
         return problem;
       }
-      if (fleet.loads.empty() && fleet.load_step <= 0.0) {
-        return "fleet.load_step must be positive";
-      }
-      std::vector<double> grid = fleet.GridPoints();
-      if (grid.empty()) {
-        return "fleet grid is empty (check loads or load_lo:load_hi:load_step)";
-      }
-      for (double point : grid) {
-        if (!(point > 0.0) || !std::isfinite(point)) {
-          return "fleet grid points must be positive and finite";
-        }
-      }
-      return "";
+      return GridProblem("fleet", fleet, fleet.loads.empty(), "loads");
     }
     default:
       return "";
@@ -902,6 +899,12 @@ Json ArrivalProcessToJson(const ArrivalProcess& process) {
 
 Json AutoscalerKnobsToJson(const AutoscalerKnobs& knobs) {
   return FieldsToJson(kAutoscalerFields, knobs);
+}
+
+Json McSimKnobsToJson(const McSimKnobs& knobs) { return FieldsToJson(kMcSimFields, knobs); }
+
+Json ServeSweepGridToJson(const ServeSweepKnobs& knobs) {
+  return FieldsToJson(kServeSweepFields, knobs);
 }
 
 void WriteServeOptionalBlocks(Json& block, const ServeCommonKnobs& knobs) {
@@ -972,7 +975,7 @@ Json ScenarioToJson(const Scenario& s) {
       j.Set("design", FieldsToJson(kDesignFields, s.design));
       break;
     case StudyKind::kMcSim:
-      j.Set("mcsim", FieldsToJson(kMcSimFields, s.mcsim));
+      j.Set("mcsim", McSimKnobsToJson(s.mcsim));
       break;
     case StudyKind::kYield:
       j.Set("yield", FieldsToJson(kYieldFields, s.yield));
@@ -1148,9 +1151,11 @@ std::optional<Scenario> ScenarioFromJson(const Json& json, std::string* error) {
   }
   auto study = ParseStudyKind(study_name);
   if (!study) {
-    Fail(error, "unknown study '" + study_name +
-                    "' (expected search|fig3a|fig3b|design|mcsim|yield|derive|serve|"
-                    "serve-sweep|fleet-compare)");
+    std::string expected;
+    for (const Study& row : kStudies) {
+      expected += (expected.empty() ? "" : "|") + std::string(row.name);
+    }
+    Fail(error, "unknown study '" + study_name + "' (expected " + expected + ")");
     return std::nullopt;
   }
   Scenario s;

@@ -69,6 +69,10 @@ struct McSimKnobs {
   int num_trials = 1;
 };
 
+// The mcsim block in the scenario file's keys; the mcsim report's config
+// echo is the same object.
+Json McSimKnobsToJson(const McSimKnobs& knobs);
+
 // Knobs only the yield study reads.
 struct YieldKnobs {
   double defect_density_per_cm2 = 0.1;
@@ -326,6 +330,11 @@ struct ServeSweepKnobs : ServeCommonKnobs {
   // The expanded grid: rates, else loads, else lo..hi inclusive by step.
   std::vector<double> GridPoints() const;
 };
+
+// The sweep block's grid keys (`loads` and `rates` only when non-empty,
+// then `load_lo`, `load_hi`, `load_step`): the scenario file writes them
+// first, and the serve-sweep report's config echo opens with them.
+Json ServeSweepGridToJson(const ServeSweepKnobs& knobs);
 
 // Writes the optional nested blocks of a serve/sweep block, in this order:
 // `arrival` unless it is stationary Poisson, `autoscaler` when a policy is

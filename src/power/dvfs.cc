@@ -11,10 +11,6 @@ double PowerAtFrequency(const DvfsModel& model, double frequency_scale) {
   return model.nominal_power_watts * (model.static_fraction + dynamic);
 }
 
-double ThroughputAtFrequency(double nominal_throughput, double frequency_scale) {
-  return nominal_throughput * frequency_scale;
-}
-
 double FrequencyForLoad(const DvfsModel& model, double load_fraction) {
   return std::clamp(load_fraction, model.min_frequency_scale, model.max_frequency_scale);
 }

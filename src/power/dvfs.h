@@ -25,9 +25,6 @@ struct DvfsModel {
 //   P = P_nom * (static + (1-static) * f^exponent)
 double PowerAtFrequency(const DvfsModel& model, double frequency_scale);
 
-// Throughput is ~linear in frequency for compute-bound phases.
-double ThroughputAtFrequency(double nominal_throughput, double frequency_scale);
-
 // Frequency scale that serves `load_fraction` of nominal throughput
 // (clamped to the model range; load 0 returns min frequency).
 double FrequencyForLoad(const DvfsModel& model, double load_fraction);

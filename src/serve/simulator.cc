@@ -58,6 +58,12 @@ namespace litegpu {
 
 namespace {
 
+// Histogram range for streamed TTFT, [0, 60 s): samples at or above land in
+// the overflow bucket (count/mean/max stay exact; quantiles there report
+// the max). One range for every run, so shard histograms always share bins
+// and merge exactly.
+constexpr double kTtftHistHiS = 60.0;
+
 // Instance status bits, one byte per instance — the only state the
 // scheduling scans read. An instance takes new work iff its byte is 0
 // (prefill) / has none of kStepping|kDown|kInactive set (decode).
@@ -611,7 +617,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
 
   if (stream_ttft) {
     metrics.ttft_streamed = true;
-    metrics.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
+    metrics.ttft_hist = LatencyHistogram(kTtftHistHiS);
   }
 
   // --- autoscaler state (dormant unless cfg.enabled) ---
@@ -721,7 +727,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     metrics.per_class.resize(ncls);
     if (stream_ttft) {
       for (ServeClassMetrics& pc : metrics.per_class) {
-        pc.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
+        pc.ttft_hist = LatencyHistogram(kTtftHistHiS);
       }
     }
   }
@@ -1736,13 +1742,13 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
   }
   merged.ttft_streamed = shards.front().ttft_streamed;
   if (merged.ttft_streamed) {
-    merged.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
+    merged.ttft_hist = LatencyHistogram(kTtftHistHiS);
   }
   if (config.num_classes > 0) {
     merged.per_class.resize(static_cast<size_t>(config.num_classes));
     if (merged.ttft_streamed) {
       for (ServeClassMetrics& pc : merged.per_class) {
-        pc.ttft_hist = LatencyHistogram(config.ttft_hist_hi_s);
+        pc.ttft_hist = LatencyHistogram(kTtftHistHiS);
       }
     }
   }

@@ -115,11 +115,6 @@ struct ServeClusterConfig {
   // shard anyway) and callers may opt in for million-request horizons.
   // This is an internal execution knob, not a scenario field.
   bool stream_ttft = false;
-  // Histogram range for streamed TTFT, [0, hi): samples at or above land
-  // in the overflow bucket (count/mean/max stay exact; quantiles there
-  // report the max). Sharded runs must all use the FULL horizon's value so
-  // shard histograms share bins and merge exactly.
-  double ttft_hist_hi_s = 60.0;
 };
 
 // Per-class slice of a multi-tenant simulation. TTFT keeps exact samples
@@ -257,11 +252,11 @@ ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
 // thread count. Counts, token totals, and busy-time integrals sum;
 // makespan is the summed sub-horizon makespan; rates and utilizations are
 // recomputed as ratios of the summed aggregates; TTFT/TBT histograms merge
-// bin-wise (every shard must use the same histogram configuration — the
-// Runner arms them all with the full horizon's range). Shards must be
-// single-pool-shape runs: the Runner's validation rejects shards with the
-// autoscaler, faults, or time-inhomogeneous arrivals, so scale/fault event
-// logs are empty by construction.
+// bin-wise (every streamed TTFT histogram spans the same fixed range, so
+// shards always share bins). Shards must be single-pool-shape runs: the
+// Runner's validation rejects shards with the autoscaler, faults, or
+// time-inhomogeneous arrivals, so scale/fault event logs are empty by
+// construction.
 ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
                                     const std::vector<ServeMetrics>& shards);
 

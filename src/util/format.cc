@@ -45,11 +45,6 @@ std::string FormatDouble(double value, int digits) {
   return result;
 }
 
-std::string HumanCount(double value, int digits) {
-  static const char* kPrefixes[] = {"", "K", "M", "B", "T", "Q"};
-  return ScaleWithPrefixes(value, kPrefixes, 6, "", digits);
-}
-
 std::string HumanBytes(double bytes, int digits) {
   static const char* kPrefixes[] = {"", "K", "M", "G", "T", "P", "E"};
   return ScaleWithPrefixes(bytes, kPrefixes, 7, "B", digits);

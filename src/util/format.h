@@ -10,9 +10,6 @@ namespace litegpu {
 // like "-0.00". Examples: FormatDouble(3.14159, 2) == "3.14".
 std::string FormatDouble(double value, int digits = 2);
 
-// 1234567 -> "1.23 M", 2.5e12 -> "2.50 T". Uses decimal SI prefixes.
-std::string HumanCount(double value, int digits = 2);
-
 // Bytes with decimal prefixes: 3.352e12 -> "3.35 TB".
 std::string HumanBytes(double bytes, int digits = 2);
 

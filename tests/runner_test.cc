@@ -221,6 +221,40 @@ TEST(Runner, OutOfMemoryComesBackAsErrorReport) {
   EXPECT_TRUE(std::holds_alternative<std::monostate>(report.payload));
 }
 
+TEST(Runner, ConfigEchoesReadBackAsTheScenarioKnobs) {
+  // The mcsim and serve-sweep reports echo their knob blocks under the
+  // scenario file's own keys, so a report's config fed back in as the
+  // study's block is the scenario that produced it.
+  McSimKnobs mcsim;
+  mcsim.num_instances = 3;
+  mcsim.num_spares = 1;
+  mcsim.sim_years = 2.0;
+  mcsim.seed = 99;
+  mcsim.num_trials = 2;
+  ServeSweepKnobs sweep;
+  sweep.loads = {0.3, 0.6};
+  sweep.load_step = 0.25;
+  sweep.horizon_s = 5.0;
+  sweep.prompt_sigma = 0.2;
+  sweep.seed = 42;
+  const std::pair<Scenario, const char*> studies[] = {
+      {*ScenarioBuilder(StudyKind::kMcSim).McSim(mcsim).Build(), "mcsim"},
+      {*ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(sweep).Build(), "sweep"}};
+  for (const auto& [scenario, block] : studies) {
+    RunReport report = Runner().Run(scenario);
+    ASSERT_TRUE(report.ok) << report.error;
+    const Json json = report.ToJson();
+    const Json* config = json.Find("report")->Find("config");
+    ASSERT_NE(config, nullptr) << block;
+    Json file = Json::Object();
+    file.Set("study", ToString(scenario.study)).Set(block, *config);
+    std::string error;
+    std::optional<Scenario> back = ScenarioFromJson(file, &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_TRUE(*back == scenario) << ScenarioToJson(*back).Dump();
+  }
+}
+
 TEST(ExecPolicy, EffectiveThreadsIsTheEmbeddedPolicy) {
   // The PR-2 deprecated `threads` alias fields are gone: the embedded
   // ExecPolicy is the only knob, and EffectiveThreads resolves it directly.

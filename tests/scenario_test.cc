@@ -524,6 +524,74 @@ TEST(Scenario, FleetBlockOnlySerializesForFleetStudies) {
     Json j = ScenarioToJson(*ScenarioBuilder(kind).Build());
     EXPECT_EQ(j.Dump().find("fleet"), std::string::npos) << ToString(kind);
   }
+  // More generally, every study writes its own knob block and no other
+  // (search and the Figure-3 studies have none).
+  const std::pair<StudyKind, std::string> own_blocks[] = {
+      {StudyKind::kSearch, ""},           {StudyKind::kFig3a, ""},
+      {StudyKind::kFig3b, ""},            {StudyKind::kDesign, "design"},
+      {StudyKind::kMcSim, "mcsim"},       {StudyKind::kYield, "yield"},
+      {StudyKind::kDerive, "derive"},     {StudyKind::kServe, "serve"},
+      {StudyKind::kServeSweep, "sweep"},  {StudyKind::kFleetCompare, "fleet"}};
+  for (const auto& [kind, own] : own_blocks) {
+    Json j = ScenarioToJson(ScenarioBuilder(kind).Peek());
+    for (const char* block : {"design", "mcsim", "yield", "derive", "serve", "sweep", "fleet"}) {
+      EXPECT_EQ(j.Find(block) != nullptr, own == block) << ToString(kind) << ": " << block;
+    }
+  }
+}
+
+TEST(Scenario, EveryStudyKeepsItsModelAndGpuListMessages) {
+  // What each study says to a two-model and to a two-GPU list ("" = it
+  // accepts the list). The fleet study gets a one-candidate catalog so its
+  // list rules, not the empty-catalog check, answer.
+  struct Case {
+    StudyKind kind;
+    std::string two_models;
+    std::string two_gpus;
+  };
+  const Case cases[] = {
+      {StudyKind::kSearch, "", ""},
+      {StudyKind::kFig3a, "", ""},
+      {StudyKind::kFig3b, "", ""},
+      {StudyKind::kDesign, "", ""},
+      {StudyKind::kMcSim, "study 'mcsim' does not take a models list",
+       "study 'mcsim' simulates exactly one GPU type (got 2)"},
+      {StudyKind::kYield, "study 'yield' does not take models/gpus lists",
+       "study 'yield' does not take models/gpus lists"},
+      {StudyKind::kDerive, "study 'derive' does not take models/gpus lists",
+       "study 'derive' does not take models/gpus lists"},
+      {StudyKind::kServe, "study 'serve' simulates exactly one model (got 2)",
+       "study 'serve' simulates exactly one GPU type (got 2)"},
+      {StudyKind::kServeSweep, "study 'serve-sweep' simulates exactly one model (got 2)",
+       "study 'serve-sweep' simulates exactly one GPU type (got 2)"},
+      {StudyKind::kFleetCompare, "study 'fleet-compare' simulates exactly one model (got 2)",
+       "study 'fleet-compare' takes its GPUs from fleet.candidates (drop the gpus list)"},
+  };
+  FleetKnobs fleet;
+  fleet.candidates.resize(1);
+  fleet.candidates[0].name = "only";
+  for (const Case& c : cases) {
+    ScenarioBuilder two_models(c.kind);
+    two_models.Fleet(fleet).Model("Llama3-8B").Model("Llama3-70B");
+    ScenarioBuilder two_gpus(c.kind);
+    two_gpus.Fleet(fleet).Gpu("H100").Gpu("Lite");
+    EXPECT_EQ(two_models.Peek().Validate(), c.two_models) << ToString(c.kind);
+    EXPECT_EQ(two_gpus.Peek().Validate(), c.two_gpus) << ToString(c.kind);
+  }
+}
+
+TEST(Scenario, UnknownStudyErrorNamesEverySpelling) {
+  std::string error;
+  EXPECT_FALSE(ScenarioFromJson(*Json::Parse(R"({"study": "fig4"})"), &error).has_value());
+  EXPECT_EQ(error,
+            "unknown study 'fig4' (expected search|fig3a|fig3b|design|mcsim|yield|derive|"
+            "serve|serve-sweep|fleet-compare)");
+  for (StudyKind kind : {StudyKind::kSearch, StudyKind::kFig3a, StudyKind::kFig3b,
+                         StudyKind::kDesign, StudyKind::kMcSim, StudyKind::kYield,
+                         StudyKind::kDerive, StudyKind::kServe, StudyKind::kServeSweep,
+                         StudyKind::kFleetCompare}) {
+    EXPECT_NE(error.find(ToString(kind)), std::string::npos) << ToString(kind);
+  }
 }
 
 TEST(Scenario, FleetValidationRejectsBadCatalogs) {

@@ -40,7 +40,6 @@ ServeMetrics RunShard(double horizon_s, uint64_t seed) {
   config.decode_instances = 2;
   config.horizon_s = horizon_s;
   config.stream_ttft = true;  // shard mode always streams TTFT
-  config.ttft_hist_hi_s = 60.0;
   return RunServeSimulation(GenerateWorkload(spec), config, ConstantTable());
 }
 

@@ -10,8 +10,8 @@
 #      backticks in docs/reports.md.
 #   5. docs/architecture.md's "Simulator core" section must track the fast
 #      core: while src/serve/event_queue.h exists, the calendar queue, the
-#      SoA request layout, and the shard merge/substream entry points must
-#      all be documented there.
+#      request stream (RequestStream), and the shard merge/substream entry
+#      points must all be documented there.
 #
 # Grep-based on purpose: no build needed, runs in milliseconds. Scenario
 # knob keys are checked by scenario_test instead, which walks the knob
@@ -44,17 +44,18 @@ for f in examples/scenarios/*.json; do
 done
 
 # --- every study kind is documented in both references ---
-# The kind names come from ToString(StudyKind) in src/core/scenario.cc, so
-# adding a StudyKind without documenting it fails here automatically.
+# The kind names come from the study table (kStudies) in
+# src/core/scenario.cc, one `{StudyKind::k..., "<name>", ...}` row per kind,
+# so adding a StudyKind without documenting it fails here automatically.
 kinds=$(awk '
-  /^std::string ToString\(StudyKind kind\)/ { c = 1 }
-  c && /return "/ {
+  /^constexpr Study kStudies\[\] = \{/ { c = 1; next }
+  c && /^\};/ { c = 0 }
+  c && /\{StudyKind::k[A-Za-z0-9]*, "/ {
     line = $0
-    sub(/.*return "/, "", line)
+    sub(/.*\{StudyKind::k[A-Za-z0-9]*, "/, "", line)
     sub(/".*/, "", line)
-    if (line != "unknown") print line
+    print line
   }
-  c && /^}/ { c = 0 }
 ' src/core/scenario.cc)
 [ -n "$kinds" ] || err "could not extract study kinds from src/core/scenario.cc"
 for kind in $kinds; do

@@ -6,9 +6,11 @@
 # Runs every examples/scenarios/*.json and litebench/workloads/*.json (read
 # only, at the files' own seeds) through `litegpu run <file>` with each
 # binary, in both renderings (text, and `--json`), once at `--threads 1`
-# and once at the default thread count, and compares stdout and exit
-# status byte for byte. Prints one `identical` or `DIFF` line per run and
-# exits 1 if any run differs (2 on bad usage). A change that claims to
+# and once at the default thread count. Then runs each flag-built
+# subcommand (search, fig3a, fig3b, design, serve, sweep, mcsim, yield,
+# derive, list) at its defaults, in both renderings. Compares stdout and
+# exit status byte for byte, prints one `identical` or `DIFF` line per run
+# and exits 1 if any run differs (2 on bad usage). A change that claims to
 # leave every report unchanged should pass it against the parent commit's
 # build.
 
@@ -27,6 +29,23 @@ trap 'rm -rf "$tmp"' EXIT
 
 diffs=0
 runs=0
+# compare <label> <litegpu args...>
+compare() {
+  local label=$1
+  shift
+  "$parent" "$@" > "$tmp/parent.out" 2> /dev/null
+  local parent_rc=$?
+  "$change" "$@" > "$tmp/change.out" 2> /dev/null
+  local change_rc=$?
+  runs=$((runs + 1))
+  if [ "$parent_rc" -eq "$change_rc" ] && cmp -s "$tmp/parent.out" "$tmp/change.out"; then
+    echo "identical $label (exit $change_rc)"
+  else
+    echo "DIFF      $label (exit $parent_rc -> $change_rc)"
+    diffs=$((diffs + 1))
+  fi
+}
+
 for scenario in examples/scenarios/*.json litebench/workloads/*.json; do
   for format in json text; do
     for threads in 1 default; do
@@ -37,20 +56,14 @@ for scenario in examples/scenarios/*.json litebench/workloads/*.json; do
       if [ "$threads" != default ]; then
         flags+=(--threads "$threads")
       fi
-      "$parent" run "$scenario" "${flags[@]}" > "$tmp/parent.out" 2> /dev/null
-      parent_rc=$?
-      "$change" run "$scenario" "${flags[@]}" > "$tmp/change.out" 2> /dev/null
-      change_rc=$?
-      runs=$((runs + 1))
-      label="$scenario $format threads=$threads"
-      if [ "$parent_rc" -eq "$change_rc" ] && cmp -s "$tmp/parent.out" "$tmp/change.out"; then
-        echo "identical $label (exit $change_rc)"
-      else
-        echo "DIFF      $label (exit $parent_rc -> $change_rc)"
-        diffs=$((diffs + 1))
-      fi
+      compare "$scenario $format threads=$threads" run "$scenario" "${flags[@]}"
     done
   done
+done
+
+for cmd in search fig3a fig3b design serve sweep mcsim yield derive list; do
+  compare "$cmd json" "$cmd" --json
+  compare "$cmd text" "$cmd"
 done
 
 echo "$diffs of $runs runs differ"
