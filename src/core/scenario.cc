@@ -158,7 +158,8 @@ bool TypeError(std::string_view key, const std::string& where, const char* expec
 }
 
 // Strict readers for one value, by member type. Integer rows take only
-// integral numbers that fit (8.0 and 1e3 parse; 2.6 and 2^32 + 1 do not).
+// integral numbers that fit (8.0 and 1e3 parse; 2.6 and 2^32 + 1 do not);
+// a uint64 row reads a digits-only value exactly, above 2^53 too.
 bool ReadValue(const Json& v, std::string_view key, const std::string& where, double& out,
                std::string* error) {
   if (v.type() != Json::Type::kNumber) {
@@ -188,10 +189,10 @@ bool ReadValue(const Json& v, std::string_view key, const std::string& where, ui
   if (v.type() != Json::Type::kNumber) {
     return TypeError(key, where, "a number", error);
   }
-  if (std::trunc(d) != d || d < 0.0 || d >= 0x1p64) {
+  if (!v.is_uint64() && (std::trunc(d) != d || d < 0.0 || d >= 0x1p64)) {
     return TypeError(key, where, "an integer in [0, 2^64)", error);
   }
-  out = static_cast<uint64_t>(d);
+  out = v.AsUint64();
   return true;
 }
 
@@ -536,6 +537,11 @@ ClassMixSummary SummarizeClassMix(const std::vector<RequestClass>& classes) {
   return mix;
 }
 
+namespace {
+
+// The first problem of a class mix ("" when it is valid, possibly empty =
+// single-class mode): empty/duplicate names, non-positive or non-finite
+// weights, non-positive lengths, negative sigmas or SLOs.
 std::string ValidateRequestClasses(const std::vector<RequestClass>& classes,
                                    const std::string& where) {
   for (size_t i = 0; i < classes.size(); ++i) {
@@ -559,6 +565,8 @@ std::string ValidateRequestClasses(const std::vector<RequestClass>& classes,
   return "";
 }
 
+// The first reason the arrival process cannot be generated: an empty or
+// negative diurnal curve, non-positive phase means, unsorted trace times, ...
 std::string ValidateArrivalProcess(const ArrivalProcess& process, const std::string& where) {
   if (std::string problem = WithArrivalFields(
           process.kind,
@@ -594,6 +602,8 @@ std::string ValidateArrivalProcess(const ArrivalProcess& process, const std::str
   return "";
 }
 
+// The first problem of an enabled autoscaler block: a non-positive
+// interval, a negative delay, inverted bounds or thresholds.
 std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::string& where) {
   if (!knobs.enabled()) {
     return "";
@@ -610,6 +620,8 @@ std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::str
   }
   return "";
 }
+
+}  // namespace
 
 std::string ValidateFaultKnobs(const FaultKnobs& knobs, const std::string& where) {
   // Validated even at afr 0: a disabled block with a nonsense MTTR is a
@@ -1041,11 +1053,6 @@ bool ReadAutoscaler(const Json& obj, const std::string& where, AutoscalerKnobs& 
   return ReadBlock(obj, where, kAutoscalerFields, out, error);
 }
 
-bool ReadFaults(const Json& obj, const std::string& where, FaultKnobs& out,
-                std::string* error) {
-  return ReadBlock(obj, where, kFaultFields, out, error);
-}
-
 // The one strict reader for the serve and sweep blocks. Absent keys keep
 // their defaults (stationary Poisson, no autoscaler, no faults).
 template <typename Table>
@@ -1069,7 +1076,8 @@ bool ReadServeBlock(const Json& obj, const std::string& where, const Table& own,
           ReadArrival(*arrival, where + ".arrival", out.arrival, error)) &&
          (autoscaler == nullptr ||
           ReadAutoscaler(*autoscaler, where + ".autoscaler", out.autoscaler, error)) &&
-         (faults == nullptr || ReadFaults(*faults, where + ".faults", out.faults, error)) &&
+         (faults == nullptr ||
+          ReadBlock(*faults, where + ".faults", kFaultFields, out.faults, error)) &&
          (classes == nullptr ||
           ReadBlockList(*classes, where, "classes", kRequestClassFields, out.classes, error));
 }
@@ -1104,27 +1112,6 @@ bool ReadNames(const Json& obj, const std::string& key, std::vector<std::string>
     out.push_back(e.AsString());
   }
   return true;
-}
-
-// A standalone block file (the --arrival/--autoscaler/--faults flags): the
-// block object itself, or {"<block>": {...}}.
-template <typename T, typename Read>
-std::optional<T> ParseBlockFile(const Json& json, const char* block, Read read,
-                                std::string* error) {
-  const std::string where = std::string(block) + " file";
-  const Json* obj = &json;
-  if (json.is_object() && json.Find(block) != nullptr) {
-    const std::string_view wrapper[] = {block};
-    if (!CheckKeys(json, where, error, wrapper)) {
-      return std::nullopt;
-    }
-    obj = json.Find(block);
-  }
-  T out;
-  if (!read(*obj, where, out, error)) {
-    return std::nullopt;
-  }
-  return out;
 }
 
 }  // namespace
@@ -1184,42 +1171,6 @@ std::optional<Scenario> ScenarioFromJson(const Json& json, std::string* error) {
     return std::nullopt;
   }
   return s;
-}
-
-std::optional<std::vector<RequestClass>> ParseRequestClasses(const Json& json,
-                                                             std::string* error) {
-  std::vector<RequestClass> classes;
-  const Json* arr = &json;
-  if (json.is_object()) {
-    const std::string_view wrapper[] = {"classes"};
-    if (!CheckKeys(json, "class mix", error, wrapper)) {
-      return std::nullopt;
-    }
-    arr = json.Find("classes");
-    if (arr == nullptr || !arr->is_array()) {
-      Fail(error, "class mix needs a 'classes' array");
-      return std::nullopt;
-    }
-  } else if (!json.is_array()) {
-    Fail(error, "class mix must be a JSON array or {\"classes\": [...]}");
-    return std::nullopt;
-  }
-  if (!ReadBlockList(*arr, "classes", "classes", kRequestClassFields, classes, error)) {
-    return std::nullopt;
-  }
-  return classes;
-}
-
-std::optional<ArrivalProcess> ParseArrivalProcess(const Json& json, std::string* error) {
-  return ParseBlockFile<ArrivalProcess>(json, "arrival", ReadArrival, error);
-}
-
-std::optional<AutoscalerKnobs> ParseAutoscalerKnobs(const Json& json, std::string* error) {
-  return ParseBlockFile<AutoscalerKnobs>(json, "autoscaler", ReadAutoscaler, error);
-}
-
-std::optional<FaultKnobs> ParseFaultKnobs(const Json& json, std::string* error) {
-  return ParseBlockFile<FaultKnobs>(json, "faults", ReadFaults, error);
 }
 
 bool operator==(const Scenario& a, const Scenario& b) {
@@ -1291,6 +1242,14 @@ std::optional<std::vector<Scenario>> LoadScenarioFile(const std::string& path,
     return std::nullopt;
   }
   return ScenariosFromJson(*json, error);
+}
+
+std::optional<ExecPolicy> ExecPolicyFromJson(const Json& json, std::string* error) {
+  ExecPolicy exec;
+  if (!ReadBlock(json, "exec", kExecFields, exec, error)) {
+    return std::nullopt;
+  }
+  return exec;
 }
 
 // --- builder ----------------------------------------------------------------

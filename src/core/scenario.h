@@ -119,20 +119,6 @@ struct ClassMixSummary {
 };
 ClassMixSummary SummarizeClassMix(const std::vector<RequestClass>& classes);
 
-// Returns "" when `classes` is a valid mix (possibly empty = single-class
-// mode), else the first problem: empty/duplicate names, non-positive or
-// non-finite weights, non-positive lengths, negative sigmas or SLOs.
-// `where` names the owning JSON block in the message ("serve"/"sweep").
-std::string ValidateRequestClasses(const std::vector<RequestClass>& classes,
-                                   const std::string& where);
-
-// Parses a standalone class mix: a JSON array of class objects, or
-// {"classes": [...]}. Same strict key/type checking as scenario files.
-// Backs `litegpu serve/sweep --classes <file>`; structural validity only —
-// run ValidateRequestClasses (or Scenario::Validate) on the result.
-std::optional<std::vector<RequestClass>> ParseRequestClasses(const Json& json,
-                                                             std::string* error = nullptr);
-
 // Autoscaler policy for the serve studies. kNone keeps the fixed pools;
 // kReactive scales on observed queue backlog and pool utilization;
 // kPredictive forecasts per-class demand from recent arrivals and sizes
@@ -175,31 +161,9 @@ struct AutoscalerKnobs {
   bool enabled() const { return policy != AutoscalerPolicy::kNone; }
 };
 
-// Returns "" when the autoscaler block is usable, else the first problem
-// (non-positive interval, negative delay, inverted bounds or thresholds).
-// `where` labels the block in messages ("serve.autoscaler" from scenario
-// validation, "autoscaler file" from the CLI flag).
-std::string ValidateAutoscalerKnobs(const AutoscalerKnobs& knobs, const std::string& where);
-
-// Returns "" when the arrival process is generatable, else the first
-// problem (empty or negative diurnal curve, non-positive phase means,
-// unsorted trace times, ...). `where` as above ("serve.arrival"/"arrival
-// file").
-std::string ValidateArrivalProcess(const ArrivalProcess& process, const std::string& where);
-
-// Parses a standalone arrival block — the tagged-union object itself, or
-// {"arrival": {...}} — with the same strict key/type checks as scenario
-// files (unknown `kind` values get a did-you-mean hint). Backs `litegpu
-// serve/sweep --arrival <file>`; run ValidateArrivalProcess on the result.
-std::optional<ArrivalProcess> ParseArrivalProcess(const Json& json,
-                                                  std::string* error = nullptr);
-// The inverse; scenario files and report config echoes share it.
+// The arrival and autoscaler blocks in the scenario file's keys; scenario
+// files and report config echoes share them.
 Json ArrivalProcessToJson(const ArrivalProcess& process);
-
-// Standalone autoscaler block: the object itself or {"autoscaler": {...}}.
-// Backs `litegpu serve/sweep --autoscaler <file>`.
-std::optional<AutoscalerKnobs> ParseAutoscalerKnobs(const Json& json,
-                                                    std::string* error = nullptr);
 Json AutoscalerKnobsToJson(const AutoscalerKnobs& knobs);
 
 // Fault-injection knobs for the serve studies (src/serve/faults.h). `afr`
@@ -243,12 +207,8 @@ struct FaultKnobs {
 
 // Returns "" when the faults block is usable, else the first problem
 // (negative rates/delays, bad attainment percentile, ...). `where` labels
-// the block in messages ("serve.faults" / "faults file").
+// the block in messages ("serve.faults").
 std::string ValidateFaultKnobs(const FaultKnobs& knobs, const std::string& where);
-
-// Standalone faults block: the object itself or {"faults": {...}}. Backs
-// `litegpu serve/sweep --faults <file>`.
-std::optional<FaultKnobs> ParseFaultKnobs(const Json& json, std::string* error = nullptr);
 
 // The per-point simulation shape shared by the serve and serve-sweep
 // studies — declared once so knobs like the arrival process and the
@@ -340,8 +300,12 @@ Json ServeSweepGridToJson(const ServeSweepKnobs& knobs);
 // `arrival` unless it is stationary Poisson, `autoscaler` when a policy is
 // set, `faults` when any field moved off its default, and `classes` when
 // the mix is non-empty. Scenario files and the serve/sweep report config
-// echoes share it, so a report's config can be fed back in as a scenario
-// and fault-free fixed-pool Poisson output stays byte-identical.
+// echoes share it, so these nested blocks of a report's config read back
+// as the scenario's, and fault-free fixed-pool Poisson output stays
+// byte-identical. The rest of a report's config does not round-trip: the
+// echoes omit `prefill_instances`, `decode_instances` and `shards`, and the
+// serve echo writes the derived offered rate as `arrival_rate_per_s`,
+// which would then override `load`.
 void WriteServeOptionalBlocks(Json& block, const ServeCommonKnobs& knobs);
 
 // Expands lo..hi inclusive by step (empty when step <= 0, hi < lo, any
@@ -460,6 +424,10 @@ std::optional<std::vector<Scenario>> ParseScenarios(const std::string& text,
                                                     std::string* error = nullptr);
 std::optional<std::vector<Scenario>> LoadScenarioFile(const std::string& path,
                                                       std::string* error = nullptr);
+
+// Reads an exec block ({"threads": N}) with the scenario reader's checks;
+// `litegpu run --threads` goes through it.
+std::optional<ExecPolicy> ExecPolicyFromJson(const Json& json, std::string* error = nullptr);
 
 // Fluent builder. Setters return *this for chaining; Build() validates and
 // returns nullopt (with `error` describing why) for unrunnable scenarios.

@@ -1,7 +1,9 @@
 #include "src/util/flags.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace litegpu {
 
@@ -110,21 +112,15 @@ int Flags::GetInt(const std::string& key, int fallback) const {
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   long value = std::strtol(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? static_cast<int>(value) : fallback;
+  bool in_range = errno != ERANGE && value >= std::numeric_limits<int>::min() &&
+                  value <= std::numeric_limits<int>::max();
+  return (end != it->second.c_str() && *end == '\0' && in_range) ? static_cast<int>(value)
+                                                                  : fallback;
 }
 
-uint64_t Flags::GetUint64(const std::string& key, uint64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty() || it->second[0] == '-') {
-    return fallback;
-  }
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? static_cast<uint64_t>(value) : fallback;
-}
-
-bool Flags::GetBool(const std::string& key, bool fallback) const {
+std::optional<bool> Flags::GetBool(const std::string& key, bool fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
@@ -136,7 +132,7 @@ bool Flags::GetBool(const std::string& key, bool fallback) const {
   if (v == "false" || v == "0" || v == "no" || v == "off") {
     return false;
   }
-  return fallback;
+  return std::nullopt;
 }
 
 }  // namespace litegpu

@@ -4,8 +4,8 @@
 
 #pragma once
 
-#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,11 +28,13 @@ class Flags {
 
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key, const std::string& fallback = "") const;
-  // Returns fallback (and sets ok=false if provided) on missing/parse error.
+  // Return fallback when the flag is absent, when its value does not parse
+  // in full, or (GetInt) when it lies outside int's range.
   double GetDouble(const std::string& key, double fallback) const;
   int GetInt(const std::string& key, int fallback) const;
-  uint64_t GetUint64(const std::string& key, uint64_t fallback) const;
-  bool GetBool(const std::string& key, bool fallback = false) const;
+  // A switch: fallback when absent, true when bare or true|1|yes|on, false
+  // for false|0|no|off, and nullopt for any other value.
+  std::optional<bool> GetBool(const std::string& key, bool fallback = false) const;
 
   // Rejects typos: returns "" when every parsed flag key is in `allowed`,
   // else a message naming the first unknown flag — with a "did you mean"

@@ -1,5 +1,7 @@
 #include "src/util/json.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +76,9 @@ int Json::AsInt(int fallback) const {
 }
 
 uint64_t Json::AsUint64(uint64_t fallback) const {
+  if (is_uint64_) {
+    return uint64_;
+  }
   // The upper bound is 2^64 as a double; casting values at or above it (or
   // negative ones) is UB, so both fall back.
   if (type_ != Type::kNumber || number_ < 0.0 || number_ >= 18446744073709551616.0) {
@@ -99,11 +104,6 @@ double Json::GetDouble(const std::string& key, double fallback) const {
 int Json::GetInt(const std::string& key, int fallback) const {
   const Json* v = Find(key);
   return v != nullptr ? v->AsInt(fallback) : fallback;
-}
-
-uint64_t Json::GetUint64(const std::string& key, uint64_t fallback) const {
-  const Json* v = Find(key);
-  return v != nullptr ? v->AsUint64(fallback) : fallback;
 }
 
 std::string Json::GetString(const std::string& key, const std::string& fallback) const {
@@ -537,12 +537,11 @@ class Parser {
       return FailValue("expected a value");
     }
     std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    std::optional<Json> value = Json::ParseNumber(token);
+    if (!value) {
       return FailValue("malformed number '" + token + "'");
     }
-    out = Json(value);
+    out = std::move(*value);
     return true;
   }
 
@@ -564,6 +563,25 @@ std::optional<Json> Json::Parse(const std::string& text, std::string* error) {
     error->clear();
   }
   return Parser(text, error).Run();
+}
+
+std::optional<Json> Json::ParseNumber(const std::string& token) {
+  const bool digits = !token.empty() && std::all_of(token.begin(), token.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+  char* end = nullptr;
+  if (digits) {
+    errno = 0;
+    unsigned long long value = std::strtoull(token.c_str(), &end, 10);
+    if (errno != ERANGE) {
+      return Json(static_cast<uint64_t>(value));
+    }
+  }
+  double value = std::strtod(token.c_str(), &end);
+  if (end == token.c_str() || *end != '\0') {
+    return std::nullopt;
+  }
+  return Json(value);
 }
 
 std::optional<Json> Json::ParseFile(const std::string& path, std::string* error) {

@@ -29,7 +29,11 @@ class Json {
   Json(double value) : type_(Type::kNumber), number_(value) {}
   Json(int value) : type_(Type::kNumber), number_(value) {}
   Json(int64_t value) : type_(Type::kNumber), number_(static_cast<double>(value)) {}
-  Json(uint64_t value) : type_(Type::kNumber), number_(static_cast<double>(value)) {}
+  // Keeps the exact value too, which the double loses above 2^53; see
+  // is_uint64().
+  Json(uint64_t value)
+      : type_(Type::kNumber), is_uint64_(true), number_(static_cast<double>(value)),
+        uint64_(value) {}
   Json(const char* value) : type_(Type::kString), string_(value) {}
   Json(std::string value) : type_(Type::kString), string_(std::move(value)) {}
 
@@ -41,6 +45,10 @@ class Json {
   bool is_null() const { return type_ == Type::kNull; }
   bool is_object() const { return type_ == Type::kObject; }
   bool is_array() const { return type_ == Type::kArray; }
+  // A number built from a uint64_t, or parsed from a token of decimal
+  // digits that fits one: AsUint64() returns it exactly. Dump() and ==
+  // still go by the double.
+  bool is_uint64() const { return is_uint64_; }
 
   // --- object interface (keys keep insertion order; Set replaces) ---
   Json& Set(const std::string& key, Json value);
@@ -64,7 +72,6 @@ class Json {
   bool GetBool(const std::string& key, bool fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   int GetInt(const std::string& key, int fallback) const;
-  uint64_t GetUint64(const std::string& key, uint64_t fallback) const;
   std::string GetString(const std::string& key, const std::string& fallback) const;
 
   // Serializes. indent > 0 pretty-prints with that many spaces per level;
@@ -76,6 +83,10 @@ class Json {
   static std::optional<Json> Parse(const std::string& text, std::string* error = nullptr);
   // Reads and parses a file (error covers I/O failures too).
   static std::optional<Json> ParseFile(const std::string& path, std::string* error = nullptr);
+  // One number token: an exact uint64 (see is_uint64()) when it is all
+  // decimal digits and fits, else strtod's double; nullopt unless strtod
+  // reads all of it.
+  static std::optional<Json> ParseNumber(const std::string& token);
 
   friend bool operator==(const Json& a, const Json& b);
   friend bool operator!=(const Json& a, const Json& b) { return !(a == b); }
@@ -85,7 +96,9 @@ class Json {
 
   Type type_ = Type::kNull;
   bool bool_ = false;
+  bool is_uint64_ = false;
   double number_ = 0.0;
+  uint64_t uint64_ = 0;                                 // when is_uint64_
   std::string string_;
   std::vector<Json> elements_;                          // kArray
   std::vector<std::pair<std::string, Json>> members_;   // kObject

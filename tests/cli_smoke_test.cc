@@ -498,6 +498,155 @@ TEST(CliSmoke, SweepRejectsMalformedGridSpecs) {
   EXPECT_EQ(RunCommand("sweep --rates 30:10:5").exit_code, 64);    // hi < lo
 }
 
+TEST(CliSmoke, MalformedFlagValuesAreUsageErrors) {
+  // A flag value is read like the scenario key it sets: a mistyped,
+  // fractional, negative or out-of-range value is a field-labelled usage
+  // error, never a silent fallback or a wrapped integer.
+  struct Case {
+    std::string args;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"mcsim --trials abc", "num_trials"},
+      {"serve --horizon abc", "horizon_s"},
+      {"serve --decode-instances 2.5", "decode_instances"},
+      {"serve --seed -5", "seed"},
+      {"derive --split 99999999999", "split"},
+      {"serve --horizon -1", "serve.horizon_s"},
+      {"run " + ScenarioPath("yield.json") + " --threads abc", "threads"},
+  };
+  for (const Case& c : cases) {
+    CommandResult result = RunCommandMergedOutput(c.args);
+    EXPECT_EQ(result.exit_code, 64) << c.args << ": " << result.stdout_text;
+    EXPECT_NE(result.stdout_text.find(c.field), std::string::npos)
+        << c.args << ": " << result.stdout_text;
+  }
+}
+
+TEST(CliSmoke, SeedFlagsStayExactAndSwitchesAreStrict) {
+  // A digits-only seed is read exactly over its whole uint64 range: 2^53 + 1
+  // is not rounded to 2^53, and 2^64 - 1 runs.
+  const std::string serve = "serve --horizon 5 --json --seed ";
+  CommandResult above = RunCommand(serve + "9007199254740993");
+  CommandResult at = RunCommand(serve + "9007199254740992");
+  EXPECT_EQ(above.exit_code, 0);
+  EXPECT_EQ(at.exit_code, 0);
+  EXPECT_NE(above.stdout_text, at.stdout_text);
+  EXPECT_EQ(RunCommand("mcsim --trials 2 --seed 18446744073709551615").exit_code, 0);
+  CommandResult past = RunCommandMergedOutput("mcsim --trials 2 --seed 18446744073709551616");
+  EXPECT_EQ(past.exit_code, 64);
+  EXPECT_NE(past.stdout_text.find("seed"), std::string::npos) << past.stdout_text;
+  // A switch given a non-boolean value is a usage error, --json included.
+  for (const char* args : {"search --json=maybe", "search --kv-ideal=maybe", "list --json=2"}) {
+    CommandResult result = RunCommandMergedOutput(args);
+    EXPECT_EQ(result.exit_code, 64) << args;
+    EXPECT_NE(result.stdout_text.find("takes no value or true|false"), std::string::npos)
+        << args << ": " << result.stdout_text;
+  }
+}
+
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  std::string path = ::testing::TempDir() + name;
+  FILE* f = fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr) << path;
+  if (f != nullptr) {
+    fputs(text.c_str(), f);
+    fclose(f);
+  }
+  return path;
+}
+
+// Whether `echo` carries every key and entry of `block` with equal values.
+bool CarriesBlock(const Json& echo, const Json& block) {
+  if (block.is_object()) {
+    for (const auto& [key, value] : block.members()) {
+      const Json* echoed = echo.Find(key);
+      if (echoed == nullptr || !CarriesBlock(*echoed, value)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  if (block.is_array()) {
+    if (!echo.is_array() || echo.size() != block.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < block.size(); ++i) {
+      if (!CarriesBlock(echo.elements()[i], block.elements()[i])) {
+        return false;
+      }
+    }
+    return true;
+  }
+  return echo == block;
+}
+
+TEST(CliSmoke, KnobFileFlagsTakeBareAndWrappedBlocks) {
+  // Each knob-file flag inserts its file's block into the scenario, whether
+  // the file holds the block itself or {"<block>": ...}; the serve report's
+  // config echoes it back. A malformed file is a field-labelled usage error.
+  struct Case {
+    const char* flag;
+    const char* block;
+    const char* bare;
+    const char* malformed;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"classes", "classes", R"([{"name": "a"}, {"name": "b", "weight": 2}])",
+       R"("not a mix")", "'classes' in serve must be an array of objects"},
+      {"arrival", "arrival", R"({"kind": "onoff", "on_mean_s": 7, "off_multiplier": 0.1})",
+       R"(["x"])", "serve.arrival must be an object"},
+      {"autoscaler", "autoscaler", R"({"policy": "reactive", "headroom": 1.4})",
+       R"({"autoscaler": {"policy": "reactive"}, "extra": 1})", "'autoscaler' key"},
+      {"faults", "faults", R"({"afr": 0.09, "hot_spares": 1})",
+       R"(["not", "a", "faults", "block"])", "serve.faults must be an object"},
+  };
+  for (const Case& c : cases) {
+    const Json block = *Json::Parse(c.bare);
+    const std::string bare = WriteTempFile("litegpu_bare_knobs.json", c.bare);
+    const std::string wrapped = WriteTempFile(
+        "litegpu_wrapped_knobs.json", "{\"" + std::string(c.block) + "\": " + c.bare + "}");
+    for (const std::string& path : {bare, wrapped}) {
+      CommandResult result = RunCommand("serve --horizon 10 --" + std::string(c.flag) + " " +
+                                        path + " --json");
+      EXPECT_EQ(result.exit_code, 0) << c.flag << " " << path;
+      auto parsed = Json::Parse(result.stdout_text);
+      ASSERT_TRUE(parsed.has_value()) << c.flag;
+      const Json* report = parsed->Find("report");
+      const Json* config = report != nullptr ? report->Find("config") : nullptr;
+      ASSERT_NE(config, nullptr) << c.flag;
+      const Json* echoed = config->Find(c.block);
+      ASSERT_NE(echoed, nullptr) << c.flag << " " << path;
+      EXPECT_TRUE(CarriesBlock(*echoed, block)) << c.flag << ": " << echoed->Dump();
+    }
+    const std::string bad = WriteTempFile("litegpu_bad_knobs.json", c.malformed);
+    CommandResult result = RunCommandMergedOutput("serve --" + std::string(c.flag) + " " + bad);
+    EXPECT_EQ(result.exit_code, 64) << c.flag;
+    EXPECT_NE(result.stdout_text.find(c.message), std::string::npos)
+        << c.flag << ": " << result.stdout_text;
+    for (const std::string& path : {bare, wrapped, bad}) {
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(CliSmoke, DeriveExitsTwoForAnInfeasiblePart) {
+  // Scripts branch on the derive subcommand's exit 2 for a
+  // shoreline-infeasible part; `run` reports the same scenario with exit 0.
+  CommandResult flags = RunCommand("derive --split 2 --mem 8 --net 8");
+  EXPECT_EQ(flags.exit_code, 2);
+  EXPECT_NE(flags.stdout_text.find("INFEASIBLE"), std::string::npos) << flags.stdout_text;
+  const std::string path = WriteTempFile(
+      "litegpu_infeasible_derive.json",
+      R"({"study": "derive", "derive": {"split": 2, "mem_bw_multiplier": 8,
+          "net_bw_multiplier": 8}})");
+  CommandResult file = RunCommand("run " + path);
+  std::remove(path.c_str());
+  EXPECT_EQ(file.exit_code, 0);
+  EXPECT_NE(file.stdout_text.find("INFEASIBLE"), std::string::npos) << file.stdout_text;
+}
+
 TEST(CliSmoke, RunReportsMissingAndMalformedFiles) {
   EXPECT_EQ(RunCommand("run /nonexistent.json").exit_code, 1);
   EXPECT_EQ(RunCommand("run").exit_code, 64);

@@ -24,14 +24,14 @@ TEST(Flags, KeySpaceValue) {
 
 TEST(Flags, BareSwitchIsTrue) {
   Flags f = ParseArgs({"--ideal-capacity", "--verbose"});
-  EXPECT_TRUE(f.GetBool("ideal-capacity"));
-  EXPECT_TRUE(f.GetBool("verbose"));
-  EXPECT_FALSE(f.GetBool("absent"));
+  EXPECT_EQ(f.GetBool("ideal-capacity"), true);
+  EXPECT_EQ(f.GetBool("verbose"), true);
+  EXPECT_EQ(f.GetBool("absent"), false);
 }
 
 TEST(Flags, SwitchFollowedByFlagStaysSwitch) {
   Flags f = ParseArgs({"--quiet", "--model=X"});
-  EXPECT_TRUE(f.GetBool("quiet"));
+  EXPECT_EQ(f.GetBool("quiet"), true);
   EXPECT_EQ(f.GetString("model"), "X");
 }
 
@@ -52,11 +52,12 @@ TEST(Flags, FallbacksOnMissingAndMalformed) {
 
 TEST(Flags, BoolSpellings) {
   Flags f = ParseArgs({"--a=yes", "--b=0", "--c=off", "--d=1", "--e=maybe"});
-  EXPECT_TRUE(f.GetBool("a"));
-  EXPECT_FALSE(f.GetBool("b", true));
-  EXPECT_FALSE(f.GetBool("c", true));
-  EXPECT_TRUE(f.GetBool("d"));
-  EXPECT_TRUE(f.GetBool("e", true));  // unparsable -> fallback
+  EXPECT_EQ(f.GetBool("a"), true);
+  EXPECT_EQ(f.GetBool("b", true), false);
+  EXPECT_EQ(f.GetBool("c", true), false);
+  EXPECT_EQ(f.GetBool("d"), true);
+  EXPECT_EQ(f.GetBool("e", true), std::nullopt);  // unparsable -> no value
+  EXPECT_EQ(f.GetBool("absent", true), true);
 }
 
 TEST(Flags, HasDistinguishesPresence) {
@@ -74,7 +75,7 @@ TEST(Flags, EmptyArgv) {
 TEST(Flags, DeclaredSwitchesDoNotConsumePositionals) {
   std::vector<const char*> args = {"prog", "run", "--json", "scenario.json"};
   Flags f = Flags::Parse(static_cast<int>(args.size()), args.data(), {"json"});
-  EXPECT_TRUE(f.GetBool("json"));
+  EXPECT_EQ(f.GetBool("json"), true);
   ASSERT_EQ(f.positionals().size(), 2u);
   EXPECT_EQ(f.positionals()[1], "scenario.json");
   // Without the declaration the old greedy behavior still applies.
@@ -82,12 +83,13 @@ TEST(Flags, DeclaredSwitchesDoNotConsumePositionals) {
   EXPECT_EQ(greedy.GetString("json"), "scenario.json");
 }
 
-TEST(Flags, GetUint64HandlesFullRange) {
-  Flags f = ParseArgs({"--seed=18446744073709551615", "--neg=-1", "--bad=12x"});
-  EXPECT_EQ(f.GetUint64("seed", 0), 18446744073709551615ull);
-  EXPECT_EQ(f.GetUint64("neg", 7), 7u);   // negative -> fallback
-  EXPECT_EQ(f.GetUint64("bad", 7), 7u);   // malformed -> fallback
-  EXPECT_EQ(f.GetUint64("absent", 3), 3u);
+TEST(Flags, GetIntFallsBackOutsideIntRange) {
+  Flags f = ParseArgs({"--big=99999999999", "--low=-99999999999", "--max=2147483647",
+                       "--empty="});
+  EXPECT_EQ(f.GetInt("big", 3), 3);  // would wrap to 1215752191
+  EXPECT_EQ(f.GetInt("low", 3), 3);
+  EXPECT_EQ(f.GetInt("max", 3), 2147483647);
+  EXPECT_EQ(f.GetInt("empty", 3), 3);
 }
 
 TEST(Flags, UnknownFlagCheckAcceptsAllowedSet) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/util/json.h"
 
@@ -63,6 +64,25 @@ TEST(Json, NumbersPrintShortestRoundTrip) {
   auto parsed = Json::Parse(Json(ugly).Dump(0));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->AsDouble(), ugly);
+}
+
+TEST(Json, DigitsOnlyNumbersKeepTheirExactUint64) {
+  auto parsed = Json::Parse("[9007199254740993, 18446744073709551615, 1e3, -5, "
+                            "18446744073709551616]");
+  ASSERT_TRUE(parsed.has_value());
+  const std::vector<Json>& v = parsed->elements();
+  EXPECT_TRUE(v[0].is_uint64());
+  EXPECT_EQ(v[0].AsUint64(), 9007199254740993u);
+  EXPECT_EQ(v[1].AsUint64(), 18446744073709551615u);
+  EXPECT_FALSE(v[2].is_uint64());  // not digits only: read as a double
+  EXPECT_FALSE(v[3].is_uint64());
+  EXPECT_FALSE(v[4].is_uint64());  // past uint64: read as a double
+  EXPECT_EQ(v[4].AsDouble(), 0x1p64);
+  // Dump and == still go by the double.
+  EXPECT_EQ(v[0].Dump(0), Json(9007199254740992.0).Dump(0));
+  EXPECT_EQ(Json::ParseNumber("12x"), std::nullopt);
+  EXPECT_EQ(Json::ParseNumber(""), std::nullopt);
+  EXPECT_EQ(Json::ParseNumber("0x10")->AsDouble(), 16.0);
 }
 
 TEST(Json, ParserToleratesCommentsAndTrailingCommas) {

@@ -821,45 +821,6 @@ TEST(Scenario, FaultJsonIsStrictWithSuggestions) {
   EXPECT_NE(error.find("hot_spares"), std::string::npos);
 }
 
-TEST(Scenario, ParseFaultKnobsAcceptsBareAndWrappedForms) {
-  std::string error;
-  auto bare = Json::Parse(R"({"afr": 0.09, "hot_spares": 1})");
-  ASSERT_TRUE(bare.has_value());
-  auto knobs = ParseFaultKnobs(*bare, &error);
-  ASSERT_TRUE(knobs.has_value()) << error;
-  EXPECT_DOUBLE_EQ(knobs->afr, 0.09);
-  EXPECT_EQ(knobs->hot_spares, 1);
-
-  auto wrapped = Json::Parse(R"({"faults": {"retry_policy": "drop"}})");
-  ASSERT_TRUE(wrapped.has_value());
-  auto wrapped_knobs = ParseFaultKnobs(*wrapped, &error);
-  ASSERT_TRUE(wrapped_knobs.has_value()) << error;
-  EXPECT_EQ(wrapped_knobs->retry_policy, FaultRetryPolicy::kDrop);
-
-  auto bad = Json::Parse(R"(["not", "a", "faults", "block"])");
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_FALSE(ParseFaultKnobs(*bad, &error).has_value());
-}
-
-TEST(Scenario, ParseRequestClassesAcceptsArrayAndWrappedForms) {
-  std::string error;
-  auto arr = Json::Parse(R"([{"name": "a"}, {"name": "b", "weight": 2}])");
-  ASSERT_TRUE(arr.has_value());
-  auto classes = ParseRequestClasses(*arr, &error);
-  ASSERT_TRUE(classes.has_value()) << error;
-  ASSERT_EQ(classes->size(), 2u);
-  EXPECT_EQ((*classes)[1].name, "b");
-  EXPECT_DOUBLE_EQ((*classes)[1].weight, 2.0);
-
-  auto wrapped = Json::Parse(R"({"classes": [{"name": "a"}]})");
-  ASSERT_TRUE(wrapped.has_value());
-  EXPECT_TRUE(ParseRequestClasses(*wrapped, &error).has_value()) << error;
-
-  auto bad = Json::Parse(R"("not a mix")");
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_FALSE(ParseRequestClasses(*bad, &error).has_value());
-}
-
 // The reader's verdict on one scenario text: "" when it parses, else the
 // error.
 std::string ParseError(const std::string& text) {
@@ -899,6 +860,21 @@ TEST(Scenario, IntegerAndSeedRowsRejectNonIntegralOrOutOfRangeNumbers) {
   EXPECT_EQ(scenario->serve.decode_instances, 8);
   EXPECT_EQ(scenario->serve.seed, 1000u);
   EXPECT_EQ(scenario->max_batch, 1000);
+}
+
+TEST(Scenario, DigitsOnlySeedsReadExactlyOverTheWholeRange) {
+  // A double rounds 2^53 + 1 to 2^53, so two seeds would run as one.
+  std::string error;
+  auto serve = ScenarioFromJson(
+      *Json::Parse(R"({"study": "serve", "serve": {"seed": 9007199254740993}})"), &error);
+  ASSERT_TRUE(serve.has_value()) << error;
+  EXPECT_EQ(serve->serve.seed, 9007199254740993u);
+  auto mcsim = ScenarioFromJson(
+      *Json::Parse(R"({"study": "mcsim", "mcsim": {"seed": 18446744073709551615}})"), &error);
+  ASSERT_TRUE(mcsim.has_value()) << error;
+  EXPECT_EQ(mcsim->mcsim.seed, 18446744073709551615u);
+  error = ParseError(R"({"study": "mcsim", "mcsim": {"seed": 18446744073709551616}})");
+  EXPECT_NE(error.find("'seed' in mcsim must be an integer"), std::string::npos) << error;
 }
 
 TEST(Scenario, ValidateRejectsNonFiniteDoubles) {

@@ -330,31 +330,6 @@ TEST(Scenario, SweepRejectsTraceArrivals) {
   EXPECT_NE(error.find("trace"), std::string::npos);
 }
 
-TEST(Scenario, StandaloneArrivalAndAutoscalerBlocksRoundTrip) {
-  // The --arrival / --autoscaler file format: bare object or wrapped.
-  ArrivalProcess arrival;
-  arrival.kind = ArrivalKind::kOnOff;
-  arrival.on_mean_s = 7.0;
-  arrival.off_multiplier = 0.1;
-  std::string error;
-  auto parsed = ParseArrivalProcess(ArrivalProcessToJson(arrival), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(ArrivalProcessToJson(*parsed).Dump(), ArrivalProcessToJson(arrival).Dump());
-
-  AutoscalerKnobs knobs;
-  knobs.policy = AutoscalerPolicy::kReactive;
-  knobs.headroom = 1.4;
-  auto restored = ParseAutoscalerKnobs(AutoscalerKnobsToJson(knobs), &error);
-  ASSERT_TRUE(restored.has_value()) << error;
-  EXPECT_EQ(AutoscalerKnobsToJson(*restored).Dump(), AutoscalerKnobsToJson(knobs).Dump());
-
-  Json wrapped = Json::Object();
-  wrapped.Set("autoscaler", AutoscalerKnobsToJson(knobs));
-  auto unwrapped = ParseAutoscalerKnobs(wrapped, &error);
-  ASSERT_TRUE(unwrapped.has_value()) << error;
-  EXPECT_EQ(unwrapped->policy, AutoscalerPolicy::kReactive);
-}
-
 // --- the runner ---
 
 TEST(Runner, ReactiveAutoscalerScalesUpUnderABurstyDay) {

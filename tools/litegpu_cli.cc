@@ -3,36 +3,26 @@
 //   litegpu run <scenario.json>... [--json]     execute scenario file(s)
 //   litegpu fleet <scenario.json> [--json]      fleet-compare catalog:
 //                                               knee-vs-knee $/Mtoken at SLO
-//   litegpu fig3a [--ideal-capacity]            regenerate Figure 3a
-//   litegpu fig3b [--ideal-capacity]            regenerate Figure 3b
-//   litegpu search --model M --gpu G [...]      best config for one pair
-//   litegpu design --model M                    Table-1 cluster comparison
-//   litegpu serve [--model M --gpu G --load X]  end-to-end serving simulation
-//                 [--classes mix.json]          multi-tenant request classes
-//                 [--arrival proc.json]         time-varying arrival process
-//                 [--autoscaler policy.json]    mid-horizon pool autoscaling
-//                 [--faults faults.json]        failure injection + blast radius
-//                 [--shards N]                  split the horizon into N parallel
-//                                               sub-horizon replications
-//   litegpu sweep [--loads lo:hi:step]          serving sim over a load grid
-//   litegpu mcsim [--spares N] [--trials N]     Monte-Carlo availability
-//   litegpu yield [--d0 X] [--area A]           Section-2 silicon economics
-//   litegpu derive --split N [--mem X] [--net X] [--clock X]
-//                                               custom Lite-GPU + feasibility
+//   litegpu <study> [flags]                     one study from flags: fig3a,
+//                                               fig3b, search, design, serve,
+//                                               sweep, mcsim, yield, derive
 //   litegpu list                                catalog contents
 //
-// Common flags: --prompt N --output N --ttft S --tbt S --kv-ideal
-//               --threads N (sweep workers; 0 = all cores, 1 = serial)
-//               --json (structured report on stdout)
-//
-// Every subcommand builds a Scenario and executes it through the Runner
-// (src/core/scenario.h, src/core/runner.h); `run` loads the same Scenario
-// from a JSON file instead. Unknown flags are rejected with a hint.
+// A study subcommand is one row of kSubcommands: its study kind, a default
+// model where it differs from the study's own, and its flags, each naming
+// the scenario key it sets. The given flags become one scenario JSON object,
+// which runs through `run`'s path (ScenarioFromJson -> Validate -> Runner).
+// A flag value is therefore type- and range-checked exactly like the same
+// key in a scenario file, and an invalid one exits 64 with the key's name;
+// so do unknown flags, with a did-you-mean hint, and switches given a
+// non-boolean value. `litegpu` with no subcommand prints every flag.
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,72 +38,312 @@ namespace {
 
 constexpr int kUsageError = 64;
 
-// Flags shared by the perf studies (search/fig3*/design).
-const std::vector<std::string> kWorkloadFlags = {"prompt", "output", "ttft", "tbt",
-                                                 "ideal-capacity", "kv-ideal", "max-batch"};
-const std::vector<std::string> kCommonFlags = {"threads", "json"};
+// How a flag's text becomes scenario JSON.
+enum class FlagKind {
+  kValue,     // a number when the text reads as one in full, else the string
+  kSwitch,    // bare or =true|false (1|0, yes|no, on|off): `on` at `key` when true
+  kName,      // a one-name list (--model, --gpu)
+  kLoadGrid,  // a,b,c: the list at `key`; lo:hi:step: the block's load_lo/hi/step
+  kRateGrid,  // a,b,c: the list at `key`; lo:hi:step expands into that list
+  kFile,      // a JSON file holding the block at `key`, bare or {"<block>": ...}
+  kOutput,    // --json: picks the rendering, sets no key
+};
 
-std::vector<std::string> AllowedFlags(std::vector<std::string> own, bool workload = true) {
-  own.insert(own.end(), kCommonFlags.begin(), kCommonFlags.end());
-  if (workload) {
-    own.insert(own.end(), kWorkloadFlags.begin(), kWorkloadFlags.end());
+struct CliFlag {
+  CliFlag(std::string name, std::string key, FlagKind kind, std::string meta = "",
+          Json on = {})
+      : name(std::move(name)), key(std::move(key)), kind(kind), meta(std::move(meta)),
+        on(std::move(on)) {}
+
+  std::string name;  // spelling without the leading --
+  std::string key;   // dotted scenario key; a leading '.' is under the row's block
+  FlagKind kind;
+  std::string meta;  // the value's name in Usage() ("N", "S", "mix.json")
+  Json on;           // kSwitch: the value set when the switch is on
+};
+
+struct Subcommand {
+  std::string name;
+  StudyKind study;
+  std::string block;  // the scenario block its '.'-keys live in
+  std::string model;  // the models list without --model ("" = the study's own)
+  std::vector<CliFlag> flags;
+};
+
+std::vector<CliFlag> Join(std::initializer_list<std::vector<CliFlag>> groups) {
+  std::vector<CliFlag> all;
+  for (const auto& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
   }
-  return own;
+  return all;
 }
 
-// Returns nonzero exit code on unknown flags, else 0.
-int CheckFlags(const Flags& flags, const std::vector<std::string>& allowed) {
-  std::string problem = flags.UnknownFlagCheck(allowed);
-  if (!problem.empty()) {
-    std::fprintf(stderr, "litegpu: %s\n", problem.c_str());
-    return kUsageError;
+const CliFlag kJsonFlag = {"json", "", FlagKind::kOutput};
+const std::vector<CliFlag> kCommonFlags = {
+    {"threads", "exec.threads", FlagKind::kValue, "N"},
+    kJsonFlag,
+};
+
+// The workload and engine knobs of the studies that run the perf search.
+const std::vector<CliFlag> kWorkloadFlags = {
+    {"prompt", "workload.prompt_tokens", FlagKind::kValue, "N"},
+    {"output", "workload.output_tokens", FlagKind::kValue, "N"},
+    {"ttft", "workload.ttft_slo_s", FlagKind::kValue, "S"},
+    {"tbt", "workload.tbt_slo_s", FlagKind::kValue, "S"},
+    {"ideal-capacity", "workload.enforce_memory_capacity", FlagKind::kSwitch, "", false},
+    {"kv-ideal", "kv_policy", FlagKind::kSwitch, "", "ideal-shard"},
+    {"max-batch", "max_batch", FlagKind::kValue, "N"},
+};
+
+const CliFlag kModelFlag = {"model", "models", FlagKind::kName, "M"};
+const CliFlag kGpuFlag = {"gpu", "gpus", FlagKind::kName, "G"};
+
+// The per-point knobs the serve and sweep blocks share.
+const std::vector<CliFlag> kServePointFlags = {
+    {"horizon", ".horizon_s", FlagKind::kValue, "S"},
+    {"prefill-instances", ".prefill_instances", FlagKind::kValue, "N"},
+    {"decode-instances", ".decode_instances", FlagKind::kValue, "N"},
+    {"prompt-sigma", ".prompt_sigma", FlagKind::kValue, "X"},
+    {"output-sigma", ".output_sigma", FlagKind::kValue, "X"},
+    {"seed", ".seed", FlagKind::kValue, "N"},
+    {"classes", ".classes", FlagKind::kFile, "mix.json"},
+    {"arrival", ".arrival", FlagKind::kFile, "proc.json"},
+    {"autoscaler", ".autoscaler", FlagKind::kFile, "policy.json"},
+    {"faults", ".faults", FlagKind::kFile, "f.json"},
+    {"shards", ".shards", FlagKind::kValue, "N"},
+};
+
+const std::vector<Subcommand> kSubcommands = {
+    {"fig3a", StudyKind::kFig3a, "", "",
+     Join({{{"baseline", "baseline_gpu", FlagKind::kValue, "G"}}, kWorkloadFlags,
+           kCommonFlags})},
+    {"fig3b", StudyKind::kFig3b, "", "",
+     Join({{{"baseline", "baseline_gpu", FlagKind::kValue, "G"}}, kWorkloadFlags,
+           kCommonFlags})},
+    {"search", StudyKind::kSearch, "", "Llama3-70B",
+     Join({{kModelFlag, kGpuFlag}, kWorkloadFlags, kCommonFlags})},
+    {"design", StudyKind::kDesign, "design", "Llama3-70B",
+     Join({{kModelFlag,
+            {"hbm-cost", ".hbm_usd_per_gb", FlagKind::kValue, "X"},
+            {"price-multiplier", ".gpu_price_multiplier", FlagKind::kValue, "X"},
+            {"amortization-years", ".amortization_years", FlagKind::kValue, "X"}},
+           kWorkloadFlags, kCommonFlags})},
+    {"serve", StudyKind::kServe, "serve", "",
+     Join({{kModelFlag, kGpuFlag,
+            {"load", ".load", FlagKind::kValue, "X"},
+            {"rate", ".arrival_rate_per_s", FlagKind::kValue, "R"}},
+           kServePointFlags, kWorkloadFlags, kCommonFlags})},
+    {"sweep", StudyKind::kServeSweep, "sweep", "",
+     Join({{kModelFlag, kGpuFlag,
+            {"loads", ".loads", FlagKind::kLoadGrid, "lo:hi:step|a,b,c"},
+            {"rates", ".rates", FlagKind::kRateGrid, "lo:hi:step|a,b,c"}},
+           kServePointFlags, kWorkloadFlags, kCommonFlags})},
+    {"mcsim", StudyKind::kMcSim, "mcsim", "",
+     Join({{kGpuFlag,
+            {"gpus-per-instance", ".gpus_per_instance", FlagKind::kValue, "N"},
+            {"instances", ".num_instances", FlagKind::kValue, "N"},
+            {"spares", ".num_spares", FlagKind::kValue, "N"},
+            {"years", ".sim_years", FlagKind::kValue, "X"},
+            {"seed", ".seed", FlagKind::kValue, "N"},
+            {"trials", ".num_trials", FlagKind::kValue, "N"}},
+           kCommonFlags})},
+    {"yield", StudyKind::kYield, "yield", "",
+     Join({{{"d0", ".defect_density_per_cm2", FlagKind::kValue, "X"},
+            {"area", ".die_area_mm2", FlagKind::kValue, "A"},
+            {"split", ".split", FlagKind::kValue, "N"},
+            {"cluster-alpha", ".cluster_alpha", FlagKind::kValue, "X"}},
+           kCommonFlags})},
+    {"derive", StudyKind::kDerive, "derive", "",
+     Join({{{"base", ".base_gpu", FlagKind::kValue, "G"},
+            {"split", ".split", FlagKind::kValue, "N"},
+            {"mem", ".mem_bw_multiplier", FlagKind::kValue, "X"},
+            {"net", ".net_bw_multiplier", FlagKind::kValue, "X"},
+            {"clock", ".overclock", FlagKind::kValue, "X"}},
+           kCommonFlags})},
+};
+
+std::vector<std::string> NamesOf(const std::vector<CliFlag>& flags) {
+  std::vector<std::string> names;
+  for (const CliFlag& flag : flags) {
+    names.push_back(flag.name);
   }
-  return 0;
+  return names;
 }
 
-void ApplyWorkloadFlags(const Flags& flags, ScenarioBuilder& builder) {
-  builder.PromptTokens(flags.GetInt("prompt", 1500))
-      .OutputTokens(flags.GetInt("output", 256))
-      .TtftSlo(flags.GetDouble("ttft", 1.0))
-      .TbtSlo(flags.GetDouble("tbt", 0.050))
-      .EnforceMemoryCapacity(!flags.GetBool("ideal-capacity", false))
-      .MaxBatch(flags.GetInt("max-batch", 65536))
-      .Threads(flags.GetInt("threads", 0));
-  if (flags.GetBool("kv-ideal", false)) {
-    builder.KvPolicy(KvShardPolicy::kIdealShard);
-  }
+int UsageError(const std::string& message) {
+  std::fprintf(stderr, "litegpu: %s\n", message.c_str());
+  return kUsageError;
 }
 
-// Runs one built scenario and prints the report; shared exit-code policy.
-int Execute(const ScenarioBuilder& builder, const Flags& flags) {
+bool IsSwitch(const CliFlag& flag) {
+  return flag.kind == FlagKind::kSwitch || flag.kind == FlagKind::kOutput;
+}
+
+// Returns kUsageError (with the message printed) on an unknown flag or a
+// switch given a non-boolean value, else 0.
+int CheckFlags(const Flags& flags, const std::vector<CliFlag>& allowed) {
+  std::string problem = flags.UnknownFlagCheck(NamesOf(allowed));
+  for (const CliFlag& flag : allowed) {
+    if (problem.empty() && IsSwitch(flag) && !flags.GetBool(flag.name)) {
+      problem = "--" + flag.name + " takes no value or true|false, not '" +
+                flags.GetString(flag.name) + "'";
+    }
+  }
+  return problem.empty() ? 0 : UsageError(problem);
+}
+
+// A flag's text as JSON: a number when it reads as one in full (a digits-only
+// seed stays exact), else the string, which the scenario reader then rejects
+// where it wants a number.
+Json FlagValue(const std::string& text) {
+  std::optional<Json> number = Json::ParseNumber(text);
+  return number ? *number : Json(text);
+}
+
+// Sets `value` at `key`, which is "name" or "block.name".
+void SetKey(Json& scenario, const std::string& key, Json value) {
+  size_t dot = key.find('.');
+  if (dot == std::string::npos) {
+    scenario.Set(key, std::move(value));
+    return;
+  }
+  std::string block = key.substr(0, dot);
+  const Json* existing = scenario.Find(block);
+  Json inner = existing != nullptr ? *existing : Json::Object();
+  inner.Set(key.substr(dot + 1), std::move(value));
+  scenario.Set(block, std::move(inner));
+}
+
+// Parses a grid spec, "lo:hi:step" (inclusive range) or "a,b,c", and sets
+// it under `key`'s block: a list at `key`, and a range either expanded into
+// that list or, when `range_keys`, as the block's load_lo/load_hi/load_step.
+// Returns false on malformed input.
+bool ParseGridSpec(const std::string& spec, const std::string& key, bool range_keys,
+                   Json& scenario, std::string* error) {
+  const bool range = spec.find(':') != std::string::npos;
+  std::vector<double> numbers;
+  bool parsed = true;
+  for (size_t start = 0, end = 0; parsed && end != std::string::npos; start = end + 1) {
+    end = spec.find(range ? ':' : ',', start);
+    Json value = FlagValue(spec.substr(start, end == std::string::npos ? end : end - start));
+    parsed = value.type() == Json::Type::kNumber;
+    numbers.push_back(value.AsDouble());
+  }
+  if (!parsed || (range && numbers.size() != 3)) {
+    *error = "malformed grid spec '" + spec + "' (expected lo:hi:step or a,b,c)";
+    return false;
+  }
+  std::vector<double> list = numbers;
+  if (range) {
+    list = ExpandGridRange(numbers[0], numbers[1], numbers[2]);
+    if (list.empty()) {
+      *error = "grid range '" + spec +
+               "' needs finite hi >= lo, step > 0, and at most 1e6 points";
+      return false;
+    }
+    if (range_keys) {
+      std::string block = key.substr(0, key.find('.') + 1);
+      SetKey(scenario, block + "load_lo", numbers[0]);
+      SetKey(scenario, block + "load_hi", numbers[1]);
+      SetKey(scenario, block + "load_step", numbers[2]);
+      return true;
+    }
+  }
+  Json arr = Json::Array();
+  for (double x : list) {
+    arr.Append(x);
+  }
+  SetKey(scenario, key, std::move(arr));
+  return true;
+}
+
+// A knob file's block: the file's JSON itself, or, when the file is an
+// object holding the block's name, the value under that one key.
+std::optional<Json> ReadKnobFile(const std::string& path, const std::string& block,
+                                 std::string* error) {
+  auto json = Json::ParseFile(path, error);
+  if (!json) {
+    return std::nullopt;
+  }
+  const Json* wrapped = json->Find(block);
+  if (wrapped == nullptr) {
+    return json;
+  }
+  if (json->size() != 1) {
+    *error = "a wrapped file holds only the '" + block + "' key";
+    return std::nullopt;
+  }
+  return *wrapped;
+}
+
+// The scenario JSON `flags` describe for subcommand `cmd`, or nullopt (with
+// the message in `error`) when a flag's text cannot become JSON: a malformed
+// grid or an unreadable knob file. `flags` must have passed CheckFlags.
+std::optional<Json> ScenarioJsonFromFlags(const Subcommand& cmd, const Flags& flags,
+                                          std::string* error) {
+  Json scenario = Json::Object();
+  scenario.Set("study", ToString(cmd.study));
+  for (const CliFlag& flag : cmd.flags) {
+    const std::string key = flag.key.rfind('.', 0) == 0 ? cmd.block + flag.key : flag.key;
+    const std::string fallback = flag.name == kModelFlag.name ? cmd.model : "";
+    if (flag.kind == FlagKind::kOutput || (!flags.Has(flag.name) && fallback.empty())) {
+      continue;
+    }
+    const std::string text = flags.GetString(flag.name, fallback);
+    switch (flag.kind) {
+      case FlagKind::kValue:
+        SetKey(scenario, key, FlagValue(text));
+        break;
+      case FlagKind::kSwitch:
+        if (*flags.GetBool(flag.name)) {
+          SetKey(scenario, key, flag.on);
+        }
+        break;
+      case FlagKind::kName:
+        SetKey(scenario, key, Json::Array().Append(text));
+        break;
+      case FlagKind::kLoadGrid:
+      case FlagKind::kRateGrid:
+        if (!ParseGridSpec(text, key, flag.kind == FlagKind::kLoadGrid, scenario, error)) {
+          return std::nullopt;
+        }
+        break;
+      case FlagKind::kFile: {
+        std::optional<Json> block = ReadKnobFile(text, key.substr(key.find('.') + 1), error);
+        if (!block) {
+          *error = text + ": " + *error;
+          return std::nullopt;
+        }
+        SetKey(scenario, key, std::move(*block));
+        break;
+      }
+      case FlagKind::kOutput:
+        break;
+    }
+  }
+  return scenario;
+}
+
+// Reads `run`'s and `fleet`'s --threads as the exec block's key; returns
+// false (with the message printed) when the value does not read.
+bool ThreadsFlag(const Flags& flags, std::optional<int>* threads) {
+  if (!flags.Has("threads")) {
+    return true;
+  }
+  Json block = Json::Object();
+  block.Set("threads", FlagValue(flags.GetString("threads")));
   std::string error;
-  auto scenario = builder.Build(&error);
-  if (!scenario) {
-    std::fprintf(stderr, "litegpu: %s\n", error.c_str());
-    return 1;
+  std::optional<ExecPolicy> exec = ExecPolicyFromJson(block, &error);
+  if (!exec) {
+    UsageError(error);
+    return false;
   }
-  RunReport report = Runner().Run(*scenario);
-  if (flags.GetBool("json", false)) {
-    std::printf("%s\n", report.ToJson().Dump().c_str());
-  } else {
-    std::printf("%s", report.ToText().c_str());
-  }
-  if (!report.ok) {
-    std::fprintf(stderr, "litegpu: %s\n", report.error.c_str());
-    return 1;
-  }
-  // derive keeps its historical exit contract: 2 when the part is
-  // shoreline-infeasible (scripts branch on it).
-  if (report.study == StudyKind::kDerive &&
-      !std::get<DeriveStudyReport>(report.payload).result.shoreline_feasible) {
-    return 2;
-  }
-  return 0;
+  *threads = exec->threads;
+  return true;
 }
 
 // Loads every scenario in `files` and validates each before any runs. A
-// missing or malformed file exits 1; an invalid scenario exits 64, like the
-// same field given as a flag.
+// missing or malformed file exits 1; an invalid scenario exits 64.
 int LoadScenarios(const std::vector<std::string>& files, std::vector<Scenario>* scenarios) {
   for (const std::string& path : files) {
     std::string error;
@@ -125,9 +355,7 @@ int LoadScenarios(const std::vector<std::string>& files, std::vector<Scenario>* 
     for (const Scenario& s : *loaded) {
       std::string problem = s.Validate();
       if (!problem.empty()) {
-        std::fprintf(stderr, "litegpu: %s: scenario '%s': %s\n", path.c_str(), s.name.c_str(),
-                     problem.c_str());
-        return kUsageError;
+        return UsageError(path + ": scenario '" + s.name + "': " + problem);
       }
     }
     scenarios->insert(scenarios->end(), loaded->begin(), loaded->end());
@@ -135,24 +363,25 @@ int LoadScenarios(const std::vector<std::string>& files, std::vector<Scenario>* 
   return 0;
 }
 
-// Runs loaded scenarios and prints their reports: one scenario alone (at
-// --threads when given), a batch one worker per scenario.
-int RunScenarioList(const std::vector<Scenario>& scenarios, const Flags& flags) {
+// Runs validated scenarios and prints their reports: one scenario alone (at
+// `threads` when given), a batch one worker per scenario. Text reports end
+// with `text_end`. Returns 0 when every report is ok, else 1.
+int RunScenarioList(const std::vector<Scenario>& scenarios, std::optional<int> threads,
+                    bool json, const char* text_end, std::vector<RunReport>* out = nullptr) {
   std::vector<RunReport> reports;
   if (scenarios.size() == 1) {
     Scenario only = scenarios.front();
-    if (flags.Has("threads")) {
-      only.exec.threads = flags.GetInt("threads", 0);
+    if (threads) {
+      only.exec.threads = *threads;
     }
     reports.push_back(Runner().Run(only));
   } else {
     ExecPolicy exec;
-    exec.threads = flags.GetInt("threads", 0);
+    exec.threads = threads.value_or(0);
     reports = RunScenarios(scenarios, exec);
   }
 
-  bool all_ok = true;
-  if (flags.GetBool("json", false)) {
+  if (json) {
     if (reports.size() == 1) {
       std::printf("%s\n", reports.front().ToJson().Dump().c_str());
     } else {
@@ -164,47 +393,41 @@ int RunScenarioList(const std::vector<Scenario>& scenarios, const Flags& flags) 
     }
   } else {
     for (const auto& report : reports) {
-      std::printf("%s\n", report.ToText().c_str());
+      std::printf("%s%s", report.ToText().c_str(), text_end);
     }
   }
+  bool all_ok = true;
   for (const auto& report : reports) {
     if (!report.ok) {
-      std::fprintf(stderr, "litegpu: scenario '%s': %s\n", report.scenario_name.c_str(),
-                   report.error.c_str());
+      // A scenario built from flags has no name to label its error with.
+      std::string label =
+          report.scenario_name.empty() ? "" : "scenario '" + report.scenario_name + "': ";
+      std::fprintf(stderr, "litegpu: %s%s\n", label.c_str(), report.error.c_str());
       all_ok = false;
     }
+  }
+  if (out != nullptr) {
+    *out = std::move(reports);
   }
   return all_ok ? 0 : 1;
 }
 
-int RunScenarioFiles(const Flags& flags) {
-  if (int rc = CheckFlags(flags, AllowedFlags({}, /*workload=*/false))) {
+// `litegpu run <scenario.json>...`, and `litegpu fleet <scenario.json>`:
+// run's loader restricted to one file of fleet-compare scenarios — the
+// catalog shape (candidates, grids, economics knobs) only makes sense
+// declaratively, so the subcommand takes a file, not flags.
+int RunScenarioFiles(const Flags& flags, bool fleet) {
+  if (int rc = CheckFlags(flags, kCommonFlags)) {
     return rc;
   }
   std::vector<std::string> files(flags.positionals().begin() + 1,
                                  flags.positionals().end());
-  if (files.empty()) {
-    std::fprintf(stderr, "usage: litegpu run <scenario.json>... [--json] [--threads N]\n");
-    return kUsageError;
+  if (files.empty() || (fleet && files.size() != 1)) {
+    return UsageError(fleet ? "usage: litegpu fleet <scenario.json> [--json] [--threads N]"
+                            : "usage: litegpu run <scenario.json>... [--json] [--threads N]");
   }
-  std::vector<Scenario> scenarios;
-  if (int rc = LoadScenarios(files, &scenarios)) {
-    return rc;
-  }
-  return RunScenarioList(scenarios, flags);
-}
-
-// `litegpu fleet <scenario.json>`: run's loader restricted to fleet-compare
-// scenarios — the catalog shape (candidates, grids, economics knobs) only
-// makes sense declaratively, so the subcommand takes a file, not flags.
-int RunFleet(const Flags& flags) {
-  if (int rc = CheckFlags(flags, AllowedFlags({}, /*workload=*/false))) {
-    return rc;
-  }
-  std::vector<std::string> files(flags.positionals().begin() + 1,
-                                 flags.positionals().end());
-  if (files.size() != 1) {
-    std::fprintf(stderr, "usage: litegpu fleet <scenario.json> [--json] [--threads N]\n");
+  std::optional<int> threads;
+  if (!ThreadsFlag(flags, &threads)) {
     return kUsageError;
   }
   std::vector<Scenario> scenarios;
@@ -212,280 +435,50 @@ int RunFleet(const Flags& flags) {
     return rc;
   }
   for (const Scenario& s : scenarios) {
-    if (s.study != StudyKind::kFleetCompare) {
-      std::fprintf(stderr,
-                   "litegpu: %s: scenario '%s' is a %s study, not fleet-compare "
-                   "(use `litegpu run`)\n",
-                   files.front().c_str(), s.name.c_str(), ToString(s.study).c_str());
-      return kUsageError;
+    if (fleet && s.study != StudyKind::kFleetCompare) {
+      return UsageError(files.front() + ": scenario '" + s.name + "' is a " +
+                        ToString(s.study) +
+                        " study, not fleet-compare (use `litegpu run`)");
     }
   }
-  return RunScenarioList(scenarios, flags);
+  return RunScenarioList(scenarios, threads, *flags.GetBool("json"), "\n");
 }
 
-int RunFig3(const Flags& flags, bool prefill) {
-  if (int rc = CheckFlags(flags, AllowedFlags({"baseline"}))) {
+// One study built from flags. Its text report prints with no separator
+// line, and derive keeps its exit contract: 2 when the part is
+// shoreline-infeasible (scripts branch on it).
+int RunStudySubcommand(const Subcommand& cmd, const Flags& flags) {
+  if (int rc = CheckFlags(flags, cmd.flags)) {
     return rc;
   }
-  ScenarioBuilder builder(prefill ? StudyKind::kFig3a : StudyKind::kFig3b);
-  ApplyWorkloadFlags(flags, builder);
-  builder.Baseline(flags.GetString("baseline", "H100"));
-  return Execute(builder, flags);
-}
-
-int RunSearch(const Flags& flags) {
-  if (int rc = CheckFlags(flags, AllowedFlags({"model", "gpu"}))) {
-    return rc;
-  }
-  ScenarioBuilder builder(StudyKind::kSearch);
-  ApplyWorkloadFlags(flags, builder);
-  builder.Model(flags.GetString("model", "Llama3-70B"))
-      .Gpu(flags.GetString("gpu", "H100"));
-  return Execute(builder, flags);
-}
-
-int RunDesign(const Flags& flags) {
-  if (int rc = CheckFlags(flags, AllowedFlags({"model", "hbm-cost", "price-multiplier",
-                                               "amortization-years"}))) {
-    return rc;
-  }
-  ScenarioBuilder builder(StudyKind::kDesign);
-  ApplyWorkloadFlags(flags, builder);
-  builder.Model(flags.GetString("model", "Llama3-70B"));
-  DesignKnobs knobs;
-  knobs.hbm_usd_per_gb = flags.GetDouble("hbm-cost", knobs.hbm_usd_per_gb);
-  knobs.gpu_price_multiplier =
-      flags.GetDouble("price-multiplier", knobs.gpu_price_multiplier);
-  knobs.amortization_years =
-      flags.GetDouble("amortization-years", knobs.amortization_years);
-  builder.Design(knobs);
-  return Execute(builder, flags);
-}
-
-// Loads a --<flag> knob file (--classes, --arrival, --autoscaler, --faults):
-// parses it with `parse` and, when given, checks it with `validate` (labelled
-// "<flag> file") before the run. Returns false (with the message printed) on
-// read, parse or validation errors; an absent flag leaves `out` untouched.
-template <typename T>
-bool LoadKnobFileFlag(const Flags& flags, const char* flag,
-                      std::optional<T> (*parse)(const Json&, std::string*),
-                      std::string (*validate)(const T&, const std::string&), T& out) {
-  if (!flags.Has(flag)) {
-    return true;
-  }
-  std::string path = flags.GetString(flag);
   std::string error;
-  auto json = Json::ParseFile(path, &error);
-  std::optional<T> knobs;
+  std::optional<Json> json = ScenarioJsonFromFlags(cmd, flags, &error);
+  std::optional<Scenario> scenario;
   if (json) {
-    knobs = parse(*json, &error);
+    scenario = ScenarioFromJson(*json, &error);
   }
-  if (knobs && validate != nullptr) {
-    error = validate(*knobs, std::string(flag) + " file");
+  if (scenario) {
+    error = scenario->Validate();
   }
   if (!error.empty()) {
-    std::fprintf(stderr, "litegpu: %s: %s\n", path.c_str(), error.c_str());
-    return false;
+    return UsageError(error);
   }
-  out = std::move(*knobs);
-  return true;
-}
-
-// The knob-file flags serve and sweep share.
-bool LoadServeFileFlags(const Flags& flags, ServeCommonKnobs& knobs) {
-  return LoadKnobFileFlag<std::vector<RequestClass>>(flags, "classes", ParseRequestClasses,
-                                                     nullptr, knobs.classes) &&
-         LoadKnobFileFlag(flags, "arrival", ParseArrivalProcess, ValidateArrivalProcess,
-                          knobs.arrival) &&
-         LoadKnobFileFlag(flags, "autoscaler", ParseAutoscalerKnobs,
-                          ValidateAutoscalerKnobs, knobs.autoscaler) &&
-         LoadKnobFileFlag(flags, "faults", ParseFaultKnobs, ValidateFaultKnobs,
-                          knobs.faults);
-}
-
-int RunServe(const Flags& flags) {
-  if (int rc = CheckFlags(
-          flags, AllowedFlags({"model", "gpu", "load", "rate", "horizon",
-                               "prefill-instances", "decode-instances", "prompt-sigma",
-                               "output-sigma", "seed", "classes", "arrival",
-                               "autoscaler", "faults", "shards"}))) {
+  std::vector<RunReport> reports;
+  if (int rc = RunScenarioList({*scenario}, std::nullopt, *flags.GetBool("json"), "", &reports)) {
     return rc;
   }
-  ScenarioBuilder builder(StudyKind::kServe);
-  ApplyWorkloadFlags(flags, builder);
-  builder.Model(flags.GetString("model", "Llama3-70B"))
-      .Gpu(flags.GetString("gpu", "H100"));
-  ServeKnobs knobs;
-  knobs.load = flags.GetDouble("load", knobs.load);
-  knobs.arrival_rate_per_s = flags.GetDouble("rate", knobs.arrival_rate_per_s);
-  knobs.horizon_s = flags.GetDouble("horizon", knobs.horizon_s);
-  knobs.prefill_instances = flags.GetInt("prefill-instances", knobs.prefill_instances);
-  knobs.decode_instances = flags.GetInt("decode-instances", knobs.decode_instances);
-  knobs.prompt_sigma = flags.GetDouble("prompt-sigma", knobs.prompt_sigma);
-  knobs.output_sigma = flags.GetDouble("output-sigma", knobs.output_sigma);
-  knobs.seed = flags.GetUint64("seed", knobs.seed);
-  knobs.shards = flags.GetInt("shards", knobs.shards);
-  if (!LoadServeFileFlags(flags, knobs)) {
-    return kUsageError;
+  if (cmd.study == StudyKind::kDerive &&
+      !std::get<DeriveStudyReport>(reports.front().payload).result.shoreline_feasible) {
+    return 2;
   }
-  builder.Serve(knobs);
-  return Execute(builder, flags);
-}
-
-// Parses a grid spec: "lo:hi:step" (inclusive range) or a comma-separated
-// list of values. Returns false on malformed input.
-bool ParseGridSpec(const std::string& spec, ServeSweepKnobs& knobs, bool as_rates,
-                   std::string* error) {
-  auto parse_double = [](const std::string& text, double& out) {
-    char* end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-  };
-  std::vector<double>& list = as_rates ? knobs.rates : knobs.loads;
-  if (spec.find(':') != std::string::npos) {
-    // lo:hi:step — for loads it maps onto the knobs' range fields; rate
-    // ranges expand to an explicit list here.
-    double parts[3];
-    size_t start = 0;
-    for (int i = 0; i < 3; ++i) {
-      size_t colon = spec.find(':', start);
-      bool last = i == 2;
-      if (last != (colon == std::string::npos) ||
-          !parse_double(spec.substr(start, last ? std::string::npos : colon - start),
-                        parts[i])) {
-        *error = "malformed grid spec '" + spec + "' (expected lo:hi:step)";
-        return false;
-      }
-      start = colon + 1;
-    }
-    std::vector<double> expanded = ExpandGridRange(parts[0], parts[1], parts[2]);
-    if (expanded.empty()) {
-      *error = "grid range '" + spec +
-               "' needs finite hi >= lo, step > 0, and at most 1e6 points";
-      return false;
-    }
-    if (as_rates) {
-      list.insert(list.end(), expanded.begin(), expanded.end());
-    } else {
-      knobs.load_lo = parts[0];
-      knobs.load_hi = parts[1];
-      knobs.load_step = parts[2];
-    }
-    return true;
-  }
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    std::string token =
-        spec.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    double value = 0.0;
-    if (!parse_double(token, value)) {
-      *error = "malformed grid value '" + token + "' in '" + spec + "'";
-      return false;
-    }
-    list.push_back(value);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return true;
-}
-
-int RunSweep(const Flags& flags) {
-  if (int rc = CheckFlags(
-          flags, AllowedFlags({"model", "gpu", "loads", "rates", "horizon",
-                               "prefill-instances", "decode-instances", "prompt-sigma",
-                               "output-sigma", "seed", "classes", "arrival",
-                               "autoscaler", "faults", "shards"}))) {
-    return rc;
-  }
-  ScenarioBuilder builder(StudyKind::kServeSweep);
-  ApplyWorkloadFlags(flags, builder);
-  builder.Model(flags.GetString("model", "Llama3-70B"))
-      .Gpu(flags.GetString("gpu", "H100"));
-  ServeSweepKnobs knobs;
-  std::string error;
-  if (flags.Has("loads") &&
-      !ParseGridSpec(flags.GetString("loads"), knobs, /*as_rates=*/false, &error)) {
-    std::fprintf(stderr, "litegpu: %s\n", error.c_str());
-    return kUsageError;
-  }
-  if (flags.Has("rates") &&
-      !ParseGridSpec(flags.GetString("rates"), knobs, /*as_rates=*/true, &error)) {
-    std::fprintf(stderr, "litegpu: %s\n", error.c_str());
-    return kUsageError;
-  }
-  knobs.horizon_s = flags.GetDouble("horizon", knobs.horizon_s);
-  knobs.prefill_instances = flags.GetInt("prefill-instances", knobs.prefill_instances);
-  knobs.decode_instances = flags.GetInt("decode-instances", knobs.decode_instances);
-  knobs.prompt_sigma = flags.GetDouble("prompt-sigma", knobs.prompt_sigma);
-  knobs.output_sigma = flags.GetDouble("output-sigma", knobs.output_sigma);
-  knobs.seed = flags.GetUint64("seed", knobs.seed);
-  knobs.shards = flags.GetInt("shards", knobs.shards);
-  if (!LoadServeFileFlags(flags, knobs)) {
-    return kUsageError;
-  }
-  builder.ServeSweep(knobs);
-  return Execute(builder, flags);
-}
-
-int RunMcSim(const Flags& flags) {
-  if (int rc = CheckFlags(flags, AllowedFlags({"gpu", "gpus-per-instance", "instances",
-                                               "spares", "years", "seed", "trials"},
-                                              /*workload=*/false))) {
-    return rc;
-  }
-  ScenarioBuilder builder(StudyKind::kMcSim);
-  builder.Gpu(flags.GetString("gpu", "H100")).Threads(flags.GetInt("threads", 0));
-  McSimKnobs knobs;
-  knobs.gpus_per_instance = flags.GetInt("gpus-per-instance", knobs.gpus_per_instance);
-  knobs.num_instances = flags.GetInt("instances", knobs.num_instances);
-  knobs.num_spares = flags.GetInt("spares", knobs.num_spares);
-  knobs.sim_years = flags.GetDouble("years", knobs.sim_years);
-  knobs.seed = flags.GetUint64("seed", knobs.seed);
-  knobs.num_trials = flags.GetInt("trials", knobs.num_trials);
-  builder.McSim(knobs);
-  return Execute(builder, flags);
-}
-
-int RunYield(const Flags& flags) {
-  if (int rc =
-          CheckFlags(flags, AllowedFlags({"d0", "area", "split", "cluster-alpha"},
-                                         /*workload=*/false))) {
-    return rc;
-  }
-  ScenarioBuilder builder(StudyKind::kYield);
-  YieldKnobs knobs;
-  knobs.defect_density_per_cm2 = flags.GetDouble("d0", knobs.defect_density_per_cm2);
-  knobs.die_area_mm2 = flags.GetDouble("area", knobs.die_area_mm2);
-  knobs.split = flags.GetInt("split", knobs.split);
-  knobs.cluster_alpha = flags.GetDouble("cluster-alpha", knobs.cluster_alpha);
-  builder.Yield(knobs);
-  return Execute(builder, flags);
-}
-
-int RunDerive(const Flags& flags) {
-  if (int rc = CheckFlags(flags, AllowedFlags({"base", "split", "mem", "net", "clock"},
-                                              /*workload=*/false))) {
-    return rc;
-  }
-  ScenarioBuilder builder(StudyKind::kDerive);
-  DeriveKnobs knobs;
-  knobs.base_gpu = flags.GetString("base", knobs.base_gpu);
-  knobs.split = flags.GetInt("split", knobs.split);
-  knobs.mem_bw_multiplier = flags.GetDouble("mem", knobs.mem_bw_multiplier);
-  knobs.net_bw_multiplier = flags.GetDouble("net", knobs.net_bw_multiplier);
-  knobs.overclock = flags.GetDouble("clock", knobs.overclock);
-  builder.Derive(knobs);
-  return Execute(builder, flags);
+  return 0;
 }
 
 int RunList(const Flags& flags) {
-  if (int rc = CheckFlags(flags, {"json"})) {
+  if (int rc = CheckFlags(flags, {kJsonFlag})) {
     return rc;
   }
-  if (flags.GetBool("json", false)) {
+  if (*flags.GetBool("json")) {
     Json gpus = Json::Array();
     for (const auto& g : Table1Configs()) {
       Json j = Json::Object();
@@ -528,75 +521,70 @@ int RunList(const Flags& flags) {
   return 0;
 }
 
+// "  <name>: <lead>[--flag META ...]", wrapped before 80 columns.
+std::string UsageLine(const std::string& name, const std::string& lead,
+                      const std::vector<CliFlag>& flags) {
+  std::vector<std::string> words;
+  if (!lead.empty()) {
+    words.push_back(lead);
+  }
+  for (const CliFlag& flag : flags) {
+    words.push_back("--" + flag.name + (flag.meta.empty() ? "" : " " + flag.meta));
+  }
+  words[lead.empty() ? 0 : 1].insert(0, "[");
+  words.back() += "]";
+  std::string text = "  " + name + ":";
+  text.resize(10, ' ');
+  size_t line_start = 0;
+  for (const std::string& word : words) {
+    if (text.size() - line_start + 1 + word.size() > 79) {
+      line_start = text.size() + 1;
+      text += "\n           ";
+    }
+    text += " " + word;
+  }
+  return text + "\n";
+}
+
 int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: litegpu <run|fleet|fig3a|fig3b|search|design|serve|sweep|mcsim|yield|derive|"
-      "list> [flags]\n"
-      "  run:     <scenario.json>...  execute declarative scenario file(s)\n"
-      "  fleet:   <scenario.json>     fleet-compare catalog: knee-vs-knee $/Mtoken\n"
-      "  search:  --model M --gpu G [--prompt N --output N --ttft S --tbt S]\n"
-      "  serve:   [--model M --gpu G --load X --rate R --horizon S\n"
-      "            --prefill-instances N --decode-instances N\n"
-      "            --prompt-sigma X --output-sigma X --seed N --classes mix.json\n"
-      "            --arrival proc.json --autoscaler policy.json --faults f.json\n"
-      "            --shards N]\n"
-      "  sweep:   [--model M --gpu G --loads lo:hi:step|a,b,c --rates lo:hi:step|a,b,c\n"
-      "            --horizon S --prefill-instances N --decode-instances N\n"
-      "            --prompt-sigma X --output-sigma X --seed N --classes mix.json\n"
-      "            --arrival proc.json --autoscaler policy.json --faults f.json\n"
-      "            --shards N]\n"
-      "  design:  --model M [--hbm-cost X --price-multiplier X --amortization-years X]\n"
-      "  mcsim:   [--gpu G --gpus-per-instance N --instances N --spares N\n"
-      "            --years X --seed N --trials N]\n"
-      "  yield:   [--d0 X --area A --split N --cluster-alpha X]\n"
-      "  derive:  [--base G --split N --mem X --net X --clock X]\n"
-      "  fig3*:   [--ideal-capacity] [--kv-ideal] [--baseline G]\n"
-      "  common:  [--threads N]  sweep workers (0 = all cores, 1 = serial)\n"
-      "           [--json]      structured report on stdout\n");
+  std::string text = "usage: litegpu <run|fleet|";
+  for (const Subcommand& cmd : kSubcommands) {
+    text += cmd.name + "|";
+  }
+  text += "list> [flags]\n";
+  text += UsageLine("run", "<scenario.json>...", kCommonFlags);
+  text += UsageLine("fleet", "<scenario.json>", kCommonFlags);
+  for (const Subcommand& cmd : kSubcommands) {
+    text += UsageLine(cmd.name, "", cmd.flags);
+  }
+  text += UsageLine("list", "", {kJsonFlag});
+  std::fputs(text.c_str(), stderr);
   return kUsageError;
 }
 
 int Main(int argc, const char* const* argv) {
   // Declared boolean switches never swallow a following positional
   // (`litegpu run --json scenario.json` keeps the file positional).
-  Flags flags = Flags::Parse(argc, argv, {"json", "kv-ideal", "ideal-capacity"});
-  std::string cmd = flags.Subcommand();
-  if (cmd == "run") {
-    return RunScenarioFiles(flags);
+  std::vector<std::string> switches;
+  for (const Subcommand& cmd : kSubcommands) {
+    for (const CliFlag& flag : cmd.flags) {
+      if (IsSwitch(flag)) {
+        switches.push_back(flag.name);
+      }
+    }
   }
-  if (cmd == "fleet") {
-    return RunFleet(flags);
+  Flags flags = Flags::Parse(argc, argv, switches);
+  std::string name = flags.Subcommand();
+  if (name == "run" || name == "fleet") {
+    return RunScenarioFiles(flags, name == "fleet");
   }
-  if (cmd == "fig3a") {
-    return RunFig3(flags, /*prefill=*/true);
-  }
-  if (cmd == "fig3b") {
-    return RunFig3(flags, /*prefill=*/false);
-  }
-  if (cmd == "search") {
-    return RunSearch(flags);
-  }
-  if (cmd == "design") {
-    return RunDesign(flags);
-  }
-  if (cmd == "serve") {
-    return RunServe(flags);
-  }
-  if (cmd == "sweep") {
-    return RunSweep(flags);
-  }
-  if (cmd == "mcsim") {
-    return RunMcSim(flags);
-  }
-  if (cmd == "yield") {
-    return RunYield(flags);
-  }
-  if (cmd == "derive") {
-    return RunDerive(flags);
-  }
-  if (cmd == "list") {
+  if (name == "list") {
     return RunList(flags);
+  }
+  for (const Subcommand& cmd : kSubcommands) {
+    if (cmd.name == name) {
+      return RunStudySubcommand(cmd, flags);
+    }
   }
   return Usage();
 }
