@@ -1,8 +1,9 @@
 // Engine micro-benchmarks (google-benchmark): how fast the modeling library
 // itself is. A full Figure-3 study runs thousands of roofline evaluations;
 // these benchmarks keep the cost of one evaluation and one search visible,
-// and the PerfModel pair quantifies what its memoization buys on the hot
-// path.
+// the PerfModel pair quantifies what its memoization buys on the hot
+// path, and the RepeatedSum pair measures where the serve core's exact
+// repeated-sum kernel overtakes the per-step loop.
 //
 // `bench_micro_engine --json` skips the harness and emits one JSON object
 // with the PerfModel cache counters observed while running the searches the
@@ -20,6 +21,7 @@
 #include "src/perf/model.h"
 #include "src/roofline/engine.h"
 #include "src/roofline/inference.h"
+#include "src/util/repeated_sum.h"
 
 namespace {
 
@@ -114,6 +116,38 @@ void BM_PerfModelDecodeWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PerfModelDecodeWarm);
+
+// RepeatedSum against the `s += d` loop it replaces, on an engine-like
+// clock (s = 100 s, a 17.3 ms decode step) at run lengths k. Below
+// kRepeatedSumMinSteps the kernel is the loop itself, so the crossover that
+// sets that constant is read from a build with the constant at 1.
+void BM_RepeatedSum(benchmark::State& state) {
+  const uint64_t k = static_cast<uint64_t>(state.range(0));
+  double s = 100.0;
+  double d = 0.0173;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s);
+    benchmark::DoNotOptimize(d);
+    benchmark::DoNotOptimize(RepeatedSum(s, d, k));
+  }
+}
+BENCHMARK(BM_RepeatedSum)->Arg(1)->Arg(8)->Arg(32)->Arg(64)->Arg(1024);
+
+void BM_RepeatedSumLoop(benchmark::State& state) {
+  const uint64_t k = static_cast<uint64_t>(state.range(0));
+  double s = 100.0;
+  double d = 0.0173;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s);
+    benchmark::DoNotOptimize(d);
+    double sum = s;
+    for (uint64_t j = 0; j < k; ++j) {
+      sum += d;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_RepeatedSumLoop)->Arg(1)->Arg(8)->Arg(32)->Arg(64)->Arg(1024);
 
 // --json: cache-effectiveness smoke check (no gbench harness). Runs the
 // same searches the studies run and reports the process-wide PerfModel

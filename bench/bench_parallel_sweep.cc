@@ -9,11 +9,17 @@
 //
 // Defaults: N = hardware concurrency (at least 4), an 8x8 scenario grid,
 // 32 trials x 200 years of Monte-Carlo, R = 3 repetitions (best kept).
+// Ranges: N in [0, 256] (0 = the default), P and S in [1, 64], T in
+// [1, 100000], Y in [1, 100000], R in [1, 100]. An unknown flag or a value
+// that is malformed or out of range exits 64 naming the flag, before any
+// thread starts.
 
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/experiments.h"
@@ -75,17 +81,51 @@ std::vector<Fig3Entry> SweepScenarioGrid(const std::vector<TransformerSpec>& mod
   return all;
 }
 
+// Reads flag `key` into `value` (left as is when the flag is absent).
+// False, after naming the flag on stderr, when the value is malformed or
+// outside [lo, hi].
+template <typename T>
+bool ReadFlag(const Flags& flags, const char* key, T lo, T hi, T& value) {
+  std::optional<T> read;
+  if constexpr (std::is_same_v<T, int>) {
+    read = flags.GetInt(key, value);
+  } else {
+    read = flags.GetDouble(key, value);
+  }
+  if (!read || !(*read >= lo && *read <= hi)) {
+    std::fprintf(stderr, "bench_parallel_sweep: --%s must be a number in [%g, %g]\n", key,
+                 static_cast<double>(lo), static_cast<double>(hi));
+    return false;
+  }
+  value = *read;
+  return true;
+}
+
 int Main(int argc, const char* const* argv) {
   Flags flags = Flags::Parse(argc, argv);
-  int threads = flags.GetInt("threads", 0);
-  if (threads <= 0) {
+  std::string unknown =
+      flags.UnknownFlagCheck({"threads", "prompts", "slos", "trials", "years", "reps"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "bench_parallel_sweep: %s\n", unknown.c_str());
+    return 64;
+  }
+  int threads = 0;
+  int num_prompts = 8;
+  int num_slos = 8;
+  int trials = 32;
+  double years = 200.0;
+  int reps = 3;
+  if (!ReadFlag(flags, "threads", 0, 256, threads) ||
+      !ReadFlag(flags, "prompts", 1, 64, num_prompts) ||
+      !ReadFlag(flags, "slos", 1, 64, num_slos) ||
+      !ReadFlag(flags, "trials", 1, 100000, trials) ||
+      !ReadFlag(flags, "years", 1.0, 100000.0, years) ||
+      !ReadFlag(flags, "reps", 1, 100, reps)) {
+    return 64;
+  }
+  if (threads == 0) {
     threads = ResolveThreads(0) < 4 ? 4 : ResolveThreads(0);
   }
-  int num_prompts = flags.GetInt("prompts", 8);
-  int num_slos = flags.GetInt("slos", 8);
-  int trials = flags.GetInt("trials", 32);
-  double years = flags.GetDouble("years", 200.0);
-  int reps = flags.GetInt("reps", 3);
 
   std::printf("=== Parallel sweep benchmark (%d threads vs serial) ===\n\n", threads);
 

@@ -23,20 +23,24 @@
 //    faulty or not, keeps an instance's sequences on one completion heap
 //    ordered by (finish step, request index). So a step starting at t
 //    plans a run of R steps up to its first completion, the heap's top,
-//    and schedules one event at the run's end, computed by R repeated
-//    `+= step` additions so every boundary is the per-step loop's bit for
-//    bit. At the run's end the R steps land in bulk: one weighted TBT add
-//    of batch * R (the histogram sum is exact fixed point, so grouping
-//    cannot change it), tokens += batch * R, step count += R (a sequence's
+//    and schedules one event at the run's end. Every boundary must be the
+//    per-step loop's `+= step` result bit for bit, so the end is
+//    RepeatedSum(t + step, step, R - 1) (src/util/repeated_sum.h): the
+//    exact result of those additions in O(binades crossed) work. At the
+//    run's end the R steps land in bulk: one weighted TBT add of
+//    batch * R (the histogram sum is exact fixed point, so grouping cannot
+//    change it), tokens += batch * R, step count += R (a sequence's
 //    remaining tokens are its finish step minus that count, so no
-//    per-sequence counter moves). Busy time stays one addition per step
-//    in step order, charged lazily: steps starting at or before an
-//    autoscaler tick, and before a cut or failure. Runs end early at
-//    boundaries that must be real: an instance that could admit plans
-//    R = 1 when the decode queue is non-empty or an in-flight prefill pass
-//    ends within its first step; when a prefill pass refills the empty
-//    decode queue, one designated run (the cuttable one whose next
-//    boundary at or after now comes first) is cut to that boundary;
+//    per-sequence counter moves). Busy time and batch-time product keep
+//    the per-step loop's additions, charged lazily: steps starting at or
+//    before an autoscaler tick, and before a cut or failure. A charge
+//    walks its steps in one fused pass, after first jumping to a few steps
+//    short of its limit with RepeatedSum when the span is long. Runs end
+//    early at boundaries that must be real: an instance that could admit
+//    plans R = 1 when the decode queue is non-empty or an in-flight
+//    prefill pass ends within its first step; when a prefill pass refills
+//    the empty decode queue, one designated run (the cuttable one whose
+//    next boundary at or after now comes first) is cut to that boundary;
 //    degrade transitions and failures first emit every boundary before
 //    now, then cut or kill the run. A killed run's sequences requeue in
 //    ascending request index, oldest first. Cut and killed runs' events go
@@ -53,6 +57,7 @@
 #include <vector>
 
 #include "src/serve/event_queue.h"
+#include "src/util/repeated_sum.h"
 
 namespace litegpu {
 
@@ -787,24 +792,42 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   // Charges the run's steps that start before `t` (at or before it when
   // `inclusive`): busy time and batch-time product, one addition per step
   // in step order, as the per-step loop charged them at each step start.
+  // A long span first jumps to a few steps short of `t` with RepeatedSum,
+  // which lands on the additions' exact results. Step starts only grow, so
+  // the jump stands iff the last start it reaches is still before `t`.
   auto charge_decode = [&](int i, double t, bool inclusive) {
     const double duration = S.d_step_duration[i];
-    const int batch = S.d_active_count[i];
+    const double step_product = S.d_active_count[i] * duration;
     const int steps = S.d_macro_steps[i];
     int charged = S.d_macro_charged[i];
     double started = S.d_step_started[i];
-    while (charged < steps) {
-      double next = started + duration;
-      if (inclusive ? next > t : next >= t) {
-        break;
+    double busy = decode.busy_time[i];
+    double product = S.d_batch_time_product[i];
+    auto starts_in_time = [&](double start) { return inclusive ? start <= t : start < t; };
+    const int left = steps - charged;
+    if (left > static_cast<int>(kRepeatedSumMinSteps)) {
+      double span = (t - started) / duration;  // steps to t, if exact
+      if (span > static_cast<double>(kRepeatedSumMinSteps)) {
+        int k = span >= left + 2.0 ? left : static_cast<int>(span) - 2;
+        double jumped = RepeatedSum(started, duration, static_cast<uint64_t>(k));
+        if (starts_in_time(jumped)) {
+          started = jumped;
+          busy = RepeatedSum(busy, duration, static_cast<uint64_t>(k));
+          product = RepeatedSum(product, step_product, static_cast<uint64_t>(k));
+          charged += k;
+        }
       }
-      started = next;
-      decode.busy_time[i] += duration;
-      S.d_batch_time_product[i] += batch * duration;
+    }
+    while (charged < steps && starts_in_time(started + duration)) {
+      started += duration;
+      busy += duration;
+      product += step_product;
       ++charged;
     }
     S.d_macro_charged[i] = charged;
     S.d_step_started[i] = started;
+    decode.busy_time[i] = busy;
+    S.d_batch_time_product[i] = product;
   };
   // Records `k` completed steps of instance i's current batch: TBT samples
   // and tokens (global, degraded, per class). Advancing the step count is
@@ -1014,9 +1037,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       if (!could_admit ||
           (decode_queue.empty() && !S.prefill_ends.AnyEndBy(now, end))) {
         steps = static_cast<int>(heap.front().finish_step - S.d_step_count[i]);
-        for (int k = 1; k < steps; ++k) {
-          end += duration;
-        }
+        end = RepeatedSum(end, duration, static_cast<uint64_t>(steps - 1));
         S.d_macro_charged[i] = 1;
         S.d_macro_done[i] = 0;
         if (could_admit && steps > 1) {

@@ -96,28 +96,34 @@ std::string Flags::GetString(const std::string& key, const std::string& fallback
   return it == values_.end() ? fallback : it->second;
 }
 
-double Flags::GetDouble(const std::string& key, double fallback) const {
+std::optional<double> Flags::GetDouble(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
   }
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  double value = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? value : fallback;
+  double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') {
+    return std::nullopt;
+  }
+  return value;
 }
 
-int Flags::GetInt(const std::string& key, int fallback) const {
+std::optional<int> Flags::GetInt(const std::string& key, int fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
   }
+  const char* text = it->second.c_str();
   char* end = nullptr;
   errno = 0;
-  long value = std::strtol(it->second.c_str(), &end, 10);
-  bool in_range = errno != ERANGE && value >= std::numeric_limits<int>::min() &&
-                  value <= std::numeric_limits<int>::max();
-  return (end != it->second.c_str() && *end == '\0' && in_range) ? static_cast<int>(value)
-                                                                  : fallback;
+  long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() || value > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
 }
 
 std::optional<bool> Flags::GetBool(const std::string& key, bool fallback) const {

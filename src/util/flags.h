@@ -28,10 +28,10 @@ class Flags {
 
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key, const std::string& fallback = "") const;
-  // Return fallback when the flag is absent, when its value does not parse
-  // in full, or (GetInt) when it lies outside int's range.
-  double GetDouble(const std::string& key, double fallback) const;
-  int GetInt(const std::string& key, int fallback) const;
+  // Return fallback when the flag is absent, and nullopt when its value is
+  // empty, does not parse in full, or (GetInt) lies outside int's range.
+  std::optional<double> GetDouble(const std::string& key, double fallback) const;
+  std::optional<int> GetInt(const std::string& key, int fallback) const;
   // A switch: fallback when absent, true when bare or true|1|yes|on, false
   // for false|0|no|off, and nullopt for any other value.
   std::optional<bool> GetBool(const std::string& key, bool fallback = false) const;

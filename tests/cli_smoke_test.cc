@@ -523,6 +523,35 @@ TEST(CliSmoke, MalformedFlagValuesAreUsageErrors) {
   }
 }
 
+#ifdef LITEGPU_PARALLEL_SWEEP_PATH
+TEST(CliSmoke, ParallelSweepBenchRejectsBadFlagsBeforeStarting) {
+  // The bench binary reads its flags as strictly as litegpu: each bad value
+  // exits 64 naming its flag before the sweep or any thread starts (none of
+  // these cases would start more threads than the default if it ran).
+  struct Case {
+    const char* args;
+    const char* flag;
+  };
+  const Case cases[] = {
+      {"--threads 99999999999", "--threads"},
+      {"--threads -1", "--threads"},
+      {"--reps abc", "--reps"},
+      {"--reps 0", "--reps"},
+      {"--years nan", "--years"},
+      {"--prompts 2.5", "--prompts"},
+      {"--thread 2", "did you mean --threads"},
+  };
+  for (const Case& c : cases) {
+    CommandResult result =
+        Capture(std::string(LITEGPU_PARALLEL_SWEEP_PATH) + " " + c.args + " 2>&1");
+    EXPECT_EQ(result.exit_code, 64) << c.args << ": " << result.stdout_text;
+    EXPECT_NE(result.stdout_text.find(c.flag), std::string::npos)
+        << c.args << ": " << result.stdout_text;
+    EXPECT_EQ(result.stdout_text.find("==="), std::string::npos) << c.args;
+  }
+}
+#endif
+
 TEST(CliSmoke, SeedFlagsStayExactAndSwitchesAreStrict) {
   // A digits-only seed is read exactly over its whole uint64 range: 2^53 + 1
   // is not rounded to 2^53, and 2^64 - 1 runs.

@@ -591,6 +591,42 @@ TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
   ExpectBitIdentical(a, b);
 }
 
+TEST(Simulator, LongMacroStepsBitIdenticalToReferenceCore) {
+  // One decode instance holding eight sequences of 4,000 to 14,500 tokens:
+  // completions come 1,500 steps apart (the first after 4,000), so the
+  // runs between them exceed 1,000 steps of a non-dyadic step time, and
+  // their boundaries cross t = 64 s and 128 s, where the clock's ulp
+  // doubles. Autoscaler ticks every 5 s charge the
+  // runs piecewise, and three late arrivals refill the empty decode queue,
+  // so designation cuts the cuttable run mid-way. Every charge and run end
+  // must still match the reference core's step-by-step loop bit for bit.
+  StepTimeTable table = SimpleTable(/*prefill_s=*/0.1, /*per_seq_step_s=*/1e-4,
+                                    /*base_step_s=*/0.02);
+  std::vector<Request> requests;
+  for (int i = 0; i < 11; ++i) {
+    Request r;
+    r.id = i;
+    r.arrival_s = i < 8 ? 0.1 * i : 70.3 + 30.4 * (i - 8);
+    r.prompt_tokens = 1500;
+    r.output_tokens = i < 8 ? 4000 + 1500 * i : 2000;
+    requests.push_back(r);
+  }
+  ServeClusterConfig config;
+  config.autoscaler.enabled = true;
+  config.autoscaler.interval_s = 5.0;
+  config.autoscaler.max_prefill_instances = 1;
+  config.autoscaler.max_decode_instances = 1;
+  config.autoscaler.prefill_tokens_per_s = 20000.0;
+  config.autoscaler.decode_tokens_per_s = 400.0;
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  EXPECT_EQ(a.completed_requests, 11);
+  EXPECT_GT(a.makespan_s, 250.0);
+  // 14,500 decode steps in a few dozen runs, the rest of the pops being
+  // arrivals, prefill passes and ticks.
+  EXPECT_LT(a.events_popped, 150u);
+  ExpectBitIdentical(a, RunServeSimulationReference(requests, config, table));
+}
+
 // --- exact ties ---
 
 // Dyadic step times — decode 1/64 s (1/32 s past batch 8), prefill
