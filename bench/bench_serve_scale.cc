@@ -226,7 +226,9 @@ int main(int argc, char** argv) {
   knobs.load_hi = 1.00;
   knobs.load_step = 0.05;
   knobs.horizon_s = 60.0;
-  Scenario sweep_scenario = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build();
+  Scenario sweep_scenario;
+  sweep_scenario.study = StudyKind::kServeSweep;
+  sweep_scenario.sweep = knobs;
   auto t0 = std::chrono::steady_clock::now();
   RunReport sweep_report = Runner().Run(sweep_scenario);
   double sweep_s = SecondsSince(t0);
@@ -448,8 +450,9 @@ int main(int argc, char** argv) {
   fleet_knobs.candidates = {
       fleet_candidate("H100-pool1", 1, 1), fleet_candidate("H100-pool2", 1, 2),
       fleet_candidate("Lite4-pool1", 4, 1), fleet_candidate("Lite4-pool2", 4, 2)};
-  Scenario fleet_scenario =
-      *ScenarioBuilder(StudyKind::kFleetCompare).Fleet(fleet_knobs).Build();
+  Scenario fleet_scenario;
+  fleet_scenario.study = StudyKind::kFleetCompare;
+  fleet_scenario.fleet = fleet_knobs;
   t0 = std::chrono::steady_clock::now();
   RunReport fleet_run = Runner().Run(fleet_scenario);
   double fleet_s = SecondsSince(t0);

@@ -17,8 +17,10 @@ int main() {
   // One declarative scenario covers all three case-study models (the empty
   // model list defaults to them); the Runner produces a Table-1 comparison
   // per model.
-  auto scenario = ScenarioBuilder(StudyKind::kDesign).Name("capacity-planner").Build();
-  RunReport report = Runner().Run(*scenario);
+  Scenario scenario;
+  scenario.name = "capacity-planner";
+  scenario.study = StudyKind::kDesign;
+  RunReport report = Runner().Run(scenario);
   const auto& design = std::get<DesignStudyReport>(report.payload);
 
   for (const auto& per_model : design.per_model) {

@@ -40,14 +40,14 @@ int main() {
   // 3b. Search via the Scenario API: declare WHAT to run, let the Runner
   // drive the engines. The same Scenario could be loaded from a JSON file
   // (see examples/scenarios/) or executed by `litegpu run`.
-  auto scenario = ScenarioBuilder(StudyKind::kSearch)
-                      .Name("quickstart")
-                      .Model(model.name)
-                      .Gpu(gpu.name)
-                      .TtftSlo(1.0)
-                      .TbtSlo(0.050)
-                      .Build();
-  RunReport report = Runner().Run(*scenario);
+  Scenario scenario;
+  scenario.name = "quickstart";
+  scenario.study = StudyKind::kSearch;
+  scenario.models = {model.name};
+  scenario.gpus = {gpu.name};
+  scenario.workload.ttft_slo_s = 1.0;
+  scenario.workload.tbt_slo_s = 0.050;
+  RunReport report = Runner().Run(scenario);
   const auto& pair = std::get<SearchStudyReport>(report.payload).pairs.front();
   if (pair.decode.found) {
     std::printf("\nBest decode config under TBT<=50ms: TP=%d, batch=%d -> "

@@ -1,6 +1,6 @@
 // Scenario batch: the declarative front door end to end.
 //
-//   1. build Scenarios fluently (or load them from examples/scenarios/*.json)
+//   1. build Scenarios as values (or load them from examples/scenarios/*.json)
 //   2. fan the batch out with RunScenarios (bit-identical at any thread count)
 //   3. consume the uniform RunReports as text or JSON
 //
@@ -17,15 +17,21 @@ using namespace litegpu;
 int main() {
   // A miniature study suite: the paper's two perf figures plus the silicon
   // economics, declared as data.
-  std::vector<Scenario> batch;
-  batch.push_back(*ScenarioBuilder(StudyKind::kFig3a).Name("fig3a").Build());
-  batch.push_back(*ScenarioBuilder(StudyKind::kFig3b).Name("fig3b").Build());
-  batch.push_back(*ScenarioBuilder(StudyKind::kYield).Name("yield").Build());
+  std::vector<Scenario> batch(3);
+  batch[0].name = "fig3a";
+  batch[0].study = StudyKind::kFig3a;
+  batch[1].name = "fig3b";
+  batch[1].study = StudyKind::kFig3b;
+  batch[2].name = "yield";
+  batch[2].study = StudyKind::kYield;
 
-  // Builder validation catches unrunnable scenarios before anything runs.
-  std::string error;
-  auto bad = ScenarioBuilder(StudyKind::kSearch).Model("Llama5-9000B").Build(&error);
-  std::printf("validation demo: %s -> %s\n\n", bad ? "built" : "rejected", error.c_str());
+  // Validation catches unrunnable scenarios before anything runs.
+  Scenario bad;
+  bad.study = StudyKind::kSearch;
+  bad.models = {"Llama5-9000B"};
+  std::string error = bad.Validate();
+  std::printf("validation demo: %s -> %s\n\n", error.empty() ? "built" : "rejected",
+              error.c_str());
 
   ExecPolicy exec;  // 0 = all cores; scenarios' inner sweeps run serial
   std::vector<RunReport> reports = RunScenarios(batch, exec);

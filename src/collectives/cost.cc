@@ -95,29 +95,4 @@ double ReduceScatterTime(double payload_bytes, int n, const LinkModel& link,
   return AllGatherTime(payload_bytes, n, link, algo);
 }
 
-double BroadcastTime(double payload_bytes, int n, const LinkModel& link) {
-  if (n <= 1 || payload_bytes <= 0.0) {
-    return 0.0;
-  }
-  double steps = CeilLog2(n);
-  return steps * (link.latency_s + payload_bytes / link.bandwidth_bytes_per_s);
-}
-
-double AllToAllTime(double payload_bytes, int n, const LinkModel& link) {
-  if (n <= 1 || payload_bytes <= 0.0) {
-    return 0.0;
-  }
-  double wire_bytes = (n - 1.0) / n * payload_bytes;
-  return (n - 1.0) * link.latency_s + wire_bytes / link.bandwidth_bytes_per_s;
-}
-
-double AllReduceBusBandwidth(double payload_bytes, int n, const LinkModel& link,
-                             CollectiveAlgo algo) {
-  double time = AllReduceTime(payload_bytes, n, link, algo);
-  if (time <= 0.0 || n <= 1) {
-    return 0.0;
-  }
-  return 2.0 * (n - 1.0) / n * payload_bytes / time;
-}
-
 }  // namespace litegpu

@@ -45,17 +45,4 @@ double AllGatherTime(double payload_bytes, int n, const LinkModel& link,
 double ReduceScatterTime(double payload_bytes, int n, const LinkModel& link,
                          CollectiveAlgo algo = CollectiveAlgo::kAuto);
 
-// Binomial-tree broadcast of S bytes from one root.
-double BroadcastTime(double payload_bytes, int n, const LinkModel& link);
-
-// All-to-all personalized exchange: each GPU holds S bytes destined in S/n
-// slices to every peer.
-double AllToAllTime(double payload_bytes, int n, const LinkModel& link);
-
-// Effective bus bandwidth achieved by an all-reduce (the NCCL "busbw"
-// metric): algorithm-payload bytes / time, normalized so a perfect ring at
-// alpha=0 reports the link bandwidth.
-double AllReduceBusBandwidth(double payload_bytes, int n, const LinkModel& link,
-                             CollectiveAlgo algo = CollectiveAlgo::kAuto);
-
 }  // namespace litegpu

@@ -25,11 +25,4 @@ double HierarchicalAllReduceTime(double payload_bytes, int n,
   return phase1 + phase2 + phase3;
 }
 
-double BestAllReduceTime(double payload_bytes, int n, const HierarchicalFabric& fabric,
-                         CollectiveAlgo algo) {
-  double flat = AllReduceTime(payload_bytes, n, fabric.global_link, algo);
-  double hier = HierarchicalAllReduceTime(payload_bytes, n, fabric, algo);
-  return std::min(flat, hier);
-}
-
 }  // namespace litegpu

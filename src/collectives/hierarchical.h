@@ -28,9 +28,4 @@ double HierarchicalAllReduceTime(double payload_bytes, int n,
                                  const HierarchicalFabric& fabric,
                                  CollectiveAlgo algo = CollectiveAlgo::kAuto);
 
-// Best-of(flat on global links, hierarchical): what a tuned communication
-// library would pick on this fabric.
-double BestAllReduceTime(double payload_bytes, int n, const HierarchicalFabric& fabric,
-                         CollectiveAlgo algo = CollectiveAlgo::kAuto);
-
 }  // namespace litegpu

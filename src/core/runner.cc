@@ -1207,11 +1207,7 @@ RunReport RunValidated(const Scenario& s) {
 
 }  // namespace
 
-RunReport Runner::Run(const Scenario& scenario) const {
-  Scenario s = scenario;
-  if (override_exec_) {
-    s.exec = exec_;
-  }
+RunReport Runner::Run(const Scenario& s) const {
   std::string problem = s.Validate();
   if (!problem.empty()) {
     return ErrorReport(s, problem);

@@ -384,18 +384,9 @@ struct RunReport {
 
 class Runner {
  public:
-  // Runs with each scenario's own ExecPolicy.
-  Runner() = default;
-  // Overrides every scenario's ExecPolicy (the CLI's --threads).
-  explicit Runner(const ExecPolicy& exec) : exec_(exec), override_exec_(true) {}
-
-  // Validates and dispatches. Never throws; failures come back as
-  // ok == false with `error` set.
+  // Validates and dispatches, with the scenario's own ExecPolicy. Never
+  // throws; failures come back as ok == false with `error` set.
   RunReport Run(const Scenario& scenario) const;
-
- private:
-  ExecPolicy exec_;
-  bool override_exec_ = false;
 };
 
 // Runs a batch, fanning the scenarios out across `exec` workers on the

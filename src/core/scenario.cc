@@ -1177,9 +1177,6 @@ bool operator==(const Scenario& a, const Scenario& b) {
   return ScenarioToJson(a) == ScenarioToJson(b);
 }
 
-namespace {
-
-// Accepts one scenario object, a top-level array, or {"scenarios": [...]}.
 std::optional<std::vector<Scenario>> ScenariosFromJson(const Json& json,
                                                        std::string* error) {
   const Json* list = nullptr;
@@ -1224,17 +1221,6 @@ std::optional<std::vector<Scenario>> ScenariosFromJson(const Json& json,
   return scenarios;
 }
 
-}  // namespace
-
-std::optional<std::vector<Scenario>> ParseScenarios(const std::string& text,
-                                                    std::string* error) {
-  auto json = Json::Parse(text, error);
-  if (!json) {
-    return std::nullopt;
-  }
-  return ScenariosFromJson(*json, error);
-}
-
 std::optional<std::vector<Scenario>> LoadScenarioFile(const std::string& path,
                                                       std::string* error) {
   auto json = Json::ParseFile(path, error);
@@ -1250,96 +1236,6 @@ std::optional<ExecPolicy> ExecPolicyFromJson(const Json& json, std::string* erro
     return std::nullopt;
   }
   return exec;
-}
-
-// --- builder ----------------------------------------------------------------
-
-ScenarioBuilder& ScenarioBuilder::Name(const std::string& name) {
-  scenario_.name = name;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Model(const std::string& model) {
-  scenario_.models.push_back(model);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Gpu(const std::string& gpu) {
-  scenario_.gpus.push_back(gpu);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Baseline(const std::string& gpu) {
-  scenario_.baseline_gpu = gpu;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::PromptTokens(int n) {
-  scenario_.workload.prompt_tokens = n;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::OutputTokens(int n) {
-  scenario_.workload.output_tokens = n;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::TtftSlo(double seconds) {
-  scenario_.workload.ttft_slo_s = seconds;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::TbtSlo(double seconds) {
-  scenario_.workload.tbt_slo_s = seconds;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::EnforceMemoryCapacity(bool on) {
-  scenario_.workload.enforce_memory_capacity = on;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::KvPolicy(KvShardPolicy policy) {
-  scenario_.kv_policy = policy;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::MaxBatch(int n) {
-  scenario_.max_batch = n;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Threads(int n) {
-  scenario_.exec.threads = n;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Design(const DesignKnobs& knobs) {
-  scenario_.design = knobs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::McSim(const McSimKnobs& knobs) {
-  scenario_.mcsim = knobs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Yield(const YieldKnobs& knobs) {
-  scenario_.yield = knobs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Derive(const DeriveKnobs& knobs) {
-  scenario_.derive = knobs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Serve(const ServeKnobs& knobs) {
-  scenario_.serve = knobs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::ServeSweep(const ServeSweepKnobs& knobs) {
-  scenario_.sweep = knobs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::Fleet(const FleetKnobs& knobs) {
-  scenario_.fleet = knobs;
-  return *this;
-}
-
-std::optional<Scenario> ScenarioBuilder::Build(std::string* error) const {
-  std::string problem = scenario_.Validate();
-  if (!problem.empty()) {
-    if (error != nullptr) {
-      *error = problem;
-    }
-    return std::nullopt;
-  }
-  return scenario_;
 }
 
 }  // namespace litegpu

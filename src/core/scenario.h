@@ -4,7 +4,7 @@
 // Figure-3 studies, cluster designer, Monte-Carlo reliability, yield/derive
 // helpers). A Scenario describes WHAT to run — study kind, model(s), GPU
 // list, workload/SLOs, KV policy, silicon/power/reliability knobs — as a
-// value that can be built fluently in code or loaded from a JSON file, the
+// value that can be set field by field in code or loaded from a JSON file, the
 // way simulation platforms describe platforms+workloads as data. The Runner
 // (src/core/runner.h) executes it and returns a uniform RunReport.
 //
@@ -418,50 +418,15 @@ inline bool operator!=(const Scenario& a, const Scenario& b) { return !(a == b);
 Json ScenarioToJson(const Scenario& scenario);
 std::optional<Scenario> ScenarioFromJson(const Json& json, std::string* error = nullptr);
 
-// Parses scenario text: a single scenario object, a top-level array of
-// them, or {"scenarios": [...]}.
-std::optional<std::vector<Scenario>> ParseScenarios(const std::string& text,
-                                                    std::string* error = nullptr);
+// Reads a scenario batch: a single scenario object, a top-level array of
+// them, or {"scenarios": [...]}. LoadScenarioFile reads one from a file.
+std::optional<std::vector<Scenario>> ScenariosFromJson(const Json& json,
+                                                       std::string* error = nullptr);
 std::optional<std::vector<Scenario>> LoadScenarioFile(const std::string& path,
                                                       std::string* error = nullptr);
 
 // Reads an exec block ({"threads": N}) with the scenario reader's checks;
 // `litegpu run --threads` goes through it.
 std::optional<ExecPolicy> ExecPolicyFromJson(const Json& json, std::string* error = nullptr);
-
-// Fluent builder. Setters return *this for chaining; Build() validates and
-// returns nullopt (with `error` describing why) for unrunnable scenarios.
-class ScenarioBuilder {
- public:
-  explicit ScenarioBuilder(StudyKind study) { scenario_.study = study; }
-
-  ScenarioBuilder& Name(const std::string& name);
-  ScenarioBuilder& Model(const std::string& model);  // appends
-  ScenarioBuilder& Gpu(const std::string& gpu);      // appends
-  ScenarioBuilder& Baseline(const std::string& gpu);
-  ScenarioBuilder& PromptTokens(int n);
-  ScenarioBuilder& OutputTokens(int n);
-  ScenarioBuilder& TtftSlo(double seconds);
-  ScenarioBuilder& TbtSlo(double seconds);
-  ScenarioBuilder& EnforceMemoryCapacity(bool on);
-  ScenarioBuilder& KvPolicy(KvShardPolicy policy);
-  ScenarioBuilder& MaxBatch(int n);
-  ScenarioBuilder& Threads(int n);
-  ScenarioBuilder& Design(const DesignKnobs& knobs);
-  ScenarioBuilder& McSim(const McSimKnobs& knobs);
-  ScenarioBuilder& Yield(const YieldKnobs& knobs);
-  ScenarioBuilder& Derive(const DeriveKnobs& knobs);
-  ScenarioBuilder& Serve(const ServeKnobs& knobs);
-  ScenarioBuilder& ServeSweep(const ServeSweepKnobs& knobs);
-  ScenarioBuilder& Fleet(const FleetKnobs& knobs);
-
-  // The scenario built so far, unvalidated.
-  const Scenario& Peek() const { return scenario_; }
-  // Validates; nullopt + error message when Scenario::Validate fails.
-  std::optional<Scenario> Build(std::string* error = nullptr) const;
-
- private:
-  Scenario scenario_;
-};
 
 }  // namespace litegpu

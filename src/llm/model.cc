@@ -17,15 +17,6 @@ uint64_t TransformerSpec::ParamCount() const {
   return embed + lm_head + static_cast<uint64_t>(num_layers) * ParamsPerLayer();
 }
 
-double TransformerSpec::WeightBytes() const {
-  return static_cast<double>(ParamCount()) * bytes_per_weight;
-}
-
-double TransformerSpec::KvBytesPerToken() const {
-  return static_cast<double>(num_layers) * static_cast<double>(num_kv_heads) *
-         static_cast<double>(d_head) * 2.0 * bytes_per_kv;
-}
-
 std::string TransformerSpec::Validate() const {
   if (name.empty()) {
     return "missing name";

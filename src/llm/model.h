@@ -35,12 +35,6 @@ struct TransformerSpec {
   // untied, as in Llama3/GPT3).
   uint64_t ParamCount() const;
 
-  // ParamCount() * bytes_per_weight.
-  double WeightBytes() const;
-
-  // Bytes of KV cache per sequence token across all layers/KV heads.
-  double KvBytesPerToken() const;
-
   // Parameters in one transformer layer (attention + MLP, no norms/bias —
   // they are < 0.1% and omitted everywhere consistently).
   uint64_t ParamsPerLayer() const;

@@ -2,10 +2,6 @@
 
 namespace litegpu {
 
-std::string ToString(Phase phase) {
-  return phase == Phase::kPrefill ? "prefill" : "decode";
-}
-
 double StageWork::OperationalIntensity() const {
   double bytes = HbmBytes();
   return bytes > 0.0 ? flops / bytes : 0.0;
@@ -92,33 +88,6 @@ double ModelWork::TotalFlops() const {
     total += s.flops * num_layers;
   }
   return total;
-}
-
-double ModelWork::TotalHbmBytes() const {
-  double total = embedding.HbmBytes() + lm_head.HbmBytes();
-  for (const auto& s : layer_stages) {
-    total += s.HbmBytes() * num_layers;
-  }
-  return total;
-}
-
-double ModelWork::TotalAllReduceBytes() const {
-  double total = embedding.allreduce_bytes + lm_head.allreduce_bytes;
-  for (const auto& s : layer_stages) {
-    total += s.allreduce_bytes * num_layers;
-  }
-  return total;
-}
-
-int ModelWork::NumAllReduces() const {
-  int per_layer = 0;
-  for (const auto& s : layer_stages) {
-    if (s.allreduce_bytes > 0.0) {
-      ++per_layer;
-    }
-  }
-  int extra = (embedding.allreduce_bytes > 0.0 ? 1 : 0) + (lm_head.allreduce_bytes > 0.0 ? 1 : 0);
-  return per_layer * num_layers + extra;
 }
 
 ModelWork BuildModelWork(const TransformerSpec& model, const TpPlan& plan, Phase phase,

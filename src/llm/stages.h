@@ -20,8 +20,6 @@ namespace litegpu {
 
 enum class Phase { kPrefill, kDecode };
 
-std::string ToString(Phase phase);
-
 // Work for one named stage on one GPU. `name` is a view, not a copy: every
 // stage name is a string literal (static storage), so work lists and their
 // timings are built and copied without allocating a name. Assign only
@@ -62,9 +60,6 @@ struct ModelWork {
   StageWork lm_head;
 
   double TotalFlops() const;
-  double TotalHbmBytes() const;
-  double TotalAllReduceBytes() const;  // sum of payloads across the pass
-  int NumAllReduces() const;           // collective invocations per pass
 };
 
 ModelWork BuildModelWork(const TransformerSpec& model, const TpPlan& plan, Phase phase,

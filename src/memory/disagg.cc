@@ -109,31 +109,4 @@ int MaxBatchWithPool(const TransformerSpec& model, const TpPlan& plan, const Gpu
   return std::max(0, static_cast<int>(std::floor(max_batch)));
 }
 
-double MinLocalFractionForSlo(const TransformerSpec& model, const GpuSpec& gpu,
-                              const TpPlan& plan, int batch, const MemoryPoolSpec& pool,
-                              const WorkloadParams& workload, const EngineParams& engine) {
-  DisaggPlacement full;
-  full.local_fraction = 1.0;
-  DisaggDecodeResult at_full =
-      EvaluateDisaggDecode(model, gpu, plan, batch, pool, full, workload, engine);
-  if (!at_full.feasible || !at_full.meets_slo) {
-    return -1.0;
-  }
-  double lo = 0.0;
-  double hi = 1.0;
-  for (int iter = 0; iter < 40; ++iter) {
-    double mid = 0.5 * (lo + hi);
-    DisaggPlacement placement;
-    placement.local_fraction = mid;
-    DisaggDecodeResult r =
-        EvaluateDisaggDecode(model, gpu, plan, batch, pool, placement, workload, engine);
-    if (r.feasible && r.meets_slo) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
-}
-
 }  // namespace litegpu

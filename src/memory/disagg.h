@@ -64,11 +64,4 @@ int MaxBatchWithPool(const TransformerSpec& model, const TpPlan& plan, const Gpu
                      const MemoryPoolSpec& pool, const DisaggPlacement& placement,
                      int max_context);
 
-// Smallest local fraction that still meets the TBT SLO at the given batch
-// (binary search over placements); returns -1.0 when even fully-local
-// placement misses the SLO.
-double MinLocalFractionForSlo(const TransformerSpec& model, const GpuSpec& gpu,
-                              const TpPlan& plan, int batch, const MemoryPoolSpec& pool,
-                              const WorkloadParams& workload, const EngineParams& engine);
-
 }  // namespace litegpu

@@ -43,16 +43,6 @@ LinkTechSpec CpoLink() {
   return s;
 }
 
-std::string ToString(SwitchTech tech) {
-  switch (tech) {
-    case SwitchTech::kPacket:
-      return "packet";
-    case SwitchTech::kCircuit:
-      return "circuit";
-  }
-  return "unknown";
-}
-
 SwitchTechSpec PacketSwitch() {
   SwitchTechSpec s;
   s.tech = SwitchTech::kPacket;

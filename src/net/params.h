@@ -37,8 +37,6 @@ enum class SwitchTech {
   kCircuit,  // optical circuit switch (Sirius-class, paper ref [6])
 };
 
-std::string ToString(SwitchTech tech);
-
 struct SwitchTechSpec {
   SwitchTech tech = SwitchTech::kPacket;
   int radix = 64;                  // ports per switch

@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "src/llm/footprint.h"
-
 namespace litegpu {
 
 namespace {
@@ -30,108 +28,29 @@ PerfModel::PerfModel(const TransformerSpec& model, const GpuSpec& gpu, const TpP
     : model_(model), gpu_(gpu), plan_(plan), workload_(workload), engine_(engine) {}
 
 PrefillResult PerfModel::Prefill(int batch) const {
-  Key key{batch, workload_.prompt_tokens};
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = prefill_cache_.find(key);
+  auto it = prefill_cache_.find(batch);
   if (it != prefill_cache_.end()) {
-    ++stats_.hits;
     g_hits.fetch_add(1, std::memory_order_relaxed);
     return it->second;
   }
-  ++stats_.misses;
   g_misses.fetch_add(1, std::memory_order_relaxed);
   PrefillResult result = EvaluatePrefill(model_, gpu_, plan_, batch, workload_, engine_);
-  prefill_cache_.emplace(key, result);
+  prefill_cache_.emplace(batch, result);
   return result;
 }
 
 DecodeResult PerfModel::Decode(int batch) const {
-  Key key{batch, workload_.prompt_tokens + workload_.output_tokens};
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = decode_cache_.find(key);
+  auto it = decode_cache_.find(batch);
   if (it != decode_cache_.end()) {
-    ++stats_.hits;
     g_hits.fetch_add(1, std::memory_order_relaxed);
     return it->second;
   }
-  ++stats_.misses;
   g_misses.fetch_add(1, std::memory_order_relaxed);
   DecodeResult result = EvaluateDecode(model_, gpu_, plan_, batch, workload_, engine_);
-  decode_cache_.emplace(key, result);
+  decode_cache_.emplace(batch, result);
   return result;
-}
-
-double PerfModel::PrefillTime(int batch, int prompt_tokens) const {
-  if (prompt_tokens == workload_.prompt_tokens) {
-    return Prefill(batch).ttft_s;
-  }
-  Key key{batch, prompt_tokens};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = prefill_cache_.find(key);
-  if (it != prefill_cache_.end()) {
-    ++stats_.hits;
-    g_hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second.ttft_s;
-  }
-  ++stats_.misses;
-  g_misses.fetch_add(1, std::memory_order_relaxed);
-  WorkloadParams at_context = workload_;
-  at_context.prompt_tokens = prompt_tokens;
-  PrefillResult result = EvaluatePrefill(model_, gpu_, plan_, batch, at_context, engine_);
-  prefill_cache_.emplace(key, result);
-  return result.ttft_s;
-}
-
-double PerfModel::DecodeStepTime(int batch, int context_tokens) const {
-  if (context_tokens == workload_.prompt_tokens + workload_.output_tokens) {
-    return Decode(batch).tbt_s;
-  }
-  Key key{batch, context_tokens};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = decode_cache_.find(key);
-  if (it != decode_cache_.end()) {
-    ++stats_.hits;
-    g_hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second.tbt_s;
-  }
-  ++stats_.misses;
-  g_misses.fetch_add(1, std::memory_order_relaxed);
-  // EvaluateDecode only reads prompt + output as the total context, so
-  // binding (context_tokens, 0) prices a step at exactly `context_tokens`.
-  WorkloadParams at_context = workload_;
-  at_context.prompt_tokens = context_tokens;
-  at_context.output_tokens = 0;
-  DecodeResult result = EvaluateDecode(model_, gpu_, plan_, batch, at_context, engine_);
-  decode_cache_.emplace(key, result);
-  return result.tbt_s;
-}
-
-double PerfModel::CollectiveCost(double payload_bytes, CollectiveAlgo algo) const {
-  LinkModel link;
-  link.bandwidth_bytes_per_s = gpu_.net_bw_bytes_per_s;
-  link.latency_s = engine_.network_latency_s;
-  return AllReduceTime(payload_bytes, plan_.degree, link, algo);
-}
-
-double PerfModel::CollectiveCost(double payload_bytes) const {
-  return CollectiveCost(payload_bytes, engine_.collective_algo);
-}
-
-PerfFootprint PerfModel::Footprint() const {
-  PerfFootprint fp;
-  fp.weight_bytes_per_gpu = WeightBytesPerGpu(model_, plan_);
-  fp.embedding_bytes_per_gpu = EmbeddingWeightBytesPerGpu(model_, plan_);
-  fp.kv_bytes_per_token_per_gpu = KvBytesPerTokenPerGpu(model_, plan_);
-  return fp;
-}
-
-double PerfModel::MemoryNeededBytes(int batch, int new_tokens, int max_context) const {
-  return MemoryNeededPerGpu(model_, plan_, batch, new_tokens, max_context);
-}
-
-PerfCacheStats PerfModel::cache_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace litegpu

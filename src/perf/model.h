@@ -1,13 +1,11 @@
 // PerfModel: the one analytic cost interface every study consumes.
 //
 // A PerfModel binds one (TransformerSpec, GpuSpec, TpPlan, WorkloadParams,
-// EngineParams) tuple and exposes every analytic quantity the engines need —
-// pass times, per-step decode latency at an arbitrary context, collective
-// costs on the part's fabric, and the per-GPU memory footprint — behind an
-// internal memoization cache. The same (phase, batch, context) evaluation is
-// computed once per model instance, so the search's final re-evaluation of
-// the chosen batch and the brute-force validators' repeated probes become
-// cache hits. The serving simulator never queries a model directly: it reads
+// EngineParams) tuple and exposes the prefill and decode pass results the
+// studies need behind an internal memoization cache. The same (phase, batch)
+// evaluation is computed once per model instance, so the search's final
+// re-evaluation of the chosen batch and the brute-force validators' repeated
+// probes become cache hits. The serving simulator never queries a model directly: it reads
 // a StepTimeTable (src/perf/step_table.h) tabulated from a model pair's bound
 // parameters, which bypasses this cache (each batch is priced once, so every
 // lookup would miss). Values are bit-identical to direct EvaluatePrefill /
@@ -19,7 +17,6 @@
 #include <map>
 #include <mutex>
 
-#include "src/collectives/cost.h"
 #include "src/hw/gpu_spec.h"
 #include "src/llm/model.h"
 #include "src/llm/parallel.h"
@@ -36,13 +33,6 @@ struct PerfCacheStats {
   }
 };
 
-// Static (batch-independent) slice of the per-GPU memory footprint.
-struct PerfFootprint {
-  double weight_bytes_per_gpu = 0.0;
-  double embedding_bytes_per_gpu = 0.0;
-  double kv_bytes_per_token_per_gpu = 0.0;
-};
-
 class PerfModel {
  public:
   // `plan` must be a valid plan for `model` (from MakeTpPlan).
@@ -54,38 +44,13 @@ class PerfModel {
   PrefillResult Prefill(int batch) const;
   DecodeResult Decode(int batch) const;
 
-  // Context-explicit forms for callers that vary the token shape (the
-  // serving simulator): one prefill pass over `batch` prompts of
-  // `prompt_tokens` each, and one decode step for `batch` sequences at a
-  // total context of `context_tokens`. Share the cache with Prefill/Decode
-  // (PrefillTime(b, workload.prompt_tokens) is the same entry as
-  // Prefill(b).ttft_s).
-  double PrefillTime(int batch, int prompt_tokens) const;
-  double DecodeStepTime(int batch, int context_tokens) const;
-
-  // Alpha-beta collective cost on this model's fabric (the GPU's injection
-  // bandwidth + the engine's per-step latency) across the plan's TP degree.
-  double CollectiveCost(double payload_bytes, CollectiveAlgo algo) const;
-  double CollectiveCost(double payload_bytes) const;
-
-  // Per-GPU memory footprint of this (model, plan).
-  PerfFootprint Footprint() const;
-  double MemoryNeededBytes(int batch, int new_tokens, int max_context) const;
-
   const TransformerSpec& model() const { return model_; }
   const GpuSpec& gpu() const { return gpu_; }
   const TpPlan& plan() const { return plan_; }
   const WorkloadParams& workload() const { return workload_; }
   const EngineParams& engine() const { return engine_; }
 
-  // This instance's cache effectiveness.
-  PerfCacheStats cache_stats() const;
-
  private:
-  // Key: (batch, token count) — prompt tokens for prefill entries, total
-  // context for decode entries.
-  using Key = std::pair<int, int>;
-
   TransformerSpec model_;
   GpuSpec gpu_;
   TpPlan plan_;
@@ -97,9 +62,8 @@ class PerfModel {
   // uncontended in the common one-model-per-worker layout and cheap next to
   // a roofline evaluation.
   mutable std::mutex mu_;
-  mutable std::map<Key, PrefillResult> prefill_cache_;
-  mutable std::map<Key, DecodeResult> decode_cache_;
-  mutable PerfCacheStats stats_;
+  mutable std::map<int, PrefillResult> prefill_cache_;
+  mutable std::map<int, DecodeResult> decode_cache_;
 };
 
 // Process-wide cache counters aggregated over every PerfModel instance;

@@ -70,10 +70,4 @@ double InstanceAvailabilityWithSpares(const GpuSpec& gpu, int gpus_per_instance,
   return std::pow(per_gpu, gpus_per_instance);
 }
 
-double ExpectedCapacityFraction(const GpuSpec& gpu, int gpus_per_instance, int num_instances,
-                                int num_spares, const FailureParams& params) {
-  return InstanceAvailabilityWithSpares(gpu, gpus_per_instance, num_instances, num_spares,
-                                        params);
-}
-
 }  // namespace litegpu

@@ -60,9 +60,4 @@ double InstanceAvailabilityWithSpares(const GpuSpec& gpu, int gpus_per_instance,
                                       int num_instances, int num_spares,
                                       const FailureParams& params = {});
 
-// Expected serviceable capacity fraction of the whole cluster (GPUs up and
-// attached to a complete instance / total non-spare GPUs).
-double ExpectedCapacityFraction(const GpuSpec& gpu, int gpus_per_instance, int num_instances,
-                                int num_spares, const FailureParams& params = {});
-
 }  // namespace litegpu

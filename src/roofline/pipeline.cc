@@ -111,49 +111,6 @@ PipelineDecodeResult EvaluatePipelineDecode(const TransformerSpec& model, const 
   return result;
 }
 
-PipelinePrefillResult EvaluatePipelinePrefill(const TransformerSpec& model,
-                                              const GpuSpec& gpu, const PipelinePlan& plan,
-                                              int batch, const WorkloadParams& workload,
-                                              const EngineParams& engine) {
-  PipelinePrefillResult result;
-  if (batch <= 0) {
-    return result;
-  }
-  int pp = plan.pp_degree;
-
-  result.memory_needed_bytes =
-      PipelineWeightBytesPerGpu(model, plan) +
-      static_cast<double>(batch) * workload.prompt_tokens *
-          PipelineKvBytesPerTokenPerGpu(model, plan) +
-      ActWorkspaceBytesPerGpu(model, plan.tp, 1, workload.prompt_tokens);
-  if (workload.enforce_memory_capacity &&
-      result.memory_needed_bytes > gpu.mem_capacity_bytes * FootprintParams{}.usable_fraction) {
-    return result;
-  }
-  result.feasible = true;
-
-  // One prompt per micro-batch; the pipeline fills then streams.
-  PassShape shape;
-  shape.batch = 1;
-  shape.new_tokens = workload.prompt_tokens;
-  shape.context_tokens = 0;
-  ModelWork stage = BuildStageWork(model, plan, Phase::kPrefill, shape);
-  double stage_s = EvaluatePass(stage, gpu, plan.tp.degree, engine).total_s;
-  double transfer_s =
-      pp > 1 ? StageTransferSeconds(model, gpu, workload.prompt_tokens, engine) : 0.0;
-  double per_hop = engine.overlap == OverlapScope::kNone ? stage_s + transfer_s
-                                                         : std::max(stage_s, transfer_s);
-  result.ttft_s = (batch + pp - 1) * per_hop;
-  result.meets_slo = result.ttft_s <= workload.ttft_slo_s;
-  if (result.ttft_s > 0.0) {
-    result.tokens_per_s =
-        static_cast<double>(batch) * workload.prompt_tokens / result.ttft_s;
-    result.tokens_per_s_per_sm =
-        result.tokens_per_s / (static_cast<double>(plan.TotalGpus()) * gpu.sm_count);
-  }
-  return result;
-}
-
 PipelineSearchResult SearchPipelineDecode(const TransformerSpec& model, const GpuSpec& gpu,
                                           const WorkloadParams& workload,
                                           const EngineParams& engine, KvShardPolicy policy,

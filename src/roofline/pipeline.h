@@ -6,8 +6,8 @@
 // layers across `pp` stages of `tp` GPUs each, shrinking both the per-GPU
 // weights (enabling smaller TP) and the collective group size, at the cost
 // of inter-stage activation transfers and pipeline latency. This module
-// models both phases and lets the search compare TP vs TP x PP (ablation
-// bench_ablation_parallelism).
+// models the decode phase and lets the search compare TP vs TP x PP
+// (ablation bench_ablation_parallelism).
 
 #pragma once
 
@@ -55,22 +55,6 @@ PipelineDecodeResult EvaluatePipelineDecode(const TransformerSpec& model, const 
                                             const PipelinePlan& plan, int batch,
                                             const WorkloadParams& workload,
                                             const EngineParams& engine);
-
-struct PipelinePrefillResult {
-  bool feasible = false;
-  bool meets_slo = false;
-  double ttft_s = 0.0;  // fill + drain of the micro-batch pipeline
-  double tokens_per_s = 0.0;
-  double tokens_per_s_per_sm = 0.0;
-  double memory_needed_bytes = 0.0;
-};
-
-// Prefill of `batch` prompts pushed through the pipeline as micro-batches
-// of one prompt each (TTFT measured at the last prompt's completion).
-PipelinePrefillResult EvaluatePipelinePrefill(const TransformerSpec& model,
-                                              const GpuSpec& gpu, const PipelinePlan& plan,
-                                              int batch, const WorkloadParams& workload,
-                                              const EngineParams& engine);
 
 // Best (tp, pp, batch) decode configuration with tp*pp <= gpu.max_gpus,
 // maximizing tokens/s/SM under the SLOs; pure TP is the pp=1 row.

@@ -28,26 +28,8 @@ Allocation ClusterAllocator::Allocate(const AllocationRequest& request) {
   return out;
 }
 
-void ClusterAllocator::Release(const Allocation& allocation) {
-  if (!allocation.satisfied) {
-    return;
-  }
-  used_units_ -= allocation.units;
-  granted_h100_ -= allocation.units * unit_h100_equiv_;
-  // The demand bookkeeping cannot be reversed exactly without per-id state;
-  // approximate by scaling (only the aggregate ratios are consumed).
-  if (granted_h100_ <= 0.0) {
-    demanded_h100_ = 0.0;
-    granted_h100_ = 0.0;
-  }
-}
-
 double ClusterAllocator::AllocationEfficiency() const {
   return granted_h100_ > 0.0 ? demanded_h100_ / granted_h100_ : 1.0;
-}
-
-double ClusterAllocator::Utilization() const {
-  return total_units_ > 0 ? static_cast<double>(used_units_) / total_units_ : 0.0;
 }
 
 GranularityComparison CompareGranularity(const std::vector<AllocationRequest>& requests,

@@ -36,19 +36,11 @@ class ClusterAllocator {
   // Grants ceil(demand / unit) quanta if available.
   Allocation Allocate(const AllocationRequest& request);
 
-  // Returns quanta of the given request to the pool.
-  void Release(const Allocation& allocation);
-
-  int total_units() const { return total_units_; }
   int used_units() const { return used_units_; }
-  double unit_h100_equiv() const { return unit_h100_equiv_; }
 
   // Capacity actually demanded / capacity granted, over current allocations
   // (1.0 = no rounding waste).
   double AllocationEfficiency() const;
-
-  // Fraction of the cluster granted to jobs.
-  double Utilization() const;
 
  private:
   int total_units_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/perf/model.h"
 
@@ -45,15 +44,6 @@ ServeDeployment WithHotSpares(ServeDeployment deployment, int prefill_spares,
   deployment.spare_gpus += spares;
   deployment.total_gpus += spares;
   return deployment;
-}
-
-std::string PoolPlan::ToString() const {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "prefill %d inst (%d GPUs, %.2fx) + decode %d inst (%d GPUs, %.2fx) = %d GPUs",
-                prefill_instances, prefill_gpus, prefill_overprovision, decode_instances,
-                decode_gpus, decode_overprovision, total_gpus);
-  return buffer;
 }
 
 PoolPlan SizePools(const PoolDemand& demand, const InstanceCapacity& capacity) {

@@ -5,8 +5,6 @@
 
 #pragma once
 
-#include <string>
-
 namespace litegpu {
 
 class PerfModel;
@@ -40,7 +38,6 @@ struct PoolPlan {
   // larger means quantization waste).
   double prefill_overprovision = 0.0;
   double decode_overprovision = 0.0;
-  std::string ToString() const;
 };
 
 // Sizes both pools for the demand; instance counts round up.

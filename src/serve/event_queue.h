@@ -200,8 +200,8 @@ inline ServeEvent CalendarEventQueue::Pop() {
 
 // Reference implementation with the exact container the simulator used
 // before the calendar queue: a binary min-heap over the same comparator.
-// Kept as the ground truth for the randomized property test and the bench
-// identity gates.
+// Kept only as the ground truth for event_queue_test's randomized property
+// test; no simulator or bench uses it.
 class HeapEventQueue {
  public:
   bool empty() const { return heap_.empty(); }

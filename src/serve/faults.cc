@@ -21,17 +21,6 @@ const char* ToString(FaultRetryPolicy policy) {
   return "retry";
 }
 
-bool ParseFaultRetryPolicy(const std::string& text, FaultRetryPolicy* out) {
-  for (FaultRetryPolicy policy : {FaultRetryPolicy::kRetry, FaultRetryPolicy::kDrop,
-                                  FaultRetryPolicy::kRetryWithBudget}) {
-    if (text == ToString(policy)) {
-      *out = policy;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* ToString(FaultEventKind kind) {
   switch (kind) {
     case FaultEventKind::kFailure:

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -43,8 +42,6 @@ const char* ToString(ScalePool pool);
 //                      times, then drop it.
 enum class FaultRetryPolicy { kRetry, kDrop, kRetryWithBudget };
 const char* ToString(FaultRetryPolicy policy);
-// Parses "retry" | "drop" | "retry_with_budget". Returns false on unknown.
-bool ParseFaultRetryPolicy(const std::string& text, FaultRetryPolicy* out);
 
 enum class FaultEventKind {
   kFailure,          // instance went down (in-flight work killed)

@@ -28,17 +28,6 @@ double ShorelineGain(int split) {
   return std::sqrt(static_cast<double>(split));
 }
 
-ShorelineBandwidth AchievableBandwidth(double die_area_mm2, const ShorelineBudget& budget,
-                                       const ShorelineTech& tech) {
-  ShorelineBandwidth out;
-  out.total_perimeter_mm = DiePerimeterMm(die_area_mm2);
-  out.mem_bw_bytes_per_s =
-      out.total_perimeter_mm * budget.hbm_fraction * tech.hbm_gbps_per_mm * kGB;
-  out.net_bw_bytes_per_s =
-      out.total_perimeter_mm * budget.network_fraction * tech.cpo_gbps_per_mm * kGB;
-  return out;
-}
-
 bool BandwidthFeasible(double die_area_mm2, double mem_bw_bytes_per_s,
                        double net_bw_bytes_per_s, const ShorelineTech& tech,
                        double usable_fraction) {

@@ -33,25 +33,6 @@ struct ShorelineTech {
   double serdes_gbps_per_mm = 20.0;
 };
 
-// How a die's shoreline is partitioned. Fractions must sum to <= 1; the
-// remainder is reserved (power delivery, test, debug).
-struct ShorelineBudget {
-  double hbm_fraction = 0.60;
-  double network_fraction = 0.25;
-  double reserved_fraction = 0.15;
-};
-
-struct ShorelineBandwidth {
-  double mem_bw_bytes_per_s = 0.0;
-  double net_bw_bytes_per_s = 0.0;
-  double total_perimeter_mm = 0.0;
-};
-
-// Achievable memory and network bandwidth for one die of `die_area_mm2`
-// given the budget split and technology densities. Network uses CPO.
-ShorelineBandwidth AchievableBandwidth(double die_area_mm2, const ShorelineBudget& budget,
-                                       const ShorelineTech& tech);
-
 // True if the requested bandwidths fit on the die's shoreline with the given
 // technologies (any split). Used to validate customized Lite-GPU configs.
 bool BandwidthFeasible(double die_area_mm2, double mem_bw_bytes_per_s,

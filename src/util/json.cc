@@ -71,10 +71,6 @@ double Json::AsDouble(double fallback) const {
   return type_ == Type::kNumber ? number_ : fallback;
 }
 
-int Json::AsInt(int fallback) const {
-  return type_ == Type::kNumber ? static_cast<int>(std::llround(number_)) : fallback;
-}
-
 uint64_t Json::AsUint64(uint64_t fallback) const {
   if (is_uint64_) {
     return uint64_;
@@ -89,26 +85,6 @@ uint64_t Json::AsUint64(uint64_t fallback) const {
 
 std::string Json::AsString(const std::string& fallback) const {
   return type_ == Type::kString ? string_ : fallback;
-}
-
-bool Json::GetBool(const std::string& key, bool fallback) const {
-  const Json* v = Find(key);
-  return v != nullptr ? v->AsBool(fallback) : fallback;
-}
-
-double Json::GetDouble(const std::string& key, double fallback) const {
-  const Json* v = Find(key);
-  return v != nullptr ? v->AsDouble(fallback) : fallback;
-}
-
-int Json::GetInt(const std::string& key, int fallback) const {
-  const Json* v = Find(key);
-  return v != nullptr ? v->AsInt(fallback) : fallback;
-}
-
-std::string Json::GetString(const std::string& key, const std::string& fallback) const {
-  const Json* v = Find(key);
-  return v != nullptr ? v->AsString(fallback) : fallback;
 }
 
 bool operator==(const Json& a, const Json& b) {

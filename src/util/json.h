@@ -5,9 +5,9 @@
 // object keys and shortest-round-trip numbers, so Dump() output is stable and
 // `Parse(Dump(x)) == x`. The reader is *tolerant*: it accepts `//` and
 // `/* */` comments plus trailing commas (scenario files are hand-edited),
-// and the typed getters fall back to defaults on missing keys or type
-// mismatches instead of failing — schema-level strictness belongs to the
-// caller (see Scenario validation).
+// and the As* accessors fall back to defaults on type mismatches instead
+// of failing — schema-level strictness belongs to the caller (see Scenario
+// validation).
 
 #pragma once
 
@@ -64,15 +64,8 @@ class Json {
   // --- scalar extraction (fallback on type mismatch) ---
   bool AsBool(bool fallback = false) const;
   double AsDouble(double fallback = 0.0) const;
-  int AsInt(int fallback = 0) const;
   uint64_t AsUint64(uint64_t fallback = 0) const;
   std::string AsString(const std::string& fallback = "") const;
-
-  // --- tolerant object lookups: fallback when absent or mismatched ---
-  bool GetBool(const std::string& key, bool fallback) const;
-  double GetDouble(const std::string& key, double fallback) const;
-  int GetInt(const std::string& key, int fallback) const;
-  std::string GetString(const std::string& key, const std::string& fallback) const;
 
   // Serializes. indent > 0 pretty-prints with that many spaces per level;
   // indent == 0 emits the compact one-line form.

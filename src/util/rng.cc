@@ -99,8 +99,6 @@ uint64_t Rng::Poisson(double mean) {
   return count;
 }
 
-bool Rng::Chance(double p) { return NextDouble() < p; }
-
 double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
 
 }  // namespace litegpu

@@ -47,9 +47,6 @@ class Rng {
   // normal approximation above 64).
   uint64_t Poisson(double mean);
 
-  // Bernoulli trial.
-  bool Chance(double p);
-
   // Log-normal: exp(Normal(mu, sigma)).
   double LogNormal(double mu, double sigma);
 

@@ -2,34 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <string>
 
 namespace litegpu {
-
-void RunningStat::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::Add(double x) {
   samples_.push_back(x);
@@ -41,33 +15,6 @@ void SampleSet::SortIfNeeded() const {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  double s = 0.0;
-  for (double x : samples_) {
-    s += x;
-  }
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::min() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  SortIfNeeded();
-  return samples_.front();
-}
-
-double SampleSet::max() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  SortIfNeeded();
-  return samples_.back();
 }
 
 double SampleSet::Quantile(double q) const {
@@ -83,17 +30,8 @@ double SampleSet::Quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-namespace {
-constexpr double kFixedSumScale = 0x1p44;  // fixed-point sum units per 1.0
-constexpr double kFixedSumLimit = 0x1p19;  // larger samples sum loosely
-}  // namespace
-
 LatencyHistogram::LatencyHistogram(double hi, size_t bins)
     : hi_(hi > 0.0 ? hi : 1.0), counts_(bins == 0 ? 1 : bins, 0) {}
-
-double LatencyHistogram::sum() const {
-  return static_cast<double>(fixed_sum_) / kFixedSumScale + loose_sum_;
-}
 
 void LatencyHistogram::Add(double x) { Add(x, 1); }
 
@@ -108,12 +46,6 @@ void LatencyHistogram::Add(double x, size_t n) {
     max_ = std::max(max_, x);
   }
   count_ += n;
-  if (std::fabs(x) < kFixedSumLimit) {
-    fixed_sum_ += static_cast<FixedSum>(static_cast<int64_t>(x * kFixedSumScale)) *
-                  static_cast<FixedSum>(n);
-  } else {
-    loose_sum_ += x * static_cast<double>(n);
-  }
   if (x >= hi_) {
     overflow_ += n;
     return;
@@ -207,53 +139,6 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
   }
   overflow_ += other.overflow_;
   count_ += other.count_;
-  fixed_sum_ += other.fixed_sum_;
-  loose_sum_ += other.loose_sum_;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-void Histogram::Add(double x) {
-  double span = hi_ - lo_;
-  size_t n = counts_.size();
-  size_t index;
-  if (span <= 0.0 || x < lo_) {
-    index = 0;
-  } else if (x >= hi_) {
-    index = n - 1;
-  } else {
-    index = static_cast<size_t>((x - lo_) / span * static_cast<double>(n));
-    index = std::min(index, n - 1);
-  }
-  ++counts_[index];
-  ++total_;
-}
-
-double Histogram::bucket_lo(size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ToAscii(size_t width) const {
-  size_t max_count = 0;
-  for (size_t c : counts_) {
-    max_count = std::max(max_count, c);
-  }
-  std::string out;
-  char line[128];
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    size_t bar = max_count ? counts_[i] * width / max_count : 0;
-    std::snprintf(line, sizeof(line), "[%10.4g, %10.4g) %8zu ", bucket_lo(i), bucket_hi(i),
-                  counts_[i]);
-    out += line;
-    out.append(bar, '#');
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace litegpu

@@ -4,34 +4,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace litegpu {
-
-// Streaming mean/variance via Welford's algorithm; O(1) memory.
-class RunningStat {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  // Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Stores all samples; supports exact quantiles. Suitable for the sample
 // counts our simulators produce (<= millions).
@@ -41,9 +16,6 @@ class SampleSet {
   void Reserve(size_t n) { samples_.reserve(n); }
 
   size_t count() const { return samples_.size(); }
-  double mean() const;
-  double min() const;
-  double max() const;
   // Linear-interpolated quantile, q in [0,1]. Returns 0 for empty sets.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
@@ -67,14 +39,6 @@ class SampleSet {
 // bin, so it is within one bin width of the exact sample quantile. Used
 // for the serving simulator's per-step TBT distribution, whose sample
 // count is O(simulated tokens).
-//
-// The sum accumulates in 128-bit fixed point (units of 2^-44), so it does
-// not depend on the order samples arrive in: Add(x, n * r) equals r calls
-// of Add(x, n) bit for bit, and a simulator that emits a run of identical
-// decode steps in one call matches one that emits them step by step, in
-// whatever interleaving with other instances. Each sample is truncated
-// toward zero to a multiple of 2^-44 (~5.7e-14) first; magnitudes of 2^19
-// and beyond (and non-finite samples) fall back to a plain double sum.
 class LatencyHistogram {
  public:
   explicit LatencyHistogram(double hi = 1.0, size_t bins = 16384);
@@ -85,10 +49,8 @@ class LatencyHistogram {
   void Add(double x, size_t n);
 
   size_t count() const { return count_; }
-  double mean() const { return count_ ? sum() / static_cast<double>(count_) : 0.0; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  double sum() const;
   // The quantile error bound: width of one bin.
   double bin_width() const { return hi_ / static_cast<double>(counts_.size()); }
 
@@ -120,34 +82,8 @@ class LatencyHistogram {
   std::vector<size_t> counts_;
   size_t overflow_ = 0;  // samples >= hi_
   size_t count_ = 0;
-  __extension__ typedef __int128 FixedSum;
-  FixedSum fixed_sum_ = 0;  // in-range samples, units of 2^-44
-  double loose_sum_ = 0.0;  // samples of magnitude >= 2^19 or non-finite
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bucket. Used for availability and latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  size_t bucket_count() const { return counts_.size(); }
-  size_t bucket(size_t i) const { return counts_[i]; }
-  double bucket_lo(size_t i) const;
-  double bucket_hi(size_t i) const;
-  size_t total() const { return total_; }
-
-  // Renders a one-line-per-bucket ASCII bar chart (max `width` chars of bar).
-  std::string ToAscii(size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<size_t> counts_;
-  size_t total_ = 0;
 };
 
 }  // namespace litegpu

@@ -5,12 +5,7 @@
 
 namespace litegpu {
 
-Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
-  aligns_.resize(headers_.size(), Align::kRight);
-  if (!aligns_.empty()) {
-    aligns_[0] = Align::kLeft;
-  }
-}
+Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
 void Table::AddRow(std::vector<std::string> cells) {
   cells.resize(headers_.size());
@@ -20,12 +15,6 @@ void Table::AddRow(std::vector<std::string> cells) {
 void Table::AddSeparator() {
   if (!rows_.empty()) {
     separator_after_.push_back(rows_.size() - 1);
-  }
-}
-
-void Table::SetAlign(size_t column, Align align) {
-  if (column < aligns_.size()) {
-    aligns_[column] = align;
   }
 }
 
@@ -43,7 +32,7 @@ std::string Table::ToText() const {
   auto pad = [&](const std::string& cell, size_t c) {
     std::string out;
     size_t fill = widths[c] - cell.size();
-    if (aligns_[c] == Align::kRight) {
+    if (c > 0) {
       out.append(fill, ' ');
       out += cell;
     } else {
@@ -82,38 +71,6 @@ std::string Table::ToText() const {
     }
   }
   os << rule();
-  return os.str();
-}
-
-std::string CsvEscape(const std::string& cell) {
-  bool needs_quotes = cell.find_first_of(",\"\n") != std::string::npos;
-  if (!needs_quotes) {
-    return cell;
-  }
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') {
-      out += "\"\"";
-    } else {
-      out += c;
-    }
-  }
-  out += "\"";
-  return out;
-}
-
-std::string Table::ToCsv() const {
-  std::ostringstream os;
-  for (size_t c = 0; c < headers_.size(); ++c) {
-    os << (c ? "," : "") << CsvEscape(headers_[c]);
-  }
-  os << "\n";
-  for (const auto& row : rows_) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      os << (c ? "," : "") << CsvEscape(row[c]);
-    }
-    os << "\n";
-  }
   return os.str();
 }
 

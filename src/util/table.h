@@ -1,5 +1,5 @@
-// Minimal text table and CSV rendering, used by every bench binary to print
-// the paper's tables/figure series in a stable, diff-friendly format.
+// Minimal text table rendering, used by every bench binary to print the
+// paper's tables/figure series in a stable, diff-friendly format.
 
 #pragma once
 
@@ -7,8 +7,6 @@
 #include <vector>
 
 namespace litegpu {
-
-enum class Align { kLeft, kRight };
 
 // A simple column-aligned text table. Cells are strings; callers format
 // numbers with the helpers in format.h so units stay explicit.
@@ -22,14 +20,9 @@ class Table {
   // Appends a horizontal separator after the last added row.
   void AddSeparator();
 
-  // Sets alignment for a column (default: kLeft for col 0, kRight otherwise).
-  void SetAlign(size_t column, Align align);
-
-  // Renders with box-drawing separators suitable for terminals/logs.
+  // Renders with box-drawing separators suitable for terminals/logs. The
+  // first column is left-aligned, the rest right-aligned.
   std::string ToText() const;
-
-  // Renders as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  std::string ToCsv() const;
 
   size_t num_rows() const { return rows_.size(); }
   size_t num_columns() const { return headers_.size(); }
@@ -39,10 +32,6 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
   std::vector<size_t> separator_after_;  // row indices followed by a rule
-  std::vector<Align> aligns_;
 };
-
-// Escapes a single CSV cell.
-std::string CsvEscape(const std::string& cell);
 
 }  // namespace litegpu

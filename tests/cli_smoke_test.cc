@@ -50,6 +50,14 @@ std::string ScenarioPath(const std::string& name) {
   return std::string(LITEGPU_SCENARIO_DIR) + "/" + name;
 }
 
+// The member `key` of a report object; null when absent, so the As*
+// accessors fall back.
+const Json& Member(const Json& object, const std::string& key) {
+  static const Json kAbsent;
+  const Json* value = object.Find(key);
+  return value != nullptr ? *value : kAbsent;
+}
+
 // Like RunCommand, but folds stderr into the captured text — for asserting
 // on diagnostic messages, which the CLI prints to stderr.
 CommandResult RunCommandMergedOutput(const std::string& args) {
@@ -71,11 +79,11 @@ TEST(CliSmoke, RunExecutesEveryCheckedInScenarioAsJson) {
     if (parsed->is_array()) {  // batch files print one result per scenario
       ASSERT_GT(parsed->size(), 0u) << file;
       for (const Json& report : parsed->elements()) {
-        EXPECT_TRUE(report.GetBool("ok", false)) << file;
+        EXPECT_TRUE(Member(report, "ok").AsBool()) << file;
         EXPECT_NE(report.Find("report"), nullptr) << file;
       }
     } else {
-      EXPECT_TRUE(parsed->GetBool("ok", false)) << file;
+      EXPECT_TRUE(Member(*parsed, "ok").AsBool()) << file;
       EXPECT_NE(parsed->Find("report"), nullptr) << file;
     }
   }
@@ -86,7 +94,7 @@ TEST(CliSmoke, JsonFlagBeforePositionalStillWorks) {
   EXPECT_EQ(result.exit_code, 0);
   auto parsed = Json::Parse(result.stdout_text);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->GetBool("ok", false));
+  EXPECT_TRUE(Member(*parsed, "ok").AsBool());
 }
 
 TEST(CliSmoke, RunExecutesTheBatchSuite) {
@@ -98,7 +106,7 @@ TEST(CliSmoke, RunExecutesTheBatchSuite) {
   // fig3a, fig3b, yield, design + the big-GPU-vs-Lite-GPU serve pair.
   EXPECT_EQ(parsed->size(), 6u);
   for (const Json& report : parsed->elements()) {
-    EXPECT_TRUE(report.GetBool("ok", false));
+    EXPECT_TRUE(Member(report, "ok").AsBool());
   }
 }
 
@@ -135,30 +143,30 @@ TEST(CliSmoke, FleetSubcommandEmitsParetoFrontierAndIsThreadInvariant) {
   EXPECT_EQ(t1.stdout_text, t13.stdout_text);
   auto parsed = Json::Parse(t1.stdout_text);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->GetBool("ok", false));
+  ASSERT_TRUE(Member(*parsed, "ok").AsBool());
   const Json* report = parsed->Find("report");
   ASSERT_NE(report, nullptr);
   const Json* candidates = report->Find("candidates");
   ASSERT_NE(candidates, nullptr);
   ASSERT_EQ(candidates->size(), 5u);
   for (const Json& c : candidates->elements()) {
-    EXPECT_FALSE(c.GetString("name", "").empty());
-    ASSERT_TRUE(c.GetBool("feasible", false)) << c.GetString("name", "");
+    EXPECT_FALSE(Member(c, "name").AsString().empty());
+    ASSERT_TRUE(Member(c, "feasible").AsBool()) << Member(c, "name").AsString();
     const Json* economics = c.Find("economics");
     ASSERT_NE(economics, nullptr);
-    EXPECT_GT(economics->GetDouble("usd_per_mtoken", 0.0), 0.0);
-    EXPECT_GT(economics->GetDouble("joules_per_token", 0.0), 0.0);
+    EXPECT_GT(Member(*economics, "usd_per_mtoken").AsDouble(), 0.0);
+    EXPECT_GT(Member(*economics, "joules_per_token").AsDouble(), 0.0);
     const Json* knee = c.Find("knee");
     ASSERT_NE(knee, nullptr);
-    EXPECT_GT(knee->GetDouble("goodput_tokens_per_s", 0.0), 0.0);
+    EXPECT_GT(Member(*knee, "goodput_tokens_per_s").AsDouble(), 0.0);
   }
   const Json* frontier = report->Find("frontier");
   ASSERT_NE(frontier, nullptr);
   EXPECT_GT(frontier->size(), 0u);
-  EXPECT_GE(report->GetInt("winner_index", -1), 0);
+  EXPECT_GE(Member(*report, "winner_index").AsDouble(-1.0), 0.0);
   // Candidates sharing a resolved part share a platform: five distinct
   // parts in the checked-in catalog, five builds.
-  EXPECT_EQ(report->GetInt("platform_builds", 0), 5);
+  EXPECT_EQ(Member(*report, "platform_builds").AsDouble(), 5.0);
   // `litegpu run` executes the same scenario identically.
   CommandResult via_run =
       RunCommand("run " + ScenarioPath("fleet_compare.json") + " --json --threads 1");
@@ -203,8 +211,8 @@ TEST(CliSmoke, FleetSubcommandRunsABatchLikeRun) {
   auto parsed = Json::Parse(t1.stdout_text);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ(parsed->elements()[0].GetString("scenario", ""), "first");
-  EXPECT_EQ(parsed->elements()[1].GetString("scenario", ""), "second");
+  EXPECT_EQ(Member(parsed->elements()[0], "scenario").AsString(), "first");
+  EXPECT_EQ(Member(parsed->elements()[1], "scenario").AsString(), "second");
 }
 
 TEST(CliSmoke, MultitenantScenarioReportsPerClassBlocks) {
@@ -215,19 +223,19 @@ TEST(CliSmoke, MultitenantScenarioReportsPerClassBlocks) {
   ASSERT_EQ(result.exit_code, 0);
   auto parsed = Json::Parse(result.stdout_text);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->GetBool("ok", false));
+  ASSERT_TRUE(Member(*parsed, "ok").AsBool());
   const Json* report = parsed->Find("report");
   ASSERT_NE(report, nullptr);
   const Json* classes = report->Find("classes");
   ASSERT_NE(classes, nullptr);
   ASSERT_EQ(classes->size(), 3u);
   for (const Json& cls : classes->elements()) {
-    EXPECT_FALSE(cls.GetString("name", "").empty());
+    EXPECT_FALSE(Member(cls, "name").AsString().empty());
     const Json* latency = cls.Find("latency");
     ASSERT_NE(latency, nullptr);
-    EXPECT_GT(latency->GetDouble("ttft_p99_s", 0.0), 0.0);
-    EXPECT_GT(latency->GetDouble("tbt_p99_s", 0.0), 0.0);
-    EXPECT_GT(cls.GetDouble("goodput_tokens_per_s", 0.0), 0.0);
+    EXPECT_GT(Member(*latency, "ttft_p99_s").AsDouble(), 0.0);
+    EXPECT_GT(Member(*latency, "tbt_p99_s").AsDouble(), 0.0);
+    EXPECT_GT(Member(cls, "goodput_tokens_per_s").AsDouble(), 0.0);
     EXPECT_NE(cls.Find("ttft_attainment"), nullptr);
     EXPECT_NE(cls.Find("slo_ok"), nullptr);
   }
@@ -251,7 +259,7 @@ TEST(CliSmoke, AutoscaleScenarioIsThreadInvariantAndReportsScaling) {
   EXPECT_EQ(t1.stdout_text, t4.stdout_text);
   auto parsed = Json::Parse(t1.stdout_text);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->GetBool("ok", false));
+  ASSERT_TRUE(Member(*parsed, "ok").AsBool());
   const Json* report = parsed->Find("report");
   ASSERT_NE(report, nullptr);
   const Json* config = report->Find("config");
@@ -260,10 +268,10 @@ TEST(CliSmoke, AutoscaleScenarioIsThreadInvariantAndReportsScaling) {
   EXPECT_NE(config->Find("autoscaler"), nullptr);
   const Json* scale = report->Find("autoscaler");
   ASSERT_NE(scale, nullptr);
-  EXPECT_EQ(scale->GetString("policy", ""), "reactive");
-  EXPECT_GT(scale->GetDouble("gpu_hours", 0.0), 0.0);
-  EXPECT_GT(scale->GetDouble("decode_instance_hours", 0.0), 0.0);
-  EXPECT_GT(scale->GetDouble("ttft_attainment", 0.0), 0.0);
+  EXPECT_EQ(Member(*scale, "policy").AsString(), "reactive");
+  EXPECT_GT(Member(*scale, "gpu_hours").AsDouble(), 0.0);
+  EXPECT_GT(Member(*scale, "decode_instance_hours").AsDouble(), 0.0);
+  EXPECT_GT(Member(*scale, "ttft_attainment").AsDouble(), 0.0);
   const Json* events = scale->Find("events");
   ASSERT_NE(events, nullptr);
   EXPECT_GT(events->size(), 0u);
@@ -286,7 +294,7 @@ TEST(CliSmoke, FaultyScenarioIsThreadInvariantAndReportsBlastRadius) {
   ASSERT_TRUE(parsed->is_array());
   ASSERT_EQ(parsed->size(), 2u);  // H100 run + Lite run
   for (const Json& result : parsed->elements()) {
-    ASSERT_TRUE(result.GetBool("ok", false));
+    ASSERT_TRUE(Member(result, "ok").AsBool());
     const Json* report = result.Find("report");
     ASSERT_NE(report, nullptr);
     const Json* config = report->Find("config");
@@ -294,17 +302,17 @@ TEST(CliSmoke, FaultyScenarioIsThreadInvariantAndReportsBlastRadius) {
     EXPECT_NE(config->Find("faults"), nullptr);
     const Json* faults = report->Find("faults");
     ASSERT_NE(faults, nullptr);
-    EXPECT_EQ(faults->GetString("retry_policy", ""), "retry");
+    EXPECT_EQ(Member(*faults, "retry_policy").AsString(), "retry");
     const Json* events = faults->Find("events");
     ASSERT_NE(events, nullptr);
     EXPECT_GT(events->size(), 0u);
     const Json* decode = faults->Find("decode");
     ASSERT_NE(decode, nullptr);
-    EXPECT_GT(decode->GetDouble("availability_measured", 0.0), 0.0);
-    EXPECT_GT(decode->GetDouble("availability_predicted", 0.0), 0.0);
-    EXPECT_GE(decode->GetDouble("blast_radius_fraction", -1.0), 0.0);
-    EXPECT_GT(faults->GetDouble("goodput_tokens_per_s", 0.0), 0.0);
-    EXPECT_GT(faults->GetDouble("baseline_goodput_tokens_per_s", 0.0), 0.0);
+    EXPECT_GT(Member(*decode, "availability_measured").AsDouble(), 0.0);
+    EXPECT_GT(Member(*decode, "availability_predicted").AsDouble(), 0.0);
+    EXPECT_GE(Member(*decode, "blast_radius_fraction").AsDouble(-1.0), 0.0);
+    EXPECT_GT(Member(*faults, "goodput_tokens_per_s").AsDouble(), 0.0);
+    EXPECT_GT(Member(*faults, "baseline_goodput_tokens_per_s").AsDouble(), 0.0);
   }
   // Text mode renders the churn summary.
   CommandResult text = RunCommand("run " + ScenarioPath("serve_faulty.json"));
@@ -335,7 +343,7 @@ TEST(CliSmoke, ChaosScenarioIsThreadInvariantAndLiteBlastRadiusExceedsH100) {
   double worst_fraction[2] = {0.0, 0.0};
   for (size_t idx = 0; idx < 2; ++idx) {
     const Json& result = parsed->elements()[idx];
-    ASSERT_TRUE(result.GetBool("ok", false));
+    ASSERT_TRUE(Member(result, "ok").AsBool());
     const Json* report = result.Find("report");
     ASSERT_NE(report, nullptr);
     const Json* faults = report->Find("faults");
@@ -346,13 +354,13 @@ TEST(CliSmoke, ChaosScenarioIsThreadInvariantAndLiteBlastRadiusExceedsH100) {
     // columns are present and consistent.
     const Json* domains = decode->Find("domains");
     ASSERT_NE(domains, nullptr);
-    EXPECT_GT(decode->GetDouble("availability_correlated", 0.0), 0.0);
-    EXPECT_LT(decode->GetDouble("availability_correlated", 1.0),
-              decode->GetDouble("availability_predicted", 0.0));
-    worst_fraction[idx] = decode->GetDouble("worst_event_fraction", 0.0);
+    EXPECT_GT(Member(*decode, "availability_correlated").AsDouble(), 0.0);
+    EXPECT_LT(Member(*decode, "availability_correlated").AsDouble(1.0),
+              Member(*decode, "availability_predicted").AsDouble());
+    worst_fraction[idx] = Member(*decode, "worst_event_fraction").AsDouble();
     EXPECT_GT(worst_fraction[idx], 0.0);
     // Degraded axis: windows opened and throttled seconds accumulated.
-    EXPECT_GT(decode->GetDouble("degraded_instance_s", 0.0), 0.0);
+    EXPECT_GT(Member(*decode, "degraded_instance_s").AsDouble(), 0.0);
     EXPECT_NE(faults->Find("degraded_goodput_tokens_per_s"), nullptr);
     // Shedding axis + stability verdict.
     EXPECT_NE(faults->Find("shed_requests"), nullptr);
@@ -414,18 +422,18 @@ TEST(CliSmoke, FaultsFlagRoundTripsThroughServe) {
   EXPECT_EQ(result.exit_code, 0);
   auto parsed = Json::Parse(result.stdout_text);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->GetBool("ok", false));
+  ASSERT_TRUE(Member(*parsed, "ok").AsBool());
   const Json* report = parsed->Find("report");
   ASSERT_NE(report, nullptr);
   const Json* config = report->Find("config");
   ASSERT_NE(config, nullptr);
   const Json* echoed = config->Find("faults");
   ASSERT_NE(echoed, nullptr);  // non-default knobs echo back in the config
-  EXPECT_EQ(echoed->GetString("retry_policy", ""), "drop");
-  EXPECT_DOUBLE_EQ(echoed->GetDouble("afr", 0.0), 20000.0);
+  EXPECT_EQ(Member(*echoed, "retry_policy").AsString(), "drop");
+  EXPECT_DOUBLE_EQ(Member(*echoed, "afr").AsDouble(), 20000.0);
   const Json* faults = report->Find("faults");
   ASSERT_NE(faults, nullptr);
-  EXPECT_EQ(faults->GetString("retry_policy", ""), "drop");
+  EXPECT_EQ(Member(*faults, "retry_policy").AsString(), "drop");
   std::remove(path.c_str());
 }
 

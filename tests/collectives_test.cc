@@ -111,34 +111,6 @@ TEST(ReduceScatter, SymmetricToAllGather) {
   EXPECT_DOUBLE_EQ(ReduceScatterTime(5e6, 16, link), AllGatherTime(5e6, 16, link));
 }
 
-TEST(Broadcast, LogarithmicSteps) {
-  LinkModel link{100.0 * kGBps, 1e-6};
-  double payload = 1.0 * kMB;
-  double t8 = BroadcastTime(payload, 8, link);
-  double expected = 3.0 * (1e-6 + payload / (100.0 * kGBps));
-  EXPECT_NEAR(t8, expected, 1e-12);
-}
-
-TEST(AllToAll, ScalesWithPeers) {
-  LinkModel link = OpticalClass();
-  double t4 = AllToAllTime(8e6, 4, link);
-  double t16 = AllToAllTime(8e6, 16, link);
-  EXPECT_GT(t16, t4);
-}
-
-TEST(BusBandwidth, PerfectRingReportsLinkBandwidth) {
-  LinkModel link{300.0 * kGBps, 0.0};
-  double busbw = AllReduceBusBandwidth(128.0 * kMB, 16, link, CollectiveAlgo::kRing);
-  EXPECT_NEAR(busbw, 300.0 * kGBps, 1.0);
-}
-
-TEST(BusBandwidth, DegradesWithLatencyForSmallPayloads) {
-  LinkModel link{300.0 * kGBps, 2e-6};
-  double small = AllReduceBusBandwidth(16.0 * kKB, 16, link);
-  double large = AllReduceBusBandwidth(256.0 * kMB, 16, link);
-  EXPECT_LT(small, 0.5 * large);
-}
-
 // --- property sweep: auto algorithm never loses ---
 
 class AllReduceSweep : public ::testing::TestWithParam<int> {};

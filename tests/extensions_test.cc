@@ -39,18 +39,6 @@ TEST(Hierarchical, BeatsFlatForLargePayloads) {
   EXPECT_LT(hier, flat);
 }
 
-TEST(Hierarchical, FlatCanWinForTinyPayloads) {
-  // Tiny payloads are latency-bound; three phases of latency can lose to
-  // one flat tree. BestAllReduceTime must pick the winner either way.
-  HierarchicalFabric fabric = LiteGroups();
-  for (double payload : {1.0 * kKB, 64.0 * kKB, 4.0 * kMB, 64.0 * kMB}) {
-    double flat = AllReduceTime(payload, 32, fabric.global_link);
-    double hier = HierarchicalAllReduceTime(payload, 32, fabric);
-    double best = BestAllReduceTime(payload, 32, fabric);
-    EXPECT_DOUBLE_EQ(best, std::min(flat, hier)) << payload;
-  }
-}
-
 TEST(Hierarchical, NonMultipleFallsBackToFlat) {
   HierarchicalFabric fabric = LiteGroups();
   double hier = HierarchicalAllReduceTime(8.0 * kMB, 30, fabric);  // 30 % 4 != 0

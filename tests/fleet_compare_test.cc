@@ -34,19 +34,17 @@ FleetCandidate MakeCandidate(const std::string& name, int split,
 // a non-trivial frontier, small enough to run in test time.
 Scenario FleetScenario(uint64_t seed, int threads,
                        std::vector<FleetCandidate> candidates) {
-  ScenarioBuilder builder(StudyKind::kFleetCompare);
-  FleetKnobs fleet;
-  fleet.candidates = std::move(candidates);
-  fleet.load_lo = 0.25;
-  fleet.load_hi = 1.0;
-  fleet.load_step = 0.25;
-  fleet.horizon_s = 15.0;
-  fleet.seed = seed;
-  builder.Fleet(fleet).Threads(threads);
-  std::string error;
-  auto scenario = builder.Build(&error);
-  EXPECT_TRUE(scenario.has_value()) << error;
-  return *scenario;
+  Scenario s;
+  s.study = StudyKind::kFleetCompare;
+  s.fleet.candidates = std::move(candidates);
+  s.fleet.load_lo = 0.25;
+  s.fleet.load_hi = 1.0;
+  s.fleet.load_step = 0.25;
+  s.fleet.horizon_s = 15.0;
+  s.fleet.seed = seed;
+  s.exec.threads = threads;
+  EXPECT_EQ(s.Validate(), "");
+  return s;
 }
 
 std::vector<FleetCandidate> DefaultCatalog() {
@@ -221,11 +219,11 @@ TEST(FleetCompare, KneeScanFindsTheFullSweepKnee) {
     // The report struct's seed, not the JSON one: JSON rounds it to a
     // double, the struct keeps all 64 bits.
     sweep.seed = c.seed;
-    std::string error;
-    auto sweep_scenario =
-        ScenarioBuilder(StudyKind::kServeSweep).Gpu("H100").ServeSweep(sweep).Build(&error);
-    ASSERT_TRUE(sweep_scenario.has_value()) << error;
-    RunReport sweep_run = Runner().Run(*sweep_scenario);
+    Scenario sweep_scenario;
+    sweep_scenario.study = StudyKind::kServeSweep;
+    sweep_scenario.gpus = {"H100"};
+    sweep_scenario.sweep = sweep;
+    RunReport sweep_run = Runner().Run(sweep_scenario);
     ASSERT_TRUE(sweep_run.ok) << sweep_run.error;
     const auto& full = std::get<ServeSweepReport>(sweep_run.payload);
 

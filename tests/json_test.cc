@@ -12,10 +12,10 @@ TEST(Json, ScalarConstructionAndAccess) {
   EXPECT_TRUE(Json().is_null());
   EXPECT_EQ(Json(true).AsBool(false), true);
   EXPECT_DOUBLE_EQ(Json(2.5).AsDouble(), 2.5);
-  EXPECT_EQ(Json(42).AsInt(), 42);
+  EXPECT_EQ(Json(42).AsDouble(), 42.0);
   EXPECT_EQ(Json("hi").AsString(), "hi");
   // Type mismatches fall back.
-  EXPECT_EQ(Json("hi").AsInt(-1), -1);
+  EXPECT_EQ(Json("hi").AsDouble(-1.0), -1.0);
   EXPECT_EQ(Json(1.0).AsString("dflt"), "dflt");
 }
 
@@ -25,18 +25,19 @@ TEST(Json, ObjectKeysKeepInsertionOrderAndSetReplaces) {
   ASSERT_EQ(j.size(), 2u);
   EXPECT_EQ(j.members()[0].first, "z");
   EXPECT_EQ(j.members()[1].first, "a");
-  EXPECT_EQ(j.GetInt("z", 0), 3);
+  EXPECT_EQ(j.Find("z")->AsDouble(), 3.0);
   EXPECT_EQ(j.Dump(0), "{\"z\":3,\"a\":2}");
 }
 
-TEST(Json, TolerantGetters) {
+TEST(Json, FindAndTolerantAccessors) {
   Json j = Json::Object();
   j.Set("n", 1.5).Set("s", "x").Set("b", true);
-  EXPECT_DOUBLE_EQ(j.GetDouble("n", 0.0), 1.5);
-  EXPECT_DOUBLE_EQ(j.GetDouble("absent", 7.0), 7.0);
-  EXPECT_DOUBLE_EQ(j.GetDouble("s", 7.0), 7.0);  // type mismatch -> fallback
-  EXPECT_EQ(j.GetString("b", "dflt"), "dflt");
-  EXPECT_TRUE(j.GetBool("b", false));
+  EXPECT_DOUBLE_EQ(j.Find("n")->AsDouble(), 1.5);
+  EXPECT_EQ(j.Find("absent"), nullptr);
+  EXPECT_EQ(Json(1.5).Find("n"), nullptr);  // not an object
+  EXPECT_DOUBLE_EQ(j.Find("s")->AsDouble(7.0), 7.0);  // type mismatch -> fallback
+  EXPECT_EQ(j.Find("b")->AsString("dflt"), "dflt");
+  EXPECT_TRUE(j.Find("b")->AsBool());
 }
 
 TEST(Json, DumpParseRoundTripExact) {
@@ -93,7 +94,8 @@ TEST(Json, ParserToleratesCommentsAndTrailingCommas) {
   })";
   auto parsed = Json::Parse(text);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->GetInt("a", 0), 1);
+  ASSERT_NE(parsed->Find("a"), nullptr);
+  EXPECT_EQ(parsed->Find("a")->AsDouble(), 1.0);
   ASSERT_NE(parsed->Find("b"), nullptr);
   EXPECT_EQ(parsed->Find("b")->size(), 3u);
 }

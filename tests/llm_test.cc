@@ -40,8 +40,8 @@ TEST(Model, Gpt3IsMhaLlamaIsGqa) {
 
 TEST(Model, KvBytesPerTokenGpt3MuchLargerThanLlama) {
   // The paper attributes GPT3's worse decode degradation to its KV heads.
-  double gpt3 = Gpt3_175B().KvBytesPerToken();
-  double llama70 = Llama3_70B().KvBytesPerToken();
+  double gpt3 = KvBytesPerTokenPerGpu(Gpt3_175B(), MakeTpPlan(Gpt3_175B(), 1).value());
+  double llama70 = KvBytesPerTokenPerGpu(Llama3_70B(), MakeTpPlan(Llama3_70B(), 1).value());
   EXPECT_GT(gpt3 / llama70, 10.0);
 }
 
@@ -200,8 +200,15 @@ TEST(Stages, OperationalIntensityHigherForPrefill) {
   auto plan = MakeTpPlan(model, 8).value();
   ModelWork prefill = BuildModelWork(model, plan, Phase::kPrefill, {1, 1500, 0});
   ModelWork decode = BuildModelWork(model, plan, Phase::kDecode, {1, 1, 1499});
-  double oi_prefill = prefill.TotalFlops() / prefill.TotalHbmBytes();
-  double oi_decode = decode.TotalFlops() / decode.TotalHbmBytes();
+  auto hbm_bytes = [](const ModelWork& work) {
+    double total = work.embedding.HbmBytes() + work.lm_head.HbmBytes();
+    for (const auto& s : work.layer_stages) {
+      total += s.HbmBytes() * work.num_layers;
+    }
+    return total;
+  };
+  double oi_prefill = prefill.TotalFlops() / hbm_bytes(prefill);
+  double oi_decode = decode.TotalFlops() / hbm_bytes(decode);
   EXPECT_GT(oi_prefill, 50.0 * oi_decode);
 }
 
@@ -209,7 +216,15 @@ TEST(Stages, AllReduceCountMatchesLayers) {
   TransformerSpec model = Llama3_405B();
   auto plan = MakeTpPlan(model, 8).value();
   ModelWork work = BuildModelWork(model, plan, Phase::kDecode, {1, 1, 99});
-  EXPECT_EQ(work.NumAllReduces(), 2 * model.num_layers);
+  // Two all-reduces per layer (attention and MLP outputs), none outside.
+  int per_layer = 0;
+  for (const auto& s : work.layer_stages) {
+    per_layer += s.allreduce_bytes > 0.0 ? 1 : 0;
+  }
+  EXPECT_EQ(per_layer, 2);
+  EXPECT_EQ(work.num_layers, model.num_layers);
+  EXPECT_EQ(work.embedding.allreduce_bytes, 0.0);
+  EXPECT_EQ(work.lm_head.allreduce_bytes, 0.0);
 }
 
 // --- footprint ---
@@ -217,8 +232,8 @@ TEST(Stages, AllReduceCountMatchesLayers) {
 TEST(Footprint, WeightBytesMatchModelAtDegreeOne) {
   for (const auto& model : CaseStudyModels()) {
     auto plan = MakeTpPlan(model, 1).value();
-    EXPECT_NEAR(WeightBytesPerGpu(model, plan), model.WeightBytes(),
-                1e-6 * model.WeightBytes())
+    double weight_bytes = static_cast<double>(model.ParamCount()) * model.bytes_per_weight;
+    EXPECT_NEAR(WeightBytesPerGpu(model, plan), weight_bytes, 1e-6 * weight_bytes)
         << model.name;
   }
 }
@@ -238,7 +253,7 @@ TEST(Footprint, KvPerTokenFloorsUnderReplication) {
   double at32 = KvBytesPerTokenPerGpu(model, MakeTpPlan(model, 32).value());
   EXPECT_DOUBLE_EQ(at8, at16);
   EXPECT_DOUBLE_EQ(at16, at32);
-  double total_per_token = model.KvBytesPerToken();
+  double total_per_token = KvBytesPerTokenPerGpu(model, MakeTpPlan(model, 1).value());
   EXPECT_NEAR(at8, total_per_token / 8.0, 1e-9);
 }
 

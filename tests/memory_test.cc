@@ -116,29 +116,6 @@ TEST(Disagg, MaxBatchLimitedByPoolWhenMostlyRemote) {
   EXPECT_LT(with_tiny, with_big);
 }
 
-TEST(Disagg, MinLocalFractionMonotoneInPoolBandwidth) {
-  DisaggSetup s;
-  MemoryPoolSpec slow = s.pool;
-  slow.bw_bytes_per_s = 20e9;
-  MemoryPoolSpec fast = s.pool;
-  fast.bw_bytes_per_s = 400e9;
-  double f_slow =
-      MinLocalFractionForSlo(s.model, s.gpu, s.plan, 128, slow, s.workload, s.engine);
-  double f_fast =
-      MinLocalFractionForSlo(s.model, s.gpu, s.plan, 128, fast, s.workload, s.engine);
-  ASSERT_GE(f_slow, 0.0);
-  ASSERT_GE(f_fast, 0.0);
-  EXPECT_LE(f_fast, f_slow);
-}
-
-TEST(Disagg, MinLocalFractionNegativeWhenSloImpossible) {
-  DisaggSetup s;
-  WorkloadParams tight = s.workload;
-  tight.tbt_slo_s = 1e-6;
-  double f = MinLocalFractionForSlo(s.model, s.gpu, s.plan, 64, s.pool, tight, s.engine);
-  EXPECT_LT(f, 0.0);
-}
-
 TEST(Disagg, CapacityOffIgnoresLimits) {
   DisaggSetup s;
   s.workload.enforce_memory_capacity = false;

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/collectives/cost.h"
 #include "src/hw/catalog.h"
-#include "src/llm/footprint.h"
 #include "src/perf/model.h"
 #include "src/perf/step_table.h"
 #include "src/sched/pools.h"
@@ -56,69 +54,23 @@ TEST(PerfModel, DecodeBitIdenticalToDirectEvaluation) {
 
 TEST(PerfModel, CacheHitReturnsIdenticalResultAndCounts) {
   PerfModel perf = MakeModel();
-  PerfCacheStats before = perf.cache_stats();
-  EXPECT_EQ(before.hits, 0u);
-  EXPECT_EQ(before.misses, 0u);
+  ResetGlobalPerfCacheStats();
 
   DecodeResult first = perf.Decode(64);
   DecodeResult again = perf.Decode(64);
   EXPECT_EQ(first.tbt_s, again.tbt_s);
   EXPECT_EQ(first.tokens_per_s_per_sm, again.tokens_per_s_per_sm);
 
-  PerfCacheStats after = perf.cache_stats();
+  PerfCacheStats after = GlobalPerfCacheStats();
   EXPECT_EQ(after.misses, 1u);
   EXPECT_EQ(after.hits, 1u);
   EXPECT_DOUBLE_EQ(after.HitRate(), 0.5);
-}
 
-TEST(PerfModel, ContextExplicitFormsShareTheCache) {
-  PerfModel perf = MakeModel();
-  WorkloadParams workload;  // defaults: prompt 1500, output 256
-  // DecodeStepTime at the workload's worst-case context is the same cache
-  // entry as Decode(batch).tbt_s.
-  double via_decode = perf.Decode(32).tbt_s;
-  uint64_t misses_before = perf.cache_stats().misses;
-  double via_step = perf.DecodeStepTime(32, workload.prompt_tokens + workload.output_tokens);
-  EXPECT_EQ(via_step, via_decode);
-  EXPECT_EQ(perf.cache_stats().misses, misses_before);  // pure hit
-
-  // A different context is a distinct entry with a distinct (smaller) time.
-  double shorter = perf.DecodeStepTime(32, 512);
-  EXPECT_LT(shorter, via_decode);
-  EXPECT_EQ(perf.cache_stats().misses, misses_before + 1);
-
-  // Same for prefill.
-  double via_prefill = perf.Prefill(4).ttft_s;
-  EXPECT_EQ(perf.PrefillTime(4, workload.prompt_tokens), via_prefill);
-  EXPECT_LT(perf.PrefillTime(4, 256), via_prefill);
-}
-
-TEST(PerfModel, CollectiveCostMatchesAllReduceTime) {
-  TransformerSpec model = Llama3_70B();
-  GpuSpec gpu = H100();
-  TpPlan plan = MakeTpPlan(model, 8).value();
-  EngineParams engine;
-  PerfModel perf(model, gpu, plan, WorkloadParams{}, engine);
-  LinkModel link;
-  link.bandwidth_bytes_per_s = gpu.net_bw_bytes_per_s;
-  link.latency_s = engine.network_latency_s;
-  double payload = 16.0 * 1024 * 1024;
-  EXPECT_EQ(perf.CollectiveCost(payload),
-            AllReduceTime(payload, 8, link, engine.collective_algo));
-  EXPECT_EQ(perf.CollectiveCost(payload, CollectiveAlgo::kRing),
-            AllReduceTime(payload, 8, link, CollectiveAlgo::kRing));
-}
-
-TEST(PerfModel, FootprintMatchesFootprintLibrary) {
-  TransformerSpec model = Llama3_70B();
-  TpPlan plan = MakeTpPlan(model, 4).value();
-  PerfModel perf(model, H100(), plan, WorkloadParams{});
-  PerfFootprint fp = perf.Footprint();
-  EXPECT_EQ(fp.weight_bytes_per_gpu, WeightBytesPerGpu(model, plan));
-  EXPECT_EQ(fp.embedding_bytes_per_gpu, EmbeddingWeightBytesPerGpu(model, plan));
-  EXPECT_EQ(fp.kv_bytes_per_token_per_gpu, KvBytesPerTokenPerGpu(model, plan));
-  EXPECT_EQ(perf.MemoryNeededBytes(8, 1, 1755),
-            MemoryNeededPerGpu(model, plan, 8, 1, 1755));
+  // Prefill entries are cached apart from decode ones.
+  EXPECT_EQ(perf.Prefill(4).ttft_s, perf.Prefill(4).ttft_s);
+  after = GlobalPerfCacheStats();
+  EXPECT_EQ(after.misses, 2u);
+  EXPECT_EQ(after.hits, 2u);
 }
 
 TEST(PerfModel, GlobalStatsAggregateAcrossInstances) {

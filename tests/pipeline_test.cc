@@ -93,18 +93,6 @@ TEST(PipelineDecode, ThroughputCountsAllGpus) {
   EXPECT_NEAR(r.tokens_per_s_per_sm, r.tokens_per_s / (8.0 * gpu.sm_count), 1e-9);
 }
 
-TEST(PipelinePrefill, FillDrainLatency) {
-  TransformerSpec model = Llama3_70B();
-  GpuSpec gpu = H100();
-  auto plan = MakePipelinePlan(model, 2, 4).value();
-  PipelinePrefillResult one = EvaluatePipelinePrefill(model, gpu, plan, 1, Workload(), Engine());
-  PipelinePrefillResult eight =
-      EvaluatePipelinePrefill(model, gpu, plan, 8, Workload(), Engine());
-  ASSERT_TRUE(one.feasible && eight.feasible);
-  // batch 1 takes pp hops; batch 8 takes (8 + pp - 1) hops.
-  EXPECT_NEAR(eight.ttft_s / one.ttft_s, 11.0 / 4.0, 0.05);
-}
-
 TEST(PipelineSearch, FindsConfigForAllCaseStudyModels) {
   WorkloadParams workload = Workload();
   for (const auto& model : CaseStudyModels()) {

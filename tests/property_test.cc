@@ -121,7 +121,10 @@ TEST_P(TpInvariance, AllReducePayloadPerGpuInvariant) {
     }
     auto plan = MakeTpPlan(model, degree).value();
     ModelWork work = BuildModelWork(model, plan, Phase::kDecode, shape);
-    double payload = work.TotalAllReduceBytes();
+    double payload = work.embedding.allreduce_bytes + work.lm_head.allreduce_bytes;
+    for (const auto& s : work.layer_stages) {
+      payload += s.allreduce_bytes * work.num_layers;
+    }
     if (reference < 0.0) {
       reference = payload;
     }

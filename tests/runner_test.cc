@@ -7,26 +7,36 @@
 namespace litegpu {
 namespace {
 
+Scenario Study(StudyKind kind, const std::string& name = "") {
+  Scenario s;
+  s.study = kind;
+  s.name = name;
+  return s;
+}
+
 // Small, fast workloads for the perf studies.
-ScenarioBuilder FastSearch() {
-  ScenarioBuilder builder(StudyKind::kSearch);
-  builder.Model("Llama3-8B").Gpu("H100").MaxBatch(64);
-  return builder;
+Scenario FastSearch(const std::string& name = "") {
+  Scenario s = Study(StudyKind::kSearch, name);
+  s.models = {"Llama3-8B"};
+  s.gpus = {"H100"};
+  s.max_batch = 64;
+  return s;
 }
 
 TEST(Runner, InvalidScenarioComesBackAsErrorReport) {
-  Scenario bad = ScenarioBuilder(StudyKind::kSearch).Model("Ghost").Peek();
+  Scenario bad = Study(StudyKind::kSearch);
+  bad.models = {"Ghost"};
   RunReport report = Runner().Run(bad);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("unknown model"), std::string::npos);
   EXPECT_TRUE(std::holds_alternative<std::monostate>(report.payload));
   // Error reports still render.
   EXPECT_NE(report.ToText().find("unknown model"), std::string::npos);
-  EXPECT_EQ(report.ToJson().GetBool("ok", true), false);
+  EXPECT_EQ(report.ToJson().Find("ok")->AsBool(true), false);
 }
 
 TEST(Runner, SearchStudyProducesPerPairResults) {
-  RunReport report = Runner().Run(*FastSearch().Name("fast").Build());
+  RunReport report = Runner().Run(FastSearch("fast"));
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(report.study, StudyKind::kSearch);
   const auto& search = std::get<SearchStudyReport>(report.payload);
@@ -38,7 +48,7 @@ TEST(Runner, SearchStudyProducesPerPairResults) {
 }
 
 TEST(Runner, Fig3StudyMatchesDirectEngineCall) {
-  Scenario s = *ScenarioBuilder(StudyKind::kFig3b).Build();
+  Scenario s = Study(StudyKind::kFig3b);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok);
   const auto& fig3 = std::get<Fig3StudyReport>(report.payload);
@@ -55,7 +65,8 @@ TEST(Runner, McSimStudyIsDeterministicPerSeed) {
   McSimKnobs knobs;
   knobs.sim_years = 5.0;
   knobs.num_trials = 2;
-  Scenario s = *ScenarioBuilder(StudyKind::kMcSim).McSim(knobs).Build();
+  Scenario s = Study(StudyKind::kMcSim);
+  s.mcsim = knobs;
   RunReport a = Runner().Run(s);
   RunReport b = Runner().Run(s);
   ASSERT_TRUE(a.ok);
@@ -63,7 +74,7 @@ TEST(Runner, McSimStudyIsDeterministicPerSeed) {
 }
 
 TEST(Runner, YieldStudyCoversAllFourModels) {
-  RunReport report = Runner().Run(*ScenarioBuilder(StudyKind::kYield).Build());
+  RunReport report = Runner().Run(Study(StudyKind::kYield));
   ASSERT_TRUE(report.ok);
   const auto& yield = std::get<YieldStudyReport>(report.payload);
   ASSERT_EQ(yield.rows.size(), 4u);
@@ -74,37 +85,36 @@ TEST(Runner, YieldStudyCoversAllFourModels) {
 }
 
 TEST(Runner, DeriveStudyReportsFeasibility) {
-  RunReport report = Runner().Run(*ScenarioBuilder(StudyKind::kDerive).Build());
+  RunReport report = Runner().Run(Study(StudyKind::kDerive));
   ASSERT_TRUE(report.ok);
   const auto& derive = std::get<DeriveStudyReport>(report.payload);
   EXPECT_TRUE(derive.result.shoreline_feasible);
   EXPECT_NE(report.ToText().find("feasible"), std::string::npos);
 }
 
-TEST(Runner, ExecPolicyOverrideConstructorWins) {
-  // A Runner built with an explicit ExecPolicy forces it onto scenarios;
-  // results are identical either way (determinism contract).
-  Scenario s = *FastSearch().Threads(4).Build();
-  RunReport with_scenario_exec = Runner().Run(s);
-  ExecPolicy serial;
-  serial.threads = 1;
-  RunReport with_override = Runner(serial).Run(s);
-  EXPECT_EQ(with_scenario_exec.ToJson().Dump(), with_override.ToJson().Dump());
+TEST(Runner, SearchStudyIsIdenticalAtAnyThreadCount) {
+  // The determinism contract: the scenario's own ExecPolicy changes how
+  // the search fans out, never what it reports.
+  Scenario parallel = FastSearch();
+  parallel.exec.threads = 4;
+  Scenario serial = FastSearch();
+  serial.exec.threads = 1;
+  EXPECT_EQ(Runner().Run(parallel).ToJson().Dump(), Runner().Run(serial).ToJson().Dump());
 }
 
 TEST(Runner, ReportJsonRoundTripsThroughParser) {
   for (StudyKind kind :
        {StudyKind::kYield, StudyKind::kDerive, StudyKind::kSearch}) {
-    ScenarioBuilder builder = kind == StudyKind::kSearch ? FastSearch()
-                                                         : ScenarioBuilder(kind);
-    RunReport report = Runner().Run(*builder.Build());
+    RunReport report = Runner().Run(kind == StudyKind::kSearch ? FastSearch() : Study(kind));
     ASSERT_TRUE(report.ok) << ToString(kind);
     std::string dumped = report.ToJson().Dump();
     std::string error;
     auto parsed = Json::Parse(dumped, &error);
     ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->GetString("study", ""), ToString(kind));
-    EXPECT_TRUE(parsed->GetBool("ok", false));
+    ASSERT_NE(parsed->Find("study"), nullptr);
+    EXPECT_EQ(parsed->Find("study")->AsString(), ToString(kind));
+    ASSERT_NE(parsed->Find("ok"), nullptr);
+    EXPECT_TRUE(parsed->Find("ok")->AsBool());
     EXPECT_EQ(parsed->Dump(), dumped);
   }
 }
@@ -112,13 +122,12 @@ TEST(Runner, ReportJsonRoundTripsThroughParser) {
 TEST(RunScenarios, BatchIsBitIdenticalAtAnyThreadCount) {
   McSimKnobs mcsim;
   mcsim.sim_years = 5.0;
-  std::vector<Scenario> batch = {
-      *FastSearch().Name("s1").Build(),
-      *ScenarioBuilder(StudyKind::kYield).Name("s2").Build(),
-      *ScenarioBuilder(StudyKind::kMcSim).Name("s3").McSim(mcsim).Build(),
-      *ScenarioBuilder(StudyKind::kDerive).Name("s4").Build(),
-      ScenarioBuilder(StudyKind::kSearch).Name("bad").Model("Ghost").Peek(),
-  };
+  std::vector<Scenario> batch = {FastSearch("s1"), Study(StudyKind::kYield, "s2"),
+                                 Study(StudyKind::kMcSim, "s3"),
+                                 Study(StudyKind::kDerive, "s4"),
+                                 Study(StudyKind::kSearch, "bad")};
+  batch[2].mcsim = mcsim;
+  batch[4].models = {"Ghost"};
   ExecPolicy serial;
   serial.threads = 1;
   std::vector<RunReport> reference = RunScenarios(batch, serial);
@@ -142,7 +151,8 @@ TEST(Runner, ServeStudyCrossChecksAnalyticCapacity) {
   ServeKnobs knobs;
   knobs.load = 0.7;
   knobs.horizon_s = 30.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario s = Study(StudyKind::kServe);
+  s.serve = knobs;
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& serve = std::get<ServeStudyReport>(report.payload);
@@ -166,7 +176,9 @@ TEST(Runner, ServeStudyCrossChecksAnalyticCapacity) {
 TEST(Runner, ServeStudyIsDeterministicAtAnyThreadCount) {
   ServeKnobs knobs;
   knobs.horizon_s = 20.0;
-  Scenario serial = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Threads(1).Build();
+  Scenario serial = Study(StudyKind::kServe);
+  serial.serve = knobs;
+  serial.exec.threads = 1;
   Scenario parallel = serial;
   parallel.exec.threads = 0;  // hardware concurrency
   RunReport a = Runner().Run(serial);
@@ -178,7 +190,9 @@ TEST(Runner, ServeStudyIsDeterministicAtAnyThreadCount) {
 
 TEST(Runner, ServeStudyFailsCleanlyWhenSloInfeasible) {
   ServeKnobs knobs;
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).TbtSlo(1e-9).Build();
+  Scenario s = Study(StudyKind::kServe);
+  s.serve = knobs;
+  s.workload.tbt_slo_s = 1e-9;
   RunReport report = Runner().Run(s);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("no feasible"), std::string::npos);
@@ -193,7 +207,9 @@ TEST(Runner, ServeStudyThatAdmitsNoRequestsIsAnError) {
     ServeKnobs knobs;
     knobs.horizon_s = 1e-9;
     knobs.shards = shards;
-    Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Threads(2).Build();
+    Scenario s = Study(StudyKind::kServe);
+    s.serve = knobs;
+    s.exec.threads = 2;
     RunReport report = Runner().Run(s);
     EXPECT_FALSE(report.ok) << shards << " shards";
     EXPECT_NE(report.error.find("admitted no requests: serve.horizon_s"), std::string::npos)
@@ -213,7 +229,8 @@ TEST(Runner, OutOfMemoryComesBackAsErrorReport) {
   // own field; the message does not repeat it.
   ServeKnobs knobs;
   knobs.horizon_s = 1e12;
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Name("huge").Serve(knobs).Build();
+  Scenario s = Study(StudyKind::kServe, "huge");
+  s.serve = knobs;
   RunReport report = Runner().Run(s);
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.scenario_name, "huge");
@@ -237,9 +254,10 @@ TEST(Runner, ConfigEchoesReadBackAsTheScenarioKnobs) {
   sweep.horizon_s = 5.0;
   sweep.prompt_sigma = 0.2;
   sweep.seed = 42;
-  const std::pair<Scenario, const char*> studies[] = {
-      {*ScenarioBuilder(StudyKind::kMcSim).McSim(mcsim).Build(), "mcsim"},
-      {*ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(sweep).Build(), "sweep"}};
+  std::pair<Scenario, const char*> studies[] = {{Study(StudyKind::kMcSim), "mcsim"},
+                                                {Study(StudyKind::kServeSweep), "sweep"}};
+  studies[0].first.mcsim = mcsim;
+  studies[1].first.sweep = sweep;
   for (const auto& [scenario, block] : studies) {
     RunReport report = Runner().Run(scenario);
     ASSERT_TRUE(report.ok) << report.error;

@@ -11,6 +11,39 @@
 namespace litegpu {
 namespace {
 
+Scenario Study(StudyKind kind, std::vector<std::string> models = {},
+               std::vector<std::string> gpus = {}) {
+  Scenario s;
+  s.study = kind;
+  s.models = std::move(models);
+  s.gpus = std::move(gpus);
+  return s;
+}
+
+Scenario ServeWith(const ServeKnobs& knobs) {
+  Scenario s = Study(StudyKind::kServe);
+  s.serve = knobs;
+  return s;
+}
+
+Scenario SweepWith(const ServeSweepKnobs& knobs) {
+  Scenario s = Study(StudyKind::kServeSweep);
+  s.sweep = knobs;
+  return s;
+}
+
+Scenario FleetWith(const FleetKnobs& knobs) {
+  Scenario s = Study(StudyKind::kFleetCompare);
+  s.fleet = knobs;
+  return s;
+}
+
+// True when `s` fails validation; `error` gets the problem.
+bool Rejects(const Scenario& s, std::string* error) {
+  *error = s.Validate();
+  return !error->empty();
+}
+
 TEST(StudyKind, RoundTripsThroughNames) {
   for (StudyKind kind : {StudyKind::kSearch, StudyKind::kFig3a, StudyKind::kFig3b,
                          StudyKind::kDesign, StudyKind::kMcSim, StudyKind::kYield,
@@ -23,124 +56,115 @@ TEST(StudyKind, RoundTripsThroughNames) {
   EXPECT_FALSE(ParseStudyKind("fig3c").has_value());
 }
 
-TEST(ScenarioBuilder, BuildsValidDefaultScenarios) {
+TEST(Scenario, DefaultScenariosValidate) {
   for (StudyKind kind : {StudyKind::kSearch, StudyKind::kFig3a, StudyKind::kFig3b,
                          StudyKind::kDesign, StudyKind::kMcSim, StudyKind::kYield,
                          StudyKind::kDerive, StudyKind::kServe, StudyKind::kServeSweep}) {
-    std::string error;
-    auto scenario = ScenarioBuilder(kind).Build(&error);
-    EXPECT_TRUE(scenario.has_value()) << ToString(kind) << ": " << error;
+    EXPECT_EQ(Study(kind).Validate(), "") << ToString(kind);
   }
 }
 
-TEST(ScenarioBuilder, RejectsUnknownModel) {
-  std::string error;
-  auto scenario = ScenarioBuilder(StudyKind::kSearch).Model("NotAModel").Build(&error);
-  EXPECT_FALSE(scenario.has_value());
-  EXPECT_NE(error.find("unknown model"), std::string::npos);
+TEST(Scenario, RejectsUnknownModel) {
+  Scenario scenario = Study(StudyKind::kSearch);
+  scenario.models = {"NotAModel"};
+  EXPECT_NE(scenario.Validate().find("unknown model"), std::string::npos);
 }
 
-TEST(ScenarioBuilder, RejectsUnknownGpu) {
-  std::string error;
-  auto scenario = ScenarioBuilder(StudyKind::kFig3b).Gpu("H100").Gpu("H1000").Build(&error);
-  EXPECT_FALSE(scenario.has_value());
-  EXPECT_NE(error.find("unknown GPU"), std::string::npos);
+TEST(Scenario, RejectsUnknownGpu) {
+  Scenario scenario = Study(StudyKind::kFig3b);
+  scenario.gpus = {"H100", "H1000"};
+  EXPECT_NE(scenario.Validate().find("unknown GPU"), std::string::npos);
 }
 
-TEST(ScenarioBuilder, RejectsNonPositiveSlos) {
+TEST(Scenario, RejectsNonPositiveSlos) {
   std::string error;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kSearch).TbtSlo(0.0).Build(&error).has_value());
+  Scenario search = Study(StudyKind::kSearch);
+  search.workload.tbt_slo_s = 0.0;
+  EXPECT_TRUE(Rejects(search, &error));
   EXPECT_NE(error.find("tbt_slo_s"), std::string::npos);
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kFig3a).TtftSlo(-1.0).Build(&error).has_value());
+  Scenario fig3a = Study(StudyKind::kFig3a);
+  fig3a.workload.ttft_slo_s = -1.0;
+  EXPECT_TRUE(Rejects(fig3a, &error));
   EXPECT_NE(error.find("ttft_slo_s"), std::string::npos);
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kSearch).PromptTokens(0).Build(&error).has_value());
+  search = Study(StudyKind::kSearch);
+  search.workload.prompt_tokens = 0;
+  EXPECT_TRUE(Rejects(search, &error));
 }
 
-TEST(ScenarioBuilder, RejectsBaselineOutsideGpuList) {
-  std::string error;
-  auto scenario =
-      ScenarioBuilder(StudyKind::kFig3a).Gpu("Lite").Baseline("H100").Build(&error);
-  EXPECT_FALSE(scenario.has_value());
-  EXPECT_NE(error.find("baseline_gpu"), std::string::npos);
+TEST(Scenario, RejectsBaselineOutsideGpuList) {
+  Scenario scenario = Study(StudyKind::kFig3a);
+  scenario.gpus = {"Lite"};
+  scenario.baseline_gpu = "H100";
+  EXPECT_NE(scenario.Validate().find("baseline_gpu"), std::string::npos);
 }
 
-TEST(ScenarioBuilder, RejectsBadStudyKnobs) {
+TEST(Scenario, RejectsBadStudyKnobs) {
   std::string error;
-  McSimKnobs mcsim;
-  mcsim.num_trials = 0;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kMcSim).McSim(mcsim).Build(&error).has_value());
+  Scenario mcsim = Study(StudyKind::kMcSim);
+  mcsim.mcsim.num_trials = 0;
+  EXPECT_TRUE(Rejects(mcsim, &error));
   EXPECT_NE(error.find("num_trials"), std::string::npos);
 
-  DeriveKnobs derive;
-  derive.base_gpu = "Nope";
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kDerive).Derive(derive).Build(&error).has_value());
+  Scenario derive = Study(StudyKind::kDerive);
+  derive.derive.base_gpu = "Nope";
+  EXPECT_TRUE(Rejects(derive, &error));
   EXPECT_NE(error.find("base_gpu"), std::string::npos);
 
-  YieldKnobs yield;
-  yield.die_area_mm2 = -5.0;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kYield).Yield(yield).Build(&error).has_value());
+  Scenario yield = Study(StudyKind::kYield);
+  yield.yield.die_area_mm2 = -5.0;
+  EXPECT_TRUE(Rejects(yield, &error));
   EXPECT_NE(error.find("die_area_mm2"), std::string::npos);
 }
 
 TEST(Scenario, ResolvedListsApplyStudyDefaults) {
-  Scenario fig3a = ScenarioBuilder(StudyKind::kFig3a).Peek();
+  Scenario fig3a = Study(StudyKind::kFig3a);
   EXPECT_EQ(fig3a.ResolvedModels().size(), CaseStudyModels().size());
   EXPECT_EQ(fig3a.ResolvedGpus().size(), 4u);
   EXPECT_EQ(fig3a.ResolvedGpus().front(), "H100");
 
-  Scenario design = ScenarioBuilder(StudyKind::kDesign).Peek();
+  Scenario design = Study(StudyKind::kDesign);
   EXPECT_EQ(design.ResolvedGpus().size(), Table1Configs().size());
 
-  Scenario search = ScenarioBuilder(StudyKind::kSearch).Gpu("Lite").Peek();
+  Scenario search = Study(StudyKind::kSearch);
+  search.gpus = {"Lite"};
   ASSERT_EQ(search.ResolvedGpus().size(), 1u);
   EXPECT_EQ(search.ResolvedGpus().front(), "Lite");
 }
 
 TEST(Scenario, JsonRoundTripPreservesEquality) {
-  McSimKnobs mcsim;
-  mcsim.gpus_per_instance = 32;
-  mcsim.num_trials = 7;
-  mcsim.seed = 0xDEADBEEFull;
-  for (const Scenario& original :
-       {*ScenarioBuilder(StudyKind::kFig3a).Name("a").PromptTokens(2048).Build(),
-        *ScenarioBuilder(StudyKind::kSearch)
-             .Model("Llama3-70B")
-             .Gpu("Lite+MemBW")
-             .KvPolicy(KvShardPolicy::kIdealShard)
-             .TbtSlo(0.025)
-             .Threads(4)
-             .Build(),
-        *ScenarioBuilder(StudyKind::kMcSim).Gpu("Lite").McSim(mcsim).Build(),
-        *ScenarioBuilder(StudyKind::kYield).Build(),
-        *ScenarioBuilder(StudyKind::kDerive).Build(),
-        *ScenarioBuilder(StudyKind::kDesign).Model("GPT3-175B").Build(),
-        *ScenarioBuilder(StudyKind::kServe)
-             .Model("Llama3-70B")
-             .Gpu("Lite+MemBW")
-             .Serve([] {
-               ServeKnobs knobs;
-               knobs.load = 0.6;
-               knobs.horizon_s = 30.0;
-               knobs.prefill_instances = 2;
-               knobs.decode_instances = 3;
-               knobs.prompt_sigma = 0.5;
-               knobs.seed = 0xFEED;
-               return knobs;
-             }())
-             .Build(),
-        *ScenarioBuilder(StudyKind::kServeSweep)
-             .ServeSweep([] {
-               ServeSweepKnobs knobs;
-               knobs.loads = {0.4, 0.8};
-               knobs.horizon_s = 12.0;
-               knobs.decode_instances = 2;
-               knobs.seed = 0xBEEF;
-               return knobs;
-             }())
-             .Build()}) {
+  Scenario fig3a = Study(StudyKind::kFig3a);
+  fig3a.name = "a";
+  fig3a.workload.prompt_tokens = 2048;
+  Scenario search = Study(StudyKind::kSearch);
+  search.models = {"Llama3-70B"};
+  search.gpus = {"Lite+MemBW"};
+  search.kv_policy = KvShardPolicy::kIdealShard;
+  search.workload.tbt_slo_s = 0.025;
+  search.exec.threads = 4;
+  Scenario mcsim = Study(StudyKind::kMcSim);
+  mcsim.gpus = {"Lite"};
+  mcsim.mcsim.gpus_per_instance = 32;
+  mcsim.mcsim.num_trials = 7;
+  mcsim.mcsim.seed = 0xDEADBEEFull;
+  Scenario design = Study(StudyKind::kDesign);
+  design.models = {"GPT3-175B"};
+  Scenario serve = Study(StudyKind::kServe);
+  serve.models = {"Llama3-70B"};
+  serve.gpus = {"Lite+MemBW"};
+  serve.serve.load = 0.6;
+  serve.serve.horizon_s = 30.0;
+  serve.serve.prefill_instances = 2;
+  serve.serve.decode_instances = 3;
+  serve.serve.prompt_sigma = 0.5;
+  serve.serve.seed = 0xFEED;
+  Scenario sweep = Study(StudyKind::kServeSweep);
+  sweep.sweep.loads = {0.4, 0.8};
+  sweep.sweep.horizon_s = 12.0;
+  sweep.sweep.decode_instances = 2;
+  sweep.sweep.seed = 0xBEEF;
+  for (const Scenario& original : {fig3a, search, mcsim, Study(StudyKind::kYield),
+                                   Study(StudyKind::kDerive), design, serve, sweep}) {
+    ASSERT_EQ(original.Validate(), "") << ToString(original.study);
     Json j = ScenarioToJson(original);
     std::string error;
     auto restored = ScenarioFromJson(j, &error);
@@ -204,22 +228,16 @@ TEST(Scenario, FromJsonRejectsMistypedValues) {
   EXPECT_NE(error.find("threads"), std::string::npos);
 }
 
-TEST(ScenarioBuilder, RejectsListsTheStudyWouldIgnore) {
+TEST(Scenario, RejectsListsTheStudyWouldIgnore) {
   std::string error;
   // mcsim simulates one GPU type and no models.
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kMcSim)
-                   .Gpu("H100")
-                   .Gpu("Lite")
-                   .Build(&error)
-                   .has_value());
+  EXPECT_TRUE(Rejects(Study(StudyKind::kMcSim, {}, {"H100", "Lite"}), &error));
   EXPECT_NE(error.find("exactly one GPU"), std::string::npos);
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kMcSim).Model("Llama3-70B").Build(&error).has_value());
+  EXPECT_TRUE(Rejects(Study(StudyKind::kMcSim, {"Llama3-70B"}), &error));
   // yield/derive read their own knob blocks, not the model/GPU lists.
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kYield).Gpu("Lite").Build(&error).has_value());
+  EXPECT_TRUE(Rejects(Study(StudyKind::kYield, {}, {"Lite"}), &error));
   EXPECT_NE(error.find("does not take"), std::string::npos);
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kDerive).Model("Llama3-70B").Build(&error).has_value());
+  EXPECT_TRUE(Rejects(Study(StudyKind::kDerive, {"Llama3-70B"}), &error));
 }
 
 TEST(Scenario, FromJsonDefaultsMissingFields) {
@@ -234,60 +252,55 @@ TEST(Scenario, FromJsonDefaultsMissingFields) {
   EXPECT_TRUE(scenario->Validate().empty());
 }
 
-TEST(Scenario, ParseScenariosAcceptsSingleArrayAndWrappedForms) {
-  auto single = ParseScenarios(R"({"study": "yield"})");
+TEST(Scenario, ScenariosFromJsonAcceptsSingleArrayAndWrappedForms) {
+  auto batch = [](const std::string& text, std::string* error = nullptr) {
+    return ScenariosFromJson(Json::Parse(text).value(), error);
+  };
+  auto single = batch(R"({"study": "yield"})");
   ASSERT_TRUE(single.has_value());
   EXPECT_EQ(single->size(), 1u);
 
-  auto array = ParseScenarios(R"([{"study": "yield"}, {"study": "derive"}])");
+  auto array = batch(R"([{"study": "yield"}, {"study": "derive"}])");
   ASSERT_TRUE(array.has_value());
   EXPECT_EQ(array->size(), 2u);
 
-  auto wrapped = ParseScenarios(R"({"scenarios": [{"study": "fig3a"}]})");
+  auto wrapped = batch(R"({"scenarios": [{"study": "fig3a"}]})");
   ASSERT_TRUE(wrapped.has_value());
   EXPECT_EQ(wrapped->size(), 1u);
   EXPECT_EQ(wrapped->front().study, StudyKind::kFig3a);
 
   std::string error;
-  EXPECT_FALSE(ParseScenarios(R"({"scenarios": []})", &error).has_value());
-  EXPECT_FALSE(ParseScenarios("not json", &error).has_value());
+  EXPECT_FALSE(batch(R"({"scenarios": []})", &error).has_value());
+  EXPECT_EQ(error, "no scenarios in input");
 }
 
 TEST(Scenario, ServeValidationRejectsBadShapes) {
   std::string error;
   // Serve simulates exactly one (model, GPU) pair.
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe)
-                   .Gpu("H100")
-                   .Gpu("Lite")
-                   .Build(&error)
-                   .has_value());
+  EXPECT_TRUE(Rejects(Study(StudyKind::kServe, {}, {"H100", "Lite"}), &error));
   EXPECT_NE(error.find("exactly one GPU"), std::string::npos);
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe)
-                   .Model("Llama3-8B")
-                   .Model("Llama3-70B")
-                   .Build(&error)
-                   .has_value());
+  EXPECT_TRUE(Rejects(Study(StudyKind::kServe, {"Llama3-8B", "Llama3-70B"}), &error));
   EXPECT_NE(error.find("exactly one model"), std::string::npos);
 
   ServeKnobs knobs;
   knobs.horizon_s = 0.0;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   EXPECT_NE(error.find("horizon_s"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.decode_instances = 0;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   EXPECT_NE(error.find("decode_instances"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.load = 0.0;  // and no explicit rate
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   EXPECT_NE(error.find("load"), std::string::npos);
 }
 
 TEST(Scenario, ServeDefaultsAndStrictKeys) {
   // Defaults: Llama3-70B on one H100-backed deployment.
-  Scenario serve = ScenarioBuilder(StudyKind::kServe).Peek();
+  Scenario serve = Study(StudyKind::kServe);
   EXPECT_EQ(serve.ResolvedModels(), std::vector<std::string>{"Llama3-70B"});
   EXPECT_EQ(serve.ResolvedGpus(), std::vector<std::string>{"H100"});
 
@@ -329,8 +342,8 @@ TEST(Scenario, RequestClassesRoundTripThroughJson) {
   sweep.loads = {0.4, 0.8};
   sweep.classes = TwoClassMix();
   for (const Scenario& original :
-       {*ScenarioBuilder(StudyKind::kServe).Serve(serve).Build(),
-        *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(sweep).Build()}) {
+       {ServeWith(serve),
+        SweepWith(sweep)}) {
     Json j = ScenarioToJson(original);
     std::string error;
     auto reparsed = Json::Parse(j.Dump());
@@ -341,7 +354,7 @@ TEST(Scenario, RequestClassesRoundTripThroughJson) {
   }
   // Classless scenarios serialize without a classes key at all, so
   // pre-class scenario files and reports are byte-compatible.
-  Json j = ScenarioToJson(*ScenarioBuilder(StudyKind::kServe).Build());
+  Json j = ScenarioToJson(Study(StudyKind::kServe));
   EXPECT_EQ(j.Dump().find("classes"), std::string::npos);
 }
 
@@ -351,39 +364,38 @@ TEST(Scenario, RequestClassValidationRejectsBadMixes) {
   ServeKnobs knobs;
   knobs.classes = TwoClassMix();
   knobs.classes[1].name = "chat";
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   EXPECT_NE(error.find("duplicate name 'chat'"), std::string::npos);
 
   // Non-positive weight.
   knobs.classes = TwoClassMix();
   knobs.classes[0].weight = 0.0;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   EXPECT_NE(error.find("weight must be positive"), std::string::npos);
 
   // Empty name.
   knobs.classes = TwoClassMix();
   knobs.classes[1].name = "";
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   EXPECT_NE(error.find("non-empty name"), std::string::npos);
 
   // Negative SLO / sigma / length.
   knobs.classes = TwoClassMix();
   knobs.classes[0].tbt_slo_s = -0.1;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   EXPECT_NE(error.find("SLOs must be >= 0"), std::string::npos);
   knobs.classes = TwoClassMix();
   knobs.classes[0].prompt_sigma = -1.0;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
   knobs.classes = TwoClassMix();
   knobs.classes[0].output_tokens = 0;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(knobs), &error));
 
   // The same mix rules guard the sweep block.
   ServeSweepKnobs sweep;
   sweep.classes = TwoClassMix();
   sweep.classes[0].weight = -2.0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(sweep).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(SweepWith(sweep), &error));
   EXPECT_NE(error.find("sweep.classes"), std::string::npos);
 }
 
@@ -446,8 +458,8 @@ TEST(Scenario, FaultKnobsRoundTripThroughJson) {
   sweep.loads = {0.4, 0.8};
   sweep.faults = ChurnyFaultKnobs();
   for (const Scenario& original :
-       {*ScenarioBuilder(StudyKind::kServe).Serve(serve).Build(),
-        *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(sweep).Build()}) {
+       {ServeWith(serve),
+        SweepWith(sweep)}) {
     Json j = ScenarioToJson(original);
     std::string error;
     auto reparsed = Json::Parse(j.Dump());
@@ -458,7 +470,7 @@ TEST(Scenario, FaultKnobsRoundTripThroughJson) {
   }
   // A default faults block serializes to nothing at all, so fault-free
   // scenario files and reports stay byte-identical to the pre-fault engine.
-  Json j = ScenarioToJson(*ScenarioBuilder(StudyKind::kServe).Build());
+  Json j = ScenarioToJson(Study(StudyKind::kServe));
   EXPECT_EQ(j.Dump().find("faults"), std::string::npos);
   EXPECT_FALSE(SerializesFaults(FaultKnobs{}));
   // The gate is field-by-field, not enabled(): an afr-0 block with spares
@@ -466,7 +478,7 @@ TEST(Scenario, FaultKnobsRoundTripThroughJson) {
   ServeKnobs tweaked;
   tweaked.faults.hot_spares = 1;
   EXPECT_TRUE(SerializesFaults(tweaked.faults));
-  Json k = ScenarioToJson(*ScenarioBuilder(StudyKind::kServe).Serve(tweaked).Build());
+  Json k = ScenarioToJson(ServeWith(tweaked));
   EXPECT_NE(k.Dump().find("hot_spares"), std::string::npos);
 }
 
@@ -499,8 +511,7 @@ FleetKnobs FancyFleetKnobs() {
 }
 
 TEST(Scenario, FleetKnobsRoundTripThroughJson) {
-  Scenario original =
-      *ScenarioBuilder(StudyKind::kFleetCompare).Fleet(FancyFleetKnobs()).Build();
+  Scenario original = FleetWith(FancyFleetKnobs());
   Json j = ScenarioToJson(original);
   std::string error;
   auto reparsed = Json::Parse(j.Dump());
@@ -521,7 +532,7 @@ TEST(Scenario, FleetBlockOnlySerializesForFleetStudies) {
   for (StudyKind kind : {StudyKind::kSearch, StudyKind::kFig3a, StudyKind::kFig3b,
                          StudyKind::kDesign, StudyKind::kMcSim, StudyKind::kYield,
                          StudyKind::kDerive, StudyKind::kServe, StudyKind::kServeSweep}) {
-    Json j = ScenarioToJson(*ScenarioBuilder(kind).Build());
+    Json j = ScenarioToJson(Study(kind));
     EXPECT_EQ(j.Dump().find("fleet"), std::string::npos) << ToString(kind);
   }
   // More generally, every study writes its own knob block and no other
@@ -533,7 +544,7 @@ TEST(Scenario, FleetBlockOnlySerializesForFleetStudies) {
       {StudyKind::kDerive, "derive"},     {StudyKind::kServe, "serve"},
       {StudyKind::kServeSweep, "sweep"},  {StudyKind::kFleetCompare, "fleet"}};
   for (const auto& [kind, own] : own_blocks) {
-    Json j = ScenarioToJson(ScenarioBuilder(kind).Peek());
+    Json j = ScenarioToJson(Study(kind));
     for (const char* block : {"design", "mcsim", "yield", "derive", "serve", "sweep", "fleet"}) {
       EXPECT_EQ(j.Find(block) != nullptr, own == block) << ToString(kind) << ": " << block;
     }
@@ -571,12 +582,12 @@ TEST(Scenario, EveryStudyKeepsItsModelAndGpuListMessages) {
   fleet.candidates.resize(1);
   fleet.candidates[0].name = "only";
   for (const Case& c : cases) {
-    ScenarioBuilder two_models(c.kind);
-    two_models.Fleet(fleet).Model("Llama3-8B").Model("Llama3-70B");
-    ScenarioBuilder two_gpus(c.kind);
-    two_gpus.Fleet(fleet).Gpu("H100").Gpu("Lite");
-    EXPECT_EQ(two_models.Peek().Validate(), c.two_models) << ToString(c.kind);
-    EXPECT_EQ(two_gpus.Peek().Validate(), c.two_gpus) << ToString(c.kind);
+    Scenario two_models = Study(c.kind, {"Llama3-8B", "Llama3-70B"});
+    two_models.fleet = fleet;
+    Scenario two_gpus = Study(c.kind, {}, {"H100", "Lite"});
+    two_gpus.fleet = fleet;
+    EXPECT_EQ(two_models.Validate(), c.two_models) << ToString(c.kind);
+    EXPECT_EQ(two_gpus.Validate(), c.two_gpus) << ToString(c.kind);
   }
 }
 
@@ -597,34 +608,28 @@ TEST(Scenario, UnknownStudyErrorNamesEverySpelling) {
 TEST(Scenario, FleetValidationRejectsBadCatalogs) {
   std::string error;
   // An empty catalog is the fleet study's "no GPUs".
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kFleetCompare).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(Study(StudyKind::kFleetCompare), &error));
   EXPECT_NE(error.find("fleet.candidates"), std::string::npos);
 
   FleetKnobs fleet = FancyFleetKnobs();
   fleet.candidates[1].name = "baseline";  // duplicate names would alias RNG streams
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kFleetCompare).Fleet(fleet).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(FleetWith(fleet), &error));
   EXPECT_NE(error.find("duplicate fleet candidate name"), std::string::npos);
 
   fleet = FancyFleetKnobs();
   fleet.candidates[0].split = 0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kFleetCompare).Fleet(fleet).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(FleetWith(fleet), &error));
   EXPECT_NE(error.find("split"), std::string::npos);
 
   fleet = FancyFleetKnobs();
   fleet.gpu_utilization = 1.5;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kFleetCompare).Fleet(fleet).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(FleetWith(fleet), &error));
   EXPECT_NE(error.find("gpu_utilization"), std::string::npos);
 
   // The explicit gpus list belongs to the other studies.
-  fleet = FancyFleetKnobs();
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kFleetCompare)
-                   .Gpu("H100")
-                   .Fleet(fleet)
-                   .Build(&error)
-                   .has_value());
+  Scenario with_gpus = FleetWith(FancyFleetKnobs());
+  with_gpus.gpus = {"H100"};
+  EXPECT_TRUE(Rejects(with_gpus, &error));
   EXPECT_NE(error.find("fleet.candidates"), std::string::npos);
 }
 
@@ -692,8 +697,7 @@ TEST(Scenario, FaultKnobsValidationRejectsBadValues) {
   std::string error;
   ServeKnobs serve;
   serve.faults.spare_activation_minutes = -5.0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServe).Serve(serve).Build(&error).has_value());
+  EXPECT_TRUE(Rejects(ServeWith(serve), &error));
   EXPECT_NE(error.find("serve.faults"), std::string::npos);
 }
 
@@ -710,7 +714,7 @@ TEST(Scenario, RobustnessKnobsRoundTripAndEmitNoKeysAtDefaults) {
   serve.faults.degrade_minutes = 0.5;
   serve.faults.shed_queue_depth = 8;
   serve.faults.shed_ttft_deadline_s = 2.0;
-  Scenario original = *ScenarioBuilder(StudyKind::kServe).Serve(serve).Build();
+  Scenario original = ServeWith(serve);
   Json j = ScenarioToJson(original);
   std::string error;
   auto reparsed = Json::Parse(j.Dump());
@@ -723,7 +727,7 @@ TEST(Scenario, RobustnessKnobsRoundTripAndEmitNoKeysAtDefaults) {
   // scenario file and report stays byte-identical.
   ServeKnobs old_style;
   old_style.faults = ChurnyFaultKnobs();
-  Json old_json = ScenarioToJson(*ScenarioBuilder(StudyKind::kServe).Serve(old_style).Build());
+  Json old_json = ScenarioToJson(ServeWith(old_style));
   std::string dump = old_json.Dump();
   for (const char* key : {"domain_gpus", "domain_afr", "domain_mttr_hours",
                           "degrade_afr", "degrade_multiplier", "degrade_minutes",
@@ -894,10 +898,9 @@ TEST(Scenario, ValidateRejectsNonFiniteDoubles) {
   EXPECT_EQ(mcsim->Validate(), "mcsim.sim_years must be positive and finite");
 
   // Rows without a bound still require a finite value.
-  YieldKnobs yield;
-  yield.cluster_alpha = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(ScenarioBuilder(StudyKind::kYield).Yield(yield).Peek().Validate(),
-            "yield.cluster_alpha must be finite");
+  Scenario yield = Study(StudyKind::kYield);
+  yield.yield.cluster_alpha = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(yield.Validate(), "yield.cluster_alpha must be finite");
 }
 
 TEST(Scenario, EnumRowsTypeCheckAndSuggest) {
@@ -931,25 +934,25 @@ TEST(Scenario, UnknownKeysInEveryBlockGetSuggestions) {
 template <typename Fn>
 void ForEachKnobTable(Fn&& fn) {
   auto root = [](Scenario& s) -> Scenario& { return s; };
-  Scenario search = ScenarioBuilder(StudyKind::kSearch).Peek();
+  Scenario search = Study(StudyKind::kSearch);
   fn(kScenarioFields, search, root, {});
   fn(kWorkloadFields, search, [](Scenario& s) -> auto& { return s.workload; }, {"workload"});
   fn(kExecFields, search, [](Scenario& s) -> auto& { return s.exec; }, {"exec"});
-  fn(kDesignFields, ScenarioBuilder(StudyKind::kDesign).Peek(),
+  fn(kDesignFields, Study(StudyKind::kDesign),
      [](Scenario& s) -> auto& { return s.design; }, {"design"});
-  fn(kMcSimFields, ScenarioBuilder(StudyKind::kMcSim).Peek(),
+  fn(kMcSimFields, Study(StudyKind::kMcSim),
      [](Scenario& s) -> auto& { return s.mcsim; }, {"mcsim"});
-  fn(kYieldFields, ScenarioBuilder(StudyKind::kYield).Peek(),
+  fn(kYieldFields, Study(StudyKind::kYield),
      [](Scenario& s) -> auto& { return s.yield; }, {"yield"});
-  fn(kDeriveFields, ScenarioBuilder(StudyKind::kDerive).Peek(),
+  fn(kDeriveFields, Study(StudyKind::kDerive),
      [](Scenario& s) -> auto& { return s.derive; }, {"derive"});
 
-  Scenario serve = ScenarioBuilder(StudyKind::kServe).Peek();
+  Scenario serve = Study(StudyKind::kServe);
   auto serve_knobs = [](Scenario& s) -> auto& { return s.serve; };
   fn(kServeFields, serve, serve_knobs, {"serve"});
   fn(kServeCommonFields, serve, serve_knobs, {"serve"});
   fn(kServeShardFields, serve, serve_knobs, {"serve"});
-  Scenario sweep = ScenarioBuilder(StudyKind::kServeSweep).Peek();
+  Scenario sweep = Study(StudyKind::kServeSweep);
   fn(kServeSweepFields, sweep, [](Scenario& s) -> auto& { return s.sweep; }, {"sweep"});
 
   Scenario classes = serve;
@@ -978,7 +981,7 @@ void ForEachKnobTable(Fn&& fn) {
   fn(kFaultFields, faulty, [](Scenario& s) -> auto& { return s.serve.faults; },
      {"serve", "faults"});
 
-  Scenario fleet = ScenarioBuilder(StudyKind::kFleetCompare).Peek();
+  Scenario fleet = Study(StudyKind::kFleetCompare);
   fleet.fleet.candidates.resize(1);
   fleet.fleet.candidates[0].name = "a";
   fn(kFleetFields, fleet, [](Scenario& s) -> auto& { return s.fleet; }, {"fleet"});
@@ -1127,13 +1130,12 @@ TEST(Scenario, EveryCheckedInExampleLoadsValidatesAndRoundTrips) {
 #endif
 
 TEST(Scenario, MakeSearchOptionsCarriesWorkloadAndExec) {
-  Scenario s = ScenarioBuilder(StudyKind::kSearch)
-                   .PromptTokens(2000)
-                   .TbtSlo(0.030)
-                   .KvPolicy(KvShardPolicy::kIdealShard)
-                   .MaxBatch(128)
-                   .Threads(3)
-                   .Peek();
+  Scenario s = Study(StudyKind::kSearch);
+  s.workload.prompt_tokens = 2000;
+  s.workload.tbt_slo_s = 0.030;
+  s.kv_policy = KvShardPolicy::kIdealShard;
+  s.max_batch = 128;
+  s.exec.threads = 3;
   SearchOptions options = s.MakeSearchOptions();
   EXPECT_EQ(options.workload.prompt_tokens, 2000);
   EXPECT_DOUBLE_EQ(options.workload.tbt_slo_s, 0.030);

@@ -11,14 +11,12 @@ namespace {
 
 // --- allocator ---
 
-TEST(Allocator, GrantsAndReleases) {
+TEST(Allocator, Grants) {
   ClusterAllocator alloc(8, 1.0);
   Allocation a = alloc.Allocate({1, 2.0});
   EXPECT_TRUE(a.satisfied);
   EXPECT_EQ(a.units, 2);
   EXPECT_EQ(alloc.used_units(), 2);
-  alloc.Release(a);
-  EXPECT_EQ(alloc.used_units(), 0);
 }
 
 TEST(Allocator, RejectsWhenFull) {
@@ -43,12 +41,6 @@ TEST(Allocator, EfficiencyOneForExactMultiples) {
   alloc.Allocate({1, 3.0});
   alloc.Allocate({2, 2.0});
   EXPECT_DOUBLE_EQ(alloc.AllocationEfficiency(), 1.0);
-}
-
-TEST(Allocator, UtilizationTracksGrants) {
-  ClusterAllocator alloc(10, 1.0);
-  alloc.Allocate({1, 4.0});
-  EXPECT_DOUBLE_EQ(alloc.Utilization(), 0.4);
 }
 
 TEST(Allocator, FineGranularityPacksMoreJobs) {

@@ -18,6 +18,22 @@
 namespace litegpu {
 namespace {
 
+Scenario ServeScenario(const ServeKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServe;
+  s.serve = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
+Scenario SweepScenario(const ServeSweepKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServeSweep;
+  s.sweep = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
 // --- generator: diurnal ---
 
 TEST(ArrivalProcess, DiurnalCurveModulatesTheArrivalRate) {
@@ -215,8 +231,7 @@ TEST(Scenario, ArrivalAndAutoscalerRoundTripThroughJson) {
   knobs.autoscaler.policy = AutoscalerPolicy::kPredictive;
   knobs.autoscaler.delay_s = 12.0;
   knobs.autoscaler.max_decode_instances = 24;
-  Scenario original =
-      *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario original = ServeScenario(knobs);
   std::string error;
   auto restored = ScenarioFromJson(ScenarioToJson(original), &error);
   ASSERT_TRUE(restored.has_value()) << error;
@@ -231,7 +246,7 @@ TEST(Scenario, TraceArrivalRoundTripsThroughJson) {
   ServeKnobs knobs;
   knobs.arrival.kind = ArrivalKind::kTrace;
   knobs.arrival.times_s = {0.5, 1.25, 2.0};
-  Scenario original = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario original = ServeScenario(knobs);
   std::string error;
   auto restored = ScenarioFromJson(ScenarioToJson(original), &error);
   ASSERT_TRUE(restored.has_value()) << error;
@@ -242,7 +257,7 @@ TEST(Scenario, TraceArrivalRoundTripsThroughJson) {
 TEST(Scenario, OmittedArrivalAndAutoscalerEmitNoKeys) {
   // Default (stationary Poisson, no autoscaler) scenarios serialize without
   // the new keys at all — the byte-identity guarantee for existing files.
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(ServeKnobs{}).Build();
+  Scenario s = ServeScenario(ServeKnobs{});
   std::string dump = ScenarioToJson(s).Dump();
   EXPECT_EQ(dump.find("\"arrival\""), std::string::npos);
   EXPECT_EQ(dump.find("\"autoscaler\""), std::string::npos);
@@ -272,29 +287,29 @@ TEST(Scenario, AutoscalerValidationRejectsBadThresholdsAndDelays) {
   ServeKnobs knobs;
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.interval_s = 0.0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("interval_s"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.delay_s = -1.0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("delay_s"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.max_decode_instances = 0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("max >= min"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.scale_down_utilization = 0.95;  // above the up threshold
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("scale_down_utilization"), std::string::npos);
 
   // A scale-up must land inside the horizon: the delay is bounded by it.
@@ -302,22 +317,20 @@ TEST(Scenario, AutoscalerValidationRejectsBadThresholdsAndDelays) {
   knobs.horizon_s = 60.0;
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.delay_s = 1e308;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("serve.autoscaler.delay_s must be <= serve.horizon_s"),
             std::string::npos)
       << error;
   knobs.autoscaler.delay_s = 60.0;
-  EXPECT_TRUE(
-      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_EQ(ServeScenario(knobs).Validate(), "");
 
   // A disabled block never validates its thresholds — kNone means "no
   // autoscaler", whatever stale values ride along.
   knobs = ServeKnobs{};
   knobs.autoscaler.policy = AutoscalerPolicy::kNone;
   knobs.autoscaler.interval_s = -5.0;
-  EXPECT_TRUE(
-      ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  EXPECT_EQ(ServeScenario(knobs).Validate(), "");
 }
 
 TEST(Scenario, SweepRejectsTraceArrivals) {
@@ -325,8 +338,8 @@ TEST(Scenario, SweepRejectsTraceArrivals) {
   ServeSweepKnobs knobs;
   knobs.arrival.kind = ArrivalKind::kTrace;
   knobs.arrival.times_s = {1.0};
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build(&error).has_value());
+  error = SweepScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("trace"), std::string::npos);
 }
 
@@ -344,7 +357,7 @@ TEST(Runner, ReactiveAutoscalerScalesUpUnderABurstyDay) {
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.interval_s = 2.0;
   knobs.autoscaler.delay_s = 4.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario s = ServeScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& serve = std::get<ServeStudyReport>(report.payload);
@@ -378,7 +391,7 @@ TEST(Runner, PredictiveAutoscalerRunsAndReportsPolicy) {
   knobs.autoscaler.interval_s = 2.0;
   knobs.autoscaler.delay_s = 3.0;
   knobs.autoscaler.forecast_window_s = 8.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario s = ServeScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& serve = std::get<ServeStudyReport>(report.payload);
@@ -390,7 +403,7 @@ TEST(Runner, PredictiveAutoscalerRunsAndReportsPolicy) {
 TEST(Runner, FixedPoolServeReportHasNoAutoscalerBlock) {
   ServeKnobs knobs;
   knobs.horizon_s = 10.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario s = ServeScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& serve = std::get<ServeStudyReport>(report.payload);
@@ -410,8 +423,7 @@ TEST(Runner, AutoscaledSweepIsBitIdenticalAtAnyThreadCount) {
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.interval_s = 2.0;
   knobs.autoscaler.delay_s = 3.0;
-  Scenario serial =
-      *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  Scenario serial = SweepScenario(knobs, 1);
   RunReport reference = Runner().Run(serial);
   ASSERT_TRUE(reference.ok) << reference.error;
   for (int threads : {0, 2, 4}) {
@@ -430,7 +442,7 @@ TEST(Runner, AutoscaledSweepReportsTheCheapestSloMeetingPoint) {
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
   knobs.autoscaler.interval_s = 2.0;
   knobs.autoscaler.delay_s = 3.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build();
+  Scenario s = SweepScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& sweep = std::get<ServeSweepReport>(report.payload);
@@ -465,7 +477,7 @@ TEST(Runner, TraceServeStudyDerivesItsRateFromTheTrace) {
   for (int i = 0; i < 200; ++i) {
     knobs.arrival.times_s.push_back(i * 0.05);  // 20 req/s over 10 s
   }
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario s = ServeScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& serve = std::get<ServeStudyReport>(report.payload);

@@ -6,8 +6,8 @@
 // Beyond the reported metrics and ratios it compares the raw accumulators
 // that decode macro-steps regroup — busy time and batch-time product
 // (charged step by step), token totals, degraded accounting, and every TBT
-// histogram's count, sum, min and max — so a regrouping that only happens
-// to round to the same ratio still fails.
+// histogram's count, min, max and quantiles — so a regrouping that only
+// happens to round to the same ratio still fails.
 
 #pragma once
 
@@ -20,7 +20,6 @@ namespace litegpu {
 inline void ExpectHistogramsIdentical(const LatencyHistogram& a, const LatencyHistogram& b,
                                       const char* what) {
   EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.sum(), b.sum()) << what;
   EXPECT_EQ(a.min(), b.min()) << what;
   EXPECT_EQ(a.max(), b.max()) << what;
   for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {

@@ -11,6 +11,22 @@
 namespace litegpu {
 namespace {
 
+Scenario ServeScenario(const ServeKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServe;
+  s.serve = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
+Scenario SweepScenario(const ServeSweepKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServeSweep;
+  s.sweep = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
 std::vector<RequestClass> ChatAndBatchMix() {
   RequestClass chat;
   chat.name = "chat";
@@ -30,7 +46,7 @@ Scenario MultitenantServe(double load = 0.6, double horizon_s = 20.0) {
   knobs.load = load;
   knobs.horizon_s = horizon_s;
   knobs.classes = ChatAndBatchMix();
-  return *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  return ServeScenario(knobs);
 }
 
 TEST(MultitenantServe, ReportsPerClassLatencyGoodputAndAttainment) {
@@ -91,7 +107,7 @@ TEST(MultitenantServe, SingleClassReportCarriesNoClassBlocks) {
   ServeKnobs knobs;
   knobs.load = 0.6;
   knobs.horizon_s = 10.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario s = ServeScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_TRUE(std::get<ServeStudyReport>(report.payload).classes.empty());
@@ -103,8 +119,7 @@ TEST(MultitenantSweep, BitIdenticalAtAnyThreadCount) {
   knobs.loads = {0.3, 0.6, 0.9};
   knobs.horizon_s = 8.0;
   knobs.classes = ChatAndBatchMix();
-  Scenario serial =
-      *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  Scenario serial = SweepScenario(knobs, 1);
   Scenario parallel = serial;
   parallel.exec.threads = 0;  // hardware concurrency
   RunReport a = Runner().Run(serial);
@@ -129,8 +144,7 @@ TEST(MultitenantSweep, KneeRequiresEveryClassToMeetItsSlos) {
   RequestClass chat;
   chat.name = "chat";
   lenient.classes = {chat};
-  Scenario ok_scenario =
-      *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(lenient).Threads(1).Build();
+  Scenario ok_scenario = SweepScenario(lenient, 1);
   RunReport ok_report = Runner().Run(ok_scenario);
   ASSERT_TRUE(ok_report.ok) << ok_report.error;
   const auto& ok_sweep = std::get<ServeSweepReport>(ok_report.payload);
@@ -142,8 +156,7 @@ TEST(MultitenantSweep, KneeRequiresEveryClassToMeetItsSlos) {
   impossible.weight = 0.2;
   impossible.tbt_slo_s = 1e-4;  // no decode step is this fast
   strict.classes.push_back(impossible);
-  Scenario strict_scenario =
-      *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(strict).Threads(1).Build();
+  Scenario strict_scenario = SweepScenario(strict, 1);
   RunReport strict_report = Runner().Run(strict_scenario);
   ASSERT_TRUE(strict_report.ok) << strict_report.error;
   const auto& strict_sweep = std::get<ServeSweepReport>(strict_report.payload);
@@ -184,8 +197,8 @@ TEST(MultitenantServe, AddingAClassLeavesExistingClassWorkloadUnchanged) {
   solo.classes[0].weight = 1.0;
   solo.arrival_rate_per_s = 30.0;
 
-  RunReport a = Runner().Run(*ScenarioBuilder(StudyKind::kServe).Serve(solo).Build());
-  RunReport b = Runner().Run(*ScenarioBuilder(StudyKind::kServe).Serve(mixed).Build());
+  RunReport a = Runner().Run(ServeScenario(solo));
+  RunReport b = Runner().Run(ServeScenario(mixed));
   ASSERT_TRUE(a.ok) << a.error;
   ASSERT_TRUE(b.ok) << b.error;
   const auto& chat_solo = std::get<ServeStudyReport>(a.payload).classes[0];

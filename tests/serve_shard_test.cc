@@ -20,6 +20,22 @@
 namespace litegpu {
 namespace {
 
+Scenario ServeScenario(const ServeKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServe;
+  s.serve = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
+Scenario SweepScenario(const ServeSweepKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServeSweep;
+  s.sweep = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
 StepTimeTable ConstantTable() {
   std::vector<double> prefill_s;
   for (int b = 1; b <= 8; ++b) {
@@ -141,9 +157,9 @@ TEST(MergeServeShardMetrics, CountsSumAndRatiosRecomputeFromSummedAggregates) {
 TEST(Runner, ShardsOffAndOneAreByteIdentical) {
   ServeKnobs knobs;
   knobs.horizon_s = 20.0;
-  Scenario off = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario off = ServeScenario(knobs);
   knobs.shards = 1;
-  Scenario one = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario one = ServeScenario(knobs);
   RunReport a = Runner().Run(off);
   RunReport b = Runner().Run(one);
   ASSERT_TRUE(a.ok) << a.error;
@@ -156,8 +172,7 @@ TEST(Runner, ShardedServePointIsIdenticalAtAnyThreadCount) {
     ServeKnobs knobs;
     knobs.horizon_s = 24.0;
     knobs.shards = shards;
-    Scenario serial =
-        *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Threads(1).Build();
+    Scenario serial = ServeScenario(knobs, 1);
     Scenario parallel = serial;
     parallel.exec.threads = 0;  // hardware concurrency
     Scenario oversubscribed = serial;
@@ -178,9 +193,9 @@ TEST(Runner, ShardedServePointApproximatesTheSerialPoint) {
   // the merged point is a statistical replica, not a bit-identical one.
   ServeKnobs knobs;
   knobs.horizon_s = 40.0;
-  Scenario serial = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario serial = ServeScenario(knobs);
   knobs.shards = 4;
-  Scenario sharded = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario sharded = ServeScenario(knobs);
   RunReport a = Runner().Run(serial);
   RunReport b = Runner().Run(sharded);
   ASSERT_TRUE(a.ok) << a.error;
@@ -203,8 +218,7 @@ TEST(Runner, ShardedSweepIsIdenticalAtAnyThreadCount) {
   knobs.loads = {0.5, 0.9};
   knobs.horizon_s = 16.0;
   knobs.shards = 2;
-  Scenario serial =
-      *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  Scenario serial = SweepScenario(knobs, 1);
   Scenario parallel = serial;
   parallel.exec.threads = 0;
   RunReport a = Runner().Run(serial);
@@ -221,51 +235,56 @@ TEST(Scenario, ShardsRejectTimeInhomogeneousFeatures) {
 
   ServeKnobs knobs;
   knobs.shards = 2000;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("shards must be in [0, 1024]"), std::string::npos);
   knobs.shards = -1;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("shards must be in [0, 1024]"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.shards = 2;
   knobs.autoscaler.policy = AutoscalerPolicy::kReactive;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("autoscaler to be disabled"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.shards = 2;
   knobs.faults.afr = 0.1;
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("faults to be disabled"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.shards = 2;
   knobs.arrival.kind = ArrivalKind::kDiurnal;
   knobs.arrival.multipliers = {0.5, 2.0};
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("stationary arrival process"), std::string::npos);
 
   knobs = ServeKnobs{};
   knobs.shards = 2;
   knobs.arrival.kind = ArrivalKind::kTrace;
   knobs.arrival.times_s = {0.5, 1.0, 1.5};
-  EXPECT_FALSE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value());
+  error = ServeScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("stationary arrival process"), std::string::npos);
 
   // The on/off burst process is stationary in distribution; shards allow it.
   knobs = ServeKnobs{};
   knobs.shards = 2;
   knobs.arrival.kind = ArrivalKind::kOnOff;
-  EXPECT_TRUE(ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build(&error).has_value())
-      << error;
+  EXPECT_EQ(ServeScenario(knobs).Validate(), "");
 
   // Same fence for the sweep block.
   ServeSweepKnobs sweep;
   sweep.shards = 2;
   sweep.faults.afr = 0.1;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(sweep).Build(&error).has_value());
+  error = SweepScenario(sweep).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("faults to be disabled"), std::string::npos);
 }
 
@@ -275,7 +294,7 @@ TEST(Scenario, ShardsRoundTripThroughJsonAndDefaultSerializesToNothing) {
   ServeKnobs knobs;
   knobs.horizon_s = 12.0;
   knobs.shards = 4;
-  Scenario original = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario original = ServeScenario(knobs);
   std::string error;
   auto restored = ScenarioFromJson(ScenarioToJson(original), &error);
   ASSERT_TRUE(restored.has_value()) << error;
@@ -285,10 +304,10 @@ TEST(Scenario, ShardsRoundTripThroughJsonAndDefaultSerializesToNothing) {
   // shards <= 1 is the serial default: it must not appear in the JSON, so
   // pre-existing scenarios and reports stay byte-identical.
   knobs.shards = 0;
-  Scenario serial = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario serial = ServeScenario(knobs);
   EXPECT_EQ(ScenarioToJson(serial).Dump().find("shards"), std::string::npos);
   knobs.shards = 1;
-  Scenario one = *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Build();
+  Scenario one = ServeScenario(knobs);
   EXPECT_EQ(ScenarioToJson(one).Dump(), ScenarioToJson(serial).Dump());
 }
 

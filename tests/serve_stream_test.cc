@@ -73,9 +73,9 @@ StreamCase MakeCase(int index, uint64_t seed) {
     cls.arrival_rate_per_s =
         long_case ? rng.Uniform(150.0, 250.0) / num_classes : rng.Uniform(5.0, 40.0);
     cls.median_prompt_tokens = 200 + static_cast<int>(rng.NextBelow(1800));
-    cls.prompt_sigma = rng.Chance(0.5) ? rng.Uniform(0.2, 0.8) : 0.0;
+    cls.prompt_sigma = (rng.NextDouble() < 0.5) ? rng.Uniform(0.2, 0.8) : 0.0;
     cls.median_output_tokens = 4 + static_cast<int>(rng.NextBelow(60));
-    cls.output_sigma = rng.Chance(0.7) ? rng.Uniform(0.2, 0.8) : 0.0;
+    cls.output_sigma = (rng.NextDouble() < 0.7) ? rng.Uniform(0.2, 0.8) : 0.0;
     w.classes.push_back(cls);
   }
   ArrivalProcess& arrival = w.arrival;
@@ -84,7 +84,7 @@ StreamCase MakeCase(int index, uint64_t seed) {
     case ArrivalKind::kPoisson:
       break;
     case ArrivalKind::kDiurnal:
-      arrival.period_s = rng.Chance(0.5) ? 0.0 : rng.Uniform(1.0, 4.0);
+      arrival.period_s = (rng.NextDouble() < 0.5) ? 0.0 : rng.Uniform(1.0, 4.0);
       for (int k = 0; k < 4; ++k) {
         arrival.multipliers.push_back(rng.Uniform(0.0, 2.0));
       }
@@ -94,14 +94,14 @@ StreamCase MakeCase(int index, uint64_t seed) {
       arrival.on_mean_s = rng.Uniform(0.3, 2.0);
       arrival.off_mean_s = rng.Uniform(0.3, 2.0);
       arrival.on_multiplier = rng.Uniform(1.0, 3.0);
-      arrival.off_multiplier = rng.Chance(0.3) ? 0.0 : rng.Uniform(0.1, 0.8);
+      arrival.off_multiplier = (rng.NextDouble() < 0.3) ? 0.0 : rng.Uniform(0.1, 0.8);
       break;
     case ArrivalKind::kTrace: {
       // Ascending times with repeats, running past the horizon.
       double t = 0.0;
       while (t < w.duration_s * 1.2) {
         arrival.times_s.push_back(t);
-        if (!rng.Chance(0.2)) {
+        if (!(rng.NextDouble() < 0.2)) {
           t += rng.Exponential(long_case ? 200.0 : 40.0);
         }
       }
@@ -113,11 +113,11 @@ StreamCase MakeCase(int index, uint64_t seed) {
   cfg.prefill_instances = long_case ? 1 : 1 + static_cast<int>(rng.NextBelow(3));
   cfg.decode_instances = 1 + static_cast<int>(rng.NextBelow(3));
   cfg.horizon_s = w.duration_s;
-  cfg.num_classes = rng.Chance(0.5) ? num_classes : 0;
-  if (rng.Chance(0.4)) {
+  cfg.num_classes = (rng.NextDouble() < 0.5) ? num_classes : 0;
+  if ((rng.NextDouble() < 0.4)) {
     ServeAutoscalerConfig& a = cfg.autoscaler;
     a.enabled = true;
-    a.predictive = rng.Chance(0.5);
+    a.predictive = (rng.NextDouble() < 0.5);
     a.interval_s = rng.Uniform(0.3, 1.0);
     a.delay_s = rng.Uniform(0.1, 1.0);
     a.max_prefill_instances = 6;
@@ -126,14 +126,14 @@ StreamCase MakeCase(int index, uint64_t seed) {
     a.prefill_tokens_per_s = rng.Uniform(5000.0, 40000.0);
     a.decode_tokens_per_s = rng.Uniform(500.0, 4000.0);
   }
-  if (!long_case && rng.Chance(0.3)) {
-    if (rng.Chance(0.5)) {
+  if (!long_case && (rng.NextDouble() < 0.3)) {
+    if ((rng.NextDouble() < 0.5)) {
       cfg.shedding.max_queue_depth = 2 + static_cast<int>(rng.NextBelow(10));
     } else {
       cfg.shedding.ttft_deadline_s = rng.Uniform(0.05, 0.5);
     }
   }
-  if (long_case || rng.Chance(0.5)) {
+  if (long_case || (rng.NextDouble() < 0.5)) {
     ServeFaultConfig& f = cfg.faults;
     f.enabled = true;
     f.prefill_failure_rate_per_s = rng.Uniform(0.1, 1.0);
@@ -144,12 +144,12 @@ StreamCase MakeCase(int index, uint64_t seed) {
     f.decode_spares = static_cast<int>(rng.NextBelow(2));
     f.retry_policy = FaultRetryPolicy::kRetryWithBudget;
     f.retry_budget = 1 + static_cast<int>(rng.NextBelow(2));
-    if (rng.Chance(0.3)) {
+    if ((rng.NextDouble() < 0.3)) {
       f.domains.decode_instances_per_domain = 2;
       f.domains.failure_rate_per_s = 0.3;
       f.domains.repair_s = 0.4;
     }
-    if (rng.Chance(0.3)) {
+    if ((rng.NextDouble() < 0.3)) {
       f.degraded.prefill_rate_per_s = 0.3;
       f.degraded.decode_rate_per_s = 0.3;
       f.degraded.multiplier = 2.0;

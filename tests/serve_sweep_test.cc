@@ -10,6 +10,22 @@
 namespace litegpu {
 namespace {
 
+Scenario ServeScenario(const ServeKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServe;
+  s.serve = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
+Scenario SweepScenario(const ServeSweepKnobs& knobs, int threads = 0) {
+  Scenario s;
+  s.study = StudyKind::kServeSweep;
+  s.sweep = knobs;
+  s.exec.threads = threads;
+  return s;
+}
+
 // --- grid expansion ---
 
 TEST(ServeSweepKnobs, DefaultGridIsTenLoadPoints) {
@@ -49,11 +65,9 @@ TEST(Scenario, ServeSweepRoundTripsThroughJson) {
   knobs.prefill_instances = 2;
   knobs.decode_instances = 3;
   knobs.seed = 0xFEEDF00D;
-  Scenario original = *ScenarioBuilder(StudyKind::kServeSweep)
-                           .Model("Llama3-70B")
-                           .Gpu("Lite+MemBW")
-                           .ServeSweep(knobs)
-                           .Build();
+  Scenario original = SweepScenario(knobs);
+  original.models = {"Llama3-70B"};
+  original.gpus = {"Lite+MemBW"};
   std::string error;
   auto restored = ScenarioFromJson(ScenarioToJson(original), &error);
   ASSERT_TRUE(restored.has_value()) << error;
@@ -65,20 +79,20 @@ TEST(Scenario, ServeSweepValidationRejectsBadGrids) {
   std::string error;
   ServeSweepKnobs knobs;
   knobs.load_step = 0.0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build(&error).has_value());
+  error = SweepScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("load_step"), std::string::npos);
 
   knobs = ServeSweepKnobs{};
   knobs.loads = {0.5, -0.1};
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build(&error).has_value());
+  error = SweepScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("positive"), std::string::npos);
 
   knobs = ServeSweepKnobs{};
   knobs.horizon_s = 0.0;
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build(&error).has_value());
+  error = SweepScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("horizon_s"), std::string::npos);
 
   // Absurd ranges must not expand: past the 1e6-point cap the grid comes
@@ -89,20 +103,20 @@ TEST(Scenario, ServeSweepValidationRejectsBadGrids) {
   knobs.load_hi = 1e9;
   knobs.load_step = 1e-6;
   EXPECT_TRUE(knobs.GridPoints().empty());
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build(&error).has_value());
+  error = SweepScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("grid is empty"), std::string::npos);
 
   // Non-finite grid points must be rejected: an inf/NaN arrival rate would
   // spin the workload generator forever.
   knobs = ServeSweepKnobs{};
   knobs.loads = {0.5, std::numeric_limits<double>::infinity()};
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build(&error).has_value());
+  error = SweepScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("finite"), std::string::npos);
   knobs.loads = {std::numeric_limits<double>::quiet_NaN()};
-  EXPECT_FALSE(
-      ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build(&error).has_value());
+  error = SweepScenario(knobs).Validate();
+  EXPECT_FALSE(error.empty());
 
   // Typos inside the sweep block fail loudly, like every other block.
   auto typo = Json::Parse(R"({"study": "serve-sweep", "sweep": {"laods": [0.5]}})");
@@ -117,7 +131,7 @@ TEST(Runner, ServeSweepRunsEveryPointAndFindsTheKnee) {
   ServeSweepKnobs knobs;
   knobs.loads = {0.5, 0.9};
   knobs.horizon_s = 10.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build();
+  Scenario s = SweepScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& sweep = std::get<ServeSweepReport>(report.payload);
@@ -157,7 +171,7 @@ TEST(Runner, ServeSweepEmptyPointNeverMeetsSlosOrBecomesTheKnee) {
   ServeSweepKnobs knobs;
   knobs.rates = {0.001};
   knobs.horizon_s = 5.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Build();
+  Scenario s = SweepScenario(knobs);
   RunReport report = Runner().Run(s);
   ASSERT_TRUE(report.ok) << report.error;
   const auto& sweep = std::get<ServeSweepReport>(report.payload);
@@ -174,7 +188,7 @@ TEST(Runner, ServeSweepReportIsBitIdenticalAtAnyThreadCount) {
   knobs.load_hi = 0.9;
   knobs.load_step = 0.2;
   knobs.horizon_s = 8.0;
-  Scenario serial = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  Scenario serial = SweepScenario(knobs, 1);
   RunReport reference = Runner().Run(serial);
   ASSERT_TRUE(reference.ok) << reference.error;
   for (int threads : {0, 2, 4}) {  // 0 = hardware concurrency
@@ -195,7 +209,7 @@ Scenario ServeAtPoint(const ServeSweepKnobs& sweep, const ServePointReport& poin
   static_cast<ServeCommonKnobs&>(knobs) = sweep;
   knobs.arrival_rate_per_s = point.arrival_rate_per_s;
   knobs.seed = point.seed;
-  return *ScenarioBuilder(StudyKind::kServe).Serve(knobs).Threads(1).Build();
+  return ServeScenario(knobs, 1);
 }
 
 // Checks a serve study reproduces a sweep point field for field, bit for
@@ -255,7 +269,7 @@ TEST(Runner, ServeStudyReproducesEverySweepPoint) {
   ServeSweepKnobs knobs;
   knobs.loads = {0.5, 0.9};
   knobs.horizon_s = 10.0;
-  Scenario s = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  Scenario s = SweepScenario(knobs, 1);
   RunReport sweep = Runner().Run(s);
   ASSERT_TRUE(sweep.ok) << sweep.error;
   for (size_t i = 0; i < knobs.loads.size(); ++i) {
@@ -287,7 +301,7 @@ TEST(Runner, ServeStudyReproducesAutoscaledFaultyMultiClassSweepPoints) {
   batch.output_tokens = 800;
   batch.ttft_slo_s = 8.0;
   knobs.classes = {chat, batch};
-  Scenario s = *ScenarioBuilder(StudyKind::kServeSweep).ServeSweep(knobs).Threads(1).Build();
+  Scenario s = SweepScenario(knobs, 1);
   RunReport sweep = Runner().Run(s);
   ASSERT_TRUE(sweep.ok) << sweep.error;
   const auto& points = std::get<ServeSweepReport>(sweep.payload).points;

@@ -217,16 +217,6 @@ TEST(Shoreline, GainIsSqrtOfSplit) {
   }
 }
 
-TEST(Shoreline, AchievableBandwidthScalesWithBudget) {
-  ShorelineTech tech;
-  ShorelineBudget narrow{0.3, 0.1, 0.6};
-  ShorelineBudget wide{0.6, 0.2, 0.2};
-  auto a = AchievableBandwidth(200.0, narrow, tech);
-  auto b = AchievableBandwidth(200.0, wide, tech);
-  EXPECT_NEAR(b.mem_bw_bytes_per_s / a.mem_bw_bytes_per_s, 2.0, 1e-9);
-  EXPECT_NEAR(b.net_bw_bytes_per_s / a.net_bw_bytes_per_s, 2.0, 1e-9);
-}
-
 TEST(Shoreline, H100BandwidthFitsItsShoreline) {
   // The real H100 (3.35 TB/s HBM + 450 GB/s NVLink on an 814 mm^2 die) must
   // be feasible under our densities, or the model is miscalibrated.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "src/util/format.h"
 #include "src/util/rng.h"
@@ -74,39 +75,7 @@ TEST(Table, ShortRowsArePadded) {
   EXPECT_EQ(t.row(0)[1], "");
 }
 
-TEST(Table, CsvEscaping) {
-  EXPECT_EQ(CsvEscape("plain"), "plain");
-  EXPECT_EQ(CsvEscape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvEscape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Table, ToCsvRoundTrip) {
-  Table t({"k", "v"});
-  t.AddRow({"x,y", "1"});
-  std::string csv = t.ToCsv();
-  EXPECT_EQ(csv, "k,v\n\"x,y\",1\n");
-}
-
 // --- stats ---
-
-TEST(RunningStat, MeanAndVariance) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 4.571428571, 1e-6);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
 
 TEST(SampleSet, Quantiles) {
   SampleSet s;
@@ -137,7 +106,6 @@ TEST(LatencyHistogram, ExactScalarStatsAndStreamingQuantiles) {
   EXPECT_EQ(h.count(), 500u);
   EXPECT_DOUBLE_EQ(h.min(), 0.001);
   EXPECT_DOUBLE_EQ(h.max(), 0.500);
-  EXPECT_NEAR(h.mean(), exact.mean(), 1e-12);
   // Percentiles land within one bin width of the exact sample quantiles.
   for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
     EXPECT_NEAR(h.Quantile(q), exact.Quantile(q), h.bin_width()) << q;
@@ -176,7 +144,6 @@ TEST(LatencyHistogram, EmptyIsZero) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 TEST(LatencyHistogram, CountAtOrBelowInterpolatesAndIsExactAtBoundaries) {
@@ -214,7 +181,6 @@ TEST(LatencyHistogram, MergeMatchesStreamingEverySampleThroughOne) {
   all.Add(0.5, 25);
   a.Merge(b);
   EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
   EXPECT_DOUBLE_EQ(a.min(), all.min());
   EXPECT_DOUBLE_EQ(a.max(), all.max());
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
@@ -253,8 +219,6 @@ TEST(LatencyHistogram, BulkAddMatchesRepeatedWeightedAddsBitForBit) {
     }
   }
   EXPECT_EQ(bulk.count(), stepwise.count());
-  EXPECT_EQ(bulk.sum(), stepwise.sum());
-  EXPECT_EQ(bulk.mean(), stepwise.mean());
   EXPECT_EQ(bulk.min(), stepwise.min());
   EXPECT_EQ(bulk.max(), stepwise.max());
   // Overflow (1/3 >= hi) and every bin, through the cumulative counts.
@@ -264,28 +228,17 @@ TEST(LatencyHistogram, BulkAddMatchesRepeatedWeightedAddsBitForBit) {
   for (int q = 0; q <= 100; ++q) {
     EXPECT_EQ(bulk.Quantile(q / 100.0), stepwise.Quantile(q / 100.0)) << q;
   }
-  // The fixed-point sum truncates each sample to a multiple of 2^-44, so
-  // it stays within ~6e-14 per sample of the exact total.
-  EXPECT_NEAR(bulk.sum(),
-              0.0123456789 * 123 + 0.007 * 128 + 1000.0 / 3.0 + 0.049999 * 119 +
-                  0.0311 * 3250 + 0.002 * 1063,
-              1e-9);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.9);
-  h.Add(-5.0);   // clamps to first
-  h.Add(100.0);  // clamps to last
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(9), 10.0);
 }
 
 // --- rng ---
+
+double Mean(const std::vector<double>& xs) {
+  double sum = 0.0;
+  for (double x : xs) {
+    sum += x;
+  }
+  return sum / static_cast<double>(xs.size());
+}
 
 TEST(Rng, Deterministic) {
   Rng a(42);
@@ -318,42 +271,44 @@ TEST(Rng, NextDoubleInRange) {
 
 TEST(Rng, UniformMeanCloseToCenter) {
   Rng rng(3);
-  RunningStat s;
+  std::vector<double> s;
   for (int i = 0; i < 100000; ++i) {
-    s.Add(rng.Uniform(10.0, 20.0));
+    s.push_back(rng.Uniform(10.0, 20.0));
   }
-  EXPECT_NEAR(s.mean(), 15.0, 0.05);
+  EXPECT_NEAR(Mean(s), 15.0, 0.05);
 }
 
 TEST(Rng, ExponentialMean) {
   Rng rng(11);
-  RunningStat s;
+  std::vector<double> s;
   for (int i = 0; i < 200000; ++i) {
-    s.Add(rng.Exponential(4.0));
+    s.push_back(rng.Exponential(4.0));
   }
-  EXPECT_NEAR(s.mean(), 0.25, 0.005);
+  EXPECT_NEAR(Mean(s), 0.25, 0.005);
 }
 
 TEST(Rng, NormalMoments) {
   Rng rng(13);
-  RunningStat s;
+  std::vector<double> s;
+  std::vector<double> squared_deviations;
   for (int i = 0; i < 200000; ++i) {
-    s.Add(rng.Normal(5.0, 2.0));
+    s.push_back(rng.Normal(5.0, 2.0));
+    squared_deviations.push_back((s.back() - 5.0) * (s.back() - 5.0));
   }
-  EXPECT_NEAR(s.mean(), 5.0, 0.03);
-  EXPECT_NEAR(s.stddev(), 2.0, 0.03);
+  EXPECT_NEAR(Mean(s), 5.0, 0.03);
+  EXPECT_NEAR(std::sqrt(Mean(squared_deviations)), 2.0, 0.03);
 }
 
 TEST(Rng, PoissonMeanSmallAndLarge) {
   Rng rng(17);
-  RunningStat small;
-  RunningStat large;
+  std::vector<double> small;
+  std::vector<double> large;
   for (int i = 0; i < 50000; ++i) {
-    small.Add(static_cast<double>(rng.Poisson(3.0)));
-    large.Add(static_cast<double>(rng.Poisson(100.0)));
+    small.push_back(static_cast<double>(rng.Poisson(3.0)));
+    large.push_back(static_cast<double>(rng.Poisson(100.0)));
   }
-  EXPECT_NEAR(small.mean(), 3.0, 0.05);
-  EXPECT_NEAR(large.mean(), 100.0, 0.5);
+  EXPECT_NEAR(Mean(small), 3.0, 0.05);
+  EXPECT_NEAR(Mean(large), 100.0, 0.5);
 }
 
 TEST(Rng, NextBelowUnbiasedCoverage) {
@@ -365,14 +320,6 @@ TEST(Rng, NextBelowUnbiasedCoverage) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 10u);
-}
-
-TEST(Rng, ChanceExtremes) {
-  Rng rng(23);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.Chance(0.0));
-    EXPECT_TRUE(rng.Chance(1.0));
-  }
 }
 
 }  // namespace
