@@ -60,7 +60,7 @@ bool SameEntries(const std::vector<Fig3Entry>& a, const std::vector<Fig3Entry>& 
 }
 
 // The whole design space: one full catalog study per (prompt, slo) scenario,
-// fanned out across `threads` workers. Entries concatenate in scenario
+// fanned out across `threads` lanes. Entries concatenate in scenario
 // order, so the result is deterministic at any thread count.
 std::vector<Fig3Entry> SweepScenarioGrid(const std::vector<TransformerSpec>& models,
                                          const std::vector<GpuSpec>& gpus,
@@ -68,10 +68,9 @@ std::vector<Fig3Entry> SweepScenarioGrid(const std::vector<TransformerSpec>& mod
                                          const std::vector<double>& slos, int threads) {
   int n = static_cast<int>(prompts.size() * slos.size());
   auto per_scenario = ParallelMap<std::vector<Fig3Entry>>(threads, n, [&](int i) {
-    ExperimentOptions options;
-    options.search.workload.prompt_tokens = prompts[static_cast<size_t>(i) / slos.size()];
-    options.search.workload.tbt_slo_s = slos[static_cast<size_t>(i) % slos.size()];
-    options.exec.threads = 1;  // inner studies serial; the grid is the fan-out
+    SearchOptions options;
+    options.workload.prompt_tokens = prompts[static_cast<size_t>(i) / slos.size()];
+    options.workload.tbt_slo_s = slos[static_cast<size_t>(i) % slos.size()];
     return RunDecodeStudy(models, gpus, options);
   });
   std::vector<Fig3Entry> all;

@@ -63,15 +63,9 @@ ClusterDesignReport DesignCluster(const GpuSpec& gpu, const DesignInputs& inputs
 
 std::vector<ClusterDesignReport> CompareClusters(const std::vector<GpuSpec>& gpus,
                                                  const DesignInputs& inputs) {
-  // One worker per GPU type. Inner searches are forced serial not for
-  // determinism (they are bit-identical at any thread count by contract)
-  // but to avoid each one spinning up a transient hw-wide pool under an
-  // already-parallel fan-out.
-  DesignInputs per_design = inputs;
-  per_design.search.exec.threads = 1;
   return ParallelMap<ClusterDesignReport>(
-      EffectiveThreads(inputs.exec), static_cast<int>(gpus.size()),
-      [&](int i) { return DesignCluster(gpus[static_cast<size_t>(i)], per_design); });
+      inputs.search.exec.threads, static_cast<int>(gpus.size()),
+      [&](int i) { return DesignCluster(gpus[static_cast<size_t>(i)], inputs); });
 }
 
 std::string ClusterComparisonToText(const std::vector<ClusterDesignReport>& reports) {

@@ -44,11 +44,6 @@ struct DesignInputs {
   FailureParams failure;
   // Deployment horizon for amortizing capex into $/token.
   double amortization_years = 4.0;
-  // Worker threads for CompareClusters' per-GPU fan-out. search.exec only
-  // governs the per-degree fan-out when DesignCluster is called directly —
-  // CompareClusters forces the inner searches serial (see the nesting note
-  // in src/util/exec_policy.h).
-  ExecPolicy exec;
 };
 
 struct ClusterDesignReport {
@@ -84,7 +79,8 @@ struct ClusterDesignReport {
 // Designs a decode-serving instance of `gpu` for the workload in `inputs`.
 ClusterDesignReport DesignCluster(const GpuSpec& gpu, const DesignInputs& inputs);
 
-// Runs DesignCluster for several GPU types and renders a comparison.
+// Runs DesignCluster for several GPU types, one lane per type at
+// inputs.search.exec, and renders a comparison.
 std::vector<ClusterDesignReport> CompareClusters(const std::vector<GpuSpec>& gpus,
                                                  const DesignInputs& inputs);
 std::string ClusterComparisonToText(const std::vector<ClusterDesignReport>& reports);

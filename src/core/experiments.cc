@@ -27,29 +27,23 @@ void NormalizeAgainstBaseline(std::vector<Fig3Entry>& entries, size_t num_gpus,
   }
 }
 
-// Shared driver for both studies: fan out one worker per (model, gpu) pair,
+// Shared driver for both studies: fan out one lane per (model, gpu) pair,
 // collect entries in pair order (model-major, matching the serial loops),
-// then normalize. Per-pair searches run serially inside the fan-out — not
-// for determinism (they are bit-identical at any thread count by contract)
-// but so each pair doesn't spin up its own transient hw-wide pool under an
-// already-parallel fan-out.
+// then normalize.
 template <typename RunPair>
 std::vector<Fig3Entry> RunStudy(const std::vector<TransformerSpec>& models,
                                 const std::vector<GpuSpec>& gpus,
-                                const ExperimentOptions& options,
+                                const SearchOptions& options,
                                 const std::string& baseline_name, const RunPair& run_pair) {
-  SearchOptions per_pair = options.search;
-  per_pair.exec.threads = 1;
   int num_pairs = static_cast<int>(models.size() * gpus.size());
   std::vector<Fig3Entry> entries =
-      ParallelMap<Fig3Entry>(EffectiveThreads(options.exec), num_pairs,
-                             [&](int i) {
+      ParallelMap<Fig3Entry>(options.exec.threads, num_pairs, [&](int i) {
         const auto& model = models[static_cast<size_t>(i) / gpus.size()];
         const auto& gpu = gpus[static_cast<size_t>(i) % gpus.size()];
         Fig3Entry e;
         e.model_name = model.name;
         e.gpu_name = gpu.name;
-        run_pair(model, gpu, per_pair, e);
+        run_pair(model, gpu, options, e);
         return e;
       });
   NormalizeAgainstBaseline(entries, gpus.size(), baseline_name);
@@ -60,7 +54,7 @@ std::vector<Fig3Entry> RunStudy(const std::vector<TransformerSpec>& models,
 
 std::vector<Fig3Entry> RunPrefillStudy(const std::vector<TransformerSpec>& models,
                                        const std::vector<GpuSpec>& gpus,
-                                       const ExperimentOptions& options,
+                                       const SearchOptions& options,
                                        const std::string& baseline_name) {
   return RunStudy(models, gpus, options, baseline_name,
                   [](const TransformerSpec& model, const GpuSpec& gpu,
@@ -82,7 +76,7 @@ std::vector<Fig3Entry> RunPrefillStudy(const std::vector<TransformerSpec>& model
 
 std::vector<Fig3Entry> RunDecodeStudy(const std::vector<TransformerSpec>& models,
                                       const std::vector<GpuSpec>& gpus,
-                                      const ExperimentOptions& options,
+                                      const SearchOptions& options,
                                       const std::string& baseline_name) {
   return RunStudy(models, gpus, options, baseline_name,
                   [](const TransformerSpec& model, const GpuSpec& gpu,
@@ -100,26 +94,6 @@ std::vector<Fig3Entry> RunDecodeStudy(const std::vector<TransformerSpec>& models
                     e.dominant_bound = search.best.result.timing.DominantBound();
                     e.memory_needed_bytes = search.best.result.memory_needed_bytes;
                   });
-}
-
-std::vector<Fig3Entry> RunPrefillStudy(const std::vector<TransformerSpec>& models,
-                                       const std::vector<GpuSpec>& gpus,
-                                       const SearchOptions& options,
-                                       const std::string& baseline_name) {
-  ExperimentOptions experiment;
-  experiment.search = options;
-  experiment.exec = options.exec;
-  return RunPrefillStudy(models, gpus, experiment, baseline_name);
-}
-
-std::vector<Fig3Entry> RunDecodeStudy(const std::vector<TransformerSpec>& models,
-                                      const std::vector<GpuSpec>& gpus,
-                                      const SearchOptions& options,
-                                      const std::string& baseline_name) {
-  ExperimentOptions experiment;
-  experiment.search = options;
-  experiment.exec = options.exec;
-  return RunDecodeStudy(models, gpus, experiment, baseline_name);
 }
 
 std::string Fig3ToText(const std::vector<Fig3Entry>& entries, const std::string& title) {

@@ -14,14 +14,6 @@
 
 namespace litegpu {
 
-struct ExperimentOptions {
-  SearchOptions search;
-  // Worker threads for the (model, GPU) fan-out; per-pair searches run
-  // serially inside it regardless of search.exec (see the nesting note in
-  // src/util/exec_policy.h).
-  ExecPolicy exec;
-};
-
 struct Fig3Entry {
   std::string model_name;
   std::string gpu_name;
@@ -38,24 +30,14 @@ struct Fig3Entry {
 
 // Prefill study (Figure 3a). `gpus` defaults in the bench to
 // {H100, Lite, Lite+NetBW, Lite+NetBW+FLOPS}; entries normalize per model
-// against the gpu named `baseline_name`.
-std::vector<Fig3Entry> RunPrefillStudy(const std::vector<TransformerSpec>& models,
-                                       const std::vector<GpuSpec>& gpus,
-                                       const ExperimentOptions& options,
-                                       const std::string& baseline_name = "H100");
-
-// Decode study (Figure 3b): {H100, Lite, Lite+MemBW, Lite+MemBW+NetBW}.
-std::vector<Fig3Entry> RunDecodeStudy(const std::vector<TransformerSpec>& models,
-                                      const std::vector<GpuSpec>& gpus,
-                                      const ExperimentOptions& options,
-                                      const std::string& baseline_name = "H100");
-
-// Convenience overloads: wrap SearchOptions, inheriting its ExecPolicy for
-// the pair fan-out.
+// against the gpu named `baseline_name`. The (model, GPU) pairs fan out at
+// options.exec.
 std::vector<Fig3Entry> RunPrefillStudy(const std::vector<TransformerSpec>& models,
                                        const std::vector<GpuSpec>& gpus,
                                        const SearchOptions& options,
                                        const std::string& baseline_name = "H100");
+
+// Decode study (Figure 3b): {H100, Lite, Lite+MemBW, Lite+MemBW+NetBW}.
 std::vector<Fig3Entry> RunDecodeStudy(const std::vector<TransformerSpec>& models,
                                       const std::vector<GpuSpec>& gpus,
                                       const SearchOptions& options,

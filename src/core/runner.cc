@@ -74,9 +74,7 @@ Fig3StudyReport RunFig3Study(const Scenario& s, bool prefill) {
   for (const std::string& name : s.ResolvedGpus()) {
     gpus.push_back(*FindGpu(name));
   }
-  ExperimentOptions options;
-  options.search = s.MakeSearchOptions();
-  options.exec = s.exec;
+  const SearchOptions options = s.MakeSearchOptions();
   out.entries = prefill ? RunPrefillStudy(models, gpus, options, s.baseline_gpu)
                         : RunDecodeStudy(models, gpus, options, s.baseline_gpu);
   return out;
@@ -96,7 +94,6 @@ DesignStudyReport RunDesignStudy(const Scenario& s) {
     inputs.gpu_price_multiplier = s.design.gpu_price_multiplier;
     inputs.amortization_years = s.design.amortization_years;
     inputs.yield_model = s.design.yield_model;
-    inputs.exec = s.exec;
     DesignStudyReport::PerModel per_model;
     per_model.model = model_name;
     per_model.clusters = CompareClusters(gpus, inputs);
@@ -542,7 +539,7 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
   if (common.shards >= 2) {
     // Sharded execution: split the horizon into `shards` independent
     // sub-horizon replications of the same stationary process, run them
-    // across the thread pool, and merge in shard-index order. Scenario
+    // across lanes, and merge in shard-index order. Scenario
     // validation already rejected everything time-inhomogeneous
     // (autoscaler, faults, diurnal/trace arrivals). TTFTs stream into
     // fixed-bin histograms so a shard's memory is O(bins), not
@@ -973,9 +970,8 @@ struct FleetKneeScan {
 // at most:
 //   1. resolve, serially: each candidate's part, deduplicated on the whole
 //      GpuSpec (MakeFleetPartKey), in first-seen order;
-//   2. search the distinct parts in one ParallelMap, each search pinned
-//      serial (src/util/exec_policy.h: a parallel driver forces the sweeps
-//      inside it serial), then tabulate each found part's step times;
+//   2. search the distinct parts in one ParallelMap, each search inline in
+//      its part's lane, then tabulate each found part's step times;
 //   3. scan the candidates in one ParallelMap, each serially from the top
 //      of KneeScanOrder, stopping at its first SLO-meeting point: every
 //      point keeps its own per-index seed, so a point's result does not
@@ -1014,8 +1010,7 @@ FleetCompareReport RunFleetCompareStudy(const Scenario& s) {
     candidate_part.push_back(it->second);
   }
   out.platform_builds = static_cast<int>(parts.size());
-  SearchOptions search = s.MakeSearchOptions();
-  search.exec.threads = 1;
+  const SearchOptions search = s.MakeSearchOptions();
   std::vector<ServePlatform> platforms = ParallelMap<ServePlatform>(
       s.exec.threads, static_cast<int>(parts.size()),
       [&](int i) { return SearchServePlatform(model, parts[static_cast<size_t>(i)], search); });
@@ -1237,16 +1232,11 @@ RunReport Runner::Run(const Scenario& s) const {
 
 std::vector<RunReport> RunScenarios(const std::vector<Scenario>& scenarios,
                                     const ExecPolicy& exec) {
-  // One worker per scenario; sweeps inside each scenario run serial so
-  // nested fan-outs don't each spin up a hardware-wide pool (see the
-  // nesting note in src/util/exec_policy.h). Reports collect in scenario
-  // order, so the batch is bit-identical at any thread count.
+  // One lane per scenario; reports collect in scenario order, so the batch
+  // is bit-identical at any thread count.
   return ParallelMap<RunReport>(
-      exec.threads, static_cast<int>(scenarios.size()), [&](int i) {
-        Scenario serial = scenarios[static_cast<size_t>(i)];
-        serial.exec.threads = 1;
-        return Runner().Run(serial);
-      });
+      exec.threads, static_cast<int>(scenarios.size()),
+      [&](int i) { return Runner().Run(scenarios[static_cast<size_t>(i)]); });
 }
 
 // --- rendering --------------------------------------------------------------

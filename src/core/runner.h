@@ -389,8 +389,8 @@ class Runner {
   RunReport Run(const Scenario& scenario) const;
 };
 
-// Runs a batch, fanning the scenarios out across `exec` workers on the
-// thread pool (each scenario's inner sweeps run serial inside the fan-out).
+// Runs a batch, fanning the scenarios out across `exec` lanes; with two or
+// more scenarios each one's inner sweeps run inline in its lane.
 // Reports come back in scenario order, bit-identical at any thread count.
 std::vector<RunReport> RunScenarios(const std::vector<Scenario>& scenarios,
                                     const ExecPolicy& exec = {});

@@ -904,6 +904,10 @@ std::string Scenario::Validate() const {
 
 // --- JSON serialization -----------------------------------------------------
 
+namespace {
+
+// The arrival and autoscaler blocks in the scenario file's keys; scenario
+// files and report config echoes share them.
 Json ArrivalProcessToJson(const ArrivalProcess& process) {
   return WithArrivalFields(process.kind,
                            [&](const auto& table) { return FieldsToJson(table, process); });
@@ -912,6 +916,8 @@ Json ArrivalProcessToJson(const ArrivalProcess& process) {
 Json AutoscalerKnobsToJson(const AutoscalerKnobs& knobs) {
   return FieldsToJson(kAutoscalerFields, knobs);
 }
+
+}  // namespace
 
 Json McSimKnobsToJson(const McSimKnobs& knobs) { return FieldsToJson(kMcSimFields, knobs); }
 

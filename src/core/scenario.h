@@ -161,11 +161,6 @@ struct AutoscalerKnobs {
   bool enabled() const { return policy != AutoscalerPolicy::kNone; }
 };
 
-// The arrival and autoscaler blocks in the scenario file's keys; scenario
-// files and report config echoes share them.
-Json ArrivalProcessToJson(const ArrivalProcess& process);
-Json AutoscalerKnobsToJson(const AutoscalerKnobs& knobs);
-
 // Fault-injection knobs for the serve studies (src/serve/faults.h). `afr`
 // is the annualized failure rate of one reference-area (H100-class)
 // package; 0 — the default — disables injection entirely, keeping reports

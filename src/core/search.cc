@@ -113,7 +113,7 @@ PrefillSearchResult SearchPrefill(const TransformerSpec& model, const GpuSpec& g
   // Fan out per degree; combine in degree order so the result is identical
   // to the serial sweep at any thread count.
   auto points = ParallelMap<std::optional<PrefillPoint>>(
-      EffectiveThreads(options.exec), static_cast<int>(degrees.size()),
+      options.exec.threads, static_cast<int>(degrees.size()),
       [&](int i) { return PrefillBestForDegree(model, gpu, options, degrees[i]); });
   for (const auto& point : points) {
     if (!point) {
@@ -134,7 +134,7 @@ DecodeSearchResult SearchDecode(const TransformerSpec& model, const GpuSpec& gpu
   DecodeSearchResult out;
   std::vector<int> degrees = FeasibleTpDegrees(model, gpu.max_gpus, options.kv_policy);
   auto points = ParallelMap<std::optional<DecodePoint>>(
-      EffectiveThreads(options.exec), static_cast<int>(degrees.size()),
+      options.exec.threads, static_cast<int>(degrees.size()),
       [&](int i) { return DecodeBestForDegree(model, gpu, options, degrees[i]); });
   for (const auto& point : points) {
     if (!point) {
@@ -159,7 +159,7 @@ std::optional<PrefillPoint> BruteForcePrefillBest(const TransformerSpec& model,
   // (earlier degree wins, then earlier batch) is preserved by combining the
   // per-degree bests in degree order with a strict comparison.
   auto points = ParallelMap<std::optional<PrefillPoint>>(
-      EffectiveThreads(options.exec), static_cast<int>(degrees.size()),
+      options.exec.threads, static_cast<int>(degrees.size()),
       [&](int i) {
         std::optional<PrefillPoint> best;
         auto plan = MakeTpPlan(model, degrees[i], options.kv_policy);
@@ -194,7 +194,7 @@ std::optional<DecodePoint> BruteForceDecodeBest(const TransformerSpec& model,
                                                 int batch_limit) {
   std::vector<int> degrees = FeasibleTpDegrees(model, gpu.max_gpus, options.kv_policy);
   auto points = ParallelMap<std::optional<DecodePoint>>(
-      EffectiveThreads(options.exec), static_cast<int>(degrees.size()),
+      options.exec.threads, static_cast<int>(degrees.size()),
       [&](int i) {
         std::optional<DecodePoint> best;
         auto plan = MakeTpPlan(model, degrees[i], options.kv_policy);

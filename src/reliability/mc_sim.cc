@@ -139,7 +139,7 @@ McSimResult SimulateAvailability(const GpuSpec& gpu, const McSimConfig& config) 
   // SplitMix64 (a plain additive step would hand 3 of trial i's 4 xoshiro
   // state words to trial i+1, correlating "independent" replicas).
   std::vector<TrialResult> trials = ParallelMap<TrialResult>(
-      EffectiveThreads(config.exec), num_trials, [&](int i) {
+      config.exec.threads, num_trials, [&](int i) {
         uint64_t seed =
             i == 0 ? config.seed
                    : SplitMix64(config.seed ^ (0xA3EC647659359ACDULL *

@@ -24,10 +24,6 @@ class Table {
   // first column is left-aligned, the rest right-aligned.
   std::string ToText() const;
 
-  size_t num_rows() const { return rows_.size(); }
-  size_t num_columns() const { return headers_.size(); }
-  const std::vector<std::string>& row(size_t i) const { return rows_[i]; }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -1,4 +1,4 @@
-// Fixed-size worker pool powering the design-space sweeps.
+// The one fan-out primitive powering the design-space sweeps.
 //
 // The sweep layers (configuration search, catalog studies, Monte-Carlo
 // reliability) are embarrassingly parallel over independent indices, so the
@@ -10,13 +10,16 @@
 // `threads <= 0` resolves to the hardware concurrency; `threads == 1` (or
 // n <= 1) runs inline on the calling thread, restoring the serial path
 // exactly.
+//
+// Nesting: while a ParallelFor over two or more indices runs its body, any
+// ParallelFor that body calls runs inline on the same thread, so a sweep
+// inside a sweep never starts lanes of its own. A one-index call leaves the
+// body free to fan out.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -26,49 +29,18 @@ namespace litegpu {
 // "use the hardware concurrency" (never less than 1).
 int ResolveThreads(int requested);
 
-// Pool workers this process has spawned so far, over every ThreadPool
-// (the transient pools of ParallelFor / ParallelMap included). Read-only:
-// tests diff it around a call to check that a composite driver fans out
-// once rather than once per inner sweep.
+// Lanes ParallelFor has started so far in this process. Read-only: tests
+// diff it around a call to check that a composite driver fans out once
+// rather than once per inner sweep.
 uint64_t ThreadPoolWorkersSpawned();
 
-class ThreadPool {
- public:
-  // Spawns `num_threads` workers (resolved via ResolveThreads).
-  explicit ThreadPool(int num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  // Enqueues a task; the future resolves when it finishes (or rethrows the
-  // task's exception).
-  std::future<void> Submit(std::function<void()> fn);
-
-  // Runs fn(i) for every i in [0, n) across the workers; the calling thread
-  // blocks until all iterations finish (it does not run iterations itself,
-  // so ThreadPool(N) means exactly N compute lanes). Iterations run in
-  // unspecified order; callers keep determinism by writing only to
-  // per-index state. Every index runs even when some throw; afterwards the
-  // exception from the lowest index is rethrown (deterministically,
-  // regardless of which worker hit it first).
-  void ParallelFor(int n, const std::function<void(int)>& fn);
-
- private:
-  struct Impl;
-  void WorkerLoop();
-  void Shutdown();  // signal stop and join all spawned workers
-
-  std::vector<std::thread> workers_;
-  Impl* impl_;  // queue + synchronization (defined in thread_pool.cc)
-};
-
-// One-shot helper: runs fn(i) for i in [0, n) on `threads` workers. Serial
-// (inline, no pool) when the resolved thread count is 1 or n <= 1, with the
-// same exception semantics as the pooled path (all indices run; lowest-index
-// exception rethrown).
+// Runs fn(i) for every i in [0, n) on min(ResolveThreads(threads), n)
+// lanes, each a std::thread taking indices from a shared counter; the
+// calling thread only waits. One lane, or a call nested in another fan-out,
+// runs inline. Iterations run in unspecified order; callers keep
+// determinism by writing only per-index state. Every index runs even when
+// some throw; afterwards the exception from the lowest index is rethrown,
+// whichever lane hit it first.
 void ParallelFor(int threads, int n, const std::function<void(int)>& fn);
 
 // Maps i -> fn(i) into a vector collected in index order. T must be

@@ -3,6 +3,7 @@
 #include "src/core/runner.h"
 #include "src/core/scenario.h"
 #include "src/util/exec_policy.h"
+#include "src/util/thread_pool.h"
 
 namespace litegpu {
 namespace {
@@ -147,6 +148,30 @@ TEST(RunScenarios, BatchIsBitIdenticalAtAnyThreadCount) {
   }
 }
 
+TEST(RunScenarios, OneThreadBatchStartsNoLane) {
+  // The batch is the fan-out: at one thread its scenarios' own searches
+  // (each asking for four lanes) run inline on the calling thread.
+  std::vector<Scenario> batch = {FastSearch("a"), FastSearch("b")};
+  batch[1].models = {"Llama3-70B"};
+  for (Scenario& s : batch) {
+    s.exec.threads = 4;
+  }
+  ExecPolicy serial;
+  serial.threads = 1;
+  uint64_t before = ThreadPoolWorkersSpawned();
+  std::vector<RunReport> inline_reports = RunScenarios(batch, serial);
+  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 0u);
+  ExecPolicy four;
+  four.threads = 4;
+  std::vector<RunReport> parallel = RunScenarios(batch, four);
+  ASSERT_EQ(inline_reports.size(), 2u);
+  ASSERT_EQ(parallel.size(), 2u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(inline_reports[i].ok) << inline_reports[i].error;
+    EXPECT_EQ(inline_reports[i].ToJson().Dump(), parallel[i].ToJson().Dump()) << i;
+  }
+}
+
 TEST(Runner, ServeStudyCrossChecksAnalyticCapacity) {
   ServeKnobs knobs;
   knobs.load = 0.7;
@@ -271,19 +296,6 @@ TEST(Runner, ConfigEchoesReadBackAsTheScenarioKnobs) {
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_TRUE(*back == scenario) << ScenarioToJson(*back).Dump();
   }
-}
-
-TEST(ExecPolicy, EffectiveThreadsIsTheEmbeddedPolicy) {
-  // The PR-2 deprecated `threads` alias fields are gone: the embedded
-  // ExecPolicy is the only knob, and EffectiveThreads resolves it directly.
-  ExecPolicy exec;
-  exec.threads = 8;
-  EXPECT_EQ(EffectiveThreads(exec), 8);
-  exec.threads = -1;  // explicit "all cores"
-  EXPECT_EQ(EffectiveThreads(exec), -1);
-  SearchOptions options;
-  options.exec.threads = 4;
-  EXPECT_EQ(EffectiveThreads(options.exec), 4);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace litegpu {
@@ -21,9 +21,8 @@ TEST(ResolveThreads, NonPositiveUsesHardwareConcurrency) {
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](int i) { hits[i].fetch_add(1); });
+  ParallelFor(4, 1000, [&](int i) { hits[i].fetch_add(1); });
   for (const auto& hit : hits) {
     EXPECT_EQ(hit.load(), 1);
   }
@@ -47,29 +46,12 @@ TEST(ThreadPool, OneVsManyThreadsProduceIdenticalResults) {
   }
 }
 
-TEST(ThreadPool, SubmitFutureResolves) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  auto a = pool.Submit([&] { ran.fetch_add(1); });
-  auto b = pool.Submit([&] { ran.fetch_add(1); });
-  a.get();
-  b.get();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
-  ThreadPool pool(4);
   // Indices 100 and 400 both throw; the lowest must win deterministically
-  // even though a later index may fail first on another worker.
+  // even though a later index may fail first on another lane.
   for (int attempt = 0; attempt < 10; ++attempt) {
     try {
-      pool.ParallelFor(500, [](int i) {
+      ParallelFor(4, 500, [](int i) {
         if (i == 100 || i == 400) {
           throw std::runtime_error("index " + std::to_string(i));
         }
@@ -82,7 +64,7 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
 }
 
 TEST(ThreadPool, OtherIndicesStillRunWhenOneThrows) {
-  // Serial and pooled paths share the semantics: all indices execute, the
+  // Inline and lane paths share the semantics: all indices execute, the
   // lowest-index exception propagates afterwards.
   for (int threads : {1, 4}) {
     std::vector<std::atomic<int>> hits(64);
@@ -121,15 +103,46 @@ TEST(ThreadPool, MoreThreadsThanWork) {
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(ThreadPool, PoolIsReusableAcrossParallelFors) {
-  ThreadPool pool(3);
-  long total = 0;
-  for (int round = 0; round < 20; ++round) {
-    std::vector<int> values(100);
-    pool.ParallelFor(100, [&](int i) { values[i] = i; });
-    total += std::accumulate(values.begin(), values.end(), 0L);
+TEST(ThreadPool, NestedCallInALaneRunsOnThatLane) {
+  constexpr int kOuter = 8;
+  constexpr int kInner = 16;
+  std::vector<std::thread::id> outer(kOuter);
+  std::vector<std::thread::id> inner(kOuter * kInner);
+  ParallelFor(4, kOuter, [&](int i) {
+    outer[i] = std::this_thread::get_id();
+    ParallelFor(4, kInner,
+                [&](int j) { inner[i * kInner + j] = std::this_thread::get_id(); });
+  });
+  for (int i = 0; i < kOuter; ++i) {
+    EXPECT_NE(outer[i], std::this_thread::get_id()) << i;
+    for (int j = 0; j < kInner; ++j) {
+      EXPECT_EQ(inner[i * kInner + j], outer[i]) << i << "," << j;
+    }
   }
-  EXPECT_EQ(total, 20L * (99 * 100 / 2));
+}
+
+TEST(ThreadPool, NestedCallInTheInlinePathStartsNoLane) {
+  // A one-thread call over two indices is still a fan-out: what its body
+  // calls, even under a one-index call, stays on the calling thread.
+  std::atomic<int> ran{0};
+  uint64_t before = ThreadPoolWorkersSpawned();
+  ParallelFor(1, 2, [&](int) {
+    ParallelFor(4, 8, [&](int) { ran.fetch_add(1); });
+    ParallelFor(4, 1, [&](int) { ParallelFor(4, 8, [&](int) { ran.fetch_add(1); }); });
+  });
+  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 0u);
+  EXPECT_EQ(ran.load(), 32);
+  // The rule ends with the call: a fan-out after it starts its lanes.
+  ParallelFor(2, 4, [&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 2u);
+}
+
+TEST(ThreadPool, OneIndexCallLeavesItsBodyFreeToFanOut) {
+  std::atomic<int> ran{0};
+  uint64_t before = ThreadPoolWorkersSpawned();
+  ParallelFor(4, 1, [&](int) { ParallelFor(2, 8, [&](int) { ran.fetch_add(1); }); });
+  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 2u);
+  EXPECT_EQ(ran.load(), 8);
 }
 
 }  // namespace

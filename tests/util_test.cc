@@ -60,19 +60,24 @@ TEST(Table, RendersHeadersAndRows) {
   Table t({"name", "value"});
   t.AddRow({"alpha", "1"});
   t.AddRow({"beta", "22"});
-  std::string text = t.ToText();
-  EXPECT_NE(text.find("name"), std::string::npos);
-  EXPECT_NE(text.find("alpha"), std::string::npos);
-  EXPECT_NE(text.find("22"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.num_columns(), 2u);
+  EXPECT_EQ(t.ToText(),
+            "+-------+-------+\n"
+            "| name  | value |\n"
+            "+-------+-------+\n"
+            "| alpha |     1 |\n"
+            "| beta  |    22 |\n"
+            "+-------+-------+\n");
 }
 
 TEST(Table, ShortRowsArePadded) {
   Table t({"a", "b", "c"});
   t.AddRow({"only"});
-  EXPECT_EQ(t.row(0).size(), 3u);
-  EXPECT_EQ(t.row(0)[1], "");
+  EXPECT_EQ(t.ToText(),
+            "+------+---+---+\n"
+            "| a    | b | c |\n"
+            "+------+---+---+\n"
+            "| only |   |   |\n"
+            "+------+---+---+\n");
 }
 
 // --- stats ---
