@@ -15,11 +15,13 @@
 //   3. Reference-core identity: the pre-rewrite simulator is kept verbatim
 //      (RunServeSimulationReference) and the rewritten core — calendar
 //      event queue, SoA hot state, completion-heap decode scheduling —
-//      must match it exactly (metrics plus scale, fault and shed logs) on
-//      four points: the plain point above, a non-stationary autoscaled
-//      point (on/off bursts + reactive policy), a fault-injected point
-//      (accelerated churn, hot spares, retries), and a chaos point
-//      (failure domains + degraded states + shedding on top of the churn).
+//      must match it exactly on four points, by the one serve-core identity
+//      the tests also use (FirstServeMetricsDifference: every outcome
+//      field, histogram and event log; a difference is named on stderr):
+//      the plain point above, a non-stationary autoscaled point (on/off
+//      bursts + reactive policy), a fault-injected point (accelerated
+//      churn, hot spares, retries), and a chaos point (failure domains +
+//      degraded states + shedding on top of the churn).
 //      The two fault points draw varied output lengths, so a core that
 //      requeued a failed instance's victims in another order would fail.
 //      Each point also reports the new core's event-queue pops per decode
@@ -59,6 +61,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "src/core/runner.h"
 #include "src/core/scenario.h"
@@ -81,45 +84,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-// Exact equality on every summary metric two fault-free runs of the same
-// workload must share — the reference-vs-new gates ride on this.
-bool MetricsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
-  return a.completed_requests == b.completed_requests &&
-         a.admitted_requests == b.admitted_requests &&
-         a.in_flight_at_horizon == b.in_flight_at_horizon &&
-         a.output_tokens == b.output_tokens &&
-         a.decode_tokens_per_s == b.decode_tokens_per_s &&
-         a.makespan_s == b.makespan_s &&
-         a.prefill_utilization == b.prefill_utilization &&
-         a.decode_utilization == b.decode_utilization &&
-         a.mean_decode_batch == b.mean_decode_batch &&
-         a.ttft_s.count() == b.ttft_s.count() &&
-         a.ttft_s.Median() == b.ttft_s.Median() &&
-         a.ttft_s.P95() == b.ttft_s.P95() &&
-         a.ttft_s.P99() == b.ttft_s.P99() &&
-         a.tbt_s.count() == b.tbt_s.count() &&
-         a.tbt_s.Median() == b.tbt_s.Median() &&
-         a.tbt_s.P99() == b.tbt_s.P99();
-}
-
-bool ScaleLogsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
-  if (a.scale_events.size() != b.scale_events.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.scale_events.size(); ++i) {
-    const ScaleEvent& x = a.scale_events[i];
-    const ScaleEvent& y = b.scale_events[i];
-    if (x.time_s != y.time_s || x.pool != y.pool || x.delta != y.delta ||
-        x.instances_after != y.instances_after || x.reason != y.reason) {
-      return false;
-    }
-  }
-  return a.prefill_instance_seconds == b.prefill_instance_seconds &&
-         a.decode_instance_seconds == b.decode_instance_seconds;
-}
-
-// Element-wise fault and shed logs (domain ids included) plus the
-// kill/retry, degrade and drain accounting.
 // Event-queue pops per simulated decode step (the TBT sample count).
 double PopsPerStep(const ServeMetrics& m) {
   return m.tbt_s.count() > 0
@@ -127,37 +91,14 @@ double PopsPerStep(const ServeMetrics& m) {
              : 0.0;
 }
 
-bool FaultLogsIdentical(const ServeMetrics& a, const ServeMetrics& b) {
-  if (a.fault_events.size() != b.fault_events.size() ||
-      a.shed_events.size() != b.shed_events.size()) {
-    return false;
+// Serve-core identity (FirstServeMetricsDifference) of two runs of `point`;
+// a difference is named on stderr.
+bool Identical(const char* point, const ServeMetrics& a, const ServeMetrics& b) {
+  std::string diff = FirstServeMetricsDifference(a, b);
+  if (!diff.empty()) {
+    std::fprintf(stderr, "bench_serve_scale: %s: runs differ at %s\n", point, diff.c_str());
   }
-  for (size_t i = 0; i < a.fault_events.size(); ++i) {
-    const FaultEvent& x = a.fault_events[i];
-    const FaultEvent& y = b.fault_events[i];
-    if (x.time_s != y.time_s || x.kind != y.kind || x.pool != y.pool ||
-        x.instance != y.instance || x.domain != y.domain ||
-        x.killed_requests != y.killed_requests || x.lost_tokens != y.lost_tokens ||
-        x.spares_free != y.spares_free) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.shed_events.size(); ++i) {
-    if (a.shed_events[i].time_s != b.shed_events[i].time_s ||
-        a.shed_events[i].request != b.shed_events[i].request ||
-        a.shed_events[i].reason != b.shed_events[i].reason) {
-      return false;
-    }
-  }
-  return a.retried_requests == b.retried_requests &&
-         a.dropped_requests == b.dropped_requests && a.lost_tokens == b.lost_tokens &&
-         a.prefill_fault_downtime_s == b.prefill_fault_downtime_s &&
-         a.decode_fault_downtime_s == b.decode_fault_downtime_s &&
-         a.shed_requests == b.shed_requests && a.degrade_windows == b.degrade_windows &&
-         a.prefill_degraded_instance_s == b.prefill_degraded_instance_s &&
-         a.decode_degraded_instance_s == b.decode_degraded_instance_s &&
-         a.degraded_output_tokens == b.degraded_output_tokens &&
-         a.time_to_drain_s == b.time_to_drain_s;
+  return diff.empty();
 }
 
 }  // namespace
@@ -240,7 +181,7 @@ int main(int argc, char** argv) {
   // --- 3. reference core vs new core ---------------------------------------
   // The plain point above.
   ServeMetrics ref_plain = RunServeSimulationReference(requests, cluster, table);
-  bool ref_plain_identical = MetricsIdentical(ref_plain, plain);
+  bool ref_plain_identical = Identical("plain", ref_plain, plain);
 
   // A non-stationary autoscaled point: on/off bursts + reactive policy
   // cover the event kinds the autoscaler adds to the loop.
@@ -262,9 +203,8 @@ int main(int argc, char** argv) {
   scaled.autoscaler.decode_tokens_per_s = decode.best.result.tokens_per_s;
   ServeMetrics scaled_new = RunServeSimulation(bursty_requests, scaled, table);
   ServeMetrics scaled_ref = RunServeSimulationReference(bursty_requests, scaled, table);
-  bool ref_scaled_identical = !scaled_new.scale_events.empty() &&
-                              ScaleLogsIdentical(scaled_ref, scaled_new) &&
-                              MetricsIdentical(scaled_ref, scaled_new);
+  bool ref_scaled_identical =
+      !scaled_new.scale_events.empty() && Identical("autoscaled", scaled_ref, scaled_new);
 
   // A fault-injected point: accelerated churn (the serve_faulty.json
   // regime) — several failures per pool over the minute, hot spares
@@ -289,16 +229,15 @@ int main(int argc, char** argv) {
   faulty.faults.seed = FaultSubstreamSeed(0xC0FFEE);
   ServeMetrics faulty_new = RunServeSimulation(varied_requests, faulty, table);
   ServeMetrics faulty_ref = RunServeSimulationReference(varied_requests, faulty, table);
-  bool ref_faulty_identical = !faulty_new.fault_events.empty() &&
-                              FaultLogsIdentical(faulty_ref, faulty_new) &&
-                              MetricsIdentical(faulty_ref, faulty_new);
+  bool ref_faulty_identical =
+      !faulty_new.fault_events.empty() && Identical("fault-injected", faulty_ref, faulty_new);
   // Axes-off null effect: with domains, degradation and shedding left at
   // defaults, the plain and fault-injected runs' three-axis fields must be
   // exactly zero.
   bool axes_off_zeroed = plain.shed_requests == 0 && plain.shed_events.empty() &&
                          plain.degrade_windows == 0 &&
-                         plain.prefill_degraded_instance_s == 0.0 &&
-                         plain.decode_degraded_instance_s == 0.0 &&
+                         plain.pool(ScalePool::kPrefill).degraded_instance_s == 0.0 &&
+                         plain.pool(ScalePool::kDecode).degraded_instance_s == 0.0 &&
                          plain.time_to_drain_s == -1.0 && faulty_new.shed_requests == 0 &&
                          faulty_new.degrade_windows == 0;
 
@@ -323,8 +262,7 @@ int main(int argc, char** argv) {
     }
   }
   bool ref_chaos_identical = chaos_has_domains && chaos_new.degrade_windows > 0 &&
-                             FaultLogsIdentical(chaos_ref, chaos_new) &&
-                             MetricsIdentical(chaos_ref, chaos_new);
+                             Identical("chaos", chaos_ref, chaos_new);
   bool reference_identical = ref_plain_identical && ref_scaled_identical &&
                              ref_faulty_identical && ref_chaos_identical;
   // Macro-step gate: fewer pops than decode steps where pools are wide
@@ -360,7 +298,7 @@ int main(int argc, char** argv) {
   t0 = std::chrono::steady_clock::now();
   ServeMetrics million_new = RunServeSimulation(million_requests, mcluster, table);
   double million_new_s = SecondsSince(t0);
-  bool million_identical = MetricsIdentical(million_ref, million_new);
+  bool million_identical = Identical("million-request", million_ref, million_new);
   double million_speedup = million_new_s > 0.0 ? million_ref_s / million_new_s : 0.0;
   // The same point streamed straight from the generator into the engine.
   t0 = std::chrono::steady_clock::now();
@@ -368,7 +306,7 @@ int main(int argc, char** argv) {
   ServeMetrics million_streamed = RunServeSimulation(million_stream, mcluster, table);
   double million_streamed_s = SecondsSince(t0);
   bool streamed_identical =
-      MetricsIdentical(million_new, million_streamed) &&
+      Identical("million-request streamed", million_new, million_streamed) &&
       million_new.ttft_s.samples() == million_streamed.ttft_s.samples() &&
       million_new.events_popped == million_streamed.events_popped &&
       million_new.peak_live_requests == million_streamed.peak_live_requests;
@@ -423,7 +361,8 @@ int main(int argc, char** argv) {
     t0 = std::chrono::steady_clock::now();
     ServeMetrics g_new = RunServeSimulation(grid_requests, gcluster, table);
     grid_new_s += SecondsSince(t0);
-    grid_identical = grid_identical && MetricsIdentical(g_ref, g_new);
+    std::string label = "load grid point " + std::to_string(i);
+    grid_identical = Identical(label.c_str(), g_ref, g_new) && grid_identical;
     ++grid_points;
   }
   double grid_speedup = grid_new_s > 0.0 ? grid_ref_s / grid_new_s : 0.0;
@@ -511,8 +450,8 @@ int main(int argc, char** argv) {
     sweep.Set("points", sweep_points).Set("wall_s", sweep_s);
     Json autoscale = Json::Object();
     autoscale.Set("scale_events", static_cast<int>(scaled_new.scale_events.size()))
-        .Set("peak_decode_instances", scaled_new.peak_decode_instances)
-        .Set("decode_instance_seconds", scaled_new.decode_instance_seconds);
+        .Set("peak_decode_instances", scaled_new.pool(ScalePool::kDecode).peak_instances)
+        .Set("decode_instance_seconds", scaled_new.pool(ScalePool::kDecode).instance_seconds);
     Json faults_json = Json::Object();
     faults_json.Set("fault_events", static_cast<int>(faulty_new.fault_events.size()))
         .Set("retried_requests", faulty_new.retried_requests)
@@ -609,7 +548,8 @@ int main(int argc, char** argv) {
                 "(%.3f pops/step)\n"
                 "  fewer pops than steps on the autoscaled and chaos points: %s\n\n",
                 ref_plain_identical ? "OK" : "FAILED", PopsPerStep(plain),
-                scaled_new.scale_events.size(), scaled_new.peak_decode_instances,
+                scaled_new.scale_events.size(),
+                scaled_new.pool(ScalePool::kDecode).peak_instances,
                 ref_scaled_identical ? "OK" : "FAILED", PopsPerStep(scaled_new),
                 faulty_new.fault_events.size(), faulty_new.retried_requests,
                 ref_faulty_identical ? "OK" : "FAILED", PopsPerStep(faulty_new),

@@ -607,7 +607,9 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
     // and the correlated-domain aggregates. A domain outage appears as
     // consecutive kFailure entries sharing (time, pool, domain); the group
     // is ONE event for the worst-single-event and per-domain columns.
-    std::map<int, ServeFaultDomainReport> prefill_domains, decode_domains;
+    // Both indexed by ScalePool, like metrics.pools.
+    ServeFaultPoolReport* pool_reports[2] = {&f.prefill, &f.decode};
+    std::map<int, ServeFaultDomainReport> domains[2];
     double group_lost = 0.0;
     double group_time = -1.0;
     int group_domain = -1;
@@ -616,15 +618,12 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
       if (group_domain < 0) {
         return;
       }
-      ServeFaultPoolReport& pool =
-          group_pool == ScalePool::kPrefill ? f.prefill : f.decode;
+      ServeFaultPoolReport& pool = *pool_reports[static_cast<int>(group_pool)];
       pool.domain_failures += 1;
       if (group_lost > pool.worst_event_lost_tokens) {
         pool.worst_event_lost_tokens = group_lost;
       }
-      auto& dmap =
-          group_pool == ScalePool::kPrefill ? prefill_domains : decode_domains;
-      ServeFaultDomainReport& dr = dmap[group_domain];
+      ServeFaultDomainReport& dr = domains[static_cast<int>(group_pool)][group_domain];
       dr.domain = group_domain;
       dr.failures += 1;
       dr.lost_tokens += group_lost;
@@ -632,8 +631,7 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
       group_lost = 0.0;
     };
     for (const FaultEvent& e : metrics.fault_events) {
-      ServeFaultPoolReport& pool =
-          e.pool == ScalePool::kPrefill ? f.prefill : f.decode;
+      ServeFaultPoolReport& pool = *pool_reports[static_cast<int>(e.pool)];
       if (e.kind == FaultEventKind::kFailure) {
         pool.failures += 1;
         pool.lost_tokens += e.lost_tokens;
@@ -646,9 +644,7 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
             group_pool = e.pool;
           }
           group_lost += e.lost_tokens;
-          auto& dmap =
-              e.pool == ScalePool::kPrefill ? prefill_domains : decode_domains;
-          ServeFaultDomainReport& dr = dmap[e.domain];
+          ServeFaultDomainReport& dr = domains[static_cast<int>(e.pool)][e.domain];
           dr.domain = e.domain;
           dr.instance_failures += 1;
         } else {
@@ -667,62 +663,48 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
       }
     }
     flush_group();
-    f.prefill.downtime_s = metrics.prefill_fault_downtime_s;
-    f.decode.downtime_s = metrics.decode_fault_downtime_s;
-    // Blast radius: mean tokens of in-flight work one failure destroys,
-    // as a fraction of the output tokens the run actually served.
-    for (ServeFaultPoolReport* pool : {&f.prefill, &f.decode}) {
-      if (pool->failures > 0 && metrics.output_tokens > 0.0) {
-        pool->blast_radius_fraction =
-            pool->lost_tokens / pool->failures / metrics.output_tokens;
+    FailureParams params = FaultFailureParams(common.faults);
+    // Correlated availability: the independent-churn closed form times the
+    // steady-state up fraction of a domain member, 1 / (1 + rate * repair)
+    // per the usual M/M availability argument.
+    double ratio = cluster.faults.domains.failure_rate_per_s * cluster.faults.domains.repair_s;
+    double domain_up = 1.0 / (1.0 + ratio);
+    const int gpus[2] = {platform.capacity.prefill_gpus, platform.capacity.decode_gpus};
+    const int instances[2] = {p.prefill_instances, p.decode_instances};
+    for (int i : {0, 1}) {
+      ServeFaultPoolReport& pool = *pool_reports[i];
+      const ServePoolMetrics& outcome = metrics.pools[i];
+      pool.downtime_s = outcome.fault_downtime_s;
+      // Blast radius: mean tokens of in-flight work one failure destroys,
+      // as a fraction of the output tokens the run actually served.
+      if (pool.failures > 0 && metrics.output_tokens > 0.0) {
+        pool.blast_radius_fraction = pool.lost_tokens / pool.failures / metrics.output_tokens;
       }
       if (metrics.output_tokens > 0.0) {
-        pool->worst_event_fraction =
-            pool->worst_event_lost_tokens / metrics.output_tokens;
+        pool.worst_event_fraction = pool.worst_event_lost_tokens / metrics.output_tokens;
       }
-    }
-    if (f.domains_enabled && metrics.output_tokens > 0.0) {
-      for (auto* dmap : {&prefill_domains, &decode_domains}) {
-        ServeFaultPoolReport& pool =
-            dmap == &prefill_domains ? f.prefill : f.decode;
-        for (auto& [id, dr] : *dmap) {
+      if (f.domains_enabled && metrics.output_tokens > 0.0) {
+        for (auto& [id, dr] : domains[i]) {
           dr.blast_radius_fraction = dr.lost_tokens / metrics.output_tokens;
           pool.domains.push_back(dr);
         }
       }
-    }
-    f.prefill.availability_measured =
-        metrics.prefill_instance_seconds > 0.0
-            ? 1.0 - f.prefill.downtime_s / metrics.prefill_instance_seconds
-            : 1.0;
-    f.decode.availability_measured =
-        metrics.decode_instance_seconds > 0.0
-            ? 1.0 - f.decode.downtime_s / metrics.decode_instance_seconds
-            : 1.0;
-    FailureParams params = FaultFailureParams(common.faults);
-    f.prefill.availability_predicted = InstanceAvailabilityWithSpares(
-        platform.gpu, platform.capacity.prefill_gpus, p.prefill_instances,
-        common.faults.hot_spares, params);
-    f.decode.availability_predicted = InstanceAvailabilityWithSpares(
-        platform.gpu, platform.capacity.decode_gpus, p.decode_instances,
-        common.faults.hot_spares, params);
-    if (f.domains_enabled) {
-      // Correlated availability: the independent-churn closed form times
-      // the steady-state up fraction of a domain member,
-      // 1 / (1 + rate * repair) per the usual M/M availability argument.
-      double ratio = cluster.faults.domains.failure_rate_per_s *
-                     cluster.faults.domains.repair_s;
-      double domain_up = 1.0 / (1.0 + ratio);
-      f.prefill.availability_correlated = f.prefill.availability_predicted * domain_up;
-      f.decode.availability_correlated = f.decode.availability_predicted * domain_up;
+      pool.availability_measured = outcome.instance_seconds > 0.0
+                                       ? 1.0 - pool.downtime_s / outcome.instance_seconds
+                                       : 1.0;
+      pool.availability_predicted = InstanceAvailabilityWithSpares(
+          platform.gpu, gpus[i], instances[i], common.faults.hot_spares, params);
+      if (f.domains_enabled) {
+        pool.availability_correlated = pool.availability_predicted * domain_up;
+      }
+      if (f.degraded_enabled) {
+        pool.degraded_instance_s = outcome.degraded_instance_s;
+      }
     }
     if (f.degraded_enabled) {
-      f.prefill.degraded_instance_s = metrics.prefill_degraded_instance_s;
-      f.decode.degraded_instance_s = metrics.decode_degraded_instance_s;
+      double decode_degraded_s = metrics.pool(ScalePool::kDecode).degraded_instance_s;
       f.degraded_goodput_tokens_per_s =
-          metrics.decode_degraded_instance_s > 0.0
-              ? metrics.degraded_output_tokens / metrics.decode_degraded_instance_s
-              : 0.0;
+          decode_degraded_s > 0.0 ? metrics.degraded_output_tokens / decode_degraded_s : 0.0;
     }
     f.events = std::move(metrics.fault_events);
   }
@@ -732,8 +714,8 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
   p.capacity_agreement = p.analytic_tokens_per_s > 0.0
                              ? p.goodput_tokens_per_s / p.analytic_tokens_per_s
                              : 0.0;
-  p.prefill_utilization = metrics.prefill_utilization;
-  p.decode_utilization = metrics.decode_utilization;
+  p.prefill_utilization = metrics.pool(ScalePool::kPrefill).utilization;
+  p.decode_utilization = metrics.pool(ScalePool::kDecode).utilization;
   p.mean_decode_batch = metrics.mean_decode_batch;
   p.makespan_s = metrics.makespan_s;
 
@@ -773,16 +755,17 @@ ServePointReport SimulateServePoint(const ServePlatform& platform, const Scenari
     for (const ScaleEvent& event : metrics.scale_events) {
       (event.delta > 0 ? p.scale.scale_ups : p.scale.scale_downs) += 1;
     }
-    p.scale.prefill_instance_hours = metrics.prefill_instance_seconds / 3600.0;
-    p.scale.decode_instance_hours = metrics.decode_instance_seconds / 3600.0;
-    p.scale.gpu_hours =
-        (metrics.prefill_instance_seconds * platform.capacity.prefill_gpus +
-         metrics.decode_instance_seconds * platform.capacity.decode_gpus) /
-        3600.0;
-    p.scale.peak_prefill_instances = metrics.peak_prefill_instances;
-    p.scale.peak_decode_instances = metrics.peak_decode_instances;
-    p.scale.final_prefill_instances = metrics.final_prefill_instances;
-    p.scale.final_decode_instances = metrics.final_decode_instances;
+    const ServePoolMetrics& prefill = metrics.pool(ScalePool::kPrefill);
+    const ServePoolMetrics& decode = metrics.pool(ScalePool::kDecode);
+    p.scale.prefill_instance_hours = prefill.instance_seconds / 3600.0;
+    p.scale.decode_instance_hours = decode.instance_seconds / 3600.0;
+    p.scale.gpu_hours = (prefill.instance_seconds * platform.capacity.prefill_gpus +
+                         decode.instance_seconds * platform.capacity.decode_gpus) /
+                        3600.0;
+    p.scale.peak_prefill_instances = prefill.peak_instances;
+    p.scale.peak_decode_instances = decode.peak_instances;
+    p.scale.final_prefill_instances = prefill.final_instances;
+    p.scale.final_decode_instances = decode.final_instances;
     p.scale.ttft_attainment =
         GlobalTtftAttainment(metrics, s.workload.ttft_slo_s, p.classes);
     p.scale.events = std::move(metrics.scale_events);

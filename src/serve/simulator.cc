@@ -28,12 +28,13 @@
 //    RepeatedSum(t + step, step, R - 1) (src/util/repeated_sum.h): the
 //    exact result of those additions in O(binades crossed) work. At the
 //    run's end the R steps land in bulk: one weighted TBT add of
-//    batch * R (the histogram sum is exact fixed point, so grouping cannot
-//    change it), tokens += batch * R, step count += R (a sequence's
-//    remaining tokens are its finish step minus that count, so no
-//    per-sequence counter moves). Busy time and batch-time product keep
-//    the per-step loop's additions, charged lazily: steps starting at or
-//    before an autoscaler tick, and before a cut or failure. A charge
+//    batch * R (one weighted add of n samples equals n unit adds in bins,
+//    count, min and max, so grouping cannot change the histogram),
+//    tokens += batch * R, step count += R (a sequence's remaining tokens
+//    are its finish step minus that count, so no per-sequence counter
+//    moves). Busy time and batch-time product keep the per-step loop's
+//    additions, charged lazily: steps starting at or before an autoscaler
+//    tick, and before a cut or failure. A charge
 //    walks its steps in one fused pass, after first jumping to a few steps
 //    short of its limit with RepeatedSum when the span is long. Runs end
 //    early at boundaries that must be real: an instance that could admit
@@ -49,6 +50,7 @@
 #include "src/serve/simulator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -602,24 +604,6 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   decode.failure_rate = faults.decode_failure_rate_per_s;
   decode.degrade_rate = degraded.decode_rate_per_s;
   decode.instances_per_domain = domains.decode_instances_per_domain;
-  // The per-pool fields of `metrics`, indexed by pool.
-  struct PoolMetrics {
-    int& peak_instances;
-    int& final_instances;
-    double& busy_s;
-    double& utilization;
-    double& instance_seconds;
-    double& fault_downtime_s;
-    double& degraded_instance_s;
-  };
-  PoolMetrics pool_metrics[2] = {
-      {metrics.peak_prefill_instances, metrics.final_prefill_instances, metrics.prefill_busy_s,
-       metrics.prefill_utilization, metrics.prefill_instance_seconds,
-       metrics.prefill_fault_downtime_s, metrics.prefill_degraded_instance_s},
-      {metrics.peak_decode_instances, metrics.final_decode_instances, metrics.decode_busy_s,
-       metrics.decode_utilization, metrics.decode_instance_seconds,
-       metrics.decode_fault_downtime_s, metrics.decode_degraded_instance_s}};
-
   if (stream_ttft) {
     metrics.ttft_streamed = true;
     metrics.ttft_hist = LatencyHistogram(kTtftHistHiS);
@@ -651,8 +635,9 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   std::deque<Demand> demand_history;
   size_t peak_demand_entries = 0;
   if (scaler.enabled) {
-    metrics.peak_prefill_instances = prefill.provisioned;
-    metrics.peak_decode_instances = decode.provisioned;
+    for (int p : {kPrefillPool, kDecodePool}) {
+      metrics.pools[p].peak_instances = S.pools[p].provisioned;
+    }
     events.Push({scaler.interval_s, ServeEventKind::kAutoscaleTick, tick_seq++});
   }
 
@@ -772,7 +757,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   auto close_degrade = [&](int p, int i) {
     PoolState& pool = S.pools[p];
     if (pool.degrade_since[i] >= 0.0) {
-      pool_metrics[p].degraded_instance_s += now - pool.degrade_since[i];
+      metrics.pools[p].degraded_instance_s += now - pool.degrade_since[i];
       pool.degrade_since[i] = -1.0;
       pool.degrade_mult[i] = 1.0;
     }
@@ -1644,7 +1629,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
         S.AddInstance(p, now, config.num_classes);
         --pool.pending_ups;
         ++pool.provisioned;
-        int& peak = pool_metrics[p].peak_instances;
+        int& peak = metrics.pools[p].peak_instances;
         peak = std::max(peak, pool.provisioned);
         const char* reason = pool.up_reasons.front();
         pool.up_reasons.pop_front();
@@ -1670,7 +1655,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     metrics.decode_tokens_per_s = metrics.output_tokens / metrics.makespan_s;
     for (int p : {kPrefillPool, kDecodePool}) {
       const PoolState& pool = S.pools[p];
-      PoolMetrics& pm = pool_metrics[p];
+      ServePoolMetrics& pm = metrics.pools[p];
       for (double b : pool.busy_time) {
         pm.busy_s += b;
       }
@@ -1696,9 +1681,9 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     for (double b : S.d_batch_time_product) {
       metrics.decode_batch_time_product += b;
     }
-    metrics.mean_decode_batch = metrics.decode_busy_s > 0.0
-                                    ? metrics.decode_batch_time_product / metrics.decode_busy_s
-                                    : 0.0;
+    double decode_busy_s = metrics.pools[kDecodePool].busy_s;
+    metrics.mean_decode_batch =
+        decode_busy_s > 0.0 ? metrics.decode_batch_time_product / decode_busy_s : 0.0;
     if (faults_enabled) {
       // Per-pool downtime over [0, makespan], replayed from the event log:
       // each failure opens an interval its spare-activation/repair closes.
@@ -1714,7 +1699,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
           since = e.time_s;
         } else if (e.kind == FaultEventKind::kSpareActivation ||
                    e.kind == FaultEventKind::kRepair) {
-          pool_metrics[p].fault_downtime_s +=
+          metrics.pools[p].fault_downtime_s +=
               std::min(e.time_s, metrics.makespan_s) - std::min(since, metrics.makespan_s);
           since = -1.0;
         }
@@ -1722,7 +1707,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       for (int p : {kPrefillPool, kDecodePool}) {
         for (size_t i = 0; i < down_since[p].size(); ++i) {
           if (down_since[p][i] >= 0.0 && !(S.pools[p].state[i] & kInactive)) {
-            pool_metrics[p].fault_downtime_s +=
+            metrics.pools[p].fault_downtime_s +=
                 metrics.makespan_s - std::min(down_since[p][i], metrics.makespan_s);
           }
         }
@@ -1734,7 +1719,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
     const PoolState& pool = S.pools[p];
     for (size_t i = 0; degrade_enabled && i < pool.size(); ++i) {
       if (pool.degrade_since[i] >= 0.0) {
-        pool_metrics[p].degraded_instance_s +=
+        metrics.pools[p].degraded_instance_s +=
             std::max(0.0, metrics.makespan_s - pool.degrade_since[i]);
       }
     }
@@ -1761,28 +1746,19 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
   if (shards.empty()) {
     return merged;
   }
-  merged.ttft_streamed = shards.front().ttft_streamed;
-  if (merged.ttft_streamed) {
-    merged.ttft_hist = LatencyHistogram(kTtftHistHiS);
-  }
-  if (config.num_classes > 0) {
-    merged.per_class.resize(static_cast<size_t>(config.num_classes));
-    if (merged.ttft_streamed) {
-      for (ServeClassMetrics& pc : merged.per_class) {
-        pc.ttft_hist = LatencyHistogram(kTtftHistHiS);
-      }
-    }
+  merged.ttft_streamed = true;
+  merged.ttft_hist = LatencyHistogram(kTtftHistHiS);
+  merged.per_class.resize(static_cast<size_t>(config.num_classes));
+  for (ServeClassMetrics& pc : merged.per_class) {
+    pc.ttft_hist = LatencyHistogram(kTtftHistHiS);
   }
   // Fold in shard-index order — deterministic regardless of which thread
   // finished which shard first.
   for (const ServeMetrics& m : shards) {
-    if (merged.ttft_streamed) {
-      merged.ttft_hist.Merge(m.ttft_hist);
-    } else {
-      for (double v : m.ttft_s.samples()) {
-        merged.ttft_s.Add(v);
-      }
-    }
+    assert(m.ttft_streamed && m.per_class.size() == merged.per_class.size() &&
+           m.scale_events.empty() && m.fault_events.empty() && m.degrade_windows == 0 &&
+           m.shed_requests == 0);
+    merged.ttft_hist.Merge(m.ttft_hist);
     merged.tbt_s.Merge(m.tbt_s);
     merged.completed_requests += m.completed_requests;
     merged.admitted_requests += m.admitted_requests;
@@ -1792,29 +1768,16 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
     // the summed wall of the shards, which keeps rate and utilization
     // denominators consistent with the summed numerators.
     merged.makespan_s += m.makespan_s;
-    merged.prefill_busy_s += m.prefill_busy_s;
-    merged.decode_busy_s += m.decode_busy_s;
+    for (int p : {kPrefillPool, kDecodePool}) {
+      merged.pools[p].busy_s += m.pools[p].busy_s;
+    }
     merged.decode_batch_time_product += m.decode_batch_time_product;
-    // Fault/degrade/shed counters are additive; the logs and the
-    // largest-outage tracking are not merged (the Runner rejects sharding
-    // combined with faults or shedding).
-    merged.shed_requests += m.shed_requests;
-    merged.degrade_windows += m.degrade_windows;
-    merged.prefill_degraded_instance_s += m.prefill_degraded_instance_s;
-    merged.decode_degraded_instance_s += m.decode_degraded_instance_s;
-    merged.degraded_output_tokens += m.degraded_output_tokens;
     merged.events_popped += m.events_popped;
     merged.peak_live_requests = std::max(merged.peak_live_requests, m.peak_live_requests);
-    for (size_t c = 0; c < merged.per_class.size() && c < m.per_class.size(); ++c) {
+    for (size_t c = 0; c < merged.per_class.size(); ++c) {
       ServeClassMetrics& out = merged.per_class[c];
       const ServeClassMetrics& in = m.per_class[c];
-      if (merged.ttft_streamed) {
-        out.ttft_hist.Merge(in.ttft_hist);
-      } else {
-        for (double v : in.ttft_s.samples()) {
-          out.ttft_s.Add(v);
-        }
-      }
+      out.ttft_hist.Merge(in.ttft_hist);
       out.tbt_s.Merge(in.tbt_s);
       out.admitted_requests += in.admitted_requests;
       out.completed_requests += in.completed_requests;
@@ -1824,14 +1787,14 @@ ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
   }
   if (merged.makespan_s > 0.0) {
     merged.decode_tokens_per_s = merged.output_tokens / merged.makespan_s;
-    merged.prefill_utilization =
-        merged.prefill_busy_s / (config.prefill_instances * merged.makespan_s);
-    merged.decode_utilization =
-        merged.decode_busy_s / (config.decode_instances * merged.makespan_s);
+    for (int p : {kPrefillPool, kDecodePool}) {
+      int instances = p == kPrefillPool ? config.prefill_instances : config.decode_instances;
+      merged.pools[p].utilization = merged.pools[p].busy_s / (instances * merged.makespan_s);
+    }
   }
-  merged.mean_decode_batch = merged.decode_busy_s > 0.0
-                                 ? merged.decode_batch_time_product / merged.decode_busy_s
-                                 : 0.0;
+  double decode_busy_s = merged.pools[kDecodePool].busy_s;
+  merged.mean_decode_batch =
+      decode_busy_s > 0.0 ? merged.decode_batch_time_product / decode_busy_s : 0.0;
   return merged;
 }
 

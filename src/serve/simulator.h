@@ -133,12 +133,34 @@ struct ServeClassMetrics {
   double output_tokens = 0.0;
 };
 
+// One serving pool's outcome. ServeMetrics::pools holds one per ScalePool,
+// indexed by its value.
+struct ServePoolMetrics {
+  // Summed instance busy time: the utilization numerator, kept raw because
+  // ratios of sums are not sums of ratios, so the shard merge sums these.
+  double busy_s = 0.0;
+  // busy_s / (instances * makespan), or / instance_seconds when the
+  // autoscaler or faults are enabled.
+  double utilization = 0.0;
+  // Autoscaler or fault runs only (0 otherwise): each instance's
+  // provisioned lifetime integrated over [0, makespan] — the cost side of
+  // the "cheapest policy meeting SLOs" question, and the denominator of
+  // measured availability (1 - fault_downtime_s / instance_seconds).
+  double instance_seconds = 0.0;
+  int peak_instances = 0;   // autoscaler runs only
+  int final_instances = 0;  // autoscaler or fault runs only
+  // Fault runs only: summed instance downtime, clipped to [0, makespan].
+  double fault_downtime_s = 0.0;
+  // ServeFaultConfig::degraded only: instance-seconds spent throttled.
+  double degraded_instance_s = 0.0;
+};
+
 struct ServeMetrics {
   // Queue wait + prefill pass, per request. Exact samples, 8 bytes per
   // admitted request: a streamed run's only O(requests) memory.
   SampleSet ttft_s;
   // Decode step durations. One sample per simulated step — O(tokens) of
-  // them — so this streams into a fixed-bin histogram: count/min/max/mean
+  // them — so this streams into a fixed-bin histogram: count/min/max
   // are exact, percentiles are within one bin width (~61 us at the default
   // 16384 bins over [0, 1s)) of the exact sample quantile.
   LatencyHistogram tbt_s;
@@ -151,44 +173,32 @@ struct ServeMetrics {
   double output_tokens = 0.0;
   double makespan_s = 0.0;     // last completion time
   double decode_tokens_per_s = 0.0;
-  double prefill_utilization = 0.0;  // busy time / (instances * makespan)
-  double decode_utilization = 0.0;
-  double mean_decode_batch = 0.0;    // time-weighted
+  double mean_decode_batch = 0.0;  // time-weighted
+  // Decode-batch size integrated over decode busy time, the numerator of
+  // mean_decode_batch (the shard merge sums it, like each pool's busy_s).
+  double decode_batch_time_product = 0.0;
+  // Indexed by ScalePool; pool() names one.
+  ServePoolMetrics pools[2];
+  ServePoolMetrics& pool(ScalePool p) { return pools[static_cast<int>(p)]; }
+  const ServePoolMetrics& pool(ScalePool p) const { return pools[static_cast<int>(p)]; }
   // One entry per class when ServeClusterConfig::num_classes >= 1; empty
   // for classless runs.
   std::vector<ServeClassMetrics> per_class;
-  // Autoscaler outcome, filled only when the autoscaler is enabled (all
-  // zero/empty otherwise). Instance-seconds integrate each instance's
-  // provisioned lifetime over [0, makespan] — the cost side of the
-  // "cheapest policy meeting SLOs" question — and utilization denominators
-  // switch from instances*makespan to these integrals.
+  // Autoscaler outcome, filled only when the autoscaler is enabled.
   std::vector<ScaleEvent> scale_events;
-  double prefill_instance_seconds = 0.0;
-  double decode_instance_seconds = 0.0;
-  int peak_prefill_instances = 0;
-  int peak_decode_instances = 0;
-  int final_prefill_instances = 0;
-  int final_decode_instances = 0;
   // Fault outcome, filled only when ServeFaultConfig::enabled (all
   // zero/empty otherwise). The event log is ordered by simulated time and
-  // bit-identical across the two cores and thread counts. Downtime
-  // is per pool, clipped to [0, makespan]; lost_tokens counts discarded
-  // work (generated-so-far decode tokens, which are also subtracted from
-  // output_tokens so goodput stays honest, plus killed prompt tokens).
-  // When faults are enabled the instance-seconds integrals above are
-  // filled even without the autoscaler, so availability can be measured
-  // as 1 - downtime / provisioned instance-seconds.
+  // bit-identical across the two cores and thread counts. lost_tokens
+  // counts discarded work (generated-so-far decode tokens, which are also
+  // subtracted from output_tokens so goodput stays honest, plus killed
+  // prompt tokens).
   std::vector<FaultEvent> fault_events;
   int retried_requests = 0;
   int dropped_requests = 0;
   double lost_tokens = 0.0;
-  double prefill_fault_downtime_s = 0.0;
-  double decode_fault_downtime_s = 0.0;
-  // Degraded-state outcome (ServeFaultConfig::degraded): instance-seconds
-  // spent throttled per pool, the number of degrade windows entered, and
-  // the decode tokens emitted by steps completing on a degraded instance.
-  double prefill_degraded_instance_s = 0.0;
-  double decode_degraded_instance_s = 0.0;
+  // Degraded-state outcome (ServeFaultConfig::degraded): the number of
+  // degrade windows entered, and the decode tokens emitted by steps
+  // completing on a degraded instance.
   int degrade_windows = 0;
   double degraded_output_tokens = 0.0;
   // Shedding outcome (ServeClusterConfig::shedding): shed arrivals count as
@@ -206,12 +216,6 @@ struct ServeMetrics {
   double largest_outage_time_s = -1.0;
   double largest_outage_lost_tokens = 0.0;
   double time_to_drain_s = -1.0;
-  // Raw busy-time aggregates behind the utilization / mean-batch ratios.
-  // Ratios of sums are not sums of ratios, so the shard merge needs the
-  // numerators and denominators separately.
-  double prefill_busy_s = 0.0;
-  double decode_busy_s = 0.0;
-  double decode_batch_time_product = 0.0;
   // Streamed TTFT (ServeClusterConfig::stream_ttft): ttft_streamed says
   // which of ttft_s / ttft_hist carries the distribution. The placeholder
   // histogram has one bin so unstreamed metrics don't allocate 16k bins.
@@ -236,8 +240,8 @@ struct ServeMetrics {
 // bounds-checked array load per query, lock-free, so one immutable table
 // can drive any number of concurrent sweep workers. Metrics are
 // bit-identical to RunServeSimulationReference (simulator_reference.h) on
-// the same table: tested in serve_test and serve_faults_test, gated in
-// bench_serve_scale. Drains `stream`; the same requests give the same
+// the same table, by FirstServeMetricsDifference there: tested in the
+// serve_* tests, gated in bench_serve_scale. Drains `stream`; the same requests give the same
 // metrics whether the stream generates them or reads records.
 ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig& config,
                                 const StepTimeTable& table);
@@ -253,10 +257,14 @@ ServeMetrics RunServeSimulation(const std::vector<Request>& requests,
 // makespan is the summed sub-horizon makespan; rates and utilizations are
 // recomputed as ratios of the summed aggregates; TTFT/TBT histograms merge
 // bin-wise (every streamed TTFT histogram spans the same fixed range, so
-// shards always share bins). Shards must be single-pool-shape runs: the
-// Runner's validation rejects shards with the autoscaler, faults, or
-// time-inhomogeneous arrivals, so scale/fault event logs are empty by
-// construction.
+// shards always share bins).
+//
+// Precondition (asserted): every shard ran `config` with stream_ttft set
+// and without the autoscaler, faults or shedding, so its TTFTs are in
+// ttft_hist and its scale, fault, degrade and shed outcomes are empty. The
+// Runner always streams sharded points, and scenario validation rejects
+// shards combined with the autoscaler, faults, shedding or
+// time-inhomogeneous arrivals.
 ServeMetrics MergeServeShardMetrics(const ServeClusterConfig& config,
                                     const std::vector<ServeMetrics>& shards);
 

@@ -9,8 +9,11 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "src/util/format.h"
 
 namespace litegpu {
 
@@ -120,6 +123,8 @@ struct DecodeInstance {
 ServeMetrics RunSimulation(const std::vector<Request>& requests,
                            const ServeClusterConfig& config, const StepTimeTable& table) {
   ServeMetrics metrics;
+  ServePoolMetrics& prefill_out = metrics.pool(ScalePool::kPrefill);
+  ServePoolMetrics& decode_out = metrics.pool(ScalePool::kDecode);
   if (table.empty() || config.prefill_instances <= 0 || config.decode_instances <= 0) {
     return metrics;
   }
@@ -152,8 +157,8 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
   };
   std::deque<Demand> demand_history;
   if (scaler.enabled) {
-    metrics.peak_prefill_instances = active_prefill;
-    metrics.peak_decode_instances = active_decode;
+    prefill_out.peak_instances = active_prefill;
+    decode_out.peak_instances = active_decode;
     events.push({scaler.interval_s, EventKind::kAutoscaleTick, tick_seq++});
   }
 
@@ -285,14 +290,14 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
   // retirement), banking the degraded instance-seconds.
   auto close_degrade_prefill = [&](int i) {
     if (prefill[i].degrade_since >= 0.0) {
-      metrics.prefill_degraded_instance_s += now - prefill[i].degrade_since;
+      prefill_out.degraded_instance_s += now - prefill[i].degrade_since;
       prefill[i].degrade_since = -1.0;
       prefill[i].degrade_mult = 1.0;
     }
   };
   auto close_degrade_decode = [&](int i) {
     if (decode[i].degrade_since >= 0.0) {
-      metrics.decode_degraded_instance_s += now - decode[i].degrade_since;
+      decode_out.degraded_instance_s += now - decode[i].degrade_since;
       decode[i].degrade_since = -1.0;
       decode[i].degrade_mult = 1.0;
     }
@@ -954,8 +959,7 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
         prefill.push_back(std::move(fresh));
         --pending_prefill_ups;
         ++active_prefill;
-        metrics.peak_prefill_instances =
-            std::max(metrics.peak_prefill_instances, active_prefill);
+        prefill_out.peak_instances = std::max(prefill_out.peak_instances, active_prefill);
         const char* reason = prefill_up_reasons.front();
         prefill_up_reasons.pop_front();
         metrics.scale_events.push_back(
@@ -973,8 +977,7 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
         decode.push_back(std::move(fresh));
         --pending_decode_ups;
         ++active_decode;
-        metrics.peak_decode_instances =
-            std::max(metrics.peak_decode_instances, active_decode);
+        decode_out.peak_instances = std::max(decode_out.peak_instances, active_decode);
         const char* reason = decode_up_reasons.front();
         decode_up_reasons.pop_front();
         metrics.scale_events.push_back(
@@ -1101,30 +1104,26 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
       for (const auto& p : prefill) {
         double end = p.down_time >= 0.0 ? std::min(p.down_time, metrics.makespan_s)
                                         : metrics.makespan_s;
-        metrics.prefill_instance_seconds += std::max(0.0, end - p.up_time);
+        prefill_out.instance_seconds += std::max(0.0, end - p.up_time);
       }
       for (const auto& d : decode) {
         double end = d.down_time >= 0.0 ? std::min(d.down_time, metrics.makespan_s)
                                         : metrics.makespan_s;
-        metrics.decode_instance_seconds += std::max(0.0, end - d.up_time);
+        decode_out.instance_seconds += std::max(0.0, end - d.up_time);
       }
-      metrics.prefill_utilization = metrics.prefill_instance_seconds > 0.0
-                                        ? prefill_busy / metrics.prefill_instance_seconds
-                                        : 0.0;
-      metrics.decode_utilization = metrics.decode_instance_seconds > 0.0
-                                       ? decode_busy / metrics.decode_instance_seconds
-                                       : 0.0;
-      metrics.final_prefill_instances = active_prefill;
-      metrics.final_decode_instances = active_decode;
+      prefill_out.utilization =
+          prefill_out.instance_seconds > 0.0 ? prefill_busy / prefill_out.instance_seconds : 0.0;
+      decode_out.utilization =
+          decode_out.instance_seconds > 0.0 ? decode_busy / decode_out.instance_seconds : 0.0;
+      prefill_out.final_instances = active_prefill;
+      decode_out.final_instances = active_decode;
     } else {
-      metrics.prefill_utilization =
-          prefill_busy / (config.prefill_instances * metrics.makespan_s);
-      metrics.decode_utilization =
-          decode_busy / (config.decode_instances * metrics.makespan_s);
+      prefill_out.utilization = prefill_busy / (config.prefill_instances * metrics.makespan_s);
+      decode_out.utilization = decode_busy / (config.decode_instances * metrics.makespan_s);
     }
     metrics.mean_decode_batch = decode_busy > 0.0 ? batch_product / decode_busy : 0.0;
-    metrics.prefill_busy_s = prefill_busy;
-    metrics.decode_busy_s = decode_busy;
+    prefill_out.busy_s = prefill_busy;
+    decode_out.busy_s = decode_busy;
     metrics.decode_batch_time_product = batch_product;
     if (faults_enabled) {
       // Per-pool downtime over [0, makespan], replayed from the event log:
@@ -1138,8 +1137,7 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
         bool is_prefill = e.pool == ScalePool::kPrefill;
         std::vector<double>& down_since =
             is_prefill ? down_since_prefill : down_since_decode;
-        double& downtime = is_prefill ? metrics.prefill_fault_downtime_s
-                                      : metrics.decode_fault_downtime_s;
+        double& downtime = is_prefill ? prefill_out.fault_downtime_s : decode_out.fault_downtime_s;
         size_t i = static_cast<size_t>(e.instance);
         if (e.kind == FaultEventKind::kFailure) {
           down_since[i] = e.time_s;
@@ -1152,13 +1150,13 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
       }
       for (size_t i = 0; i < down_since_prefill.size(); ++i) {
         if (down_since_prefill[i] >= 0.0 && prefill[i].active) {
-          metrics.prefill_fault_downtime_s +=
+          prefill_out.fault_downtime_s +=
               metrics.makespan_s - std::min(down_since_prefill[i], metrics.makespan_s);
         }
       }
       for (size_t i = 0; i < down_since_decode.size(); ++i) {
         if (down_since_decode[i] >= 0.0 && decode[i].active) {
-          metrics.decode_fault_downtime_s +=
+          decode_out.fault_downtime_s +=
               metrics.makespan_s - std::min(down_since_decode[i], metrics.makespan_s);
         }
       }
@@ -1168,13 +1166,13 @@ ServeMetrics RunSimulation(const std::vector<Request>& requests,
     // Close windows still open at the end of the run, clipped to makespan.
     for (const auto& p : prefill) {
       if (p.degrade_since >= 0.0) {
-        metrics.prefill_degraded_instance_s +=
+        prefill_out.degraded_instance_s +=
             std::max(0.0, metrics.makespan_s - p.degrade_since);
       }
     }
     for (const auto& d : decode) {
       if (d.degrade_since >= 0.0) {
-        metrics.decode_degraded_instance_s +=
+        decode_out.degraded_instance_s +=
             std::max(0.0, metrics.makespan_s - d.degrade_since);
       }
     }
@@ -1194,6 +1192,135 @@ ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
                                          const ServeClusterConfig& config,
                                          const StepTimeTable& table) {
   return RunSimulation(requests, config, table);
+}
+
+namespace {
+
+// Walks two ServeMetrics field by field and keeps the name of the first
+// field that differs; every check after that is a no-op.
+class FirstDifference {
+ public:
+  // Prefixes the names of the fields checked next, e.g. "per_class[1].".
+  void Scope(std::string scope) { scope_ = std::move(scope); }
+  void Check(bool same, const std::string& name) {
+    if (found_.empty() && !same) {
+      found_ = scope_ + name;
+    }
+  }
+  template <typename T>
+  void Field(const char* name, const T& x, const T& y) {
+    Check(x == y, name);
+  }
+  // The count and the reported quantiles (both ends included).
+  template <typename Distribution>
+  void Quantiles(const char* name, const Distribution& x, const Distribution& y) {
+    Check(x.count() == y.count(), std::string(name) + ".count");
+    for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+      if (found_.empty()) {
+        Check(x.Quantile(q) == y.Quantile(q),
+              std::string(name) + ".quantile(" + FormatDouble(q) + ")");
+      }
+    }
+  }
+  void Histogram(const char* name, const LatencyHistogram& x, const LatencyHistogram& y) {
+    Check(x.min() == y.min(), std::string(name) + ".min");
+    Check(x.max() == y.max(), std::string(name) + ".max");
+    Quantiles(name, x, y);
+  }
+  // Element-wise over two event logs; `fields` checks one pair of entries.
+  template <typename Event, typename Fields>
+  void Log(const char* name, const std::vector<Event>& x, const std::vector<Event>& y,
+           Fields fields) {
+    Check(x.size() == y.size(), std::string(name) + ".size");
+    for (size_t i = 0; found_.empty() && i < x.size(); ++i) {
+      Scope(std::string(name) + "[" + std::to_string(i) + "].");
+      fields(x[i], y[i]);
+    }
+    Scope("");
+  }
+  std::string Take() { return std::move(found_); }
+
+ private:
+  std::string scope_;
+  std::string found_;
+};
+
+}  // namespace
+
+std::string FirstServeMetricsDifference(const ServeMetrics& a, const ServeMetrics& b) {
+  FirstDifference d;
+  d.Field("admitted_requests", a.admitted_requests, b.admitted_requests);
+  d.Field("completed_requests", a.completed_requests, b.completed_requests);
+  d.Field("in_flight_at_horizon", a.in_flight_at_horizon, b.in_flight_at_horizon);
+  d.Field("output_tokens", a.output_tokens, b.output_tokens);
+  d.Field("makespan_s", a.makespan_s, b.makespan_s);
+  d.Field("decode_tokens_per_s", a.decode_tokens_per_s, b.decode_tokens_per_s);
+  d.Field("mean_decode_batch", a.mean_decode_batch, b.mean_decode_batch);
+  d.Field("decode_batch_time_product", a.decode_batch_time_product,
+          b.decode_batch_time_product);
+  d.Quantiles("ttft_s", a.ttft_s, b.ttft_s);
+  d.Field("ttft_streamed", a.ttft_streamed, b.ttft_streamed);
+  d.Histogram("ttft_hist", a.ttft_hist, b.ttft_hist);
+  d.Histogram("tbt_s", a.tbt_s, b.tbt_s);
+  d.Field("retried_requests", a.retried_requests, b.retried_requests);
+  d.Field("dropped_requests", a.dropped_requests, b.dropped_requests);
+  d.Field("lost_tokens", a.lost_tokens, b.lost_tokens);
+  d.Field("degrade_windows", a.degrade_windows, b.degrade_windows);
+  d.Field("degraded_output_tokens", a.degraded_output_tokens, b.degraded_output_tokens);
+  d.Field("shed_requests", a.shed_requests, b.shed_requests);
+  d.Field("largest_outage_time_s", a.largest_outage_time_s, b.largest_outage_time_s);
+  d.Field("largest_outage_lost_tokens", a.largest_outage_lost_tokens,
+          b.largest_outage_lost_tokens);
+  d.Field("time_to_drain_s", a.time_to_drain_s, b.time_to_drain_s);
+  for (ScalePool pool : {ScalePool::kPrefill, ScalePool::kDecode}) {
+    const ServePoolMetrics& x = a.pool(pool);
+    const ServePoolMetrics& y = b.pool(pool);
+    d.Scope(std::string("pools[") + ToString(pool) + "].");
+    d.Field("busy_s", x.busy_s, y.busy_s);
+    d.Field("utilization", x.utilization, y.utilization);
+    d.Field("instance_seconds", x.instance_seconds, y.instance_seconds);
+    d.Field("peak_instances", x.peak_instances, y.peak_instances);
+    d.Field("final_instances", x.final_instances, y.final_instances);
+    d.Field("fault_downtime_s", x.fault_downtime_s, y.fault_downtime_s);
+    d.Field("degraded_instance_s", x.degraded_instance_s, y.degraded_instance_s);
+  }
+  d.Scope("");
+  d.Log("per_class", a.per_class, b.per_class,
+        [&d](const ServeClassMetrics& x, const ServeClassMetrics& y) {
+          d.Field("admitted_requests", x.admitted_requests, y.admitted_requests);
+          d.Field("completed_requests", x.completed_requests, y.completed_requests);
+          d.Field("in_flight_at_horizon", x.in_flight_at_horizon, y.in_flight_at_horizon);
+          d.Field("output_tokens", x.output_tokens, y.output_tokens);
+          d.Quantiles("ttft_s", x.ttft_s, y.ttft_s);
+          d.Histogram("ttft_hist", x.ttft_hist, y.ttft_hist);
+          d.Histogram("tbt_s", x.tbt_s, y.tbt_s);
+        });
+  d.Log("scale_events", a.scale_events, b.scale_events,
+        [&d](const ScaleEvent& x, const ScaleEvent& y) {
+          d.Field("time_s", x.time_s, y.time_s);
+          d.Field("pool", x.pool, y.pool);
+          d.Field("delta", x.delta, y.delta);
+          d.Field("instances_after", x.instances_after, y.instances_after);
+          d.Field("reason", x.reason, y.reason);
+        });
+  d.Log("fault_events", a.fault_events, b.fault_events,
+        [&d](const FaultEvent& x, const FaultEvent& y) {
+          d.Field("time_s", x.time_s, y.time_s);
+          d.Field("kind", x.kind, y.kind);
+          d.Field("pool", x.pool, y.pool);
+          d.Field("instance", x.instance, y.instance);
+          d.Field("domain", x.domain, y.domain);
+          d.Field("killed_requests", x.killed_requests, y.killed_requests);
+          d.Field("lost_tokens", x.lost_tokens, y.lost_tokens);
+          d.Field("spares_free", x.spares_free, y.spares_free);
+        });
+  d.Log("shed_events", a.shed_events, b.shed_events,
+        [&d](const ShedEvent& x, const ShedEvent& y) {
+          d.Field("time_s", x.time_s, y.time_s);
+          d.Field("request", x.request, y.request);
+          d.Field("reason", x.reason, y.reason);
+        });
+  return d.Take();
 }
 
 }  // namespace litegpu

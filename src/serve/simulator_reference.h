@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <string>
+
 #include "src/serve/simulator.h"
 
 namespace litegpu {
@@ -19,5 +21,19 @@ namespace litegpu {
 ServeMetrics RunServeSimulationReference(const std::vector<Request>& requests,
                                          const ServeClusterConfig& config,
                                          const StepTimeTable& table);
+
+// Serve-core identity: the one definition of "bit-identical" the tests and
+// bench_serve_scale hold the two cores to. Returns the name of the first
+// field where `a` and `b` differ (e.g. "pools[decode].peak_instances",
+// "fault_events[3].lost_tokens"), or "" when they are identical. It reads
+// every outcome field, and the raw accumulators that decode macro-steps
+// regroup (busy time and batch-time product, token totals, degraded
+// accounting, each histogram's count, min, max and quantiles), so a
+// regrouping that only happens to round to the same ratio still differs.
+// TTFT sample sets compare by count and quantiles, so the order samples
+// were added in does not matter. The engine's cost counters
+// (events_popped, peak_live_requests, peak_demand_entries) are left out:
+// the reference core does not keep them.
+std::string FirstServeMetricsDifference(const ServeMetrics& a, const ServeMetrics& b);
 
 }  // namespace litegpu

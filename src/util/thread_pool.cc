@@ -10,7 +10,7 @@ namespace litegpu {
 
 namespace {
 
-std::atomic<uint64_t> g_workers_spawned{0};
+std::atomic<uint64_t> g_lanes_started{0};
 
 // Set on a thread while it runs the body of a ParallelFor over two or more
 // indices; a ParallelFor called under it runs inline.
@@ -18,8 +18,8 @@ thread_local bool t_in_fanout = false;
 
 }  // namespace
 
-uint64_t ThreadPoolWorkersSpawned() {
-  return g_workers_spawned.load(std::memory_order_relaxed);
+uint64_t ParallelForLanesStarted() {
+  return g_lanes_started.load(std::memory_order_relaxed);
 }
 
 int ResolveThreads(int requested) {
@@ -71,7 +71,7 @@ void ParallelFor(int threads, int n, const std::function<void(int)>& fn) {
     try {
       for (int w = 0; w < lanes; ++w) {
         workers.emplace_back(lane);
-        g_workers_spawned.fetch_add(1, std::memory_order_relaxed);
+        g_lanes_started.fetch_add(1, std::memory_order_relaxed);
       }
     } catch (...) {
       // Starting a lane can throw std::system_error under resource

@@ -32,7 +32,7 @@ int ResolveThreads(int requested);
 // Lanes ParallelFor has started so far in this process. Read-only: tests
 // diff it around a call to check that a composite driver fans out once
 // rather than once per inner sweep.
-uint64_t ThreadPoolWorkersSpawned();
+uint64_t ParallelForLanesStarted();
 
 // Runs fn(i) for every i in [0, n) on min(ResolveThreads(threads), n)
 // lanes, each a std::thread taking indices from a shared counter; the

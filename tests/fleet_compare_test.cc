@@ -333,15 +333,15 @@ std::vector<FleetCandidate> FanOutCatalog() {
 }
 
 // The study fans out once over its parts (each search serial) and once over
-// its candidates, so at two threads it spawns two workers per phase — not a
-// pool per TP-degree search.
+// its candidates, so at two threads it starts two lanes per phase — not a
+// fan-out per TP-degree search.
 TEST(FleetCompare, OneFanOutPerPhase) {
   Scenario s = FleetScenario(0xC0FFEE, 2, FanOutCatalog());
-  uint64_t before = ThreadPoolWorkersSpawned();
+  uint64_t before = ParallelForLanesStarted();
   FleetCompareReport r = RunFleet(s);
-  uint64_t spawned = ThreadPoolWorkersSpawned() - before;
+  uint64_t lanes = ParallelForLanesStarted() - before;
   EXPECT_EQ(r.platform_builds, 4);
-  EXPECT_LE(spawned, 4u);
+  EXPECT_LE(lanes, 4u);
   ASSERT_EQ(r.candidates.size(), 6u);
   EXPECT_FALSE(r.candidates[4].error.empty());
   EXPECT_EQ(r.candidates[4].searched.decode_tp, 0);  // the platform failed

@@ -158,9 +158,9 @@ TEST(RunScenarios, OneThreadBatchStartsNoLane) {
   }
   ExecPolicy serial;
   serial.threads = 1;
-  uint64_t before = ThreadPoolWorkersSpawned();
+  uint64_t before = ParallelForLanesStarted();
   std::vector<RunReport> inline_reports = RunScenarios(batch, serial);
-  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 0u);
+  EXPECT_EQ(ParallelForLanesStarted() - before, 0u);
   ExecPolicy four;
   four.threads = 4;
   std::vector<RunReport> parallel = RunScenarios(batch, four);

@@ -32,16 +32,28 @@ TEST(Search, DecodeFindsConfigForAllCaseStudyModelsOnH100) {
   }
 }
 
+// The search caps a batch with MaxBatchForCapacity's closed form and the
+// SLO; one past the best batch must fail the direct evaluation in each phase.
 TEST(Search, BestBatchIsSloOrCapacityBoundary) {
   TransformerSpec model = Llama3_70B();
-  DecodeSearchResult r = SearchDecode(model, H100(), FastOptions());
-  ASSERT_TRUE(r.found);
-  // One more sequence must violate either the SLO or the memory capacity.
-  auto plan = MakeTpPlan(model, r.best.tp_degree).value();
   SearchOptions options = FastOptions();
+  DecodeSearchResult r = SearchDecode(model, H100(), options);
+  ASSERT_TRUE(r.found);
+  // One more sequence must violate either the TBT SLO or the memory capacity.
+  auto plan = MakeTpPlan(model, r.best.tp_degree).value();
   DecodeResult next = EvaluateDecode(model, H100(), plan, r.best.batch + 1, options.workload,
                                      options.engine);
   EXPECT_TRUE(!next.feasible || !next.meets_slo);
+  // One more prompt must violate either the TTFT SLO or the memory capacity.
+  PrefillSearchResult prefill = SearchPrefill(model, H100(), options);
+  ASSERT_TRUE(prefill.found);
+  ASSERT_LT(prefill.best.batch, options.max_batch);
+  auto prefill_plan = MakeTpPlan(model, prefill.best.tp_degree).value();
+  PrefillResult next_prefill = EvaluatePrefill(model, H100(), prefill_plan,
+                                               prefill.best.batch + 1, options.workload,
+                                               options.engine);
+  EXPECT_TRUE(!next_prefill.feasible || !next_prefill.meets_slo)
+      << "tp " << prefill.best.tp_degree << " batch " << prefill.best.batch;
 }
 
 TEST(Search, MatchesBruteForceSmallGrid) {

@@ -198,8 +198,9 @@ TEST(SimulatorFaults, DisabledFaultsStayInert) {
   EXPECT_EQ(m.retried_requests, 0);
   EXPECT_EQ(m.dropped_requests, 0);
   EXPECT_DOUBLE_EQ(m.lost_tokens, 0.0);
-  EXPECT_DOUBLE_EQ(m.prefill_fault_downtime_s, 0.0);
-  EXPECT_DOUBLE_EQ(m.decode_fault_downtime_s, 0.0);
+  for (const ServePoolMetrics& pool : m.pools) {
+    EXPECT_DOUBLE_EQ(pool.fault_downtime_s, 0.0);
+  }
 }
 
 TEST(SimulatorFaults, RetryPolicyConservesRequests) {
@@ -238,7 +239,9 @@ TEST(SimulatorFaults, RetryPolicyConservesRequests) {
   EXPECT_GT(failures, 0);
   EXPECT_EQ(m.retried_requests, killed);
   EXPECT_DOUBLE_EQ(m.lost_tokens, lost);
-  EXPECT_GT(m.prefill_fault_downtime_s + m.decode_fault_downtime_s, 0.0);
+  EXPECT_GT(m.pool(ScalePool::kPrefill).fault_downtime_s +
+                m.pool(ScalePool::kDecode).fault_downtime_s,
+            0.0);
   // Killed decode tokens were subtracted from goodput: the total is below
   // the fault-free total of sum(output_tokens).
   EXPECT_LE(m.output_tokens, 300.0 * 32.0);
@@ -467,8 +470,8 @@ TEST(SimulatorFaults, DegradedStepTimesMatchHandComputedSchedule) {
       expected_s += w.second - w.first;
     }
   }
-  EXPECT_DOUBLE_EQ(m.decode_degraded_instance_s, expected_s);
-  EXPECT_DOUBLE_EQ(m.prefill_degraded_instance_s, 0.0);
+  EXPECT_DOUBLE_EQ(m.pool(ScalePool::kDecode).degraded_instance_s, expected_s);
+  EXPECT_DOUBLE_EQ(m.pool(ScalePool::kPrefill).degraded_instance_s, 0.0);
   EXPECT_GT(m.degrade_windows, 0);
 }
 

@@ -99,8 +99,9 @@ TEST(MergeServeShardMetrics, MergeOfASingleShardIsThatShard) {
   EXPECT_EQ(merged.output_tokens, shard.output_tokens);
   EXPECT_EQ(merged.makespan_s, shard.makespan_s);
   EXPECT_EQ(merged.decode_tokens_per_s, shard.decode_tokens_per_s);
-  EXPECT_EQ(merged.prefill_utilization, shard.prefill_utilization);
-  EXPECT_EQ(merged.decode_utilization, shard.decode_utilization);
+  for (int p : {0, 1}) {
+    EXPECT_EQ(merged.pools[p].utilization, shard.pools[p].utilization) << p;
+  }
   EXPECT_EQ(merged.mean_decode_batch, shard.mean_decode_batch);
   EXPECT_TRUE(merged.ttft_streamed);
   EXPECT_EQ(merged.ttft_hist.count(), shard.ttft_hist.count());
@@ -132,12 +133,12 @@ TEST(MergeServeShardMetrics, CountsSumAndRatiosRecomputeFromSummedAggregates) {
   // per-shard ratios.
   EXPECT_DOUBLE_EQ(merged.decode_tokens_per_s,
                    (a.output_tokens + b.output_tokens) / merged.makespan_s);
-  EXPECT_DOUBLE_EQ(merged.prefill_utilization,
-                   (a.prefill_busy_s + b.prefill_busy_s) /
+  EXPECT_DOUBLE_EQ(merged.pool(ScalePool::kPrefill).utilization,
+                   (a.pool(ScalePool::kPrefill).busy_s + b.pool(ScalePool::kPrefill).busy_s) /
                        (2.0 * merged.makespan_s));
   EXPECT_DOUBLE_EQ(merged.mean_decode_batch,
                    (a.decode_batch_time_product + b.decode_batch_time_product) /
-                       (a.decode_busy_s + b.decode_busy_s));
+                       (a.pool(ScalePool::kDecode).busy_s + b.pool(ScalePool::kDecode).busy_s));
   // Histograms merge bin-wise: counts add, and the merged quantile is
   // bracketed by the shard quantiles.
   EXPECT_EQ(merged.ttft_hist.count(), a.ttft_hist.count() + b.ttft_hist.count());

@@ -438,10 +438,10 @@ TEST(Simulator, UtilizationBounded) {
   config.prefill_instances = 2;
   config.decode_instances = 2;
   ServeMetrics m = RunServeSimulation(requests, config, SimpleTable());
-  EXPECT_GT(m.prefill_utilization, 0.0);
-  EXPECT_LE(m.prefill_utilization, 1.0 + 1e-9);
-  EXPECT_GT(m.decode_utilization, 0.0);
-  EXPECT_LE(m.decode_utilization, 1.0 + 1e-9);
+  for (const ServePoolMetrics& pool : m.pools) {
+    EXPECT_GT(pool.utilization, 0.0);
+    EXPECT_LE(pool.utilization, 1.0 + 1e-9);
+  }
 }
 
 TEST(Simulator, SimultaneousEventsProcessInSpecifiedOrder) {

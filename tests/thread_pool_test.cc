@@ -125,23 +125,23 @@ TEST(ThreadPool, NestedCallInTheInlinePathStartsNoLane) {
   // A one-thread call over two indices is still a fan-out: what its body
   // calls, even under a one-index call, stays on the calling thread.
   std::atomic<int> ran{0};
-  uint64_t before = ThreadPoolWorkersSpawned();
+  uint64_t before = ParallelForLanesStarted();
   ParallelFor(1, 2, [&](int) {
     ParallelFor(4, 8, [&](int) { ran.fetch_add(1); });
     ParallelFor(4, 1, [&](int) { ParallelFor(4, 8, [&](int) { ran.fetch_add(1); }); });
   });
-  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 0u);
+  EXPECT_EQ(ParallelForLanesStarted() - before, 0u);
   EXPECT_EQ(ran.load(), 32);
   // The rule ends with the call: a fan-out after it starts its lanes.
   ParallelFor(2, 4, [&](int) { ran.fetch_add(1); });
-  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 2u);
+  EXPECT_EQ(ParallelForLanesStarted() - before, 2u);
 }
 
 TEST(ThreadPool, OneIndexCallLeavesItsBodyFreeToFanOut) {
   std::atomic<int> ran{0};
-  uint64_t before = ThreadPoolWorkersSpawned();
+  uint64_t before = ParallelForLanesStarted();
   ParallelFor(4, 1, [&](int) { ParallelFor(2, 8, [&](int) { ran.fetch_add(1); }); });
-  EXPECT_EQ(ThreadPoolWorkersSpawned() - before, 2u);
+  EXPECT_EQ(ParallelForLanesStarted() - before, 2u);
   EXPECT_EQ(ran.load(), 8);
 }
 

@@ -100,6 +100,7 @@ invocations=(
   "sweep --loads 0.2:0.6:0.2 --horizon 10 --decode-instances 2 --seed 11 --classes @/classes.json"
   "sweep --loads 0.3,0.6 --horizon 10 --prompt-sigma 0.2 --output-sigma 0.1 --arrival @/arrival_wrapped.json --faults @/faults.json"
   "sweep --gpu Lite --rates 2:6:2 --horizon 10 --shards 2 --prefill-instances 1"
+  "sweep --rates 2,4 --horizon 10 --shards 3 --classes @/classes.json"
   "sweep --model Llama3-8B --rates 3,6 --horizon 10 --autoscaler @/autoscaler.json --kv-ideal"
   "mcsim --gpu Lite --gpus-per-instance 4 --instances 8 --spares 2 --years 5 --seed 9 --trials 4 --threads 2"
   "yield --d0 0.2 --area 400 --split 2 --cluster-alpha 2 --threads 2"
