@@ -97,7 +97,7 @@ struct FaultDomainConfig {
 // killing an instance, a degrade event multiplies its step/pass times by
 // `multiplier` for an exponentially-distributed window. In-flight steps
 // keep the duration they were dispatched with; the multiplier applies on
-// dispatch only, so completion-heap accounting stays exact. A failure
+// dispatch only, so completion accounting stays exact. A failure
 // clears the degraded state (the repaired/replaced instance comes back
 // fresh).
 struct DegradedStateConfig {

@@ -20,11 +20,12 @@
 //    decode instance's batch cannot change between its step boundaries
 //    unless a sequence completes, it admits from the decode queue, a
 //    degrade transition changes its step time, or it fails. Every run,
-//    faulty or not, keeps an instance's sequences on one completion heap
-//    ordered by (finish step, request index). So a step starting at t
-//    plans a run of R steps up to its first completion, the heap's top,
-//    and schedules one event at the run's end. Every boundary must be the
-//    per-step loop's `+= step` result bit for bit, so the end is
+//    faulty or not, keeps an instance's sequences on one finish-step
+//    wheel (src/serve/completion_wheel.h): O(1) to add a sequence, to find
+//    the earliest finish step, and to take the sequences finishing at a
+//    step. So a step starting at t plans a run of R steps up to its first
+//    completion and schedules one event at the run's end. Every boundary
+//    must be the per-step loop's `+= step` result bit for bit, so the end is
 //    RepeatedSum(t + step, step, R - 1) (src/util/repeated_sum.h): the
 //    exact result of those additions in O(binades crossed) work. At the
 //    run's end the R steps land in bulk: one weighted TBT add of
@@ -58,6 +59,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/serve/completion_wheel.h"
 #include "src/serve/event_queue.h"
 #include "src/util/repeated_sum.h"
 
@@ -181,58 +183,6 @@ class PassEnds {
   std::vector<Window> windows_;
   double ahead_ = 0.0;  // a pass end, ahead of the last query while > now
 };
-
-// A decode sequence on its instance's completion heap. finish_step is the
-// instance step count at which it emits its last token; class rides along
-// for per-class accounting. The heap orders by (finish_step, request), so
-// its top is the earliest finish.
-struct Completion {
-  uint64_t finish_step;
-  int request;
-  int cls;
-};
-// Whether completion a comes before b. Keys are unique (one entry per
-// request), so the heap pops in the same order whatever its layout.
-// Evaluated without branches: the sift-down below picks a child by this
-// test, and a branch on it mispredicts about half the time.
-inline bool Before(const Completion& a, const Completion& b) {
-  return (a.finish_step < b.finish_step) |
-         ((a.finish_step == b.finish_step) & (a.request < b.request));
-}
-// std::push_heap comparator: the later completion is "less", so the
-// earliest sits at the front.
-struct LaterCompletion {
-  bool operator()(const Completion& a, const Completion& b) const { return Before(b, a); }
-};
-// Removes the earliest completion (Floyd's pop): the hole at the top sinks
-// to a leaf along the earlier child, then the last entry rises into it.
-// Hand-written because std::pop_heap, even with LaterCompletion's
-// branch-free body, ran steady_poisson 5-9% slower (GCC 12, x86-64).
-void PopCompletion(std::vector<Completion>& heap) {
-  const Completion last = heap.back();
-  heap.pop_back();
-  const size_t n = heap.size();
-  if (n == 0) {
-    return;
-  }
-  size_t hole = 0;
-  for (size_t child = 1; child < n; child = 2 * hole + 1) {
-    if (child + 1 < n) {
-      child += static_cast<size_t>(Before(heap[child + 1], heap[child]));
-    }
-    heap[hole] = heap[child];
-    hole = child;
-  }
-  while (hole > 0) {
-    size_t parent = (hole - 1) / 2;
-    if (!Before(last, heap[parent])) {
-      break;
-    }
-    heap[hole] = heap[parent];
-    hole = parent;
-  }
-  heap[hole] = last;
-}
 
 // Per-request state the engine keeps while a request is live: what the
 // stream yielded, plus the retry count retry_with_budget spends.
@@ -460,11 +410,12 @@ struct SimScratch {
   std::vector<int> d_macro_steps, d_macro_charged, d_macro_done;
   std::vector<int> d_step_seq;
   // Active sequences: the instance's steps so far, its batch size (the
-  // heap's size, kept as a flat count because the hot path reads it every
-  // step), its completion min-heap, and per-class counts of heap entries.
+  // wheel's entry count, kept as a flat count because the hot path reads
+  // it every step), its finish-step wheel, and per-class counts of wheel
+  // entries.
   std::vector<uint64_t> d_step_count;
   std::vector<int> d_active_count;
-  std::vector<std::vector<Completion>> d_heap;
+  std::vector<CompletionWheel> d_wheel;
   std::vector<int> class_active;  // [instance * num_classes + class]
 
   LiveRequests live;
@@ -498,8 +449,8 @@ struct SimScratch {
     d_step_seq.push_back(0);
     d_step_count.push_back(0);
     d_active_count.push_back(0);
-    if (d_heap.size() < n) {
-      d_heap.emplace_back();
+    if (d_wheel.size() < n) {
+      d_wheel.emplace_back();
     }
     if (num_classes > 0) {
       class_active.resize(n * static_cast<size_t>(num_classes), 0);
@@ -530,9 +481,9 @@ struct SimScratch {
     d_step_seq.clear();
     d_step_count.clear();
     d_active_count.clear();
-    d_heap.resize(static_cast<size_t>(n_decode));
-    for (auto& h : d_heap) {
-      h.clear();
+    d_wheel.resize(static_cast<size_t>(n_decode));
+    for (CompletionWheel& w : d_wheel) {
+      w.Clear();
     }
     class_active.clear();
     d_cuttable.clear();
@@ -977,7 +928,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
 
   auto try_start_decode_step_at = [&](double t, int i) {
     const int max_batch = table.max_decode_batch();
-    std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
+    CompletionWheel& wheel = S.d_wheel[static_cast<size_t>(i)];
     {
       // Admit waiting sequences at the step boundary (draining instances
       // only finish what they already hold).
@@ -992,8 +943,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
             cls = class_of(req);
             ++S.class_active[static_cast<size_t>(i) * ncls + static_cast<size_t>(cls)];
           }
-          heap.push_back({S.d_step_count[i] + left, req, cls});
-          std::push_heap(heap.begin(), heap.end(), LaterCompletion{});
+          wheel.Push(S.d_step_count[i], {S.d_step_count[i] + left, req, cls});
           ++S.d_active_count[i];
           if (track_qsums) {
             queued_output_tokens -= S.live[req].output_tokens;
@@ -1021,7 +971,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       bool could_admit = !(decode.state[i] & kDraining) && batch < max_batch;
       if (!could_admit ||
           (decode_queue.empty() && !S.prefill_ends.AnyEndBy(now, end))) {
-        steps = static_cast<int>(heap.front().finish_step - S.d_step_count[i]);
+        steps = static_cast<int>(wheel.NextFinish(S.d_step_count[i]) - S.d_step_count[i]);
         end = RepeatedSum(end, duration, static_cast<uint64_t>(steps - 1));
         S.d_macro_charged[i] = 1;
         S.d_macro_done[i] = 0;
@@ -1131,21 +1081,18 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
   };
   auto kill_decode = [&](int i, double& lost) {
     settle_decode(i);  // steps ending before now completed
-    std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
-    int killed = static_cast<int>(heap.size());
+    int killed = S.d_active_count[i];
     if (decode.state[i] & kBusy) {
       // Settled above: d_step_started is the step in progress.
       double unfinished = S.d_step_started[i] + S.d_step_duration[i] - now;
       decode.busy_time[i] -= unfinished;
-      S.d_batch_time_product[i] -= static_cast<double>(heap.size()) * unfinished;
+      S.d_batch_time_product[i] -= static_cast<double>(killed) * unfinished;
       decode.state[i] &= static_cast<uint8_t>(~kBusy);
       ++S.d_step_seq[i];  // stales the run's end event
       drop_cuttable(i);
     }
     // Victims requeue (or drop) oldest first: request index is arrival order.
-    std::sort(heap.begin(), heap.end(),
-              [](const Completion& a, const Completion& b) { return a.request < b.request; });
-    for (const Completion& c : heap) {
+    for (const Completion& c : S.d_wheel[static_cast<size_t>(i)].Drain()) {
       // Generated-so-far tokens die with the KV cache: they are not
       // horizon goodput, so back them out of the token counts.
       int left = static_cast<int>(c.finish_step - S.d_step_count[i]);
@@ -1159,7 +1106,6 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       }
       requeue_or_drop(c.request);
     }
-    heap.clear();
     S.d_active_count[i] = 0;
     return killed;
   };
@@ -1456,13 +1402,12 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
       decode.state[i] &= static_cast<uint8_t>(~kBusy);
       decode.SyncReady(i);
       // Sequences whose remaining count just hit zero are exactly the
-      // completion-heap entries at the new step count.
+      // wheel entries at the new step count. Their completions commute:
+      // each only finishes its request and bumps counters.
       uint64_t done_step = (S.d_step_count[i] += static_cast<uint64_t>(k));
-      std::vector<Completion>& heap = S.d_heap[static_cast<size_t>(i)];
-      while (!heap.empty() && heap.front().finish_step == done_step) {
-        size_t cls = static_cast<size_t>(heap.front().cls);
-        S.live.Finish(heap.front().request);
-        PopCompletion(heap);
+      S.d_wheel[static_cast<size_t>(i)].PopStep(done_step, [&](const Completion& c) {
+        size_t cls = static_cast<size_t>(c.cls);
+        S.live.Finish(c.request);
         --S.d_active_count[i];
         ++metrics.completed_requests;
         if (track_classes) {
@@ -1478,7 +1423,7 @@ ServeMetrics RunServeSimulation(RequestStream& stream, const ServeClusterConfig&
           }
         }
         metrics.makespan_s = now;
-      }
+      });
       if ((decode.state[i] & kDraining) && S.d_active_count[i] == 0) {
         retire(kDecodePool, i, decode.drain_reason[i]);
       }

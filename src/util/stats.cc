@@ -5,29 +5,25 @@
 
 namespace litegpu {
 
-void SampleSet::Add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-void SampleSet::SortIfNeeded() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
+void SampleSet::Add(double x) { samples_.push_back(x); }
 
 double SampleSet::Quantile(double q) const {
   if (samples_.empty()) {
     return 0.0;
   }
-  SortIfNeeded();
   q = std::clamp(q, 0.0, 1.0);
   double pos = q * static_cast<double>(samples_.size() - 1);
   size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, samples_.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // The two straddling order statistics by selection (Hoare's FIND), O(n)
+  // on average instead of a sort: after nth_element everything past `lo`
+  // is at or above it, so the next order statistic is their minimum.
+  auto at_lo = samples_.begin() + static_cast<ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), at_lo, samples_.end());
+  double lo_value = *at_lo;
+  double hi_value = lo + 1 < samples_.size() ? *std::min_element(at_lo + 1, samples_.end())
+                                             : lo_value;
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 LatencyHistogram::LatencyHistogram(double hi, size_t bins)

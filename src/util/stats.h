@@ -9,7 +9,9 @@
 namespace litegpu {
 
 // Stores all samples; supports exact quantiles. Suitable for the sample
-// counts our simulators produce (<= millions).
+// counts our simulators produce (<= millions). Each Quantile call selects
+// its two order statistics in O(n) and may reorder the stored samples, so
+// the order of samples() is unspecified once a quantile has been read.
 class SampleSet {
  public:
   void Add(double x);
@@ -25,10 +27,7 @@ class SampleSet {
   const std::vector<double>& samples() const { return samples_; }
 
  private:
-  void SortIfNeeded() const;
-
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
 
 // Streaming fixed-bin latency accumulator: O(bins) memory no matter how

@@ -16,6 +16,7 @@
 #include "src/core/scenario.h"
 #include "src/hw/catalog.h"
 #include "src/reliability/failure_model.h"
+#include "src/serve/completion_wheel.h"
 #include "src/serve/simulator.h"
 #include "src/serve/simulator_reference.h"
 #include "src/serve/workload.h"
@@ -297,6 +298,28 @@ TEST(SimulatorFaults, FaultLogBitIdenticalToReferenceCore) {
   ServeMetrics a = RunServeSimulation(requests, config, table);
   ServeMetrics b = RunServeSimulationReference(requests, config, table);
   EXPECT_GT(a.retried_requests, 0) << "the churn never killed a batch";
+  ExpectBitIdentical(a, b);
+}
+
+TEST(SimulatorFaults, OutputsPastTheWheelSpanMatchReferenceCore) {
+  // Outputs on both sides of the decode wheel's ring span (kSlots steps),
+  // so sequences finish from the ring and from the far heap, and failures
+  // kill batches holding both.
+  StepTimeTable table = SimpleTable();
+  const int span = static_cast<int>(CompletionWheel::kSlots);
+  auto requests =
+      FixedRequests(120, 0.05, {span + 900, 40, span - 1, span, span + 1, 2 * span + 500, 700});
+  ServeClusterConfig config;
+  config.prefill_instances = 1;
+  config.decode_instances = 2;
+  config.horizon_s = 30.0;
+  config.faults = ChurnyFaults(FaultRetryPolicy::kRetryWithBudget);
+  config.faults.decode_failure_rate_per_s = 0.2;
+  config.faults.retry_budget = 1;
+  ServeMetrics a = RunServeSimulation(requests, config, table);
+  ServeMetrics b = RunServeSimulationReference(requests, config, table);
+  EXPECT_GT(a.retried_requests, 0) << "the churn never killed a batch";
+  EXPECT_GT(a.completed_requests, 0);
   ExpectBitIdentical(a, b);
 }
 

@@ -4,9 +4,11 @@
 // the same requests); and a streamed run's per-request state must track
 // the requests in flight, not the horizon.
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/serve/simulator.h"
@@ -31,14 +33,26 @@ StepTimeTable StreamTable() {
   return StepTimeTable(std::move(prefill), std::move(decode));
 }
 
+// The TTFT samples in recording order, global then per class. Taken
+// before any quantile read, which may reorder them.
+std::vector<std::vector<double>> TtftInOrder(const ServeMetrics& m) {
+  std::vector<std::vector<double>> out = {m.ttft_s.samples()};
+  for (const ServeClassMetrics& c : m.per_class) {
+    out.push_back(c.ttft_s.samples());
+  }
+  return out;
+}
+
 // What ExpectBitIdentical leaves out: every TTFT sample in order (global
 // and per class), and the engine counters the two feeds must also agree on.
 void ExpectStreamIdentical(const ServeMetrics& a, const ServeMetrics& b) {
+  const std::vector<std::vector<double>> a_ttft = TtftInOrder(a);
+  const std::vector<std::vector<double>> b_ttft = TtftInOrder(b);
   ExpectBitIdentical(a, b);
-  EXPECT_EQ(a.ttft_s.samples(), b.ttft_s.samples());
-  ASSERT_EQ(a.per_class.size(), b.per_class.size());
-  for (size_t c = 0; c < a.per_class.size(); ++c) {
-    EXPECT_EQ(a.per_class[c].ttft_s.samples(), b.per_class[c].ttft_s.samples()) << c;
+  ASSERT_EQ(a_ttft.size(), b_ttft.size());
+  for (size_t k = 0; k < a_ttft.size(); ++k) {
+    EXPECT_EQ(a_ttft[k], b_ttft[k])
+        << (k == 0 ? std::string("global") : "class " + std::to_string(k - 1));
   }
   EXPECT_EQ(a.events_popped, b.events_popped);
   EXPECT_EQ(a.peak_demand_entries, b.peak_demand_entries);
@@ -207,6 +221,29 @@ TEST(StreamedServe, StreamFedRunEqualsTheDrainedRecordsRun) {
   EXPECT_GE(retried, 20);
   EXPECT_GE(dropped, 10) << "no run exhausted a retry budget";
   EXPECT_GE(wide, 20) << "too few runs wrapped and grew the live-request ring";
+}
+
+TEST(StreamedServe, StreamCheckComparesTtftSampleOrder) {
+  // The same TTFT multiset recorded in two orders: every quantile agrees,
+  // so only the in-order comparison can tell the runs apart.
+  const std::vector<double> ttfts = {0.5, 0.1, 0.9, 0.3, 0.7, 0.2};
+  const std::vector<double> reversed(ttfts.rbegin(), ttfts.rend());
+  auto metrics = [](const std::vector<double>& global, const std::vector<double>& cls) {
+    ServeMetrics m;
+    m.per_class.resize(1);
+    for (double t : global) {
+      m.ttft_s.Add(t);
+    }
+    for (double t : cls) {
+      m.per_class[0].ttft_s.Add(t);
+    }
+    return m;
+  };
+  EXPECT_EQ(FirstServeMetricsDifference(metrics(ttfts, ttfts), metrics(reversed, reversed)), "");
+  EXPECT_NONFATAL_FAILURE(ExpectStreamIdentical(metrics(ttfts, ttfts), metrics(reversed, ttfts)),
+                          "global");
+  EXPECT_NONFATAL_FAILURE(ExpectStreamIdentical(metrics(ttfts, ttfts), metrics(ttfts, reversed)),
+                          "class 0");
 }
 
 TEST(StreamedServe, DrainedStreamIsTheGeneratedRecords) {

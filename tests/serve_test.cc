@@ -540,7 +540,7 @@ TEST(Simulator, EmptyConfigReturnsEmptyMetrics) {
 }
 
 TEST(Simulator, NewCoreBitIdenticalToReferenceCore) {
-  // The rebuilt core (calendar queue, SoA hot state, completion-heap
+  // The rebuilt core (calendar queue, SoA hot state, finish-step wheel
   // decode scheduling) against the preserved reference implementation on
   // the same synthetic table — the bench gates it at scale; this keeps a
   // fast in-tree check. Two inputs: lognormal lengths with per-class

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -98,6 +101,81 @@ TEST(SampleSet, QuantileClampsOutOfRange) {
   s.Add(5.0);
   EXPECT_DOUBLE_EQ(s.Quantile(-1.0), 5.0);
   EXPECT_DOUBLE_EQ(s.Quantile(2.0), 5.0);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// The samples' bit patterns, sorted: equal iff the two sets are
+// permutations of each other, -0.0 and +0.0 told apart.
+std::vector<uint64_t> BitMultiset(const std::vector<double>& xs) {
+  std::vector<uint64_t> bits;
+  for (double x : xs) {
+    bits.push_back(Bits(x));
+  }
+  std::sort(bits.begin(), bits.end());
+  return bits;
+}
+
+TEST(SampleSet, SelectedQuantilesMatchSortThenInterpolate) {
+  // Random sizes with heavy ties, both signed zeros and negative values;
+  // every q in {0, 0.01, ..., 1}, each twice, in shuffled order, so later
+  // reads select on what earlier reads left partly ordered.
+  SplitMix64 bits(0x5E1EC7ED);
+  const double ties[] = {-0.0, 0.0, 1.0, -2.5, 0.125, 3.0};
+  int signed_zero_cases = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = 1 + static_cast<size_t>(bits.Next() % 5000);
+    const uint64_t tie_share = bits.Next() % 101;  // percent drawn from `ties`
+    SampleSet set;
+    std::vector<double> added;
+    for (size_t k = 0; k < n; ++k) {
+      double x = bits.Next() % 100 < tie_share
+                     ? ties[bits.Next() % 6]
+                     : static_cast<double>(bits.Next() >> 11) * 0x1p-53 * 20.0 - 10.0;
+      set.Add(x);
+      added.push_back(x);
+    }
+    std::vector<double> sorted = added;
+    std::sort(sorted.begin(), sorted.end());
+    auto holds = [&](double z) {
+      return std::any_of(added.begin(), added.end(), [z](double x) { return Bits(x) == Bits(z); });
+    };
+    const bool both_zeros = holds(-0.0) && holds(0.0);
+    signed_zero_cases += both_zeros;
+    std::vector<int> qs;
+    for (int q = 0; q <= 100; ++q) {
+      qs.push_back(q);
+      qs.push_back(q);
+    }
+    for (size_t k = qs.size(); k > 1; --k) {
+      std::swap(qs[k - 1], qs[bits.Next() % k]);
+    }
+    for (int qi : qs) {
+      const double q = qi / 100.0;
+      // The sort-then-interpolate oracle: the order statistics at the two
+      // ranks straddling q * (n - 1).
+      double pos = q * static_cast<double>(n - 1);
+      size_t lo = static_cast<size_t>(pos);
+      size_t hi = std::min(lo + 1, n - 1);
+      double frac = pos - static_cast<double>(lo);
+      double want = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+      double got = set.Quantile(q);
+      if (both_zeros && want == 0.0) {
+        // `<` does not order -0.0 against +0.0, so neither a sort nor a
+        // selection fixes which of two tied zeros holds a rank: a zero
+        // quantile's sign is unspecified in both.
+        EXPECT_EQ(got, 0.0) << "trial " << trial << " q " << q;
+      } else {
+        EXPECT_EQ(Bits(got), Bits(want)) << "trial " << trial << " n " << n << " q " << q;
+      }
+    }
+    EXPECT_EQ(BitMultiset(set.samples()), BitMultiset(added)) << "trial " << trial;
+  }
+  EXPECT_GE(signed_zero_cases, 20);
 }
 
 TEST(LatencyHistogram, ExactScalarStatsAndStreamingQuantiles) {

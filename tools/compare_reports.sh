@@ -11,7 +11,9 @@
 # derive, list) at its defaults, and a fixed list of flag-built invocations
 # that together set every subcommand flag to a valid non-default value
 # (the knob-file flags, bare and wrapped, on small files written to a temp
-# dir; --loads and --rates in both grid forms), each in both renderings.
+# dir; --loads and --rates in both grid forms), plus a serve run whose
+# outputs outlast the decode completion wheel's ring span
+# (src/serve/completion_wheel.h), each in both renderings.
 # Compares stdout and exit status byte for byte, prints one `identical` or
 # `DIFF` line per run and exits 1 if any run differs (2 on bad usage). A
 # change that claims to leave every report unchanged should pass it against
@@ -97,6 +99,7 @@ invocations=(
   "serve --gpu Lite+MemBW --load 0.6 --horizon 20 --prefill-instances 2 --decode-instances 3 --prompt-sigma 0.3 --output-sigma 0.2 --seed 7 --classes @/classes.json --arrival @/arrival.json --autoscaler @/autoscaler.json --faults @/faults.json --threads 1"
   "serve --horizon 20 --classes @/classes_wrapped.json --arrival @/arrival_wrapped.json --autoscaler @/autoscaler_wrapped.json --faults @/faults_wrapped.json"
   "serve --model Llama3-8B --rate 4 --horizon 30 --shards 3 --prompt 1200 --output 200 --ttft 2 --tbt 0.06 --max-batch 256"
+  "serve --output 3000 --output-sigma 0.5"
   "sweep --loads 0.2:0.6:0.2 --horizon 10 --decode-instances 2 --seed 11 --classes @/classes.json"
   "sweep --loads 0.3,0.6 --horizon 10 --prompt-sigma 0.2 --output-sigma 0.1 --arrival @/arrival_wrapped.json --faults @/faults.json"
   "sweep --gpu Lite --rates 2:6:2 --horizon 10 --shards 2 --prefill-instances 1"
